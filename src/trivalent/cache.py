@@ -2,7 +2,8 @@
 
 Location precedence: explicit directory argument, then the GC_CACHE
 environment variable, then ~/.cache/trivalent.  Files carry a format_version
-and are ignored on mismatch, so stale caches degrade to recomputation.
+and are ignored on mismatch, as are unreadable files and payloads of the
+wrong shape, so stale or damaged caches degrade to recomputation.
 """
 
 from __future__ import annotations
@@ -13,7 +14,39 @@ from pathlib import Path
 
 FORMAT_VERSION = 1
 
-KINDS = ("basis", "zeros", "relations", "rref")
+
+def _list_of(x, kind) -> bool:
+    """x is a list whose items all have exactly the given type."""
+    return type(x) is list and set(map(type, x)) <= {kind}
+
+
+def _sparse_row(r, kind) -> bool:
+    return (
+        type(r) is dict
+        and _list_of(r.get("cols"), int)
+        and _list_of(r.get("vals"), kind)
+        and len(r["cols"]) == len(r["vals"])
+    )
+
+
+def _graph(g) -> bool:
+    return (
+        type(g) is dict
+        and type(g.get("vertices")) is int
+        and _list_of(g.get("edges"), list)
+        and all(len(e) == 2 and type(e[0]) is type(e[1]) is int for e in g["edges"])
+    )
+
+
+# the payload shape of each kind, as GraphSpace writes it
+_SHAPES = {
+    "basis": lambda p: type(p) is list and all(_graph(g) for g in p),
+    "zeros": lambda p: _list_of(p, str),
+    "relations": lambda p: type(p) is list and all(_sparse_row(r, int) for r in p),
+    "rref": lambda p: type(p) is dict
+    and all(piv.isdecimal() and _sparse_row(r, str) for piv, r in p.items()),
+}
+KINDS = tuple(_SHAPES)
 
 
 def default_dir() -> Path:
@@ -24,8 +57,7 @@ def default_dir() -> Path:
 
 
 class Cache:
-    def __init__(self, directory=None, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self, directory=None):
         self.directory = Path(directory) if directory else default_dir()
 
     def path(self, k: int, kind: str) -> Path:
@@ -33,21 +65,19 @@ class Cache:
         return self.directory / f"{kind}-k{k}.json"
 
     def load(self, k: int, kind: str):
-        if not self.enabled:
-            return None
+        """The stored payload, or None for a missing or unusable file."""
         p = self.path(k, kind)
         try:
             with open(p) as f:
                 data = json.load(f)
         except (OSError, ValueError):
             return None
-        if data.get("format_version") != FORMAT_VERSION:
+        if not isinstance(data, dict) or data.get("format_version") != FORMAT_VERSION:
             return None
-        return data.get("payload")
+        payload = data.get("payload")
+        return payload if _SHAPES[kind](payload) else None
 
     def store(self, k: int, kind: str, payload) -> None:
-        if not self.enabled:
-            return
         self.directory.mkdir(parents=True, exist_ok=True)
         p = self.path(k, kind)
         tmp = p.with_suffix(".tmp")

@@ -85,7 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache", help="cache directory (default: $GC_CACHE or user cache)")
 
     def add_jobs(p):
-        p.add_argument("--jobs", type=_positive, default=1, help="worker count")
+        p.add_argument(
+            "--jobs",
+            type=_positive,
+            default=1,
+            help="accepted for compatibility; has no effect",
+        )
 
     p = sub.add_parser("enum", help="list graph classes at a given k")
     add_k(p)
@@ -193,7 +198,7 @@ def cmd_enum(args):
 def cmd_dim(args):
     k = _check_k(args)
     space = GraphSpace(k, _cache_from(args))
-    d = space.dimension(primes=args.primes, jobs=args.jobs)
+    d = space.dimension(primes=args.primes)
     return {"k": k, "dimension": d}
 
 
@@ -236,7 +241,7 @@ def cmd_surgery(args):
     if args.mode == "orbit":
         report = evaluate_orbit(a, space, args.type_convention)
     else:
-        report = evaluate_full(a, space, args.type_convention, jobs=args.jobs)
+        report = evaluate_full(a, space, args.type_convention)
     return report.to_json()
 
 
@@ -261,7 +266,7 @@ def _selftest_checks(args):
     cache = _cache_from(args)
     for k in range(1, args.max_k + 1):
         expected = KNOWN_DIMENSIONS.get(k)
-        got = GraphSpace(k, cache).dimension(jobs=args.jobs)
+        got = GraphSpace(k, cache).dimension()
         yield f"dimension k={k}", expected is None or got == expected
 
     if args.max_k >= 2:

@@ -181,46 +181,37 @@ def solve_exact(a, b):
     for i in range(r, m):
         if any(x != 0 for x in aug[i][n:]):
             return None
-    x = [[Fraction(0)] * q for _ in range(n)]
+    x = zero_matrix(n, q)
     for i, col in enumerate(pivot_cols):
         x[col] = aug[i][n:]
     return x
 
 
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    q = len(b[0]) if k else 0
-    out = [[Fraction(0)] * q for _ in range(n)]
+def zero_matrix(rows: int, cols: int):
+    return [[Fraction(0)] * cols for _ in range(rows)]
+
+
+def identity_matrix(n: int):
+    m = zero_matrix(n, n)
     for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
+        m[i][i] = Fraction(1)
+    return m
+
+
+def mat_mul(a, b, rows: int, inner: int, cols: int):
+    """a (rows x inner) times b (inner x cols).
+
+    The shapes are explicit because an empty matrix does not record its
+    column count, and zero-rank degrees produce such matrices.
+    """
+    out = zero_matrix(rows, cols)
+    for i in range(rows):
+        ai, oi = a[i], out[i]
+        for t in range(inner):
             v = ai[t]
             if v:
                 bt = b[t]
-                for j in range(q):
+                for j in range(cols):
                     if bt[j]:
                         oi[j] += v * bt[j]
     return out
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def identity_matrix(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def mat_transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
-def mat_neg(a):
-    return [[-x for x in row] for row in a]
-
-
-def is_zero_matrix(a) -> bool:
-    return all(x == 0 for row in a for x in row)

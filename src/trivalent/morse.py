@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graphs import LabelledTrivalentGraph, validate
-from .linalg import solve_exact, exact_rank
+from .linalg import exact_rank, identity_matrix, mat_mul, solve_exact, zero_matrix
 
 TOP_DEGREE = 4
 
@@ -45,32 +45,6 @@ class DegreeMismatchError(MorseError):
 
 class InvalidDecorationError(MorseError):
     pass
-
-
-def _zeros(rows, cols):
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def _identity(n):
-    m = _zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
-
-
-def _mul(a, b, rows, inner, cols):
-    """a (rows x inner) times b (inner x cols); exact shapes, empty-safe."""
-    out = _zeros(rows, cols)
-    for i in range(rows):
-        ai, oi = a[i], out[i]
-        for t in range(inner):
-            v = ai[t]
-            if v:
-                bt = b[t]
-                for j in range(cols):
-                    if bt[j]:
-                        oi[j] += v * bt[j]
-    return out
 
 
 @dataclass(frozen=True)
@@ -120,7 +94,7 @@ class GradedComplex:
 def check_complex(c: GradedComplex) -> GradedComplex:
     """Verify ∂∘∂ = 0 in every degree; raises with the first bad entry."""
     for d in range(2, TOP_DEGREE + 1):
-        prod = _mul(
+        prod = mat_mul(
             c.boundaries[d - 1],
             c.boundaries[d],
             c.ranks[d - 2],
@@ -182,12 +156,12 @@ def compute_propagator(c: GradedComplex) -> Propagator:
     prev = None  # g_{d-1}
     for d in range(TOP_DEGREE):
         rd, rup = c.ranks[d], c.ranks[d + 1]
-        rhs = _identity(rd)
+        rhs = identity_matrix(rd)
         if d > 0 and prev is not None:
-            correction = _mul(prev, c.boundaries[d], rd, c.ranks[d - 1], rd)
+            correction = mat_mul(prev, c.boundaries[d], rd, c.ranks[d - 1], rd)
             rhs = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(rhs, correction)]
         if rd == 0:
-            gs[d] = _zeros(rup, 0)
+            gs[d] = zero_matrix(rup, 0)
             prev = gs[d]
             continue
         sol = solve_exact(c.boundaries[d + 1], rhs)
@@ -196,8 +170,8 @@ def compute_propagator(c: GradedComplex) -> Propagator:
         gs[d] = sol
         prev = sol
     # top degree: g_3 ∂_4 = id follows from exactness; verify outright
-    top = _mul(gs[3], c.boundaries[4], c.ranks[4], c.ranks[3], c.ranks[4])
-    if top != _identity(c.ranks[4]):
+    top = mat_mul(gs[3], c.boundaries[4], c.ranks[4], c.ranks[3], c.ranks[4])
+    if top != identity_matrix(c.ranks[4]):
         raise NotAcyclicError(TOP_DEGREE, _homology_defect(c, TOP_DEGREE))
     return Propagator(c.ranks, gs)
 
@@ -206,19 +180,19 @@ def contraction_identity_holds(c: GradedComplex, g: Propagator) -> bool:
     """Exact check of ∂_{d+1} g_d + g_{d-1} ∂_d = id for d = 0..4."""
     for d in range(TOP_DEGREE + 1):
         rd = c.ranks[d]
-        total = _zeros(rd, rd)
+        total = zero_matrix(rd, rd)
         if d < TOP_DEGREE:
-            total = _mul(c.boundaries[d + 1], g.mats[d], rd, c.ranks[d + 1], rd)
+            total = mat_mul(c.boundaries[d + 1], g.mats[d], rd, c.ranks[d + 1], rd)
         if d > 0:
-            other = _mul(g.mats[d - 1], c.boundaries[d], rd, c.ranks[d - 1], rd)
+            other = mat_mul(g.mats[d - 1], c.boundaries[d], rd, c.ranks[d - 1], rd)
             total = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(total, other)]
-        if total != _identity(rd):
+        if total != identity_matrix(rd):
             return False
     return True
 
 
 def _neg_transpose(m, rows, cols):
-    out = [[Fraction(0)] * rows for _ in range(cols)]
+    out = zero_matrix(cols, rows)
     for i in range(rows):
         for j in range(cols):
             out[j][i] = -m[i][j]

@@ -3,15 +3,16 @@
 For each k the space is spanned by isomorphism classes of connected
 trivalent multigraphs on 2k vertices, with classes whose automorphisms act
 oddly on edge labels already zero.  Contracting any non-loop edge produces a
-graph with one 4-valent hub; its three trivalent splittings, weighted
-(+1, -1, +1), give one relation row per hub graph.  Dimensions come from
-modular ranks at several large random primes, cross-checked exactly at
-small k by the tests.
+graph with one 4-valent hub; its three trivalent splittings, summed with
+coefficients (1, 1, 1) (graphs.IHX_COEFFS), give one relation row per hub
+graph.  The alternating sign of the classical relation is not lost: the
+class signs charge every edge-label transposition and so carry the middle
+splitting's minus.  Dimensions come from modular ranks at several large
+random primes, cross-checked exactly at small k by the tests.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .cache import Cache
@@ -302,22 +303,12 @@ class GraphSpace:
 
     # -- rank and dimension -------------------------------------------------
 
-    def dimension(
-        self,
-        primes: int = DEFAULT_PRIME_COUNT,
-        seed: int = DEFAULT_SEED,
-        jobs: int = 1,
-    ) -> int:
+    def dimension(self, primes: int = DEFAULT_PRIME_COUNT, seed: int = DEFAULT_SEED) -> int:
         rows = self.relation_rows()
         if not rows:
             return len(self.basis)
         for attempt in range(3):
-            ps = gen_primes(primes, seed + attempt)
-            if jobs > 1:
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    ranks = list(pool.map(_rank_task, [(rows, p) for p in ps]))
-            else:
-                ranks = [rank_mod_p(rows, p) for p in ps]
+            ranks = [rank_mod_p(rows, p) for p in gen_primes(primes, seed + attempt)]
             if len(set(ranks)) == 1:
                 return len(self.basis) - ranks[0]
         raise PrimeDisagreementError(f"ranks still disagree after retries: {ranks}")
@@ -365,11 +356,6 @@ class GraphSpace:
 
     def reduce_graph(self, g: LabelledTrivalentGraph) -> dict:
         return self.normal_form(self.class_vector(g))
-
-
-def _rank_task(args):
-    rows, p = args
-    return rank_mod_p(rows, p)
 
 
 def dimension(k: int, cache: Cache | None = None, **kw) -> int:

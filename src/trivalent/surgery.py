@@ -4,17 +4,16 @@ Every edge of an arrow graph contributes one Hopf pair of handle slots; a
 vertex's three slots carry degrees 1 (outgoing) and 2 (incoming), making
 vertices with two outgoing half-edges one type and vertices with two
 incoming the other.  The orbit evaluator uses the automorphism-counting
-closed form; the full evaluator walks every labelling, orientation and
-vertex assignment at small k and checks the counting identities on the way.
+closed form; the full evaluator counts every labelling, orientation and
+vertex assignment at small k, brute-forcing the vertex bijections once per
+labelled copy, and checks the counting identities on the way.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .graphs import ArrowGraph, GraphError, automorphisms, half_edges_at, reduce
 from .morse import TYPE_I, TYPE_II, surviving_indices
@@ -214,6 +213,29 @@ def _orbit_order(k: int) -> int:
     return 2 ** (3 * k) * factorial(2 * k) * factorial(3 * k)
 
 
+def _orbit_diagnostics(arrow: ArrowGraph, convention: str) -> dict:
+    """Checks both evaluators rest on, and their shared diagnostics.
+
+    Every vertex must realize a surviving index tuple, and |Aut| must divide
+    2^(3k) (2k)! (3k)!; the quotient is the representative count L(G).
+    """
+    data, _ = ylink(arrow, convention)
+    _assert_surviving(data)
+    _, aut, aut_e, aut_v = automorphisms(arrow.graph)
+    assert aut == aut_e * aut_v
+    order = _orbit_order(arrow.graph.k)
+    if order % aut:
+        raise NonIntegerOrbitError(
+            f"2^(3k)(2k)!(3k)! = {order} is not divisible by |Aut| = {aut}"
+        )
+    return {
+        "aut": str(aut),
+        "aut_e": str(aut_e),
+        "aut_v": str(aut_v),
+        "representatives": str(order // aut),
+    }
+
+
 def evaluate_orbit(
     arrow: ArrowGraph,
     space: GraphSpace | None = None,
@@ -223,37 +245,19 @@ def evaluate_orbit(
 
     The sum over vertex assignments, labellings and orientations contributes
     the input class once per (representative, assignment, slot matching)
-    triple; there are L(G) * |Aut_v| * |Aut_e| of those, and the
-    normalization divides the same number back out.
+    triple; there are L(G) * |Aut_v| * |Aut_e| = 2^(3k) (2k)! (3k)! of
+    those, each with the folded sign (-1)^(3k), and the normalization
+    (-1)^(3k) / (2^(3k) (2k)! (3k)!) divides the same number back out.  The
+    result is therefore the normal form of the input class itself.
     """
     g = arrow.graph
-    k = g.k
-    space = space or GraphSpace(k)
-    data, _ = ylink(arrow, convention)
-    _assert_surviving(data)
-    _, aut, aut_e, aut_v = automorphisms(g)
-    assert aut == aut_e * aut_v
-    order = _orbit_order(k)
-    if order % aut:
-        raise NonIntegerOrbitError(
-            f"2^(3k)(2k)!(3k)! = {order} is not divisible by |Aut| = {aut}"
-        )
-    reps = order // aut
-    sign = -1 if (3 * k) % 2 else 1
-    class_vec = space.class_vector(g)
-    raw = {i: Fraction(reps * aut_v * aut_e * sign) * v for i, v in class_vec.items()}
-    scaled = {i: v * Fraction(sign, order) for i, v in raw.items()}
-    result = space.normal_form(scaled)
+    space = space or GraphSpace(g.k)
+    diagnostics = _orbit_diagnostics(arrow, convention)
     return EvaluationReport(
         mode="orbit",
         input_json=_arrow_json(arrow),
-        result=_keyed(space, result),
-        diagnostics={
-            "aut": str(aut),
-            "aut_e": str(aut_e),
-            "aut_v": str(aut_v),
-            "representatives": str(reps),
-        },
+        result=_keyed(space, space.reduce_graph(g)),
+        diagnostics=diagnostics,
         notes=(_FOLD_NOTE,),
     )
 
@@ -276,112 +280,73 @@ def _multiplicities(pairs):
     return mult
 
 
-def _sequence_terms(seq, gamma_mult, n):
-    """Count matching assignments for one labelled edge sequence.
+def _copy_terms(copy, gamma_mult, n):
+    """Count matching assignments over every labelled edge sequence of a copy.
 
-    A vertex bijection matches when it carries the multiplicity profile onto
-    the input graph's; the check never reads edge directions, so it runs once
-    per bijection and the surviving assignments are then walked one oriented
-    copy at a time.  Returns (assignment count weighted by slot matchings,
-    distinct oriented copies, loop-weighted copy count).
+    A vertex bijection matches when it carries the copy's multiplicity
+    profile onto the input graph's.  The check reads neither the order of
+    the edges nor their directions, so it runs once per copy; the copy's
+    (3k)! / prod m! distinct edge sequences and the 2^(non-loop edges)
+    orientations of each then multiply the count.  Returns (assignment count
+    weighted by slot matchings, loop-weighted count of labelled oriented
+    copies).
     """
-    loops = sum(1 for u, v in seq if u == v)
-    mult = _multiplicities(tuple(sorted(p)) for p in seq)
-    slot_matchings = 2 ** loops
-    for m in mult.values():
-        slot_matchings *= factorial(m)
-    items = tuple(mult.items())
-    matched = []
+    loops = sum(1 for u, v in copy if u == v)
+    mult = _multiplicities(copy)
+    multiplicity_perms = prod(factorial(m) for m in mult.values())
+    slot_matchings = 2 ** loops * multiplicity_perms
+    matched = 0
     for sigma in itertools.permutations(range(n)):
-        for pair, m in items:
+        for pair, m in mult.items():
             a, b = sigma[pair[0]], sigma[pair[1]]
             if gamma_mult.get((a, b) if a <= b else (b, a), 0) != m:
                 break
         else:
-            matched.append(sigma)
-    choices = [((u, v),) if u == v else ((u, v), (v, u)) for u, v in seq]
-    n_oriented = 0
-    n_matched = 0
-    for _oriented in itertools.product(*choices):
-        n_oriented += 1
-        n_matched += len(matched)
-    return n_matched * slot_matchings, n_oriented, n_oriented * 2 ** loops
-
-
-def _full_chunk(args):
-    seqs, gamma_mult, n = args
-    total = reps = 0
-    for seq in seqs:
-        t, _, r = _sequence_terms(seq, gamma_mult, n)
-        total += t
-        reps += r
-    return total, reps
+            matched += 1
+    sequences = factorial(len(copy)) // multiplicity_perms
+    oriented = sequences * 2 ** (len(copy) - loops)
+    return oriented * matched * slot_matchings, oriented * 2 ** loops
 
 
 def evaluate_full(
     arrow: ArrowGraph,
     space: GraphSpace | None = None,
     convention: str = CONVENTION_DEFAULT,
-    jobs: int = 1,
 ) -> EvaluationReport:
     """Literal sum over labellings, orientations and vertex assignments.
 
     Gated to k <= 2.  Verifies the two counting identities the closed form
     rests on: the total number of surviving assignments is exactly
     2^(3k) (2k)! (3k)!, and the loop-weighted count of distinct labelled
-    oriented copies equals the representative count L(G).
+    oriented copies equals the representative count L(G).  With those, the
+    prefactor is 1 as in evaluate_orbit.
     """
     g = arrow.graph
     k = g.k
     if k > 2:
         raise ResourceLimitError(f"full evaluation is gated to k <= 2, got k = {k}")
     space = space or GraphSpace(k)
-    data, _ = ylink(arrow, convention)
-    _assert_surviving(data)
+    diagnostics = _orbit_diagnostics(arrow, convention)
     n = 2 * k
     gamma_mult = _multiplicities(tuple(sorted(e)) for e in g.edges)
-    sequences = []
+    total_terms = brute_reps = 0
     for copy in _labelled_copies(g):
-        sequences.extend(sorted(set(itertools.permutations(copy))))
-    chunks = [sequences[i::jobs] for i in range(jobs)] if jobs > 1 else [sequences]
-    parts = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_full_chunk, [(c, gamma_mult, n) for c in chunks]))
-    else:
-        parts = [_full_chunk((chunks[0], gamma_mult, n))]
-    total_terms = sum(p[0] for p in parts)
-    brute_reps = sum(p[1] for p in parts)
+        terms, reps = _copy_terms(copy, gamma_mult, n)
+        total_terms += terms
+        brute_reps += reps
 
     order = _orbit_order(k)
     assert total_terms == order, (
         f"assignment count {total_terms} differs from 2^(3k)(2k)!(3k)! = {order}"
     )
-    _, aut, aut_e, aut_v = automorphisms(g)
-    if order % aut:
-        raise NonIntegerOrbitError(
-            f"2^(3k)(2k)!(3k)! = {order} is not divisible by |Aut| = {aut}"
-        )
-    reps = order // aut
+    reps = int(diagnostics["representatives"])
     assert brute_reps == reps, (
         f"loop-weighted copy count {brute_reps} differs from L = {reps}"
     )
-
-    sign = -1 if (3 * k) % 2 else 1
-    class_vec = space.class_vector(g)
-    acc = {i: Fraction(total_terms * sign) * v for i, v in class_vec.items()}
-    scaled = {i: v * Fraction(sign, order) for i, v in acc.items()}
-    result = space.normal_form(scaled)
     return EvaluationReport(
         mode="full",
         input_json=_arrow_json(arrow),
-        result=_keyed(space, result),
-        diagnostics={
-            "aut": str(aut),
-            "aut_e": str(aut_e),
-            "aut_v": str(aut_v),
-            "representatives": str(reps),
-            "assignments": str(total_terms),
-        },
+        result=_keyed(space, space.reduce_graph(g)),
+        diagnostics={**diagnostics, "assignments": str(total_terms)},
         notes=(_FOLD_NOTE, _CONSTANT_TERM_NOTE),
     )

@@ -322,6 +322,21 @@ class TestCache:
         _, s_warm, _ = run(capsys, "surgery", k4, "--cache", str(tmp_path / "w2"))
         assert s_cold == s_warm
 
+    def test_bad_payload_is_rebuilt(self, tmp_path, capsys):
+        _, cold, _ = run(capsys, "dim", "-k", "3", "--cache", str(tmp_path / "cold"))
+        for i, text in enumerate(
+            (
+                '{"format_version":1,"payload":[1,2]}',
+                "[1,2]",
+                '{"format_version":1,"payload":{"a":1}}',
+            )
+        ):
+            d = tmp_path / f"bad{i}"
+            d.mkdir()
+            (d / "basis-k3.json").write_text(text)
+            assert run(capsys, "dim", "-k", "3", "--cache", str(d)) == (0, cold, "")
+            assert (d / "basis-k3.json").read_text() != text
+
 
 class TestEntryPoints:
     def test_module_invocation(self, tmp_path):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from trivalent import linalg as la
 from trivalent import morse as M
 from trivalent.graphs import validate
 
@@ -88,8 +89,8 @@ class TestPropagator:
         c, _ = complexes.random_complex(7)
         g = M.compute_propagator(c)
         for d in range(M.TOP_DEGREE):
-            dg = M._mul(c.boundaries[d + 1], g.mats[d], c.ranks[d], c.ranks[d + 1], c.ranks[d])
-            assert M._mul(dg, dg, *(c.ranks[d],) * 3) == dg
+            dg = la.mat_mul(c.boundaries[d + 1], g.mats[d], c.ranks[d], c.ranks[d + 1], c.ranks[d])
+            assert la.mat_mul(dg, dg, *(c.ranks[d],) * 3) == dg
 
 
 class TestRandomComplexes:

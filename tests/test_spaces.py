@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from trivalent import graphs as G
-from trivalent.cache import Cache
+from trivalent.cache import KINDS, Cache
 from trivalent.linalg import exact_rref, reduce_vector
 from trivalent.spaces import (
     GraphSpace,
@@ -201,23 +201,19 @@ class TestCache:
     def test_corrupt_file_ignored(self, tmp_path):
         cache = Cache(tmp_path)
         cache.path(2, "basis").parent.mkdir(parents=True, exist_ok=True)
-        cache.path(2, "basis").write_text("{not json")
-        assert cache.load(2, "basis") is None
-
-    def test_disabled_cache_writes_nothing(self, tmp_path):
-        cache = Cache(tmp_path, enabled=False)
-        GraphSpace(2, cache).dimension()
-        assert cache.status() == []
+        texts = (
+            "{not json",
+            "[1, 2]",
+            '{"format_version": 1, "payload": [1, 2]}',
+            '{"format_version": 1, "payload": {"a": 1}}',
+        )
+        for kind in KINDS:
+            for text in texts:
+                cache.path(2, kind).write_text(text)
+                assert cache.load(2, kind) is None
 
     def test_clear(self, tmp_path):
         cache = Cache(tmp_path)
         GraphSpace(2, cache).basis
         assert cache.clear() == 2
         assert cache.status() == []
-
-
-class TestParallelRank:
-    def test_jobs_match_serial(self):
-        sp = space(3)
-        serial = sp.dimension(jobs=1)
-        assert sp.dimension(jobs=2) == serial

@@ -294,13 +294,6 @@ class TestFullEvaluation:
                 == S.evaluate_full(a, space, S.CONVENTION_FLIPPED).result
             )
 
-    def test_parallel_jobs_agree(self):
-        space = GraphSpace(2)
-        a = arrow(clover())
-        serial = S.evaluate_full(a, space)
-        parallel = S.evaluate_full(a, space, jobs=2)
-        assert serial.to_json() == parallel.to_json()
-
     def test_resource_gate(self):
         rep = class_reps(3)[0]
         with pytest.raises(S.ResourceLimitError):
