@@ -3,13 +3,17 @@
 Location precedence: explicit directory argument, then the GC_CACHE
 environment variable, then ~/.cache/trivalent.  Files carry a format_version
 and are ignored on mismatch, as are unreadable files and payloads of the
-wrong shape, so stale or damaged caches degrade to recomputation.
+wrong shape, so stale or damaged caches degrade to recomputation.  Files
+that index a basis by position (relations, rref) also carry a checksum of
+the basis keys they were built against and are ignored when it differs.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
+import zlib
 from pathlib import Path
 
 FORMAT_VERSION = 1
@@ -49,6 +53,11 @@ _SHAPES = {
 KINDS = tuple(_SHAPES)
 
 
+def _basis_crc32(keys) -> int:
+    """CRC-32 of the newline-joined basis keys."""
+    return zlib.crc32("\n".join(keys).encode())
+
+
 def default_dir() -> Path:
     env = os.environ.get("GC_CACHE")
     if env:
@@ -64,8 +73,12 @@ class Cache:
         assert kind in KINDS
         return self.directory / f"{kind}-k{k}.json"
 
-    def load(self, k: int, kind: str):
-        """The stored payload, or None for a missing or unusable file."""
+    def load(self, k: int, kind: str, basis_keys=None):
+        """The stored payload, or None for a missing or unusable file.
+
+        With basis_keys, a file not stored against those same keys is
+        unusable too.
+        """
         p = self.path(k, kind)
         try:
             with open(p) as f:
@@ -74,16 +87,28 @@ class Cache:
             return None
         if not isinstance(data, dict) or data.get("format_version") != FORMAT_VERSION:
             return None
+        if basis_keys is not None and data.get("basis_crc32") != _basis_crc32(basis_keys):
+            return None
         payload = data.get("payload")
         return payload if _SHAPES[kind](payload) else None
 
-    def store(self, k: int, kind: str, payload) -> None:
+    def store(self, k: int, kind: str, payload, basis_keys=None) -> None:
+        """Write a payload atomically through a temp file of this writer's own.
+
+        With basis_keys, the file records their checksum for load to match.
+        """
         self.directory.mkdir(parents=True, exist_ok=True)
-        p = self.path(k, kind)
-        tmp = p.with_suffix(".tmp")
-        with open(tmp, "w") as f:
-            json.dump({"format_version": FORMAT_VERSION, "payload": payload}, f)
-        os.replace(tmp, p)
+        data = {"format_version": FORMAT_VERSION, "payload": payload}
+        if basis_keys is not None:
+            data["basis_crc32"] = _basis_crc32(basis_keys)
+        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                json.dump(data, f)
+            os.replace(tmp, self.path(k, kind))
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def status(self):
         """Sorted (filename, size in bytes) pairs for present cache files."""

@@ -1,4 +1,4 @@
-"""Canonical labelling of small vertex-coloured multigraphs.
+"""Canonical labelling of small multigraphs.
 
 Vertices are 0..n-1.  Edges are unordered pairs (u, v); u == v is a loop and
 parallel edges are allowed.  Canonicalization is by iterative colour
@@ -47,13 +47,8 @@ def _refine(n: int, nbrs, colors):
         colors = new
 
 
-def canonicalize(n: int, edges, colors=None) -> CanonResult:
-    """Canonicalize the multigraph on n vertices with the given edge list.
-
-    colors, when given, is a sequence of hashable per-vertex colours that any
-    automorphism and the canonical form must respect (used for graphs with a
-    distinguished vertex).
-    """
+def canonicalize(n: int, edges) -> CanonResult:
+    """Canonicalize the multigraph on n vertices with the given edge list."""
     if n <= 0:
         raise ValueError("need at least one vertex")
     mult: dict = {}
@@ -71,8 +66,7 @@ def canonicalize(n: int, edges, colors=None) -> CanonResult:
     nbrs = [tuple(sorted(d.items())) for d in nbr_acc]
     deg = [sum(m for _, m in nbrs[v]) + 2 * loops[v] for v in range(n)]
 
-    extern = colors if colors is not None else [0] * n
-    init_keys = [(extern[v], deg[v], loops[v]) for v in range(n)]
+    init_keys = [(deg[v], loops[v]) for v in range(n)]
     rank = {key: i for i, key in enumerate(sorted(set(init_keys)))}
     start = _refine(n, nbrs, tuple(rank[k] for k in init_keys))
 

@@ -186,11 +186,10 @@ def _check_k(args) -> int:
 def cmd_enum(args):
     k = _check_k(args)
     space = GraphSpace(k, _cache_from(args))
-    signed = [reduce(g).key for g in space.basis]
     return {
         "k": k,
         "classes": space.num_classes,
-        "signed": signed,
+        "signed": list(space.keys),
         "zero": sorted(space.zero_keys),
     }
 
@@ -209,10 +208,9 @@ def cmd_reduce(args):
         return {"class": "zero"}
     space = GraphSpace(g.k, _cache_from(args))
     nf = space.normal_form(space.class_vector(g))
-    keys = [reduce(b).key for b in space.basis]
     return {
         "class": {"key": r.key, "sign": r.sign},
-        "normal_form": {keys[i]: str(v) for i, v in sorted(nf.items())},
+        "normal_form": {space.keys[i]: str(v) for i, v in sorted(nf.items())},
     }
 
 
@@ -277,9 +275,8 @@ def _selftest_checks(args):
         nf = space.reduce_graph(k4)
         yield "complete graph class survives", nf != {}
         rpt = evaluate_orbit(find_arrow_orientation(k4), space)
-        keys = [reduce(b).key for b in space.basis]
         yield "surgery matches reduction", rpt.result == {
-            keys[i]: v for i, v in nf.items()
+            space.keys[i]: v for i, v in nf.items()
         }
 
     theta = LabelledTrivalentGraph(2, ((0, 1), (0, 1), (0, 1)))

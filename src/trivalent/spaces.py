@@ -193,12 +193,22 @@ class GraphSpace:
         self.k = k
         self._cache = cache
         self._basis = None
+        self._keys = None
         self._zeros = None
         self._rows = None
         self._rref = None
         self._index = None
 
     # -- basis ------------------------------------------------------------
+
+    def _set_classes(self, basis, zeros) -> bool:
+        """Adopt a basis unless its keys fail to increase strictly, as
+        classify writes them; basis positions index every row and vector."""
+        keys = tuple(canonical_key(g.num_vertices, g.edges) for g in basis)
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            return False
+        self._basis, self._keys, self._zeros = tuple(basis), keys, frozenset(zeros)
+        return True
 
     def _load_classes(self) -> bool:
         if self._cache is None:
@@ -207,12 +217,13 @@ class GraphSpace:
         zeros = self._cache.load(self.k, "zeros")
         if basis is None or zeros is None:
             return False
-        self._basis = tuple(
-            LabelledTrivalentGraph(g["vertices"], tuple(tuple(e) for e in g["edges"]))
-            for g in basis
+        return self._set_classes(
+            [
+                LabelledTrivalentGraph(g["vertices"], tuple(tuple(e) for e in g["edges"]))
+                for g in basis
+            ],
+            zeros,
         )
-        self._zeros = frozenset(zeros)
-        return True
 
     def _ensure_classes(self):
         if self._basis is not None:
@@ -220,8 +231,7 @@ class GraphSpace:
         if self._load_classes():
             return
         reps, zeros = classify(enumerate_graphs(self.k))
-        self._basis = tuple(reps)
-        self._zeros = zeros
+        self._set_classes(reps, zeros)  # classify sorts by key, so this holds
         if self._cache is not None:
             self._cache.store(self.k, "basis", [g.to_json() for g in reps])
             self._cache.store(self.k, "zeros", sorted(zeros))
@@ -230,6 +240,12 @@ class GraphSpace:
     def basis(self):
         self._ensure_classes()
         return self._basis
+
+    @property
+    def keys(self):
+        """The class key of each basis representative, in basis order."""
+        self._ensure_classes()
+        return self._keys
 
     @property
     def zero_keys(self):
@@ -242,7 +258,7 @@ class GraphSpace:
 
     def _key_index(self):
         if self._index is None:
-            self._index = {reduce(g).key: i for i, g in enumerate(self.basis)}
+            self._index = {key: i for i, key in enumerate(self.keys)}
         return self._index
 
     # -- vectors ----------------------------------------------------------
@@ -273,7 +289,7 @@ class GraphSpace:
         if self._rows is not None:
             return self._rows
         if self._cache is not None:
-            data = self._cache.load(self.k, "relations")
+            data = self._cache.load(self.k, "relations", basis_keys=self.keys)
             if data is not None:
                 self._rows = [
                     {int(c): v for c, v in zip(row["cols"], row["vals"])} for row in data
@@ -298,7 +314,7 @@ class GraphSpace:
             payload = [
                 {"cols": sorted(r), "vals": [r[c] for c in sorted(r)]} for r in rows
             ]
-            self._cache.store(self.k, "relations", payload)
+            self._cache.store(self.k, "relations", payload, basis_keys=self.keys)
         return rows
 
     # -- rank and dimension -------------------------------------------------
@@ -325,7 +341,7 @@ class GraphSpace:
         if self._rref is not None:
             return self._rref
         if self._cache is not None:
-            data = self._cache.load(self.k, "rref")
+            data = self._cache.load(self.k, "rref", basis_keys=self.keys)
             if data is not None:
                 self._rref = {
                     int(piv): {
@@ -343,7 +359,7 @@ class GraphSpace:
                 }
                 for piv, row in self._rref.items()
             }
-            self._cache.store(self.k, "rref", payload)
+            self._cache.store(self.k, "rref", payload, basis_keys=self.keys)
         return self._rref
 
     def normal_form(self, vec: dict) -> dict:

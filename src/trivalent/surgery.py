@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import factorial, prod
 
-from .graphs import ArrowGraph, GraphError, automorphisms, half_edges_at, reduce
+from .graphs import ArrowGraph, GraphError, automorphisms, half_edges_at
 from .morse import TYPE_I, TYPE_II, surviving_indices
 from .spaces import GraphSpace
 
@@ -195,8 +195,7 @@ def _arrow_json(a: ArrowGraph) -> dict:
 
 
 def _keyed(space: GraphSpace, vec: dict) -> dict:
-    keys = [reduce(g).key for g in space.basis]
-    return {keys[i]: v for i, v in vec.items() if v}
+    return {space.keys[i]: v for i, v in vec.items() if v}
 
 
 _FOLD_NOTE = (
@@ -315,11 +314,15 @@ def evaluate_full(
 ) -> EvaluationReport:
     """Literal sum over labellings, orientations and vertex assignments.
 
-    Gated to k <= 2.  Verifies the two counting identities the closed form
-    rests on: the total number of surviving assignments is exactly
-    2^(3k) (2k)! (3k)!, and the loop-weighted count of distinct labelled
-    oriented copies equals the representative count L(G).  With those, the
-    prefactor is 1 as in evaluate_orbit.
+    Gated to k <= 2.  The closed form rests on two counting identities.  The
+    total number of surviving assignments, 2^(3k) (2k)! (3k)!, holds by
+    construction: each labelled copy contributes (3k)! 2^(3k) times its
+    matching vertex bijections, and every bijection matches exactly one
+    copy.  It is asserted and reported as the `assignments` diagnostic, but
+    cannot fail.  The check that can fail is the other identity: the
+    loop-weighted count of distinct labelled oriented copies must equal the
+    representative count L(G) computed from the automorphism group.  With
+    both, the prefactor is 1 as in evaluate_orbit.
     """
     g = arrow.graph
     k = g.k

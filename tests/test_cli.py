@@ -323,19 +323,35 @@ class TestCache:
         assert s_cold == s_warm
 
     def test_bad_payload_is_rebuilt(self, tmp_path, capsys):
-        _, cold, _ = run(capsys, "dim", "-k", "3", "--cache", str(tmp_path / "cold"))
-        for i, text in enumerate(
-            (
+        k4 = write(tmp_path, "k4.json", k4_json())
+        clover = write(tmp_path, "clover.json", clover_json())
+        k2 = (("reduce", k4), ("reduce", clover), ("enum", "-k", "2"), ("dim", "-k", "2"))
+        # (k, kind, file text or an edit of a warm cache's file, commands)
+        cases = [
+            (3, "basis", text, (("dim", "-k", "3"),))
+            for text in (
                 '{"format_version":1,"payload":[1,2]}',
                 "[1,2]",
                 '{"format_version":1,"payload":{"a":1}}',
             )
-        ):
+        ]
+        cases += [
+            (2, "basis", lambda d: {**d, "payload": d["payload"][::-1]}, k2),
+            (2, "relations", lambda d: {**d, "basis_crc32": d["basis_crc32"] ^ 1}, k2),
+            (2, "rref", lambda d: {**d, "basis_crc32": d["basis_crc32"] ^ 1}, k2),
+        ]
+        for i, (k, kind, bad, commands) in enumerate(cases):
+            cold = [run(capsys, *c, "--cache", str(tmp_path / f"cold{i}")) for c in commands]
+            assert all(code == 0 and err == "" for code, _, err in cold)
             d = tmp_path / f"bad{i}"
             d.mkdir()
-            (d / "basis-k3.json").write_text(text)
-            assert run(capsys, "dim", "-k", "3", "--cache", str(d)) == (0, cold, "")
-            assert (d / "basis-k3.json").read_text() != text
+            path = d / f"{kind}-k{k}.json"
+            if callable(bad):
+                run(capsys, "cache", "warm", "-k", str(k), "--cache", str(d))
+                bad = json.dumps(bad(json.loads(path.read_text())))
+            path.write_text(bad)
+            assert [run(capsys, *c, "--cache", str(d)) for c in commands] == cold
+            assert path.read_text() != bad
 
 
 class TestEntryPoints:

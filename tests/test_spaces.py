@@ -137,6 +137,21 @@ class TestNormalForm:
         assert sp.reduce_graph(k4) != {}
 
 
+class TestBasisKeys:
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_keys_are_reduced_keys_in_increasing_order(self, k, tmp_path, monkeypatch):
+        cache = Cache(tmp_path)
+        built = GraphSpace(k, cache)
+        built.basis
+        reopened = GraphSpace(k, cache)
+        monkeypatch.setattr(
+            "trivalent.spaces.enumerate_graphs", lambda k: pytest.fail("reopen rebuilt")
+        )
+        for sp in (built, reopened):
+            assert sp.keys == tuple(G.reduce(b).key for b in sp.basis)
+            assert all(a < b for a, b in zip(sp.keys, sp.keys[1:]))
+
+
 class TestRelationRows:
     def test_deterministic(self):
         a = GraphSpace(3).relation_rows()
@@ -211,6 +226,15 @@ class TestCache:
             for text in texts:
                 cache.path(2, kind).write_text(text)
                 assert cache.load(2, kind) is None
+
+    def test_failed_store_keeps_previous_file(self, tmp_path):
+        cache = Cache(tmp_path)
+        cache.store(2, "zeros", ["cub:4:0-0,0-1,1-2,2-3,3-3"])
+        before = cache.path(2, "zeros").read_text()
+        with pytest.raises(TypeError):
+            cache.store(2, "zeros", ["a", object()])
+        assert cache.path(2, "zeros").read_text() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["zeros-k2.json"]
 
     def test_clear(self, tmp_path):
         cache = Cache(tmp_path)
