@@ -7,6 +7,31 @@ by-placement lower-triangular adjacency encoding.  Automorphism generators
 are collected from encoding ties, which is enough to recover the full vertex
 automorphism group by closure.
 
+Each search node costs little:
+
+- The graph is an n x n multiplicity matrix with the loop counts on the
+  diagonal, so encoding row t is the t-th placed vertex's matrix row read
+  at the placed vertices 0..t.
+- Nodes carry their cells.  A colouring is the ordered cell list, each cell
+  stored at its first slot in that order, and a vertex's colour is that
+  slot.  Individualizing v splits its cell into [v] and the rest; no other
+  cell moves.  Slots number the cells in the order dense ranks do, so
+  signatures compare as they would under ranks.
+- Refinement re-signs only what can change.  Each pass re-signs the
+  non-singleton cells with a neighbour in a cell that split in the pass
+  before; the other cells were equitable and stay whole.  A cell's pieces
+  take signature order (sorted neighbour colour and multiplicity pairs,
+  all from the colours the pass started with), which is the order a full
+  re-ranking by (old colour, signature) gives them.
+- A child's leading singletons extend its parent's, so the child extends
+  the parent's encoding prefix in place and compares it with the best
+  encoding so far as one list.
+
+The search tree, its node order, the prune test and the generators are
+those of the plain algorithm (re-rank every vertex every pass, rebuild the
+prefix at every node).  tests/test_canon.py freezes every field of
+`CanonResult` on a golden corpus, so class keys and caches do not move.
+
 Everything here is deliberately dependency-free and works at "desk scale"
 (n <= 14 or so); the heavy callers cache aggressively.
 """
@@ -33,50 +58,70 @@ class CanonResult:
     aut_generators: tuple
 
 
-def _refine(n: int, nbrs, colors):
-    """Refine a colouring to equitability; cell order follows signature order."""
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted((colors[u], m) for u, m in nbrs[v])))
-            for v in range(n)
-        ]
-        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = tuple(order[s] for s in sigs)
-        if new == colors:
-            return new
-        colors = new
+def _refine(nbrs, base, cells, col, split):
+    """Refine a colouring to equitability, in place.
+
+    cells[s] is the vertex list of the cell whose first slot in the cell
+    order is s (None inside a cell), col[v] is the first slot of v's cell,
+    and split lists the vertices of the cells that split last.  Each pass
+    re-signs, from the colours it started with, the cells with a neighbour
+    in split, and lays the pieces of a cell out in signature order.  A
+    signature entry col * base + m (multiplicity m < base) sorts as the
+    pair (col, m).
+    """
+    while split:
+        touched = {col[u] for v in split for u, _ in nbrs[v]}
+        split = []
+        moved = []
+        for start in touched:
+            cell = cells[start]
+            if len(cell) == 1:
+                continue
+            pieces: dict = {}
+            for v in cell:
+                sig = tuple(sorted([col[u] * base + m for u, m in nbrs[v]]))
+                pieces.setdefault(sig, []).append(v)
+            if len(pieces) > 1:
+                for sig in sorted(pieces):
+                    moved.append((start, pieces[sig]))
+                    start += len(pieces[sig])
+                split.extend(cell)
+        for start, piece in moved:
+            cells[start] = piece
+            for v in piece:
+                col[v] = start
 
 
 def canonicalize(n: int, edges) -> CanonResult:
     """Canonicalize the multigraph on n vertices with the given edge list."""
     if n <= 0:
         raise ValueError("need at least one vertex")
-    mult: dict = {}
-    loops = [0] * n
+    adj = [[0] * n for _ in range(n)]
     for u, v in edges:
-        if u == v:
-            loops[u] += 1
-        else:
-            a, b = (u, v) if u < v else (v, u)
-            mult[(a, b)] = mult.get((a, b), 0) + 1
-    nbr_acc: list = [dict() for _ in range(n)]
-    for (a, b), m in mult.items():
-        nbr_acc[a][b] = m
-        nbr_acc[b][a] = m
-    nbrs = [tuple(sorted(d.items())) for d in nbr_acc]
-    deg = [sum(m for _, m in nbrs[v]) + 2 * loops[v] for v in range(n)]
+        adj[u][v] += 1
+        if u != v:
+            adj[v][u] += 1
+    nbrs = [[(u, m) for u, m in enumerate(row) if m and u != v] for v, row in enumerate(adj)]
+    base = len(edges) + 1
 
-    init_keys = [(deg[v], loops[v]) for v in range(n)]
-    rank = {key: i for i, key in enumerate(sorted(set(init_keys)))}
-    start = _refine(n, nbrs, tuple(rank[k] for k in init_keys))
+    # initial cells by (degree, loops); a loop adds 2 to the degree
+    init: dict = {}
+    for v, row in enumerate(adj):
+        init.setdefault((sum(row) + row[v], row[v]), []).append(v)
+    cells = [None] * n
+    col = [0] * n
+    start = 0
+    for key in sorted(init):
+        cells[start] = init[key]
+        for v in init[key]:
+            col[v] = start
+        start += len(init[key])
+    _refine(nbrs, base, cells, col, range(n))
 
-    def mult_uv(u, v):
-        if u == v:
-            return loops[u]
-        return mult.get((u, v) if u < v else (v, u), 0)
-
-    best_enc = [None]
-    best_placed = [None]
+    best_enc = None
+    best_placed = None
+    placed: list = []
+    pref: list = []
     gens: list = []
     gen_seen: set = set()
     parent = list(range(n))
@@ -92,38 +137,27 @@ def canonicalize(n: int, edges) -> CanonResult:
         if ra != rb:
             parent[ra] = rb
 
-    def cells_of(cols):
-        buckets: dict = {}
-        for v in range(n):
-            buckets.setdefault(cols[v], []).append(v)
-        return [buckets[c] for c in sorted(buckets)]
-
-    def enc_of(placed):
-        out = []
-        for t, v in enumerate(placed):
-            for s in range(t):
-                out.append(mult_uv(v, placed[s]))
-            out.append(loops[v])
-        return tuple(out)
-
-    def search(cols, depth):
-        cells = cells_of(cols)
-        placed = []
-        for cell in cells:
-            if len(cell) == 1:
-                placed.append(cell[0])
-            else:
-                break
-        pref = enc_of(placed)
-        if best_enc[0] is not None and pref > tuple(best_enc[0][: len(pref)]):
-            return
-        if len(placed) == n:
-            if best_enc[0] is None or pref < best_enc[0]:
-                best_enc[0] = pref
-                best_placed[0] = tuple(placed)
-            elif pref == best_enc[0]:
+    def search(cells, col, depth):
+        """Visit the node whose colouring is (cells, col); placed and pref
+        hold the parent's leading singletons and their encoding rows."""
+        nonlocal best_enc, best_placed
+        top, width = len(placed), len(pref)
+        at = top
+        while at < n and len(cells[at]) == 1:
+            v = cells[at][0]
+            placed.append(v)
+            row = adj[v]
+            pref.extend([row[w] for w in placed])
+            at += 1
+        if best_enc is not None and pref > best_enc[: len(pref)]:
+            pass
+        elif at == n:
+            if best_enc is None or pref < best_enc:
+                best_enc = pref[:]
+                best_placed = placed[:]
+            elif pref == best_enc:
                 phi = [0] * n
-                for i, v in enumerate(best_placed[0]):
+                for i, v in enumerate(best_placed):
                     phi[v] = placed[i]
                 phi = tuple(phi)
                 if phi not in gen_seen and phi != tuple(range(n)):
@@ -131,30 +165,30 @@ def canonicalize(n: int, edges) -> CanonResult:
                     gens.append(phi)
                     for v in range(n):
                         union(v, phi[v])
-            return
-        target = cells[len(placed)]
-        tried: list = []
-        for v in sorted(target):
-            if depth == 0 and any(find(v) == find(w) for w in tried):
-                continue
-            tried.append(v)
-            keyed = []
-            for u in range(n):
-                if u == v:
-                    keyed.append((cols[u], 0))
-                elif cols[u] == cols[v]:
-                    keyed.append((cols[u], 1))
-                else:
-                    keyed.append((cols[u], 0))
-            order = {key: i for i, key in enumerate(sorted(set(keyed)))}
-            search(_refine(n, nbrs, tuple(order[k] for k in keyed)), depth + 1)
+        else:
+            target = cells[at]
+            tried: list = []
+            for v in target:
+                if depth == 0 and any(find(v) == find(w) for w in tried):
+                    continue
+                tried.append(v)
+                rest = [w for w in target if w != v]
+                child_cells = cells[:]
+                child_cells[at] = [v]
+                child_cells[at + 1] = rest
+                child_col = col[:]
+                for w in rest:
+                    child_col[w] = at + 1
+                _refine(nbrs, base, child_cells, child_col, target)
+                search(child_cells, child_col, depth + 1)
+        del placed[top:]
+        del pref[width:]
 
-    search(start, 0)
-    placed = best_placed[0]
+    search(cells, col, 0)
     perm = [0] * n
-    for i, v in enumerate(placed):
+    for i, v in enumerate(best_placed):
         perm[v] = i
-    return CanonResult(enc=best_enc[0], perm=tuple(perm), aut_generators=tuple(gens))
+    return CanonResult(enc=tuple(best_enc), perm=tuple(perm), aut_generators=tuple(gens))
 
 
 def close_group(n: int, generators) -> list:

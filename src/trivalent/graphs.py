@@ -156,6 +156,12 @@ def _induced_edge_perm(edges, pair_to_idx, phi):
     return tuple(out)
 
 
+def has_parallel_edge(g: LabelledTrivalentGraph) -> bool:
+    """Whether two edges join the same two distinct vertices.  Relabelling
+    keeps multiplicities, so such a graph reduces to zero."""
+    return _has_parallel([(u, v) if u <= v else (v, u) for u, v in g.edges])
+
+
 def reduce(g: LabelledTrivalentGraph) -> GraphClass:
     """Canonical key plus the sign of the edge relabelling, or zero.
 
@@ -164,7 +170,10 @@ def reduce(g: LabelledTrivalentGraph) -> GraphClass:
     parity of the edge permutation induced by each vertex automorphism
     generator decides (parity is multiplicative, so generators suffice).
     """
-    res = _canon(g)
+    return _reduce(g, _canon(g))
+
+
+def _reduce(g: LabelledTrivalentGraph, res: CanonResult) -> GraphClass:
     pairs = _canonical_pairs(g, res.perm)
     key = canonical_key(g.num_vertices, pairs)
     if _has_parallel(pairs):
@@ -181,8 +190,14 @@ def reduce(g: LabelledTrivalentGraph) -> GraphClass:
 
 def canonical_representative(g: LabelledTrivalentGraph) -> LabelledTrivalentGraph:
     """The same class with canonical vertex labels and sorted edge list."""
+    return reduce_with_representative(g)[1]
+
+
+def reduce_with_representative(g: LabelledTrivalentGraph):
+    """(reduce(g), canonical_representative(g)) from one canonical labelling."""
     res = _canon(g)
-    return LabelledTrivalentGraph(g.num_vertices, tuple(sorted(_canonical_pairs(g, res.perm))))
+    rep = LabelledTrivalentGraph(g.num_vertices, tuple(sorted(_canonical_pairs(g, res.perm))))
+    return _reduce(g, res), rep
 
 
 def automorphisms(g: LabelledTrivalentGraph):

@@ -21,11 +21,12 @@ from .graphs import (
     FourValentGraph,
     LabelledTrivalentGraph,
     canonical_key,
-    canonical_representative,
     contract_edge,
     half_edges_at,
+    has_parallel_edge,
     ihx_expansions,
     reduce,
+    reduce_with_representative,
     validate,
 )
 from .linalg import exact_rref, gen_primes, rank_mod_p, reduce_vector
@@ -156,11 +157,11 @@ def classify(graphs):
     signed: dict = {}
     zeros = set()
     for g in graphs:
-        r = reduce(g)
+        r, rep = reduce_with_representative(g)
         if r.is_zero:
             zeros.add(r.key)
         elif r.key not in signed:
-            signed[r.key] = canonical_representative(g)
+            signed[r.key] = rep
     reps = [signed[key] for key in sorted(signed)]
     return reps, frozenset(zeros)
 
@@ -267,6 +268,8 @@ class GraphSpace:
         """Sparse coefficient vector of the class of a labelled graph."""
         if g.k != self.k:
             raise ValueError(f"graph has {g.num_vertices} vertices, space expects {2 * self.k}")
+        if has_parallel_edge(g):
+            return {}
         r = reduce(g)
         if r.is_zero:
             return {}
