@@ -102,7 +102,7 @@ def canonicalize(n: int, edges) -> CanonResult:
         if u != v:
             adj[v][u] += 1
     nbrs = [[(u, m) for u, m in enumerate(row) if m and u != v] for v, row in enumerate(adj)]
-    base = len(edges) + 1
+    base = max(map(max, adj)) + 1
 
     # initial cells by (degree, loops); a loop adds 2 to the degree
     init: dict = {}
@@ -150,7 +150,7 @@ def canonicalize(n: int, edges) -> CanonResult:
             pref.extend([row[w] for w in placed])
             at += 1
         if best_enc is not None and pref > best_enc[: len(pref)]:
-            pass
+            pass  # no leaf below can tie or beat the best encoding
         elif at == n:
             if best_enc is None or pref < best_enc:
                 best_enc = pref[:]
