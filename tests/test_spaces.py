@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from trivalent import graphs as G
+from trivalent import spaces as S
 from trivalent.cache import KINDS, Cache
 from trivalent.linalg import exact_rref, reduce_vector
 from trivalent.spaces import (
@@ -41,6 +42,25 @@ class TestEnumeration:
         for g in sp.basis:
             G.validate(g.num_vertices, g.edges)
 
+    def test_classify_canonicalizes_each_graph_once(self, monkeypatch):
+        graphs = enumerate_graphs(4)
+        expected = {}
+        for g in graphs:
+            r = G.reduce(g)
+            if not r.is_zero and r.key not in expected:
+                expected[r.key] = G.canonical_representative(g)
+        calls = []
+        canonicalize = G.canonicalize
+
+        def counted(n, edges):
+            calls.append(n)
+            return canonicalize(n, edges)
+
+        monkeypatch.setattr(G, "canonicalize", counted)
+        reps, _ = classify(graphs)
+        assert len(calls) == len(graphs)
+        assert reps == [expected[key] for key in sorted(expected)]
+
     @pytest.mark.parametrize("k,matchings", [(1, 15), (2, 10395)])
     def test_matches_stub_matching_sweep(self, k, matchings):
         """Completeness oracle: classes found by pairing stubs directly."""
@@ -74,6 +94,24 @@ class TestClassVector:
     def test_wrong_k_rejected(self):
         with pytest.raises(ValueError):
             space(2).class_vector(G.validate(2, [(0, 1), (0, 1), (0, 1)]))
+
+    def test_parallel_edge_is_zero_without_reduce(self, monkeypatch):
+        sp = space(2)
+        g = G.validate(4, [(0, 1), (2, 3), (0, 2), (1, 3), (3, 2), (0, 1)])
+
+        def fail(g):
+            raise AssertionError("reduce called")
+
+        monkeypatch.setattr(S, "reduce", fail)
+        assert sp.class_vector(g) == {}
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_parallel_edge_classes_reduce_to_zero(self, k):
+        graphs = enumerate_graphs(k)
+        parallel = [g for g in graphs if G.has_parallel_edge(g)]
+        assert 0 < len(parallel) < len(graphs)
+        for g in parallel:
+            assert G.reduce(g).is_zero
 
 
 class TestDimensions:
