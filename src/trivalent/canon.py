@@ -82,9 +82,10 @@ def _refine(nbrs, base, cells, col, split):
                 sig = tuple(sorted([col[u] * base + m for u, m in nbrs[v]]))
                 pieces.setdefault(sig, []).append(v)
             if len(pieces) > 1:
+                at = start
                 for sig in sorted(pieces):
-                    moved.append((start, pieces[sig]))
-                    start += len(pieces[sig])
+                    moved.append((at, pieces[sig]))
+                    at += len(pieces[sig])
                 split.extend(cell)
         for start, piece in moved:
             cells[start] = piece
