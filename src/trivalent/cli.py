@@ -152,21 +152,23 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _graph_from_file(path: str) -> LabelledTrivalentGraph:
+def _read_graph_file(path: str, read):
+    """read(data) on a graph file's JSON; a missing or mistyped field is a
+    ValueError naming the file."""
     data = _load_json(path)
     try:
-        g = validate(data["vertices"], data["edges"])
+        return read(data)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: not a graph file ({exc})")
-    return g
 
 
-def _arrow_from_file(path: str):
-    data = _load_json(path)
-    try:
-        g = validate(data["vertices"], data["edges"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: not a graph file ({exc})")
+def _graph(data) -> LabelledTrivalentGraph:
+    return validate(data["vertices"], data["edges"])
+
+
+def _arrow(data):
+    """The file's directions if it has them, else the first valid orientation."""
+    g = _graph(data)
     if "directions" in data:
         return make_arrow(g, [tuple(d) for d in data["directions"]])
     return find_arrow_orientation(g)
@@ -202,7 +204,7 @@ def cmd_dim(args):
 
 
 def cmd_reduce(args):
-    g = _graph_from_file(args.file)
+    g = _read_graph_file(args.file, _graph)
     r = reduce(g)
     if r.is_zero:
         return {"class": "zero"}
@@ -215,7 +217,7 @@ def cmd_reduce(args):
 
 
 def cmd_aut(args):
-    g = _graph_from_file(args.file)
+    g = _read_graph_file(args.file, _graph)
     gens, order, edge_order, vertex_order = automorphisms(g)
     return {
         "order": order,
@@ -226,7 +228,7 @@ def cmd_aut(args):
 
 
 def cmd_orient(args):
-    g = _graph_from_file(args.file)
+    g = _read_graph_file(args.file, _graph)
     a = find_arrow_orientation(g)
     out = g.to_json()
     out["directions"] = [list(d) for d in a.directions]
@@ -234,7 +236,7 @@ def cmd_orient(args):
 
 
 def cmd_surgery(args):
-    a = _arrow_from_file(args.file)
+    a = _read_graph_file(args.file, _arrow)
     space = GraphSpace(a.graph.k, _cache_from(args))
     if args.mode == "orbit":
         report = evaluate_orbit(a, space, args.type_convention)
@@ -247,7 +249,8 @@ def cmd_morse_propagator(args):
     data = _load_json(args.file)
     try:
         c = GradedComplex.from_json(data)
-    except (KeyError, TypeError) as exc:
+    # a "boundaries" that is not an object fails as an AttributeError
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"{args.file}: not a complex file ({exc})")
     check_complex(c)
     return compute_propagator(c).to_json()

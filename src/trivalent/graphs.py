@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import factorial
 
 from .canon import CanonResult, canonicalize, close_group, perm_parity
 
@@ -90,13 +91,16 @@ def validate(num_vertices: int, edges) -> LabelledTrivalentGraph:
         raise WrongEdgeCountError(
             f"expected {3 * num_vertices // 2} edges for {num_vertices} vertices, got {len(edges)}"
         )
-    g = LabelledTrivalentGraph(num_vertices, edges)
-    for v in range(num_vertices):
-        if g.degree(v) != 3:
-            raise NonTrivalentError(f"vertex {v} has degree {g.degree(v)}")
+    deg = [0] * num_vertices
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    for v, d in enumerate(deg):
+        if d != 3:
+            raise NonTrivalentError(f"vertex {v} has degree {d}")
     if not _connected(num_vertices, edges):
         raise DisconnectedError("graph is not connected")
-    return g
+    return LabelledTrivalentGraph(num_vertices, edges)
 
 
 @dataclass(frozen=True)
@@ -214,7 +218,7 @@ def automorphisms(g: LabelledTrivalentGraph):
     class_pairs = sorted(classes)
     aut_e = 1
     for p in class_pairs:
-        aut_e *= _factorial(len(classes[p]))
+        aut_e *= factorial(len(classes[p]))
     out = []
     for phi in vgroup:
         targets = []
@@ -414,9 +418,3 @@ def all_arrow_orientations(g: LabelledTrivalentGraph):
     assert len(results) > 0
     return results
 
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out

@@ -29,7 +29,7 @@ from .graphs import (
     reduce_with_representative,
     validate,
 )
-from .linalg import exact_rref, gen_primes, rank_mod_p, reduce_vector
+from .linalg import exact_rank, exact_rref, gen_primes, rank_mod_p, reduce_vector
 
 
 class PrimeDisagreementError(Exception):
@@ -60,38 +60,6 @@ def _distributions(total: int, caps):
             yield (m,) + rest
 
 
-def _degrees(t, edges):
-    deg = [0] * t
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    return deg
-
-
-def _dead_or_final(t, edges, deg, n):
-    """(is_dead, is_final) for a partial state on t touched vertices."""
-    parent = list(range(t))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        parent[find(u)] = find(v)
-    comps: dict = {}
-    for v in range(t):
-        comps.setdefault(find(v), []).append(v)
-    complete_comps = sum(1 for vs in comps.values() if all(deg[v] == 3 for v in vs))
-    if complete_comps == 0:
-        return False, False
-    if len(comps) == 1 and t == n:
-        return False, True
-    # a finished component can never join the rest
-    return True, False
-
-
 def enumerate_graphs(k: int):
     """One labelled representative per isomorphism class of connected
     trivalent multigraphs on 2k vertices.
@@ -99,21 +67,24 @@ def enumerate_graphs(k: int):
     Grows partial graphs by completing one deficient vertex at a time
     (largest degree first, smallest index on ties), deduplicating partial
     states by canonical form.  Untouched vertices are interchangeable, so a
-    state is just the graph on the touched ones.
+    state is just the graph on the touched ones, kept with its degree list.
+
+    The touched graph is always connected: it starts as vertex 0, each step
+    adds edges only at the vertex v being completed, and each fresh vertex
+    is attached to v.  A state with no deficient vertex can therefore never
+    grow again: it is a final when it touches all 2k vertices and dead
+    otherwise.
     """
     n = 2 * k
     finals = []
-    start = (1, ())
     seen = {(1, canonicalize(1, ()).enc)}
-    stack = [start]
+    stack = [((), [0])]
     while stack:
-        t, edges = stack.pop()
-        deg = _degrees(t, edges)
+        edges, deg = stack.pop()
+        t = len(deg)
         deficient = [v for v in range(t) if deg[v] < 3]
         if not deficient:
-            dead, final = _dead_or_final(t, edges, deg, n)
-            if final:
-                finals.append(validate(n, edges))
+            finals.append(validate(n, edges))
             continue
         v = max(deficient, key=lambda u: (deg[u], -u))
         need = 3 - deg[v]
@@ -128,27 +99,25 @@ def enumerate_graphs(k: int):
                     if len(part) > r:
                         continue
                     new_edges = list(edges)
+                    new_deg = deg.copy()
+                    new_deg[v] = 3
                     if loops:
                         new_edges.append((v, v))
                     for u, m in zip(others, dist):
                         a, b = (u, v) if u < v else (v, u)
                         new_edges.extend([(a, b)] * m)
-                    nt = t
+                        new_deg[u] += m
                     for m in part:
-                        new_edges.extend([(v, nt)] * m)
-                        nt += 1
-                    ndeg = _degrees(nt, new_edges)
-                    stubs_left = sum(3 - d for d in ndeg) + 3 * (n - nt)
-                    if stubs_left % 2:
-                        continue
-                    dead, final = _dead_or_final(nt, new_edges, ndeg, n)
-                    if dead:
-                        continue
+                        new_edges.extend([(v, len(new_deg))] * m)
+                        new_deg.append(m)
+                    nt = len(new_deg)
+                    if nt < n and all(d == 3 for d in new_deg):
+                        continue  # complete but short of 2k vertices: dead
                     key = (nt, canonicalize(nt, new_edges).enc)
                     if key in seen:
                         continue
                     seen.add(key)
-                    stack.append((nt, tuple(new_edges)))
+                    stack.append((tuple(new_edges), new_deg))
     return finals
 
 
@@ -334,8 +303,6 @@ class GraphSpace:
 
     def exact_dimension(self) -> int:
         """Dimension via fraction-exact elimination; slower, used as a check."""
-        from .linalg import exact_rank
-
         return len(self.basis) - exact_rank(self.relation_rows())
 
     # -- normal form ----------------------------------------------------------

@@ -1,9 +1,11 @@
 """End-to-end command-line behaviour: bytes, exit codes, cache, workers."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -237,6 +239,23 @@ class TestMorsePropagator:
         assert "error:" in err
 
 
+class TestMalformedFiles:
+    @pytest.mark.parametrize(
+        "command,payload",
+        [
+            ("surgery", {**theta_json(), "directions": 5}),
+            ("surgery", {**theta_json(), "directions": [5, 5, 5]}),
+            ("morse-propagator", {"ranks": [1, 1, 0, 0, 0], "boundaries": []}),
+        ],
+    )
+    def test_error_line_not_traceback(self, tmp_path, capsys, command, payload):
+        code, out, err = run(capsys, command, write(tmp_path, "bad.json", payload))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 class TestMisc:
     def test_surviving(self, capsys):
         code, out, _ = run(capsys, "surviving")
@@ -356,8 +375,12 @@ class TestCache:
 
 class TestEntryPoints:
     def test_module_invocation(self, tmp_path):
+        # the package under test, also when pytest alone puts src/ on the path
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "trivalent", "dim", "-k", "1", "--cache", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=path),
             capture_output=True,
             text=True,
         )

@@ -62,8 +62,11 @@ class TestValidate:
             G.validate(2, [(0, 1), (0, 1)])
 
     def test_rejects_wrong_degree(self):
-        with pytest.raises(G.NonTrivalentError):
+        with pytest.raises(G.NonTrivalentError, match=r"^vertex 0 has degree 4$"):
             G.validate(2, [(0, 0), (0, 1), (0, 1)])
+        # vertices 0 and 1 have degree 3; the message names 2, not 3 (degree 4)
+        with pytest.raises(G.NonTrivalentError, match=r"^vertex 2 has degree 2$"):
+            G.validate(4, [(0, 0), (0, 1), (1, 1), (2, 3), (2, 3), (3, 3)])
 
     def test_rejects_disconnected(self):
         with pytest.raises(G.DisconnectedError):

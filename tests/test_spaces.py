@@ -61,6 +61,25 @@ class TestEnumeration:
         assert len(calls) == len(graphs)
         assert reps == [expected[key] for key in sorted(expected)]
 
+    def test_canonicalize_calls_pin_the_search(self, monkeypatch):
+        """One canonicalize call for the start and one per candidate state
+        not found dead, so the counts pin the states the search visits, not
+        only its output."""
+        calls = []
+        canonicalize = S.canonicalize
+
+        def counted(n, edges):
+            calls.append(n)
+            return canonicalize(n, edges)
+
+        monkeypatch.setattr(S, "canonicalize", counted)
+        counts = []
+        for k in range(1, 6):
+            calls.clear()
+            enumerate_graphs(k)
+            counts.append(len(calls))
+        assert counts == [4, 22, 112, 581, 3411]
+
     @pytest.mark.parametrize("k,matchings", [(1, 15), (2, 10395)])
     def test_matches_stub_matching_sweep(self, k, matchings):
         """Completeness oracle: classes found by pairing stubs directly."""
