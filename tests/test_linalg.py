@@ -125,6 +125,25 @@ class TestSolve:
         assert la.mat_mul(a, x, len(a), n, q) == b
 
 
+    @given(small_matrix, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_inconsistent_exactly_when_augmented_rank_grows(self, m, data):
+        # entries in [-4, 4] and at most 7 rows: every minor's Hadamard bound,
+        # (4 * 7^0.5)^7 < 1.5e7, is below p, so the modular ranks are exact
+        if data.draw(st.booleans()):
+            m = m + [m[0]]  # a repeated row, so that some systems are inconsistent
+        q = data.draw(st.integers(0, 3))
+        b = [data.draw(st.lists(st.integers(-4, 4), min_size=q, max_size=q)) for _ in m]
+        n = len(m[0])
+        p = 2147483647
+        aug = sparse([ra + rb for ra, rb in zip(m, b)])
+        grows = la.rank_mod_p(aug, p) > la.rank_mod_p(sparse(m), p)
+        x = la.solve_exact(m, b)
+        assert (x is None) == grows
+        if x is not None:
+            assert la.mat_mul(m, x, len(m), n, q) == b
+
+
 class TestHelpers:
     def test_identity_and_transpose(self):
         i3 = la.identity_matrix(3)

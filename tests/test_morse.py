@@ -1,5 +1,6 @@
 """Graded complexes, propagators, duals, transport, split-edge bookkeeping."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,42 @@ class TestRandomComplexes:
             assert complexes._imatmul(u, uinv) == [
                 [int(i == j) for j in range(n)] for i in range(n)
             ]
+
+
+# criterion 3's homology profiles, in its order
+OBSTRUCTED_PROFILES = [
+    (1, 0, 0, 0, 0),
+    (0, 1, 0, 0, 0),
+    (0, 0, 1, 0, 0),
+    (0, 0, 0, 1, 0),
+    (0, 0, 0, 0, 1),
+    (0, 2, 0, 0, 0),
+    (1, 0, 0, 0, 1),
+    (0, 1, 0, 1, 0),
+]
+
+
+def test_propagator_golden_digest():
+    """The exact bytes of every propagator, dual propagator and obstruction
+    on criterion 3's 260 complexes, so a change of elimination that moves
+    any free-variable choice or Fraction shows here."""
+    cases = [complexes.random_complex(seed)[0] for seed in range(230)]
+    cases += [
+        complexes.random_complex(1000 + i, homology=OBSTRUCTED_PROFILES[i % 8])[0]
+        for i in range(30)
+    ]
+    digest = hashlib.sha256()
+    for c in cases:
+        try:
+            g = M.compute_propagator(c)
+        except M.NotAcyclicError as e:
+            digest.update(repr(("obs", e.degree, e.defect)).encode())
+            continue
+        digest.update(repr(g.to_json()).encode())
+        digest.update(repr(M.dual_propagator(c, g)[1].to_json()).encode())
+    assert digest.hexdigest() == (
+        "975738f8e7b7324fd10ceebced6144b9dee2e017d9e6d82818cab788182aa91d"
+    )
 
 
 class TestDual:
