@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-Rows are sparse dicts (column -> value).  Everything here is deterministic:
-pivot choice is always the smallest column, prime generation is seeded, and
-no floating point appears anywhere.
+Rows are sparse dicts (column -> value).  exact_rref is the one exact
+elimination: exact rank and dense solving are readings of its pivots.
+rank_mod_p is the independent modular check.  Everything here is
+deterministic: pivot choice is always the smallest column, prime generation
+is seeded, and no floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -102,18 +104,8 @@ def _sub_scaled(r: dict, coef, pivot_row: dict) -> None:
 
 
 def exact_rank(rows) -> int:
-    """Rank over the rationals, forward elimination only."""
-    pivots: dict = {}
-    for row in rows:
-        r = {c: Fraction(v) for c, v in row.items() if v}
-        while r:
-            col = min(r)
-            if col not in pivots:
-                inv = 1 / r[col]
-                pivots[col] = {c: v * inv for c, v in r.items()}
-                break
-            _sub_scaled(r, r[col], pivots[col])
-    return len(pivots)
+    """Rank over the rationals."""
+    return len(exact_rref(rows))
 
 
 def exact_rref(rows) -> dict:
@@ -124,10 +116,7 @@ def exact_rref(rows) -> dict:
     """
     pivots: dict = {}
     for row in rows:
-        r = {c: Fraction(v) for c, v in row.items() if v}
-        for col in sorted(r):
-            if col in pivots and col in r:
-                _sub_scaled(r, r[col], pivots[col])
+        r = reduce_vector(row, pivots)
         if not r:
             continue
         col = min(r)
@@ -153,37 +142,21 @@ def solve_exact(a, b):
     """Solve A X = B over the rationals; None if inconsistent.
 
     a is a list of m rows of length n, b a list of m rows of length q.
-    Free variables are set to zero, so the answer is deterministic.
+    Free variables are set to zero, so the answer is deterministic.  The
+    reduced echelon form of [A | B] pivots on a column of B exactly when the
+    system is inconsistent; otherwise each pivot row's B part is that
+    variable's value.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    q = len(b[0]) if m else 0
-    aug = [[Fraction(x) for x in a[i]] + [Fraction(x) for x in b[i]] for i in range(m)]
-    pivot_cols = []
-    r = 0
-    for col in range(n):
-        sel = None
-        for i in range(r, m):
-            if aug[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                coef = aug[i][col]
-                aug[i] = [x - coef * y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append(col)
-        r += 1
-    for i in range(r, m):
-        if any(x != 0 for x in aug[i][n:]):
-            return None
+    n = len(a[0]) if a else 0
+    q = len(b[0]) if a else 0
+    pivots = exact_rref(
+        {j: v for j, v in enumerate([*ra, *rb]) if v} for ra, rb in zip(a, b)
+    )
+    if any(col >= n for col in pivots):
+        return None
     x = zero_matrix(n, q)
-    for i, col in enumerate(pivot_cols):
-        x[col] = aug[i][n:]
+    for col, row in pivots.items():
+        x[col] = [row.get(n + j, Fraction(0)) for j in range(q)]
     return x
 
 
