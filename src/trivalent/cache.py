@@ -95,15 +95,20 @@ class Cache:
     def store(self, k: int, kind: str, payload, basis_keys=None) -> None:
         """Write a payload atomically through a temp file of this writer's own.
 
+        The file gets the mode a plain open would give it (0o666 less the
+        umask), so other users of a shared cache directory can read it.
         With basis_keys, the file records their checksum for load to match.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         data = {"format_version": FORMAT_VERSION, "payload": payload}
         if basis_keys is not None:
             data["basis_crc32"] = _basis_crc32(basis_keys)
+        umask = os.umask(0)
+        os.umask(umask)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as f:
+                os.chmod(tmp, 0o666 & ~umask)
                 json.dump(data, f)
             os.replace(tmp, self.path(k, kind))
         except BaseException:

@@ -18,8 +18,6 @@ from .graphs import (
     automorphisms,
     find_arrow_orientation,
     make_arrow,
-    reduce,
-    validate,
 )
 from .linalg import BadPrimeError
 from .morse import (
@@ -153,22 +151,18 @@ def _load_json(path: str):
 
 
 def _read_graph_file(path: str, read):
-    """read(data) on a graph file's JSON; a missing or mistyped field is a
-    ValueError naming the file."""
+    """read(data) on a graph file's JSON; a missing, mistyped or malformed
+    field is a ValueError naming the file."""
     data = _load_json(path)
     try:
         return read(data)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a graph file ({exc})")
-
-
-def _graph(data) -> LabelledTrivalentGraph:
-    return validate(data["vertices"], data["edges"])
 
 
 def _arrow(data):
     """The file's directions if it has them, else the first valid orientation."""
-    g = _graph(data)
+    g = LabelledTrivalentGraph.from_json(data)
     if "directions" in data:
         return make_arrow(g, [tuple(d) for d in data["directions"]])
     return find_arrow_orientation(g)
@@ -204,20 +198,22 @@ def cmd_dim(args):
 
 
 def cmd_reduce(args):
-    g = _read_graph_file(args.file, _graph)
-    r = reduce(g)
-    if r.is_zero:
-        return {"class": "zero"}
+    g = _read_graph_file(args.file, LabelledTrivalentGraph.from_json)
     space = GraphSpace(g.k, _cache_from(args))
-    nf = space.normal_form(space.class_vector(g))
+    vec = space.class_vector(g)
+    if not vec:
+        return {"class": "zero"}
+    # a nonzero class is ± one basis graph, whose key the space holds
+    ((i, sign),) = vec.items()
+    nf = space.normal_form(vec)
     return {
-        "class": {"key": r.key, "sign": r.sign},
+        "class": {"key": space.keys[i], "sign": sign},
         "normal_form": {space.keys[i]: str(v) for i, v in sorted(nf.items())},
     }
 
 
 def cmd_aut(args):
-    g = _read_graph_file(args.file, _graph)
+    g = _read_graph_file(args.file, LabelledTrivalentGraph.from_json)
     gens, order, edge_order, vertex_order = automorphisms(g)
     return {
         "order": order,
@@ -228,7 +224,7 @@ def cmd_aut(args):
 
 
 def cmd_orient(args):
-    g = _read_graph_file(args.file, _graph)
+    g = _read_graph_file(args.file, LabelledTrivalentGraph.from_json)
     a = find_arrow_orientation(g)
     out = g.to_json()
     out["directions"] = [list(d) for d in a.directions]
@@ -250,7 +246,7 @@ def cmd_morse_propagator(args):
     try:
         c = GradedComplex.from_json(data)
     # a "boundaries" that is not an object fails as an AttributeError
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{args.file}: not a complex file ({exc})")
     check_complex(c)
     return compute_propagator(c).to_json()

@@ -59,7 +59,7 @@ class LabelledTrivalentGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "LabelledTrivalentGraph":
-        return validate(int(data["vertices"]), [tuple(e) for e in data["edges"]])
+        return validate(data["vertices"], data["edges"])
 
 
 def _connected(num_vertices: int, edges) -> bool:
@@ -79,9 +79,18 @@ def _connected(num_vertices: int, edges) -> bool:
     return len(seen) == num_vertices
 
 
+def strict_int(value, field: str) -> int:
+    """value itself if it is an int; a bool, float or str is a ValueError
+    naming the field, so that no input number is silently truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{field} {value!r} is not an integer")
+    return value
+
+
 def validate(num_vertices: int, edges) -> LabelledTrivalentGraph:
     """Check degrees, connectivity and the edge count; return the graph."""
-    edges = tuple((int(u), int(v)) for u, v in edges)
+    num_vertices = strict_int(num_vertices, "vertex count")
+    edges = tuple((strict_int(u, "edge end"), strict_int(v, "edge end")) for u, v in edges)
     if num_vertices <= 0 or num_vertices % 2 != 0:
         raise NonTrivalentError(f"vertex count {num_vertices} is not a positive even number")
     for u, v in edges:
@@ -351,7 +360,9 @@ class ArrowGraph:
 
 
 def make_arrow(g: LabelledTrivalentGraph, directions) -> ArrowGraph:
-    directions = tuple((int(t), int(h)) for t, h in directions)
+    directions = tuple(
+        (strict_int(t, "direction end"), strict_int(h, "direction end")) for t, h in directions
+    )
     if len(directions) != len(g.edges):
         raise GraphError("one direction per edge required")
     for (t, h), (u, v) in zip(directions, g.edges):

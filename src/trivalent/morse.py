@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphs import LabelledTrivalentGraph, validate
+from .graphs import LabelledTrivalentGraph, strict_int, validate
 from .linalg import exact_rank, identity_matrix, mat_mul, solve_exact, zero_matrix
 
 TOP_DEGREE = 4
@@ -66,12 +66,6 @@ class GradedComplex:
                     f"boundary {d} must be {self.ranks[d - 1]} x {self.ranks[d]}"
                 )
 
-    def boundary(self, d: int):
-        """The matrix of ∂_d, including the zero maps at both ends."""
-        if d < 1 or d > TOP_DEGREE:
-            return []
-        return self.boundaries[d]
-
     def to_json(self) -> dict:
         return {
             "ranks": list(self.ranks),
@@ -83,11 +77,12 @@ class GradedComplex:
 
     @classmethod
     def from_json(cls, data: dict) -> "GradedComplex":
-        ranks = tuple(int(r) for r in data["ranks"])
-        bnd = {
-            int(d): [[int(x) for x in row] for row in m]
-            for d, m in data["boundaries"].items()
-        }
+        ranks = tuple(strict_int(r, "rank") for r in data["ranks"])
+        bnd = {}
+        for d, m in data["boundaries"].items():
+            if not d.isdecimal():
+                raise ValueError(f"boundary degree {d!r} is not an integer")
+            bnd[int(d)] = [[strict_int(x, "boundary entry") for x in row] for row in m]
         return cls(ranks, bnd)
 
 
@@ -119,9 +114,6 @@ class Propagator:
         if d < 0 or d >= TOP_DEGREE:
             return []
         return self.mats[d]
-
-    def entry(self, d: int, target: int, source: int) -> Fraction:
-        return self.mats[d][target][source]
 
     def to_json(self) -> dict:
         return {

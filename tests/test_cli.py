@@ -106,6 +106,17 @@ class TestReduce:
         nf = json.loads(out_reduce)["normal_form"]
         assert json.loads(out_surgery)["result"] == nf
 
+    def test_warm_reduce_canonicalizes_once(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "k4.json", k4_json())
+        run(capsys, "cache", "warm", "-k", "2", "--cache", str(tmp_path))
+        before = run(capsys, "reduce", path, "--cache", str(tmp_path))
+        calls = []
+        canonicalize = G.canonicalize
+        monkeypatch.setattr(G, "canonicalize", lambda *a: calls.append(a) or canonicalize(*a))
+        assert run(capsys, "reduce", path, "--cache", str(tmp_path)) == before
+        assert before[0] == 0
+        assert len(calls) == 1
+
     def test_missing_file(self, tmp_path, capsys):
         code, out, err = run(capsys, "reduce", str(tmp_path / "absent.json"))
         assert code == 1
@@ -254,6 +265,58 @@ class TestMalformedFiles:
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+def with_edge(graph, i, edge):
+    return {**graph, "edges": [*graph["edges"][:i], edge, *graph["edges"][i + 1:]]}
+
+
+def torsion_pair(**changes):
+    bnd = {"1": [[2]], "2": [[]], "3": [], "4": []}
+    return {"ranks": [1, 1, 0, 0, 0], "boundaries": bnd, **changes}
+
+
+class TestStrictIntegers:
+    """A number that is not an int, or an edge that is not a pair, is an
+    error naming the file and the field, never a truncated value."""
+
+    @pytest.mark.parametrize(
+        "command,payload,message",
+        [
+            ("reduce", with_edge(theta_json(), 2, [0, 1.5]), "edge end 1.5 is not"),
+            ("reduce", with_edge(theta_json(), 2, [0, True]), "edge end True is not"),
+            ("reduce", with_edge(theta_json(), 2, [0, "1"]), "edge end '1' is not"),
+            ("reduce", {**theta_json(), "vertices": 2.0}, "vertex count 2.0 is not"),
+            ("reduce", with_edge(theta_json(), 2, [0, 1, 1]), "unpack"),
+            ("aut", with_edge(k4_json(), 0, [0.0, 1]), "edge end 0.0 is not"),
+            (
+                "surgery",
+                {**theta_json(), "directions": [[0, 1], [0, 1], [1, False]]},
+                "direction end False is not",
+            ),
+            (
+                "morse-propagator",
+                torsion_pair(boundaries={"1": [[2.5]], "2": [[]], "3": [], "4": []}),
+                "boundary entry 2.5 is not",
+            ),
+            ("morse-propagator", torsion_pair(ranks=[1.0, 1, 0, 0, 0]), "rank 1.0 is not"),
+            (
+                "morse-propagator",
+                torsion_pair(boundaries={"1": [[2]], "2": [[]], "3": [], "4": [], "x": []}),
+                "boundary degree 'x' is not",
+            ),
+        ],
+    )
+    def test_error_names_file_and_field(
+        self, tmp_path, capsys, monkeypatch, command, payload, message
+    ):
+        monkeypatch.setenv("GC_CACHE", str(tmp_path / "cache"))
+        path = write(tmp_path, "bad.json", payload)
+        kind = "complex" if command == "morse-propagator" else "graph"
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: not a {kind} file (")
+        assert message in err
 
 
 class TestMisc:

@@ -1,6 +1,8 @@
 """Enumeration, relation rows, dimensions, and quotient normal forms."""
 
 import itertools
+import os
+import stat
 
 import pytest
 
@@ -292,6 +294,16 @@ class TestCache:
             cache.store(2, "zeros", ["a", object()])
         assert cache.path(2, "zeros").read_text() == before
         assert [p.name for p in tmp_path.iterdir()] == ["zeros-k2.json"]
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o002, 0o664), (0o077, 0o600)])
+    def test_store_mode_follows_umask(self, tmp_path, umask, mode):
+        cache = Cache(tmp_path)
+        old = os.umask(umask)
+        try:
+            cache.store(2, "zeros", [])
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(cache.path(2, "zeros").stat().st_mode) == mode
 
     def test_clear(self, tmp_path):
         cache = Cache(tmp_path)
