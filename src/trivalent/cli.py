@@ -25,7 +25,6 @@ from .morse import (
     TYPE_II,
     GradedComplex,
     MorseError,
-    check_complex,
     compute_propagator,
     contraction_identity_holds,
     dual_propagator,
@@ -164,7 +163,7 @@ def _arrow(data):
     """The file's directions if it has them, else the first valid orientation."""
     g = LabelledTrivalentGraph.from_json(data)
     if "directions" in data:
-        return make_arrow(g, [tuple(d) for d in data["directions"]])
+        return make_arrow(g, data["directions"])
     return find_arrow_orientation(g)
 
 
@@ -248,8 +247,7 @@ def cmd_morse_propagator(args):
     # a "boundaries" that is not an object fails as an AttributeError
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{args.file}: not a complex file ({exc})")
-    check_complex(c)
-    return compute_propagator(c).to_json()
+    return compute_propagator(c).to_json()  # checks d∘d = 0 first
 
 
 def cmd_surviving(args):

@@ -87,10 +87,18 @@ def strict_int(value, field: str) -> int:
     return value
 
 
+def strict_pair(value, field: str) -> tuple:
+    """value as a pair of ints if it is a two-item list or tuple of ints;
+    anything else is a ValueError naming the field."""
+    if type(value) not in (list, tuple) or len(value) != 2:
+        raise ValueError(f"{field} {value!r} is not a pair")
+    return strict_int(value[0], f"{field} end"), strict_int(value[1], f"{field} end")
+
+
 def validate(num_vertices: int, edges) -> LabelledTrivalentGraph:
     """Check degrees, connectivity and the edge count; return the graph."""
     num_vertices = strict_int(num_vertices, "vertex count")
-    edges = tuple((strict_int(u, "edge end"), strict_int(v, "edge end")) for u, v in edges)
+    edges = tuple(strict_pair(e, "edge") for e in edges)
     if num_vertices <= 0 or num_vertices % 2 != 0:
         raise NonTrivalentError(f"vertex count {num_vertices} is not a positive even number")
     for u, v in edges:
@@ -206,9 +214,12 @@ def canonical_representative(g: LabelledTrivalentGraph) -> LabelledTrivalentGrap
     return reduce_with_representative(g)[1]
 
 
-def reduce_with_representative(g: LabelledTrivalentGraph):
-    """(reduce(g), canonical_representative(g)) from one canonical labelling."""
-    res = _canon(g)
+def reduce_with_representative(g: LabelledTrivalentGraph, res: CanonResult | None = None):
+    """(reduce(g), canonical_representative(g)) from one canonical labelling:
+    res if given (it must be canonicalize(g.num_vertices, g.edges)), else a
+    fresh one."""
+    if res is None:
+        res = _canon(g)
     rep = LabelledTrivalentGraph(g.num_vertices, tuple(sorted(_canonical_pairs(g, res.perm))))
     return _reduce(g, res), rep
 
@@ -360,9 +371,7 @@ class ArrowGraph:
 
 
 def make_arrow(g: LabelledTrivalentGraph, directions) -> ArrowGraph:
-    directions = tuple(
-        (strict_int(t, "direction end"), strict_int(h, "direction end")) for t, h in directions
-    )
+    directions = tuple(strict_pair(d, "direction") for d in directions)
     if len(directions) != len(g.edges):
         raise GraphError("one direction per edge required")
     for (t, h), (u, v) in zip(directions, g.edges):

@@ -7,7 +7,9 @@ graph with one 4-valent hub; its three trivalent splittings, summed with
 coefficients (1, 1, 1) (graphs.IHX_COEFFS), give one relation row per hub
 graph.  The alternating sign of the classical relation is not lost: the
 class signs charge every edge-label transposition and so carry the middle
-splitting's minus.  Dimensions come from modular ranks at several large
+splitting's minus.  The contraction that reaches a hub already fixes the
+class of the splitting that undoes it, so most splittings are never
+reduced (GraphSpace.relation_rows).  Dimensions come from modular ranks at several large
 random primes, cross-checked exactly at small k by the tests.
 """
 
@@ -16,8 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cache import Cache
-from .canon import canonicalize
+from .canon import canonicalize, perm_parity
 from .graphs import (
+    IHX_COEFFS,
     FourValentGraph,
     LabelledTrivalentGraph,
     canonical_key,
@@ -29,7 +32,7 @@ from .graphs import (
     reduce_with_representative,
     validate,
 )
-from .linalg import exact_rank, exact_rref, gen_primes, rank_mod_p, reduce_vector
+from .linalg import exact_rref, gen_primes, rank_mod_p, reduce_vector
 
 
 class PrimeDisagreementError(Exception):
@@ -60,31 +63,18 @@ def _distributions(total: int, caps):
             yield (m,) + rest
 
 
-def enumerate_graphs(k: int):
-    """One labelled representative per isomorphism class of connected
-    trivalent multigraphs on 2k vertices.
-
-    Grows partial graphs by completing one deficient vertex at a time
-    (largest degree first, smallest index on ties), deduplicating partial
-    states by canonical form.  Untouched vertices are interchangeable, so a
-    state is just the graph on the touched ones, kept with its degree list.
-
-    The touched graph is always connected: it starts as vertex 0, each step
-    adds edges only at the vertex v being completed, and each fresh vertex
-    is attached to v.  A state with no deficient vertex can therefore never
-    grow again: it is a final when it touches all 2k vertices and dead
-    otherwise.
-    """
+def _labelled_finals(k: int):
+    """The search of enumerate_graphs, yielding each final graph with the
+    canonical labelling its deduplication computed, as it is reached."""
     n = 2 * k
-    finals = []
     seen = {(1, canonicalize(1, ()).enc)}
-    stack = [((), [0])]
+    stack = [((), [0], None)]
     while stack:
-        edges, deg = stack.pop()
+        edges, deg, res = stack.pop()
         t = len(deg)
         deficient = [v for v in range(t) if deg[v] < 3]
         if not deficient:
-            finals.append(validate(n, edges))
+            yield validate(n, edges), res
             continue
         v = max(deficient, key=lambda u: (deg[u], -u))
         need = 3 - deg[v]
@@ -111,22 +101,42 @@ def enumerate_graphs(k: int):
                         new_edges.extend([(v, len(new_deg))] * m)
                         new_deg.append(m)
                     nt = len(new_deg)
-                    if nt < n and all(d == 3 for d in new_deg):
+                    complete = all(d == 3 for d in new_deg)
+                    if nt < n and complete:
                         continue  # complete but short of 2k vertices: dead
-                    key = (nt, canonicalize(nt, new_edges).enc)
+                    res = canonicalize(nt, new_edges)
+                    key = (nt, res.enc)
                     if key in seen:
                         continue
                     seen.add(key)
-                    stack.append((tuple(new_edges), new_deg))
-    return finals
+                    # only a final needs its labelling after the dedup
+                    stack.append((tuple(new_edges), new_deg, res if complete else None))
 
 
-def classify(graphs):
-    """Split labelled graphs into (signed class reps sorted by key, zero keys)."""
+def enumerate_graphs(k: int):
+    """One labelled representative per isomorphism class of connected
+    trivalent multigraphs on 2k vertices.
+
+    Grows partial graphs by completing one deficient vertex at a time
+    (largest degree first, smallest index on ties), deduplicating partial
+    states by canonical form.  Untouched vertices are interchangeable, so a
+    state is just the graph on the touched ones, kept with its degree list.
+
+    The touched graph is always connected: it starts as vertex 0, each step
+    adds edges only at the vertex v being completed, and each fresh vertex
+    is attached to v.  A state with no deficient vertex can therefore never
+    grow again: it is a final when it touches all 2k vertices and dead
+    otherwise.
+    """
+    return [g for g, _ in _labelled_finals(k)]
+
+
+def _classify(labelled):
+    """classify over (graph, canonical labelling or None) pairs."""
     signed: dict = {}
     zeros = set()
-    for g in graphs:
-        r, rep = reduce_with_representative(g)
+    for g, res in labelled:
+        r, rep = reduce_with_representative(g, res)
         if r.is_zero:
             zeros.add(r.key)
         elif r.key not in signed:
@@ -135,23 +145,56 @@ def classify(graphs):
     return reps, frozenset(zeros)
 
 
-def _canonical_four(c: FourValentGraph) -> FourValentGraph:
-    """Relabel a hub graph canonically; the tagging is the hub's stubs in
-    (edge label, end) order of the sorted canonical edge list."""
+def classify(graphs):
+    """Split labelled graphs into (signed class reps sorted by key, zero keys)."""
+    return _classify((g, None) for g in graphs)
+
+
+def _hub_graph(num_vertices: int, pairs: tuple, hub: int) -> FourValentGraph:
+    """The hub graph on these edges, its tagging the hub's stubs in (edge
+    label, end) order."""
+    return FourValentGraph(num_vertices, pairs, hub, tuple(half_edges_at(pairs, hub)))
+
+
+def _canonical_hub(c: FourValentGraph):
+    """(four, labels, rigid) for a hub graph c.
+
+    four is c relabelled canonically, its edges sorted.  labels[i] is the
+    canonical label of c's edge i: the sort of the canonical pairs is
+    stable, so tied (parallel) edges keep c's order.  rigid says that the
+    hub graph has no vertex automorphism but the identity and that the
+    hub's four stubs lie on four non-loop edges to four distinct
+    neighbours.
+    """
     res = canonicalize(c.num_vertices, c.edges)
     perm = res.perm
     pairs = []
     for u, v in c.edges:
         a, b = perm[u], perm[v]
         pairs.append((a, b) if a <= b else (b, a))
-    pairs.sort()
-    hub = perm[c.hub]
-    tagging = tuple(half_edges_at(pairs, hub))
-    return FourValentGraph(c.num_vertices, tuple(pairs), hub, tagging)
+    order = sorted(range(len(pairs)), key=pairs.__getitem__)
+    labels = [0] * len(pairs)
+    for j, i in enumerate(order):
+        labels[i] = j
+    four = _hub_graph(c.num_vertices, tuple(pairs[i] for i in order), perm[c.hub])
+    rigid = not res.aut_generators and len({four.edges[j] for j, _ in four.tagging}) == 4
+    return four, labels, rigid
 
 
-def _four_key(c: FourValentGraph) -> str:
-    return "hub:%d:" % c.num_vertices + ",".join("%d-%d" % p for p in c.edges)
+def _rebuilt_splitting(e: int, c: FourValentGraph, four: FourValentGraph, labels):
+    """(p, parity): the splitting IHX_PAIRINGS[p] of the canonical hub four
+    of c = contract_edge(g, e) that rebuilds g, and the parity of the map
+    from g's edge labels to that splitting's (edge e is the new edge, the
+    last label).  g must have no edge parallel to e, so that each hub edge
+    label belongs to one endpoint of e: a signed class has none."""
+    m = len(labels) + 1
+    # contract_edge tags the two stubs of e's lower endpoint first
+    low = {labels[c.tagging[0][0]], labels[c.tagging[1][0]]}
+    side = [label in low for label, _ in four.tagging]
+    # IHX_PAIRINGS[p] keeps tagged stub 0 with stub p + 1
+    partner = next(s for s in (1, 2, 3) if side[s] == side[0])
+    sigma = [labels[i - (i > e)] if i != e else m - 1 for i in range(m)]
+    return partner - 1, perm_parity(sigma)
 
 
 class GraphSpace:
@@ -200,7 +243,7 @@ class GraphSpace:
             return
         if self._load_classes():
             return
-        reps, zeros = classify(enumerate_graphs(self.k))
+        reps, zeros = _classify(_labelled_finals(self.k))
         self._set_classes(reps, zeros)  # classify sorts by key, so this holds
         if self._cache is not None:
             self._cache.store(self.k, "basis", [g.to_json() for g in reps])
@@ -257,7 +300,39 @@ class GraphSpace:
         return {i: v for i, v in row.items() if v}
 
     def relation_rows(self):
-        """One row per contracted hub class, zero rows dropped."""
+        """One row per contracted hub class, zero rows dropped, in the order
+        the hubs are first reached (basis order, then edge order).
+
+        One pass contracts every non-loop edge e of every basis graph g and
+        groups the contractions by canonical hub.  Each contraction names
+        the splitting of its hub that rebuilds g, and the parity of the
+        edge-label map from g to that splitting (_rebuilt_splitting).
+        Relabelling vertices keeps a class and permuting edge labels
+        multiplies it by the permutation's sign, so the named splitting's
+        class is g's basis vector times the parity, with no reduce.  A
+        splitting that no contraction names is zero if the hub is rigid
+        (see _canonical_hub) and is reduced otherwise.
+
+        Why the rigid rule holds.  Let the splitting h_P of the canonical
+        hub graph H have a nonzero class.  Then h_P is isomorphic to a
+        basis graph g, by a map f that sends h_P's new edge to an edge e of
+        g; e is no loop, as the new edge joins two vertices.  Contracting
+        h_P at its new edge gives H back, so contract_edge(g, e) is
+        isomorphic to H and the pass groups (g, e) under H.  Following f,
+        the contraction and the canonical labelling of contract_edge(g, e)
+        maps H onto itself: an automorphism a of H, which fixes the hub,
+        its only 4-valent vertex.  a carries the stubs P keeps at the hub
+        to the stubs of one end of e, so (g, e) names the splitting a(P).
+        A rigid hub's a moves no vertex, and as its four hub edges go to
+        four different neighbours, no hub stub either; so a(P) = P, and P
+        is named.  A splitting of a rigid hub that no contraction names is
+        therefore zero.
+
+        The rule needs each basis graph to be its class's canonical
+        representative, as classify writes it: class_vector must give
+        basis graph i exactly {i: 1}.  A cached basis that fails this is a
+        ValueError, not a row set with a column missing.
+        """
         if self._rows is not None:
             return self._rows
         if self._cache is not None:
@@ -267,20 +342,41 @@ class GraphSpace:
                     {int(c): v for c, v in zip(row["cols"], row["vals"])} for row in data
                 ]
                 return self._rows
-        rows = []
-        seen = set()
-        for g in self.basis:
+        # canonical hub edges, flattened to half the memory of the pairs
+        # -> (hub vertex, rigid, named splitting terms)
+        hubs: dict = {}
+        for i, g in enumerate(self.basis):
+            if self.class_vector(g) != {i: 1}:
+                raise ValueError(f"basis graph {i} is not a canonical class representative")
             for e, (u, v) in enumerate(g.edges):
                 if u == v:
                     continue
-                four = _canonical_four(contract_edge(g, e))
-                fkey = _four_key(four)
-                if fkey in seen:
+                c = contract_edge(g, e)
+                four, labels, rigid = _canonical_hub(c)
+                named = hubs.setdefault(sum(four.edges, ()), (four.hub, rigid, [None] * 3))[2]
+                p, parity = _rebuilt_splitting(e, c, four, labels)
+                if named[p] is None:
+                    named[p] = (i, parity)
+        rows = []
+        n = 2 * self.k - 1
+        for key, (hub, rigid, named) in hubs.items():
+            row: dict = {}
+            expansions = None
+            for p, coeff in enumerate(IHX_COEFFS):
+                if named[p] is not None:
+                    terms = (named[p],)
+                elif rigid:
                     continue
-                seen.add(fkey)
-                row = self._expansion_row(four)
-                if row:
-                    rows.append(row)
+                else:
+                    if expansions is None:
+                        four = _hub_graph(n, tuple(zip(key[::2], key[1::2])), hub)
+                        expansions = ihx_expansions(four, len(four.edges))
+                    terms = self.class_vector(expansions[p][1]).items()
+                for i, v in terms:
+                    row[i] = row.get(i, 0) + coeff * v
+            row = {i: v for i, v in row.items() if v}
+            if row:
+                rows.append(row)
         self._rows = rows
         if self._cache is not None:
             payload = [
@@ -302,8 +398,9 @@ class GraphSpace:
         raise PrimeDisagreementError(f"ranks still disagree after retries: {ranks}")
 
     def exact_dimension(self) -> int:
-        """Dimension via fraction-exact elimination; slower, used as a check."""
-        return len(self.basis) - exact_rank(self.relation_rows())
+        """Dimension via fraction-exact elimination: the pivots of the rref
+        that normal_form uses.  Slower than the modular ranks; a check."""
+        return len(self.basis) - len(self._ensure_rref())
 
     # -- normal form ----------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: bytes, exit codes, cache, workers."""
 
+import itertools
 import json
 import os
 import shutil
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from trivalent import cli, morse
 from trivalent import graphs as G
 from trivalent.cli import main
 
@@ -223,6 +225,29 @@ class TestMorsePropagator:
         assert code == 0
         assert json.loads(out)["gs"]["0"] == [["1/2"]]
 
+    def test_checks_the_complex_once(self, tmp_path, capsys, monkeypatch):
+        """compute_propagator checks d∘d = 0 itself; the command adds no
+        second check, and a failing check still ends in an error line."""
+        calls = []
+        check = morse.check_complex
+
+        def counted(c):
+            calls.append(c)
+            return check(c)
+
+        for module in (morse, cli):
+            if hasattr(module, "check_complex"):
+                monkeypatch.setattr(module, "check_complex", counted)
+        good = torsion_pair()
+        bad = {
+            "ranks": [1, 1, 1, 0, 0],
+            "boundaries": {"1": [[1]], "2": [[1]], "3": [[]], "4": []},
+        }
+        for payload, code in ((good, 0), (bad, 1)):
+            calls.clear()
+            assert run(capsys, "morse-propagator", write(tmp_path, "c.json", payload))[0] == code
+            assert len(calls) == 1
+
     def test_not_a_complex(self, tmp_path, capsys):
         path = write(
             tmp_path,
@@ -287,7 +312,7 @@ class TestStrictIntegers:
             ("reduce", with_edge(theta_json(), 2, [0, True]), "edge end True is not"),
             ("reduce", with_edge(theta_json(), 2, [0, "1"]), "edge end '1' is not"),
             ("reduce", {**theta_json(), "vertices": 2.0}, "vertex count 2.0 is not"),
-            ("reduce", with_edge(theta_json(), 2, [0, 1, 1]), "unpack"),
+            ("reduce", with_edge(theta_json(), 2, [0, 1, 1]), "edge [0, 1, 1] is not a pair"),
             ("aut", with_edge(k4_json(), 0, [0.0, 1]), "edge end 0.0 is not"),
             (
                 "surgery",
@@ -305,6 +330,14 @@ class TestStrictIntegers:
                 torsion_pair(boundaries={"1": [[2]], "2": [[]], "3": [], "4": [], "x": []}),
                 "boundary degree 'x' is not",
             ),
+            ("reduce", with_edge(theta_json(), 2, 5), "edge 5 is not a pair"),
+            ("aut", with_edge(k4_json(), 3, [1]), "edge [1] is not a pair"),
+            (
+                "surgery",
+                {**theta_json(), "directions": [[0, 1], [0, 1], [1, 0, 1]]},
+                "direction [1, 0, 1] is not a pair",
+            ),
+            ("surgery", {**theta_json(), "directions": [5, 5, 5]}, "direction 5 is not a pair"),
         ],
     )
     def test_error_names_file_and_field(
@@ -434,6 +467,30 @@ class TestCache:
             path.write_text(bad)
             assert [run(capsys, *c, "--cache", str(d)) for c in commands] == cold
             assert path.read_text() != bad
+
+    def test_noncanonical_basis_graph_is_an_error(self, tmp_path, capsys):
+        """A relabelled copy of a basis graph, slotted into a cached basis
+        with the keys still increasing, is a column that no relation row
+        can reach: dim -k 2 would print 2.  Rebuilding the rows refuses it."""
+        run(capsys, "cache", "warm", "-k", "2", "--cache", str(tmp_path))
+        path = tmp_path / "basis-k2.json"
+        doc = json.loads(path.read_text())
+
+        def key(b):
+            return G.canonical_key(b["vertices"], [tuple(e) for e in b["edges"]])
+
+        keys = [key(b) for b in doc["payload"]]
+        first = doc["payload"][0]
+        for perm in itertools.permutations(range(4)):
+            edges = [sorted((perm[u], perm[v])) for u, v in first["edges"]]
+            copy = {"vertices": 4, "edges": sorted(edges)}
+            if key(copy) not in keys:
+                break
+        path.write_text(json.dumps({**doc, "payload": sorted(doc["payload"] + [copy], key=key)}))
+        code, out, err = run(capsys, "dim", "-k", "2", "--cache", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: basis graph ")
+        assert err.endswith(" is not a canonical class representative\n")
 
 
 class TestEntryPoints:

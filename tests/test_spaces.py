@@ -12,8 +12,7 @@ from trivalent.cache import KINDS, Cache
 from trivalent.linalg import exact_rref, reduce_vector
 from trivalent.spaces import (
     GraphSpace,
-    _canonical_four,
-    _four_key,
+    _canonical_hub,
     classify,
     enumerate_graphs,
 )
@@ -81,6 +80,15 @@ class TestEnumeration:
             enumerate_graphs(k)
             counts.append(len(calls))
         assert counts == [4, 22, 112, 581, 3411]
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_space_classes_match_classify(self, k):
+        """The build classifies from the enumerator's own labellings; the
+        classes are those of classify(enumerate_graphs(k))."""
+        reps, zeros = classify(enumerate_graphs(k))
+        sp = space(k)
+        assert sp.basis == tuple(reps)
+        assert sp.zero_keys == zeros
 
     @pytest.mark.parametrize("k,matchings", [(1, 15), (2, 10395)])
     def test_matches_stub_matching_sweep(self, k, matchings):
@@ -204,7 +212,7 @@ class TestBasisKeys:
         built.basis
         reopened = GraphSpace(k, cache)
         monkeypatch.setattr(
-            "trivalent.spaces.enumerate_graphs", lambda k: pytest.fail("reopen rebuilt")
+            "trivalent.spaces._labelled_finals", lambda k: pytest.fail("reopen rebuilt")
         )
         for sp in (built, reopened):
             assert sp.keys == tuple(G.reduce(b).key for b in sp.basis)
@@ -212,6 +220,46 @@ class TestBasisKeys:
 
 
 class TestRelationRows:
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_rows_are_expansion_rows_of_each_hub(self, k):
+        """Row for row, entry order included: _expansion_row (three
+        reduces per hub) on each canonical hub in first-reach order, zero
+        rows dropped."""
+        sp = space(k)
+        expected = []
+        seen = set()
+        for g in sp.basis:
+            for e, (u, v) in enumerate(g.edges):
+                if u == v:
+                    continue
+                four = _canonical_hub(G.contract_edge(g, e))[0]
+                if four.edges not in seen:
+                    seen.add(four.edges)
+                    row = sp._expansion_row(four)
+                    if row:
+                        expected.append(list(row.items()))
+        assert [list(row.items()) for row in sp.relation_rows()] == expected
+
+    def test_cold_build_canonicalize_calls(self, monkeypatch):
+        """One call per enumerated state and per contraction, plus the
+        reduces: one per basis graph and one per splitting that neither a
+        contraction nor the rigid-hub rule settles."""
+        calls = []
+        canonicalize = S.canonicalize
+
+        def counted(n, edges):
+            calls.append(n)
+            return canonicalize(n, edges)
+
+        monkeypatch.setattr(S, "canonicalize", counted)
+        monkeypatch.setattr(G, "canonicalize", counted)
+        counts = []
+        for k in range(1, 6):
+            calls.clear()
+            GraphSpace(k).relation_rows()
+            counts.append(len(calls))
+        assert counts == [4, 34, 130, 646, 4134]
+
     def test_deterministic(self):
         a = GraphSpace(3).relation_rows()
         b = GraphSpace(3).relation_rows()
@@ -232,8 +280,8 @@ class TestRelationRows:
         for g in sp.basis:
             for e, (u, v) in enumerate(g.edges):
                 if u != v:
-                    f = _canonical_four(G.contract_edge(g, e))
-                    fours.setdefault(_four_key(f), f)
+                    f = _canonical_hub(G.contract_edge(g, e))[0]
+                    fours.setdefault(f.edges, f)
         for f in fours.values():
             for perm in itertools.permutations(range(4)):
                 tagged = G.FourValentGraph(
