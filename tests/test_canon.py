@@ -1,16 +1,20 @@
 """The canonicalizer's output, frozen: enc, perm and generators byte for byte.
 
-The golden corpus pins every field of `CanonResult` on 7,555 graphs (all
-trivalent graphs for k <= 5, two relabellings of each, and every hub graph
-from a non-loop contraction), so any change to the search tree, its node
-order or its generator collection shows up here before it reaches a class
-key.  The property tests check what a canonical labelling must satisfy on
+The golden corpus pins every field of `CanonResult` on 7,555 graphs (one
+labelled graph per class for k <= 5, two relabellings of each, and every
+hub graph from a non-loop contraction), so any change to the search tree,
+its node order or its generator collection shows up here before it reaches
+a class key.  The class graphs are frozen in canon_corpus.json, so the
+corpus does not move when the enumerator picks other labelled
+representatives; test_class_key_digest pins the classes the live
+enumerator produces.  The property tests check what a canonical labelling must satisfy on
 random multigraphs with loops and vertices of degree up to 4.
 """
 
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,33 +36,39 @@ KEY_DIGESTS = {
 }
 
 
+# one labelled graph per class for k = 1..5, as [vertex count, edges]
+FROZEN = [
+    G.validate(n, [tuple(e) for e in edges])
+    for n, edges in json.loads((Path(__file__).parent / "canon_corpus.json").read_text())
+]
+
+
 @pytest.fixture(scope="module")
 def enumerated():
-    return {k: spaces.enumerate_graphs(k) for k in range(1, 6)}
+    return {k: spaces.enumerate_graphs(k) for k in KEY_DIGESTS}
 
 
-def corpus(enumerated):
+def corpus():
     rng = random.Random(CORPUS_SEED)
-    for k in range(1, 6):
-        for g in enumerated[k]:
-            n = g.num_vertices
-            yield n, g.edges
-            for _ in range(2):
-                verts = list(range(n))
-                rng.shuffle(verts)
-                edges = [(verts[u], verts[v]) for u, v in g.edges]
-                rng.shuffle(edges)
-                yield n, edges
-            for e, (u, v) in enumerate(g.edges):
-                if u != v:
-                    c = G.contract_edge(g, e)
-                    yield c.num_vertices, c.edges
+    for g in FROZEN:
+        n = g.num_vertices
+        yield n, g.edges
+        for _ in range(2):
+            verts = list(range(n))
+            rng.shuffle(verts)
+            edges = [(verts[u], verts[v]) for u, v in g.edges]
+            rng.shuffle(edges)
+            yield n, edges
+        for e, (u, v) in enumerate(g.edges):
+            if u != v:
+                c = G.contract_edge(g, e)
+                yield c.num_vertices, c.edges
 
 
-def test_golden_corpus(enumerated):
+def test_golden_corpus():
     digest = hashlib.sha256()
     count = 0
-    for n, edges in corpus(enumerated):
+    for n, edges in corpus():
         r = canonicalize(n, edges)
         digest.update(repr((r.enc, r.perm, r.aut_generators)).encode())
         count += 1
@@ -94,8 +104,8 @@ def multigraphs(draw):
 
 HUBS = [
     G.contract_edge(g, e)
-    for k in (2, 3)
-    for g in spaces.enumerate_graphs(k)
+    for g in FROZEN
+    if g.k in (2, 3)
     for e, (u, v) in enumerate(g.edges)
     if u != v
 ]
