@@ -39,7 +39,7 @@ from .surgery import (
     evaluate_orbit,
 )
 
-KNOWN_DIMENSIONS = {1: 0, 2: 1, 3: 0, 4: 0, 5: 1}
+KNOWN_DIMENSIONS = {1: 0, 2: 1, 3: 0, 4: 0, 5: 1, 6: 0}
 
 
 def _positive(text: str) -> int:

@@ -8,9 +8,10 @@ coefficients (1, 1, 1) (graphs.IHX_COEFFS), give one relation row per hub
 graph.  The alternating sign of the classical relation is not lost: the
 class signs charge every edge-label transposition and so carry the middle
 splitting's minus.  The contraction that reaches a hub already fixes the
-class of the splitting that undoes it, so most splittings are never
-reduced (GraphSpace.relation_rows).  Dimensions come from modular ranks at several large
-random primes, cross-checked exactly at small k by the tests.
+class of the splitting that undoes it, and the hub's automorphisms carry
+that class over its orbit, so no splitting is reduced
+(GraphSpace.relation_rows).  Dimensions come from modular ranks at several
+large random primes, cross-checked exactly at small k by the tests.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .graphs import (
     contract_edge,
     half_edges_at,
     has_parallel_edge,
-    ihx_expansions,
     reduce,
     reduce_with_representative,
     validate,
@@ -101,7 +101,13 @@ def _labelled_finals(k: int):
                         new_edges.extend([(v, len(new_deg))] * m)
                         new_deg.append(m)
                     nt = len(new_deg)
-                    complete = all(d == 3 for d in new_deg)
+                    if nt == n and len(new_edges) == 3 * k - 1:
+                        # two stubs left, on one vertex or on two: the last
+                        # edge is forced, so dedup the final, not this state
+                        short = [u for u in range(n) if new_deg[u] < 3]
+                        new_edges.append((short[0], short[-1]))
+                        new_deg = [3] * n
+                    complete = 2 * len(new_edges) == 3 * nt
                     if nt < n and complete:
                         continue  # complete but short of 2k vertices: dead
                     res = canonicalize(nt, new_edges)
@@ -127,6 +133,16 @@ def enumerate_graphs(k: int):
     is attached to v.  A state with no deficient vertex can therefore never
     grow again: it is a final when it touches all 2k vertices and dead
     otherwise.
+
+    A state that touches all 2k vertices with two stubs left, on one vertex
+    or on two, has one completion: the loop (v, v) or the edge (u, v) with
+    u < v, which is what completing it would add.  That state is completed
+    at once and the final deduplicated in its place.  Being such a state
+    is an isomorphism invariant and isomorphic states have isomorphic
+    completions, so the classes are unchanged; the state's own
+    canonicalization is saved.  Finals are registered when generated, so
+    which labelled graph represents a class, and the order, follow the
+    search; neither is part of the contract, only the classes are.
     """
     return [g for g, _ in _labelled_finals(k)]
 
@@ -156,15 +172,55 @@ def _hub_graph(num_vertices: int, pairs: tuple, hub: int) -> FourValentGraph:
     return FourValentGraph(num_vertices, pairs, hub, tuple(half_edges_at(pairs, hub)))
 
 
+def _splitting_map(four: FourValentGraph, eperm, flip=None):
+    """(images, sign) for the automorphism of the hub graph four that maps
+    edge j to edge eperm[j] and, if flip is a hub loop, swaps its two ends.
+
+    It carries the splitting IHX_PAIRINGS[p] onto IHX_PAIRINGS[images[p]],
+    relabelling vertices and permuting edge labels by eperm, the new edge
+    keeping the last label; so it multiplies the class by sign, the parity
+    of eperm."""
+    slot = {stub: t for t, stub in enumerate(four.tagging)}
+    sigma = []
+    for label, end in four.tagging:
+        image = eperm[label]
+        a, b = four.edges[image]
+        if a != b:
+            end = 0 if a == four.hub else 1
+        elif label == flip:
+            end = 1 - end
+        sigma.append(slot[image, end])
+    # the image pairs stub sigma[0] with stub sigma[p + 1]; stub 0's partner
+    # in it names the image splitting (the stubs 1, 2, 3 sum to 6)
+    images = []
+    for t in sigma[1:]:
+        if sigma[0] == 0:
+            partner = t
+        elif t == 0:
+            partner = sigma[0]
+        else:
+            partner = 6 - sigma[0] - t
+        images.append(partner - 1)
+    return tuple(images), perm_parity(eperm)
+
+
 def _canonical_hub(c: FourValentGraph):
-    """(four, labels, rigid) for a hub graph c.
+    """(four, labels, action) for a hub graph c.
 
     four is c relabelled canonically, its edges sorted.  labels[i] is the
     canonical label of c's edge i: the sort of the canonical pairs is
-    stable, so tied (parallel) edges keep c's order.  rigid says that the
-    hub graph has no vertex automorphism but the identity and that the
-    hub's four stubs lie on four non-loop edges to four distinct
-    neighbours.
+    stable, so tied (parallel) edges keep c's order.  action holds the
+    _splitting_map of each generator of four's automorphism group, as a
+    graph whose loops have two ends:
+    - each vertex automorphism generator of the canonical labelling,
+      conjugated into canonical labels, with the edge map that keeps the
+      order of parallel edges (a hub loop keeps its ends);
+    - each transposition of two parallel edges, sign -1;
+    - the flip of each loop at the hub, sign +1.
+    The vertex generators generate the vertex automorphisms, and the
+    automorphisms over the identity permute parallel edges and flip loops,
+    so these generate the whole group, except for the flips of loops away
+    from the hub, which move no hub stub and keep every edge label.
     """
     res = canonicalize(c.num_vertices, c.edges)
     perm = res.perm
@@ -176,9 +232,46 @@ def _canonical_hub(c: FourValentGraph):
     labels = [0] * len(pairs)
     for j, i in enumerate(order):
         labels[i] = j
-    four = _hub_graph(c.num_vertices, tuple(pairs[i] for i in order), perm[c.hub])
-    rigid = not res.aut_generators and len({four.edges[j] for j, _ in four.tagging}) == 4
-    return four, labels, rigid
+    edges = tuple(pairs[i] for i in order)
+    hub = perm[c.hub]
+    four = _hub_graph(c.num_vertices, edges, hub)
+    first: dict = {}
+    for j, pair in enumerate(edges):
+        first.setdefault(pair, j)
+    ident = list(range(len(edges)))
+    action = []
+    for phi in res.aut_generators:
+        psi = [0] * c.num_vertices
+        for v, w in enumerate(phi):
+            psi[perm[v]] = perm[w]
+        eperm = []
+        for j, (a, b) in enumerate(edges):
+            x, y = psi[a], psi[b]
+            eperm.append(first[(x, y) if x <= y else (y, x)] + j - first[a, b])
+        action.append(_splitting_map(four, eperm))
+    for j in ident[1:]:
+        if edges[j - 1] == edges[j]:
+            swap = ident[:]
+            swap[j - 1], swap[j] = j, j - 1
+            action.append(_splitting_map(four, swap))
+    for j, (a, b) in enumerate(edges):
+        if a == b == hub:
+            action.append(_splitting_map(four, ident, flip=j))
+    return four, labels, action
+
+
+def _spread(named: list, p: int, action) -> None:
+    """Give each splitting in the orbit of splitting p under the maps in
+    action its class, from named[p] = (basis index, sign)."""
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        i, sign = named[q]
+        for images, s in action:
+            r = images[q]
+            if named[r] is None:
+                named[r] = (i, sign * s)
+                todo.append(r)
 
 
 def _rebuilt_splitting(e: int, c: FourValentGraph, four: FourValentGraph, labels):
@@ -292,13 +385,6 @@ class GraphSpace:
 
     # -- relations ----------------------------------------------------------
 
-    def _expansion_row(self, four: FourValentGraph) -> dict:
-        row: dict = {}
-        for coeff, h in ihx_expansions(four, len(four.edges)):
-            for i, v in self.class_vector(h).items():
-                row[i] = row.get(i, 0) + coeff * v
-        return {i: v for i, v in row.items() if v}
-
     def relation_rows(self):
         """One row per contracted hub class, zero rows dropped, in the order
         the hubs are first reached (basis order, then edge order).
@@ -309,24 +395,32 @@ class GraphSpace:
         edge-label map from g to that splitting (_rebuilt_splitting).
         Relabelling vertices keeps a class and permuting edge labels
         multiplies it by the permutation's sign, so the named splitting's
-        class is g's basis vector times the parity, with no reduce.  A
-        splitting that no contraction names is zero if the hub is rigid
-        (see _canonical_hub) and is reduced otherwise.
+        class is g's basis vector times the parity.  That class spreads
+        over the splitting's orbit under the hub's automorphisms
+        (_canonical_hub, _spread): an automorphism a of the hub graph H
+        with edge map eps carries h_P onto h_a(P), relabelling vertices
+        and permuting edge labels by eps while the new edge keeps the last
+        label, so the class of h_a(P) is sign(eps) times that of h_P.  A
+        splitting the spread never reaches is zero.  No splitting is
+        reduced.
 
-        Why the rigid rule holds.  Let the splitting h_P of the canonical
-        hub graph H have a nonzero class.  Then h_P is isomorphic to a
-        basis graph g, by a map f that sends h_P's new edge to an edge e of
-        g; e is no loop, as the new edge joins two vertices.  Contracting
-        h_P at its new edge gives H back, so contract_edge(g, e) is
-        isomorphic to H and the pass groups (g, e) under H.  Following f,
-        the contraction and the canonical labelling of contract_edge(g, e)
-        maps H onto itself: an automorphism a of H, which fixes the hub,
-        its only 4-valent vertex.  a carries the stubs P keeps at the hub
-        to the stubs of one end of e, so (g, e) names the splitting a(P).
-        A rigid hub's a moves no vertex, and as its four hub edges go to
-        four different neighbours, no hub stub either; so a(P) = P, and P
-        is named.  A splitting of a rigid hub that no contraction names is
-        therefore zero.
+        Why the unreached splittings are zero.  Let the splitting h_P of
+        the canonical hub graph H have a nonzero class.  Then h_P is
+        isomorphic to a basis graph g, by a map f that sends h_P's new edge
+        to an edge e of g; e is no loop, as the new edge joins two
+        vertices.  Contracting h_P at its new edge gives H back, so
+        contract_edge(g, e) is isomorphic to H and the pass groups (g, e)
+        under H.  Following f, the contraction and the canonical labelling
+        of contract_edge(g, e) maps H onto itself: an automorphism a of H,
+        which fixes the hub, its only 4-valent vertex.  a carries the stubs
+        P keeps at the hub to the stubs of one end of e, so (g, e) names
+        the splitting a(P), and P lies in its orbit.  The maps in action
+        come from generators of the finite group Aut(H), so following them
+        forward from a splitting reaches its whole orbit.  A splitting is
+        only ever reached by a contraction, which spreads it, or by a
+        spread over an orbit it shares; so P is reached.  A rigid hub (no
+        automorphism moves a hub stub) is the case of singleton orbits:
+        each of its nonzero splittings is named by a contraction.
 
         The rule needs each basis graph to be its class's canonical
         representative, as classify writes it: class_vector must give
@@ -343,7 +437,7 @@ class GraphSpace:
                 ]
                 return self._rows
         # canonical hub edges, flattened to half the memory of the pairs
-        # -> (hub vertex, rigid, named splitting terms)
+        # -> the (basis index, sign) class of each splitting reached so far
         hubs: dict = {}
         for i, g in enumerate(self.basis):
             if self.class_vector(g) != {i: 1}:
@@ -352,27 +446,18 @@ class GraphSpace:
                 if u == v:
                     continue
                 c = contract_edge(g, e)
-                four, labels, rigid = _canonical_hub(c)
-                named = hubs.setdefault(sum(four.edges, ()), (four.hub, rigid, [None] * 3))[2]
+                four, labels, action = _canonical_hub(c)
+                named = hubs.setdefault(sum(four.edges, ()), [None] * 3)
                 p, parity = _rebuilt_splitting(e, c, four, labels)
                 if named[p] is None:
                     named[p] = (i, parity)
+                    _spread(named, p, action)
         rows = []
-        n = 2 * self.k - 1
-        for key, (hub, rigid, named) in hubs.items():
+        for named in hubs.values():
             row: dict = {}
-            expansions = None
-            for p, coeff in enumerate(IHX_COEFFS):
-                if named[p] is not None:
-                    terms = (named[p],)
-                elif rigid:
-                    continue
-                else:
-                    if expansions is None:
-                        four = _hub_graph(n, tuple(zip(key[::2], key[1::2])), hub)
-                        expansions = ihx_expansions(four, len(four.edges))
-                    terms = self.class_vector(expansions[p][1]).items()
-                for i, v in terms:
+            for coeff, term in zip(IHX_COEFFS, named):
+                if term is not None:
+                    i, v = term
                     row[i] = row.get(i, 0) + coeff * v
             row = {i: v for i, v in row.items() if v}
             if row:

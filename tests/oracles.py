@@ -1,10 +1,12 @@
 """Independent brute-force checks the test suite measures the package against.
 
-Nothing here imports package internals beyond the public graph container, so
+Nothing here imports package internals beyond the public graph functions, so
 agreement is evidence rather than circularity.
 """
 
 from fractions import Fraction
+
+from trivalent.graphs import ihx_expansions
 
 
 def perfect_matchings(items):
@@ -27,6 +29,17 @@ def stub_matchings(k):
     """
     stubs = [v for v in range(2 * k) for _ in range(3)]
     return perfect_matchings(stubs)
+
+
+def expansion_row(space, four):
+    """The relation row of a hub graph the long way: the three splittings
+    (ihx_expansions, the new edge last), each reduced by space.class_vector,
+    summed with their coefficients in splitting order, zeros dropped."""
+    row: dict = {}
+    for coeff, h in ihx_expansions(four, len(four.edges)):
+        for i, v in space.class_vector(h).items():
+            row[i] = row.get(i, 0) + coeff * v
+    return {i: v for i, v in row.items() if v}
 
 
 def is_connected(n, edges):

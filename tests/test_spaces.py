@@ -1,5 +1,6 @@
 """Enumeration, relation rows, dimensions, and quotient normal forms."""
 
+import hashlib
 import itertools
 import os
 import stat
@@ -64,8 +65,9 @@ class TestEnumeration:
 
     def test_canonicalize_calls_pin_the_search(self, monkeypatch):
         """One canonicalize call for the start and one per candidate state
-        not found dead, so the counts pin the states the search visits, not
-        only its output."""
+        not found dead, a state with its last edge forced counting as its
+        final, so the counts pin the states the search visits, not only
+        its output."""
         calls = []
         canonicalize = S.canonicalize
 
@@ -79,7 +81,7 @@ class TestEnumeration:
             calls.clear()
             enumerate_graphs(k)
             counts.append(len(calls))
-        assert counts == [4, 22, 112, 581, 3411]
+        assert counts == [3, 18, 96, 497, 2886]
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_space_classes_match_classify(self, k):
@@ -222,7 +224,7 @@ class TestBasisKeys:
 class TestRelationRows:
     @pytest.mark.parametrize("k", range(1, 6))
     def test_rows_are_expansion_rows_of_each_hub(self, k):
-        """Row for row, entry order included: _expansion_row (three
+        """Row for row, entry order included: oracles.expansion_row (three
         reduces per hub) on each canonical hub in first-reach order, zero
         rows dropped."""
         sp = space(k)
@@ -235,15 +237,15 @@ class TestRelationRows:
                 four = _canonical_hub(G.contract_edge(g, e))[0]
                 if four.edges not in seen:
                     seen.add(four.edges)
-                    row = sp._expansion_row(four)
+                    row = oracles.expansion_row(sp, four)
                     if row:
                         expected.append(list(row.items()))
         assert [list(row.items()) for row in sp.relation_rows()] == expected
 
     def test_cold_build_canonicalize_calls(self, monkeypatch):
-        """One call per enumerated state and per contraction, plus the
-        reduces: one per basis graph and one per splitting that neither a
-        contraction nor the rigid-hub rule settles."""
+        """One call per enumerated state (a state with its last edge forced
+        counting as its final) and per contraction, plus one reduce per
+        basis graph: no splitting is reduced."""
         calls = []
         canonicalize = S.canonicalize
 
@@ -258,7 +260,7 @@ class TestRelationRows:
             calls.clear()
             GraphSpace(k).relation_rows()
             counts.append(len(calls))
-        assert counts == [4, 34, 130, 646, 4134]
+        assert counts == [3, 29, 110, 541, 3402]
 
     def test_deterministic(self):
         a = GraphSpace(3).relation_rows()
@@ -287,8 +289,137 @@ class TestRelationRows:
                 tagged = G.FourValentGraph(
                     f.num_vertices, f.edges, f.hub, tuple(f.tagging[i] for i in perm)
                 )
-                row = sp._expansion_row(tagged)
+                row = oracles.expansion_row(sp, tagged)
                 assert reduce_vector(row, piv) == {}
+
+
+def _contraction_hubs(max_k):
+    """canonical hub edges -> (hub graph, the distinct splitting maps of
+    its action) over every contraction of every enumerated graph with
+    k <= max_k, zero classes included, so that hub loops and parallel hub
+    edges occur."""
+    hubs: dict = {}
+    for k in range(1, max_k + 1):
+        for g in enumerate_graphs(k):
+            for e, (u, v) in enumerate(g.edges):
+                if u != v:
+                    four, _, action = _canonical_hub(G.contract_edge(g, e))
+                    hubs.setdefault(four.edges, (four, []))[1].append(tuple(action))
+    return hubs
+
+
+def _closure(maps):
+    """Every composite of the (images, sign) maps, the identity included."""
+    group = {((0, 1, 2), 1)}
+    frontier = list(group)
+    while frontier:
+        images, sign = frontier.pop()
+        for m, s in maps:
+            composite = (tuple(m[q] for q in images), sign * s)
+            if composite not in group:
+                group.add(composite)
+                frontier.append(composite)
+    return group
+
+
+def _inversion_sign(perm):
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    return -1 if inversions % 2 else 1
+
+
+def _stub_automorphism_maps(four):
+    """The (images, sign) of every automorphism of the hub graph, found by
+    brute force: every vertex permutation fixing the hub that keeps the
+    edge multiset, every edge bijection over it, and every way to lay each
+    hub edge's two ends onto its image's ends."""
+    n, edges, hub = four.num_vertices, four.edges, four.hub
+    stubs = [(label, end) for label, end in four.tagging]
+    pairings = [
+        {frozenset((stubs[a], stubs[b])), frozenset((stubs[c], stubs[d]))}
+        for a, b, c, d in G.IHX_PAIRINGS
+    ]
+    hub_edges = sorted({label for label, _ in stubs})
+    out = set()
+    others = [v for v in range(n) if v != hub]
+    for images in itertools.permutations(others):
+        phi = dict(zip(others, images))
+        phi[hub] = hub
+        moved = [tuple(sorted((phi[a], phi[b]))) for a, b in edges]
+        if sorted(moved) != sorted(edges):
+            continue
+        targets = [[j for j, f in enumerate(edges) if f == pair] for pair in moved]
+        for eperm in itertools.product(*targets):
+            if len(set(eperm)) != len(eperm):
+                continue
+            ends = []
+            for label in hub_edges:
+                a, b = edges[label]
+                ta, tb = edges[eperm[label]]
+                ends.append([o for o in (0, 1) if (phi[a], phi[b]) == ((ta, tb) if o == 0 else (tb, ta))])
+            for orient in itertools.product(*ends):
+                flip = dict(zip(hub_edges, orient))
+                sigma = {(label, end): (eperm[label], end ^ flip[label]) for label, end in stubs}
+                split = []
+                for pairing in pairings:
+                    image = {frozenset(sigma[x] for x in pair) for pair in pairing}
+                    split.append(pairings.index(image))
+                out.add((tuple(split), _inversion_sign(eperm)))
+    return out
+
+
+class TestSplittingMaps:
+    @pytest.fixture(scope="class")
+    def hubs(self):
+        return _contraction_hubs(4)
+
+    def test_sample_has_hub_loops_and_parallel_hub_edges(self, hubs):
+        def at_hub(four):
+            return [four.edges[label] for label, _ in four.tagging]
+
+        assert any(a == b for four, _ in hubs.values() for a, b in at_hub(four))
+        assert any(
+            len(set(at_hub(four))) < len(at_hub(four)) and all(a != b for a, b in at_hub(four))
+            for four, _ in hubs.values()
+        )
+
+    def test_maps_carry_classes_with_their_sign(self, hubs):
+        """reduce(h_images[p]) is sign * reduce(h_p), and one is zero
+        exactly when the other is."""
+        for four, actions in hubs.values():
+            classes = [G.reduce(h) for _, h in G.ihx_expansions(four, len(four.edges))]
+            for images, sign in set(itertools.chain(*actions)):
+                for p, q in enumerate(images):
+                    assert classes[q].key == classes[p].key
+                    assert classes[q].is_zero == classes[p].is_zero
+                    if not classes[p].is_zero:
+                        assert classes[q].sign == sign * classes[p].sign
+
+    def test_maps_generate_the_whole_action(self, hubs):
+        """Each contraction's maps generate the action on the splittings of
+        every automorphism of the hub graph, loop flips included."""
+        for four, actions in hubs.values():
+            expected = _stub_automorphism_maps(four)
+            for action in set(actions):
+                assert _closure(action) == expected
+
+
+@pytest.fixture(scope="module")
+def space6():
+    return GraphSpace(6)
+
+
+class TestK6:
+    """The default --max-k, cold: dimension 0 on both rank paths, and the
+    relation rows, entry order included, pinned by digest."""
+
+    ROWS_DIGEST = "ff7efb359ac2f32c044d01366e54d359377387e22fcd1b3adc047a8f9cae7ae5"
+
+    def test_dimension_zero_both_ways(self, space6):
+        assert space6.dimension() == space6.exact_dimension() == 0
+
+    def test_rows_digest(self, space6):
+        text = repr([list(row.items()) for row in space6.relation_rows()])
+        assert hashlib.sha256(text.encode()).hexdigest() == self.ROWS_DIGEST
 
 
 class TestCache:
