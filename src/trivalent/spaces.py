@@ -22,6 +22,7 @@ from .cache import Cache
 from .canon import canonicalize, perm_parity
 from .graphs import (
     IHX_COEFFS,
+    IHX_PAIRINGS,
     FourValentGraph,
     LabelledTrivalentGraph,
     canonical_key,
@@ -172,6 +173,13 @@ def _hub_graph(num_vertices: int, pairs: tuple, hub: int) -> FourValentGraph:
     return FourValentGraph(num_vertices, pairs, hub, tuple(half_edges_at(pairs, hub)))
 
 
+# a pair of tagged hub stubs, as a bit mask -> the splitting that pairs them
+_SPLITTING_OF_PAIR = {
+    1 << a | 1 << b: p for p, pairing in enumerate(IHX_PAIRINGS)
+    for a, b in (pairing[:2], pairing[2:])
+}
+
+
 def _splitting_map(four: FourValentGraph, eperm, flip=None):
     """(images, sign) for the automorphism of the hub graph four that maps
     edge j to edge eperm[j] and, if flip is a hub loop, swaps its two ends.
@@ -190,18 +198,10 @@ def _splitting_map(four: FourValentGraph, eperm, flip=None):
         elif label == flip:
             end = 1 - end
         sigma.append(slot[image, end])
-    # the image pairs stub sigma[0] with stub sigma[p + 1]; stub 0's partner
-    # in it names the image splitting (the stubs 1, 2, 3 sum to 6)
-    images = []
-    for t in sigma[1:]:
-        if sigma[0] == 0:
-            partner = t
-        elif t == 0:
-            partner = sigma[0]
-        else:
-            partner = 6 - sigma[0] - t
-        images.append(partner - 1)
-    return tuple(images), perm_parity(eperm)
+    images = tuple(
+        _SPLITTING_OF_PAIR[1 << sigma[a] | 1 << sigma[b]] for a, b, _, _ in IHX_PAIRINGS
+    )
+    return images, perm_parity(eperm)
 
 
 def _canonical_hub(c: FourValentGraph):

@@ -333,7 +333,7 @@ def _stub_automorphism_maps(four):
     edge multiset, every edge bijection over it, and every way to lay each
     hub edge's two ends onto its image's ends."""
     n, edges, hub = four.num_vertices, four.edges, four.hub
-    stubs = [(label, end) for label, end in four.tagging]
+    stubs = list(four.tagging)
     pairings = [
         {frozenset((stubs[a], stubs[b])), frozenset((stubs[c], stubs[d]))}
         for a, b, c, d in G.IHX_PAIRINGS
@@ -355,7 +355,7 @@ def _stub_automorphism_maps(four):
             for label in hub_edges:
                 a, b = edges[label]
                 ta, tb = edges[eperm[label]]
-                ends.append([o for o in (0, 1) if (phi[a], phi[b]) == ((ta, tb) if o == 0 else (tb, ta))])
+                ends.append([o for o in (0, 1) if (phi[a], phi[b]) == ((ta, tb), (tb, ta))[o]])
             for orient in itertools.product(*ends):
                 flip = dict(zip(hub_edges, orient))
                 sigma = {(label, end): (eperm[label], end ^ flip[label]) for label, end in stubs}
