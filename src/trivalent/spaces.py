@@ -167,12 +167,6 @@ def classify(graphs):
     return _classify((g, None) for g in graphs)
 
 
-def _hub_graph(num_vertices: int, pairs: tuple, hub: int) -> FourValentGraph:
-    """The hub graph on these edges, its tagging the hub's stubs in (edge
-    label, end) order."""
-    return FourValentGraph(num_vertices, pairs, hub, tuple(half_edges_at(pairs, hub)))
-
-
 # a pair of tagged hub stubs, as a bit mask -> the splitting that pairs them
 _SPLITTING_OF_PAIR = {
     1 << a | 1 << b: p for p, pairing in enumerate(IHX_PAIRINGS)
@@ -207,11 +201,12 @@ def _splitting_map(four: FourValentGraph, eperm, flip=None):
 def _canonical_hub(c: FourValentGraph):
     """(four, labels, action) for a hub graph c.
 
-    four is c relabelled canonically, its edges sorted.  labels[i] is the
-    canonical label of c's edge i: the sort of the canonical pairs is
-    stable, so tied (parallel) edges keep c's order.  action holds the
-    _splitting_map of each generator of four's automorphism group, as a
-    graph whose loops have two ends:
+    four is c relabelled canonically, its edges sorted, its tagging the
+    hub's stubs in (edge label, end) order.  labels[i] is the canonical
+    label of c's edge i: the sort of the canonical pairs is stable, so tied
+    (parallel) edges keep c's order.  action holds the _splitting_map of
+    each generator of four's automorphism group, as a graph whose loops
+    have two ends:
     - each vertex automorphism generator of the canonical labelling,
       conjugated into canonical labels, with the edge map that keeps the
       order of parallel edges (a hub loop keeps its ends);
@@ -234,7 +229,7 @@ def _canonical_hub(c: FourValentGraph):
         labels[i] = j
     edges = tuple(pairs[i] for i in order)
     hub = perm[c.hub]
-    four = _hub_graph(c.num_vertices, edges, hub)
+    four = FourValentGraph(c.num_vertices, edges, hub, tuple(half_edges_at(edges, hub)))
     first: dict = {}
     for j, pair in enumerate(edges):
         first.setdefault(pair, j)
@@ -249,7 +244,7 @@ def _canonical_hub(c: FourValentGraph):
             x, y = psi[a], psi[b]
             eperm.append(first[(x, y) if x <= y else (y, x)] + j - first[a, b])
         action.append(_splitting_map(four, eperm))
-    for j in ident[1:]:
+    for j in range(1, len(edges)):
         if edges[j - 1] == edges[j]:
             swap = ident[:]
             swap[j - 1], swap[j] = j, j - 1
