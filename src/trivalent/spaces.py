@@ -2,7 +2,9 @@
 
 For each k the space is spanned by isomorphism classes of connected
 trivalent multigraphs on 2k vertices, with classes whose automorphisms act
-oddly on edge labels already zero.  Contracting any non-loop edge produces a
+oddly on edge labels already zero.  A search lists the classes with no
+parallel edge, and inserting a digon into the classes at k - 1 gives the
+others (enumerate_graphs).  Contracting any non-loop edge produces a
 graph with one 4-valent hub; its three trivalent splittings, summed with
 coefficients (1, 1, 1) (graphs.IHX_COEFFS), give one relation row per hub
 graph.  The alternating sign of the classical relation is not lost: the
@@ -17,6 +19,7 @@ large random primes, cross-checked exactly at small k by the tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .cache import Cache
 from .canon import canonicalize, perm_parity
@@ -31,7 +34,6 @@ from .graphs import (
     has_parallel_edge,
     reduce,
     reduce_with_representative,
-    validate,
 )
 from .linalg import exact_rref, gen_primes, rank_mod_p, reduce_vector
 
@@ -44,29 +46,9 @@ DEFAULT_SEED = 74207281
 DEFAULT_PRIME_COUNT = 3
 
 
-# partitions of s into parts <= 3; a part is one fresh vertex's multiplicity
-_PARTITIONS = {
-    0: ((),),
-    1: ((1,),),
-    2: ((2,), (1, 1)),
-    3: ((3,), (2, 1), (1, 1, 1)),
-}
-
-
-def _distributions(total: int, caps):
-    """All ways to hand at most `total` stubs to slots with capacities."""
-    if not caps:
-        yield ()
-        return
-    first = caps[0]
-    for m in range(min(first, total) + 1):
-        for rest in _distributions(total - m, caps[1:]):
-            yield (m,) + rest
-
-
-def _labelled_finals(k: int):
-    """The search of enumerate_graphs, yielding each final graph with the
-    canonical labelling its deduplication computed, as it is reached."""
+def _parallel_free_finals(k: int):
+    """The search of enumerate_graphs, yielding each parallel-free final
+    with the canonical labelling its deduplication computed."""
     n = 2 * k
     seen = {(1, canonicalize(1, ()).enc)}
     stack = [((), [0], None)]
@@ -75,38 +57,40 @@ def _labelled_finals(k: int):
         t = len(deg)
         deficient = [v for v in range(t) if deg[v] < 3]
         if not deficient:
-            yield validate(n, edges), res
+            yield LabelledTrivalentGraph(n, edges), res
             continue
         v = max(deficient, key=lambda u: (deg[u], -u))
         need = 3 - deg[v]
-        others = [u for u in deficient if u != v]
-        caps = [3 - deg[u] for u in others]
+        # the deficient vertices that one new edge to v would not repeat
+        joinable = [
+            u for u in deficient if u != v and ((u, v) if u < v else (v, u)) not in edges
+        ]
         r = n - t
         for loops in (0, 1) if need >= 2 else (0,):
             s = need - 2 * loops
-            for dist in _distributions(s, caps):
-                s_fresh = s - sum(dist)
-                for part in _PARTITIONS[s_fresh]:
-                    if len(part) > r:
-                        continue
+            for s_old in range(max(0, s - r), min(s, len(joinable)) + 1):
+                s_fresh = s - s_old
+                for chosen in combinations(joinable, s_old):
                     new_edges = list(edges)
                     new_deg = deg.copy()
                     new_deg[v] = 3
                     if loops:
                         new_edges.append((v, v))
-                    for u, m in zip(others, dist):
-                        a, b = (u, v) if u < v else (v, u)
-                        new_edges.extend([(a, b)] * m)
-                        new_deg[u] += m
-                    for m in part:
-                        new_edges.extend([(v, len(new_deg))] * m)
-                        new_deg.append(m)
+                    for u in chosen:
+                        new_edges.append((u, v) if u < v else (v, u))
+                        new_deg[u] += 1
+                    for _ in range(s_fresh):
+                        new_edges.append((v, len(new_deg)))
+                        new_deg.append(1)
                     nt = len(new_deg)
                     if nt == n and len(new_edges) == 3 * k - 1:
                         # two stubs left, on one vertex or on two: the last
                         # edge is forced, so dedup the final, not this state
                         short = [u for u in range(n) if new_deg[u] < 3]
-                        new_edges.append((short[0], short[-1]))
+                        last = (short[0], short[-1])
+                        if last[0] != last[1] and last in new_edges:
+                            continue
+                        new_edges.append(last)
                         new_deg = [3] * n
                     complete = 2 * len(new_edges) == 3 * nt
                     if nt < n and complete:
@@ -120,14 +104,67 @@ def _labelled_finals(k: int):
                     stack.append((tuple(new_edges), new_deg, res if complete else None))
 
 
+def _edge_orbits(edges, generators):
+    """One edge (a, b) per orbit of the vertex permutations in generators
+    on the distinct edges, in edge order; each edge must have a <= b, as
+    the enumerator builds them.  Parallel edges are one pair, so they
+    share an orbit, as the edge maps over the identity swap them."""
+    reps = []
+    seen = set()
+    for pair in edges:
+        if pair in seen:
+            continue
+        reps.append(pair)
+        seen.add(pair)
+        todo = [pair]
+        while todo:
+            a, b = todo.pop()
+            for phi in generators:
+                x, y = phi[a], phi[b]
+                image = (x, y) if x <= y else (y, x)
+                if image not in seen:
+                    seen.add(image)
+                    todo.append(image)
+    return reps
+
+
+def _digon_insertions(k: int):
+    """Each class at k >= 2 with a non-loop parallel edge, once, with its
+    canonical labelling: a digon inserted into one edge per edge orbit of
+    each class at k - 1."""
+    n = 2 * k
+    u, v = n - 2, n - 1
+    seen = set()
+    for h, res in _labelled_finals(k - 1):
+        for a, b in _edge_orbits(h.edges, res.aut_generators):
+            i = h.edges.index((a, b))
+            edges = h.edges[:i] + h.edges[i + 1:] + ((a, u), (u, v), (u, v), (b, v))
+            labelling = canonicalize(n, edges)
+            if labelling.enc not in seen:
+                seen.add(labelling.enc)
+                yield LabelledTrivalentGraph(n, edges), labelling
+
+
+def _labelled_finals(k: int):
+    """enumerate_graphs, yielding each graph with its canonical labelling."""
+    yield from _parallel_free_finals(k)
+    if k == 1:
+        theta = ((0, 1),) * 3
+        yield LabelledTrivalentGraph(2, theta), canonicalize(2, theta)
+    else:
+        yield from _digon_insertions(k)
+
+
 def enumerate_graphs(k: int):
     """One labelled representative per isomorphism class of connected
-    trivalent multigraphs on 2k vertices.
+    trivalent multigraphs on 2k vertices: the parallel-free classes from a
+    search, the others by inserting a digon into the classes at k - 1.
 
-    Grows partial graphs by completing one deficient vertex at a time
-    (largest degree first, smallest index on ties), deduplicating partial
-    states by canonical form.  Untouched vertices are interchangeable, so a
-    state is just the graph on the touched ones, kept with its degree list.
+    The search grows partial graphs by completing one deficient vertex at
+    a time (largest degree first, smallest index on ties), deduplicating
+    partial states by canonical form.  Untouched vertices are
+    interchangeable, so a state is just the graph on the touched ones,
+    kept with its degree list.
 
     The touched graph is always connected: it starts as vertex 0, each step
     adds edges only at the vertex v being completed, and each fresh vertex
@@ -135,15 +172,39 @@ def enumerate_graphs(k: int):
     grow again: it is a final when it touches all 2k vertices and dead
     otherwise.
 
+    The search skips, before canonicalizing it, any child state that
+    repeats a non-loop edge: two new edges from v to one vertex, a new
+    edge (u, v) that the state already holds, or a forced last edge (below)
+    that repeats one.  Adding edges never removes a parallel pair, and
+    having one is an isomorphism invariant, so every state on the way to
+    a parallel-free final is itself parallel-free and the search still
+    reaches every parallel-free class.
+
     A state that touches all 2k vertices with two stubs left, on one vertex
     or on two, has one completion: the loop (v, v) or the edge (u, v) with
     u < v, which is what completing it would add.  That state is completed
     at once and the final deduplicated in its place.  Being such a state
     is an isomorphism invariant and isomorphic states have isomorphic
     completions, so the classes are unchanged; the state's own
-    canonicalization is saved.  Finals are registered when generated, so
-    which labelled graph represents a class, and the order, follow the
-    search; neither is part of the contract, only the classes are.
+    canonicalization is saved.
+
+    The classes with a non-loop parallel edge come from k - 1.  At k = 1
+    the search yields the dumbbell only, and the other class is the theta
+    graph, the one connected cubic graph with a triple edge.  For k >= 2,
+    take such a graph G.  A triple edge would make G the theta graph, so
+    its parallel pair is a digon u = v, and the third edges of u and v go
+    to vertices a and b (a = b allowed), neither of them u or v.  Deleting
+    u and v and joining a to b (a loop if a = b) leaves a connected cubic
+    graph H at k - 1, and replacing that edge of H by a - u, u = v, v - b
+    gives G back.  So inserting a digon into every edge of every class at
+    k - 1 reaches every such class; isomorphic choices give isomorphic
+    graphs, so one edge per orbit of Aut(H) on edges is enough, and the
+    results are deduplicated by canonical form.  They are disjoint from
+    the search's finals, which have no parallel edge.
+
+    Which labelled graph represents a class, and the order, follow the
+    search and the insertions; neither is part of the contract, only the
+    classes are.
     """
     return [g for g, _ in _labelled_finals(k)]
 
@@ -294,6 +355,7 @@ class GraphSpace:
         self.k = k
         self._cache = cache
         self._basis = None
+        self._basis_cached = False  # read from the cache, not classified here
         self._keys = None
         self._zeros = None
         self._rows = None
@@ -318,13 +380,14 @@ class GraphSpace:
         zeros = self._cache.load(self.k, "zeros")
         if basis is None or zeros is None:
             return False
-        return self._set_classes(
+        self._basis_cached = self._set_classes(
             [
                 LabelledTrivalentGraph(g["vertices"], tuple(tuple(e) for e in g["edges"]))
                 for g in basis
             ],
             zeros,
         )
+        return self._basis_cached
 
     def _ensure_classes(self):
         if self._basis is not None:
@@ -419,8 +482,9 @@ class GraphSpace:
 
         The rule needs each basis graph to be its class's canonical
         representative, as classify writes it: class_vector must give
-        basis graph i exactly {i: 1}.  A cached basis that fails this is a
-        ValueError, not a row set with a column missing.
+        basis graph i exactly {i: 1}.  A basis read from the cache is
+        checked, and one that fails is a ValueError, not a row set with a
+        column missing; a basis classified here holds by construction.
         """
         if self._rows is not None:
             return self._rows
@@ -435,7 +499,7 @@ class GraphSpace:
         # -> the (basis index, sign) class of each splitting reached so far
         hubs: dict = {}
         for i, g in enumerate(self.basis):
-            if self.class_vector(g) != {i: 1}:
+            if self._basis_cached and self.class_vector(g) != {i: 1}:
                 raise ValueError(f"basis graph {i} is not a canonical class representative")
             for e, (u, v) in enumerate(g.edges):
                 if u == v:

@@ -63,11 +63,24 @@ class TestEnumeration:
         assert len(calls) == len(graphs)
         assert reps == [expected[key] for key in sorted(expected)]
 
+    @pytest.mark.parametrize("k,count", [(1, 2), (2, 5), (3, 17), (4, 71), (5, 388)])
+    def test_one_valid_graph_per_class(self, k, count):
+        """The enumerator builds its graphs without validate: each one is
+        valid, and it yields exactly one graph per class."""
+        graphs = enumerate_graphs(k)
+        assert len(graphs) == space(k).num_classes == count
+        assert len({G.reduce(g).key for g in graphs}) == count
+        for g in graphs:
+            assert G.validate(g.num_vertices, g.edges) == g
+
     def test_canonicalize_calls_pin_the_search(self, monkeypatch):
-        """One canonicalize call for the start and one per candidate state
-        not found dead, a state with its last edge forced counting as its
-        final, so the counts pin the states the search visits, not only
-        its output."""
+        """One canonicalize call for the start of the parallel-free search
+        and one per candidate state not pruned or found dead, a state with
+        its last edge forced counting as its final; then one for the theta
+        graph at k=1, or one per digon candidate (an edge orbit of a class
+        at k-1) with the whole enumeration at k-1 before it.  So the counts
+        pin the states the search visits and the digon candidates, not only
+        the output."""
         calls = []
         canonicalize = S.canonicalize
 
@@ -81,7 +94,7 @@ class TestEnumeration:
             calls.clear()
             enumerate_graphs(k)
             counts.append(len(calls))
-        assert counts == [3, 18, 96, 497, 2886]
+        assert counts == [3, 13, 63, 308, 1668]
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_space_classes_match_classify(self, k):
@@ -243,9 +256,10 @@ class TestRelationRows:
         assert [list(row.items()) for row in sp.relation_rows()] == expected
 
     def test_cold_build_canonicalize_calls(self, monkeypatch):
-        """One call per enumerated state (a state with its last edge forced
-        counting as its final) and per contraction, plus one reduce per
-        basis graph: no splitting is reduced."""
+        """The enumerator's calls (the search states and the digon
+        candidates, as pinned above) and one per contraction: no splitting
+        is reduced, and a basis classified in the build is not checked
+        again."""
         calls = []
         canonicalize = S.canonicalize
 
@@ -260,7 +274,7 @@ class TestRelationRows:
             calls.clear()
             GraphSpace(k).relation_rows()
             counts.append(len(calls))
-        assert counts == [3, 29, 110, 541, 3402]
+        assert counts == [3, 22, 75, 348, 2147]
 
     def test_deterministic(self):
         a = GraphSpace(3).relation_rows()
