@@ -61,16 +61,13 @@ def _parallel_free_finals(k: int):
             continue
         v = max(deficient, key=lambda u: (deg[u], -u))
         need = 3 - deg[v]
-        # the deficient vertices that one new edge to v would not repeat
-        joinable = [
-            u for u in deficient if u != v and ((u, v) if u < v else (v, u)) not in edges
-        ]
+        others = [u for u in deficient if u != v]
         r = n - t
         for loops in (0, 1) if need >= 2 else (0,):
             s = need - 2 * loops
-            for s_old in range(max(0, s - r), min(s, len(joinable)) + 1):
+            for s_old in range(max(0, s - r), min(s, len(others)) + 1):
                 s_fresh = s - s_old
-                for chosen in combinations(joinable, s_old):
+                for chosen in combinations(others, s_old):
                     new_edges = list(edges)
                     new_deg = deg.copy()
                     new_deg[v] = 3
@@ -87,10 +84,7 @@ def _parallel_free_finals(k: int):
                         # two stubs left, on one vertex or on two: the last
                         # edge is forced, so dedup the final, not this state
                         short = [u for u in range(n) if new_deg[u] < 3]
-                        last = (short[0], short[-1])
-                        if last[0] != last[1] and last in new_edges:
-                            continue
-                        new_edges.append(last)
+                        new_edges.append((short[0], short[-1]))
                         new_deg = [3] * n
                     complete = 2 * len(new_edges) == 3 * nt
                     if nt < n and complete:
@@ -172,12 +166,14 @@ def enumerate_graphs(k: int):
     grow again: it is a final when it touches all 2k vertices and dead
     otherwise.
 
-    The search skips, before canonicalizing it, any child state that
-    repeats a non-loop edge: two new edges from v to one vertex, a new
-    edge (u, v) that the state already holds, or a forced last edge (below)
-    that repeats one.  Adding edges never removes a parallel pair, and
-    having one is an isomorphism invariant, so every state on the way to
-    a parallel-free final is itself parallel-free and the search still
+    The search makes no state that repeats a non-loop edge: completing v
+    joins it to distinct deficient vertices and to distinct fresh ones, one
+    edge each.  Nothing else can repeat an edge, because every edge is
+    added while one of its ends is completed, so two deficient vertices are
+    never adjacent: a new edge (u, v), or a forced last edge (below), is
+    never already there.  Adding edges never removes a parallel pair, and
+    having one is an isomorphism invariant, so every state on the way to a
+    parallel-free final is itself parallel-free, and the search still
     reaches every parallel-free class.
 
     A state that touches all 2k vertices with two stubs left, on one vertex
