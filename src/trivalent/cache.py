@@ -3,9 +3,12 @@
 Location precedence: explicit directory argument, then the GC_CACHE
 environment variable, then ~/.cache/trivalent.  Files carry a format_version
 and are ignored on mismatch, as are unreadable files and payloads of the
-wrong shape, so stale or damaged caches degrade to recomputation.  Files
-that index a basis by position (relations, rref) also carry a checksum of
-the basis keys they were built against and are ignored when it differs.
+wrong shape, so stale or damaged caches degrade to recomputation.  Every
+file carries a CRC-32 of its payload's JSON text and is ignored when the
+text read does not match it, so an edit that keeps the shape is a miss
+too.  Files that index a basis by position (relations, rref) also carry a
+checksum of the basis keys they were built against and are ignored when
+it differs.
 """
 
 from __future__ import annotations
@@ -14,9 +17,13 @@ import json
 import os
 import tempfile
 import zlib
+from fractions import Fraction
 from pathlib import Path
 
 FORMAT_VERSION = 1
+# store writes the payload last, after this key, so that load can
+# checksum the payload's text as read, without serialising it again
+_PAYLOAD_KEY = '"payload": '
 
 
 def _list_of(x, kind) -> bool:
@@ -31,6 +38,14 @@ def _sparse_row(r, kind) -> bool:
         and _list_of(r.get("vals"), kind)
         and len(r["cols"]) == len(r["vals"])
     )
+
+
+def _fraction(v) -> bool:
+    try:
+        Fraction(v)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
 
 
 def _graph(g) -> bool:
@@ -48,7 +63,10 @@ _SHAPES = {
     "zeros": lambda p: _list_of(p, str),
     "relations": lambda p: type(p) is list and all(_sparse_row(r, int) for r in p),
     "rref": lambda p: type(p) is dict
-    and all(piv.isdecimal() and _sparse_row(r, str) for piv, r in p.items()),
+    and all(
+        piv.isdecimal() and _sparse_row(r, str) and all(map(_fraction, r["vals"]))
+        for piv, r in p.items()
+    ),
 }
 KINDS = tuple(_SHAPES)
 
@@ -81,13 +99,17 @@ class Cache:
         """
         p = self.path(k, kind)
         try:
-            with open(p) as f:
-                data = json.load(f)
+            with open(p, "rb") as f:
+                raw = f.read()
+            data = json.loads(raw)
         except (OSError, ValueError):
             return None
         if not isinstance(data, dict) or data.get("format_version") != FORMAT_VERSION:
             return None
         if basis_keys is not None and data.get("basis_crc32") != _basis_crc32(basis_keys):
+            return None
+        start = raw.find(_PAYLOAD_KEY.encode()) + len(_PAYLOAD_KEY)
+        if data.get("payload_crc32") != zlib.crc32(raw[start:-1]):
             return None
         payload = data.get("payload")
         return payload if _SHAPES[kind](payload) else None
@@ -100,16 +122,18 @@ class Cache:
         With basis_keys, the file records their checksum for load to match.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
-        data = {"format_version": FORMAT_VERSION, "payload": payload}
+        text = json.dumps(payload)
+        data = {"format_version": FORMAT_VERSION}
         if basis_keys is not None:
             data["basis_crc32"] = _basis_crc32(basis_keys)
+        data["payload_crc32"] = zlib.crc32(text.encode())
         umask = os.umask(0)
         os.umask(umask)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as f:
                 os.chmod(tmp, 0o666 & ~umask)
-                json.dump(data, f)
+                f.write(json.dumps(data)[:-1] + ", " + _PAYLOAD_KEY + text + "}")
             os.replace(tmp, self.path(k, kind))
         except BaseException:
             os.unlink(tmp)

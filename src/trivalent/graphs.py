@@ -48,12 +48,6 @@ class LabelledTrivalentGraph:
     def k(self) -> int:
         return self.num_vertices // 2
 
-    def degree(self, v: int) -> int:
-        d = 0
-        for a, b in self.edges:
-            d += (a == v) + (b == v)
-        return d
-
     def to_json(self) -> dict:
         return {"vertices": self.num_vertices, "edges": [list(e) for e in self.edges]}
 
@@ -385,12 +379,17 @@ def make_arrow(g: LabelledTrivalentGraph, directions) -> ArrowGraph:
     return a
 
 
-def find_arrow_orientation(g: LabelledTrivalentGraph) -> ArrowGraph:
-    """First edge orientation (in label order, as-stored direction first)
-    leaving every vertex with at least one outgoing and one incoming end."""
+def _arrow_orientations(g: LabelledTrivalentGraph):
+    """Every orientation leaving each vertex an outgoing and an incoming
+    end, in label order with the stored direction first.
+
+    A depth-first search over the edges abandons a partial orientation as
+    soon as some vertex can no longer get both; a vertex's last edge is
+    placed only if it then has both, so every leaf is valid.
+    """
     n = g.num_vertices
     m = len(g.edges)
-    remaining = [g.degree(v) for v in range(n)]
+    remaining = [3] * n
     out = [0] * n
     inn = [0] * n
     chosen: list = []
@@ -400,7 +399,8 @@ def find_arrow_orientation(g: LabelledTrivalentGraph) -> ArrowGraph:
 
     def place(i):
         if i == m:
-            return all(out[v] >= 1 and inn[v] >= 1 for v in range(n))
+            yield ArrowGraph(g, tuple(chosen))
+            return
         u, v = g.edges[i]
         options = [(u, v)] if u == v else [(u, v), (v, u)]
         for t, h in options:
@@ -409,32 +409,26 @@ def find_arrow_orientation(g: LabelledTrivalentGraph) -> ArrowGraph:
             inn[h] += 1
             remaining[u] -= 1
             remaining[v] -= 1  # a loop spends both of its ends here
-            if feasible(u) and feasible(v) and place(i + 1):
-                return True
+            if feasible(u) and feasible(v):
+                yield from place(i + 1)
             chosen.pop()
             out[t] -= 1
             inn[h] -= 1
             remaining[u] += 1
             remaining[v] += 1
-        return False
 
-    if not place(0):
+    return place(0)
+
+
+def find_arrow_orientation(g: LabelledTrivalentGraph) -> ArrowGraph:
+    """The first of all_arrow_orientations(g)."""
+    a = next(_arrow_orientations(g), None)
+    if a is None:
         raise GraphError("no source/sink-free orientation exists")
-    return make_arrow(g, chosen)
+    return a
 
 
 def all_arrow_orientations(g: LabelledTrivalentGraph):
-    """Every valid edge orientation, in deterministic order."""
-    m = len(g.edges)
-    results = []
-    for bits in itertools.product(*[(0,) if u == v else (0, 1) for u, v in g.edges]):
-        dirs = []
-        for flip, (u, v) in zip(bits, g.edges):
-            dirs.append((v, u) if flip else (u, v))
-        try:
-            results.append(make_arrow(g, dirs))
-        except GraphError:
-            continue
-    assert len(results) > 0
-    return results
-
+    """Every valid edge orientation, in label order with the stored
+    direction first."""
+    return list(_arrow_orientations(g))

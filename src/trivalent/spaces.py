@@ -5,8 +5,8 @@ trivalent multigraphs on 2k vertices, with classes whose automorphisms act
 oddly on edge labels already zero.  A search lists the classes with no
 parallel edge, and inserting a digon into the classes at k - 1 gives the
 others (enumerate_graphs).  Contracting any non-loop edge produces a
-graph with one 4-valent hub; its three trivalent splittings, summed with
-coefficients (1, 1, 1) (graphs.IHX_COEFFS), give one relation row per hub
+graph with one 4-valent hub; the plain sum of its three trivalent
+splittings (graphs.IHX_COEFFS are all 1) gives one relation row per hub
 graph.  The alternating sign of the classical relation is not lost: the
 class signs charge every edge-label transposition and so carry the middle
 splitting's minus.  The contraction that reaches a hub already fixes the
@@ -24,7 +24,6 @@ from itertools import combinations
 from .cache import Cache
 from .canon import canonicalize, perm_parity
 from .graphs import (
-    IHX_COEFFS,
     IHX_PAIRINGS,
     FourValentGraph,
     LabelledTrivalentGraph,
@@ -510,10 +509,10 @@ class GraphSpace:
         rows = []
         for named in hubs.values():
             row: dict = {}
-            for coeff, term in zip(IHX_COEFFS, named):
+            for term in named:
                 if term is not None:
                     i, v = term
-                    row[i] = row.get(i, 0) + coeff * v
+                    row[i] = row.get(i, 0) + v
             row = {i: v for i, v in row.items() if v}
             if row:
                 rows.append(row)

@@ -4,9 +4,11 @@ Every edge of an arrow graph contributes one Hopf pair of handle slots; a
 vertex's three slots carry degrees 1 (outgoing) and 2 (incoming), making
 vertices with two outgoing half-edges one type and vertices with two
 incoming the other.  The orbit evaluator uses the automorphism-counting
-closed form; the full evaluator counts every labelling, orientation and
-vertex assignment at small k, brute-forcing the vertex bijections once per
-labelled copy, and checks the counting identities on the way.
+closed form.  The full evaluator, at small k, lists the labelled copies of
+the graph in one pass over the vertex bijections, multiplies in the edge
+sequences, orientations and slot matchings every copy shares with the
+input, and checks the total against the representative count that the
+automorphism group gives.
 """
 
 from __future__ import annotations
@@ -261,52 +263,6 @@ def evaluate_orbit(
     )
 
 
-def _labelled_copies(g):
-    """Distinct vertex-relabelled edge multisets of the underlying graph."""
-    n = g.num_vertices
-    base = [tuple(sorted(e)) for e in g.edges]
-    seen = set()
-    for perm in itertools.permutations(range(n)):
-        key = tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in base))
-        seen.add(key)
-    return sorted(seen)
-
-
-def _multiplicities(pairs):
-    mult: dict = {}
-    for p in pairs:
-        mult[p] = mult.get(p, 0) + 1
-    return mult
-
-
-def _copy_terms(copy, gamma_mult, n):
-    """Count matching assignments over every labelled edge sequence of a copy.
-
-    A vertex bijection matches when it carries the copy's multiplicity
-    profile onto the input graph's.  The check reads neither the order of
-    the edges nor their directions, so it runs once per copy; the copy's
-    (3k)! / prod m! distinct edge sequences and the 2^(non-loop edges)
-    orientations of each then multiply the count.  Returns (assignment count
-    weighted by slot matchings, loop-weighted count of labelled oriented
-    copies).
-    """
-    loops = sum(1 for u, v in copy if u == v)
-    mult = _multiplicities(copy)
-    multiplicity_perms = prod(factorial(m) for m in mult.values())
-    slot_matchings = 2 ** loops * multiplicity_perms
-    matched = 0
-    for sigma in itertools.permutations(range(n)):
-        for pair, m in mult.items():
-            a, b = sigma[pair[0]], sigma[pair[1]]
-            if gamma_mult.get((a, b) if a <= b else (b, a), 0) != m:
-                break
-        else:
-            matched += 1
-    sequences = factorial(len(copy)) // multiplicity_perms
-    oriented = sequences * 2 ** (len(copy) - loops)
-    return oriented * matched * slot_matchings, oriented * 2 ** loops
-
-
 def evaluate_full(
     arrow: ArrowGraph,
     space: GraphSpace | None = None,
@@ -314,15 +270,18 @@ def evaluate_full(
 ) -> EvaluationReport:
     """Literal sum over labellings, orientations and vertex assignments.
 
-    Gated to k <= 2.  The closed form rests on two counting identities.  The
-    total number of surviving assignments, 2^(3k) (2k)! (3k)!, holds by
-    construction: each labelled copy contributes (3k)! 2^(3k) times its
-    matching vertex bijections, and every bijection matches exactly one
-    copy.  It is asserted and reported as the `assignments` diagnostic, but
-    cannot fail.  The check that can fail is the other identity: the
-    loop-weighted count of distinct labelled oriented copies must equal the
-    representative count L(G) computed from the automorphism group.  With
-    both, the prefactor is 1 as in evaluate_orbit.
+    Gated to k <= 2.  One pass over the (2k)! vertex bijections collects the
+    distinct labelled copies of the underlying graph.  Every copy is
+    isomorphic to the input, so every copy has the same (3k)! / prod m!
+    edge sequences (m running over the edge multiplicities), 2^(3k - loops)
+    orientations of each, and 2^loops slot matchings of its loops: one
+    product, read off the input graph.  The loop-weighted count of labelled
+    oriented copies, copies times that product, must equal the
+    representative count L(G) computed from the automorphism group; the
+    pass never reads that group, so a wrong group fails the check.  With
+    it, the prefactor is 1 as in evaluate_orbit.  The `assignments`
+    diagnostic reports the 2^(3k) (2k)! (3k)! surviving assignments the
+    closed form divides back out.
     """
     g = arrow.graph
     k = g.k
@@ -330,26 +289,21 @@ def evaluate_full(
         raise ResourceLimitError(f"full evaluation is gated to k <= 2, got k = {k}")
     space = space or GraphSpace(k)
     diagnostics = _orbit_diagnostics(arrow, convention)
-    n = 2 * k
-    gamma_mult = _multiplicities(tuple(sorted(e)) for e in g.edges)
-    total_terms = brute_reps = 0
-    for copy in _labelled_copies(g):
-        terms, reps = _copy_terms(copy, gamma_mult, n)
-        total_terms += terms
-        brute_reps += reps
-
-    order = _orbit_order(k)
-    assert total_terms == order, (
-        f"assignment count {total_terms} differs from 2^(3k)(2k)!(3k)! = {order}"
-    )
+    pairs = [(u, v) if u <= v else (v, u) for u, v in g.edges]
+    copies = {
+        tuple(sorted((p[u], p[v]) if p[u] <= p[v] else (p[v], p[u]) for u, v in pairs))
+        for p in itertools.permutations(range(g.num_vertices))
+    }
+    sequences = factorial(3 * k) // prod(factorial(pairs.count(e)) for e in set(pairs))
+    # 2^(3k - loops) orientations times 2^loops loop slot matchings
+    weighted = len(copies) * sequences * 2 ** (3 * k)
     reps = int(diagnostics["representatives"])
-    assert brute_reps == reps, (
-        f"loop-weighted copy count {brute_reps} differs from L = {reps}"
-    )
+    if weighted != reps:
+        raise SurgeryError(f"loop-weighted copy count {weighted} differs from L = {reps}")
     return EvaluationReport(
         mode="full",
         input_json=_arrow_json(arrow),
         result=_keyed(space, space.reduce_graph(g)),
-        diagnostics={**diagnostics, "assignments": str(total_terms)},
+        diagnostics={**diagnostics, "assignments": str(_orbit_order(k))},
         notes=(_FOLD_NOTE, _CONSTANT_TERM_NOTE),
     )

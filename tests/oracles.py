@@ -4,9 +4,10 @@ Nothing here imports package internals beyond the public graph functions, so
 agreement is evidence rather than circularity.
 """
 
+import itertools
 from fractions import Fraction
 
-from trivalent.graphs import ihx_expansions
+from trivalent.graphs import GraphError, ihx_expansions, make_arrow
 
 
 def perfect_matchings(items):
@@ -40,6 +41,18 @@ def expansion_row(space, four):
         for i, v in space.class_vector(h).items():
             row[i] = row.get(i, 0) + coeff * v
     return {i: v for i, v in row.items() if v}
+
+
+def arrow_orientations(g):
+    """Every orientation that make_arrow accepts, by filtering the product
+    of each edge's directions (the stored one first; a loop has one only)."""
+    out = []
+    for dirs in itertools.product(*[((u, v),) if u == v else ((u, v), (v, u)) for u, v in g.edges]):
+        try:
+            out.append(make_arrow(g, dirs))
+        except GraphError:
+            pass
+    return out
 
 
 def is_connected(n, edges):

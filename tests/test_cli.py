@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,22 @@ def write(tmp_path, name, payload):
     p = tmp_path / name
     p.write_text(json.dumps(payload))
     return str(p)
+
+
+def restamp(doc):
+    """A cache file's document with the payload checksum that Cache.store
+    writes for its payload, so that json.dumps of it loads as a valid file."""
+    return {**doc, "payload_crc32": zlib.crc32(json.dumps(doc["payload"]).encode())}
+
+
+def rref_values(value):
+    """An edit of an rref file that sets every value to value, checksummed."""
+
+    def edit(d):
+        rows = {p: {**r, "vals": [value] * len(r["vals"])} for p, r in d["payload"].items()}
+        return restamp({**d, "payload": rows})
+
+    return edit
 
 
 class TestDim:
@@ -441,6 +458,7 @@ class TestCache:
         k4 = write(tmp_path, "k4.json", k4_json())
         clover = write(tmp_path, "clover.json", clover_json())
         k2 = (("reduce", k4), ("reduce", clover), ("enum", "-k", "2"), ("dim", "-k", "2"))
+        row, pivot = {"cols": [1], "vals": [1]}, {"cols": [1], "vals": ["1"]}
         # (k, kind, file text or an edit of a warm cache's file, commands)
         cases = [
             (3, "basis", text, (("dim", "-k", "3"),))
@@ -451,9 +469,16 @@ class TestCache:
             )
         ]
         cases += [
-            (2, "basis", lambda d: {**d, "payload": d["payload"][::-1]}, k2),
+            (2, "basis", lambda d: restamp({**d, "payload": d["payload"][::-1]}), k2),
             (2, "relations", lambda d: {**d, "basis_crc32": d["basis_crc32"] ^ 1}, k2),
             (2, "rref", lambda d: {**d, "basis_crc32": d["basis_crc32"] ^ 1}, k2),
+            # values that are no fraction, past a valid payload checksum
+            (2, "rref", rref_values("1/0"), k2),
+            (2, "rref", rref_values("x"), k2),
+            # well-shaped edits the payload checksum catches
+            (2, "relations", lambda d: {**d, "payload": d["payload"] + [row]}, k2),
+            (2, "rref", lambda d: {**d, "payload": {**d["payload"], "1": pivot}}, k2),
+            (2, "basis", lambda d: {n: v for n, v in d.items() if n != "payload_crc32"}, k2),
         ]
         for i, (k, kind, bad, commands) in enumerate(cases):
             cold = [run(capsys, *c, "--cache", str(tmp_path / f"cold{i}")) for c in commands]
@@ -470,8 +495,9 @@ class TestCache:
 
     def test_noncanonical_basis_graph_is_an_error(self, tmp_path, capsys):
         """A relabelled copy of a basis graph, slotted into a cached basis
-        with the keys still increasing, is a column that no relation row
-        can reach: dim -k 2 would print 2.  Rebuilding the rows refuses it."""
+        with the keys still increasing and a valid payload checksum, is a
+        column that no relation row can reach: dim -k 2 would print 2.
+        Rebuilding the rows refuses it."""
         run(capsys, "cache", "warm", "-k", "2", "--cache", str(tmp_path))
         path = tmp_path / "basis-k2.json"
         doc = json.loads(path.read_text())
@@ -486,7 +512,8 @@ class TestCache:
             copy = {"vertices": 4, "edges": sorted(edges)}
             if key(copy) not in keys:
                 break
-        path.write_text(json.dumps({**doc, "payload": sorted(doc["payload"] + [copy], key=key)}))
+        doc = restamp({**doc, "payload": sorted(doc["payload"] + [copy], key=key)})
+        path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "dim", "-k", "2", "--cache", str(tmp_path))
         assert (code, out) == (1, "")
         assert err.startswith("error: basis graph ")

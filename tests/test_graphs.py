@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from trivalent.canon import close_group, perm_parity
 from trivalent import graphs as G
+from trivalent.spaces import enumerate_graphs
 
 
 def theta():
@@ -290,6 +292,13 @@ class TestArrows:
     def test_all_orientations_dumbbell(self):
         # loops are forced, the bridge can point either way
         assert len(G.all_arrow_orientations(dumbbell())) == 2
+
+    def test_orientations_match_brute_force_k_le_3(self):
+        for k in (1, 2, 3):
+            for g in enumerate_graphs(k):
+                expected = oracles.arrow_orientations(g)
+                assert G.all_arrow_orientations(g) == expected
+                assert G.find_arrow_orientation(g) == expected[0]
 
     def test_rejects_source(self):
         with pytest.raises(G.GraphError):

@@ -294,6 +294,15 @@ class TestFullEvaluation:
                 == S.evaluate_full(a, space, S.CONVENTION_FLIPPED).result
             )
 
+    def test_wrong_automorphism_group_fails_the_copy_count(self, monkeypatch):
+        # |Aut| = 6 divides 2^3 2! 3! = 96, so the orbit checks pass with
+        # L = 16, but theta has one labelled copy of weight 2^3 = 8
+        monkeypatch.setattr(S, "automorphisms", lambda g: ([], 6, 6, 1))
+        a, space = arrow(theta()), GraphSpace(1)
+        assert S.evaluate_orbit(a, space).diagnostics["representatives"] == "16"
+        with pytest.raises(S.SurgeryError, match="copy count 8 differs from L = 16"):
+            S.evaluate_full(a, space)
+
     def test_resource_gate(self):
         rep = class_reps(3)[0]
         with pytest.raises(S.ResourceLimitError):
