@@ -40,14 +40,6 @@ def _sparse_row(r, kind) -> bool:
     )
 
 
-def _fraction(v) -> bool:
-    try:
-        Fraction(v)
-    except (ValueError, ZeroDivisionError):
-        return False
-    return True
-
-
 def _graph(g) -> bool:
     return (
         type(g) is dict
@@ -57,18 +49,36 @@ def _graph(g) -> bool:
     )
 
 
-# the payload shape of each kind, as GraphSpace writes it
-_SHAPES = {
-    "basis": lambda p: type(p) is list and all(_graph(g) for g in p),
-    "zeros": lambda p: _list_of(p, str),
-    "relations": lambda p: type(p) is list and all(_sparse_row(r, int) for r in p),
-    "rref": lambda p: type(p) is dict
-    and all(
-        piv.isdecimal() and _sparse_row(r, str) and all(map(_fraction, r["vals"]))
-        for piv, r in p.items()
-    ),
+def _rref_rows(p):
+    """An rref payload as {pivot: {column: Fraction}}, or None if it is not
+    one: each value is parsed once, here."""
+    if type(p) is not dict:
+        return None
+    rows = {}
+    for piv, r in p.items():
+        if not (piv.isdecimal() and _sparse_row(r, str)):
+            return None
+        try:
+            rows[int(piv)] = {c: Fraction(v) for c, v in zip(r["cols"], r["vals"])}
+        except (ValueError, ZeroDivisionError):
+            return None
+    return rows
+
+
+def _shaped(shape):
+    """A loader that hands back the payload itself if shape(payload) holds."""
+    return lambda p: p if shape(p) else None
+
+
+# the payload loader of each kind: its value as GraphSpace uses it, or None
+# for a payload not of the shape GraphSpace writes
+_LOADERS = {
+    "basis": _shaped(lambda p: type(p) is list and all(_graph(g) for g in p)),
+    "zeros": _shaped(lambda p: _list_of(p, str)),
+    "relations": _shaped(lambda p: type(p) is list and all(_sparse_row(r, int) for r in p)),
+    "rref": _rref_rows,
 }
-KINDS = tuple(_SHAPES)
+KINDS = tuple(_LOADERS)
 
 
 def _basis_crc32(keys) -> int:
@@ -92,7 +102,8 @@ class Cache:
         return self.directory / f"{kind}-k{k}.json"
 
     def load(self, k: int, kind: str, basis_keys=None):
-        """The stored payload, or None for a missing or unusable file.
+        """The stored payload, or None for a missing or unusable file.  An
+        rref payload comes back parsed, as {pivot: {column: Fraction}}.
 
         With basis_keys, a file not stored against those same keys is
         unusable too.
@@ -111,8 +122,7 @@ class Cache:
         start = raw.find(_PAYLOAD_KEY.encode()) + len(_PAYLOAD_KEY)
         if data.get("payload_crc32") != zlib.crc32(raw[start:-1]):
             return None
-        payload = data.get("payload")
-        return payload if _SHAPES[kind](payload) else None
+        return _LOADERS[kind](data.get("payload"))
 
     def store(self, k: int, kind: str, payload, basis_keys=None) -> None:
         """Write a payload atomically through a temp file of this writer's own.

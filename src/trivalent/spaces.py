@@ -2,23 +2,25 @@
 
 For each k the space is spanned by isomorphism classes of connected
 trivalent multigraphs on 2k vertices, with classes whose automorphisms act
-oddly on edge labels already zero.  A search lists the classes with no
-parallel edge, and inserting a digon into the classes at k - 1 gives the
-others (enumerate_graphs).  Contracting any non-loop edge produces a
-graph with one 4-valent hub; the plain sum of its three trivalent
-splittings (graphs.IHX_COEFFS are all 1) gives one relation row per hub
-graph.  The alternating sign of the classical relation is not lost: the
-class signs charge every edge-label transposition and so carry the middle
-splitting's minus.  The contraction that reaches a hub already fixes the
-class of the splitting that undoes it, and the hub's automorphisms carry
-that class over its orbit, so no splitting is reduced
-(GraphSpace.relation_rows).  Dimensions come from modular ranks at several
-large random primes, cross-checked exactly at small k by the tests.
+oddly on edge labels already zero.  A search lists the simple classes,
+and inserting a digon or a lollipop (a looped vertex hung on a new vertex
+of an edge) into the classes at k - 1 gives the others (enumerate_graphs).
+Contracting any non-loop edge produces a graph with one 4-valent hub; the
+plain sum of its three trivalent splittings (graphs.IHX_COEFFS are all 1)
+gives one relation row per hub graph.  The alternating sign of the
+classical relation is not lost: the class signs charge every edge-label
+transposition and so carry the middle splitting's minus.  The contraction
+that reaches a hub already fixes the class of the splitting that undoes
+it, and the hub's automorphisms carry that class over its orbit, so no
+splitting is reduced, and one edge per edge orbit of each basis graph is
+contracted (GraphSpace.relation_rows).  Dimensions come from modular ranks
+at several large random primes, cross-checked exactly at small k by the
+tests.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import Counter
 from itertools import combinations
 
 from .cache import Cache
@@ -45,11 +47,12 @@ DEFAULT_SEED = 74207281
 DEFAULT_PRIME_COUNT = 3
 
 
-def _parallel_free_finals(k: int):
-    """The search of enumerate_graphs, yielding each parallel-free final
-    with the canonical labelling its deduplication computed."""
+def _simple_finals(k: int):
+    """The search of enumerate_graphs: each connected simple cubic graph on
+    2k vertices, once, with the canonical labelling its deduplication
+    computed."""
     n = 2 * k
-    seen = {(1, canonicalize(1, ()).enc)}
+    seen = set()
     stack = [((), [0], None)]
     while stack:
         edges, deg, res = stack.pop()
@@ -61,53 +64,49 @@ def _parallel_free_finals(k: int):
         v = max(deficient, key=lambda u: (deg[u], -u))
         need = 3 - deg[v]
         others = [u for u in deficient if u != v]
-        r = n - t
-        for loops in (0, 1) if need >= 2 else (0,):
-            s = need - 2 * loops
-            for s_old in range(max(0, s - r), min(s, len(others)) + 1):
-                s_fresh = s - s_old
-                for chosen in combinations(others, s_old):
-                    new_edges = list(edges)
-                    new_deg = deg.copy()
-                    new_deg[v] = 3
-                    if loops:
-                        new_edges.append((v, v))
-                    for u in chosen:
-                        new_edges.append((u, v) if u < v else (v, u))
-                        new_deg[u] += 1
-                    for _ in range(s_fresh):
-                        new_edges.append((v, len(new_deg)))
-                        new_deg.append(1)
-                    nt = len(new_deg)
-                    if nt == n and len(new_edges) == 3 * k - 1:
-                        # two stubs left, on one vertex or on two: the last
-                        # edge is forced, so dedup the final, not this state
-                        short = [u for u in range(n) if new_deg[u] < 3]
-                        new_edges.append((short[0], short[-1]))
-                        new_deg = [3] * n
-                    complete = 2 * len(new_edges) == 3 * nt
-                    if nt < n and complete:
-                        continue  # complete but short of 2k vertices: dead
-                    res = canonicalize(nt, new_edges)
-                    key = (nt, res.enc)
-                    if key in seen:
+        for s_old in range(max(0, need - (n - t)), min(need, len(others)) + 1):
+            for chosen in combinations(others, s_old):
+                new_edges = list(edges)
+                new_deg = deg.copy()
+                new_deg[v] = 3
+                for u in chosen:
+                    new_edges.append((u, v) if u < v else (v, u))
+                    new_deg[u] += 1
+                for _ in range(need - s_old):
+                    new_edges.append((v, len(new_deg)))
+                    new_deg.append(1)
+                nt = len(new_deg)
+                if nt == n and len(new_edges) == 3 * k - 1:
+                    # two stubs left: the last edge is forced, so dedup the
+                    # final, not this state; on one vertex it is a loop
+                    short = [u for u in range(n) if new_deg[u] < 3]
+                    if len(short) == 1:
                         continue
-                    seen.add(key)
-                    # only a final needs its labelling after the dedup
-                    stack.append((tuple(new_edges), new_deg, res if complete else None))
+                    new_edges.append(tuple(short))
+                    new_deg = [3] * n
+                complete = 2 * len(new_edges) == 3 * nt
+                if nt < n and complete:
+                    continue  # complete but short of 2k vertices: dead
+                res = canonicalize(nt, new_edges)
+                key = (nt, res.enc)
+                if key in seen:
+                    continue
+                seen.add(key)
+                # only a final needs its labelling after the dedup
+                stack.append((tuple(new_edges), new_deg, res if complete else None))
 
 
 def _edge_orbits(edges, generators):
-    """One edge (a, b) per orbit of the vertex permutations in generators
-    on the distinct edges, in edge order; each edge must have a <= b, as
-    the enumerator builds them.  Parallel edges are one pair, so they
-    share an orbit, as the edge maps over the identity swap them."""
+    """The index of the first edge of each orbit of the vertex permutations
+    in generators on the distinct edges, in edge order; each edge must have
+    a <= b, as the enumerator builds them.  Parallel edges are one pair, so
+    they share an orbit, as the edge maps over the identity swap them."""
     reps = []
     seen = set()
-    for pair in edges:
+    for i, pair in enumerate(edges):
         if pair in seen:
             continue
-        reps.append(pair)
+        reps.append(i)
         seen.add(pair)
         todo = [pair]
         while todo:
@@ -121,37 +120,89 @@ def _edge_orbits(edges, generators):
     return reps
 
 
-def _digon_insertions(k: int):
-    """Each class at k >= 2 with a non-loop parallel edge, once, with its
-    canonical labelling: a digon inserted into one edge per edge orbit of
-    each class at k - 1."""
+def _layer_profile(adj, sources) -> list:
+    """For each breadth-first layer around the vertex set sources, its size
+    and the number of half-edges joining two of its vertices (a loop gives
+    two).  Relabelling the graph and the sources alike keeps the profile."""
+    depth = dict.fromkeys(sources, 0)
+    layer = list(depth)
+    profile = []
+    while layer:
+        d = depth[layer[0]]
+        inner = 0
+        following = []
+        for x in layer:
+            for y in adj[x]:
+                if y not in depth:
+                    depth[y] = d + 1
+                    following.append(y)
+                elif depth[y] == d:
+                    inner += 1
+        profile.append((len(layer), inner))
+        layer = following
+    return profile
+
+
+def _inserted_scores_highest(n: int, edges, sites) -> bool:
+    """Whether no site (a digon as its two vertices, a loop as its vertex)
+    has a larger _layer_profile than the last one, the inserted site."""
+    if len(sites) == 1:
+        return True
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    best = _layer_profile(adj, sites[-1])
+    return all(_layer_profile(adj, site) <= best for site in sites[:-1])
+
+
+def _insertions(k: int):
+    """Each class at k >= 2 with a loop or a parallel pair, once, with its
+    canonical labelling: a digon, and a lollipop where it leaves no parallel
+    pair, inserted into one edge per edge orbit of each class at k - 1.  A
+    candidate is canonicalized only if its inserted site scores highest."""
     n = 2 * k
     u, v = n - 2, n - 1
     seen = set()
     for h, res in _labelled_finals(k - 1):
-        for a, b in _edge_orbits(h.edges, res.aut_generators):
-            i = h.edges.index((a, b))
-            edges = h.edges[:i] + h.edges[i + 1:] + ((a, u), (u, v), (u, v), (b, v))
-            labelling = canonicalize(n, edges)
-            if labelling.enc not in seen:
-                seen.add(labelling.enc)
-                yield LabelledTrivalentGraph(n, edges), labelling
+        mult = Counter(h.edges)
+        loops = [(x,) for x, y in mult if x == y]
+        for i in _edge_orbits(h.edges, res.aut_generators):
+            a, b = pair = h.edges[i]
+            rest = h.edges[:i] + h.edges[i + 1:]
+            # non-loop multiplicities of h with edge i removed
+            left = [(p, m - (p == pair)) for p, m in mult.items() if p[0] != p[1]]
+            digons = [p for p, m in left if m == 2]
+            candidates = [(rest + ((a, u), (u, v), (u, v), (b, v)), digons + [(u, v)])]
+            if a != b and all(m < 2 for _, m in left):
+                candidates.append((rest + ((a, u), (b, u), (u, v), (v, v)), loops + [(v,)]))
+            for edges, sites in candidates:
+                if not _inserted_scores_highest(n, edges, sites):
+                    continue
+                labelling = canonicalize(n, edges)
+                if labelling.enc not in seen:
+                    seen.add(labelling.enc)
+                    yield LabelledTrivalentGraph(n, edges), labelling
+
+
+# the two classes at k = 1: the dumbbell and the theta graph
+_K1_EDGES = (((0, 0), (0, 1), (1, 1)), ((0, 1),) * 3)
 
 
 def _labelled_finals(k: int):
     """enumerate_graphs, yielding each graph with its canonical labelling."""
-    yield from _parallel_free_finals(k)
+    yield from _simple_finals(k)
     if k == 1:
-        theta = ((0, 1),) * 3
-        yield LabelledTrivalentGraph(2, theta), canonicalize(2, theta)
+        for edges in _K1_EDGES:
+            yield LabelledTrivalentGraph(2, edges), canonicalize(2, edges)
     else:
-        yield from _digon_insertions(k)
+        yield from _insertions(k)
 
 
 def enumerate_graphs(k: int):
     """One labelled representative per isomorphism class of connected
-    trivalent multigraphs on 2k vertices: the parallel-free classes from a
-    search, the others by inserting a digon into the classes at k - 1.
+    trivalent multigraphs on 2k vertices: the simple classes from a search,
+    the others by inserting a digon or a lollipop into the classes at k - 1.
 
     The search grows partial graphs by completing one deficient vertex at
     a time (largest degree first, smallest index on ties), deduplicating
@@ -165,37 +216,67 @@ def enumerate_graphs(k: int):
     grow again: it is a final when it touches all 2k vertices and dead
     otherwise.
 
-    The search makes no state that repeats a non-loop edge: completing v
-    joins it to distinct deficient vertices and to distinct fresh ones, one
-    edge each.  Nothing else can repeat an edge, because every edge is
+    The search makes no loop and no state that repeats an edge: completing
+    v joins it to distinct deficient vertices and to distinct fresh ones,
+    one edge each.  Nothing else can repeat an edge, because every edge is
     added while one of its ends is completed, so two deficient vertices are
     never adjacent: a new edge (u, v), or a forced last edge (below), is
-    never already there.  Adding edges never removes a parallel pair, and
-    having one is an isomorphism invariant, so every state on the way to a
-    parallel-free final is itself parallel-free, and the search still
-    reaches every parallel-free class.
+    never already there.  Adding edges never removes a loop or a parallel
+    pair, and having one is an isomorphism invariant, so every state on the
+    way to a simple final is itself simple, and the search reaches every
+    simple class.
 
-    A state that touches all 2k vertices with two stubs left, on one vertex
-    or on two, has one completion: the loop (v, v) or the edge (u, v) with
-    u < v, which is what completing it would add.  That state is completed
-    at once and the final deduplicated in its place.  Being such a state
-    is an isomorphism invariant and isomorphic states have isomorphic
-    completions, so the classes are unchanged; the state's own
-    canonicalization is saved.
+    A state that touches all 2k vertices with two stubs left has one
+    completion.  With the stubs on two vertices u < v it is the edge
+    (u, v), which is what completing the state would add: the state is
+    completed at once and the final deduplicated in its place.  With both
+    on one vertex it is a loop, which no simple graph has: the state ends.
+    Being such a state is an isomorphism invariant and isomorphic states
+    have isomorphic completions, so the classes are unchanged; the state's
+    own canonicalization is saved.  The search thus lists the connected
+    simple cubic graphs: 0, 1, 2, 5, 19 and 85 of them for k = 1..6 (OEIS
+    A002851).
 
-    The classes with a non-loop parallel edge come from k - 1.  At k = 1
-    the search yields the dumbbell only, and the other class is the theta
-    graph, the one connected cubic graph with a triple edge.  For k >= 2,
-    take such a graph G.  A triple edge would make G the theta graph, so
-    its parallel pair is a digon u = v, and the third edges of u and v go
-    to vertices a and b (a = b allowed), neither of them u or v.  Deleting
-    u and v and joining a to b (a loop if a = b) leaves a connected cubic
-    graph H at k - 1, and replacing that edge of H by a - u, u = v, v - b
-    gives G back.  So inserting a digon into every edge of every class at
-    k - 1 reaches every such class; isomorphic choices give isomorphic
-    graphs, so one edge per orbit of Aut(H) on edges is enough, and the
-    results are deduplicated by canonical form.  They are disjoint from
-    the search's finals, which have no parallel edge.
+    The other classes come from k - 1.  At k = 1 they are the dumbbell and
+    the theta graph, listed directly.  For k >= 2:
+    - Take a class G with a non-loop parallel edge.  A triple edge would
+      make G the theta graph, so its parallel pair is a digon u = v, and
+      the third edges of u and v go to vertices a and b (a = b allowed),
+      neither of them u or v.  Deleting u and v and joining a to b (a loop
+      if a = b) leaves a connected cubic graph H at k - 1, and replacing
+      that edge of H by a - u, u = v, v - b gives G back.
+    - Take a class G with a loop at v and no parallel pair.  The other
+      edge at v goes to a vertex w.  w has no loop, or G would be the
+      dumbbell at k = 1, so its two other edges go to vertices x and y,
+      neither of them v or w, and x != y, as G has no parallel pair.
+      Deleting v and w and joining x to y leaves a cubic graph H at k - 1,
+      connected because a path through w ran x - w - y.  Replacing that
+      edge of H, no loop, by x - w - y with the lollipop w - v and the loop
+      at v gives G back.  A class with a loop and a parallel pair comes
+      from the digon step, so a lollipop candidate with a parallel pair is
+      dropped before it is canonicalized.
+    So inserting a digon into every edge of every class at k - 1, and a
+    lollipop into every non-loop one, reaches every class that is not
+    simple.  Isomorphic choices give isomorphic graphs, so one edge per
+    orbit of Aut(H) on edges is enough, and the results are deduplicated by
+    canonical form.  The digon candidates have a parallel pair, the
+    lollipop candidates kept have a loop and no parallel pair, and the
+    search's finals have neither, so the three parts are disjoint.
+
+    Most candidates that repeat a class are dropped before they are
+    canonicalized.  Call the digons of a digon candidate, or the loops of a
+    lollipop candidate, its sites.  A candidate with two or more sites is
+    canonicalized only if no site has a larger _layer_profile than the
+    inserted one.  This keeps every class G.  Pick a site s of G with the
+    largest profile, and remove it as above: the graph H_s left is
+    isomorphic to a listed class H at k - 1 by a map that sends the joined
+    edge into the orbit of the edge e that stands for it.  Following that
+    map and an automorphism of H, the candidate that inserts the same kind
+    of site at e is isomorphic to G by a map that sends its inserted site
+    to s.  A profile is an isomorphism invariant, so the inserted site's
+    profile is the largest of the candidate's, and the candidate is
+    canonicalized.  Candidates whose inserted site ties for the largest
+    profile are all canonicalized and deduplicated as before.
 
     Which labelled graph represents a class, and the order, follow the
     search and the insertions; neither is part of the contract, only the
@@ -205,7 +286,8 @@ def enumerate_graphs(k: int):
 
 
 def _classify(labelled):
-    """classify over (graph, canonical labelling or None) pairs."""
+    """classify over (graph, canonical labelling or None) pairs; the middle
+    list holds, for each rep, the labelling of the graph it came from."""
     signed: dict = {}
     zeros = set()
     for g, res in labelled:
@@ -213,14 +295,28 @@ def _classify(labelled):
         if r.is_zero:
             zeros.add(r.key)
         elif r.key not in signed:
-            signed[r.key] = rep
-    reps = [signed[key] for key in sorted(signed)]
-    return reps, frozenset(zeros)
+            signed[r.key] = rep, res
+    keys = sorted(signed)
+    return [signed[key][0] for key in keys], [signed[key][1] for key in keys], frozenset(zeros)
 
 
 def classify(graphs):
     """Split labelled graphs into (signed class reps sorted by key, zero keys)."""
-    return _classify((g, None) for g in graphs)
+    reps, _, zeros = _classify((g, None) for g in graphs)
+    return reps, zeros
+
+
+def _canonical_generators(res):
+    """res.aut_generators conjugated into the canonical labels res.perm
+    gives, as lists."""
+    perm = res.perm
+    out = []
+    for phi in res.aut_generators:
+        psi = [0] * len(phi)
+        for v, w in enumerate(phi):
+            psi[perm[v]] = perm[w]
+        out.append(psi)
+    return out
 
 
 # a pair of tagged hub stubs, as a bit mask -> the splitting that pairs them
@@ -291,10 +387,7 @@ def _canonical_hub(c: FourValentGraph):
         first.setdefault(pair, j)
     ident = list(range(len(edges)))
     action = []
-    for phi in res.aut_generators:
-        psi = [0] * c.num_vertices
-        for v, w in enumerate(phi):
-            psi[perm[v]] = perm[w]
+    for psi in _canonical_generators(res):
         eperm = []
         for j, (a, b) in enumerate(edges):
             x, y = psi[a], psi[b]
@@ -351,6 +444,7 @@ class GraphSpace:
         self._cache = cache
         self._basis = None
         self._basis_cached = False  # read from the cache, not classified here
+        self._generators = None  # Aut generators of each basis graph built here
         self._keys = None
         self._zeros = None
         self._rows = None
@@ -389,8 +483,9 @@ class GraphSpace:
             return
         if self._load_classes():
             return
-        reps, zeros = _classify(_labelled_finals(self.k))
+        reps, labellings, zeros = _classify(_labelled_finals(self.k))
         self._set_classes(reps, zeros)  # classify sorts by key, so this holds
+        self._generators = [_canonical_generators(res) for res in labellings]
         if self._cache is not None:
             self._cache.store(self.k, "basis", [g.to_json() for g in reps])
             self._cache.store(self.k, "zeros", sorted(zeros))
@@ -428,7 +523,10 @@ class GraphSpace:
             raise ValueError(f"graph has {g.num_vertices} vertices, space expects {2 * self.k}")
         if has_parallel_edge(g):
             return {}
-        r = reduce(g)
+        return self._vector(reduce(g))
+
+    def _vector(self, r) -> dict:
+        """class_vector from the graph's reduction r."""
         if r.is_zero:
             return {}
         idx = self._key_index()
@@ -436,14 +534,28 @@ class GraphSpace:
             raise ValueError("graph class missing from the enumerated basis")
         return {idx[r.key]: r.sign}
 
+    def _basis_generators(self, i: int, g: LabelledTrivalentGraph):
+        """Generators of the vertex automorphisms of basis graph i, g, in
+        g's labels.  A cached basis graph must be its class's canonical
+        representative (class_vector gives exactly {i: 1}); the labelling
+        that checks it gives the generators."""
+        if not self._basis_cached:
+            return self._generators[i]
+        if g.k == self.k and not has_parallel_edge(g):
+            res = canonicalize(g.num_vertices, g.edges)
+            if self._vector(reduce_with_representative(g, res)[0]) == {i: 1}:
+                return res.aut_generators
+        raise ValueError(f"basis graph {i} is not a canonical class representative")
+
     # -- relations ----------------------------------------------------------
 
     def relation_rows(self):
         """One row per contracted hub class, zero rows dropped, in the order
         the hubs are first reached (basis order, then edge order).
 
-        One pass contracts every non-loop edge e of every basis graph g and
-        groups the contractions by canonical hub.  Each contraction names
+        One pass contracts one non-loop edge e per orbit of Aut(g) on the
+        edges of each basis graph g (_edge_orbits; the orbit's first edge)
+        and groups the contractions by canonical hub.  Each contraction names
         the splitting of its hub that rebuilds g, and the parity of the
         edge-label map from g to that splitting (_rebuilt_splitting).
         Relabelling vertices keeps a class and permuting edge labels
@@ -475,6 +587,23 @@ class GraphSpace:
         automorphism moves a hub stub) is the case of singleton orbits:
         each of its nonzero splittings is named by a contraction.
 
+        Why one edge per orbit is enough.  Let a be a vertex automorphism
+        of g that maps the non-loop edge e to e'.  It maps contract_edge(g,
+        e) onto contract_edge(g, e'), so both group under the same canonical
+        hub H, and with the two canonical labellings it gives an automorphism
+        b of H.  b carries the stubs of each end of e to the stubs of an end
+        of e', so the splitting (g, e') names is b of the one (g, e) names:
+        the two share an orbit, and a spread from either reaches the other.
+        So in the proof above, the contraction (g, e) may be replaced by
+        (g, e0), e0 the first edge of e's orbit, which the pass contracts.
+        A hub first reached at (g, e) is reached at (g, e0) no later, so the
+        hubs are first reached in the order of the pass over every edge, and
+        each splitting reached gets its own class either way: the rows and
+        their order are those of contracting every edge.  The generators of
+        Aut(g) are those of the labelling the enumerator computed for the
+        graph g came from, conjugated into g's labels, or, for a basis read
+        from the cache, those of the labelling that checks it.
+
         The rule needs each basis graph to be its class's canonical
         representative, as classify writes it: class_vector must give
         basis graph i exactly {i: 1}.  A basis read from the cache is
@@ -494,9 +623,8 @@ class GraphSpace:
         # -> the (basis index, sign) class of each splitting reached so far
         hubs: dict = {}
         for i, g in enumerate(self.basis):
-            if self._basis_cached and self.class_vector(g) != {i: 1}:
-                raise ValueError(f"basis graph {i} is not a canonical class representative")
-            for e, (u, v) in enumerate(g.edges):
+            for e in _edge_orbits(g.edges, self._basis_generators(i, g)):
+                u, v = g.edges[e]
                 if u == v:
                     continue
                 c = contract_edge(g, e)
@@ -547,14 +675,8 @@ class GraphSpace:
         if self._rref is not None:
             return self._rref
         if self._cache is not None:
-            data = self._cache.load(self.k, "rref", basis_keys=self.keys)
-            if data is not None:
-                self._rref = {
-                    int(piv): {
-                        int(c): Fraction(v) for c, v in zip(row["cols"], row["vals"])
-                    }
-                    for piv, row in data.items()
-                }
+            self._rref = self._cache.load(self.k, "rref", basis_keys=self.keys)
+            if self._rref is not None:
                 return self._rref
         self._rref = exact_rref(self.relation_rows())
         if self._cache is not None:

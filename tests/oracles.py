@@ -7,7 +7,7 @@ agreement is evidence rather than circularity.
 import itertools
 from fractions import Fraction
 
-from trivalent.graphs import GraphError, ihx_expansions, make_arrow
+from trivalent.graphs import GraphError, ihx_expansions, make_arrow, reduce, validate
 
 
 def perfect_matchings(items):
@@ -41,6 +41,26 @@ def expansion_row(space, four):
         for i, v in space.class_vector(h).items():
             row[i] = row.get(i, 0) + coeff * v
     return {i: v for i, v in row.items() if v}
+
+
+def insertion_classes(classes_below):
+    """The class key of every digon and every lollipop insertion into the
+    given classes at k - 1, the long way: every edge of every class, no
+    orbit, no score filter, each candidate validated and reduced.  A digon
+    replaces the edge a - b by a - u, u = v, v - b; a lollipop replaces a
+    non-loop edge a - b by a - u, u - b and hangs v, with a loop, on u."""
+    keys = set()
+    for h in classes_below:
+        n = h.num_vertices + 2
+        u, v = n - 2, n - 1
+        for i, (a, b) in enumerate(h.edges):
+            rest = h.edges[:i] + h.edges[i + 1 :]
+            inserted = [((a, u), (u, v), (u, v), (b, v))]
+            if a != b:
+                inserted.append(((a, u), (b, u), (u, v), (v, v)))
+            for edges in inserted:
+                keys.add(reduce(validate(n, rest + edges)).key)
+    return keys
 
 
 def arrow_orientations(g):

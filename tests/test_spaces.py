@@ -2,10 +2,14 @@
 
 import hashlib
 import itertools
+import json
 import os
 import stat
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trivalent import graphs as G
 from trivalent import spaces as S
@@ -23,6 +27,29 @@ import oracles
 
 def space(k):
     return GraphSpace(k)
+
+
+def _adjacency(n, edges):
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def _sites(edges):
+    """The digons, as their two vertices, and the loops, as their vertex."""
+    mult = Counter(edges)
+    return [p for p, m in mult.items() if m == 2] + [(u,) for u, v in mult if u == v]
+
+
+# the classes at k <= 4 with two or more digons or two or more loops
+_MANY_SITES = [
+    g
+    for k in (2, 3, 4)
+    for g in enumerate_graphs(k)
+    if max(Counter(len(site) for site in _sites(g.edges)).values(), default=0) >= 2
+]
 
 
 class TestEnumeration:
@@ -74,13 +101,14 @@ class TestEnumeration:
             assert G.validate(g.num_vertices, g.edges) == g
 
     def test_canonicalize_calls_pin_the_search(self, monkeypatch):
-        """One canonicalize call for the start of the parallel-free search
-        and one per candidate state not pruned or found dead, a state with
-        its last edge forced counting as its final; then one for the theta
-        graph at k=1, or one per digon candidate (an edge orbit of a class
-        at k-1) with the whole enumeration at k-1 before it.  So the counts
-        pin the states the search visits and the digon candidates, not only
-        the output."""
+        """One canonicalize call per candidate state of the simple-graph
+        search not pruned or found dead, a state with its last edge forced
+        counting as its final; then one each for the dumbbell and the theta
+        graph at k=1, or one per digon or lollipop candidate (an edge orbit
+        of a class at k-1) that passes the score filter, with the whole
+        enumeration at k-1 before it.  So the counts pin the states the
+        search visits and the candidates canonicalized, not only the
+        output."""
         calls = []
         canonicalize = S.canonicalize
 
@@ -94,7 +122,42 @@ class TestEnumeration:
             calls.clear()
             enumerate_graphs(k)
             counts.append(len(calls))
-        assert counts == [3, 13, 63, 308, 1668]
+        assert counts == [2, 8, 40, 196, 975]
+
+    @pytest.mark.parametrize("k,count", [(1, 0), (2, 1), (3, 2), (4, 5), (5, 19), (6, 85)])
+    def test_search_lists_the_simple_cubic_graphs(self, k, count):
+        """The search yields each connected simple cubic graph on 2k
+        vertices once: OEIS A002851 counts 0, 1, 2, 5, 19, 85 of them."""
+        finals = [g for g, _ in S._simple_finals(k)]
+        assert len(finals) == count
+        assert len({G.reduce(g).key for g in finals}) == count
+        for g in finals:
+            assert G.validate(g.num_vertices, g.edges) == g
+            assert all(u != v for u, v in g.edges)
+            assert len(set(g.edges)) == len(g.edges)
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_insertions_reach_every_candidate_class(self, k):
+        """One edge per orbit, lollipops with a parallel pair dropped and
+        the score filter lose no class: the insertion pass yields, once
+        each, the classes of every digon and lollipop candidate."""
+        keys = [G.reduce(g).key for g, _ in S._insertions(k)]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == oracles.insertion_classes(enumerate_graphs(k - 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_site_profiles_survive_relabelling(self, data):
+        """The score of each digon and each loop is an isomorphism
+        invariant: relabelling the graph and the site alike keeps it."""
+        g = data.draw(st.sampled_from(_MANY_SITES))
+        perm = data.draw(st.permutations(range(g.num_vertices)))
+        h = [(perm[u], perm[v]) for u, v in g.edges]
+        for site in _sites(g.edges):
+            image = tuple(perm[x] for x in site)
+            assert S._layer_profile(_adjacency(g.num_vertices, g.edges), site) == (
+                S._layer_profile(_adjacency(g.num_vertices, h), image)
+            )
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_space_classes_match_classify(self, k):
@@ -256,10 +319,10 @@ class TestRelationRows:
         assert [list(row.items()) for row in sp.relation_rows()] == expected
 
     def test_cold_build_canonicalize_calls(self, monkeypatch):
-        """The enumerator's calls (the search states and the digon
-        candidates, as pinned above) and one per contraction: no splitting
-        is reduced, and a basis classified in the build is not checked
-        again."""
+        """The enumerator's calls (the search states and the insertion
+        candidates, as pinned above) and one per contraction, one edge per
+        edge orbit of each basis graph: no splitting is reduced, and a basis
+        classified in the build is not checked again."""
         calls = []
         canonicalize = S.canonicalize
 
@@ -274,7 +337,7 @@ class TestRelationRows:
             calls.clear()
             GraphSpace(k).relation_rows()
             counts.append(len(calls))
-        assert counts == [3, 22, 75, 348, 2147]
+        assert counts == [2, 10, 45, 221, 1265]
 
     def test_deterministic(self):
         a = GraphSpace(3).relation_rows()
@@ -427,9 +490,16 @@ class TestK6:
     relation rows, entry order included, pinned by digest."""
 
     ROWS_DIGEST = "ff7efb359ac2f32c044d01366e54d359377387e22fcd1b3adc047a8f9cae7ae5"
+    # sha256 of the sorted signed and zero key lists, as recorded for the benchmark
+    KEY_DIGEST = "efd2f85ae8cdf33e35827a699e26324f8c2bf3085a438e9bae0b725df57390f3"
 
     def test_dimension_zero_both_ways(self, space6):
         assert space6.dimension() == space6.exact_dimension() == 0
+
+    def test_key_digest(self, space6):
+        keys = {"signed": sorted(space6.keys), "zero": sorted(space6.zero_keys)}
+        text = json.dumps(keys, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.KEY_DIGEST
 
     def test_rows_digest(self, space6):
         text = repr([list(row.items()) for row in space6.relation_rows()])
