@@ -1,14 +1,14 @@
 """On-disk JSON cache for per-k derived data (bases, relations, echelon forms).
 
-Location precedence: explicit directory argument, then the GC_CACHE
-environment variable, then ~/.cache/trivalent.  Files carry a format_version
-and are ignored on mismatch, as are unreadable files and payloads of the
-wrong shape, so stale or damaged caches degrade to recomputation.  Every
-file carries a CRC-32 of its payload's JSON text and is ignored when the
-text read does not match it, so an edit that keeps the shape is a miss
-too.  Files that index a basis by position (relations, rref) also carry a
-checksum of the basis keys they were built against and are ignored when
-it differs.
+Each kind's file format lives here: store takes the value GraphSpace uses
+and load gives it back.  The directory is the explicit argument, else
+GC_CACHE, else ~/.cache/trivalent.  A file is ignored, and the data
+recomputed, when it is unreadable, of another format_version or of the
+wrong shape, or when the CRC-32 of its payload's JSON text, as read, does
+not match the one it carries.  Files that index a basis by position
+(relations, rref) also carry a checksum of the basis keys they were built
+against and are ignored when it differs; a position outside that basis,
+or a basis edge end outside its graph's vertices, is a wrong shape.
 """
 
 from __future__ import annotations
@@ -18,7 +18,10 @@ import os
 import tempfile
 import zlib
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
+
+from .graphs import LabelledTrivalentGraph
 
 FORMAT_VERSION = 1
 # store writes the payload last, after this key, so that load can
@@ -26,59 +29,75 @@ FORMAT_VERSION = 1
 _PAYLOAD_KEY = '"payload": '
 
 
-def _list_of(x, kind) -> bool:
-    """x is a list whose items all have exactly the given type."""
-    return type(x) is list and set(map(type, x)) <= {kind}
+def _check(ok) -> None:
+    if not ok:
+        raise ValueError("cache payload of the wrong shape")
 
 
-def _sparse_row(r, kind) -> bool:
-    return (
-        type(r) is dict
-        and _list_of(r.get("cols"), int)
-        and _list_of(r.get("vals"), kind)
-        and len(r["cols"]) == len(r["vals"])
-    )
+def _list_of(x, kind) -> list:
+    """x, a list whose items all have exactly the given type."""
+    _check(type(x) is list and set(map(type, x)) <= {kind})
+    return x
 
 
-def _graph(g) -> bool:
-    return (
-        type(g) is dict
-        and type(g.get("vertices")) is int
-        and _list_of(g.get("edges"), list)
-        and all(len(e) == 2 and type(e[0]) is type(e[1]) is int for e in g["edges"])
-    )
+def _positions(x, size) -> list:
+    """x, a list of ints in range(size)."""
+    _check(not _list_of(x, int) or (min(x) >= 0 and max(x) < size))
+    return x
 
 
-def _rref_rows(p):
-    """An rref payload as {pivot: {column: Fraction}}, or None if it is not
-    one: each value is parsed once, here."""
-    if type(p) is not dict:
-        return None
-    rows = {}
-    for piv, r in p.items():
-        if not (piv.isdecimal() and _sparse_row(r, str)):
-            return None
-        try:
-            rows[int(piv)] = {c: Fraction(v) for c, v in zip(r["cols"], r["vals"])}
-        except (ValueError, ZeroDivisionError):
-            return None
-    return rows
+def _fields(items, name, kind) -> list:
+    """Field name of each dict in the list items, each of the given type."""
+    return _list_of([r.get(name) for r in _list_of(items, dict)], kind)
 
 
-def _shaped(shape):
-    """A loader that hands back the payload itself if shape(payload) holds."""
-    return lambda p: p if shape(p) else None
+def _graphs(p, size) -> tuple:
+    ns, edge_lists = _fields(p, "vertices", int), _fields(p, "edges", list)
+    _check(set(map(len, _list_of(list(chain.from_iterable(edge_lists)), list))) <= {2})
+    for n, edges in zip(ns, edge_lists):
+        _positions(list(chain.from_iterable(edges)), n)
+    return tuple(LabelledTrivalentGraph(n, tuple(map(tuple, es))) for n, es in zip(ns, edge_lists))
 
 
-# the payload loader of each kind: its value as GraphSpace uses it, or None
-# for a payload not of the shape GraphSpace writes
-_LOADERS = {
-    "basis": _shaped(lambda p: type(p) is list and all(_graph(g) for g in p)),
-    "zeros": _shaped(lambda p: _list_of(p, str)),
-    "relations": _shaped(lambda p: type(p) is list and all(_sparse_row(r, int) for r in p)),
-    "rref": _rref_rows,
+def _rows(p, size, kind):
+    """Column and value lists of sparse rows [{"cols": [...], "vals": [...]}]."""
+    cols, vals = _fields(p, "cols", list), _fields(p, "vals", list)
+    _check(list(map(len, cols)) == list(map(len, vals)))
+    _positions(list(chain.from_iterable(cols)), size)
+    _list_of(list(chain.from_iterable(vals)), kind)
+    return cols, vals
+
+
+def _rref_rows(p, size) -> dict:
+    _check(type(p) is dict and all(map(str.isdecimal, p)))
+    pivots = _positions(list(map(int, p)), size)
+    cols, vals = _rows(list(p.values()), size, str)
+    return {piv: dict(zip(c, map(Fraction, v))) for piv, c, v in zip(pivots, cols, vals)}
+
+
+def _sorted_row(row, value=lambda v: v) -> dict:
+    cols = sorted(row)
+    return {"cols": cols, "vals": [value(row[c]) for c in cols]}
+
+
+# each kind's (encoder, decoder): the encoder turns the value GraphSpace
+# uses into a payload, and the decoder turns a payload back into that value,
+# given the size of the basis that relations and rref index by position, or
+# raises ValueError (ZeroDivisionError for an rref value "1/0").  Decoders
+# check over flat lists, a few C-level calls a payload, not item by item.
+_FORMATS = {
+    "basis": (
+        lambda gs: [{"vertices": g.num_vertices, "edges": [list(e) for e in g.edges]} for g in gs],
+        _graphs,
+    ),
+    "zeros": (sorted, lambda p, size: frozenset(_list_of(p, str))),
+    "relations": (
+        lambda rows: [_sorted_row(r) for r in rows],
+        lambda p, size: list(map(dict, map(zip, *_rows(p, size, int)))),
+    ),
+    "rref": (lambda rows: {str(p): _sorted_row(r, str) for p, r in rows.items()}, _rref_rows),
 }
-KINDS = tuple(_LOADERS)
+KINDS = tuple(_FORMATS)
 
 
 def _basis_crc32(keys) -> int:
@@ -102,37 +121,36 @@ class Cache:
         return self.directory / f"{kind}-k{k}.json"
 
     def load(self, k: int, kind: str, basis_keys=None):
-        """The stored payload, or None for a missing or unusable file.  An
-        rref payload comes back parsed, as {pivot: {column: Fraction}}.
+        """The stored value, or None for a missing or unusable file.
 
         With basis_keys, a file not stored against those same keys is
-        unusable too.
+        unusable too, as is a relations or rref file with a position
+        outside that basis.
         """
-        p = self.path(k, kind)
         try:
-            with open(p, "rb") as f:
+            with open(self.path(k, kind), "rb") as f:
                 raw = f.read()
             data = json.loads(raw)
-        except (OSError, ValueError):
+            start = raw.find(_PAYLOAD_KEY.encode()) + len(_PAYLOAD_KEY)
+            _check(
+                isinstance(data, dict)
+                and data.get("format_version") == FORMAT_VERSION
+                and (basis_keys is None or data.get("basis_crc32") == _basis_crc32(basis_keys))
+                and data.get("payload_crc32") == zlib.crc32(raw[start:-1])
+            )
+            return _FORMATS[kind][1](data.get("payload"), len(basis_keys or ()))
+        except (OSError, ValueError, ZeroDivisionError):
             return None
-        if not isinstance(data, dict) or data.get("format_version") != FORMAT_VERSION:
-            return None
-        if basis_keys is not None and data.get("basis_crc32") != _basis_crc32(basis_keys):
-            return None
-        start = raw.find(_PAYLOAD_KEY.encode()) + len(_PAYLOAD_KEY)
-        if data.get("payload_crc32") != zlib.crc32(raw[start:-1]):
-            return None
-        return _LOADERS[kind](data.get("payload"))
 
-    def store(self, k: int, kind: str, payload, basis_keys=None) -> None:
-        """Write a payload atomically through a temp file of this writer's own.
+    def store(self, k: int, kind: str, value, basis_keys=None) -> None:
+        """Write a value atomically through a temp file of this writer's own.
 
         The file gets the mode a plain open would give it (0o666 less the
         umask), so other users of a shared cache directory can read it.
         With basis_keys, the file records their checksum for load to match.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(payload)
+        text = json.dumps(_FORMATS[kind][0](value))
         data = {"format_version": FORMAT_VERSION}
         if basis_keys is not None:
             data["basis_crc32"] = _basis_crc32(basis_keys)

@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .cache import Cache, default_dir
+from .cache import Cache
 from .graphs import (
     GraphError,
     LabelledTrivalentGraph,
@@ -171,8 +171,7 @@ def _arrow(data):
 
 
 def _cache_from(args) -> Cache:
-    directory = getattr(args, "cache", None) or default_dir()
-    return Cache(directory)
+    return Cache(getattr(args, "cache", None))
 
 
 def _check_k(args) -> int:

@@ -443,8 +443,7 @@ class GraphSpace:
         self.k = k
         self._cache = cache
         self._basis = None
-        self._basis_cached = False  # read from the cache, not classified here
-        self._generators = None  # Aut generators of each basis graph built here
+        self._generators = None  # Aut generators of a basis built here, not read
         self._keys = None
         self._zeros = None
         self._rows = None
@@ -462,33 +461,32 @@ class GraphSpace:
         self._basis, self._keys, self._zeros = tuple(basis), keys, frozenset(zeros)
         return True
 
-    def _load_classes(self) -> bool:
-        if self._cache is None:
-            return False
-        basis = self._cache.load(self.k, "basis")
-        zeros = self._cache.load(self.k, "zeros")
-        if basis is None or zeros is None:
-            return False
-        self._basis_cached = self._set_classes(
-            [
-                LabelledTrivalentGraph(g["vertices"], tuple(tuple(e) for e in g["edges"]))
-                for g in basis
-            ],
-            zeros,
-        )
-        return self._basis_cached
+    def _load(self, kind: str, basis_keys=None):
+        return None if self._cache is None else self._cache.load(self.k, kind, basis_keys)
+
+    def _store(self, kind: str, value, basis_keys=None) -> None:
+        if self._cache is not None:
+            self._cache.store(self.k, kind, value, basis_keys)
+
+    def _cached(self, kind: str, build):
+        """A kind that indexes the basis, read from the cache or built and stored."""
+        value = self._load(kind, self.keys)
+        if value is None:
+            value = build()
+            self._store(kind, value, self.keys)
+        return value
 
     def _ensure_classes(self):
         if self._basis is not None:
             return
-        if self._load_classes():
+        basis, zeros = self._load("basis"), self._load("zeros")
+        if basis is not None and zeros is not None and self._set_classes(basis, zeros):
             return
         reps, labellings, zeros = _classify(_labelled_finals(self.k))
         self._set_classes(reps, zeros)  # classify sorts by key, so this holds
         self._generators = [_canonical_generators(res) for res in labellings]
-        if self._cache is not None:
-            self._cache.store(self.k, "basis", [g.to_json() for g in reps])
-            self._cache.store(self.k, "zeros", sorted(zeros))
+        self._store("basis", reps)
+        self._store("zeros", zeros)
 
     @property
     def basis(self):
@@ -539,7 +537,7 @@ class GraphSpace:
         g's labels.  A cached basis graph must be its class's canonical
         representative (class_vector gives exactly {i: 1}); the labelling
         that checks it gives the generators."""
-        if not self._basis_cached:
+        if self._generators is not None:
             return self._generators[i]
         if g.k == self.k and not has_parallel_edge(g):
             res = canonicalize(g.num_vertices, g.edges)
@@ -610,15 +608,12 @@ class GraphSpace:
         checked, and one that fails is a ValueError, not a row set with a
         column missing; a basis classified here holds by construction.
         """
-        if self._rows is not None:
-            return self._rows
-        if self._cache is not None:
-            data = self._cache.load(self.k, "relations", basis_keys=self.keys)
-            if data is not None:
-                self._rows = [
-                    {int(c): v for c, v in zip(row["cols"], row["vals"])} for row in data
-                ]
-                return self._rows
+        if self._rows is None:
+            self._rows = self._cached("relations", self._hub_rows)
+        return self._rows
+
+    def _hub_rows(self):
+        """The pass of relation_rows over one edge per edge orbit."""
         # canonical hub edges, flattened to half the memory of the pairs
         # -> the (basis index, sign) class of each splitting reached so far
         hubs: dict = {}
@@ -644,12 +639,6 @@ class GraphSpace:
             row = {i: v for i, v in row.items() if v}
             if row:
                 rows.append(row)
-        self._rows = rows
-        if self._cache is not None:
-            payload = [
-                {"cols": sorted(r), "vals": [r[c] for c in sorted(r)]} for r in rows
-            ]
-            self._cache.store(self.k, "relations", payload, basis_keys=self.keys)
         return rows
 
     # -- rank and dimension -------------------------------------------------
@@ -672,22 +661,8 @@ class GraphSpace:
     # -- normal form ----------------------------------------------------------
 
     def _ensure_rref(self):
-        if self._rref is not None:
-            return self._rref
-        if self._cache is not None:
-            self._rref = self._cache.load(self.k, "rref", basis_keys=self.keys)
-            if self._rref is not None:
-                return self._rref
-        self._rref = exact_rref(self.relation_rows())
-        if self._cache is not None:
-            payload = {
-                str(piv): {
-                    "cols": sorted(row),
-                    "vals": [str(row[c]) for c in sorted(row)],
-                }
-                for piv, row in self._rref.items()
-            }
-            self._cache.store(self.k, "rref", payload, basis_keys=self.keys)
+        if self._rref is None:
+            self._rref = self._cached("rref", lambda: exact_rref(self.relation_rows()))
         return self._rref
 
     def normal_form(self, vec: dict) -> dict:

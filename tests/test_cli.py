@@ -50,6 +50,11 @@ def restamp(doc):
     return {**doc, "payload_crc32": zlib.crc32(json.dumps(doc["payload"]).encode())}
 
 
+def restamped(edit):
+    """An edit of a cache file's payload, checksummed."""
+    return lambda d: restamp({**d, "payload": edit(d["payload"])})
+
+
 def rref_values(value):
     """An edit of an rref file that sets every value to value, checksummed."""
 
@@ -459,6 +464,13 @@ class TestCache:
         clover = write(tmp_path, "clover.json", clover_json())
         k2 = (("reduce", k4), ("reduce", clover), ("enum", "-k", "2"), ("dim", "-k", "2"))
         row, pivot = {"cols": [1], "vals": [1]}, {"cols": [1], "vals": ["1"]}
+
+        def extend(r, value):
+            return {"cols": r["cols"] + [9], "vals": r["vals"] + [value]}
+
+        def far_end(g):
+            return {**g, "edges": g["edges"][:-1] + [[g["edges"][-1][0], 9]]}
+
         # (k, kind, file text or an edit of a warm cache's file, commands)
         cases = [
             (3, "basis", text, (("dim", "-k", "3"),))
@@ -479,6 +491,11 @@ class TestCache:
             (2, "relations", lambda d: {**d, "payload": d["payload"] + [row]}, k2),
             (2, "rref", lambda d: {**d, "payload": {**d["payload"], "1": pivot}}, k2),
             (2, "basis", lambda d: {n: v for n, v in d.items() if n != "payload_crc32"}, k2),
+            # a position past the basis, or an edge end past its graph's
+            # vertices, behind a valid payload checksum
+            (2, "relations", restamped(lambda p: p + [{"cols": [7], "vals": [1]}]), k2),
+            (2, "rref", restamped(lambda p: {piv: extend(r, "1") for piv, r in p.items()}), k2),
+            (2, "basis", restamped(lambda p: p[:-1] + [far_end(p[-1])]), k2),
         ]
         for i, (k, kind, bad, commands) in enumerate(cases):
             cold = [run(capsys, *c, "--cache", str(tmp_path / f"cold{i}")) for c in commands]

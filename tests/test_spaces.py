@@ -6,6 +6,7 @@ import json
 import os
 import stat
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -525,6 +526,36 @@ class TestCache:
         assert cold.relation_rows() == rows
         assert cold.normal_form({0: 1}) == nf
         assert cold.dimension() == dim
+
+    # SHA-256 of the cache files a cold dimension() and normal_form({}) write
+    # for k=1..4, as json.dumps({name: text}) with names sorted
+    FILES_DIGEST = "3f3a9484b09199a175d05bfc0e47a6473486a25579c7c0811b23f3a3505a6890"
+
+    def test_file_bytes_pinned(self, tmp_path):
+        for k in range(1, 5):
+            space = GraphSpace(k, Cache(tmp_path))
+            space.dimension()
+            space.normal_form({})
+        files = {p.name: p.read_text() for p in sorted(tmp_path.iterdir())}
+        assert len(files) == 16
+        text = json.dumps(files, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.FILES_DIGEST
+
+    def test_store_then_load_each_kind(self, tmp_path):
+        cache = Cache(tmp_path)
+        space = GraphSpace(3)
+        values = {
+            "basis": space.basis,
+            "zeros": space.zero_keys,
+            "relations": space.relation_rows(),
+            "rref": space._ensure_rref(),
+        }
+        assert set(values) == set(KINDS)
+        for kind, value in values.items():
+            cache.store(3, kind, value, space.keys)
+            assert cache.load(3, kind, space.keys) == value
+        rref = cache.load(3, "rref", space.keys)
+        assert rref and all(type(v) is Fraction for r in rref.values() for v in r.values())
 
     def test_version_mismatch_ignored(self, tmp_path):
         cache = Cache(tmp_path)
