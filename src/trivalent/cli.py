@@ -19,7 +19,6 @@ from .graphs import (
     find_arrow_orientation,
     make_arrow,
 )
-from .linalg import BadPrimeError
 from .morse import (
     TYPE_I,
     TYPE_II,
@@ -72,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_k(p, required=True):
-        p.add_argument("-k", type=_positive, required=required, help="half the vertex count")
+    def add_k(p):
+        p.add_argument("-k", type=_positive, required=True, help="half the vertex count")
         p.add_argument(
             "--max-k",
             type=_positive,
@@ -358,10 +357,8 @@ def main(argv=None) -> int:
         SurgeryError,
         MorseError,
         PrimeDisagreementError,
-        BadPrimeError,
-        ValueError,
+        ValueError,  # json.JSONDecodeError included
         OSError,
-        json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

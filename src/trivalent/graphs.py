@@ -251,17 +251,6 @@ def automorphisms(g: LabelledTrivalentGraph):
     return out, len(out), aut_e, len(vgroup)
 
 
-def iso_sign(g: LabelledTrivalentGraph, h: LabelledTrivalentGraph):
-    """None if not isomorphic; 0 if the common class is zero; else the
-    relative sign of the edge relabelling carrying g to h."""
-    rg, rh = reduce(g), reduce(h)
-    if rg.key != rh.key:
-        return None
-    if rg.is_zero:
-        return 0
-    return rg.sign * rh.sign
-
-
 @dataclass(frozen=True)
 class FourValentGraph:
     """Multigraph with one 4-valent hub, the rest trivalent.

@@ -2,19 +2,20 @@
 
 Rows are sparse dicts (column -> value).  exact_rref is the one exact
 elimination: exact rank and dense solving are readings of its pivots.
-rank_mod_p is the independent modular check.  Everything here is
-deterministic: pivot choice is always the smallest column, prime generation
-is seeded, and no floating point appears anywhere.
+rank_mod_p is the independent modular check; it takes integer rows, which
+is what the relation rows are.  Dense matrices are row-major lists of rows.
+An empty matrix does not record its column count, and zero-rank degrees
+produce such matrices, so mat_mul takes the product's column count and
+solve_exact the number of unknowns; every other shape is read off the
+arguments.  Everything here is deterministic: pivot choice is always the
+smallest column, prime generation is seeded, and no floating point appears
+anywhere.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-
-
-class BadPrimeError(Exception):
-    """A denominator in the input vanishes modulo the chosen prime."""
 
 
 # Deterministic Miller-Rabin witnesses for every n below 3.3 * 10^24.
@@ -44,40 +45,26 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def gen_primes(count: int, seed: int, low: int = 1 << 30, high: int = 1 << 31) -> tuple:
-    """count distinct primes in [low, high), reproducible from the seed."""
+PRIME_LOW, PRIME_HIGH = 1 << 30, 1 << 31
+
+
+def gen_primes(count: int, seed: int) -> tuple:
+    """count distinct primes in [PRIME_LOW, PRIME_HIGH), reproducible from
+    the seed."""
     rng = random.Random(seed)
     found: list = []
     while len(found) < count:
-        c = rng.randrange(low | 1, high, 2)
+        c = rng.randrange(PRIME_LOW | 1, PRIME_HIGH, 2)
         if c not in found and is_probable_prime(c):
             found.append(c)
     return tuple(found)
 
 
-def row_mod_p(row: dict, p: int) -> dict:
-    """Reduce a sparse rational row modulo p; zero entries are dropped."""
-    out = {}
-    for col, val in row.items():
-        if isinstance(val, Fraction):
-            num, den = val.numerator, val.denominator
-        else:
-            num, den = val, 1
-        if den % p == 0:
-            raise BadPrimeError(f"denominator {den} vanishes mod {p}")
-        r = num % p
-        if den != 1:
-            r = r * pow(den, -1, p) % p
-        if r:
-            out[col] = r
-    return out
-
-
 def rank_mod_p(rows, p: int) -> int:
-    """Rank of the sparse row list over GF(p)."""
+    """Rank of the sparse integer row list over GF(p)."""
     pivots: dict = {}
     for row in rows:
-        r = row_mod_p(row, p)
+        r = {c: m for c, v in row.items() if (m := v % p)}
         while r:
             col = min(r)
             if col not in pivots:
@@ -138,8 +125,9 @@ def reduce_vector(vec: dict, pivots: dict) -> dict:
     return r
 
 
-def solve_exact(a, b):
-    """Solve A X = B over the rationals; None if inconsistent.
+def solve_exact(a, b, n: int):
+    """Solve A X = B for the n x q unknown X over the rationals; None if
+    inconsistent.
 
     a is a list of m rows of length n, b a list of m rows of length q.
     Free variables are set to zero, so the answer is deterministic.  The
@@ -147,44 +135,31 @@ def solve_exact(a, b):
     system is inconsistent; otherwise each pivot row's B part is that
     variable's value.
     """
-    n = len(a[0]) if a else 0
-    q = len(b[0]) if a else 0
+    q = len(b[0]) if b else 0
     pivots = exact_rref(
         {j: v for j, v in enumerate([*ra, *rb]) if v} for ra, rb in zip(a, b)
     )
     if any(col >= n for col in pivots):
         return None
-    x = zero_matrix(n, q)
+    x = [[0] * q for _ in range(n)]
     for col, row in pivots.items():
-        x[col] = [row.get(n + j, Fraction(0)) for j in range(q)]
+        x[col] = [row.get(n + j, 0) for j in range(q)]
     return x
 
 
-def zero_matrix(rows: int, cols: int):
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
 def identity_matrix(n: int):
-    m = zero_matrix(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b, rows: int, inner: int, cols: int):
-    """a (rows x inner) times b (inner x cols).
-
-    The shapes are explicit because an empty matrix does not record its
-    column count, and zero-rank degrees produce such matrices.
-    """
-    out = zero_matrix(rows, cols)
-    for i in range(rows):
-        ai, oi = a[i], out[i]
-        for t in range(inner):
-            v = ai[t]
+def mat_mul(a, b, cols: int):
+    """a times b, which has cols columns; an empty b does not record them."""
+    out = []
+    for ai in a:
+        oi = [0] * cols
+        for v, bt in zip(ai, b):
             if v:
-                bt = b[t]
-                for j in range(cols):
-                    if bt[j]:
-                        oi[j] += v * bt[j]
+                for j, w in enumerate(bt):
+                    if w:
+                        oi[j] += v * w
+        out.append(oi)
     return out

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .graphs import LabelledTrivalentGraph, strict_int, validate
-from .linalg import exact_rank, identity_matrix, mat_mul, solve_exact, zero_matrix
+from .linalg import exact_rank, identity_matrix, mat_mul, solve_exact
 
 TOP_DEGREE = 4
 
@@ -89,13 +90,7 @@ class GradedComplex:
 def check_complex(c: GradedComplex) -> GradedComplex:
     """Verify ∂∘∂ = 0 in every degree; raises with the first bad entry."""
     for d in range(2, TOP_DEGREE + 1):
-        prod = mat_mul(
-            c.boundaries[d - 1],
-            c.boundaries[d],
-            c.ranks[d - 2],
-            c.ranks[d - 1],
-            c.ranks[d],
-        )
+        prod = mat_mul(c.boundaries[d - 1], c.boundaries[d], c.ranks[d])
         for i, row in enumerate(prod):
             for j, v in enumerate(row):
                 if v:
@@ -137,6 +132,29 @@ def _homology_defect(c: GradedComplex, d: int) -> int:
     return c.ranks[d] - rank_of(d) - rank_of(d + 1)
 
 
+def _residual(c: GradedComplex, gs: dict, d: int):
+    """id − ∂_{d+1} g_d − g_{d−1} ∂_d in degree d, each term only if gs
+    holds its g.
+
+    The contraction identity holds in degree d exactly when this is zero;
+    before g_d exists it is the right-hand side that ∂_{d+1} g_d must equal.
+    """
+    rd = c.ranks[d]
+    terms = []
+    if d in gs:
+        terms.append(mat_mul(c.boundaries[d + 1], gs[d], rd))
+    if d - 1 in gs:
+        terms.append(mat_mul(gs[d - 1], c.boundaries[d], rd))
+    out = identity_matrix(rd)
+    for t in terms:
+        out = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(out, t)]
+    return out
+
+
+def _is_zero(m) -> bool:
+    return not any(any(row) for row in m)
+
+
 def compute_propagator(c: GradedComplex) -> Propagator:
     """A chain contraction: ∂g + g∂ = id in every degree, or NotAcyclic.
 
@@ -145,50 +163,24 @@ def compute_propagator(c: GradedComplex) -> Propagator:
     """
     check_complex(c)
     gs: dict = {}
-    prev = None  # g_{d-1}
     for d in range(TOP_DEGREE):
-        rd, rup = c.ranks[d], c.ranks[d + 1]
-        rhs = identity_matrix(rd)
-        if d > 0 and prev is not None:
-            correction = mat_mul(prev, c.boundaries[d], rd, c.ranks[d - 1], rd)
-            rhs = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(rhs, correction)]
-        if rd == 0:
-            gs[d] = zero_matrix(rup, 0)
-            prev = gs[d]
-            continue
-        sol = solve_exact(c.boundaries[d + 1], rhs)
+        sol = solve_exact(c.boundaries[d + 1], _residual(c, gs, d), c.ranks[d + 1])
         if sol is None:
             raise NotAcyclicError(d, _homology_defect(c, d))
         gs[d] = sol
-        prev = sol
     # top degree: g_3 ∂_4 = id follows from exactness; verify outright
-    top = mat_mul(gs[3], c.boundaries[4], c.ranks[4], c.ranks[3], c.ranks[4])
-    if top != identity_matrix(c.ranks[4]):
+    if not _is_zero(_residual(c, gs, TOP_DEGREE)):
         raise NotAcyclicError(TOP_DEGREE, _homology_defect(c, TOP_DEGREE))
     return Propagator(c.ranks, gs)
 
 
 def contraction_identity_holds(c: GradedComplex, g: Propagator) -> bool:
     """Exact check of ∂_{d+1} g_d + g_{d-1} ∂_d = id for d = 0..4."""
-    for d in range(TOP_DEGREE + 1):
-        rd = c.ranks[d]
-        total = zero_matrix(rd, rd)
-        if d < TOP_DEGREE:
-            total = mat_mul(c.boundaries[d + 1], g.mats[d], rd, c.ranks[d + 1], rd)
-        if d > 0:
-            other = mat_mul(g.mats[d - 1], c.boundaries[d], rd, c.ranks[d - 1], rd)
-            total = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(total, other)]
-        if total != identity_matrix(rd):
-            return False
-    return True
+    return all(_is_zero(_residual(c, g.mats, d)) for d in range(TOP_DEGREE + 1))
 
 
-def _neg_transpose(m, rows, cols):
-    out = zero_matrix(cols, rows)
-    for i in range(rows):
-        for j in range(cols):
-            out[j][i] = -m[i][j]
-    return out
+def _neg_transpose(m, cols: int):
+    return [[-row[j] for row in m] for j in range(cols)]
 
 
 def dual_propagator(c: GradedComplex, g: Propagator):
@@ -197,12 +189,12 @@ def dual_propagator(c: GradedComplex, g: Propagator):
     bnd = {}
     for d in range(1, TOP_DEGREE + 1):
         src = TOP_DEGREE + 1 - d  # ∂*_d is -(∂_{5-d})^T
-        bnd[d] = _neg_transpose(c.boundaries[src], c.ranks[src - 1], c.ranks[src])
+        bnd[d] = _neg_transpose(c.boundaries[src], c.ranks[src])
     dual_c = GradedComplex(ranks, bnd)
     mats = {}
     for d in range(TOP_DEGREE):
         src = TOP_DEGREE - 1 - d  # g*_d is -(g_{3-d})^T
-        mats[d] = _neg_transpose(g.mats[src], c.ranks[src + 1], c.ranks[src])
+        mats[d] = _neg_transpose(g.mats[src], c.ranks[src])
     return dual_c, Propagator(ranks, mats)
 
 
@@ -241,8 +233,7 @@ def transport(events, ranks):
     is invertible over the integers.
     """
     ranks = tuple(ranks)
-    out = {d: [[1 if i == j else 0 for j in range(ranks[d])] for i in range(ranks[d])]
-           for d in range(TOP_DEGREE + 1)}
+    out = {d: identity_matrix(ranks[d]) for d in range(TOP_DEGREE + 1)}
     for ev in events:
         d = ev.p.degree
         n = ranks[d]
@@ -357,8 +348,8 @@ def surviving_indices(vertex_type: str):
 
     A trivalent vertex carries three half-edge indices: inputs from {1,2,3}
     weighted 4−a, outputs from {0,1,2} weighted a, summing to 4 for type I
-    and 5 for type II.  Tuples are sorted within each side and listed in a
-    fixed overall order.
+    and 5 for type II.  Tuples are sorted within each side, and the pairs
+    come in increasing order.
     """
     if vertex_type == TYPE_I:
         target = 4
@@ -366,22 +357,10 @@ def surviving_indices(vertex_type: str):
         target = 5
     else:
         raise ValueError(f"unknown vertex type {vertex_type!r}")
-    out = []
-    for n_in in range(4):
-        n_out = 3 - n_in
-        seen = set()
-        for ins in _sorted_tuples((1, 2, 3), n_in):
-            for outs in _sorted_tuples((0, 1, 2), n_out):
-                if sum(4 - a for a in ins) + sum(outs) == target:
-                    seen.add((ins, outs))
-        out.extend(sorted(seen))
-    return out
-
-
-def _sorted_tuples(alphabet, length):
-    if length == 0:
-        yield ()
-        return
-    for i, a in enumerate(alphabet):
-        for rest in _sorted_tuples(alphabet[i:], length - 1):
-            yield (a,) + rest
+    return [
+        (ins, outs)
+        for n_in in range(4)
+        for ins in combinations_with_replacement((1, 2, 3), n_in)
+        for outs in combinations_with_replacement((0, 1, 2), 3 - n_in)
+        if sum(4 - a for a in ins) + sum(outs) == target
+    ]

@@ -10,6 +10,17 @@ from fractions import Fraction
 from trivalent.graphs import GraphError, ihx_expansions, make_arrow, reduce, validate
 
 
+def iso_sign(g, h):
+    """None if not isomorphic; 0 if the common class is zero; else the
+    relative sign of the edge relabelling carrying g to h."""
+    rg, rh = reduce(g), reduce(h)
+    if rg.key != rh.key:
+        return None
+    if rg.is_zero:
+        return 0
+    return rg.sign * rh.sign
+
+
 def perfect_matchings(items):
     """All perfect matchings of a list, as lists of pairs."""
     if not items:

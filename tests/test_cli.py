@@ -296,6 +296,39 @@ class TestMorsePropagator:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "ranks,boundaries,code,out,err",
+        [
+            # the rank-0 degree 0 gives g_0 the shape 2 x 0
+            (
+                [0, 2, 2, 0, 0],
+                {"1": [], "2": [[2, 1], [1, 1]], "3": [[], []], "4": []},
+                0,
+                '{"ranks":[0,2,2,0,0],"gs":{"0":[[],[]],'
+                '"1":[["1","-1"],["-1","2"]],"2":[],"3":[]}}\n',
+                "",
+            ),
+            (
+                [1, 0, 0, 0, 0],
+                {"1": [[]], "2": [], "3": [], "4": []},
+                1,
+                "",
+                "error: homology at degree 0 has dimension 1\n",
+            ),
+            (
+                [1, 1, 1, 0, 0],
+                {"1": [[1]], "2": [[1]], "3": [[]], "4": []},
+                1,
+                "",
+                "error: boundary composite at degree 2 has entry 1 at (0,0)\n",
+            ),
+        ],
+        ids=["invertible-block", "homology", "not-a-complex"],
+    )
+    def test_exact_bytes(self, tmp_path, capsys, ranks, boundaries, code, out, err):
+        path = write(tmp_path, "c.json", {"ranks": ranks, "boundaries": boundaries})
+        assert run(capsys, "morse-propagator", path) == (code, out, err)
+
 
 class TestMalformedFiles:
     @pytest.mark.parametrize(

@@ -57,9 +57,9 @@ class TestRank:
         p = 2147483647
         assert la.rank_mod_p(rows, p) == la.exact_rank(rows)
 
-    def test_bad_prime(self):
-        with pytest.raises(la.BadPrimeError):
-            la.row_mod_p({0: Fraction(1, 7)}, 7)
+    def test_rational_row_is_refused(self):
+        with pytest.raises(TypeError):
+            la.rank_mod_p([{0: Fraction(1, 2)}], 7)
 
 
 class TestRref:
@@ -99,17 +99,17 @@ class TestSolve:
     def test_exact_solution(self):
         a = [[1, 2], [3, 4]]
         b = [[5], [6]]
-        x = la.solve_exact(a, b)
-        assert la.mat_mul([[Fraction(v) for v in r] for r in a], x, 2, 2, 1) == [
+        x = la.solve_exact(a, b, 2)
+        assert la.mat_mul(a, x, 1) == [
             [Fraction(5)],
             [Fraction(6)],
         ]
 
     def test_inconsistent(self):
-        assert la.solve_exact([[1, 1], [1, 1]], [[0], [1]]) is None
+        assert la.solve_exact([[1, 1], [1, 1]], [[0], [1]], 2) is None
 
     def test_underdetermined_picks_free_zero(self):
-        x = la.solve_exact([[1, 1]], [[2]])
+        x = la.solve_exact([[1, 1]], [[2]], 2)
         assert x == [[Fraction(2)], [Fraction(0)]]
 
     @given(small_matrix, st.integers(0, 3))
@@ -119,10 +119,10 @@ class TestSolve:
         n = len(a[0])
         q = qcols + 1
         x0 = [[Fraction((i + j) % 3 - 1) for j in range(q)] for i in range(n)]
-        b = la.mat_mul(a, x0, len(a), n, q)
-        x = la.solve_exact(a, b)
+        b = la.mat_mul(a, x0, q)
+        x = la.solve_exact(a, b, n)
         assert x is not None
-        assert la.mat_mul(a, x, len(a), n, q) == b
+        assert la.mat_mul(a, x, q) == b
 
 
     @given(small_matrix, st.data())
@@ -138,15 +138,15 @@ class TestSolve:
         p = 2147483647
         aug = sparse([ra + rb for ra, rb in zip(m, b)])
         grows = la.rank_mod_p(aug, p) > la.rank_mod_p(sparse(m), p)
-        x = la.solve_exact(m, b)
+        x = la.solve_exact(m, b, n)
         assert (x is None) == grows
         if x is not None:
-            assert la.mat_mul(m, x, len(m), n, q) == b
+            assert la.mat_mul(m, x, q) == b
 
 
 class TestHelpers:
     def test_identity_and_transpose(self):
         i3 = la.identity_matrix(3)
-        assert la.mat_mul(i3, i3, 3, 3, 3) == i3
+        assert la.mat_mul(i3, i3, 3) == i3
         # an empty factor keeps the product's shape
-        assert la.mat_mul(la.zero_matrix(2, 0), [], 2, 0, 3) == la.zero_matrix(2, 3)
+        assert la.mat_mul([[], []], [], 3) == [[0, 0, 0], [0, 0, 0]]

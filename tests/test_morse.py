@@ -90,8 +90,8 @@ class TestPropagator:
         c, _ = complexes.random_complex(7)
         g = M.compute_propagator(c)
         for d in range(M.TOP_DEGREE):
-            dg = la.mat_mul(c.boundaries[d + 1], g.mats[d], c.ranks[d], c.ranks[d + 1], c.ranks[d])
-            assert la.mat_mul(dg, dg, *(c.ranks[d],) * 3) == dg
+            dg = la.mat_mul(c.boundaries[d + 1], g.mats[d], c.ranks[d])
+            assert la.mat_mul(dg, dg, c.ranks[d]) == dg
 
 
 class TestRandomComplexes:
