@@ -186,6 +186,9 @@ def canonicalize(n: int, edges) -> CanonResult:
         del pref[width:]
 
     search(cells, col, 0)
+    # search refers to itself, so drop it here: the search state is then
+    # freed on return instead of left as a cycle for the cyclic collector
+    del search
     perm = [0] * n
     for i, v in enumerate(best_placed):
         perm[v] = i

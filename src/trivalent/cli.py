@@ -7,6 +7,7 @@ over the same data.  Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -61,7 +62,11 @@ def _prime_count(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The gc parser, built once per process and never changed after:
+    building it costs more than a warm query, and callers such as the
+    tests run many commands in one process."""
     parser = argparse.ArgumentParser(
         prog="gc",
         description="Spaces of trivalent graphs, propagators and surgery evaluation.",
@@ -71,14 +76,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_k(p):
-        p.add_argument("-k", type=_positive, required=True, help="half the vertex count")
+    def add_max_k(p, default=6):
         p.add_argument(
             "--max-k",
             type=_positive,
-            default=6,
+            default=default,
             help="refuse computations beyond this k",
         )
+
+    def add_k(p):
+        p.add_argument("-k", type=_positive, required=True, help="half the vertex count")
+        add_max_k(p)
 
     def add_cache(p):
         p.add_argument("--cache", help="cache directory (default: $GC_CACHE or user cache)")
@@ -108,6 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="class and normal form of a graph file")
     p.add_argument("file")
+    add_max_k(p)
     add_cache(p)
 
     p = sub.add_parser("aut", help="automorphism counts of a graph file")
@@ -125,6 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=CONVENTION_DEFAULT,
         help="which in/out pattern counts as type I",
     )
+    add_max_k(p)
     add_cache(p)
     add_jobs(p)
 
@@ -134,21 +144,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("surviving", help="admissible index tuples per vertex type")
 
     p = sub.add_parser("selftest", help="run built-in consistency checks")
-    p.add_argument("--max-k", type=_positive, default=3)
+    add_max_k(p, 3)
     add_cache(p)
     add_jobs(p)
 
     p = sub.add_parser("cache", help="inspect or manage the result cache")
     p.add_argument("action", choices=("status", "clear", "warm"))
     p.add_argument("-k", type=_positive, help="k to warm")
+    add_max_k(p)
     add_cache(p)
 
     return parser
 
 
 def _load_json(path: str):
+    """The file's JSON; a key repeated in one object is a ValueError naming
+    the file, as json.load would silently keep only its last value."""
+
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{path}: key {key!r} is repeated")
+            obj[key] = value
+        return obj
+
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=unique)
 
 
 def _read_graph_file(path: str, read):
@@ -173,17 +195,18 @@ def _cache_from(args) -> Cache:
     return Cache(getattr(args, "cache", None))
 
 
-def _check_k(args) -> int:
-    if args.k > args.max_k:
-        raise ValueError(f"k = {args.k} exceeds --max-k = {args.max_k}")
-    return args.k
+def _open_space(args, k: int) -> GraphSpace:
+    """The space at k over the cache; a k beyond --max-k is refused before
+    anything is built."""
+    if k > args.max_k:
+        raise ValueError(f"k = {k} exceeds --max-k = {args.max_k}")
+    return GraphSpace(k, _cache_from(args))
 
 
 def cmd_enum(args):
-    k = _check_k(args)
-    space = GraphSpace(k, _cache_from(args))
+    space = _open_space(args, args.k)
     return {
-        "k": k,
+        "k": args.k,
         "classes": space.num_classes,
         "signed": list(space.keys),
         "zero": sorted(space.zero_keys),
@@ -191,15 +214,14 @@ def cmd_enum(args):
 
 
 def cmd_dim(args):
-    k = _check_k(args)
-    space = GraphSpace(k, _cache_from(args))
+    space = _open_space(args, args.k)
     d = space.dimension(primes=args.primes)
-    return {"k": k, "dimension": d}
+    return {"k": args.k, "dimension": d}
 
 
 def cmd_reduce(args):
     g = _read_graph_file(args.file, LabelledTrivalentGraph.from_json)
-    space = GraphSpace(g.k, _cache_from(args))
+    space = _open_space(args, g.k)
     vec = space.class_vector(g)
     if not vec:
         return {"class": "zero"}
@@ -225,15 +247,12 @@ def cmd_aut(args):
 
 def cmd_orient(args):
     g = _read_graph_file(args.file, LabelledTrivalentGraph.from_json)
-    a = find_arrow_orientation(g)
-    out = g.to_json()
-    out["directions"] = [list(d) for d in a.directions]
-    return out
+    return find_arrow_orientation(g).to_json()
 
 
 def cmd_surgery(args):
     a = _read_graph_file(args.file, _arrow)
-    space = GraphSpace(a.graph.k, _cache_from(args))
+    space = _open_space(args, a.graph.k)
     if args.mode == "orbit":
         report = evaluate_orbit(a, space, args.type_convention)
     else:
@@ -259,14 +278,13 @@ def cmd_surviving(args):
 
 
 def _selftest_checks(args):
-    cache = _cache_from(args)
     for k in range(1, args.max_k + 1):
         expected = KNOWN_DIMENSIONS.get(k)
-        got = GraphSpace(k, cache).dimension()
+        got = _open_space(args, k).dimension()
         yield f"dimension k={k}", expected is None or got == expected
 
     if args.max_k >= 2:
-        space = GraphSpace(2, cache)
+        space = _open_space(args, 2)
         k4 = LabelledTrivalentGraph(
             4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
         )
@@ -278,7 +296,7 @@ def _selftest_checks(args):
         }
 
     theta = LabelledTrivalentGraph(2, ((0, 1), (0, 1), (0, 1)))
-    rpt = evaluate_orbit(find_arrow_orientation(theta), GraphSpace(1, cache))
+    rpt = evaluate_orbit(find_arrow_orientation(theta), _open_space(args, 1))
     yield "triple edge evaluates to zero", rpt.result == {}
     _, order, _, _ = automorphisms(theta)
     yield "representative count", order * 8 == 2 ** 3 * 2 * 6
@@ -314,7 +332,7 @@ def cmd_cache(args):
         return {"removed": cache.clear()}
     if args.k is None:
         raise ValueError("cache warm requires -k")
-    space = GraphSpace(args.k, cache)
+    space = _open_space(args, args.k)
     space.relation_rows()
     space.normal_form({})
     return {

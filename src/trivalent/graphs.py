@@ -142,80 +142,82 @@ def canonical_key(num_vertices: int, pairs) -> str:
     return "cub:%d:" % num_vertices + ",".join("%d-%d" % p for p in sorted(pairs))
 
 
-def _canon(g: LabelledTrivalentGraph) -> CanonResult:
-    return canonicalize(g.num_vertices, g.edges)
-
-
-def _canonical_pairs(g: LabelledTrivalentGraph, perm) -> list:
-    out = []
-    for u, v in g.edges:
+def _canonical_edges(edges, perm):
+    """(pairs, order): the edges relabelled by the vertex map perm, low end
+    first, stable-sorted, and the sort order, so pairs[j] is the image of
+    edge order[j] and tied (parallel) edges keep their order."""
+    pairs = []
+    for u, v in edges:
         a, b = perm[u], perm[v]
-        out.append((a, b) if a <= b else (b, a))
+        pairs.append((a, b) if a <= b else (b, a))
+    order = sorted(range(len(pairs)), key=pairs.__getitem__)
+    return tuple(pairs[i] for i in order), order
+
+
+def _canonical_generators(res: CanonResult):
+    """res.aut_generators conjugated into the canonical labels res.perm
+    gives, as lists."""
+    perm = res.perm
+    out = []
+    for phi in res.aut_generators:
+        psi = [0] * len(phi)
+        for v, w in enumerate(phi):
+            psi[perm[v]] = perm[w]
+        out.append(psi)
     return out
 
 
+def _edge_maps(pairs, generators):
+    """Yield, for each vertex permutation in generators, the map it induces
+    on the positions of the sorted pairs, tied (parallel) edges kept in
+    order."""
+    first: dict = {}
+    for j, pair in enumerate(pairs):
+        first.setdefault(pair, j)
+    for psi in generators:
+        eperm = []
+        for j, (a, b) in enumerate(pairs):
+            x, y = psi[a], psi[b]
+            eperm.append(first[(x, y) if x <= y else (y, x)] + j - first[a, b])
+        yield eperm
+
+
 def _has_parallel(pairs) -> bool:
-    seen = set()
-    for p in pairs:
-        if p[0] != p[1] and p in seen:
-            return True
-        seen.add(p)
-    return False
-
-
-def _induced_edge_perm(edges, pair_to_idx, phi):
-    out = [0] * len(edges)
-    for i, (u, v) in enumerate(edges):
-        a, b = phi[u], phi[v]
-        out[i] = pair_to_idx[(a, b) if a <= b else (b, a)]
-    return tuple(out)
+    """Whether two adjacent pairs of a sorted pair list are the same non-loop."""
+    return any(p == q and p[0] != p[1] for p, q in zip(pairs, pairs[1:]))
 
 
 def has_parallel_edge(g: LabelledTrivalentGraph) -> bool:
     """Whether two edges join the same two distinct vertices.  Relabelling
     keeps multiplicities, so such a graph reduces to zero."""
-    return _has_parallel([(u, v) if u <= v else (v, u) for u, v in g.edges])
+    return _has_parallel(sorted((u, v) if u <= v else (v, u) for u, v in g.edges))
 
 
-def reduce(g: LabelledTrivalentGraph) -> GraphClass:
+def reduce(g: LabelledTrivalentGraph, res: CanonResult | None = None) -> GraphClass:
     """Canonical key plus the sign of the edge relabelling, or zero.
 
-    Zero happens exactly when some automorphism permutes the edge labels
-    oddly: any parallel pair gives an odd swap outright, and otherwise the
-    parity of the edge permutation induced by each vertex automorphism
-    generator decides (parity is multiplicative, so generators suffice).
+    res is the canonical labelling canonicalize(g.num_vertices, g.edges) if
+    the caller has it; without it a fresh one is computed.  Zero happens
+    exactly when some automorphism permutes the edge labels oddly: any
+    parallel pair gives an odd swap outright, and otherwise the parity of
+    the edge map of each vertex automorphism generator decides (parity is
+    multiplicative, so generators suffice).
     """
-    return _reduce(g, _canon(g))
-
-
-def _reduce(g: LabelledTrivalentGraph, res: CanonResult) -> GraphClass:
-    pairs = _canonical_pairs(g, res.perm)
-    key = canonical_key(g.num_vertices, pairs)
-    if _has_parallel(pairs):
-        return GraphClass(key, None)
-    pair_to_idx = {}
-    for i, (u, v) in enumerate(g.edges):
-        pair_to_idx[(u, v) if u <= v else (v, u)] = i
-    for phi in res.aut_generators:
-        if perm_parity(_induced_edge_perm(g.edges, pair_to_idx, phi)) < 0:
-            return GraphClass(key, None)
-    order = sorted(range(len(pairs)), key=lambda i: pairs[i])
-    return GraphClass(key, perm_parity(order))
-
-
-def canonical_representative(g: LabelledTrivalentGraph) -> LabelledTrivalentGraph:
-    """The same class with canonical vertex labels and sorted edge list."""
-    return reduce_with_representative(g)[1]
+    return reduce_with_representative(g, res)[0]
 
 
 def reduce_with_representative(g: LabelledTrivalentGraph, res: CanonResult | None = None):
-    """(reduce(g), canonical_representative(g)) from one canonical labelling:
-    res if given (it must be canonicalize(g.num_vertices, g.edges)), else a
-    fresh one."""
+    """(reduce(g, res), the same class with canonical vertex labels and
+    sorted edge list), from one canonical relabelling."""
     if res is None:
-        res = _canon(g)
-    rep = LabelledTrivalentGraph(g.num_vertices, tuple(sorted(_canonical_pairs(g, res.perm))))
-    return _reduce(g, res), rep
+        res = canonicalize(g.num_vertices, g.edges)
+    pairs, order = _canonical_edges(g.edges, res.perm)
+    odd = _has_parallel(pairs) or any(
+        perm_parity(eperm) < 0 for eperm in _edge_maps(pairs, _canonical_generators(res))
+    )
+    sign = None if odd else perm_parity(order)
+    rep = LabelledTrivalentGraph(g.num_vertices, pairs)
+    return GraphClass(canonical_key(g.num_vertices, pairs), sign), rep
 
 
 def automorphisms(g: LabelledTrivalentGraph):
@@ -224,7 +226,7 @@ def automorphisms(g: LabelledTrivalentGraph):
     Aut_e (vertex-fixing automorphisms) permutes parallel classes only; a
     loop has no flip of its own.  |Aut| = |Aut_e| * |Aut_v| by construction.
     """
-    res = _canon(g)
+    res = canonicalize(g.num_vertices, g.edges)
     vgroup = close_group(g.num_vertices, res.aut_generators)
     classes: dict = {}
     for i, (u, v) in enumerate(g.edges):
@@ -342,6 +344,9 @@ class ArrowGraph:
 
     graph: LabelledTrivalentGraph
     directions: tuple
+
+    def to_json(self) -> dict:
+        return {**self.graph.to_json(), "directions": [list(d) for d in self.directions]}
 
     def out_in_counts(self, v: int):
         out = inn = 0

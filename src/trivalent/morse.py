@@ -16,6 +16,9 @@ from .graphs import LabelledTrivalentGraph, strict_int, validate
 from .linalg import exact_rank, identity_matrix, mat_mul, solve_exact
 
 TOP_DEGREE = 4
+# the boundary keys of a complex file, exactly: "02" or "9" would alias or
+# add a degree
+_DEGREE_KEYS = tuple(str(d) for d in range(1, TOP_DEGREE + 1))
 
 
 class MorseError(Exception):
@@ -81,8 +84,8 @@ class GradedComplex:
         ranks = tuple(strict_int(r, "rank") for r in data["ranks"])
         bnd = {}
         for d, m in data["boundaries"].items():
-            if not d.isdecimal():
-                raise ValueError(f"boundary degree {d!r} is not an integer")
+            if d not in _DEGREE_KEYS:
+                raise ValueError(f"boundary degree {d!r} is not one of 1 to {TOP_DEGREE}")
             bnd[int(d)] = [[strict_int(x, "boundary entry") for x in row] for row in m]
         return cls(ranks, bnd)
 

@@ -29,6 +29,9 @@ from .graphs import (
     IHX_PAIRINGS,
     FourValentGraph,
     LabelledTrivalentGraph,
+    _canonical_edges,
+    _canonical_generators,
+    _edge_maps,
     canonical_key,
     contract_edge,
     half_edges_at,
@@ -306,19 +309,6 @@ def classify(graphs):
     return reps, zeros
 
 
-def _canonical_generators(res):
-    """res.aut_generators conjugated into the canonical labels res.perm
-    gives, as lists."""
-    perm = res.perm
-    out = []
-    for phi in res.aut_generators:
-        psi = [0] * len(phi)
-        for v, w in enumerate(phi):
-            psi[perm[v]] = perm[w]
-        out.append(psi)
-    return out
-
-
 # a pair of tagged hub stubs, as a bit mask -> the splitting that pairs them
 _SPLITTING_OF_PAIR = {
     1 << a | 1 << b: p for p, pairing in enumerate(IHX_PAIRINGS)
@@ -370,29 +360,14 @@ def _canonical_hub(c: FourValentGraph):
     from the hub, which move no hub stub and keep every edge label.
     """
     res = canonicalize(c.num_vertices, c.edges)
-    perm = res.perm
-    pairs = []
-    for u, v in c.edges:
-        a, b = perm[u], perm[v]
-        pairs.append((a, b) if a <= b else (b, a))
-    order = sorted(range(len(pairs)), key=pairs.__getitem__)
-    labels = [0] * len(pairs)
+    edges, order = _canonical_edges(c.edges, res.perm)
+    labels = [0] * len(order)
     for j, i in enumerate(order):
         labels[i] = j
-    edges = tuple(pairs[i] for i in order)
-    hub = perm[c.hub]
+    hub = res.perm[c.hub]
     four = FourValentGraph(c.num_vertices, edges, hub, tuple(half_edges_at(edges, hub)))
-    first: dict = {}
-    for j, pair in enumerate(edges):
-        first.setdefault(pair, j)
+    action = [_splitting_map(four, m) for m in _edge_maps(edges, _canonical_generators(res))]
     ident = list(range(len(edges)))
-    action = []
-    for psi in _canonical_generators(res):
-        eperm = []
-        for j, (a, b) in enumerate(edges):
-            x, y = psi[a], psi[b]
-            eperm.append(first[(x, y) if x <= y else (y, x)] + j - first[a, b])
-        action.append(_splitting_map(four, eperm))
     for j in range(1, len(edges)):
         if edges[j - 1] == edges[j]:
             swap = ident[:]
@@ -541,7 +516,7 @@ class GraphSpace:
             return self._generators[i]
         if g.k == self.k and not has_parallel_edge(g):
             res = canonicalize(g.num_vertices, g.edges)
-            if self._vector(reduce_with_representative(g, res)[0]) == {i: 1}:
+            if self._vector(reduce(g, res)) == {i: 1}:
                 return res.aut_generators
         raise ValueError(f"basis graph {i} is not a canonical class representative")
 

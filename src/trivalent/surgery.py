@@ -190,12 +190,6 @@ class EvaluationReport:
         }
 
 
-def _arrow_json(a: ArrowGraph) -> dict:
-    out = a.graph.to_json()
-    out["directions"] = [list(d) for d in a.directions]
-    return out
-
-
 def _keyed(space: GraphSpace, vec: dict) -> dict:
     return {space.keys[i]: v for i, v in vec.items() if v}
 
@@ -256,7 +250,7 @@ def evaluate_orbit(
     diagnostics = _orbit_diagnostics(arrow, convention)
     return EvaluationReport(
         mode="orbit",
-        input_json=_arrow_json(arrow),
+        input_json=arrow.to_json(),
         result=_keyed(space, space.reduce_graph(g)),
         diagnostics=diagnostics,
         notes=(_FOLD_NOTE,),
@@ -302,7 +296,7 @@ def evaluate_full(
         raise SurgeryError(f"loop-weighted copy count {weighted} differs from L = {reps}")
     return EvaluationReport(
         mode="full",
-        input_json=_arrow_json(arrow),
+        input_json=arrow.to_json(),
         result=_keyed(space, space.reduce_graph(g)),
         diagnostics={**diagnostics, "assignments": str(_orbit_order(k))},
         notes=(_FOLD_NOTE, _CONSTANT_TERM_NOTE),

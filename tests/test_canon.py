@@ -11,6 +11,7 @@ enumerator produces.  The property tests check what a canonical labelling must s
 random multigraphs with loops and vertices of degree up to 4.
 """
 
+import gc
 import hashlib
 import json
 import random
@@ -74,6 +75,19 @@ def test_golden_corpus():
         count += 1
     assert count == CORPUS_ITEMS
     assert digest.hexdigest() == CORPUS_DIGEST
+
+
+def test_leaves_no_cyclic_garbage():
+    """Every call's search state is freed on return, so a cold build does
+    not hand hundreds of thousands of objects to the cyclic collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        for n, edges in corpus():
+            canonicalize(n, edges)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("k", sorted(KEY_DIGESTS))

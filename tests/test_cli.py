@@ -89,10 +89,24 @@ class TestDim:
         assert len(outs) == 1
 
     def test_max_k_guard(self, tmp_path, capsys):
-        code, out, err = run(capsys, "dim", "-k", "7", "--cache", str(tmp_path))
-        assert code == 1
-        assert out == ""
-        assert "error:" in err
+        """Every command that can start a build refuses a k beyond --max-k
+        before building anything."""
+        # the 7-prism: two 7-cycles joined by spokes, on 14 vertices
+        prism = [(i, (i + 1) % 7) for i in range(7)]
+        prism += [(7 + i, 7 + (i + 1) % 7) for i in range(7)]
+        prism += [(i, 7 + i) for i in range(7)]
+        path = write(tmp_path, "prism.json", {"vertices": 14, "edges": prism})
+        cache = tmp_path / "cache"
+        for argv in (
+            ("dim", "-k", "7"),
+            ("reduce", path),
+            ("surgery", path),
+            ("cache", "warm", "-k", "7"),
+        ):
+            code, out, err = run(capsys, *argv, "--cache", str(cache))
+            assert (code, out) == (1, "")
+            assert err.startswith("error: k = 7 exceeds --max-k = 6")
+        assert not cache.exists() or not any(cache.iterdir())
 
 
 class TestEnum:
@@ -393,6 +407,19 @@ class TestStrictIntegers:
                 "direction [1, 0, 1] is not a pair",
             ),
             ("surgery", {**theta_json(), "directions": [5, 5, 5]}, "direction 5 is not a pair"),
+            (
+                "morse-propagator",
+                {
+                    "ranks": [0, 1, 1, 0, 0],
+                    "boundaries": {"1": [], "2": [[1]], "02": [[2]], "3": [[]], "4": []},
+                },
+                "boundary degree '02' is not one of 1 to 4",
+            ),
+            (
+                "morse-propagator",
+                torsion_pair(boundaries={"1": [[2]], "2": [[]], "3": [], "4": [], "9": [[5]]}),
+                "boundary degree '9' is not one of 1 to 4",
+            ),
         ],
     )
     def test_error_names_file_and_field(
@@ -405,6 +432,30 @@ class TestStrictIntegers:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path}: not a {kind} file (")
         assert message in err
+
+    @pytest.mark.parametrize(
+        "command,text,key",
+        [
+            (
+                "morse-propagator",
+                '{"ranks": [1, 1, 0, 0, 0], "boundaries": '
+                '{"1": [[2]], "1": [[3]], "2": [[]], "3": [], "4": []}}',
+                "1",
+            ),
+            (
+                "reduce",
+                '{"vertices": 2, "edges": [[0, 1], [0, 1], [0, 1]], "vertices": 4}',
+                "vertices",
+            ),
+        ],
+    )
+    def test_repeated_key_names_file(self, tmp_path, capsys, monkeypatch, command, text, key):
+        """A repeated key is an error, not whichever value came last."""
+        monkeypatch.setenv("GC_CACHE", str(tmp_path / "cache"))
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, err) == (1, "", f"error: {path}: key {key!r} is repeated\n")
 
 
 class TestMisc:

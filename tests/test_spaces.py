@@ -78,7 +78,7 @@ class TestEnumeration:
         for g in graphs:
             r = G.reduce(g)
             if not r.is_zero and r.key not in expected:
-                expected[r.key] = G.canonical_representative(g)
+                expected[r.key] = G.reduce_with_representative(g)[1]
         calls = []
         canonicalize = G.canonicalize
 
@@ -168,6 +168,16 @@ class TestEnumeration:
         sp = space(k)
         assert sp.basis == tuple(reps)
         assert sp.zero_keys == zeros
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_given_labelling_reduces_as_a_fresh_one(self, k):
+        """reduce and reduce_with_representative read the same class and
+        representative off the labelling the enumerator computed as off
+        one of their own."""
+        for g, res in S._labelled_finals(k):
+            assert G.reduce(g, res) == G.reduce(g)
+            rep = G.reduce_with_representative(g, res)[1]
+            assert rep == G.reduce_with_representative(g)[1]
 
     @pytest.mark.parametrize("k,matchings", [(1, 15), (2, 10395)])
     def test_matches_stub_matching_sweep(self, k, matchings):
