@@ -157,9 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_json(path: str):
-    """The file's JSON; a key repeated in one object is a ValueError naming
-    the file, as json.load would silently keep only its last value."""
+def _load_json(path: str, kind: str):
+    """The file's JSON; text that is not UTF-8 JSON, or a key repeated in
+    one object (json.load would silently keep only its last value), is a
+    ValueError naming the file."""
 
     def unique(pairs):
         obj = {}
@@ -170,13 +171,16 @@ def _load_json(path: str):
         return obj
 
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, object_pairs_hook=unique)
+        try:
+            return json.load(fh, object_pairs_hook=unique)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: not a {kind} file ({exc})") from None
 
 
 def _read_graph_file(path: str, read):
     """read(data) on a graph file's JSON; a missing, mistyped or malformed
     field is a ValueError naming the file."""
-    data = _load_json(path)
+    data = _load_json(path, "graph")
     try:
         return read(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -261,7 +265,7 @@ def cmd_surgery(args):
 
 
 def cmd_morse_propagator(args):
-    data = _load_json(args.file)
+    data = _load_json(args.file, "complex")
     try:
         c = GradedComplex.from_json(data)
     # a "boundaries" that is not an object fails as an AttributeError

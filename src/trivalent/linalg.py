@@ -1,7 +1,10 @@
 """Exact linear algebra over the rationals and over prime fields.
 
 Rows are sparse dicts (column -> value).  exact_rref is the one exact
-elimination: exact rank and dense solving are readings of its pivots.
+elimination: exact rank and dense solving are readings of its pivots.  It
+is fraction-free: rows are cleared as primitive integer vectors and become
+Fractions only in its answer, so its inner loops add and multiply ints.
+reduce_vector, which reads that answer, works in Fractions.
 rank_mod_p is the independent modular check; it takes integer rows, which
 is what the relation rows are.  Dense matrices are row-major lists of rows.
 An empty matrix does not record its column count, and zero-rank degrees
@@ -16,6 +19,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
 
 
 # Deterministic Miller-Rabin witnesses for every n below 3.3 * 10^24.
@@ -90,6 +95,29 @@ def _sub_scaled(r: dict, coef, pivot_row: dict) -> None:
             del r[c]
 
 
+def _eliminate(r: dict, col: int, prow: dict) -> None:
+    """Clear column col of the integer row r with the integer row prow,
+    whose entry there is positive, and make r primitive; in place.
+
+    r becomes a * r - b * prow with a, b the smallest integers that cancel
+    the column, so its nonzero pattern, and the order its keys gain and lose
+    entries in, is that of r - (r[col] / prow[col]) * prow.
+    """
+    lead, v = prow[col], r[col]
+    g = gcd(lead, v)
+    a, b = lead // g, v // g
+    if a != 1:
+        for c in r:
+            r[c] *= a
+    _sub_scaled(r, b, prow)
+    # reduce, not gcd(*r.values()): a star-args tuple per row raised the
+    # exact_kernels benchmark's peak RSS by about 1 MB
+    g = reduce(gcd, r.values(), 0)
+    if g > 1:
+        for c in r:
+            r[c] //= g
+
+
 def exact_rank(rows) -> int:
     """Rank over the rationals."""
     return len(exact_rref(rows))
@@ -100,20 +128,35 @@ def exact_rref(rows) -> dict:
 
     Reducing any vector against the result is linear, idempotent, and kills
     exactly the row span of the input.
+
+    The elimination is fraction-free: each row is cleared over the integers
+    as a primitive integer vector with a positive pivot entry, and the unit
+    row is that vector over its pivot entry.  A row of the reduced form is
+    unique up to scale, so this is the Gauss-Jordan answer over the
+    rationals, with each row's keys in the order that elimination inserts
+    them.
     """
     pivots: dict = {}
     for row in rows:
-        r = reduce_vector(row, pivots)
+        den = reduce(lcm, (v.denominator for v in row.values()), 1)
+        r = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        for col in sorted(r):
+            if col in pivots and col in r:
+                _eliminate(r, col, pivots[col])
         if not r:
             continue
         col = min(r)
-        inv = 1 / r[col]
-        new_row = {c: v * inv for c, v in r.items()}
+        g = reduce(gcd, r.values())
+        if r[col] < 0:
+            g = -g
+        if g != 1:
+            for c in r:
+                r[c] //= g
         for prow in pivots.values():
             if col in prow:
-                _sub_scaled(prow, prow[col], new_row)
-        pivots[col] = new_row
-    return pivots
+                _eliminate(prow, col, r)
+        pivots[col] = r
+    return {col: {c: Fraction(v, r[col]) for c, v in r.items()} for col, r in pivots.items()}
 
 
 def reduce_vector(vec: dict, pivots: dict) -> dict:

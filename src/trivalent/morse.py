@@ -1,7 +1,9 @@
 """Finite graded chain complexes, contractions, transport, split-edge graphs.
 
 Degrees run 0..4 throughout.  Boundary matrices are integer, propagators
-rational; all identities are checked with exact arithmetic.  Matrices are
+rational.  Inside the solve and the identity check each g is an integer
+matrix over its least common denominator, so every product is of integer
+matrices and every identity is an exact integer zero test.  Matrices are
 dense row-major lists, entry (row=target, col=source), and shapes follow the
 rank vector so zero-rank degrees work.
 """
@@ -10,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
+from math import lcm
 
 from .graphs import LabelledTrivalentGraph, strict_int, validate
 from .linalg import exact_rank, identity_matrix, mat_mul, solve_exact
@@ -135,23 +139,37 @@ def _homology_defect(c: GradedComplex, d: int) -> int:
     return c.ranks[d] - rank_of(d) - rank_of(d + 1)
 
 
-def _residual(c: GradedComplex, gs: dict, d: int):
-    """id − ∂_{d+1} g_d − g_{d−1} ∂_d in degree d, each term only if gs
-    holds its g.
+def _over_lcm(m):
+    """(M, den) with m = M / den: M an integer matrix, den the least common
+    denominator of m's entries."""
+    den = reduce(lcm, (v.denominator for row in m for v in row), 1)
+    return [[v.numerator * (den // v.denominator) for v in row] for row in m], den
 
-    The contraction identity holds in degree d exactly when this is zero;
-    before g_d exists it is the right-hand side that ∂_{d+1} g_d must equal.
+
+def _residual(c: GradedComplex, gs: dict, d: int):
+    """(R, den) with R / den = id − ∂_{d+1} g_d − g_{d−1} ∂_d in degree d,
+    each term only if gs holds its g.
+
+    gs maps a degree to its g as an integer matrix over a denominator (see
+    _over_lcm), so every product is of integer matrices; den is the lcm of
+    the denominators present.  The contraction identity holds in degree d
+    exactly when R is zero; before g_d exists, R / den is the right-hand side
+    that ∂_{d+1} g_d must equal.
     """
     rd = c.ranks[d]
     terms = []
     if d in gs:
-        terms.append(mat_mul(c.boundaries[d + 1], gs[d], rd))
+        g, den = gs[d]
+        terms.append((mat_mul(c.boundaries[d + 1], g, rd), den))
     if d - 1 in gs:
-        terms.append(mat_mul(gs[d - 1], c.boundaries[d], rd))
-    out = identity_matrix(rd)
-    for t in terms:
-        out = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(out, t)]
-    return out
+        g, den = gs[d - 1]
+        terms.append((mat_mul(g, c.boundaries[d], rd), den))
+    den = lcm(*(t for _, t in terms))
+    out = [[den * (i == j) for j in range(rd)] for i in range(rd)]
+    for t, tden in terms:
+        s = den // tden
+        out = [[x - s * y for x, y in zip(r1, r2)] for r1, r2 in zip(out, t)]
+    return out, den
 
 
 def _is_zero(m) -> bool:
@@ -161,25 +179,35 @@ def _is_zero(m) -> bool:
 def compute_propagator(c: GradedComplex) -> Propagator:
     """A chain contraction: ∂g + g∂ = id in every degree, or NotAcyclic.
 
-    Solved degree by degree from the bottom; the elimination order is fixed
-    and free variables are zeroed, so the answer is deterministic.
+    Solved degree by degree from the bottom, over the integers: the
+    right-hand side is the integer residual R over its denominator den, so
+    g_d is the solution of ∂_{d+1} X = R divided by den.  The elimination
+    order is fixed and free variables are zeroed, so the answer is
+    deterministic.
     """
     check_complex(c)
     gs: dict = {}
+    igs: dict = {}
     for d in range(TOP_DEGREE):
-        sol = solve_exact(c.boundaries[d + 1], _residual(c, gs, d), c.ranks[d + 1])
+        rhs, den = _residual(c, igs, d)
+        sol = solve_exact(c.boundaries[d + 1], rhs, c.ranks[d + 1])
         if sol is None:
             raise NotAcyclicError(d, _homology_defect(c, d))
+        if den > 1:
+            sol = [[Fraction(v.numerator, v.denominator * den) if v else 0 for v in row] for row in sol]
         gs[d] = sol
+        igs[d] = _over_lcm(sol)
     # top degree: g_3 ∂_4 = id follows from exactness; verify outright
-    if not _is_zero(_residual(c, gs, TOP_DEGREE)):
+    if not _is_zero(_residual(c, igs, TOP_DEGREE)[0]):
         raise NotAcyclicError(TOP_DEGREE, _homology_defect(c, TOP_DEGREE))
     return Propagator(c.ranks, gs)
 
 
 def contraction_identity_holds(c: GradedComplex, g: Propagator) -> bool:
-    """Exact check of ∂_{d+1} g_d + g_{d-1} ∂_d = id for d = 0..4."""
-    return all(_is_zero(_residual(c, g.mats, d)) for d in range(TOP_DEGREE + 1))
+    """Exact check of ∂_{d+1} g_d + g_{d-1} ∂_d = id for d = 0..4, as an
+    integer zero test."""
+    igs = {d: _over_lcm(m) for d, m in g.mats.items()}
+    return all(_is_zero(_residual(c, igs, d)[0]) for d in range(TOP_DEGREE + 1))
 
 
 def _neg_transpose(m, cols: int):

@@ -21,6 +21,39 @@ def iso_sign(g, h):
     return rg.sign * rh.sign
 
 
+def _sub_scaled(r, coef, pivot_row):
+    for c, v in pivot_row.items():
+        nv = r.get(c, 0) - coef * v
+        if nv:
+            r[c] = nv
+        elif c in r:
+            del r[c]
+
+
+def exact_rref(rows):
+    """Gauss-Jordan elimination in Fraction arithmetic: column -> unit-pivot
+    row, fully reduced.  Each row is reduced against the pivots so far, in
+    column order, scaled to a unit pivot on its smallest column, and cleared
+    from the earlier pivot rows; the package's integer elimination must give
+    the same pivots, rows, values and key order."""
+    pivots = {}
+    for row in rows:
+        r = {c: Fraction(v) for c, v in row.items() if v}
+        for col in sorted(r):
+            if col in pivots and col in r:
+                _sub_scaled(r, r[col], pivots[col])
+        if not r:
+            continue
+        col = min(r)
+        inv = 1 / r[col]
+        new_row = {c: v * inv for c, v in r.items()}
+        for prow in pivots.values():
+            if col in prow:
+                _sub_scaled(prow, prow[col], new_row)
+        pivots[col] = new_row
+    return pivots
+
+
 def perfect_matchings(items):
     """All perfect matchings of a list, as lists of pairs."""
     if not items:

@@ -420,13 +420,22 @@ class TestStrictIntegers:
                 torsion_pair(boundaries={"1": [[2]], "2": [[]], "3": [], "4": [], "9": [[5]]}),
                 "boundary degree '9' is not one of 1 to 4",
             ),
+            # bytes are the file's raw contents: text that is not JSON, or not UTF-8
+            ("reduce", b'{"vertices": 2,', "Expecting property name"),
+            ("morse-propagator", b'{"vertices": 2,', "Expecting property name"),
+            ("reduce", b"\xff{}", "can't decode byte 0xff"),
+            ("morse-propagator", b"\xff{}", "can't decode byte 0xff"),
         ],
     )
     def test_error_names_file_and_field(
         self, tmp_path, capsys, monkeypatch, command, payload, message
     ):
         monkeypatch.setenv("GC_CACHE", str(tmp_path / "cache"))
-        path = write(tmp_path, "bad.json", payload)
+        if isinstance(payload, bytes):
+            path = str(tmp_path / "bad.json")
+            Path(path).write_bytes(payload)
+        else:
+            path = write(tmp_path, "bad.json", payload)
         kind = "complex" if command == "morse-propagator" else "graph"
         code, out, err = run(capsys, command, path)
         assert (code, out) == (1, "")

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from trivalent import linalg as la
 
+import oracles
+
 
 class TestPrimes:
     def test_known_values(self):
@@ -93,6 +95,53 @@ class TestRref:
             combo[c] = combo.get(c, 0) + val
         combo = {c: v for c, v in combo.items() if v}
         assert rw == combo
+
+
+entry = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+@st.composite
+def sparse_rows(draw):
+    """Sparse rows of int and Fraction entries (zeros included, keys in any
+    order), then some combinations of them, which reduce to zero."""
+    rows = draw(st.lists(st.dictionaries(st.integers(0, 7), entry, max_size=5), max_size=8))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        combo: dict = {}
+        for r in rows:
+            a = draw(st.sampled_from((0, 1, -1, 2, Fraction(-1, 3))))
+            for c, v in r.items():
+                combo[c] = combo.get(c, 0) + a * v
+        rows.append({c: v for c, v in combo.items() if v})
+    return rows
+
+
+class TestAgainstFractionElimination:
+    """The integer elimination against the Fraction Gauss-Jordan reference
+    in tests/oracles.py."""
+
+    @given(sparse_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_same_rref(self, rows):
+        got, want = la.exact_rref(rows), oracles.exact_rref(rows)
+        assert list(got) == list(want)
+        for col in want:
+            assert list(got[col].items()) == list(want[col].items())
+            assert all(type(v) is Fraction for v in got[col].values())
+
+    @given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 3), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_solution(self, m, n, q, data):
+        a = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+        b = [data.draw(st.lists(entry, min_size=q, max_size=q)) for _ in range(m)]
+        got = la.solve_exact(a, b, n)
+        # solve_exact reads exact_rref through the module, so this is the
+        # same reading of the reference elimination
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(la, "exact_rref", oracles.exact_rref)
+            want = la.solve_exact(a, b, n)
+        assert got == want
 
 
 class TestSolve:

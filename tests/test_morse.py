@@ -2,6 +2,7 @@
 
 import hashlib
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -92,6 +93,57 @@ class TestPropagator:
         for d in range(M.TOP_DEGREE):
             dg = la.mat_mul(c.boundaries[d + 1], g.mats[d], c.ranks[d])
             assert la.mat_mul(dg, dg, c.ranks[d]) == dg
+
+
+def two_torsion_pairs():
+    """A degree-1 generator hit twice by a degree-0 one and a degree-2 one
+    hitting another degree-1 generator three times: g_0 has denominator 2
+    and g_1 denominator 3."""
+    return M.GradedComplex(
+        (1, 2, 1, 0, 0), {1: [[2, 0]], 2: [[0], [3]], 3: [[]], 4: []}
+    )
+
+
+def _denominators(g):
+    return [lcm(*(v.denominator for row in g.mats[d] for v in row)) for d in range(M.TOP_DEGREE)]
+
+
+class TestIntegerIdentityCheck:
+    """The contraction identity is tested as an integer zero test over the
+    lcm of two denominators; it must still see a change of 1/7 anywhere."""
+
+    @pytest.mark.parametrize(
+        "c,dens",
+        [(two_torsion_pairs(), [2, 3, 1, 1]), (complexes.random_complex(32)[0], [1, 4, 2, 3])],
+    )
+    def test_any_entry_off_by_a_seventh_fails(self, c, dens):
+        g = M.compute_propagator(c)
+        assert _denominators(g) == dens
+        assert M.contraction_identity_holds(c, g)
+        entries = [
+            (d, i, j) for d in range(M.TOP_DEGREE) for i, row in enumerate(g.mats[d]) for j in range(len(row))
+        ]
+        assert entries
+        for d, i, j in entries:
+            mats = {e: [list(row) for row in m] for e, m in g.mats.items()}
+            mats[d][i][j] += Fraction(1, 7)
+            assert not M.contraction_identity_holds(c, M.Propagator(c.ranks, mats)), (d, i, j)
+
+    def test_products_are_of_integers(self, monkeypatch):
+        """Every matrix product morse asks for, in the solve and in the
+        check, is of integer matrices."""
+        seen = []
+
+        def int_only_mat_mul(a, b, cols):
+            seen.append(all(type(v) is int for m in (a, b) for row in m for v in row))
+            return la.mat_mul(a, b, cols)
+
+        monkeypatch.setattr(M, "mat_mul", int_only_mat_mul)
+        for c in (two_torsion_pairs(), complexes.random_complex(22)[0], complexes.random_complex(32)[0]):
+            g = M.compute_propagator(c)
+            assert M.contraction_identity_holds(c, g)
+            assert M.contraction_identity_holds(*M.dual_propagator(c, g))
+        assert seen and all(seen)
 
 
 class TestRandomComplexes:

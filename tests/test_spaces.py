@@ -516,6 +516,23 @@ class TestK6:
         text = repr([list(row.items()) for row in space6.relation_rows()])
         assert hashlib.sha256(text.encode()).hexdigest() == self.ROWS_DIGEST
 
+    def test_rref_matches_fraction_elimination(self, space6):
+        assert_same_rref(space6.relation_rows())
+
+
+def assert_same_rref(rows):
+    """exact_rref and the Fraction reference agree in pivots, pivot order,
+    each row's key order and values."""
+    got, want = exact_rref(rows), oracles.exact_rref(rows)
+    assert [(p, list(r.items())) for p, r in got.items()] == [
+        (p, list(r.items())) for p, r in want.items()
+    ]
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_rref_matches_fraction_elimination(k):
+    assert_same_rref(space(k).relation_rows())
+
 
 class TestCache:
     def test_round_trip(self, tmp_path):
