@@ -337,6 +337,7 @@ def cmd_cache(args):
     if args.k is None:
         raise ValueError("cache warm requires -k")
     space = _open_space(args, args.k)
+    space.zero_keys
     space.relation_rows()
     space.normal_form({})
     return {

@@ -182,6 +182,30 @@ def _edge_maps(pairs, generators):
         yield eperm
 
 
+def _edge_orbits(edges, generators):
+    """The index of the first edge of each orbit of the vertex permutations
+    in generators on the distinct edges, in edge order; each edge must have
+    a <= b, as the enumerator builds them.  Parallel edges are one pair, so
+    they share an orbit, as the edge maps over the identity swap them."""
+    reps = []
+    seen = set()
+    for i, pair in enumerate(edges):
+        if pair in seen:
+            continue
+        reps.append(i)
+        seen.add(pair)
+        todo = [pair]
+        while todo:
+            a, b = todo.pop()
+            for phi in generators:
+                x, y = phi[a], phi[b]
+                image = (x, y) if x <= y else (y, x)
+                if image not in seen:
+                    seen.add(image)
+                    todo.append(image)
+    return reps
+
+
 def _has_parallel(pairs) -> bool:
     """Whether two adjacent pairs of a sorted pair list are the same non-loop."""
     return any(p == q and p[0] != p[1] for p, q in zip(pairs, pairs[1:]))

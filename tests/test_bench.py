@@ -37,3 +37,37 @@ def test_self_check_and_recorder_install():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cold_build_spans(monkeypatch):
+    """A cold GraphSpace(4) traced in process: the class build runs inside
+    the classify span and the hub pass inside relation_rows, so the layer
+    metrics split the 221 canonicalize calls between them."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import spans
+
+    import trivalent.cli  # the recorder wraps cli.main, so it must be loaded
+    from trivalent.spaces import GraphSpace
+
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        recorder.enabled = True
+        space = GraphSpace(4)
+        space.dimension()
+        space.normal_form({})
+    finally:
+        recorder.enabled = False
+        recorder.uninstall()
+    metrics = spans.layer_metrics(recorder.spans, 1.0, 1.0)
+    assert {name: metrics[name][0] for name in (
+        "canon.canonicalize.calls",
+        "canon.canonicalize.calls_classify",
+        "canon.canonicalize.calls_relations",
+        "spaces.classify.signed",
+    )} == {
+        "canon.canonicalize.calls": 221,
+        "canon.canonicalize.calls_classify": 196,
+        "canon.canonicalize.calls_relations": 25,
+        "spaces.classify.signed": 4,
+    }

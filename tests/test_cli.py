@@ -13,6 +13,7 @@ import pytest
 
 from trivalent import cli, morse
 from trivalent import graphs as G
+from trivalent.cache import Cache
 from trivalent.cli import main
 
 
@@ -551,6 +552,38 @@ class TestCache:
         run(capsys, "cache", "warm", "-k", "2", "--cache", str(tmp_path / "w2"))
         _, s_warm, _ = run(capsys, "surgery", k4, "--cache", str(tmp_path / "w2"))
         assert s_cold == s_warm
+
+    def test_warm_queries_skip_zero_classes(self, tmp_path, capsys, monkeypatch):
+        """dim, reduce and surgery never read the zero classes, so on a
+        warm cache they load no zeros file; enum loads it and prints what a
+        cold enum prints, and rebuilds it when it is gone."""
+        k4 = write(tmp_path, "k4.json", k4_json())
+        warm = tmp_path / "warm"
+        run(capsys, "cache", "warm", "-k", "2", "--cache", str(warm))
+        loaded = []
+        load = Cache.load
+
+        def recorded(self, k, kind, basis_keys=None):
+            value = load(self, k, kind, basis_keys)
+            loaded.append((kind, value is not None))
+            return value
+
+        monkeypatch.setattr(Cache, "load", recorded)
+        for argv in (("dim", "-k", "2"), ("reduce", k4), ("surgery", k4)):
+            loaded.clear()
+            code, _, err = run(capsys, *argv, "--cache", str(warm))
+            assert (code, err) == (0, "")
+            assert ("basis", True) in loaded
+            assert all(kind != "zeros" for kind, _ in loaded)
+        cold = tmp_path / "cold"
+        _, enum_cold, _ = run(capsys, "enum", "-k", "2", "--cache", str(cold))
+        loaded.clear()
+        _, enum_warm, _ = run(capsys, "enum", "-k", "2", "--cache", str(warm))
+        assert ("zeros", True) in loaded
+        assert enum_warm == enum_cold
+        (warm / "zeros-k2.json").unlink()
+        assert run(capsys, "enum", "-k", "2", "--cache", str(warm))[1] == enum_cold
+        assert (warm / "zeros-k2.json").read_bytes() == (cold / "zeros-k2.json").read_bytes()
 
     def test_bad_payload_is_rebuilt(self, tmp_path, capsys):
         k4 = write(tmp_path, "k4.json", k4_json())

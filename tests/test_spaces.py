@@ -12,16 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trivalent import classes as C
 from trivalent import graphs as G
+from trivalent import hubs as H
 from trivalent import spaces as S
 from trivalent.cache import KINDS, Cache
 from trivalent.linalg import exact_rref, reduce_vector
-from trivalent.spaces import (
-    GraphSpace,
-    _canonical_hub,
-    classify,
-    enumerate_graphs,
-)
+from trivalent.hubs import _canonical_hub
+from trivalent.spaces import GraphSpace, classify, enumerate_graphs
 
 import oracles
 
@@ -55,7 +53,7 @@ _MANY_SITES = [
 
 class TestEnumeration:
     def test_k1_classes(self):
-        reps, zeros = classify(enumerate_graphs(1))
+        reps, zeros, _ = classify((g, None) for g in enumerate_graphs(1))
         assert reps == []
         theta = G.validate(2, [(0, 1), (0, 1), (0, 1)])
         dumbbell = G.validate(2, [(0, 0), (0, 1), (1, 1)])
@@ -86,8 +84,9 @@ class TestEnumeration:
             calls.append(n)
             return canonicalize(n, edges)
 
+        monkeypatch.setattr(C, "canonicalize", counted)
         monkeypatch.setattr(G, "canonicalize", counted)
-        reps, _ = classify(graphs)
+        reps, _, _ = classify((g, None) for g in graphs)
         assert len(calls) == len(graphs)
         assert reps == [expected[key] for key in sorted(expected)]
 
@@ -111,13 +110,13 @@ class TestEnumeration:
         search visits and the candidates canonicalized, not only the
         output."""
         calls = []
-        canonicalize = S.canonicalize
+        canonicalize = C.canonicalize
 
         def counted(n, edges):
             calls.append(n)
             return canonicalize(n, edges)
 
-        monkeypatch.setattr(S, "canonicalize", counted)
+        monkeypatch.setattr(C, "canonicalize", counted)
         counts = []
         for k in range(1, 6):
             calls.clear()
@@ -129,7 +128,7 @@ class TestEnumeration:
     def test_search_lists_the_simple_cubic_graphs(self, k, count):
         """The search yields each connected simple cubic graph on 2k
         vertices once: OEIS A002851 counts 0, 1, 2, 5, 19, 85 of them."""
-        finals = [g for g, _ in S._simple_finals(k)]
+        finals = [g for g, _ in C._simple_finals(k)]
         assert len(finals) == count
         assert len({G.reduce(g).key for g in finals}) == count
         for g in finals:
@@ -142,7 +141,7 @@ class TestEnumeration:
         """One edge per orbit, lollipops with a parallel pair dropped and
         the score filter lose no class: the insertion pass yields, once
         each, the classes of every digon and lollipop candidate."""
-        keys = [G.reduce(g).key for g, _ in S._insertions(k)]
+        keys = [G.reduce(g).key for g, _ in C._insertions(k)]
         assert len(set(keys)) == len(keys)
         assert set(keys) == oracles.insertion_classes(enumerate_graphs(k - 1))
 
@@ -156,15 +155,15 @@ class TestEnumeration:
         h = [(perm[u], perm[v]) for u, v in g.edges]
         for site in _sites(g.edges):
             image = tuple(perm[x] for x in site)
-            assert S._layer_profile(_adjacency(g.num_vertices, g.edges), site) == (
-                S._layer_profile(_adjacency(g.num_vertices, h), image)
+            assert C._layer_profile(_adjacency(g.num_vertices, g.edges), site) == (
+                C._layer_profile(_adjacency(g.num_vertices, h), image)
             )
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_space_classes_match_classify(self, k):
         """The build classifies from the enumerator's own labellings; the
-        classes are those of classify(enumerate_graphs(k))."""
-        reps, zeros = classify(enumerate_graphs(k))
+        classes are those of classify over enumerate_graphs(k) alone."""
+        reps, zeros, _ = classify((g, None) for g in enumerate_graphs(k))
         sp = space(k)
         assert sp.basis == tuple(reps)
         assert sp.zero_keys == zeros
@@ -174,7 +173,7 @@ class TestEnumeration:
         """reduce and reduce_with_representative read the same class and
         representative off the labelling the enumerator computed as off
         one of their own."""
-        for g, res in S._labelled_finals(k):
+        for g, res in C.labelled_graphs(k):
             assert G.reduce(g, res) == G.reduce(g)
             rep = G.reduce_with_representative(g, res)[1]
             assert rep == G.reduce_with_representative(g)[1]
@@ -301,7 +300,7 @@ class TestBasisKeys:
         built.basis
         reopened = GraphSpace(k, cache)
         monkeypatch.setattr(
-            "trivalent.spaces._labelled_finals", lambda k: pytest.fail("reopen rebuilt")
+            "trivalent.spaces.labelled_graphs", lambda k: pytest.fail("reopen rebuilt")
         )
         for sp in (built, reopened):
             assert sp.keys == tuple(G.reduce(b).key for b in sp.basis)
@@ -335,14 +334,14 @@ class TestRelationRows:
         edge orbit of each basis graph: no splitting is reduced, and a basis
         classified in the build is not checked again."""
         calls = []
-        canonicalize = S.canonicalize
+        canonicalize = C.canonicalize
 
         def counted(n, edges):
             calls.append(n)
             return canonicalize(n, edges)
 
-        monkeypatch.setattr(S, "canonicalize", counted)
-        monkeypatch.setattr(G, "canonicalize", counted)
+        for module in (C, H, S, G):
+            monkeypatch.setattr(module, "canonicalize", counted)
         counts = []
         for k in range(1, 6):
             calls.clear()
