@@ -6,7 +6,10 @@ is fraction-free: rows are cleared as primitive integer vectors and become
 Fractions only in its answer, so its inner loops add and multiply ints.
 reduce_vector, which reads that answer, works in Fractions.
 rank_mod_p is the independent modular check; it takes integer rows, which
-is what the relation rows are.  Dense matrices are row-major lists of rows.
+is what the relation rows are.  The modular ranks at several primes share
+one integer singleton peel (peel_singletons), which exact_rref does not
+use, so a fault in the peel shows as modular and exact ranks that differ.
+Dense matrices are row-major lists of rows.
 An empty matrix does not record its column count, and zero-rank degrees
 produce such matrices, so mat_mul takes the product's column count and
 solve_exact the number of unknowns; every other shape is read off the
@@ -84,6 +87,48 @@ def rank_mod_p(rows, p: int) -> int:
                 elif c in r:
                     del r[c]
     return len(pivots)
+
+
+def peel_singletons(rows) -> tuple:
+    """The singleton peel of structured Gaussian elimination, over the
+    integers: (peeled, rest).
+
+    A row with one nonzero entry v pivots its column: peeled maps that
+    column to v, and the column is deleted from every other row, which may
+    leave new singletons to peel in turn.  rest holds the rows left
+    nonempty when none is a singleton.  The rows are not modified.
+    """
+    live = [r for row in rows if (r := {c: v for c, v in row.items() if v})]
+    holders: dict = {}  # column -> indices of the live rows it appears in
+    for i, r in enumerate(live):
+        for c in r:
+            holders.setdefault(c, []).append(i)
+    peeled: dict = {}
+    todo = [i for i, r in enumerate(live) if len(r) == 1]
+    while todo:
+        r = live[todo.pop()]
+        if len(r) != 1:  # emptied by a singleton of the same column
+            continue
+        ((col, v),) = r.items()
+        peeled[col] = v
+        for j in holders.pop(col):
+            rj = live[j]
+            del rj[col]
+            if len(rj) == 1:
+                todo.append(j)
+    return peeled, [r for r in live if r]
+
+
+def peeled_rank_mod_p(rows, peel: tuple, p: int) -> int:
+    """rank_mod_p(rows, p), given peel_singletons(rows).
+
+    Each peeled column adds one to the rank over GF(p) when its entry is a
+    unit there; if any is divisible by p, the rows are eliminated whole.
+    """
+    peeled, rest = peel
+    if all(v % p for v in peeled.values()):
+        return len(peeled) + rank_mod_p(rest, p)
+    return rank_mod_p(rows, p)
 
 
 def _sub_scaled(r: dict, coef, pivot_row: dict) -> None:

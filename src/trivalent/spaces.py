@@ -17,7 +17,7 @@ from .canon import canonicalize
 from .classes import classify, enumerate_graphs, labelled_graphs
 from .graphs import LabelledTrivalentGraph, canonical_key, has_parallel_edge, reduce
 from .hubs import hub_rows
-from .linalg import exact_rref, gen_primes, rank_mod_p, reduce_vector
+from .linalg import exact_rref, gen_primes, peel_singletons, peeled_rank_mod_p, reduce_vector
 
 
 class PrimeDisagreementError(Exception):
@@ -170,11 +170,17 @@ class GraphSpace:
     # -- rank and dimension -------------------------------------------------
 
     def dimension(self, primes: int = DEFAULT_PRIME_COUNT, seed: int = DEFAULT_SEED) -> int:
+        """Basis size minus the rank of the relation rows, once their ranks
+        modulo `primes` seeded random primes agree.  All the primes share
+        one singleton peel of the rows."""
+        if primes < 1:
+            raise ValueError(f"need at least one prime, got {primes}")
         rows = self.relation_rows()
         if not rows:
             return len(self.basis)
+        peel = peel_singletons(rows)
         for attempt in range(3):
-            ranks = [rank_mod_p(rows, p) for p in gen_primes(primes, seed + attempt)]
+            ranks = [peeled_rank_mod_p(rows, peel, p) for p in gen_primes(primes, seed + attempt)]
             if len(set(ranks)) == 1:
                 return len(self.basis) - ranks[0]
         raise PrimeDisagreementError(f"ranks still disagree after retries: {ranks}")

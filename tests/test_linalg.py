@@ -64,6 +64,45 @@ class TestRank:
             la.rank_mod_p([{0: Fraction(1, 2)}], 7)
 
 
+@st.composite
+def peelable_rows(draw):
+    """Sparse integer rows with zero entries, a singleton chain (each link
+    holds the column the row before it peels and one new one) and repeated
+    singletons in one column, shuffled.  Entries include multiples of the
+    small primes, so some peeled entries vanish modulo some primes."""
+    value = st.sampled_from((0, 1, -1, 2, -3, 5, 7, 14, 35))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, 7), value, max_size=4), max_size=8))
+    chain = draw(st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True))
+    rows.append({chain[0]: draw(value)})
+    rows += [{a: draw(value), b: draw(value)} for a, b in zip(chain, chain[1:])]
+    rows += [{chain[-1]: draw(value)} for _ in range(draw(st.integers(0, 2)))]
+    return draw(st.permutations(rows))
+
+
+class TestPeel:
+    PRIMES = (2, 3, 5, 7, 2147483647)
+
+    @given(peelable_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_peeled_ranks_are_the_modular_ranks(self, rows):
+        before = [dict(r) for r in rows]
+        peel = la.peel_singletons(rows)
+        got = [la.peeled_rank_mod_p(rows, peel, p) for p in self.PRIMES]
+        assert rows == before
+        assert got == [la.rank_mod_p(rows, p) for p in self.PRIMES]
+        peeled, rest = peel
+        assert all(len(r) > 1 and not peeled.keys() & r.keys() for r in rest)
+
+    def test_peeled_entry_divisible_by_p_falls_back(self):
+        """7 peels column 0 over the integers but is zero modulo 7, where
+        the two rows span one dimension, not two."""
+        rows = [{0: 7}, {0: 1, 1: 1}]
+        peel = la.peel_singletons(rows)
+        assert peel == ({0: 7, 1: 1}, [])
+        assert la.peeled_rank_mod_p(rows, peel, 7) == la.rank_mod_p(rows, 7) == 1
+        assert la.peeled_rank_mod_p(rows, peel, 11) == 2
+
+
 class TestRref:
     @given(small_matrix)
     @settings(max_examples=100, deadline=None)

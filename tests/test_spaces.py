@@ -17,7 +17,7 @@ from trivalent import graphs as G
 from trivalent import hubs as H
 from trivalent import spaces as S
 from trivalent.cache import KINDS, Cache
-from trivalent.linalg import exact_rref, reduce_vector
+from trivalent.linalg import exact_rref, peel_singletons, reduce_vector
 from trivalent.hubs import _canonical_hub
 from trivalent.spaces import GraphSpace, classify, enumerate_graphs
 
@@ -239,7 +239,15 @@ class TestDimensions:
         assert sp.exact_dimension() == dim
 
     def test_k5(self):
-        assert space(5).dimension() == 1
+        sp = space(5)
+        assert sp.dimension() == sp.exact_dimension() == 1
+
+    @pytest.mark.parametrize("k,peeled,left", [(3, 2, 0), (4, 4, 0), (5, 32, 8)])
+    def test_singleton_peel(self, k, peeled, left):
+        """The columns the peel resolves and the rows it leaves to the
+        per-prime eliminations."""
+        got, rest = peel_singletons(space(k).relation_rows())
+        assert (len(got), len(rest)) == (peeled, left)
 
     def test_seed_invariance(self):
         sp = space(3)
@@ -247,6 +255,13 @@ class TestDimensions:
 
     def test_more_primes(self):
         assert space(2).dimension(primes=5) == 1
+
+    @pytest.mark.parametrize("primes", [0, -1])
+    def test_prime_count_below_one_refused(self, primes):
+        with pytest.raises(ValueError, match=f"got {primes}$"):
+            space(2).dimension(primes=primes)
+        with pytest.raises(ValueError, match=f"got {primes}$"):
+            S.dimension(2, primes=primes)
 
 
 class TestNormalForm:
@@ -505,6 +520,10 @@ class TestK6:
 
     def test_dimension_zero_both_ways(self, space6):
         assert space6.dimension() == space6.exact_dimension() == 0
+
+    def test_singleton_peel_resolves_every_column(self, space6):
+        peeled, rest = peel_singletons(space6.relation_rows())
+        assert (len(peeled), rest) == (243, [])
 
     def test_key_digest(self, space6):
         keys = {"signed": sorted(space6.keys), "zero": sorted(space6.zero_keys)}
