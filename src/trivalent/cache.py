@@ -1,14 +1,17 @@
 """On-disk JSON cache for per-k derived data (bases, relations, echelon forms).
 
 Each kind's file format lives here: store takes the value GraphSpace uses
-and load gives it back.  The directory is the explicit argument, else
-GC_CACHE, else ~/.cache/trivalent.  A file is ignored, and the data
-recomputed, when it is unreadable, of another format_version or of the
-wrong shape, or when the CRC-32 of its payload's JSON text, as read, does
-not match the one it carries.  Files that index a basis by position
-(relations, rref) also carry a checksum of the basis keys they were built
-against and are ignored when it differs; a position outside that basis,
-or a basis edge end outside its graph's vertices, is a wrong shape.
+and load gives it back (a basis together with its keys).  The directory is
+the explicit argument, else GC_CACHE, else ~/.cache/trivalent.  A file is
+ignored, and the data recomputed, when it is unreadable, of another
+format_version or of the wrong shape, or when the CRC-32 of its payload's
+JSON text, as read, does not match the one it carries.  Files that index a
+basis by position (relations, rref) also carry a checksum of the basis keys
+they were built against and are ignored when it differs.  Wrong shapes
+include a position outside that basis, a basis edge end outside its
+graph's vertices, basis keys that do not increase strictly, a row whose
+columns do not increase strictly or that holds a zero, an rref pivot key
+other than str(int(key)), and an rref row without 1 at its pivot column.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ import os
 import tempfile
 import zlib
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import ge, getitem, lt
 from pathlib import Path
 
-from .graphs import LabelledTrivalentGraph
+from .graphs import LabelledTrivalentGraph, canonical_key
 
 FORMAT_VERSION = 1
 # store writes the payload last, after this key, so that load can
@@ -52,27 +56,52 @@ def _fields(items, name, kind) -> list:
 
 
 def _graphs(p, size) -> tuple:
+    """(keys, graphs) of a basis: each graph's class key, derived once here,
+    and an iterator that builds the graphs only when it is read."""
     ns, edge_lists = _fields(p, "vertices", int), _fields(p, "edges", list)
-    _check(set(map(len, _list_of(list(chain.from_iterable(edge_lists)), list))) <= {2})
-    for n, edges in zip(ns, edge_lists):
-        _positions(list(chain.from_iterable(edges)), n)
-    return tuple(LabelledTrivalentGraph(n, tuple(map(tuple, es))) for n, es in zip(ns, edge_lists))
+    edges = _list_of(list(chain.from_iterable(edge_lists)), list)
+    _check(set(map(len, edges)) <= {2})
+    ends = _list_of(list(chain.from_iterable(edges)), int)
+    # each end against its own graph's vertex count, repeated once per end
+    limits = chain.from_iterable(map(repeat, ns, [2 * len(es) for es in edge_lists]))
+    _check(min(ends, default=0) >= 0 and all(map(lt, ends, limits)))
+    keys = tuple(map(canonical_key, ns, edge_lists))
+    _check(all(map(lt, keys, keys[1:])))  # as classify sorts them
+    return keys, (LabelledTrivalentGraph(n, tuple(map(tuple, es))) for n, es in zip(ns, edge_lists))
 
 
 def _rows(p, size, kind):
-    """Column and value lists of sparse rows [{"cols": [...], "vals": [...]}]."""
+    """Column and value lists of sparse rows [{"cols": [...], "vals": [...]}],
+    and the values as one flat list; each row's columns increase strictly."""
     cols, vals = _fields(p, "cols", list), _fields(p, "vals", list)
-    _check(list(map(len, cols)) == list(map(len, vals)))
-    _positions(list(chain.from_iterable(cols)), size)
-    _list_of(list(chain.from_iterable(vals)), kind)
-    return cols, vals
+    lengths = list(map(len, cols))
+    _check(lengths == list(map(len, vals)))
+    flat = _positions(list(chain.from_iterable(cols)), size)
+    # a column no larger than the one before it in the flat list must start
+    # a row: its index there must be a running total of the row lengths
+    starts = set(accumulate(lengths))
+    _check(starts.issuperset(compress(count(1), map(ge, flat, islice(flat, 1, None)))))
+    return cols, vals, _list_of(list(chain.from_iterable(vals)), kind)
+
+
+def _relation_rows(p, size) -> list:
+    cols, vals, flat = _rows(p, size, int)
+    _check(0 not in flat)
+    return list(map(dict, map(zip, cols, vals)))
 
 
 def _rref_rows(p, size) -> dict:
-    _check(type(p) is dict and all(map(str.isdecimal, p)))
+    """Each pivot key is str(int(key)) and its row holds 1 at that column."""
+    _check(type(p) is dict)
     pivots = _positions(list(map(int, p)), size)
-    cols, vals = _rows(list(p.values()), size, str)
-    return {piv: dict(zip(c, map(Fraction, v))) for piv, c, v in zip(pivots, cols, vals)}
+    _check(list(map(str, pivots)) == list(p))
+    cols, vals, flat = _rows(list(p.values()), size, str)
+    value = {s: Fraction(s) for s in set(flat)}  # one Fraction per distinct text
+    _check(all(value.values()))
+    # list.index raises ValueError for a row without its pivot column
+    at_pivot = set(map(getitem, vals, map(list.index, cols, pivots)))
+    _check(all(value[s] == 1 for s in at_pivot))
+    return {piv: dict(zip(c, map(value.__getitem__, v))) for piv, c, v in zip(pivots, cols, vals)}
 
 
 def _sorted_row(row, value=lambda v: v) -> dict:
@@ -91,10 +120,7 @@ _FORMATS = {
         _graphs,
     ),
     "zeros": (sorted, lambda p, size: frozenset(_list_of(p, str))),
-    "relations": (
-        lambda rows: [_sorted_row(r) for r in rows],
-        lambda p, size: list(map(dict, map(zip, *_rows(p, size, int)))),
-    ),
+    "relations": (lambda rows: [_sorted_row(r) for r in rows], _relation_rows),
     "rref": (lambda rows: {str(p): _sorted_row(r, str) for p, r in rows.items()}, _rref_rows),
 }
 KINDS = tuple(_FORMATS)
@@ -121,7 +147,8 @@ class Cache:
         return self.directory / f"{kind}-k{k}.json"
 
     def load(self, k: int, kind: str, basis_keys=None):
-        """The stored value, or None for a missing or unusable file.
+        """The stored value, or None for a missing or unusable file; a basis
+        is (keys, graphs), the graphs an iterator that builds them.
 
         With basis_keys, a file not stored against those same keys is
         unusable too, as is a relations or rref file with a position

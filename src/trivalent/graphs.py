@@ -10,6 +10,7 @@ an odd permutation of the edge labels.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import factorial
@@ -138,8 +139,16 @@ class Automorphism:
         return perm_parity(self.edge_perm)
 
 
+@functools.cache
+def _key_format(num_pairs: int) -> str:
+    return "cub:%d:" + ",".join(["%d-%d"] * num_pairs)
+
+
 def canonical_key(num_vertices: int, pairs) -> str:
-    return "cub:%d:" % num_vertices + ",".join("%d-%d" % p for p in sorted(pairs))
+    """The class key cub:<n>:<a>-<b>,... of the sorted pairs of two ints,
+    in one format call."""
+    pairs = sorted(pairs)
+    return _key_format(len(pairs)) % (num_vertices, *itertools.chain.from_iterable(pairs))
 
 
 def _canonical_edges(edges, perm):

@@ -89,6 +89,12 @@ def rank_mod_p(rows, p: int) -> int:
     return len(pivots)
 
 
+def _nonzero(row: dict) -> dict:
+    """A copy of the row without its zero entries; a row with none, as the
+    relation rows are, is copied whole."""
+    return row.copy() if 0 not in row.values() else {c: v for c, v in row.items() if v}
+
+
 def peel_singletons(rows) -> tuple:
     """The singleton peel of structured Gaussian elimination, over the
     integers: (peeled, rest).
@@ -98,7 +104,7 @@ def peel_singletons(rows) -> tuple:
     leave new singletons to peel in turn.  rest holds the rows left
     nonempty when none is a singleton.  The rows are not modified.
     """
-    live = [r for row in rows if (r := {c: v for c, v in row.items() if v})]
+    live = [r for r in map(_nonzero, rows) if r]
     holders: dict = {}  # column -> indices of the live rows it appears in
     for i, r in enumerate(live):
         for c in r:

@@ -37,6 +37,7 @@ class GraphSpace:
         self.k = k
         self._cache = cache
         self._basis = None
+        self._unbuilt = None  # graphs of a basis read from the cache, built when read
         self._generators = None  # Aut generators of a basis built here, not read
         self._keys = None
         self._zeros = None
@@ -45,15 +46,6 @@ class GraphSpace:
         self._index = None
 
     # -- basis ------------------------------------------------------------
-
-    def _set_basis(self, basis) -> bool:
-        """Adopt a basis unless its keys fail to increase strictly, as
-        classify writes them; basis positions index every row and vector."""
-        keys = tuple(canonical_key(g.num_vertices, g.edges) for g in basis)
-        if any(a >= b for a, b in zip(keys, keys[1:])):
-            return False
-        self._basis, self._keys = tuple(basis), keys
-        return True
 
     def _load(self, kind: str, basis_keys=None):
         return None if self._cache is None else self._cache.load(self.k, kind, basis_keys)
@@ -71,10 +63,15 @@ class GraphSpace:
         return value
 
     def _ensure_classes(self):
-        if self._basis is None:
-            basis = self._load("basis")
-            if basis is None or not self._set_basis(basis):
+        """The basis keys, from the cache (which checks that they increase
+        strictly, as classify sorts them) or from a cold build; basis
+        positions index every row and vector."""
+        if self._keys is None:
+            loaded = self._load("basis")
+            if loaded is None:
                 self._build_classes()
+            else:
+                self._keys, self._unbuilt = loaded
 
     def _build_classes(self) -> None:
         """The cold build: classify the enumerator's labelled graphs, then
@@ -82,15 +79,19 @@ class GraphSpace:
         The listing streams into classify, which is looked up here at call
         time, so a tracer that rebinds spaces.classify times the build."""
         reps, self._zeros, generators = classify(labelled_graphs(self.k))
-        if self._basis is None:
-            self._set_basis(reps)  # classify sorts by key, so this holds
-            self._generators = generators
+        if self._keys is None:
+            self._basis, self._generators = tuple(reps), generators
+            self._keys = tuple(canonical_key(g.num_vertices, g.edges) for g in reps)
             self._store("basis", reps)
         self._store("zeros", self._zeros)
 
     @property
     def basis(self):
+        """The class representatives.  A warm dim, reduce, surgery or enum
+        never reads them: the keys suffice."""
         self._ensure_classes()
+        if self._basis is None:
+            self._basis = tuple(self._unbuilt)
         return self._basis
 
     @property
@@ -111,7 +112,7 @@ class GraphSpace:
 
     @property
     def num_classes(self) -> int:
-        return len(self.basis) + len(self.zero_keys)
+        return len(self.keys) + len(self.zero_keys)
 
     def _key_index(self):
         if self._index is None:
@@ -163,9 +164,12 @@ class GraphSpace:
         column missing; a basis classified here holds by construction.
         """
         if self._rows is None:
-            gens = map(self._basis_generators, range(len(self.basis)), self.basis)
-            self._rows = self._cached("relations", lambda: hub_rows(self.basis, gens))
+            self._rows = self._cached("relations", self._hub_rows)
         return self._rows
+
+    def _hub_rows(self):
+        basis = self.basis
+        return hub_rows(basis, map(self._basis_generators, range(len(basis)), basis))
 
     # -- rank and dimension -------------------------------------------------
 
@@ -177,18 +181,18 @@ class GraphSpace:
             raise ValueError(f"need at least one prime, got {primes}")
         rows = self.relation_rows()
         if not rows:
-            return len(self.basis)
+            return len(self.keys)
         peel = peel_singletons(rows)
         for attempt in range(3):
             ranks = [peeled_rank_mod_p(rows, peel, p) for p in gen_primes(primes, seed + attempt)]
             if len(set(ranks)) == 1:
-                return len(self.basis) - ranks[0]
+                return len(self.keys) - ranks[0]
         raise PrimeDisagreementError(f"ranks still disagree after retries: {ranks}")
 
     def exact_dimension(self) -> int:
         """Dimension via fraction-exact elimination: the pivots of the rref
         that normal_form uses.  Slower than the modular ranks; a check."""
-        return len(self.basis) - len(self._ensure_rref())
+        return len(self.keys) - len(self._ensure_rref())
 
     # -- normal form ----------------------------------------------------------
 

@@ -10,6 +10,12 @@ from fractions import Fraction
 from trivalent.graphs import GraphError, ihx_expansions, make_arrow, reduce, validate
 
 
+def join_key(num_vertices, pairs):
+    """The class key written as it first was, one "%d-%d" per sorted pair,
+    joined; graphs.canonical_key must give the same text."""
+    return "cub:%d:" % num_vertices + ",".join("%d-%d" % p for p in sorted(pairs))
+
+
 def iso_sign(g, h):
     """None if not isomorphic; 0 if the common class is zero; else the
     relative sign of the edge relabelling carrying g to h."""

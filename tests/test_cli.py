@@ -11,10 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from trivalent import cli, morse
+from trivalent import cache as cache_module
+from trivalent import canon, cli, morse
 from trivalent import graphs as G
 from trivalent.cache import Cache
 from trivalent.cli import main
+from trivalent.spaces import GraphSpace
 
 
 def theta_json():
@@ -585,17 +587,66 @@ class TestCache:
         assert run(capsys, "enum", "-k", "2", "--cache", str(warm))[1] == enum_cold
         assert (warm / "zeros-k2.json").read_bytes() == (cold / "zeros-k2.json").read_bytes()
 
+    def test_warm_reopen_reads_only_what_it_needs(self, tmp_path, capsys, monkeypatch):
+        """On a warm k=4 cache, dim loads the basis and the relations, and
+        reduce the basis and the echelon form with one canonicalize call,
+        for its own graph.  Neither builds a basis graph: the keys suffice."""
+        warm = tmp_path / "warm"
+        run(capsys, "cache", "warm", "-k", "4", "--cache", str(warm))
+        first = json.loads((warm / "basis-k4.json").read_text())["payload"][0]
+        graph = write(tmp_path, "g.json", first)
+        loaded, canonicalized, built = [], [], []
+        load, canonicalize = Cache.load, canon.canonicalize
+
+        def recorded(self, k, kind, basis_keys=None):
+            value = load(self, k, kind, basis_keys)
+            loaded.append((kind, value is not None))
+            return value
+
+        def counted(*args):
+            canonicalized.append(args)
+            return canonicalize(*args)
+
+        def basis_graph(*args):
+            built.append(args)
+            return G.LabelledTrivalentGraph(*args)
+
+        monkeypatch.setattr(Cache, "load", recorded)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("trivalent") and getattr(module, "canonicalize", 0) is canonicalize:
+                monkeypatch.setattr(module, "canonicalize", counted)
+        monkeypatch.setattr(cache_module, "LabelledTrivalentGraph", basis_graph)
+        for argv, kinds, calls in (
+            (("dim", "-k", "4"), ["basis", "relations"], 0),
+            (("reduce", graph), ["basis", "rref"], 1),
+        ):
+            loaded.clear()
+            canonicalized.clear()
+            code, out, err = run(capsys, *argv, "--cache", str(warm))
+            assert (code, err) == (0, "")
+            assert loaded == [(kind, True) for kind in kinds]
+            assert len(canonicalized) == calls
+        assert json.loads(out)["class"]["sign"] == 1  # a basis graph, not zero
+        assert built == []
+        # reading the basis builds each graph through the wrapped name
+        assert len(GraphSpace(4, Cache(warm)).basis) == len(built) > 0
+
     def test_bad_payload_is_rebuilt(self, tmp_path, capsys):
         k4 = write(tmp_path, "k4.json", k4_json())
         clover = write(tmp_path, "clover.json", clover_json())
         k2 = (("reduce", k4), ("reduce", clover), ("enum", "-k", "2"), ("dim", "-k", "2"))
         row, pivot = {"cols": [1], "vals": [1]}, {"cols": [1], "vals": ["1"]}
+        two_ones = {"cols": [0, 1], "vals": ["1", "1"]}
 
         def extend(r, value):
             return {"cols": r["cols"] + [9], "vals": r["vals"] + [value]}
 
         def far_end(g):
             return {**g, "edges": g["edges"][:-1] + [[g["edges"][-1][0], 9]]}
+
+        def with_end(g, end):
+            assert g["edges"][0] == [0, 1]
+            return {**g, "edges": [[0, end]] + g["edges"][1:]}
 
         # (k, kind, file text or an edit of a warm cache's file, commands)
         cases = [
@@ -622,6 +673,21 @@ class TestCache:
             (2, "relations", restamped(lambda p: p + [{"cols": [7], "vals": [1]}]), k2),
             (2, "rref", restamped(lambda p: {piv: extend(r, "1") for piv, r in p.items()}), k2),
             (2, "basis", restamped(lambda p: p[:-1] + [far_end(p[-1])]), k2),
+            # an edge end that %d would format as 1, behind a valid checksum
+            (2, "basis", restamped(lambda p: [with_end(p[0], True)] + p[1:]), k2),
+            (2, "basis", restamped(lambda p: [with_end(p[0], 1.0)] + p[1:]), k2),
+            # rows that load to a wrong answer unless their shape is strict:
+            # columns that do not increase strictly, a zero value, a pivot
+            # key that is not str(int(key)), a pivot entry other than 1
+            (2, "relations", restamped(lambda p: [{"cols": [0, 0], "vals": [1, 0]}]), k2),
+            (2, "relations", restamped(lambda p: [{"cols": [0], "vals": [0]}]), k2),
+            (2, "relations", restamped(lambda p: [{"cols": [1, 0], "vals": [1, 1]}]), k2),
+            (2, "rref", restamped(lambda p: {"0": {"cols": [0], "vals": ["2"]}}), k2),
+            (2, "rref", restamped(lambda p: {**p, "00": two_ones}), k2),
+            (2, "rref", restamped(lambda p: {**p, "\u0660": two_ones}), k2),
+            (2, "rref", restamped(lambda p: {"0": {"cols": [0, 0], "vals": ["1", "0"]}}), k2),
+            (2, "rref", restamped(lambda p: {"0": {"cols": [0, 1], "vals": ["1", "0"]}}), k2),
+            (2, "rref", restamped(lambda p: {"0": {"cols": [1], "vals": ["1"]}}), k2),
         ]
         for i, (k, kind, bad, commands) in enumerate(cases):
             cold = [run(capsys, *c, "--cache", str(tmp_path / f"cold{i}")) for c in commands]

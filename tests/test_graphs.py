@@ -120,6 +120,33 @@ class TestReduce:
             assert G.reduce(c).key == G.reduce(g).key
 
 
+@st.composite
+def edge_lists(draw):
+    """Unsorted pair lists over up to 30 vertices, so that labels reach two
+    digits, with loops and repeated (parallel) pairs drawn often."""
+    n = draw(st.integers(1, 30))
+    end = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(end, end), max_size=24))
+    loops = draw(st.lists(end.map(lambda v: (v, v)), max_size=4))
+    repeats = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    return n, draw(st.permutations(pairs + loops + repeats))
+
+
+class TestCanonicalKey:
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists())
+    def test_one_format_equals_the_joined_pairs(self, drawn):
+        n, pairs = drawn
+        assert G.canonical_key(n, pairs) == oracles.join_key(n, pairs)
+        assert G.canonical_key(n, [list(p) for p in pairs]) == oracles.join_key(n, pairs)
+
+    def test_examples(self):
+        assert G.canonical_key(4, []) == "cub:4:"
+        pairs = [(10, 11), (0, 10), (3, 3), (0, 10), (2, 1)]
+        assert G.canonical_key(12, pairs) == "cub:12:0-10,0-10,2-1,3-3,10-11"
+        assert G.canonical_key(12, pairs) == oracles.join_key(12, pairs)
+
+
 def brute_force_vertex_group(g):
     """All vertex permutations preserving the edge multiset. Small n only."""
     pairs = sorted(tuple(sorted(e)) for e in g.edges)

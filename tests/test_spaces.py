@@ -598,7 +598,12 @@ class TestCache:
         assert set(values) == set(KINDS)
         for kind, value in values.items():
             cache.store(3, kind, value, space.keys)
-            assert cache.load(3, kind, space.keys) == value
+            loaded = cache.load(3, kind, space.keys)
+            if kind == "basis":  # the keys, then the graphs built on first use
+                keys, graphs = loaded
+                assert keys == space.keys
+                loaded = tuple(graphs)
+            assert loaded == value
         rref = cache.load(3, "rref", space.keys)
         assert rref and all(type(v) is Fraction for r in rref.values() for v in r.values())
 
