@@ -2,76 +2,29 @@
 
 The classes are the isomorphism classes of connected trivalent multigraphs
 on 2k vertices; a class whose automorphisms act oddly on edge labels is
-zero.  A search lists the simple classes, and inserting a digon or a
-lollipop (a looped vertex hung on a new vertex of an edge) into the classes
-at k - 1 gives the others (labelled_graphs, enumerate_graphs).  Each graph
-comes with the canonical labelling its deduplication computed, and classify
-reads the signed class reps, the zero keys and each rep's automorphism
-generators off those labellings, so no graph is canonicalized twice.
+zero.  One pass over the classes at k - 1 inserts into each a digon, a
+lollipop (a looped vertex hung on a new vertex of an edge) or an edge
+joining two of its edges, and the results, deduplicated, are the classes
+at k (labelled_graphs, enumerate_graphs).  Each graph comes with the
+canonical labelling its deduplication computed, and classify reads the
+signed class reps, the zero keys and each rep's automorphism generators off
+those labellings, so no graph is canonicalized twice.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import chain
 
 from .canon import canonicalize
 from .graphs import (
     LabelledTrivalentGraph,
     _canonical_generators,
+    _connected,
     _edge_orbits,
+    _edge_pair_orbits,
     reduce_with_representative,
 )
-
-
-def _simple_finals(k: int):
-    """The search of enumerate_graphs: each connected simple cubic graph on
-    2k vertices, once, with the canonical labelling its deduplication
-    computed."""
-    n = 2 * k
-    seen = set()
-    stack = [((), [0], None)]
-    while stack:
-        edges, deg, res = stack.pop()
-        t = len(deg)
-        deficient = [v for v in range(t) if deg[v] < 3]
-        if not deficient:
-            yield LabelledTrivalentGraph(n, edges), res
-            continue
-        v = max(deficient, key=lambda u: (deg[u], -u))
-        need = 3 - deg[v]
-        others = [u for u in deficient if u != v]
-        for s_old in range(max(0, need - (n - t)), min(need, len(others)) + 1):
-            for chosen in combinations(others, s_old):
-                new_edges = list(edges)
-                new_deg = deg.copy()
-                new_deg[v] = 3
-                for u in chosen:
-                    new_edges.append((u, v) if u < v else (v, u))
-                    new_deg[u] += 1
-                for _ in range(need - s_old):
-                    new_edges.append((v, len(new_deg)))
-                    new_deg.append(1)
-                nt = len(new_deg)
-                if nt == n and len(new_edges) == 3 * k - 1:
-                    # two stubs left: the last edge is forced, so dedup the
-                    # final, not this state; on one vertex it is a loop
-                    short = [u for u in range(n) if new_deg[u] < 3]
-                    if len(short) == 1:
-                        continue
-                    new_edges.append(tuple(short))
-                    new_deg = [3] * n
-                complete = 2 * len(new_edges) == 3 * nt
-                if nt < n and complete:
-                    continue  # complete but short of 2k vertices: dead
-                res = canonicalize(nt, new_edges)
-                key = (nt, res.enc)
-                if key in seen:
-                    continue
-                seen.add(key)
-                # only a final needs its labelling after the dedup
-                stack.append((tuple(new_edges), new_deg, res if complete else None))
-
 
 
 def _layer_profile(adj, sources) -> list:
@@ -97,46 +50,87 @@ def _layer_profile(adj, sources) -> list:
     return profile
 
 
+def _adjacency(n: int, edges) -> list:
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
 def _inserted_scores_highest(n: int, edges, sites) -> bool:
     """Whether no site (a digon as its two vertices, a loop as its vertex)
     has a larger _layer_profile than the last one, the inserted site."""
     if len(sites) == 1:
         return True
-    adj = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    adj = _adjacency(n, edges)
     best = _layer_profile(adj, sites[-1])
     return all(_layer_profile(adj, site) <= best for site in sites[:-1])
 
 
-def _insertions(k: int):
-    """Each class at k >= 2 with a loop or a parallel pair, once, with its
-    canonical labelling: a digon, and a lollipop where it leaves no parallel
-    pair, inserted into one edge per edge orbit of each class at k - 1.  A
-    candidate is canonicalized only if its inserted site scores highest."""
-    n = 2 * k
+def _inserted_edge_scores_highest(n: int, edges) -> bool:
+    """Whether no edge that is not a bridge has a larger _layer_profile,
+    from its two ends, than the last one, the inserted edge."""
+    adj = _adjacency(n, edges)
+    best = _layer_profile(adj, edges[-1])
+    return not any(
+        _layer_profile(adj, edge) > best and _connected(n, edges[:i] + edges[i + 1:])
+        for i, edge in enumerate(edges[:-1])
+    )
+
+
+def _site_candidates(h, res, n: int):
+    """The digon and lollipop insertions into h, on 2k = n vertices, whose
+    inserted site scores highest: a digon, and a lollipop where it leaves
+    no parallel pair, inserted into one edge per edge orbit of Aut(h)."""
     u, v = n - 2, n - 1
+    mult = Counter(h.edges)
+    loops = [(x,) for x, y in mult if x == y]
+    for i in _edge_orbits(h.edges, res.aut_generators):
+        a, b = pair = h.edges[i]
+        rest = h.edges[:i] + h.edges[i + 1:]
+        # non-loop multiplicities of h with edge i removed
+        left = [(p, m - (p == pair)) for p, m in mult.items() if p[0] != p[1]]
+        digons = [p for p, m in left if m == 2]
+        candidates = [(rest + ((a, u), (u, v), (u, v), (b, v)), digons + [(u, v)])]
+        if a != b and all(m < 2 for _, m in left):
+            candidates.append((rest + ((a, u), (b, u), (u, v), (v, v)), loops + [(v,)]))
+        for edges, sites in candidates:
+            if _inserted_scores_highest(n, edges, sites):
+                yield edges
+
+
+def _edge_candidates(h, res, n: int):
+    """The simple edge insertions into h, on 2k = n vertices, whose
+    inserted edge scores highest: for one pair of distinct edges a - b and
+    c - d per orbit of Aut(h) on such pairs, the graph with a - u - b,
+    c - v - d and the inserted u - v in their place, if it is simple."""
+    if any(a == b for a, b in h.edges) or len(h.edges) - len(set(h.edges)) > 2:
+        return  # a loop, or a repeat the two edges cannot both take away
+    u, v = n - 2, n - 1
+    for i, j in _edge_pair_orbits(h.edges, res.aut_generators):
+        rest = h.edges[:i] + h.edges[i + 1:j] + h.edges[j + 1:]
+        if len(set(rest)) < len(rest):
+            continue
+        (a, b), (c, d) = h.edges[i], h.edges[j]
+        edges = rest + ((a, u), (b, u), (c, v), (d, v), (u, v))
+        if _inserted_edge_scores_highest(n, edges):
+            yield edges
+
+
+def _insertions(k: int):
+    """Each class at k >= 2, once, with its canonical labelling, from one
+    pass over the classes at k - 1: the digon, lollipop and edge insertions
+    into each whose inserted site or edge scores highest, deduplicated by
+    canonical form."""
+    n = 2 * k
     seen = set()
     for h, res in labelled_graphs(k - 1):
-        mult = Counter(h.edges)
-        loops = [(x,) for x, y in mult if x == y]
-        for i in _edge_orbits(h.edges, res.aut_generators):
-            a, b = pair = h.edges[i]
-            rest = h.edges[:i] + h.edges[i + 1:]
-            # non-loop multiplicities of h with edge i removed
-            left = [(p, m - (p == pair)) for p, m in mult.items() if p[0] != p[1]]
-            digons = [p for p, m in left if m == 2]
-            candidates = [(rest + ((a, u), (u, v), (u, v), (b, v)), digons + [(u, v)])]
-            if a != b and all(m < 2 for _, m in left):
-                candidates.append((rest + ((a, u), (b, u), (u, v), (v, v)), loops + [(v,)]))
-            for edges, sites in candidates:
-                if not _inserted_scores_highest(n, edges, sites):
-                    continue
-                labelling = canonicalize(n, edges)
-                if labelling.enc not in seen:
-                    seen.add(labelling.enc)
-                    yield LabelledTrivalentGraph(n, edges), labelling
+        for edges in chain(_site_candidates(h, res, n), _edge_candidates(h, res, n)):
+            labelling = canonicalize(n, edges)
+            if labelling.enc not in seen:
+                seen.add(labelling.enc)
+                yield LabelledTrivalentGraph(n, edges), labelling
 
 
 # the two classes at k = 1: the dumbbell and the theta graph
@@ -145,7 +139,6 @@ _K1_EDGES = (((0, 0), (0, 1), (1, 1)), ((0, 1),) * 3)
 
 def labelled_graphs(k: int):
     """enumerate_graphs, yielding each graph with its canonical labelling."""
-    yield from _simple_finals(k)
     if k == 1:
         for edges in _K1_EDGES:
             yield LabelledTrivalentGraph(2, edges), canonicalize(2, edges)
@@ -155,86 +148,85 @@ def labelled_graphs(k: int):
 
 def enumerate_graphs(k: int):
     """One labelled representative per isomorphism class of connected
-    trivalent multigraphs on 2k vertices: the simple classes from a search,
-    the others by inserting a digon or a lollipop into the classes at k - 1.
+    trivalent multigraphs on 2k vertices.  At k = 1 they are the dumbbell
+    and the theta graph, listed directly.  For k >= 2 they come from one
+    pass over the classes at k - 1, which inserts into a class H, on two
+    new vertices u and v:
+    - a digon: an edge a - b becomes a - u, u = v, v - b;
+    - a lollipop: a non-loop edge a - b becomes a - u - b, and v, with a
+      loop, hangs on u;
+    - an edge: two distinct edges a - b and c - d become a - u - b and
+      c - v - d, and the inserted edge u - v joins them.
 
-    The search grows partial graphs by completing one deficient vertex at
-    a time (largest degree first, smallest index on ties), deduplicating
-    partial states by canonical form.  Untouched vertices are
-    interchangeable, so a state is just the graph on the touched ones,
-    kept with its degree list.
-
-    The touched graph is always connected: it starts as vertex 0, each step
-    adds edges only at the vertex v being completed, and each fresh vertex
-    is attached to v.  A state with no deficient vertex can therefore never
-    grow again: it is a final when it touches all 2k vertices and dead
-    otherwise.
-
-    The search makes no loop and no state that repeats an edge: completing
-    v joins it to distinct deficient vertices and to distinct fresh ones,
-    one edge each.  Nothing else can repeat an edge, because every edge is
-    added while one of its ends is completed, so two deficient vertices are
-    never adjacent: a new edge (u, v), or a forced last edge (below), is
-    never already there.  Adding edges never removes a loop or a parallel
-    pair, and having one is an isomorphism invariant, so every state on the
-    way to a simple final is itself simple, and the search reaches every
-    simple class.
-
-    A state that touches all 2k vertices with two stubs left has one
-    completion.  With the stubs on two vertices u < v it is the edge
-    (u, v), which is what completing the state would add: the state is
-    completed at once and the final deduplicated in its place.  With both
-    on one vertex it is a loop, which no simple graph has: the state ends.
-    Being such a state is an isomorphism invariant and isomorphic states
-    have isomorphic completions, so the classes are unchanged; the state's
-    own canonicalization is saved.  The search thus lists the connected
-    simple cubic graphs: 0, 1, 2, 5, 19 and 85 of them for k = 1..6 (OEIS
-    A002851).
-
-    The other classes come from k - 1.  At k = 1 they are the dumbbell and
-    the theta graph, listed directly.  For k >= 2:
-    - Take a class G with a non-loop parallel edge.  A triple edge would
-      make G the theta graph, so its parallel pair is a digon u = v, and
-      the third edges of u and v go to vertices a and b (a = b allowed),
-      neither of them u or v.  Deleting u and v and joining a to b (a loop
-      if a = b) leaves a connected cubic graph H at k - 1, and replacing
-      that edge of H by a - u, u = v, v - b gives G back.
-    - Take a class G with a loop at v and no parallel pair.  The other
-      edge at v goes to a vertex w.  w has no loop, or G would be the
-      dumbbell at k = 1, so its two other edges go to vertices x and y,
-      neither of them v or w, and x != y, as G has no parallel pair.
-      Deleting v and w and joining x to y leaves a cubic graph H at k - 1,
-      connected because a path through w ran x - w - y.  Replacing that
-      edge of H, no loop, by x - w - y with the lollipop w - v and the loop
-      at v gives G back.  A class with a loop and a parallel pair comes
-      from the digon step, so a lollipop candidate with a parallel pair is
-      dropped before it is canonicalized.
-    So inserting a digon into every edge of every class at k - 1, and a
-    lollipop into every non-loop one, reaches every class that is not
-    simple.  Isomorphic choices give isomorphic graphs, so one edge per
-    orbit of Aut(H) on edges is enough, and the results are deduplicated by
-    canonical form.  The digon candidates have a parallel pair, the
-    lollipop candidates kept have a loop and no parallel pair, and the
-    search's finals have neither, so the three parts are disjoint.
+    Every class G at k >= 2 is reached:
+    - Take G with a non-loop parallel edge.  A triple edge would make G the
+      theta graph, so its parallel pair is a digon u = v, and the third
+      edges of u and v go to vertices a and b (a = b allowed), neither of
+      them u or v.  Deleting u and v and joining a to b (a loop if a = b)
+      leaves a connected cubic graph H at k - 1, and replacing that edge of
+      H by a - u, u = v, v - b gives G back.
+    - Take G with a loop at v and no parallel pair.  The other edge at v
+      goes to a vertex w.  w has no loop, or G would be the dumbbell at
+      k = 1, so its two other edges go to vertices x and y, neither of them
+      v or w, and x != y, as G has no parallel pair.  Deleting v and w and
+      joining x to y leaves a cubic graph H at k - 1, connected because a
+      path through w ran x - w - y.  Replacing that edge of H, no loop, by
+      x - w - y with the lollipop w - v and the loop at v gives G back.
+    - Take G simple.  G has a cycle, as it has 3k edges on 2k vertices, so
+      some edge x - y of G is not a bridge.  The other neighbours a, b of
+      x are distinct, as are those c, d of y, and none of them is x or y.
+      Deleting x - y and replacing a - x - b by a - b and c - y - d by
+      c - d leaves a cubic graph H at k - 1: connected, because x - y was
+      no bridge, and with no loop, as a != b and c != d.  It may have
+      parallel edges (K4 at k = 2 gives the theta graph).  Inserting an
+      edge into a - b and c - d of H gives G back.
+    So inserting a digon into every edge of every class at k - 1, a
+    lollipop into every non-loop one, and an edge into every pair of
+    distinct edges of every class with no loop reaches every class.
+    Isomorphic choices give isomorphic graphs, so one edge per orbit of
+    Aut(H) on edges, and one pair per orbit on unordered pairs of distinct
+    edges, is enough; parallel edges count as one, as swapping them is an
+    automorphism.  The results are deduplicated by canonical form.  A class
+    with a loop and a parallel pair comes from the digon step, so a
+    lollipop candidate with a parallel pair is dropped before it is
+    canonicalized, and every class that is not simple comes from those two
+    steps, so an edge candidate with a loop or a parallel pair is dropped
+    too (all of them, when H has a loop).  The digon candidates have a
+    parallel pair, the lollipop candidates kept have a loop and no parallel
+    pair, and the edge candidates kept are simple, so the three steps list
+    disjoint classes.  The simple ones number 0, 1, 2, 5, 19 and 85 for
+    k = 1..6 (OEIS A002851).
 
     Most candidates that repeat a class are dropped before they are
-    canonicalized.  Call the digons of a digon candidate, or the loops of a
-    lollipop candidate, its sites.  A candidate with two or more sites is
-    canonicalized only if no site has a larger _layer_profile than the
-    inserted one.  This keeps every class G.  Pick a site s of G with the
-    largest profile, and remove it as above: the graph H_s left is
-    isomorphic to a listed class H at k - 1 by a map that sends the joined
-    edge into the orbit of the edge e that stands for it.  Following that
-    map and an automorphism of H, the candidate that inserts the same kind
-    of site at e is isomorphic to G by a map that sends its inserted site
-    to s.  A profile is an isomorphism invariant, so the inserted site's
-    profile is the largest of the candidate's, and the candidate is
-    canonicalized.  Candidates whose inserted site ties for the largest
-    profile are all canonicalized and deduplicated as before.
+    canonicalized, by a score that is an isomorphism invariant.
+    - Call the digons of a digon candidate, or the loops of a lollipop
+      candidate, its sites.  A candidate with two or more sites is
+      canonicalized only if no site has a larger _layer_profile than the
+      inserted one.  This keeps every class G.  Pick a site s of G with the
+      largest profile, and remove it as above: the graph H_s left is
+      isomorphic to a listed class H at k - 1 by a map that sends the
+      joined edge into the orbit of the edge e that stands for it.
+      Following that map and an automorphism of H, the candidate that
+      inserts the same kind of site at e is isomorphic to G by a map that
+      sends its inserted site to s.  A profile is an isomorphism invariant,
+      so the inserted site's profile is the largest of the candidate's, and
+      the candidate is canonicalized.
+    - An edge candidate is canonicalized only if no edge that is not a
+      bridge has a larger _layer_profile, from its two ends, than the
+      inserted edge, which is itself no bridge: H stays connected with its
+      two edges subdivided.  This keeps every simple class G in the same
+      way.  Pick, among the edges of G that are not bridges, one s with the
+      largest profile, and reduce it as above: the graph H_s left is
+      isomorphic to a listed class H by a map that sends its two joined
+      edges into the orbit of the pair that stands for them, and the
+      candidate inserting an edge into that pair is isomorphic to G by a
+      map that sends its inserted edge to s.  Being a bridge is an
+      isomorphism invariant too, so the candidate is canonicalized.
+    Candidates whose inserted site or edge ties for the largest profile are
+    all canonicalized and deduplicated as before.
 
     Which labelled graph represents a class, and the order, follow the
-    search and the insertions; neither is part of the contract, only the
-    classes are.
+    insertions; neither is part of the contract, only the classes are.
     """
     return [g for g, _ in labelled_graphs(k)]
 

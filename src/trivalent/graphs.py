@@ -215,6 +215,36 @@ def _edge_orbits(edges, generators):
     return reps
 
 
+def _edge_pair_orbits(edges, generators):
+    """The indices (i, j), i < j, of the first pair of each orbit of the
+    vertex permutations in generators on the unordered pairs of distinct
+    edges, in lexicographic order; each edge must have a <= b, as for
+    _edge_orbits.  A pair is read as its two vertex pairs, so parallel
+    edges are interchangeable and two of them make one pair (p, p)."""
+    reps = []
+    seen = set()
+    for i, p in enumerate(edges):
+        for j in range(i + 1, len(edges)):
+            q = edges[j]
+            pair = (p, q) if p <= q else (q, p)
+            if pair in seen:
+                continue
+            reps.append((i, j))
+            seen.add(pair)
+            todo = [pair]
+            while todo:
+                (a, b), (c, d) = todo.pop()
+                for phi in generators:
+                    w, x, y, z = phi[a], phi[b], phi[c], phi[d]
+                    e = (w, x) if w <= x else (x, w)
+                    f = (y, z) if y <= z else (z, y)
+                    image = (e, f) if e <= f else (f, e)
+                    if image not in seen:
+                        seen.add(image)
+                        todo.append(image)
+    return reps
+
+
 def _has_parallel(pairs) -> bool:
     """Whether two adjacent pairs of a sorted pair list are the same non-loop."""
     return any(p == q and p[0] != p[1] for p, q in zip(pairs, pairs[1:]))

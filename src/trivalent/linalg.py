@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import gcd, lcm
 
 
@@ -56,9 +56,12 @@ def is_probable_prime(n: int) -> bool:
 PRIME_LOW, PRIME_HIGH = 1 << 30, 1 << 31
 
 
+@cache
 def gen_primes(count: int, seed: int) -> tuple:
     """count distinct primes in [PRIME_LOW, PRIME_HIGH), reproducible from
-    the seed."""
+    the seed.  The answer depends on (count, seed) alone, so each pair is
+    searched once per process: GraphSpace.dimension asks for the same
+    primes on every call."""
     rng = random.Random(seed)
     found: list = []
     while len(found) < count:

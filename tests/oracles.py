@@ -1,13 +1,23 @@
 """Independent brute-force checks the test suite measures the package against.
 
-Nothing here imports package internals beyond the public graph functions, so
-agreement is evidence rather than circularity.
+Nothing here imports package internals beyond the public graph and
+canonical-labelling functions, so agreement is evidence rather than
+circularity.
 """
 
 import itertools
 from fractions import Fraction
 
-from trivalent.graphs import GraphError, ihx_expansions, make_arrow, reduce, validate
+from trivalent.canon import canonicalize
+from trivalent.graphs import (
+    GraphError,
+    LabelledTrivalentGraph,
+    has_parallel_edge,
+    ihx_expansions,
+    make_arrow,
+    reduce,
+    validate,
+)
 
 
 def join_key(num_vertices, pairs):
@@ -111,6 +121,77 @@ def insertion_classes(classes_below):
             for edges in inserted:
                 keys.add(reduce(validate(n, rest + edges)).key)
     return keys
+
+
+def edge_insertion_classes(classes_below):
+    """The class key of every simple edge insertion into the given classes
+    at k - 1, the long way: every pair of distinct edges of every class, no
+    orbit, no score filter, each candidate validated and reduced if it has
+    no loop and no parallel pair.  An edge insertion replaces the edges
+    a - b and c - d by a - u - b and c - v - d and joins u to v."""
+    keys = set()
+    for h in classes_below:
+        n = h.num_vertices + 2
+        u, v = n - 2, n - 1
+        for i, j in itertools.combinations(range(len(h.edges)), 2):
+            (a, b), (c, d) = h.edges[i], h.edges[j]
+            rest = [e for x, e in enumerate(h.edges) if x not in (i, j)]
+            g = validate(n, rest + [(a, u), (u, b), (c, v), (v, d), (u, v)])
+            if all(x != y for x, y in g.edges) and not has_parallel_edge(g):
+                keys.add(reduce(g).key)
+    return keys
+
+
+def simple_search_finals(k):
+    """Each connected simple cubic graph on 2k vertices, once, by a search
+    over partial graphs deduplicated by canonical form.
+
+    A state is the graph on the vertices touched so far with its degree
+    list; untouched vertices are interchangeable.  Each step completes one
+    deficient vertex v (largest degree first, smallest index on ties) by
+    joining it to distinct deficient vertices and to distinct fresh ones,
+    so the touched graph stays connected and never gets a loop or a
+    repeated edge: two deficient vertices are never adjacent.  A state with
+    no deficient vertex is a final if it touches all 2k vertices and dead
+    otherwise; one that touches them all with two stubs left has its last
+    edge forced, and ends if that edge would be a loop."""
+    n = 2 * k
+    seen = set()
+    stack = [((), [0])]
+    while stack:
+        edges, deg = stack.pop()
+        t = len(deg)
+        deficient = [v for v in range(t) if deg[v] < 3]
+        if not deficient:
+            yield LabelledTrivalentGraph(n, edges)
+            continue
+        v = max(deficient, key=lambda u: (deg[u], -u))
+        need = 3 - deg[v]
+        others = [u for u in deficient if u != v]
+        for s_old in range(max(0, need - (n - t)), min(need, len(others)) + 1):
+            for chosen in itertools.combinations(others, s_old):
+                new_edges = list(edges)
+                new_deg = deg.copy()
+                new_deg[v] = 3
+                for u in chosen:
+                    new_edges.append((u, v) if u < v else (v, u))
+                    new_deg[u] += 1
+                for _ in range(need - s_old):
+                    new_edges.append((v, len(new_deg)))
+                    new_deg.append(1)
+                nt = len(new_deg)
+                if nt == n and len(new_edges) == 3 * k - 1:
+                    short = [u for u in range(n) if new_deg[u] < 3]
+                    if len(short) == 1:
+                        continue
+                    new_edges.append(tuple(short))
+                    new_deg = [3] * n
+                if nt < n and 2 * len(new_edges) == 3 * nt:
+                    continue
+                key = (nt, canonicalize(nt, new_edges).enc)
+                if key not in seen:
+                    seen.add(key)
+                    stack.append((tuple(new_edges), new_deg))
 
 
 def arrow_orientations(g):

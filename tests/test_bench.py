@@ -42,7 +42,9 @@ def test_self_check_and_recorder_install():
 def test_cold_build_spans(monkeypatch):
     """A cold GraphSpace(4) traced in process: the class build runs inside
     the classify span and the hub pass inside relation_rows, so the layer
-    metrics split the 221 canonicalize calls between them."""
+    metrics split the 123 canonicalize calls between them: 98 listing the
+    classes (the insertion candidates at k=2..4 and the two classes at k=1)
+    and 25 contracting one edge per edge orbit of the 4 signed classes."""
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import spans
 
@@ -66,8 +68,8 @@ def test_cold_build_spans(monkeypatch):
         "canon.canonicalize.calls_relations",
         "spaces.classify.signed",
     )} == {
-        "canon.canonicalize.calls": 221,
-        "canon.canonicalize.calls_classify": 196,
+        "canon.canonicalize.calls": 123,
+        "canon.canonicalize.calls_classify": 98,
         "canon.canonicalize.calls_relations": 25,
         "spaces.classify.signed": 4,
     }

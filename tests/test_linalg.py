@@ -31,6 +31,11 @@ class TestPrimes:
     def test_gen_primes_seed_sensitivity(self):
         assert la.gen_primes(3, seed=1) != la.gen_primes(3, seed=2)
 
+    def test_gen_primes_memo_is_the_search(self):
+        """The memoized primes are those a fresh search finds."""
+        assert la.gen_primes(3, 7) == la.gen_primes.__wrapped__(3, 7)
+        assert la.gen_primes(3, 7) is la.gen_primes(3, 7)
+
 
 def sparse(rows):
     return [{j: v for j, v in enumerate(r) if v} for r in rows]

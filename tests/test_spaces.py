@@ -51,6 +51,38 @@ _MANY_SITES = [
 ]
 
 
+def _is_simple(g):
+    return all(u != v for u, v in g.edges) and not G.has_parallel_edge(g)
+
+
+# the simple classes at k <= 5; one of the 19 at k = 5 has a bridge
+_SIMPLE = [g for k in (2, 3, 4, 5) for g in enumerate_graphs(k) if _is_simple(g)]
+
+
+# a simple graph at k = 7 whose only edge with the largest _layer_profile
+# is a bridge
+_TOP_BRIDGE_K7 = [
+    (0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (0, 4), (4, 5), (1, 5), (4, 6), (5, 6), (7, 8),
+    (8, 9), (7, 9), (6, 10), (10, 11), (7, 11), (8, 12), (9, 12), (10, 13), (11, 13), (12, 13),
+]
+
+
+def _without(edges, i):
+    return edges[:i] + edges[i + 1 :]
+
+
+def _reduce_edge(g, i):
+    """The cubic graph left by deleting edge i, x - y, of a simple graph and
+    joining the other two neighbours of x, and those of y, relabelled onto
+    0..n-3 with each pair low end first."""
+    x, y = g.edges[i]
+    rest = _without(g.edges, i)
+    joined = [tuple(a + b - z for a, b in rest if z in (a, b)) for z in (x, y)]
+    kept = [e for e in rest if x not in e and y not in e] + joined
+    label = {v: j for j, v in enumerate(v for v in range(g.num_vertices) if v not in (x, y))}
+    return G.validate(g.num_vertices - 2, [tuple(sorted((label[a], label[b]))) for a, b in kept])
+
+
 class TestEnumeration:
     def test_k1_classes(self):
         reps, zeros, _ = classify((g, None) for g in enumerate_graphs(1))
@@ -101,14 +133,13 @@ class TestEnumeration:
             assert G.validate(g.num_vertices, g.edges) == g
 
     def test_canonicalize_calls_pin_the_search(self, monkeypatch):
-        """One canonicalize call per candidate state of the simple-graph
-        search not pruned or found dead, a state with its last edge forced
-        counting as its final; then one each for the dumbbell and the theta
-        graph at k=1, or one per digon or lollipop candidate (an edge orbit
-        of a class at k-1) that passes the score filter, with the whole
-        enumeration at k-1 before it.  So the counts pin the states the
-        search visits and the candidates canonicalized, not only the
-        output."""
+        """One canonicalize call each for the dumbbell and the theta graph
+        at k=1; at k >= 2, the whole enumeration at k-1, then one per
+        insertion candidate that passes its score filter: a digon or a
+        lollipop on one edge per edge orbit of a class at k-1, and an edge
+        joining two distinct edges, one pair per pair orbit of a class
+        with no loop, where the result is simple.  So the counts pin the
+        candidates canonicalized, not only the output."""
         calls = []
         canonicalize = C.canonicalize
 
@@ -122,26 +153,60 @@ class TestEnumeration:
             calls.clear()
             enumerate_graphs(k)
             counts.append(len(calls))
-        assert counts == [2, 8, 40, 196, 975]
+        assert counts == [2, 7, 24, 98, 493]
 
     @pytest.mark.parametrize("k,count", [(1, 0), (2, 1), (3, 2), (4, 5), (5, 19), (6, 85)])
     def test_search_lists_the_simple_cubic_graphs(self, k, count):
-        """The search yields each connected simple cubic graph on 2k
+        """The listing yields each connected simple cubic graph on 2k
         vertices once: OEIS A002851 counts 0, 1, 2, 5, 19, 85 of them."""
-        finals = [g for g, _ in C._simple_finals(k)]
+        finals = [g for g, _ in C.labelled_graphs(k) if _is_simple(g)]
         assert len(finals) == count
         assert len({G.reduce(g).key for g in finals}) == count
         for g in finals:
             assert G.validate(g.num_vertices, g.edges) == g
-            assert all(u != v for u, v in g.edges)
-            assert len(set(g.edges)) == len(g.edges)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_simple_classes_match_the_search(self, k):
+        """The simple classes of the listing are those the partial-state
+        search (oracles.simple_search_finals) finds."""
+        keys = {G.reduce(g, res).key for g, res in C.labelled_graphs(k) if _is_simple(g)}
+        assert keys == {G.reduce(g).key for g in oracles.simple_search_finals(k)}
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_edge_insertions_reach_every_simple_class(self, k):
+        """One pair per pair orbit, the classes with a loop skipped and the
+        score filter lose no class: the insertion pass yields, once each,
+        the classes of every simple edge insertion candidate."""
+        keys = [G.reduce(g).key for g, _ in C._insertions(k) if _is_simple(g)]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == oracles.edge_insertion_classes(enumerate_graphs(k - 1))
+
+    def test_a_bridge_with_the_top_profile_hides_no_class(self):
+        """At k=7 one simple graph has a bridge whose profile beats every
+        other edge's.  The score filter passes over bridges, so the edge
+        insertions into the graph left by reducing its best other edge
+        still yield its class."""
+        g = G.validate(14, _TOP_BRIDGE_K7)
+        adj = _adjacency(14, g.edges)
+        profiles = [C._layer_profile(adj, e) for e in g.edges]
+        cycle = [i for i in range(len(g.edges)) if G._connected(14, _without(g.edges, i))]
+        assert max(profiles) > max(profiles[i] for i in cycle)
+        best = max(cycle, key=profiles.__getitem__)
+        h = _reduce_edge(g, best)
+        res = G.canonicalize(h.num_vertices, h.edges)
+        keys = {
+            G.reduce(G.LabelledTrivalentGraph(14, edges)).key
+            for edges in C._edge_candidates(h, res, 14)
+        }
+        assert G.reduce(g).key in keys
 
     @pytest.mark.parametrize("k", range(2, 6))
     def test_insertions_reach_every_candidate_class(self, k):
         """One edge per orbit, lollipops with a parallel pair dropped and
         the score filter lose no class: the insertion pass yields, once
-        each, the classes of every digon and lollipop candidate."""
-        keys = [G.reduce(g).key for g, _ in C._insertions(k)]
+        each, the classes of every digon and lollipop candidate, besides
+        the simple classes of its edge insertions."""
+        keys = [G.reduce(g).key for g, _ in C._insertions(k) if not _is_simple(g)]
         assert len(set(keys)) == len(keys)
         assert set(keys) == oracles.insertion_classes(enumerate_graphs(k - 1))
 
@@ -157,6 +222,24 @@ class TestEnumeration:
             image = tuple(perm[x] for x in site)
             assert C._layer_profile(_adjacency(g.num_vertices, g.edges), site) == (
                 C._layer_profile(_adjacency(g.num_vertices, h), image)
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_edge_scores_survive_relabelling(self, data):
+        """The score of each edge of a simple graph, its profile from its
+        two ends and whether it is a bridge, is an isomorphism invariant:
+        relabelling the graph and the edge alike keeps it."""
+        g = data.draw(st.sampled_from(_SIMPLE))
+        n = g.num_vertices
+        perm = data.draw(st.permutations(range(n)))
+        h = [(perm[u], perm[v]) for u, v in g.edges]
+        for i, (a, b) in enumerate(g.edges):
+            assert C._layer_profile(_adjacency(n, g.edges), (a, b)) == (
+                C._layer_profile(_adjacency(n, h), h[i])
+            )
+            assert G._connected(n, g.edges[:i] + g.edges[i + 1 :]) == (
+                G._connected(n, h[:i] + h[i + 1 :])
             )
 
     @pytest.mark.parametrize("k", range(1, 6))
@@ -344,10 +427,10 @@ class TestRelationRows:
         assert [list(row.items()) for row in sp.relation_rows()] == expected
 
     def test_cold_build_canonicalize_calls(self, monkeypatch):
-        """The enumerator's calls (the search states and the insertion
-        candidates, as pinned above) and one per contraction, one edge per
-        edge orbit of each basis graph: no splitting is reduced, and a basis
-        classified in the build is not checked again."""
+        """The enumerator's calls (the insertion candidates, as pinned
+        above) and one per contraction, one edge per edge orbit of each
+        basis graph: no splitting is reduced, and a basis classified in the
+        build is not checked again."""
         calls = []
         canonicalize = C.canonicalize
 
@@ -362,7 +445,7 @@ class TestRelationRows:
             calls.clear()
             GraphSpace(k).relation_rows()
             counts.append(len(calls))
-        assert counts == [2, 10, 45, 221, 1265]
+        assert counts == [2, 9, 29, 123, 783]
 
     def test_deterministic(self):
         a = GraphSpace(3).relation_rows()
