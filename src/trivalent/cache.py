@@ -8,10 +8,13 @@ format_version or of the wrong shape, or when the CRC-32 of its payload's
 JSON text, as read, does not match the one it carries.  Files that index a
 basis by position (relations, rref) also carry a checksum of the basis keys
 they were built against and are ignored when it differs.  Wrong shapes
-include a position outside that basis, a basis edge end outside its
-graph's vertices, basis keys that do not increase strictly, a row whose
-columns do not increase strictly or that holds a zero, an rref pivot key
-other than str(int(key)), and an rref row without 1 at its pivot column.
+include a position outside that basis, a basis graph that is not
+trivalent on 2k vertices, basis keys that do not increase strictly, a row
+whose columns do not increase strictly or that holds a zero, an rref pivot
+key other than str(int(key)), and an rref row without 1 at its pivot
+column.  A basis of the right shape is not yet trusted: when its relation
+rows are rebuilt, GraphSpace reclassifies it with the cold build's
+classify, which must give back its graphs.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import tempfile
 import zlib
 from fractions import Fraction
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import ge, getitem, lt
+from operator import eq, ge, getitem, lt
 from pathlib import Path
 
 from .graphs import LabelledTrivalentGraph, canonical_key
@@ -55,16 +58,17 @@ def _fields(items, name, kind) -> list:
     return _list_of([r.get(name) for r in _list_of(items, dict)], kind)
 
 
-def _graphs(p, size) -> tuple:
+def _graphs(p, k, size) -> tuple:
     """(keys, graphs) of a basis: each graph's class key, derived once here,
-    and an iterator that builds the graphs only when it is read."""
+    and an iterator that builds the graphs only when it is read.  Each graph
+    has 2k vertices, each of them the end of exactly three edges."""
     ns, edge_lists = _fields(p, "vertices", int), _fields(p, "edges", list)
     edges = _list_of(list(chain.from_iterable(edge_lists)), list)
     _check(set(map(len, edges)) <= {2})
-    ends = _list_of(list(chain.from_iterable(edges)), int)
-    # each end against its own graph's vertex count, repeated once per end
-    limits = chain.from_iterable(map(repeat, ns, [2 * len(es) for es in edge_lists]))
-    _check(min(ends, default=0) >= 0 and all(map(lt, ends, limits)))
+    _list_of(list(chain.from_iterable(edges)), int)  # ints, before they are sorted
+    trivalent = sorted([*range(2 * k)] * 3)  # [0, 0, 0, 1, 1, 1, ...]
+    _check(set(ns) <= {2 * k})
+    _check(all(map(eq, map(sorted, map(chain.from_iterable, edge_lists)), repeat(trivalent))))
     keys = tuple(map(canonical_key, ns, edge_lists))
     _check(all(map(lt, keys, keys[1:])))  # as classify sorts them
     return keys, (LabelledTrivalentGraph(n, tuple(map(tuple, es))) for n, es in zip(ns, edge_lists))
@@ -84,13 +88,13 @@ def _rows(p, size, kind):
     return cols, vals, _list_of(list(chain.from_iterable(vals)), kind)
 
 
-def _relation_rows(p, size) -> list:
+def _relation_rows(p, k, size) -> list:
     cols, vals, flat = _rows(p, size, int)
     _check(0 not in flat)
     return list(map(dict, map(zip, cols, vals)))
 
 
-def _rref_rows(p, size) -> dict:
+def _rref_rows(p, k, size) -> dict:
     """Each pivot key is str(int(key)) and its row holds 1 at that column."""
     _check(type(p) is dict)
     pivots = _positions(list(map(int, p)), size)
@@ -111,15 +115,16 @@ def _sorted_row(row, value=lambda v: v) -> dict:
 
 # each kind's (encoder, decoder): the encoder turns the value GraphSpace
 # uses into a payload, and the decoder turns a payload back into that value,
-# given the size of the basis that relations and rref index by position, or
-# raises ValueError (ZeroDivisionError for an rref value "1/0").  Decoders
-# check over flat lists, a few C-level calls a payload, not item by item.
+# given k, which a basis checks its graphs against, and the size of the
+# basis that relations and rref index by position, or raises ValueError
+# (ZeroDivisionError for an rref value "1/0").  Decoders check over flat
+# lists, a few C-level calls a payload, not item by item.
 _FORMATS = {
     "basis": (
         lambda gs: [{"vertices": g.num_vertices, "edges": [list(e) for e in g.edges]} for g in gs],
         _graphs,
     ),
-    "zeros": (sorted, lambda p, size: frozenset(_list_of(p, str))),
+    "zeros": (sorted, lambda p, k, size: frozenset(_list_of(p, str))),
     "relations": (lambda rows: [_sorted_row(r) for r in rows], _relation_rows),
     "rref": (lambda rows: {str(p): _sorted_row(r, str) for p, r in rows.items()}, _rref_rows),
 }
@@ -165,7 +170,7 @@ class Cache:
                 and (basis_keys is None or data.get("basis_crc32") == _basis_crc32(basis_keys))
                 and data.get("payload_crc32") == zlib.crc32(raw[start:-1])
             )
-            return _FORMATS[kind][1](data.get("payload"), len(basis_keys or ()))
+            return _FORMATS[kind][1](data.get("payload"), k, len(basis_keys or ()))
         except (OSError, ValueError, ZeroDivisionError):
             return None
 

@@ -14,15 +14,14 @@ those labellings, so no graph is canonicalized twice.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
+from itertools import chain, combinations
 
 from .canon import canonicalize
 from .graphs import (
     LabelledTrivalentGraph,
     _canonical_generators,
     _connected,
-    _edge_orbits,
-    _edge_pair_orbits,
+    _orbits,
     reduce_with_representative,
 )
 
@@ -86,7 +85,8 @@ def _site_candidates(h, res, n: int):
     u, v = n - 2, n - 1
     mult = Counter(h.edges)
     loops = [(x,) for x, y in mult if x == y]
-    for i in _edge_orbits(h.edges, res.aut_generators):
+    # each edge as an item of one vertex pair
+    for i in _orbits(enumerate(zip(h.edges)), res.aut_generators):
         a, b = pair = h.edges[i]
         rest = h.edges[:i] + h.edges[i + 1:]
         # non-loop multiplicities of h with edge i removed
@@ -108,7 +108,11 @@ def _edge_candidates(h, res, n: int):
     if any(a == b for a, b in h.edges) or len(h.edges) - len(set(h.edges)) > 2:
         return  # a loop, or a repeat the two edges cannot both take away
     u, v = n - 2, n - 1
-    for i, j in _edge_pair_orbits(h.edges, res.aut_generators):
+    pairs = (
+        ((i, j), (p, q) if p <= q else (q, p))
+        for (i, p), (j, q) in combinations(enumerate(h.edges), 2)
+    )
+    for i, j in _orbits(pairs, res.aut_generators):
         rest = h.edges[:i] + h.edges[i + 1:j] + h.edges[j + 1:]
         if len(set(rest)) < len(rest):
             continue
@@ -118,32 +122,30 @@ def _edge_candidates(h, res, n: int):
             yield edges
 
 
-def _insertions(k: int):
-    """Each class at k >= 2, once, with its canonical labelling, from one
-    pass over the classes at k - 1: the digon, lollipop and edge insertions
-    into each whose inserted site or edge scores highest, deduplicated by
-    canonical form."""
-    n = 2 * k
-    seen = set()
-    for h, res in labelled_graphs(k - 1):
-        for edges in chain(_site_candidates(h, res, n), _edge_candidates(h, res, n)):
-            labelling = canonicalize(n, edges)
-            if labelling.enc not in seen:
-                seen.add(labelling.enc)
-                yield LabelledTrivalentGraph(n, edges), labelling
-
-
 # the two classes at k = 1: the dumbbell and the theta graph
 _K1_EDGES = (((0, 0), (0, 1), (1, 1)), ((0, 1),) * 3)
 
 
 def labelled_graphs(k: int):
-    """enumerate_graphs, yielding each graph with its canonical labelling."""
+    """enumerate_graphs, yielding each graph with its canonical labelling:
+    at k = 1 the dumbbell and the theta graph, and at k >= 2 the digon,
+    lollipop and edge insertions into each class at k - 1 whose inserted
+    site or edge scores highest, deduplicated by canonical form."""
+    n = 2 * k
     if k == 1:
-        for edges in _K1_EDGES:
-            yield LabelledTrivalentGraph(2, edges), canonicalize(2, edges)
+        candidates = _K1_EDGES
     else:
-        yield from _insertions(k)
+        candidates = (
+            edges
+            for h, res in labelled_graphs(k - 1)
+            for edges in chain(_site_candidates(h, res, n), _edge_candidates(h, res, n))
+        )
+    seen = set()
+    for edges in candidates:
+        labelling = canonicalize(n, edges)
+        if labelling.enc not in seen:
+            seen.add(labelling.enc)
+            yield LabelledTrivalentGraph(n, edges), labelling
 
 
 def enumerate_graphs(k: int):

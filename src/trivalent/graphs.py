@@ -191,57 +191,32 @@ def _edge_maps(pairs, generators):
         yield eperm
 
 
-def _edge_orbits(edges, generators):
-    """The index of the first edge of each orbit of the vertex permutations
-    in generators on the distinct edges, in edge order; each edge must have
-    a <= b, as the enumerator builds them.  Parallel edges are one pair, so
-    they share an orbit, as the edge maps over the identity swap them."""
+def _orbits(items, generators):
+    """The label of the first item of each orbit of the vertex permutations
+    in generators, in input order, from (label, item) pairs.  An item is a
+    sorted tuple of vertex pairs (a, b), a <= b, as the enumerator builds
+    them: one pair for an edge, two for a pair of distinct edges.  Parallel
+    edges are the same pair, so they are one edge, and two of them make one
+    edge pair (p, p), as the edge maps over the identity swap them."""
     reps = []
     seen = set()
-    for i, pair in enumerate(edges):
-        if pair in seen:
+    for label, item in items:
+        if item in seen:
             continue
-        reps.append(i)
-        seen.add(pair)
-        todo = [pair]
-        while todo:
-            a, b = todo.pop()
+        reps.append(label)
+        seen.add(item)
+        orbit = [item]
+        for item in orbit:  # the orbit grows as it is walked
             for phi in generators:
-                x, y = phi[a], phi[b]
-                image = (x, y) if x <= y else (y, x)
+                image = []
+                for a, b in item:
+                    x, y = phi[a], phi[b]
+                    image.append((x, y) if x <= y else (y, x))
+                image.sort()
+                image = tuple(image)
                 if image not in seen:
                     seen.add(image)
-                    todo.append(image)
-    return reps
-
-
-def _edge_pair_orbits(edges, generators):
-    """The indices (i, j), i < j, of the first pair of each orbit of the
-    vertex permutations in generators on the unordered pairs of distinct
-    edges, in lexicographic order; each edge must have a <= b, as for
-    _edge_orbits.  A pair is read as its two vertex pairs, so parallel
-    edges are interchangeable and two of them make one pair (p, p)."""
-    reps = []
-    seen = set()
-    for i, p in enumerate(edges):
-        for j in range(i + 1, len(edges)):
-            q = edges[j]
-            pair = (p, q) if p <= q else (q, p)
-            if pair in seen:
-                continue
-            reps.append((i, j))
-            seen.add(pair)
-            todo = [pair]
-            while todo:
-                (a, b), (c, d) = todo.pop()
-                for phi in generators:
-                    w, x, y, z = phi[a], phi[b], phi[c], phi[d]
-                    e = (w, x) if w <= x else (x, w)
-                    f = (y, z) if y <= z else (z, y)
-                    image = (e, f) if e <= f else (f, e)
-                    if image not in seen:
-                        seen.add(image)
-                        todo.append(image)
+                    orbit.append(image)
     return reps
 
 

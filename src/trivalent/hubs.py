@@ -20,7 +20,7 @@ from .graphs import (
     _canonical_edges,
     _canonical_generators,
     _edge_maps,
-    _edge_orbits,
+    _orbits,
     contract_edge,
     half_edges_at,
 )
@@ -132,7 +132,7 @@ def hub_rows(basis, generators) -> list:
     gives, for each basis graph in turn, its Aut generators in its labels.
 
     One pass contracts one non-loop edge e per orbit of Aut(g) on the
-    edges of each basis graph g (graphs._edge_orbits; the orbit's first edge)
+    edges of each basis graph g (graphs._orbits; the orbit's first edge)
     and groups the contractions by canonical hub.  Each contraction names
     the splitting of its hub that rebuilds g, and the parity of the
     edge-label map from g to that splitting (_rebuilt_splitting).
@@ -178,15 +178,20 @@ def hub_rows(basis, generators) -> list:
     hubs are first reached in the order of the pass over every edge, and
     each splitting reached gets its own class either way: the rows and
     their order are those of contracting every edge.  The generators of
-    Aut(g) are those of the labelling the enumerator computed for the
-    graph g came from, conjugated into g's labels, or, for a basis read
-    from the cache, those of the labelling that checks it.
+    Aut(g) are those classes.classify reads off a canonical labelling,
+    conjugated into the canonical labels, which are g's: in a cold build
+    the labelling the enumerator computed for the graph g came from, and
+    when a basis read from the cache is reclassified, a fresh labelling
+    of g itself.  There the conjugating permutation maps g onto its
+    canonical form, g, so it is an automorphism of g, and the conjugated
+    generators generate Aut(g) too: the orbits, and so the rows, do not
+    change.
     """
     # canonical hub edges, flattened to half the memory of the pairs
     # -> the (basis index, sign) class of each splitting reached so far
     hubs: dict = {}
     for i, (g, gens) in enumerate(zip(basis, generators)):
-        for e in _edge_orbits(g.edges, gens):
+        for e in _orbits(enumerate(zip(g.edges)), gens):  # each edge as a one-pair item
             u, v = g.edges[e]
             if u == v:
                 continue

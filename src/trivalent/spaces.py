@@ -11,11 +11,12 @@ echelon form.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from .cache import Cache
-from .canon import canonicalize
 # enumerate_graphs stays importable from here, beside classify
 from .classes import classify, enumerate_graphs, labelled_graphs
-from .graphs import LabelledTrivalentGraph, canonical_key, has_parallel_edge, reduce
+from .graphs import LabelledTrivalentGraph, _connected, canonical_key, has_parallel_edge, reduce
 from .hubs import hub_rows
 from .linalg import exact_rref, gen_primes, peel_singletons, peeled_rank_mod_p, reduce_vector
 
@@ -38,7 +39,7 @@ class GraphSpace:
         self._cache = cache
         self._basis = None
         self._unbuilt = None  # graphs of a basis read from the cache, built when read
-        self._generators = None  # Aut generators of a basis built here, not read
+        self._generators = None  # Aut generators of the basis, from classify
         self._keys = None
         self._zeros = None
         self._rows = None
@@ -138,19 +139,6 @@ class GraphSpace:
             raise ValueError("graph class missing from the enumerated basis")
         return {idx[r.key]: r.sign}
 
-    def _basis_generators(self, i: int, g: LabelledTrivalentGraph):
-        """Generators of the vertex automorphisms of basis graph i, g, in
-        g's labels.  A cached basis graph must be its class's canonical
-        representative (class_vector gives exactly {i: 1}); the labelling
-        that checks it gives the generators."""
-        if self._generators is not None:
-            return self._generators[i]
-        if g.k == self.k and not has_parallel_edge(g):
-            res = canonicalize(g.num_vertices, g.edges)
-            if self._vector(reduce(g, res)) == {i: 1}:
-                return res.aut_generators
-        raise ValueError(f"basis graph {i} is not a canonical class representative")
-
     # -- relations ----------------------------------------------------------
 
     def relation_rows(self):
@@ -158,10 +146,12 @@ class GraphSpace:
         the hubs are first reached (hubs.hub_rows).
 
         The rule needs each basis graph to be its class's canonical
-        representative, as classify writes it: class_vector must give
-        basis graph i exactly {i: 1}.  A basis read from the cache is
-        checked, and one that fails is a ValueError, not a row set with a
-        column missing; a basis classified here holds by construction.
+        representative, as classify writes it, and its Aut generators.  A
+        basis classified here has both.  A basis read from the cache is
+        reclassified by the same classify, over its connected graphs (the
+        cache has checked that each is trivalent on 2k vertices), which
+        must give back those graphs, in order; one that it does not is a
+        ValueError, not a row set with a column missing.
         """
         if self._rows is None:
             self._rows = self._cached("relations", self._hub_rows)
@@ -169,7 +159,14 @@ class GraphSpace:
 
     def _hub_rows(self):
         basis = self.basis
-        return hub_rows(basis, map(self._basis_generators, range(len(basis)), basis))
+        if self._generators is None:
+            connected = (g for g in basis if _connected(g.num_vertices, g.edges))
+            reps, _, generators = classify((g, None) for g in connected)
+            for i, (g, rep) in enumerate(zip_longest(basis, reps)):
+                if g != rep:
+                    raise ValueError(f"basis graph {i} is not a canonical class representative")
+            self._generators = generators
+        return hub_rows(basis, self._generators)
 
     # -- rank and dimension -------------------------------------------------
 

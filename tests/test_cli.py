@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from trivalent import cache as cache_module
-from trivalent import canon, cli, morse
+from trivalent import canon, cli, morse, spaces
 from trivalent import graphs as G
 from trivalent.cache import Cache
 from trivalent.cli import main
@@ -56,6 +56,36 @@ def restamp(doc):
 def restamped(edit):
     """An edit of a cache file's payload, checksummed."""
     return lambda d: restamp({**d, "payload": edit(d["payload"])})
+
+
+def basis_key(b):
+    """The class key of a basis payload graph, by which the basis is sorted."""
+    return G.canonical_key(b["vertices"], [tuple(e) for e in b["edges"]])
+
+
+def inserted(graph):
+    """An edit of a basis payload that slots graph in at its key's place."""
+    return restamped(lambda p: sorted(p + [graph], key=basis_key))
+
+
+def relabelled_copy(payload):
+    """A relabelled copy of the first graph of a k=2 basis payload whose
+    key is not in the payload."""
+    keys = [basis_key(b) for b in payload]
+    for perm in itertools.permutations(range(4)):
+        edges = [sorted((perm[u], perm[v])) for u, v in payload[0]["edges"]]
+        copy = {"vertices": 4, "edges": sorted(edges)}
+        if basis_key(copy) not in keys:
+            return copy
+
+
+# a graph with vertex degrees 2, 3, 3, 4 in canonical form
+ODD_DEGREES = {"vertices": 4, "edges": [[0, 1], [0, 2], [1, 2], [1, 3], [2, 3], [3, 3]]}
+# two disjoint copies of K4, each trivalent, in canonical form
+TWO_K4 = {
+    "vertices": 8,
+    "edges": [list(e) for h in (0, 4) for e in itertools.combinations(range(h, h + 4), 2)],
+}
 
 
 def rref_values(value):
@@ -668,11 +698,14 @@ class TestCache:
             (2, "relations", lambda d: {**d, "payload": d["payload"] + [row]}, k2),
             (2, "rref", lambda d: {**d, "payload": {**d["payload"], "1": pivot}}, k2),
             (2, "basis", lambda d: {n: v for n, v in d.items() if n != "payload_crc32"}, k2),
-            # a position past the basis, or an edge end past its graph's
-            # vertices, behind a valid payload checksum
+            # a position past the basis, or a basis graph that is not
+            # trivalent on 2k vertices, behind a valid payload checksum
             (2, "relations", restamped(lambda p: p + [{"cols": [7], "vals": [1]}]), k2),
             (2, "rref", restamped(lambda p: {piv: extend(r, "1") for piv, r in p.items()}), k2),
             (2, "basis", restamped(lambda p: p[:-1] + [far_end(p[-1])]), k2),
+            # a graph that is not trivalent, or not on 2k vertices, in key order
+            (2, "basis", inserted(ODD_DEGREES), k2),
+            (2, "basis", restamped(lambda p: p + [{**p[0], "vertices": 6}]), k2),
             # an edge end that %d would format as 1, behind a valid checksum
             (2, "basis", restamped(lambda p: [with_end(p[0], True)] + p[1:]), k2),
             (2, "basis", restamped(lambda p: [with_end(p[0], 1.0)] + p[1:]), k2),
@@ -702,31 +735,49 @@ class TestCache:
             assert [run(capsys, *c, "--cache", str(d)) for c in commands] == cold
             assert path.read_text() != bad
 
-    def test_noncanonical_basis_graph_is_an_error(self, tmp_path, capsys):
-        """A relabelled copy of a basis graph, slotted into a cached basis
-        with the keys still increasing and a valid payload checksum, is a
-        column that no relation row can reach: dim -k 2 would print 2.
-        Rebuilding the rows refuses it."""
-        run(capsys, "cache", "warm", "-k", "2", "--cache", str(tmp_path))
-        path = tmp_path / "basis-k2.json"
+    @pytest.mark.parametrize(
+        "k,graph",
+        [(2, relabelled_copy), (4, lambda payload: TWO_K4)],
+        ids=["relabelled-copy", "two-k4"],
+    )
+    def test_noncanonical_basis_graph_is_an_error(self, tmp_path, capsys, k, graph):
+        """A graph slotted into a cached basis with the keys still
+        increasing and a valid payload checksum is a column that no
+        relation row can reach: at k=2 a relabelled copy of a basis graph
+        (dim -k 2 would print 2), at k=4 two disjoint K4s, trivalent but
+        not connected (dim -k 4 would print 1, not 0).  Rebuilding the rows
+        refuses either."""
+        run(capsys, "cache", "warm", "-k", str(k), "--cache", str(tmp_path))
+        path = tmp_path / f"basis-k{k}.json"
         doc = json.loads(path.read_text())
-
-        def key(b):
-            return G.canonical_key(b["vertices"], [tuple(e) for e in b["edges"]])
-
-        keys = [key(b) for b in doc["payload"]]
-        first = doc["payload"][0]
-        for perm in itertools.permutations(range(4)):
-            edges = [sorted((perm[u], perm[v])) for u, v in first["edges"]]
-            copy = {"vertices": 4, "edges": sorted(edges)}
-            if key(copy) not in keys:
-                break
-        doc = restamp({**doc, "payload": sorted(doc["payload"] + [copy], key=key)})
-        path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "dim", "-k", "2", "--cache", str(tmp_path))
+        path.write_text(json.dumps(inserted(graph(doc["payload"]))(doc)))
+        code, out, err = run(capsys, "dim", "-k", str(k), "--cache", str(tmp_path))
         assert (code, out) == (1, "")
         assert err.startswith("error: basis graph ")
         assert err.endswith(" is not a canonical class representative\n")
+
+    def test_rebuilt_rows_equal_cold_ones(self, tmp_path, capsys, monkeypatch):
+        """Relation rows rebuilt over a cached basis, which classify
+        reclassifies for its Aut generators, are those of a cold build, and
+        so is their echelon form: every file is byte-identical."""
+        classified = []
+        classify = spaces.classify
+
+        def counted(labelled):
+            classified.append(1)
+            return classify(labelled)
+
+        monkeypatch.setattr(spaces, "classify", counted)
+        for k in range(1, 6):
+            paths = {kind: tmp_path / f"{kind}-k{k}.json" for kind in cache_module.KINDS}
+            run(capsys, "cache", "warm", "-k", str(k), "--cache", str(tmp_path))
+            cold = {kind: p.read_bytes() for kind, p in paths.items()}
+            paths["relations"].unlink()
+            paths["rref"].unlink()
+            classified.clear()
+            assert run(capsys, "cache", "warm", "-k", str(k), "--cache", str(tmp_path))[0] == 0
+            assert len(classified) == 1  # the cached basis, reclassified
+            assert {kind: p.read_bytes() for kind, p in paths.items()} == cold
 
 
 class TestEntryPoints:

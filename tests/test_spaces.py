@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import stat
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -12,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trivalent import canon
 from trivalent import classes as C
 from trivalent import graphs as G
-from trivalent import hubs as H
 from trivalent import spaces as S
 from trivalent.cache import KINDS, Cache
 from trivalent.linalg import exact_rref, peel_singletons, reduce_vector
@@ -26,14 +27,6 @@ import oracles
 
 def space(k):
     return GraphSpace(k)
-
-
-def _adjacency(n, edges):
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
 
 
 def _sites(edges):
@@ -177,7 +170,7 @@ class TestEnumeration:
         """One pair per pair orbit, the classes with a loop skipped and the
         score filter lose no class: the insertion pass yields, once each,
         the classes of every simple edge insertion candidate."""
-        keys = [G.reduce(g).key for g, _ in C._insertions(k) if _is_simple(g)]
+        keys = [G.reduce(g).key for g, _ in C.labelled_graphs(k) if _is_simple(g)]
         assert len(set(keys)) == len(keys)
         assert set(keys) == oracles.edge_insertion_classes(enumerate_graphs(k - 1))
 
@@ -187,7 +180,7 @@ class TestEnumeration:
         insertions into the graph left by reducing its best other edge
         still yield its class."""
         g = G.validate(14, _TOP_BRIDGE_K7)
-        adj = _adjacency(14, g.edges)
+        adj = C._adjacency(14, g.edges)
         profiles = [C._layer_profile(adj, e) for e in g.edges]
         cycle = [i for i in range(len(g.edges)) if G._connected(14, _without(g.edges, i))]
         assert max(profiles) > max(profiles[i] for i in cycle)
@@ -206,9 +199,34 @@ class TestEnumeration:
         the score filter lose no class: the insertion pass yields, once
         each, the classes of every digon and lollipop candidate, besides
         the simple classes of its edge insertions."""
-        keys = [G.reduce(g).key for g, _ in C._insertions(k) if not _is_simple(g)]
+        keys = [G.reduce(g).key for g, _ in C.labelled_graphs(k) if not _is_simple(g)]
         assert len(set(keys)) == len(keys)
         assert set(keys) == oracles.insertion_classes(enumerate_graphs(k - 1))
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_orbit_walker_takes_the_first_of_each_orbit(self, k):
+        """On the edges and on the pairs of distinct edges of each class,
+        with the generators of its labelling, the walker gives the label of
+        the first item of each orbit of the whole group, in input order."""
+
+        def image(phi, item):
+            return tuple(sorted(tuple(sorted((phi[a], phi[b]))) for a, b in item))
+
+        for h, res in C.labelled_graphs(k):
+            group = canon.close_group(h.num_vertices, res.aut_generators)
+            edges = [(i, (e,)) for i, e in enumerate(h.edges)]
+            pairs = [
+                ((i, j), tuple(sorted((p, q))))
+                for (i, p), (j, q) in itertools.combinations(enumerate(h.edges), 2)
+            ]
+            for items in (edges, pairs):
+                orbits, firsts = set(), []
+                for label, item in items:
+                    orbit = frozenset(image(phi, item) for phi in group)
+                    if orbit not in orbits:
+                        orbits.add(orbit)
+                        firsts.append(label)
+                assert G._orbits(items, res.aut_generators) == firsts
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -220,8 +238,8 @@ class TestEnumeration:
         h = [(perm[u], perm[v]) for u, v in g.edges]
         for site in _sites(g.edges):
             image = tuple(perm[x] for x in site)
-            assert C._layer_profile(_adjacency(g.num_vertices, g.edges), site) == (
-                C._layer_profile(_adjacency(g.num_vertices, h), image)
+            assert C._layer_profile(C._adjacency(g.num_vertices, g.edges), site) == (
+                C._layer_profile(C._adjacency(g.num_vertices, h), image)
             )
 
     @settings(max_examples=200, deadline=None)
@@ -235,8 +253,8 @@ class TestEnumeration:
         perm = data.draw(st.permutations(range(n)))
         h = [(perm[u], perm[v]) for u, v in g.edges]
         for i, (a, b) in enumerate(g.edges):
-            assert C._layer_profile(_adjacency(n, g.edges), (a, b)) == (
-                C._layer_profile(_adjacency(n, h), h[i])
+            assert C._layer_profile(C._adjacency(n, g.edges), (a, b)) == (
+                C._layer_profile(C._adjacency(n, h), h[i])
             )
             assert G._connected(n, g.edges[:i] + g.edges[i + 1 :]) == (
                 G._connected(n, h[:i] + h[i + 1 :])
@@ -430,7 +448,7 @@ class TestRelationRows:
         """The enumerator's calls (the insertion candidates, as pinned
         above) and one per contraction, one edge per edge orbit of each
         basis graph: no splitting is reduced, and a basis classified in the
-        build is not checked again."""
+        build is not classified again."""
         calls = []
         canonicalize = C.canonicalize
 
@@ -438,8 +456,9 @@ class TestRelationRows:
             calls.append(n)
             return canonicalize(n, edges)
 
-        for module in (C, H, S, G):
-            monkeypatch.setattr(module, "canonicalize", counted)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("trivalent") and getattr(module, "canonicalize", 0) is canonicalize:
+                monkeypatch.setattr(module, "canonicalize", counted)
         counts = []
         for k in range(1, 6):
             calls.clear()
