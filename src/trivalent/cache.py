@@ -1,24 +1,28 @@
 """On-disk JSON cache for per-k derived data (bases, relations, echelon forms).
 
 Each kind's file format lives here: store takes the value GraphSpace uses
-and load gives it back (a basis together with its keys).  The directory is
-the explicit argument, else GC_CACHE, else ~/.cache/trivalent.  A file is
-ignored, and the data recomputed, when it is unreadable, of another
-format_version or of the wrong shape, or when the CRC-32 of its payload's
-JSON text, as read, does not match the one it carries.  Files that index a
-basis by position (relations, rref) also carry a checksum of the basis keys
-they were built against and are ignored when it differs.  Wrong shapes
-include a position outside that basis, a basis graph that is not
-trivalent on 2k vertices, basis keys that do not increase strictly, a row
-whose columns do not increase strictly or that holds a zero, an rref pivot
-key other than str(int(key)), and an rref row without 1 at its pivot
-column.  A basis of the right shape is not yet trusted: when its relation
-rows are rebuilt, GraphSpace reclassifies it with the cold build's
-classify, which must give back its graphs.
+and load gives it back.  A basis is its tuple of class keys; its file
+holds the graph each key spells, and load derives the keys back from
+them.  The directory is the explicit argument, else GC_CACHE, else
+~/.cache/trivalent.  A file is ignored, and the data recomputed, when it is
+unreadable, of another format_version or of the wrong shape, or when the
+CRC-32 of its payload's JSON text, as read, does not match the one it
+carries.  Files that index a basis by position (relations, rref) also carry
+a checksum of the basis keys they were built against and are ignored when
+it differs.  Wrong shapes include a position outside that basis, a basis
+graph that is not trivalent on 2k vertices, basis keys that do not increase
+strictly, a row whose columns do not increase strictly or that holds a
+zero, an rref pivot key other than str(int(key)), and an rref row without 1
+at its pivot column.  At a k with pinned class digests (_CLASS_DIGESTS), a
+basis or zeros file whose keys do not hash to the pinned digest is ignored
+too.  At any other k a basis of the right shape is not yet trusted: when
+its relation rows are rebuilt, GraphSpace reclassifies it with the cold
+build's classify, which must give back its keys.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -28,12 +32,46 @@ from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import eq, ge, getitem, lt
 from pathlib import Path
 
-from .graphs import LabelledTrivalentGraph, canonical_key
+from .graphs import canonical_key, graph_of_key
 
 FORMAT_VERSION = 1
 # store writes the payload last, after this key, so that load can
 # checksum the payload's text as read, without serialising it again
 _PAYLOAD_KEY = '"payload": '
+# SHA-256 of the newline-joined basis keys, and of the newline-joined sorted
+# zero keys, at each k from 1 to 7, from a cold build: a basis or zeros file
+# at one of these k that hashes otherwise, say with a class missing or one
+# slipped in, is a miss and is rebuilt
+_CLASS_DIGESTS = {
+    1: (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "f9eb96610521530bc820d7ccfe275c1edaf1ce420bcb61295197bc1770fea473",
+    ),
+    2: (
+        "e8651a16f5372e6d04d6399e412b9e2c6e7cc36db92d33604c9c52835eee1af8",
+        "ad8ba1b95f93c41dc4e6a23a6ad5747721a31c2144684ae4aa6d7fdebf76c31a",
+    ),
+    3: (
+        "227bb7bddca69a3c30120187077fbf2f3f38611b942e415b5e9938e0527cac97",
+        "cb26e6f6b020b0e3ec6d140ade7a973dcd83bfcd905f100ec09d64b6f52a6f9f",
+    ),
+    4: (
+        "e3ef4633fc3ff3afd6f2f945ea72df53e8cb6b19c5fcb952f0b456de04e065bf",
+        "0ae7fe61d42e996d7e31f503f248ff62ef3462302615c90824edc70a76034c08",
+    ),
+    5: (
+        "bbd32c86d1d4e52baee79bfaa76ab62d880e48db83c4f5b495a59923c76ecc5b",
+        "a40e9dd76872ea2ad0003bf876e3b592cd4594f85ce77706c98cc800ba236409",
+    ),
+    6: (
+        "21e0140dbad5eb2cb7044cef4159758211eaf3fa1ffa0f92c8347781598068c3",
+        "132183f3f614eabca934a6dd6a9d6fc2e953380ee7cb63a5354a151a2a1c7606",
+    ),
+    7: (
+        "2418113cafed2dc38d753b74324e3402cd6bfbd1f9fc6043e0472bda6def5026",
+        "85f2d7ba1f67bc9e4084de2007a493342b805777cdc8bbc1b53c0b24e2a8346f",
+    ),
+}
 
 
 def _check(ok) -> None:
@@ -58,9 +96,15 @@ def _fields(items, name, kind) -> list:
     return _list_of([r.get(name) for r in _list_of(items, dict)], kind)
 
 
-def _graphs(p, k, size) -> tuple:
-    """(keys, graphs) of a basis: each graph's class key, derived once here,
-    and an iterator that builds the graphs only when it is read.  Each graph
+def _pinned(k, kind, keys) -> bool:
+    """Whether the keys hash to the digest pinned for kind, 0 for the basis
+    and 1 for the zeros, at k; at a k without digests, True."""
+    digests = _CLASS_DIGESTS.get(k)
+    return digests is None or hashlib.sha256("\n".join(keys).encode()).hexdigest() == digests[kind]
+
+
+def _basis_keys(p, k, size) -> tuple:
+    """The basis: the class key of each graph of the payload.  Each graph
     has 2k vertices, each of them the end of exactly three edges."""
     ns, edge_lists = _fields(p, "vertices", int), _fields(p, "edges", list)
     edges = _list_of(list(chain.from_iterable(edge_lists)), list)
@@ -71,7 +115,13 @@ def _graphs(p, k, size) -> tuple:
     _check(all(map(eq, map(sorted, map(chain.from_iterable, edge_lists)), repeat(trivalent))))
     keys = tuple(map(canonical_key, ns, edge_lists))
     _check(all(map(lt, keys, keys[1:])))  # as classify sorts them
-    return keys, (LabelledTrivalentGraph(n, tuple(map(tuple, es))) for n, es in zip(ns, edge_lists))
+    _check(_pinned(k, 0, keys))
+    return keys
+
+
+def _zero_keys(p, k, size) -> frozenset:
+    _check(_pinned(k, 1, _list_of(p, str)))  # as stored: sorted
+    return frozenset(p)
 
 
 def _rows(p, size, kind):
@@ -115,16 +165,14 @@ def _sorted_row(row, value=lambda v: v) -> dict:
 
 # each kind's (encoder, decoder): the encoder turns the value GraphSpace
 # uses into a payload, and the decoder turns a payload back into that value,
-# given k, which a basis checks its graphs against, and the size of the
+# given k, which a basis checks its graphs against and which picks the
+# pinned digests of the basis and zeros, and the size of the
 # basis that relations and rref index by position, or raises ValueError
 # (ZeroDivisionError for an rref value "1/0").  Decoders check over flat
 # lists, a few C-level calls a payload, not item by item.
 _FORMATS = {
-    "basis": (
-        lambda gs: [{"vertices": g.num_vertices, "edges": [list(e) for e in g.edges]} for g in gs],
-        _graphs,
-    ),
-    "zeros": (sorted, lambda p, k, size: frozenset(_list_of(p, str))),
+    "basis": (lambda keys: [graph_of_key(key).to_json() for key in keys], _basis_keys),
+    "zeros": (sorted, _zero_keys),
     "relations": (lambda rows: [_sorted_row(r) for r in rows], _relation_rows),
     "rref": (lambda rows: {str(p): _sorted_row(r, str) for p, r in rows.items()}, _rref_rows),
 }
@@ -152,8 +200,7 @@ class Cache:
         return self.directory / f"{kind}-k{k}.json"
 
     def load(self, k: int, kind: str, basis_keys=None):
-        """The stored value, or None for a missing or unusable file; a basis
-        is (keys, graphs), the graphs an iterator that builds them.
+        """The stored value, or None for a missing or unusable file.
 
         With basis_keys, a file not stored against those same keys is
         unusable too, as is a relations or rref file with a position

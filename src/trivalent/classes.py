@@ -7,8 +7,8 @@ lollipop (a looped vertex hung on a new vertex of an edge) or an edge
 joining two of its edges, and the results, deduplicated, are the classes
 at k (labelled_graphs, enumerate_graphs).  Each graph comes with the
 canonical labelling its deduplication computed, and classify reads the
-signed class reps, the zero keys and each rep's automorphism generators off
-those labellings, so no graph is canonicalized twice.
+signed and zero class keys and each signed class's automorphism generators
+off those labellings, so no graph is canonicalized twice.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ from itertools import chain, combinations
 from .canon import canonicalize
 from .graphs import (
     LabelledTrivalentGraph,
+    _adjacency,
     _canonical_generators,
     _connected,
     _orbits,
-    reduce_with_representative,
+    reduce,
 )
 
 
@@ -47,14 +48,6 @@ def _layer_profile(adj, sources) -> list:
         profile.append((len(layer), inner))
         layer = following
     return profile
-
-
-def _adjacency(n: int, edges) -> list:
-    adj = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
 
 
 def _inserted_scores_highest(n: int, edges, sites) -> bool:
@@ -234,19 +227,20 @@ def enumerate_graphs(k: int):
 
 
 def classify(labelled):
-    """(signed class reps sorted by key, zero keys, generators) from
+    """(signed class keys, sorted, as a tuple; zero keys; generators) from
     (graph, canonical labelling or None) pairs; generators holds, for each
-    rep, the Aut generators of the labelling it was read off, in the rep's
-    labels.  A missing labelling is computed."""
+    signed key, the Aut generators of the labelling it was read off, in the
+    labels of the graph the key spells (graphs.graph_of_key).  A missing
+    labelling is computed."""
     signed: dict = {}
     zeros = set()
     for g, res in labelled:
         if res is None:
             res = canonicalize(g.num_vertices, g.edges)
-        r, rep = reduce_with_representative(g, res)
+        r = reduce(g, res)
         if r.is_zero:
             zeros.add(r.key)
         elif r.key not in signed:
-            signed[r.key] = rep, _canonical_generators(res)
-    keys = sorted(signed)
-    return [signed[key][0] for key in keys], frozenset(zeros), [signed[key][1] for key in keys]
+            signed[r.key] = _canonical_generators(res)
+    keys = tuple(sorted(signed))
+    return keys, frozenset(zeros), [signed[key] for key in keys]

@@ -230,11 +230,11 @@ def cmd_reduce(args):
     if not vec:
         return {"class": "zero"}
     # a nonzero class is ± one basis graph, whose key the space holds
-    ((i, sign),) = vec.items()
-    nf = space.normal_form(vec)
+    ((key, sign),) = space._by_key(vec).items()
+    nf = space._by_key(space.normal_form(vec))
     return {
-        "class": {"key": space.keys[i], "sign": sign},
-        "normal_form": {space.keys[i]: str(v) for i, v in sorted(nf.items())},
+        "class": {"key": key, "sign": sign},
+        "normal_form": {key: str(v) for key, v in nf.items()},
     }
 
 
@@ -295,9 +295,7 @@ def _selftest_checks(args):
         nf = space.reduce_graph(k4)
         yield "complete graph class survives", nf != {}
         rpt = evaluate_orbit(find_arrow_orientation(k4), space)
-        yield "surgery matches reduction", rpt.result == {
-            space.keys[i]: v for i, v in nf.items()
-        }
+        yield "surgery matches reduction", rpt.result == space._by_key(nf)
 
     theta = LabelledTrivalentGraph(2, ((0, 1), (0, 1), (0, 1)))
     rpt = evaluate_orbit(find_arrow_orientation(theta), _open_space(args, 1))

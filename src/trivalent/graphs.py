@@ -57,13 +57,18 @@ class LabelledTrivalentGraph:
         return validate(data["vertices"], data["edges"])
 
 
+def _adjacency(n: int, edges) -> list:
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
 def _connected(num_vertices: int, edges) -> bool:
     if num_vertices == 0:
         return False
-    adj: list = [[] for _ in range(num_vertices)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = _adjacency(num_vertices, edges)
     seen = {0}
     stack = [0]
     while stack:
@@ -149,6 +154,16 @@ def canonical_key(num_vertices: int, pairs) -> str:
     in one format call."""
     pairs = sorted(pairs)
     return _key_format(len(pairs)) % (num_vertices, *itertools.chain.from_iterable(pairs))
+
+
+def graph_of_key(key: str) -> LabelledTrivalentGraph:
+    """The graph a class key spells, canonical_key's inverse: the key's
+    pairs, in order, are its edge list.  For a key reduce gave, that is the
+    class's canonical representative, which reduces back to the key, with
+    sign +1 for a signed class."""
+    _, n, text = key.split(":")
+    ends = list(map(int, text.replace("-", ",").split(",")))
+    return LabelledTrivalentGraph(int(n), tuple(zip(ends[::2], ends[1::2])))
 
 
 def _canonical_edges(edges, perm):
@@ -241,21 +256,13 @@ def reduce(g: LabelledTrivalentGraph, res: CanonResult | None = None) -> GraphCl
     the edge map of each vertex automorphism generator decides (parity is
     multiplicative, so generators suffice).
     """
-    return reduce_with_representative(g, res)[0]
-
-
-def reduce_with_representative(g: LabelledTrivalentGraph, res: CanonResult | None = None):
-    """(reduce(g, res), the same class with canonical vertex labels and
-    sorted edge list), from one canonical relabelling."""
     if res is None:
         res = canonicalize(g.num_vertices, g.edges)
     pairs, order = _canonical_edges(g.edges, res.perm)
     odd = _has_parallel(pairs) or any(
         perm_parity(eperm) < 0 for eperm in _edge_maps(pairs, _canonical_generators(res))
     )
-    sign = None if odd else perm_parity(order)
-    rep = LabelledTrivalentGraph(g.num_vertices, pairs)
-    return GraphClass(canonical_key(g.num_vertices, pairs), sign), rep
+    return GraphClass(canonical_key(g.num_vertices, pairs), None if odd else perm_parity(order))
 
 
 def automorphisms(g: LabelledTrivalentGraph):

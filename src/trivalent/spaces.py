@@ -1,12 +1,13 @@
 """GraphSpace: the span of the classes at one k modulo the relation rows.
 
-A GraphSpace holds the basis of signed classes and the zero class keys
-(classes.classify over classes.labelled_graphs), the relation rows
-(hubs.hub_rows), and the exact echelon form of those rows, each read from
-the cache when it has them, else built and stored.  Dimensions come from
-modular ranks at several large random primes, cross-checked exactly at
-small k by the tests; normal forms reduce a class vector against the
-echelon form.
+A GraphSpace holds the basis as the sorted keys of the signed classes, and
+the zero class keys (classes.classify over classes.labelled_graphs), the
+relation rows (hubs.hub_rows), and the exact echelon form of those rows,
+each read from the cache when it has them, else built and stored.  A basis
+graph is read off its key (graphs.graph_of_key) only when the rows are
+built.  Dimensions come from modular ranks at several large random primes,
+cross-checked exactly at small k by the tests; normal forms reduce a class
+vector against the echelon form.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import zip_longest
 from .cache import Cache
 # enumerate_graphs stays importable from here, beside classify
 from .classes import classify, enumerate_graphs, labelled_graphs
-from .graphs import LabelledTrivalentGraph, _connected, canonical_key, has_parallel_edge, reduce
+from .graphs import LabelledTrivalentGraph, _connected, graph_of_key, has_parallel_edge, reduce
 from .hubs import hub_rows
 from .linalg import exact_rref, gen_primes, peel_singletons, peeled_rank_mod_p, reduce_vector
 
@@ -38,7 +39,6 @@ class GraphSpace:
         self.k = k
         self._cache = cache
         self._basis = None
-        self._unbuilt = None  # graphs of a basis read from the cache, built when read
         self._generators = None  # Aut generators of the basis, from classify
         self._keys = None
         self._zeros = None
@@ -68,36 +68,32 @@ class GraphSpace:
         strictly, as classify sorts them) or from a cold build; basis
         positions index every row and vector."""
         if self._keys is None:
-            loaded = self._load("basis")
-            if loaded is None:
+            self._keys = self._load("basis")
+            if self._keys is None:
                 self._build_classes()
-            else:
-                self._keys, self._unbuilt = loaded
 
     def _build_classes(self) -> None:
         """The cold build: classify the enumerator's labelled graphs, then
         store the zero keys, and the basis unless one was read from the cache.
         The listing streams into classify, which is looked up here at call
         time, so a tracer that rebinds spaces.classify times the build."""
-        reps, self._zeros, generators = classify(labelled_graphs(self.k))
+        keys, self._zeros, generators = classify(labelled_graphs(self.k))
         if self._keys is None:
-            self._basis, self._generators = tuple(reps), generators
-            self._keys = tuple(canonical_key(g.num_vertices, g.edges) for g in reps)
-            self._store("basis", reps)
+            self._keys, self._generators = keys, generators
+            self._store("basis", keys)
         self._store("zeros", self._zeros)
 
     @property
     def basis(self):
-        """The class representatives.  A warm dim, reduce, surgery or enum
-        never reads them: the keys suffice."""
-        self._ensure_classes()
+        """The class representatives, read off the keys on first read.  A
+        warm dim, reduce, surgery or enum never reads them."""
         if self._basis is None:
-            self._basis = tuple(self._unbuilt)
+            self._basis = tuple(map(graph_of_key, self.keys))
         return self._basis
 
     @property
     def keys(self):
-        """The class key of each basis representative, in basis order."""
+        """The signed class keys, sorted: the basis."""
         self._ensure_classes()
         return self._keys
 
@@ -126,18 +122,17 @@ class GraphSpace:
         """Sparse coefficient vector of the class of a labelled graph."""
         if g.k != self.k:
             raise ValueError(f"graph has {g.num_vertices} vertices, space expects {2 * self.k}")
-        if has_parallel_edge(g):
-            return {}
-        return self._vector(reduce(g))
-
-    def _vector(self, r) -> dict:
-        """class_vector from the graph's reduction r."""
-        if r.is_zero:
+        if has_parallel_edge(g) or (r := reduce(g)).is_zero:
             return {}
         idx = self._key_index()
         if r.key not in idx:
             raise ValueError("graph class missing from the enumerated basis")
         return {idx[r.key]: r.sign}
+
+    def _by_key(self, vec: dict) -> dict:
+        """A vector over the basis positions as one over the class keys, in
+        basis order, zero entries dropped."""
+        return {self.keys[i]: v for i, v in sorted(vec.items()) if v}
 
     # -- relations ----------------------------------------------------------
 
@@ -146,12 +141,12 @@ class GraphSpace:
         the hubs are first reached (hubs.hub_rows).
 
         The rule needs each basis graph to be its class's canonical
-        representative, as classify writes it, and its Aut generators.  A
-        basis classified here has both.  A basis read from the cache is
-        reclassified by the same classify, over its connected graphs (the
-        cache has checked that each is trivalent on 2k vertices), which
-        must give back those graphs, in order; one that it does not is a
-        ValueError, not a row set with a column missing.
+        representative, the graph its key spells, and its Aut generators.
+        A basis classified here has both.  A basis read from the cache is
+        reclassified by the same classify, over the connected graphs its
+        keys spell (the cache has checked that each is trivalent on 2k
+        vertices), which must give back those keys, in order; one that it
+        does not is a ValueError, not a row set with a column missing.
         """
         if self._rows is None:
             self._rows = self._cached("relations", self._hub_rows)
@@ -161,9 +156,9 @@ class GraphSpace:
         basis = self.basis
         if self._generators is None:
             connected = (g for g in basis if _connected(g.num_vertices, g.edges))
-            reps, _, generators = classify((g, None) for g in connected)
-            for i, (g, rep) in enumerate(zip_longest(basis, reps)):
-                if g != rep:
+            keys, _, generators = classify((g, None) for g in connected)
+            for i, (key, got) in enumerate(zip_longest(self.keys, keys)):
+                if key != got:
                     raise ValueError(f"basis graph {i} is not a canonical class representative")
             self._generators = generators
         return hub_rows(basis, self._generators)

@@ -190,10 +190,6 @@ class EvaluationReport:
         }
 
 
-def _keyed(space: GraphSpace, vec: dict) -> dict:
-    return {space.keys[i]: v for i, v in vec.items() if v}
-
-
 _FOLD_NOTE = (
     "sign average folded: the 2^(3k) equal orientation-sign summands collapse "
     "into a single (-1)^(3k) factor"
@@ -251,7 +247,7 @@ def evaluate_orbit(
     return EvaluationReport(
         mode="orbit",
         input_json=arrow.to_json(),
-        result=_keyed(space, space.reduce_graph(g)),
+        result=space._by_key(space.reduce_graph(g)),
         diagnostics=diagnostics,
         notes=(_FOLD_NOTE,),
     )
@@ -297,7 +293,7 @@ def evaluate_full(
     return EvaluationReport(
         mode="full",
         input_json=arrow.to_json(),
-        result=_keyed(space, space.reduce_graph(g)),
+        result=space._by_key(space.reduce_graph(g)),
         diagnostics={**diagnostics, "assignments": str(_orbit_order(k))},
         notes=(_FOLD_NOTE, _CONSTANT_TERM_NOTE),
     )

@@ -68,6 +68,16 @@ def inserted(graph):
     return restamped(lambda p: sorted(p + [graph], key=basis_key))
 
 
+def without(graph):
+    """An edit of a basis payload that drops graph, checksummed."""
+
+    def edit(payload):
+        assert graph in payload
+        return [b for b in payload if b != graph]
+
+    return restamped(edit)
+
+
 def relabelled_copy(payload):
     """A relabelled copy of the first graph of a k=2 basis payload whose
     key is not in the payload."""
@@ -620,13 +630,14 @@ class TestCache:
     def test_warm_reopen_reads_only_what_it_needs(self, tmp_path, capsys, monkeypatch):
         """On a warm k=4 cache, dim loads the basis and the relations, and
         reduce the basis and the echelon form with one canonicalize call,
-        for its own graph.  Neither builds a basis graph: the keys suffice."""
+        for its own graph.  Neither reads a basis graph off its key: the
+        keys suffice."""
         warm = tmp_path / "warm"
         run(capsys, "cache", "warm", "-k", "4", "--cache", str(warm))
         first = json.loads((warm / "basis-k4.json").read_text())["payload"][0]
         graph = write(tmp_path, "g.json", first)
         loaded, canonicalized, built = [], [], []
-        load, canonicalize = Cache.load, canon.canonicalize
+        load, canonicalize, graph_of_key = Cache.load, canon.canonicalize, G.graph_of_key
 
         def recorded(self, k, kind, basis_keys=None):
             value = load(self, k, kind, basis_keys)
@@ -637,15 +648,18 @@ class TestCache:
             canonicalized.append(args)
             return canonicalize(*args)
 
-        def basis_graph(*args):
-            built.append(args)
-            return G.LabelledTrivalentGraph(*args)
+        def basis_graph(key):
+            built.append(key)
+            return graph_of_key(key)
 
         monkeypatch.setattr(Cache, "load", recorded)
         for name, module in list(sys.modules.items()):
-            if name.startswith("trivalent") and getattr(module, "canonicalize", 0) is canonicalize:
+            if not name.startswith("trivalent"):
+                continue
+            if getattr(module, "canonicalize", 0) is canonicalize:
                 monkeypatch.setattr(module, "canonicalize", counted)
-        monkeypatch.setattr(cache_module, "LabelledTrivalentGraph", basis_graph)
+            if getattr(module, "graph_of_key", 0) is graph_of_key:
+                monkeypatch.setattr(module, "graph_of_key", basis_graph)
         for argv, kinds, calls in (
             (("dim", "-k", "4"), ["basis", "relations"], 0),
             (("reduce", graph), ["basis", "rref"], 1),
@@ -658,7 +672,7 @@ class TestCache:
             assert len(canonicalized) == calls
         assert json.loads(out)["class"]["sign"] == 1  # a basis graph, not zero
         assert built == []
-        # reading the basis builds each graph through the wrapped name
+        # reading the basis reads each graph off its key through the wrapped name
         assert len(GraphSpace(4, Cache(warm)).basis) == len(built) > 0
 
     def test_bad_payload_is_rebuilt(self, tmp_path, capsys):
@@ -721,6 +735,13 @@ class TestCache:
             (2, "rref", restamped(lambda p: {"0": {"cols": [0, 0], "vals": ["1", "0"]}}), k2),
             (2, "rref", restamped(lambda p: {"0": {"cols": [0, 1], "vals": ["1", "0"]}}), k2),
             (2, "rref", restamped(lambda p: {"0": {"cols": [1], "vals": ["1"]}}), k2),
+            # a class missing or slipped in at a k with pinned digests:
+            # K4 dropped, no class at all, a zero class dropped, and two
+            # disjoint K4s (a cold run lists 71 classes at k=4, dimension 0)
+            (2, "basis", without(k4_json()), k2),
+            (2, "basis", restamped(lambda p: []), k2),
+            (2, "zeros", restamped(lambda p: p[1:]), k2),
+            (4, "basis", inserted(TWO_K4), (("enum", "-k", "4"), ("dim", "-k", "4"))),
         ]
         for i, (k, kind, bad, commands) in enumerate(cases):
             cold = [run(capsys, *c, "--cache", str(tmp_path / f"cold{i}")) for c in commands]
@@ -740,13 +761,15 @@ class TestCache:
         [(2, relabelled_copy), (4, lambda payload: TWO_K4)],
         ids=["relabelled-copy", "two-k4"],
     )
-    def test_noncanonical_basis_graph_is_an_error(self, tmp_path, capsys, k, graph):
+    def test_noncanonical_basis_graph_is_an_error(self, tmp_path, capsys, monkeypatch, k, graph):
         """A graph slotted into a cached basis with the keys still
         increasing and a valid payload checksum is a column that no
         relation row can reach: at k=2 a relabelled copy of a basis graph
         (dim -k 2 would print 2), at k=4 two disjoint K4s, trivalent but
-        not connected (dim -k 4 would print 1, not 0).  Rebuilding the rows
-        refuses either."""
+        not connected (dim -k 4 would print 1, not 0).  At a k without
+        pinned class digests, as k is here with its entry dropped,
+        rebuilding the rows refuses either."""
+        monkeypatch.delitem(cache_module._CLASS_DIGESTS, k)
         run(capsys, "cache", "warm", "-k", str(k), "--cache", str(tmp_path))
         path = tmp_path / f"basis-k{k}.json"
         doc = json.loads(path.read_text())

@@ -114,10 +114,13 @@ class TestReduce:
         assert (a.key, a.sign) == (b.key, b.sign)
 
     def test_canonical_representative_fixed_point(self):
+        """The graph a key spells reduces to that key, with sign +1 for a
+        signed class, and spells it again."""
         for g in (k4(), clover()):
-            c = G.reduce_with_representative(g)[1]
-            assert G.reduce_with_representative(c)[1] == c
-            assert G.reduce(c).key == G.reduce(g).key
+            r = G.reduce(g)
+            c = G.graph_of_key(r.key)
+            assert G.reduce(c) == G.GraphClass(r.key, None if r.is_zero else 1)
+            assert G.graph_of_key(G.reduce(c).key) == c
 
 
 @st.composite

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trivalent import cache as cache_module
 from trivalent import canon
 from trivalent import classes as C
 from trivalent import graphs as G
@@ -78,8 +79,8 @@ def _reduce_edge(g, i):
 
 class TestEnumeration:
     def test_k1_classes(self):
-        reps, zeros, _ = classify((g, None) for g in enumerate_graphs(1))
-        assert reps == []
+        keys, zeros, _ = classify((g, None) for g in enumerate_graphs(1))
+        assert keys == ()
         theta = G.validate(2, [(0, 1), (0, 1), (0, 1)])
         dumbbell = G.validate(2, [(0, 0), (0, 1), (1, 1)])
         assert zeros == {G.reduce(theta).key, G.reduce(dumbbell).key}
@@ -97,11 +98,7 @@ class TestEnumeration:
 
     def test_classify_canonicalizes_each_graph_once(self, monkeypatch):
         graphs = enumerate_graphs(4)
-        expected = {}
-        for g in graphs:
-            r = G.reduce(g)
-            if not r.is_zero and r.key not in expected:
-                expected[r.key] = G.reduce_with_representative(g)[1]
+        expected = {r.key for r in map(G.reduce, graphs) if not r.is_zero}
         calls = []
         canonicalize = G.canonicalize
 
@@ -111,9 +108,9 @@ class TestEnumeration:
 
         monkeypatch.setattr(C, "canonicalize", counted)
         monkeypatch.setattr(G, "canonicalize", counted)
-        reps, _, _ = classify((g, None) for g in graphs)
+        keys, _, _ = classify((g, None) for g in graphs)
         assert len(calls) == len(graphs)
-        assert reps == [expected[key] for key in sorted(expected)]
+        assert keys == tuple(sorted(expected))
 
     @pytest.mark.parametrize("k,count", [(1, 2), (2, 5), (3, 17), (4, 71), (5, 388)])
     def test_one_valid_graph_per_class(self, k, count):
@@ -180,7 +177,7 @@ class TestEnumeration:
         insertions into the graph left by reducing its best other edge
         still yield its class."""
         g = G.validate(14, _TOP_BRIDGE_K7)
-        adj = C._adjacency(14, g.edges)
+        adj = G._adjacency(14, g.edges)
         profiles = [C._layer_profile(adj, e) for e in g.edges]
         cycle = [i for i in range(len(g.edges)) if G._connected(14, _without(g.edges, i))]
         assert max(profiles) > max(profiles[i] for i in cycle)
@@ -238,8 +235,8 @@ class TestEnumeration:
         h = [(perm[u], perm[v]) for u, v in g.edges]
         for site in _sites(g.edges):
             image = tuple(perm[x] for x in site)
-            assert C._layer_profile(C._adjacency(g.num_vertices, g.edges), site) == (
-                C._layer_profile(C._adjacency(g.num_vertices, h), image)
+            assert C._layer_profile(G._adjacency(g.num_vertices, g.edges), site) == (
+                C._layer_profile(G._adjacency(g.num_vertices, h), image)
             )
 
     @settings(max_examples=200, deadline=None)
@@ -253,8 +250,8 @@ class TestEnumeration:
         perm = data.draw(st.permutations(range(n)))
         h = [(perm[u], perm[v]) for u, v in g.edges]
         for i, (a, b) in enumerate(g.edges):
-            assert C._layer_profile(C._adjacency(n, g.edges), (a, b)) == (
-                C._layer_profile(C._adjacency(n, h), h[i])
+            assert C._layer_profile(G._adjacency(n, g.edges), (a, b)) == (
+                C._layer_profile(G._adjacency(n, h), h[i])
             )
             assert G._connected(n, g.edges[:i] + g.edges[i + 1 :]) == (
                 G._connected(n, h[:i] + h[i + 1 :])
@@ -264,20 +261,17 @@ class TestEnumeration:
     def test_space_classes_match_classify(self, k):
         """The build classifies from the enumerator's own labellings; the
         classes are those of classify over enumerate_graphs(k) alone."""
-        reps, zeros, _ = classify((g, None) for g in enumerate_graphs(k))
+        keys, zeros, _ = classify((g, None) for g in enumerate_graphs(k))
         sp = space(k)
-        assert sp.basis == tuple(reps)
+        assert sp.keys == keys
         assert sp.zero_keys == zeros
 
     @pytest.mark.parametrize("k", range(1, 5))
     def test_given_labelling_reduces_as_a_fresh_one(self, k):
-        """reduce and reduce_with_representative read the same class and
-        representative off the labelling the enumerator computed as off
-        one of their own."""
+        """reduce reads the same class off the labelling the enumerator
+        computed as off one of its own."""
         for g, res in C.labelled_graphs(k):
             assert G.reduce(g, res) == G.reduce(g)
-            rep = G.reduce_with_representative(g, res)[1]
-            assert rep == G.reduce_with_representative(g)[1]
 
     @pytest.mark.parametrize("k,matchings", [(1, 15), (2, 10395)])
     def test_matches_stub_matching_sweep(self, k, matchings):
@@ -654,6 +648,42 @@ def test_rref_matches_fraction_elimination(k):
     assert_same_rref(space(k).relation_rows())
 
 
+def cold_space(k, request):
+    return request.getfixturevalue("space6") if k == 6 else space(k)
+
+
+class TestKeysAreTheBasis:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_keys_spell_their_graphs(self, k, request):
+        """graph_of_key is canonical_key's inverse on every class key, and
+        the graph a key spells reduces to that key: with sign +1, as the
+        class's canonical representative, for a signed key."""
+        sp = cold_space(k, request)
+        for keys, sign in ((sp.keys, 1), (sorted(sp.zero_keys), None)):
+            for key in keys:
+                g = G.graph_of_key(key)
+                assert G.canonical_key(g.num_vertices, g.edges) == key
+                assert G.reduce(g) == G.GraphClass(key, sign)
+
+    def test_vector_by_key(self):
+        """A vector over basis positions maps to one over the class keys,
+        in key order, without its zero entries."""
+        sp = space(5)
+        by_key = sp._by_key({7: 2, 3: 0, 1: Fraction(-1, 2)})
+        assert list(by_key.items()) == [(sp.keys[1], Fraction(-1, 2)), (sp.keys[7], 2)]
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_pinned_class_digests(self, k, request):
+        """The digests the cache pins are those of a cold build."""
+        sp = cold_space(k, request)
+
+        def digest(keys):
+            return hashlib.sha256("\n".join(keys).encode()).hexdigest()
+
+        assert sorted(cache_module._CLASS_DIGESTS) == list(range(1, 8))
+        assert cache_module._CLASS_DIGESTS[k] == (digest(sp.keys), digest(sorted(sp.zero_keys)))
+
+
 class TestCache:
     def test_round_trip(self, tmp_path):
         cache = Cache(tmp_path)
@@ -692,7 +722,7 @@ class TestCache:
         cache = Cache(tmp_path)
         space = GraphSpace(3)
         values = {
-            "basis": space.basis,
+            "basis": space.keys,
             "zeros": space.zero_keys,
             "relations": space.relation_rows(),
             "rref": space._ensure_rref(),
@@ -700,12 +730,7 @@ class TestCache:
         assert set(values) == set(KINDS)
         for kind, value in values.items():
             cache.store(3, kind, value, space.keys)
-            loaded = cache.load(3, kind, space.keys)
-            if kind == "basis":  # the keys, then the graphs built on first use
-                keys, graphs = loaded
-                assert keys == space.keys
-                loaded = tuple(graphs)
-            assert loaded == value
+            assert cache.load(3, kind, space.keys) == value
         rref = cache.load(3, "rref", space.keys)
         assert rref and all(type(v) is Fraction for r in rref.values() for v in r.values())
 
