@@ -4,27 +4,30 @@ Each kind's file format lives here: store takes the value GraphSpace uses
 and load gives it back.  A basis is its tuple of class keys; its file
 holds the graph each key spells, and load derives the keys back from
 them.  The directory is the explicit argument, else GC_CACHE, else
-~/.cache/trivalent.  A file is ignored, and the data recomputed, when it is
-unreadable, of another format_version or of the wrong shape, or when the
-CRC-32 of its payload's JSON text, as read, does not match the one it
-carries.  Files that index a basis by position (relations, rref) also carry
-a checksum of the basis keys they were built against and are ignored when
-it differs.  Wrong shapes include a position outside that basis, a basis
-graph that is not trivalent on 2k vertices, basis keys that do not increase
-strictly, a row whose columns do not increase strictly or that holds a
-zero, an rref pivot key other than str(int(key)), and an rref row without 1
-at its pivot column.  At a k with pinned class digests (_CLASS_DIGESTS), a
-basis or zeros file whose keys do not hash to the pinned digest is ignored
-too.  At any other k a basis of the right shape is not yet trusted: when
-its relation rows are rebuilt, GraphSpace reclassifies it with the cold
-build's classify, which must give back its keys.
+~/.cache/trivalent.  A cache file is named <kind>-k<k>.json; status and
+clear see no other file in the directory.  A file is ignored, and the data
+recomputed, when it is unreadable, of another format_version or of the
+wrong shape, or when the CRC-32 of its payload's JSON text, as read, does
+not match the one it carries.  Files that index a basis by position
+(relations, rref) also carry basis_crc32, the CRC-32 of the basis keys
+they were built against (_keys_crc32), and are ignored when it differs.
+Wrong shapes include a position outside that basis, a basis graph that is
+not trivalent on 2k vertices, basis keys that do not increase strictly, a
+row whose columns do not increase strictly or that holds a zero, an rref
+pivot key other than str(int(key)), and an rref row without 1 at its pivot
+column.  At a k with pinned class keys (_CLASS_DIGESTS), a basis or zeros
+file whose keys do not give the pinned CRC-32 is ignored too; the basis pin
+is the basis_crc32 that the relations and rref files at that k carry.  At
+any other k a basis of the right shape is not yet trusted: when its
+relation rows are rebuilt, GraphSpace reclassifies it with the cold build's
+classify, which must give back its keys.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+import re
 import tempfile
 import zlib
 from fractions import Fraction
@@ -38,39 +41,19 @@ FORMAT_VERSION = 1
 # store writes the payload last, after this key, so that load can
 # checksum the payload's text as read, without serialising it again
 _PAYLOAD_KEY = '"payload": '
-# SHA-256 of the newline-joined basis keys, and of the newline-joined sorted
-# zero keys, at each k from 1 to 7, from a cold build: a basis or zeros file
-# at one of these k that hashes otherwise, say with a class missing or one
-# slipped in, is a miss and is rebuilt
+# CRC-32 (_keys_crc32) of the basis keys and of the sorted zero keys at each
+# k from 1 to 7, from a cold build: a basis or zeros file at one of these k
+# whose keys give another, say with a class missing or one slipped in, is a
+# miss and is rebuilt.  The basis value is the basis_crc32 that the
+# relations and rref files at that k carry.
 _CLASS_DIGESTS = {
-    1: (
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "f9eb96610521530bc820d7ccfe275c1edaf1ce420bcb61295197bc1770fea473",
-    ),
-    2: (
-        "e8651a16f5372e6d04d6399e412b9e2c6e7cc36db92d33604c9c52835eee1af8",
-        "ad8ba1b95f93c41dc4e6a23a6ad5747721a31c2144684ae4aa6d7fdebf76c31a",
-    ),
-    3: (
-        "227bb7bddca69a3c30120187077fbf2f3f38611b942e415b5e9938e0527cac97",
-        "cb26e6f6b020b0e3ec6d140ade7a973dcd83bfcd905f100ec09d64b6f52a6f9f",
-    ),
-    4: (
-        "e3ef4633fc3ff3afd6f2f945ea72df53e8cb6b19c5fcb952f0b456de04e065bf",
-        "0ae7fe61d42e996d7e31f503f248ff62ef3462302615c90824edc70a76034c08",
-    ),
-    5: (
-        "bbd32c86d1d4e52baee79bfaa76ab62d880e48db83c4f5b495a59923c76ecc5b",
-        "a40e9dd76872ea2ad0003bf876e3b592cd4594f85ce77706c98cc800ba236409",
-    ),
-    6: (
-        "21e0140dbad5eb2cb7044cef4159758211eaf3fa1ffa0f92c8347781598068c3",
-        "132183f3f614eabca934a6dd6a9d6fc2e953380ee7cb63a5354a151a2a1c7606",
-    ),
-    7: (
-        "2418113cafed2dc38d753b74324e3402cd6bfbd1f9fc6043e0472bda6def5026",
-        "85f2d7ba1f67bc9e4084de2007a493342b805777cdc8bbc1b53c0b24e2a8346f",
-    ),
+    1: (0x00000000, 0xB898604C),
+    2: (0x74BAE6C6, 0x6B2E941A),
+    3: (0x1538D237, 0x75AFC61C),
+    4: (0x30EB5E3D, 0x1D70B688),
+    5: (0x7527EFBA, 0x8DD35B7C),
+    6: (0xCA3DB87D, 0x460AF7C7),
+    7: (0xA3344E00, 0x992BF5F9),
 }
 
 
@@ -96,11 +79,16 @@ def _fields(items, name, kind) -> list:
     return _list_of([r.get(name) for r in _list_of(items, dict)], kind)
 
 
+def _keys_crc32(keys) -> int:
+    """CRC-32 of the newline-joined keys: the pins, and basis_crc32."""
+    return zlib.crc32("\n".join(keys).encode())
+
+
 def _pinned(k, kind, keys) -> bool:
-    """Whether the keys hash to the digest pinned for kind, 0 for the basis
-    and 1 for the zeros, at k; at a k without digests, True."""
+    """Whether the keys give the CRC-32 pinned for kind, 0 for the basis
+    and 1 for the zeros, at k; at a k without pins, True."""
     digests = _CLASS_DIGESTS.get(k)
-    return digests is None or hashlib.sha256("\n".join(keys).encode()).hexdigest() == digests[kind]
+    return digests is None or _keys_crc32(keys) == digests[kind]
 
 
 def _basis_keys(p, k, size) -> tuple:
@@ -177,11 +165,8 @@ _FORMATS = {
     "rref": (lambda rows: {str(p): _sorted_row(r, str) for p, r in rows.items()}, _rref_rows),
 }
 KINDS = tuple(_FORMATS)
-
-
-def _basis_crc32(keys) -> int:
-    """CRC-32 of the newline-joined basis keys."""
-    return zlib.crc32("\n".join(keys).encode())
+# the names store writes, and the only files status and clear see
+_FILE_NAME = re.compile(rf"(?:{'|'.join(KINDS)})-k[1-9][0-9]*\.json")
 
 
 def default_dir() -> Path:
@@ -214,7 +199,7 @@ class Cache:
             _check(
                 isinstance(data, dict)
                 and data.get("format_version") == FORMAT_VERSION
-                and (basis_keys is None or data.get("basis_crc32") == _basis_crc32(basis_keys))
+                and (basis_keys is None or data.get("basis_crc32") == _keys_crc32(basis_keys))
                 and data.get("payload_crc32") == zlib.crc32(raw[start:-1])
             )
             return _FORMATS[kind][1](data.get("payload"), k, len(basis_keys or ()))
@@ -232,7 +217,7 @@ class Cache:
         text = json.dumps(_FORMATS[kind][0](value))
         data = {"format_version": FORMAT_VERSION}
         if basis_keys is not None:
-            data["basis_crc32"] = _basis_crc32(basis_keys)
+            data["basis_crc32"] = _keys_crc32(basis_keys)
         data["payload_crc32"] = zlib.crc32(text.encode())
         umask = os.umask(0)
         os.umask(umask)
@@ -246,21 +231,19 @@ class Cache:
             os.unlink(tmp)
             raise
 
-    def status(self):
-        """Sorted (filename, size in bytes) pairs for present cache files."""
+    def _files(self) -> list:
+        """The cache files present, sorted by name."""
         if not self.directory.is_dir():
             return []
-        out = []
-        for p in sorted(self.directory.iterdir()):
-            if p.suffix == ".json":
-                out.append((p.name, p.stat().st_size))
-        return out
+        return sorted(p for p in self.directory.iterdir() if _FILE_NAME.fullmatch(p.name))
+
+    def status(self):
+        """Sorted (filename, size in bytes) pairs for present cache files."""
+        return [(p.name, p.stat().st_size) for p in self._files()]
 
     def clear(self) -> int:
-        removed = 0
-        if self.directory.is_dir():
-            for p in list(self.directory.iterdir()):
-                if p.suffix == ".json":
-                    p.unlink()
-                    removed += 1
-        return removed
+        """Remove the cache files; how many there were."""
+        files = self._files()
+        for p in files:
+            p.unlink()
+        return len(files)

@@ -202,7 +202,10 @@ class GraphSpace:
         return reduce_vector(vec, self._ensure_rref())
 
     def reduce_graph(self, g: LabelledTrivalentGraph) -> dict:
-        return self.normal_form(self.class_vector(g))
+        """The normal form of g's class; {} for a zero class, which reads
+        nothing from the cache and builds nothing."""
+        vec = self.class_vector(g)
+        return vec and self.normal_form(vec)
 
 
 def dimension(k: int, cache: Cache | None = None, **kw) -> int:

@@ -553,11 +553,15 @@ class TestMisc:
 
 class TestCache:
     def test_lifecycle(self, tmp_path, capsys):
+        """status, warm and clear count only the files the cache writes: a
+        foreign notes.json in the directory is not listed and survives."""
         d = str(tmp_path / "store")
         code, out, _ = run(capsys, "cache", "status", "--cache", d)
         assert code == 0
         assert json.loads(out)["entries"] == []
 
+        (tmp_path / "store").mkdir()
+        notes = write(tmp_path / "store", "notes.json", {"keep": True})
         code, out, _ = run(capsys, "cache", "warm", "-k", "2", "--cache", d)
         assert code == 0
         assert json.loads(out)["files"] == 4
@@ -575,6 +579,7 @@ class TestCache:
         assert json.loads(out)["removed"] == 4
         code, out, _ = run(capsys, "cache", "status", "--cache", d)
         assert json.loads(out)["entries"] == []
+        assert json.loads(Path(notes).read_text()) == {"keep": True}
 
     def test_warm_requires_k(self, tmp_path, capsys):
         code, _, err = run(capsys, "cache", "warm", "--cache", str(tmp_path))
@@ -631,11 +636,19 @@ class TestCache:
         """On a warm k=4 cache, dim loads the basis and the relations, and
         reduce the basis and the echelon form with one canonicalize call,
         for its own graph.  Neither reads a basis graph off its key: the
-        keys suffice."""
+        keys suffice.  Surgery on a simple graph whose class is zero loads
+        nothing, and on a cold cache it builds and writes nothing."""
         warm = tmp_path / "warm"
         run(capsys, "cache", "warm", "-k", "4", "--cache", str(warm))
         first = json.loads((warm / "basis-k4.json").read_text())["payload"][0]
         graph = write(tmp_path, "g.json", first)
+        zeros = json.loads((warm / "zeros-k4.json").read_text())["payload"]
+
+        def simple(g):  # so that surgery canonicalizes it to find it zero
+            return all(u != v for u, v in g.edges) and not G.has_parallel_edge(g)
+
+        zero = next(filter(simple, map(G.graph_of_key, zeros)))
+        zero = write(tmp_path, "zero.json", zero.to_json())
         loaded, canonicalized, built = [], [], []
         load, canonicalize, graph_of_key = Cache.load, canon.canonicalize, G.graph_of_key
 
@@ -662,6 +675,7 @@ class TestCache:
                 monkeypatch.setattr(module, "graph_of_key", basis_graph)
         for argv, kinds, calls in (
             (("dim", "-k", "4"), ["basis", "relations"], 0),
+            (("surgery", zero), [], 2),  # its Aut, then its class
             (("reduce", graph), ["basis", "rref"], 1),
         ):
             loaded.clear()
@@ -672,6 +686,10 @@ class TestCache:
             assert len(canonicalized) == calls
         assert json.loads(out)["class"]["sign"] == 1  # a basis graph, not zero
         assert built == []
+        cold = tmp_path / "cold"
+        code, out, err = run(capsys, "surgery", zero, "--cache", str(cold))
+        assert (code, err, json.loads(out)["result"]) == (0, "", {})
+        assert not cold.exists()
         # reading the basis reads each graph off its key through the wrapped name
         assert len(GraphSpace(4, Cache(warm)).basis) == len(built) > 0
 
@@ -816,6 +834,20 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout == '{"k":1,"dimension":0}\n'
+
+    def test_cli_import_loads_no_hashlib(self):
+        """Every checksum in the cache is a zlib CRC-32, so importing the CLI
+        loads neither hashlib nor the OpenSSL module behind it."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, trivalent.cli; print({'hashlib', '_hashlib'} & set(sys.modules))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "set()\n")
 
     def test_console_script(self, tmp_path):
         exe = shutil.which("gc")
