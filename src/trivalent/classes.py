@@ -133,11 +133,12 @@ def labelled_graphs(k: int):
             for h, res in labelled_graphs(k - 1)
             for edges in chain(_site_candidates(h, res, n), _edge_candidates(h, res, n))
         )
-    seen = set()
+    seen = set()  # each enc as bytes, a sixth of a tuple's memory
     for edges in candidates:
         labelling = canonicalize(n, edges)
-        if labelling.enc not in seen:
-            seen.add(labelling.enc)
+        key = bytes(labelling.enc)
+        if key not in seen:
+            seen.add(key)
             yield LabelledTrivalentGraph(n, edges), labelling
 
 

@@ -265,13 +265,15 @@ def reduce(g: LabelledTrivalentGraph, res: CanonResult | None = None) -> GraphCl
     return GraphClass(canonical_key(g.num_vertices, pairs), None if odd else perm_parity(order))
 
 
-def automorphisms(g: LabelledTrivalentGraph):
+def automorphisms(g: LabelledTrivalentGraph, res: CanonResult | None = None):
     """Full automorphism group as (list, |Aut|, |Aut_e|, |Aut_v|).
 
     Aut_e (vertex-fixing automorphisms) permutes parallel classes only; a
     loop has no flip of its own.  |Aut| = |Aut_e| * |Aut_v| by construction.
+    res is g's canonical labelling if the caller has it, as for reduce.
     """
-    res = canonicalize(g.num_vertices, g.edges)
+    if res is None:
+        res = canonicalize(g.num_vertices, g.edges)
     vgroup = close_group(g.num_vertices, res.aut_generators)
     classes: dict = {}
     for i, (u, v) in enumerate(g.edges):

@@ -187,7 +187,8 @@ def hub_rows(basis, generators) -> list:
     generators generate Aut(g) too: the orbits, and so the rows, do not
     change.
     """
-    # canonical hub edges, flattened to half the memory of the pairs
+    # canonical hub edges, flattened into bytes (about a sixth of the memory
+    # of a tuple; a vertex label over 255 raises rather than collides)
     # -> the (basis index, sign) class of each splitting reached so far
     hubs: dict = {}
     for i, (g, gens) in enumerate(zip(basis, generators)):
@@ -197,7 +198,7 @@ def hub_rows(basis, generators) -> list:
                 continue
             c = contract_edge(g, e)
             four, labels, action = _canonical_hub(c)
-            named = hubs.setdefault(sum(four.edges, ()), [None] * 3)
+            named = hubs.setdefault(bytes(sum(four.edges, ())), [None] * 3)
             p, parity = _rebuilt_splitting(e, c, four, labels)
             if named[p] is None:
                 named[p] = (i, parity)

@@ -10,6 +10,10 @@ is what the relation rows are.  The modular ranks at several primes share
 one integer singleton peel (peel_singletons), which exact_rref does not
 use, so a fault in the peel shows as modular and exact ranks that differ.
 Dense matrices are row-major lists of rows.
+sub_product is the one matrix-product loop: it subtracts s * A * B from a
+matrix in place, visiting only the nonzero entries of B's rows, as most
+entries of the boundaries and propagators are zero.  mat_mul runs it over a
+zero matrix, and morse's residuals run it into a scaled identity.
 An empty matrix does not record its column count, and zero-rank degrees
 produce such matrices, so mat_mul takes the product's column count and
 solve_exact the number of unknowns; every other shape is read off the
@@ -248,15 +252,25 @@ def identity_matrix(n: int):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+def sub_product(out, a, b, s) -> None:
+    """out -= s * a * b, in place: the one matrix product.
+
+    The nonzero entries of each row of b are listed once per call, and each
+    nonzero entry of a row of a walks only those of its row of b, so a
+    zero costs nothing past the listing.  out has a's row count and b's
+    column count.
+    """
+    nonzero = [[(j, w) for j, w in enumerate(bt) if w] for bt in b]
+    for oi, ai in zip(out, a):
+        for v, bt in zip(ai, nonzero):
+            if v:
+                v *= s
+                for j, w in bt:
+                    oi[j] -= v * w
+
+
 def mat_mul(a, b, cols: int):
     """a times b, which has cols columns; an empty b does not record them."""
-    out = []
-    for ai in a:
-        oi = [0] * cols
-        for v, bt in zip(ai, b):
-            if v:
-                for j, w in enumerate(bt):
-                    if w:
-                        oi[j] += v * w
-        out.append(oi)
+    out = [[0] * cols for _ in a]
+    sub_product(out, a, b, -1)
     return out

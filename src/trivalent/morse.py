@@ -3,21 +3,22 @@
 Degrees run 0..4 throughout.  Boundary matrices are integer, propagators
 rational.  Inside the solve and the identity check each g is an integer
 matrix over its least common denominator, so every product is of integer
-matrices and every identity is an exact integer zero test.  Matrices are
-dense row-major lists, entry (row=target, col=source), and shapes follow the
-rank vector so zero-rank degrees work.
+matrices and every identity is an exact integer zero test.  Every product
+runs linalg's one product loop, sub_product: a residual starts as its
+denominator times the identity and each term is subtracted straight into
+it.  Matrices are dense row-major lists, entry (row=target, col=source),
+and shapes follow the rank vector so zero-rank degrees work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations_with_replacement
 from math import lcm
 
 from .graphs import LabelledTrivalentGraph, strict_int, validate
-from .linalg import exact_rank, identity_matrix, mat_mul, solve_exact
+from .linalg import exact_rank, identity_matrix, mat_mul, solve_exact, sub_product
 
 TOP_DEGREE = 4
 # the boundary keys of a complex file, exactly: "02" or "9" would alias or
@@ -141,9 +142,9 @@ def _homology_defect(c: GradedComplex, d: int) -> int:
 
 def _over_lcm(m):
     """(M, den) with m = M / den: M an integer matrix, den the least common
-    denominator of m's entries."""
-    den = reduce(lcm, (v.denominator for row in m for v in row), 1)
-    return [[v.numerator * (den // v.denominator) for v in row] for row in m], den
+    denominator of m's nonzero entries.  A zero entry is written as 0."""
+    den = lcm(*{v.denominator for row in m for v in row if v})
+    return [[v.numerator * (den // v.denominator) if v else 0 for v in row] for row in m], den
 
 
 def _residual(c: GradedComplex, gs: dict, d: int):
@@ -152,23 +153,25 @@ def _residual(c: GradedComplex, gs: dict, d: int):
 
     gs maps a degree to its g as an integer matrix over a denominator (see
     _over_lcm), so every product is of integer matrices; den is the lcm of
-    the denominators present.  The contraction identity holds in degree d
-    exactly when R is zero; before g_d exists, R / den is the right-hand side
-    that ∂_{d+1} g_d must equal.
+    the denominators present.  R starts as den times the identity, and each
+    term is subtracted straight into it (sub_product), scaled to den.  The
+    contraction identity holds in degree d exactly when R is zero; before
+    g_d exists, R / den is the right-hand side that ∂_{d+1} g_d must equal.
     """
     rd = c.ranks[d]
     terms = []
     if d in gs:
         g, den = gs[d]
-        terms.append((mat_mul(c.boundaries[d + 1], g, rd), den))
+        terms.append((c.boundaries[d + 1], g, den))
     if d - 1 in gs:
         g, den = gs[d - 1]
-        terms.append((mat_mul(g, c.boundaries[d], rd), den))
-    den = lcm(*(t for _, t in terms))
-    out = [[den * (i == j) for j in range(rd)] for i in range(rd)]
-    for t, tden in terms:
-        s = den // tden
-        out = [[x - s * y for x, y in zip(r1, r2)] for r1, r2 in zip(out, t)]
+        terms.append((g, c.boundaries[d], den))
+    den = lcm(*(t for _, _, t in terms))
+    out = [[0] * rd for _ in range(rd)]
+    for i, row in enumerate(out):
+        row[i] = den
+    for a, b, tden in terms:
+        sub_product(out, a, b, den // tden)
     return out, den
 
 

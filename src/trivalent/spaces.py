@@ -15,6 +15,7 @@ from __future__ import annotations
 from itertools import zip_longest
 
 from .cache import Cache
+from .canon import CanonResult
 # enumerate_graphs stays importable from here, beside classify
 from .classes import classify, enumerate_graphs, labelled_graphs
 from .graphs import LabelledTrivalentGraph, _connected, graph_of_key, has_parallel_edge, reduce
@@ -118,11 +119,12 @@ class GraphSpace:
 
     # -- vectors ----------------------------------------------------------
 
-    def class_vector(self, g: LabelledTrivalentGraph) -> dict:
-        """Sparse coefficient vector of the class of a labelled graph."""
+    def class_vector(self, g: LabelledTrivalentGraph, res: CanonResult | None = None) -> dict:
+        """Sparse coefficient vector of the class of a labelled graph; res
+        is g's canonical labelling if the caller has it (graphs.reduce)."""
         if g.k != self.k:
             raise ValueError(f"graph has {g.num_vertices} vertices, space expects {2 * self.k}")
-        if has_parallel_edge(g) or (r := reduce(g)).is_zero:
+        if has_parallel_edge(g) or (r := reduce(g, res)).is_zero:
             return {}
         idx = self._key_index()
         if r.key not in idx:
@@ -201,10 +203,10 @@ class GraphSpace:
         """
         return reduce_vector(vec, self._ensure_rref())
 
-    def reduce_graph(self, g: LabelledTrivalentGraph) -> dict:
+    def reduce_graph(self, g: LabelledTrivalentGraph, res: CanonResult | None = None) -> dict:
         """The normal form of g's class; {} for a zero class, which reads
-        nothing from the cache and builds nothing."""
-        vec = self.class_vector(g)
+        nothing from the cache and builds nothing.  res as for class_vector."""
+        vec = self.class_vector(g, res)
         return vec and self.normal_form(vec)
 
 

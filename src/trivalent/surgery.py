@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import factorial, prod
 
+from .canon import CanonResult, canonicalize
 from .graphs import ArrowGraph, GraphError, automorphisms, half_edges_at
 from .morse import TYPE_I, TYPE_II, surviving_indices
 from .spaces import GraphSpace
@@ -204,15 +205,17 @@ def _orbit_order(k: int) -> int:
     return 2 ** (3 * k) * factorial(2 * k) * factorial(3 * k)
 
 
-def _orbit_diagnostics(arrow: ArrowGraph, convention: str) -> dict:
+def _orbit_diagnostics(arrow: ArrowGraph, convention: str, res: CanonResult) -> dict:
     """Checks both evaluators rest on, and their shared diagnostics.
 
     Every vertex must realize a surviving index tuple, and |Aut| must divide
-    2^(3k) (2k)! (3k)!; the quotient is the representative count L(G).
+    2^(3k) (2k)! (3k)!; the quotient is the representative count L(G).  res
+    is the graph's canonical labelling, which the evaluator also reduces
+    the graph's class with.
     """
     data, _ = ylink(arrow, convention)
     _assert_surviving(data)
-    _, aut, aut_e, aut_v = automorphisms(arrow.graph)
+    _, aut, aut_e, aut_v = automorphisms(arrow.graph, res)
     assert aut == aut_e * aut_v
     order = _orbit_order(arrow.graph.k)
     if order % aut:
@@ -243,11 +246,12 @@ def evaluate_orbit(
     """
     g = arrow.graph
     space = space or GraphSpace(g.k)
-    diagnostics = _orbit_diagnostics(arrow, convention)
+    res = canonicalize(g.num_vertices, g.edges)
+    diagnostics = _orbit_diagnostics(arrow, convention, res)
     return EvaluationReport(
         mode="orbit",
         input_json=arrow.to_json(),
-        result=space._by_key(space.reduce_graph(g)),
+        result=space._by_key(space.reduce_graph(g, res)),
         diagnostics=diagnostics,
         notes=(_FOLD_NOTE,),
     )
@@ -278,7 +282,8 @@ def evaluate_full(
     if k > 2:
         raise ResourceLimitError(f"full evaluation is gated to k <= 2, got k = {k}")
     space = space or GraphSpace(k)
-    diagnostics = _orbit_diagnostics(arrow, convention)
+    res = canonicalize(g.num_vertices, g.edges)
+    diagnostics = _orbit_diagnostics(arrow, convention, res)
     pairs = [(u, v) if u <= v else (v, u) for u, v in g.edges]
     copies = {
         tuple(sorted((p[u], p[v]) if p[u] <= p[v] else (p[v], p[u]) for u, v in pairs))
@@ -293,7 +298,7 @@ def evaluate_full(
     return EvaluationReport(
         mode="full",
         input_json=arrow.to_json(),
-        result=space._by_key(space.reduce_graph(g)),
+        result=space._by_key(space.reduce_graph(g, res)),
         diagnostics={**diagnostics, "assignments": str(_orbit_order(k))},
         notes=(_FOLD_NOTE, _CONSTANT_TERM_NOTE),
     )

@@ -70,6 +70,15 @@ def exact_rref(rows):
     return pivots
 
 
+def sub_product(out, a, b, s):
+    """out - s * a * b by the dense triple loop over every entry, zeros
+    included, as a new matrix; out is m x q, a m x n and b n x q."""
+    return [
+        [out[i][j] - s * sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(out[i]))]
+        for i in range(len(out))
+    ]
+
+
 def perfect_matchings(items):
     """All perfect matchings of a list, as lists of pairs."""
     if not items:

@@ -675,7 +675,7 @@ class TestCache:
                 monkeypatch.setattr(module, "graph_of_key", basis_graph)
         for argv, kinds, calls in (
             (("dim", "-k", "4"), ["basis", "relations"], 0),
-            (("surgery", zero), [], 2),  # its Aut, then its class
+            (("surgery", zero), [], 1),  # its Aut and its class share one
             (("reduce", graph), ["basis", "rref"], 1),
         ):
             loaded.clear()

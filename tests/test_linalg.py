@@ -243,3 +243,34 @@ class TestHelpers:
         assert la.mat_mul(i3, i3, 3) == i3
         # an empty factor keeps the product's shape
         assert la.mat_mul([[], []], [], 3) == [[0, 0, 0], [0, 0, 0]]
+
+
+# mostly zeros, as in the boundaries and propagators
+sparse_entry = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3, 9))
+
+
+@st.composite
+def product_shapes(draw):
+    """(out, a, b, s): an m x q starting matrix, not zero in general, an
+    m x n and an n x q factor, and a scale; any of m, n, q may be 0, as for
+    the zero-rank degrees of a complex."""
+    m, n, q = (draw(st.integers(0, 5)) for _ in range(3))
+
+    def matrix(rows, cols):
+        return [draw(st.lists(sparse_entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+    return matrix(m, q), matrix(m, n), matrix(n, q), draw(st.integers(-4, 4))
+
+
+class TestSubProduct:
+    """The one product loop against the dense triple loop in tests/oracles.py."""
+
+    @given(product_shapes())
+    @settings(max_examples=300, deadline=None)
+    def test_is_the_dense_product(self, case):
+        out, a, b, s = case
+        want = oracles.sub_product(out, a, b, s)
+        before = [list(row) for row in b]
+        la.sub_product(out, a, b, s)
+        assert out == want
+        assert b == before

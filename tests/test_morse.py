@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trivalent import linalg as la
 from trivalent import morse as M
@@ -131,19 +133,47 @@ class TestIntegerIdentityCheck:
 
     def test_products_are_of_integers(self, monkeypatch):
         """Every matrix product morse asks for, in the solve and in the
-        check, is of integer matrices."""
-        seen = []
+        check, is of integer matrices.  All of them run the one product
+        loop: check_complex through mat_mul (scale -1), the residuals
+        directly (a positive scale)."""
+        seen, scales = [], set()
+        sub_product = la.sub_product
 
-        def int_only_mat_mul(a, b, cols):
-            seen.append(all(type(v) is int for m in (a, b) for row in m for v in row))
-            return la.mat_mul(a, b, cols)
+        def int_only_sub_product(out, a, b, s):
+            seen.append(all(type(v) is int for m in (out, a, b) for row in m for v in row))
+            scales.add(s > 0)
+            sub_product(out, a, b, s)
 
-        monkeypatch.setattr(M, "mat_mul", int_only_mat_mul)
+        monkeypatch.setattr(la, "sub_product", int_only_sub_product)
+        monkeypatch.setattr(M, "sub_product", int_only_sub_product)
         for c in (two_torsion_pairs(), complexes.random_complex(22)[0], complexes.random_complex(32)[0]):
             g = M.compute_propagator(c)
             assert M.contraction_identity_holds(c, g)
             assert M.contraction_identity_holds(*M.dual_propagator(c, g))
         assert seen and all(seen)
+        assert scales == {False, True}
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            st.integers(-9, 9),
+            st.fractions(min_value=-4, max_value=4, max_denominator=12),
+            st.sampled_from((0, Fraction(0))),
+        ],
+        ids=["ints", "fractions", "zeros"],
+    )
+    @given(st.integers(0, 4), st.integers(0, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_over_lcm_is_the_fraction_reading(self, entry, rows, cols, data):
+        """_over_lcm(m) is (M, den) with den the lcm of every entry's
+        denominator and M = m * den as ints, for int, Fraction (with int
+        zeros among them, as in a solution), all-zero and empty matrices."""
+        values = st.one_of(st.just(0), entry)
+        m = [data.draw(st.lists(values, min_size=cols, max_size=cols)) for _ in range(rows)]
+        got, den = M._over_lcm(m)
+        assert den == lcm(*(Fraction(v).denominator for row in m for v in row))
+        assert got == [[Fraction(v) * den for v in row] for row in m]
+        assert all(type(v) is int for row in got for v in row)
 
 
 class TestRandomComplexes:

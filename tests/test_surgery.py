@@ -253,7 +253,7 @@ class TestOrbitEvaluation:
         json.loads(json.dumps(blob))
 
     def test_non_integer_orbit_guard(self, monkeypatch):
-        monkeypatch.setattr(S, "automorphisms", lambda g: ([], 7, 7, 1))
+        monkeypatch.setattr(S, "automorphisms", lambda g, res: ([], 7, 7, 1))
         with pytest.raises(S.NonIntegerOrbitError):
             S.evaluate_orbit(arrow(theta()), GraphSpace(1))
 
@@ -297,7 +297,7 @@ class TestFullEvaluation:
     def test_wrong_automorphism_group_fails_the_copy_count(self, monkeypatch):
         # |Aut| = 6 divides 2^3 2! 3! = 96, so the orbit checks pass with
         # L = 16, but theta has one labelled copy of weight 2^3 = 8
-        monkeypatch.setattr(S, "automorphisms", lambda g: ([], 6, 6, 1))
+        monkeypatch.setattr(S, "automorphisms", lambda g, res: ([], 6, 6, 1))
         a, space = arrow(theta()), GraphSpace(1)
         assert S.evaluate_orbit(a, space).diagnostics["representatives"] == "16"
         with pytest.raises(S.SurgeryError, match="copy count 8 differs from L = 16"):
