@@ -6,7 +6,8 @@ holds the graph each key spells, and load derives the keys back from
 them.  The directory is the explicit argument, else GC_CACHE, else
 ~/.cache/trivalent.  A cache file is named <kind>-k<k>.json; status and
 clear see no other file in the directory.  A file is ignored, and the data
-recomputed, when it is unreadable, of another format_version or of the
+recomputed, when it is unreadable (JSON nested past the decoder's recursion
+limit included), of another format_version or of the
 wrong shape, or when the CRC-32 of its payload's JSON text, as read, does
 not match the one it carries.  Files that index a basis by position
 (relations, rref) also carry basis_crc32, the CRC-32 of the basis keys
@@ -203,7 +204,7 @@ class Cache:
                 and data.get("payload_crc32") == zlib.crc32(raw[start:-1])
             )
             return _FORMATS[kind][1](data.get("payload"), k, len(basis_keys or ()))
-        except (OSError, ValueError, ZeroDivisionError):
+        except (OSError, ValueError, ZeroDivisionError, RecursionError):
             return None
 
     def store(self, k: int, kind: str, value, basis_keys=None) -> None:

@@ -158,9 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_json(path: str, kind: str):
-    """The file's JSON; text that is not UTF-8 JSON, or a key repeated in
-    one object (json.load would silently keep only its last value), is a
-    ValueError naming the file."""
+    """The file's JSON; text that is not UTF-8 JSON, nested past the
+    decoder's recursion limit, or with a key repeated in one object
+    (json.load would silently keep only its last value), is a ValueError
+    naming the file."""
 
     def unique(pairs):
         obj = {}
@@ -173,7 +174,7 @@ def _load_json(path: str, kind: str):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh, object_pairs_hook=unique)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ValueError(f"{path}: not a {kind} file ({exc})") from None
 
 
@@ -188,11 +189,10 @@ def _read_graph_file(path: str, read):
 
 
 def _arrow(data):
-    """The file's directions if it has them, else the first valid orientation."""
+    """The file's graph, and its directions as an ArrowGraph if it has
+    them, else None."""
     g = LabelledTrivalentGraph.from_json(data)
-    if "directions" in data:
-        return make_arrow(g, data["directions"])
-    return find_arrow_orientation(g)
+    return g, make_arrow(g, data["directions"]) if "directions" in data else None
 
 
 def _cache_from(args) -> Cache:
@@ -240,12 +240,12 @@ def cmd_reduce(args):
 
 def cmd_aut(args):
     g = _read_graph_file(args.file, LabelledTrivalentGraph.from_json)
-    gens, order, edge_order, vertex_order = automorphisms(g)
+    _, order, edge_order, vertex_order = automorphisms(g)
     return {
         "order": order,
         "edge_order": edge_order,
         "vertex_order": vertex_order,
-        "generators": len(gens),
+        "generators": order,  # the group order; the key stays for output compatibility
     }
 
 
@@ -255,8 +255,9 @@ def cmd_orient(args):
 
 
 def cmd_surgery(args):
-    a = _read_graph_file(args.file, _arrow)
-    space = _open_space(args, a.graph.k)
+    g, a = _read_graph_file(args.file, _arrow)
+    space = _open_space(args, g.k)  # refuses a k beyond --max-k before the search
+    a = a or find_arrow_orientation(g)
     if args.mode == "orbit":
         report = evaluate_orbit(a, space, args.type_convention)
     else:

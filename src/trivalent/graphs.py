@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
 from .canon import CanonResult, canonicalize, close_group, perm_parity
 
@@ -266,11 +266,16 @@ def reduce(g: LabelledTrivalentGraph, res: CanonResult | None = None) -> GraphCl
 
 
 def automorphisms(g: LabelledTrivalentGraph, res: CanonResult | None = None):
-    """Full automorphism group as (list, |Aut|, |Aut_e|, |Aut_v|).
+    """Full automorphism group as (elements, |Aut|, |Aut_e|, |Aut_v|).
 
-    Aut_e (vertex-fixing automorphisms) permutes parallel classes only; a
-    loop has no flip of its own.  |Aut| = |Aut_e| * |Aut_v| by construction.
-    res is g's canonical labelling if the caller has it, as for reduce.
+    Aut_e (vertex-fixing automorphisms) permutes each parallel class
+    freely, so |Aut_e| is the product of m! over the edge multiplicities m;
+    a loop has no flip of its own.  Each vertex automorphism lifts to
+    |Aut_e| of them, so |Aut| = |Aut_e| * |Aut_v|, and no order is counted
+    off a listing.  elements is an iterator over the Automorphism pairs,
+    vertex permutation by vertex permutation, built only as it is read, so
+    it can be read once.  res is g's canonical labelling if the caller has
+    it, as for reduce.
     """
     if res is None:
         res = canonicalize(g.num_vertices, g.edges)
@@ -279,25 +284,24 @@ def automorphisms(g: LabelledTrivalentGraph, res: CanonResult | None = None):
     for i, (u, v) in enumerate(g.edges):
         classes.setdefault((u, v) if u <= v else (v, u), []).append(i)
     class_pairs = sorted(classes)
-    aut_e = 1
-    for p in class_pairs:
-        aut_e *= factorial(len(classes[p]))
-    out = []
-    for phi in vgroup:
-        targets = []
-        for p in class_pairs:
-            a, b = phi[p[0]], phi[p[1]]
-            targets.append(classes[(a, b) if a <= b else (b, a)])
-        for assignment in itertools.product(
-            *[itertools.permutations(t) for t in targets]
-        ):
-            eperm = [0] * len(g.edges)
-            for p, images in zip(class_pairs, assignment):
-                for src, dst in zip(classes[p], images):
-                    eperm[src] = dst
-            out.append(Automorphism(phi, tuple(eperm)))
-    assert len(out) == aut_e * len(vgroup)
-    return out, len(out), aut_e, len(vgroup)
+    aut_e = prod(factorial(len(members)) for members in classes.values())
+
+    def elements():
+        for phi in vgroup:
+            targets = []
+            for p in class_pairs:
+                a, b = phi[p[0]], phi[p[1]]
+                targets.append(classes[(a, b) if a <= b else (b, a)])
+            for assignment in itertools.product(
+                *[itertools.permutations(t) for t in targets]
+            ):
+                eperm = [0] * len(g.edges)
+                for p, images in zip(class_pairs, assignment):
+                    for src, dst in zip(classes[p], images):
+                        eperm[src] = dst
+                yield Automorphism(phi, tuple(eperm))
+
+    return elements(), aut_e * len(vgroup), aut_e, len(vgroup)
 
 
 @dataclass(frozen=True)
@@ -426,39 +430,47 @@ def _arrow_orientations(g: LabelledTrivalentGraph):
 
     A depth-first search over the edges abandons a partial orientation as
     soon as some vertex can no longer get both; a vertex's last edge is
-    placed only if it then has both, so every leaf is valid.
+    placed only if it then has both, so every leaf is valid.  The search
+    keeps its own stack, one entry per placed edge, so a graph of any size
+    stays within the interpreter's recursion limit.
     """
     n = g.num_vertices
     m = len(g.edges)
+    options = [((u, v),) if u == v else ((u, v), (v, u)) for u, v in g.edges]
     remaining = [3] * n
     out = [0] * n
     inn = [0] * n
     chosen: list = []
+    tried = [0]  # tried[i]: how many directions of edge i have been placed
 
     def feasible(v):
         return out[v] + remaining[v] >= 1 and inn[v] + remaining[v] >= 1
 
-    def place(i):
+    def shift(t, h, step):
+        out[t] += step
+        inn[h] += step
+        remaining[t] -= step
+        remaining[h] -= step  # a loop spends both of its ends here
+
+    while tried:
+        i = len(chosen)
+        if i < m and tried[i] < len(options[i]):
+            t, h = options[i][tried[i]]
+            tried[i] += 1
+            shift(t, h, 1)
+            if feasible(t) and feasible(h):
+                chosen.append((t, h))
+                tried.append(0)
+            else:
+                shift(t, h, -1)
+            continue
         if i == m:
             yield ArrowGraph(g, tuple(chosen))
-            return
-        u, v = g.edges[i]
-        options = [(u, v)] if u == v else [(u, v), (v, u)]
-        for t, h in options:
-            chosen.append((t, h))
-            out[t] += 1
-            inn[h] += 1
-            remaining[u] -= 1
-            remaining[v] -= 1  # a loop spends both of its ends here
-            if feasible(u) and feasible(v):
-                yield from place(i + 1)
-            chosen.pop()
-            out[t] -= 1
-            inn[h] -= 1
-            remaining[u] += 1
-            remaining[v] += 1
-
-    return place(0)
+        # no edge i is left to place, or no direction of it to try: take
+        # back edge i - 1's direction and try its next
+        tried.pop()
+        if chosen:
+            shift(*chosen.pop(), -1)
 
 
 def find_arrow_orientation(g: LabelledTrivalentGraph) -> ArrowGraph:

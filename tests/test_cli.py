@@ -35,6 +35,26 @@ def clover_json():
     ).to_json()
 
 
+def digon_ring(k):
+    """A necklace of k digons: digon i joins vertices 2i and 2i + 1, and a
+    single edge joins 2i + 1 to the next digon.  |Aut_e| = 2^k, and the
+    vertex group is dihedral of order 2k."""
+    edges = []
+    for i in range(k):
+        edges += [[2 * i, 2 * i + 1]] * 2 + [[2 * i + 1, (2 * i + 2) % (2 * k)]]
+    return {"vertices": 2 * k, "edges": edges}
+
+
+def prism(n):
+    """The prism over an n-cycle: 2n vertices and 3n edges."""
+    cycles = [[h + i, h + (i + 1) % n] for h in (0, n) for i in range(n)]
+    return {"vertices": 2 * n, "edges": cycles + [[i, n + i] for i in range(n)]}
+
+
+# JSON nested far past the decoder's recursion limit
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -134,11 +154,7 @@ class TestDim:
     def test_max_k_guard(self, tmp_path, capsys):
         """Every command that can start a build refuses a k beyond --max-k
         before building anything."""
-        # the 7-prism: two 7-cycles joined by spokes, on 14 vertices
-        prism = [(i, (i + 1) % 7) for i in range(7)]
-        prism += [(7 + i, 7 + (i + 1) % 7) for i in range(7)]
-        prism += [(i, 7 + i) for i in range(7)]
-        path = write(tmp_path, "prism.json", {"vertices": 14, "edges": prism})
+        path = write(tmp_path, "prism.json", prism(7))
         cache = tmp_path / "cache"
         for argv in (
             ("dim", "-k", "7"),
@@ -213,13 +229,34 @@ class TestReduce:
 
 class TestAutOrient:
     def test_aut_counts(self, tmp_path, capsys):
-        path = write(tmp_path, "k4.json", k4_json())
-        code, out, _ = run(capsys, "aut", path)
-        assert code == 0
-        data = json.loads(out)
-        assert data["order"] == 24
-        assert data["edge_order"] == 1
-        assert data["vertex_order"] == 24
+        # "generators" has always been the group order
+        cases = [
+            (k4_json(), (24, 1, 24)),
+            (theta_json(), (12, 6, 2)),
+            (digon_ring(10), (20480, 1024, 20)),
+        ]
+        for graph, (order, edge_order, vertex_order) in cases:
+            path = write(tmp_path, "g.json", graph)
+            expected = (
+                f'{{"order":{order},"edge_order":{edge_order},'
+                f'"vertex_order":{vertex_order},"generators":{order}}}\n'
+            )
+            assert run(capsys, "aut", path) == (0, expected, "")
+
+    def test_counts_build_no_automorphism(self, tmp_path, capsys, monkeypatch):
+        """gc aut and both surgery evaluators read only the group orders,
+        so none of them lists the group."""
+
+        def refuse(*args):
+            raise AssertionError("an automorphism was built")
+
+        monkeypatch.setattr(G, "Automorphism", refuse)
+        surgery = ("surgery", "--cache", str(tmp_path), "--mode")
+        for graph in (k4_json(), theta_json()):
+            path = write(tmp_path, "g.json", graph)
+            for argv in (("aut",), (*surgery, "orbit"), (*surgery, "full")):
+                code, _, err = run(capsys, *argv, path)
+                assert (code, err) == (0, "")
 
     def test_orient_feeds_surgery(self, tmp_path, capsys):
         path = write(tmp_path, "theta.json", theta_json())
@@ -233,6 +270,25 @@ class TestAutOrient:
         )
         assert code == 0
         assert json.loads(out)["result"] == {}
+
+    def test_large_prism(self, tmp_path, capsys, monkeypatch):
+        """The orientation search keeps its own stack, so a prism with 1,200
+        edges orients; gc surgery refuses its k before searching at all."""
+        graph = prism(400)
+        path = write(tmp_path, "prism.json", graph)
+        code, out, err = run(capsys, "orient", path)
+        assert (code, err) == (0, "")
+        arrow = json.loads(out)
+        assert arrow["edges"] == graph["edges"]
+        g = G.validate(arrow["vertices"], arrow["edges"])
+        G.make_arrow(g, arrow["directions"])  # raises on a source or a sink
+
+        def refuse(g):
+            raise AssertionError("searched for an orientation")
+
+        monkeypatch.setattr(cli, "find_arrow_orientation", refuse)
+        code, out, err = run(capsys, "surgery", path, "--cache", str(tmp_path))
+        assert (code, out, err) == (1, "", "error: k = 400 exceeds --max-k = 6\n")
 
 
 class TestSurgery:
@@ -402,6 +458,16 @@ class TestMalformedFiles:
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["aut", "reduce", "surgery", "orient", "morse-propagator"])
+    def test_deep_nesting_names_file(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("GC_CACHE", str(tmp_path / "cache"))
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP)
+        kind = "complex" if command == "morse-propagator" else "graph"
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: not a {kind} file (maximum recursion depth")
 
 
 def with_edge(graph, i, edge):
@@ -719,6 +785,7 @@ class TestCache:
                 '{"format_version":1,"payload":{"a":1}}',
             )
         ]
+        cases += [(2, kind, DEEP, (("dim", "-k", "2"),)) for kind in ("basis", "relations")]
         cases += [
             (2, "basis", lambda d: restamp({**d, "payload": d["payload"][::-1]}), k2),
             (2, "relations", lambda d: {**d, "basis_crc32": d["basis_crc32"] ^ 1}, k2),

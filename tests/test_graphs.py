@@ -193,6 +193,18 @@ class TestAutomorphisms:
             auts, _, _, _ = G.automorphisms(g)
             assert sorted({a.vertex_perm for a in auts}) == brute_force_vertex_group(g)
 
+    def test_elements_number_the_order_k_le_3(self):
+        # the orders are products; the listing must give that many elements
+        seen = set()
+        for k in (1, 2, 3):
+            for g in enumerate_graphs(k):
+                key = G.reduce(g).key
+                if key in seen:
+                    continue
+                seen.add(key)
+                elements, order, _, _ = G.automorphisms(g)
+                assert len({(a.vertex_perm, a.edge_perm) for a in elements}) == order
+
     def test_edge_perms_are_automorphisms(self):
         g = clover()
         auts, _, _, _ = G.automorphisms(g)
