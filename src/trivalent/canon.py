@@ -205,7 +205,7 @@ def close_group(n: int, generators) -> list:
         nxt = []
         for g in gens:
             for h in frontier:
-                comp = tuple(g[h[i]] for i in range(n))
+                comp = tuple(map(g.__getitem__, h))
                 if comp not in seen:
                     seen.add(comp)
                     nxt.append(comp)

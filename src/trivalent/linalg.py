@@ -1,19 +1,24 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-Rows are sparse dicts (column -> value).  exact_rref is the one exact
-elimination: exact rank and dense solving are readings of its pivots.  It
-is fraction-free: rows are cleared as primitive integer vectors and become
-Fractions only in its answer, so its inner loops add and multiply ints.
-reduce_vector, which reads that answer, works in Fractions.
+Rows are sparse dicts (column -> value).  There is one exact elimination,
+and it is fraction-free: rows are cleared as primitive integer vectors, so
+its inner loops add and multiply ints.  Exact rank counts its pivots,
+solve_exact reads its integer pivot rows directly and answers with an
+integer matrix over a denominator, and exact_rref reads the same rows as
+Fractions.  Fractions appear only in exact_rref's answer and in
+reduce_vector, which works against it.
 rank_mod_p is the independent modular check; it takes integer rows, which
 is what the relation rows are.  The modular ranks at several primes share
-one integer singleton peel (peel_singletons), which exact_rref does not
-use, so a fault in the peel shows as modular and exact ranks that differ.
-Dense matrices are row-major lists of rows.
+one integer singleton peel (peel_singletons), which the exact elimination
+does not use, so a fault in the peel shows as modular and exact ranks that
+differ.
+Dense matrices are row-major lists of rows; nonzeros lists a dense matrix
+as the (column, value) pairs of each row's nonzero entries.
 sub_product is the one matrix-product loop: it subtracts s * A * B from a
-matrix in place, visiting only the nonzero entries of B's rows, as most
-entries of the boundaries and propagators are zero.  mat_mul runs it over a
-zero matrix, and morse's residuals run it into a scaled identity.
+dense matrix in place, with A and B listed, so no zero of either factor is
+visited, as most entries of the boundaries and propagators are zero.
+mat_mul lists its operands and runs it over a zero matrix, and morse's
+residuals run it into a scaled identity.
 An empty matrix does not record its column count, and zero-rank degrees
 produce such matrices, so mat_mul takes the product's column count and
 solve_exact the number of unknowns; every other shape is read off the
@@ -178,20 +183,17 @@ def _eliminate(r: dict, col: int, prow: dict) -> None:
 
 def exact_rank(rows) -> int:
     """Rank over the rationals."""
-    return len(exact_rref(rows))
+    return len(_integer_rref(rows))
 
 
-def exact_rref(rows) -> dict:
-    """Reduced row echelon form: column -> unit-pivot row, fully reduced.
+def _integer_rref(rows) -> dict:
+    """The fraction-free elimination: column -> pivot row, fully reduced,
+    each row a primitive integer vector with a positive pivot entry.
 
-    Reducing any vector against the result is linear, idempotent, and kills
-    exactly the row span of the input.
-
-    The elimination is fraction-free: each row is cleared over the integers
-    as a primitive integer vector with a positive pivot entry, and the unit
-    row is that vector over its pivot entry.  A row of the reduced form is
-    unique up to scale, so this is the Gauss-Jordan answer over the
-    rationals, with each row's keys in the order that elimination inserts
+    Rows may hold Fractions; each is cleared to integers over its own
+    common denominator first.  A row of the reduced form is unique up to
+    scale, so each row over its pivot entry is the Gauss-Jordan row over
+    the rationals, with its keys in the order that elimination inserts
     them.
     """
     pivots: dict = {}
@@ -214,7 +216,20 @@ def exact_rref(rows) -> dict:
             if col in prow:
                 _eliminate(prow, col, r)
         pivots[col] = r
-    return {col: {c: Fraction(v, r[col]) for c, v in r.items()} for col, r in pivots.items()}
+    return pivots
+
+
+def exact_rref(rows) -> dict:
+    """Reduced row echelon form: column -> unit-pivot row, fully reduced.
+
+    Reducing any vector against the result is linear, idempotent, and kills
+    exactly the row span of the input.  It is the integer elimination's
+    answer read as Fractions: each row over its pivot entry.
+    """
+    return {
+        col: {c: Fraction(v, r[col]) for c, v in r.items()}
+        for col, r in _integer_rref(rows).items()
+    }
 
 
 def reduce_vector(vec: dict, pivots: dict) -> dict:
@@ -227,50 +242,64 @@ def reduce_vector(vec: dict, pivots: dict) -> dict:
 
 
 def solve_exact(a, b, n: int):
-    """Solve A X = B for the n x q unknown X over the rationals; None if
+    """Solve A X = B for the n x q unknown X over the rationals: (X, den)
+    with X an integer matrix and A X = den B, den the least such; None if
     inconsistent.
 
     a is a list of m rows of length n, b a list of m rows of length q.
     Free variables are set to zero, so the answer is deterministic.  The
     reduced echelon form of [A | B] pivots on a column of B exactly when the
-    system is inconsistent; otherwise each pivot row's B part is that
-    variable's value.
+    system is inconsistent; otherwise each pivot row's B part over its
+    pivot entry is that variable's value.  The integer pivot rows are read
+    directly, so no Fraction is made.
     """
     q = len(b[0]) if b else 0
-    pivots = exact_rref(
+    pivots = _integer_rref(
         {j: v for j, v in enumerate([*ra, *rb]) if v} for ra, rb in zip(a, b)
     )
     if any(col >= n for col in pivots):
         return None
+    den = reduce(lcm, (r[col] for col, r in pivots.items()), 1)
     x = [[0] * q for _ in range(n)]
-    for col, row in pivots.items():
-        x[col] = [row.get(n + j, 0) for j in range(q)]
-    return x
+    for col, r in pivots.items():
+        f, row = den // r[col], x[col]
+        for c, v in r.items():
+            if c >= n:
+                row[c - n] = v * f
+    g = reduce(gcd, (v for row in x for v in row if v), den)
+    if g > 1:
+        den //= g
+        x = [[v // g for v in row] for row in x]
+    return x, den
 
 
 def identity_matrix(n: int):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+def nonzeros(m) -> list:
+    """The nonzero entries of each row of a dense matrix, as (column,
+    value) lists: the form sub_product takes its operands in."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in m]
+
+
 def sub_product(out, a, b, s) -> None:
     """out -= s * a * b, in place: the one matrix product.
 
-    The nonzero entries of each row of b are listed once per call, and each
-    nonzero entry of a row of a walks only those of its row of b, so a
-    zero costs nothing past the listing.  out has a's row count and b's
-    column count.
+    a and b are listed (see nonzeros), so each nonzero entry of a row of a
+    walks only the nonzero entries of its row of b, and no zero of either
+    factor is visited.  out is dense, with a's row count and b's column
+    count.
     """
-    nonzero = [[(j, w) for j, w in enumerate(bt) if w] for bt in b]
     for oi, ai in zip(out, a):
-        for v, bt in zip(ai, nonzero):
-            if v:
-                v *= s
-                for j, w in bt:
-                    oi[j] -= v * w
+        for t, v in ai:
+            v *= s
+            for j, w in b[t]:
+                oi[j] -= v * w
 
 
 def mat_mul(a, b, cols: int):
     """a times b, which has cols columns; an empty b does not record them."""
     out = [[0] * cols for _ in a]
-    sub_product(out, a, b, -1)
+    sub_product(out, nonzeros(a), nonzeros(b), -1)
     return out

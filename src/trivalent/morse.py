@@ -1,24 +1,29 @@
 """Finite graded chain complexes, contractions, transport, split-edge graphs.
 
 Degrees run 0..4 throughout.  Boundary matrices are integer, propagators
-rational.  Inside the solve and the identity check each g is an integer
+rational.  From the solve to the identity check each g is an integer
 matrix over its least common denominator, so every product is of integer
-matrices and every identity is an exact integer zero test.  Every product
-runs linalg's one product loop, sub_product: a residual starts as its
-denominator times the identity and each term is subtracted straight into
-it.  Matrices are dense row-major lists, entry (row=target, col=source),
-and shapes follow the rank vector so zero-rank degrees work.
+matrices and every identity is an exact integer zero test: the solve
+answers in that form, and the Fraction matrices of Propagator.mats are
+built from it once and read back only by the check.  Every product runs
+linalg's one product loop, sub_product, on listed factors (the nonzero
+entries of each row); each boundary is listed once per solve or check.
+A residual starts as its denominator times the identity and each term is
+subtracted straight into it.  Matrices are dense row-major lists, entry
+(row=target, col=source), and shapes follow the rank vector so zero-rank
+degrees work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
-from math import lcm
+from math import gcd, lcm
 
 from .graphs import LabelledTrivalentGraph, strict_int, validate
-from .linalg import exact_rank, identity_matrix, mat_mul, solve_exact, sub_product
+from .linalg import exact_rank, identity_matrix, nonzeros, solve_exact, sub_product
 
 TOP_DEGREE = 4
 # the boundary keys of a complex file, exactly: "02" or "9" would alias or
@@ -95,10 +100,20 @@ class GradedComplex:
         return cls(ranks, bnd)
 
 
-def check_complex(c: GradedComplex) -> GradedComplex:
-    """Verify ∂∘∂ = 0 in every degree; raises with the first bad entry."""
+def _listed_boundaries(c: GradedComplex) -> dict:
+    return {d: nonzeros(c.boundaries[d]) for d in range(1, TOP_DEGREE + 1)}
+
+
+def check_complex(c: GradedComplex, listed: dict | None = None) -> GradedComplex:
+    """Verify ∂∘∂ = 0 in every degree; raises with the first bad entry.
+
+    listed is c's boundaries as nonzeros lists, if the caller has them.
+    """
+    if listed is None:
+        listed = _listed_boundaries(c)
     for d in range(2, TOP_DEGREE + 1):
-        prod = mat_mul(c.boundaries[d - 1], c.boundaries[d], c.ranks[d])
+        prod = [[0] * c.ranks[d] for _ in range(c.ranks[d - 2])]
+        sub_product(prod, listed[d - 1], listed[d], -1)
         for i, row in enumerate(prod):
             for j, v in enumerate(row):
                 if v:
@@ -141,31 +156,35 @@ def _homology_defect(c: GradedComplex, d: int) -> int:
 
 
 def _over_lcm(m):
-    """(M, den) with m = M / den: M an integer matrix, den the least common
-    denominator of m's nonzero entries.  A zero entry is written as 0."""
-    den = lcm(*{v.denominator for row in m for v in row if v})
-    return [[v.numerator * (den // v.denominator) if v else 0 for v in row] for row in m], den
+    """(M, den) with m = M / den: M the integer matrix, listed (see
+    linalg.nonzeros), den the least common denominator of m's entries.
+    Only the nonzero entries are converted."""
+    rows = nonzeros(m)
+    den = reduce(lcm, {v.denominator for row in rows for _, v in row}, 1)
+    return [[(j, v.numerator * (den // v.denominator)) for j, v in row] for row in rows], den
 
 
-def _residual(c: GradedComplex, gs: dict, d: int):
+def _residual(c: GradedComplex, listed: dict, gs: dict, d: int):
     """(R, den) with R / den = id − ∂_{d+1} g_d − g_{d−1} ∂_d in degree d,
     each term only if gs holds its g.
 
-    gs maps a degree to its g as an integer matrix over a denominator (see
-    _over_lcm), so every product is of integer matrices; den is the lcm of
-    the denominators present.  R starts as den times the identity, and each
-    term is subtracted straight into it (sub_product), scaled to den.  The
-    contraction identity holds in degree d exactly when R is zero; before
-    g_d exists, R / den is the right-hand side that ∂_{d+1} g_d must equal.
+    listed holds c's boundaries as nonzeros lists, and gs maps a degree to
+    its g as a listed integer matrix over a denominator (see _over_lcm), so
+    every product is of integer matrices; den is the lcm of the
+    denominators present.  R is dense: it starts as den times the identity,
+    and each term is subtracted straight into it (sub_product), scaled to
+    den.  The contraction identity holds in degree d exactly when R is
+    zero; before g_d exists, R / den is the right-hand side that
+    ∂_{d+1} g_d must equal.
     """
     rd = c.ranks[d]
     terms = []
     if d in gs:
         g, den = gs[d]
-        terms.append((c.boundaries[d + 1], g, den))
+        terms.append((listed[d + 1], g, den))
     if d - 1 in gs:
         g, den = gs[d - 1]
-        terms.append((g, c.boundaries[d], den))
+        terms.append((g, listed[d], den))
     den = lcm(*(t for _, _, t in terms))
     out = [[0] * rd for _ in range(rd)]
     for i, row in enumerate(out):
@@ -183,34 +202,42 @@ def compute_propagator(c: GradedComplex) -> Propagator:
     """A chain contraction: ∂g + g∂ = id in every degree, or NotAcyclic.
 
     Solved degree by degree from the bottom, over the integers: the
-    right-hand side is the integer residual R over its denominator den, so
-    g_d is the solution of ∂_{d+1} X = R divided by den.  The elimination
-    order is fixed and free variables are zeroed, so the answer is
-    deterministic.
+    right-hand side is the integer residual R over its denominator den, and
+    solve_exact gives ∂_{d+1} X = xden R with X an integer matrix, so g_d
+    is X over xden den.  Brought to its least denominator and listed, that
+    integer form feeds the next residuals; the Fraction matrix of
+    Propagator.mats is built from it once, a Fraction per nonzero entry.
+    The boundaries are listed once, for check_complex and every residual.
+    The elimination order is fixed and free variables are zeroed, so the
+    answer is deterministic.
     """
-    check_complex(c)
+    listed = _listed_boundaries(c)
+    check_complex(c, listed)
     gs: dict = {}
     igs: dict = {}
     for d in range(TOP_DEGREE):
-        rhs, den = _residual(c, igs, d)
+        rhs, den = _residual(c, listed, igs, d)
         sol = solve_exact(c.boundaries[d + 1], rhs, c.ranks[d + 1])
         if sol is None:
             raise NotAcyclicError(d, _homology_defect(c, d))
-        if den > 1:
-            sol = [[Fraction(v.numerator, v.denominator * den) if v else 0 for v in row] for row in sol]
-        gs[d] = sol
-        igs[d] = _over_lcm(sol)
+        x, xden = sol
+        den *= xden
+        gs[d] = [[Fraction(v, den) if v else 0 for v in row] for row in x]
+        g = reduce(gcd, (v for row in x for v in row if v), den)
+        igs[d] = [[(j, v // g) for j, v in enumerate(row) if v] for row in x], den // g
     # top degree: g_3 ∂_4 = id follows from exactness; verify outright
-    if not _is_zero(_residual(c, igs, TOP_DEGREE)[0]):
+    if not _is_zero(_residual(c, listed, igs, TOP_DEGREE)[0]):
         raise NotAcyclicError(TOP_DEGREE, _homology_defect(c, TOP_DEGREE))
     return Propagator(c.ranks, gs)
 
 
 def contraction_identity_holds(c: GradedComplex, g: Propagator) -> bool:
     """Exact check of ∂_{d+1} g_d + g_{d-1} ∂_d = id for d = 0..4, as an
-    integer zero test."""
+    integer zero test.  The Fractions of g.mats are converted here, so the
+    check reads what the propagator holds."""
+    listed = _listed_boundaries(c)
     igs = {d: _over_lcm(m) for d, m in g.mats.items()}
-    return all(_is_zero(_residual(c, igs, d)[0]) for d in range(TOP_DEGREE + 1))
+    return all(_is_zero(_residual(c, listed, igs, d)[0]) for d in range(TOP_DEGREE + 1))
 
 
 def _neg_transpose(m, cols: int):

@@ -366,9 +366,9 @@ class TestMorsePropagator:
         calls = []
         check = morse.check_complex
 
-        def counted(c):
+        def counted(c, *listed):
             calls.append(c)
-            return check(c)
+            return check(c, *listed)
 
         for module in (morse, cli):
             if hasattr(module, "check_complex"):

@@ -1,6 +1,8 @@
 """Exact and modular elimination, prime generation, dense solving."""
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -177,33 +179,51 @@ class TestAgainstFractionElimination:
     @given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 3), st.data())
     @settings(max_examples=200, deadline=None)
     def test_same_solution(self, m, n, q, data):
+        """X / den is the solution read off the reference elimination of
+        [A | B]: each pivot row's B part, free variables zero."""
         a = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
         b = [data.draw(st.lists(entry, min_size=q, max_size=q)) for _ in range(m)]
         got = la.solve_exact(a, b, n)
-        # solve_exact reads exact_rref through the module, so this is the
-        # same reading of the reference elimination
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(la, "exact_rref", oracles.exact_rref)
-            want = la.solve_exact(a, b, n)
-        assert got == want
+        pivots = oracles.exact_rref(
+            [{j: v for j, v in enumerate(ra + rb) if v} for ra, rb in zip(a, b)]
+        )
+        if any(col >= n for col in pivots):
+            assert got is None
+            return
+        want = [[0] * q for _ in range(n)]
+        for col, row in pivots.items():
+            want[col] = [row.get(n + j, 0) for j in range(q)]
+        x, den = got
+        assert all(type(v) is int for row in x for v in row)
+        assert [[Fraction(v, den) for v in row] for row in x] == want
+        assert least_denominator(x, den)
+
+
+def least_denominator(x, den) -> bool:
+    """den > 0 shares no factor with every entry of X at once, so no
+    smaller den gives an integer X."""
+    return den > 0 and reduce(gcd, (v for row in x for v in row), den) == 1
+
+
+def scaled(m, den):
+    return [[den * v for v in row] for row in m]
 
 
 class TestSolve:
+    """solve_exact gives (X, den) with A X = den B."""
+
     def test_exact_solution(self):
         a = [[1, 2], [3, 4]]
         b = [[5], [6]]
-        x = la.solve_exact(a, b, 2)
-        assert la.mat_mul(a, x, 1) == [
-            [Fraction(5)],
-            [Fraction(6)],
-        ]
+        x, den = la.solve_exact(a, b, 2)
+        assert (x, den) == ([[-8], [9]], 2)
+        assert la.mat_mul(a, x, 1) == scaled(b, den)
 
     def test_inconsistent(self):
         assert la.solve_exact([[1, 1], [1, 1]], [[0], [1]], 2) is None
 
     def test_underdetermined_picks_free_zero(self):
-        x = la.solve_exact([[1, 1]], [[2]], 2)
-        assert x == [[Fraction(2)], [Fraction(0)]]
+        assert la.solve_exact([[1, 1]], [[2]], 2) == ([[2], [0]], 1)
 
     @given(small_matrix, st.integers(0, 3))
     @settings(max_examples=100, deadline=None)
@@ -213,10 +233,11 @@ class TestSolve:
         q = qcols + 1
         x0 = [[Fraction((i + j) % 3 - 1) for j in range(q)] for i in range(n)]
         b = la.mat_mul(a, x0, q)
-        x = la.solve_exact(a, b, n)
-        assert x is not None
-        assert la.mat_mul(a, x, q) == b
-
+        sol = la.solve_exact(a, b, n)
+        assert sol is not None
+        x, den = sol
+        assert la.mat_mul(a, x, q) == scaled(b, den)
+        assert least_denominator(x, den)
 
     @given(small_matrix, st.data())
     @settings(max_examples=200, deadline=None)
@@ -231,10 +252,12 @@ class TestSolve:
         p = 2147483647
         aug = sparse([ra + rb for ra, rb in zip(m, b)])
         grows = la.rank_mod_p(aug, p) > la.rank_mod_p(sparse(m), p)
-        x = la.solve_exact(m, b, n)
-        assert (x is None) == grows
-        if x is not None:
-            assert la.mat_mul(m, x, q) == b
+        sol = la.solve_exact(m, b, n)
+        assert (sol is None) == grows
+        if sol is not None:
+            x, den = sol
+            assert la.mat_mul(m, x, q) == scaled(b, den)
+            assert least_denominator(x, den)
 
 
 class TestHelpers:
@@ -270,7 +293,9 @@ class TestSubProduct:
     def test_is_the_dense_product(self, case):
         out, a, b, s = case
         want = oracles.sub_product(out, a, b, s)
-        before = [list(row) for row in b]
-        la.sub_product(out, a, b, s)
+        listed_a, listed_b = la.nonzeros(a), la.nonzeros(b)
+        assert all(v for row in listed_a + listed_b for _, v in row)
+        before = [list(row) for row in listed_b]
+        la.sub_product(out, listed_a, listed_b, s)
         assert out == want
-        assert b == before
+        assert listed_b == before

@@ -133,14 +133,19 @@ class TestIntegerIdentityCheck:
 
     def test_products_are_of_integers(self, monkeypatch):
         """Every matrix product morse asks for, in the solve and in the
-        check, is of integer matrices.  All of them run the one product
-        loop: check_complex through mat_mul (scale -1), the residuals
-        directly (a positive scale)."""
+        check, is of integer matrices, and both factors come listed: rows
+        of (column, nonzero int) pairs.  All of them run the one product
+        loop: check_complex with scale -1, the residuals with a positive
+        scale."""
         seen, scales = [], set()
         sub_product = la.sub_product
 
+        def listed_ints(m):
+            return all(type(j) is int and type(v) is int and v for row in m for j, v in row)
+
         def int_only_sub_product(out, a, b, s):
-            seen.append(all(type(v) is int for m in (out, a, b) for row in m for v in row))
+            dense = all(type(v) is int for row in out for v in row)
+            seen.append(dense and listed_ints(a) and listed_ints(b))
             scales.add(s > 0)
             sub_product(out, a, b, s)
 
@@ -152,6 +157,28 @@ class TestIntegerIdentityCheck:
             assert M.contraction_identity_holds(*M.dual_propagator(c, g))
         assert seen and all(seen)
         assert scales == {False, True}
+
+    def test_solve_needs_no_fraction_rref(self, monkeypatch):
+        """compute_propagator reads the integer elimination directly: with
+        exact_rref unavailable it gives the same propagators and the same
+        obstructions."""
+        cases = [two_torsion_pairs(), pair_complex()]
+        cases += [complexes.random_complex(seed)[0] for seed in (7, 22, 32)]
+        cases += [complexes.random_complex(100 + i, homology=OBSTRUCTED_PROFILES[i])[0] for i in range(3)]
+
+        def outcome(c):
+            try:
+                return M.compute_propagator(c).to_json()
+            except M.NotAcyclicError as e:
+                return e.degree, e.defect
+
+        want = [outcome(c) for c in cases]
+
+        def no_rref(rows):
+            raise AssertionError("exact_rref was called")
+
+        monkeypatch.setattr(la, "exact_rref", no_rref)
+        assert [outcome(c) for c in cases] == want
 
     @pytest.mark.parametrize(
         "entry",
@@ -166,14 +193,15 @@ class TestIntegerIdentityCheck:
     @settings(max_examples=150, deadline=None)
     def test_over_lcm_is_the_fraction_reading(self, entry, rows, cols, data):
         """_over_lcm(m) is (M, den) with den the lcm of every entry's
-        denominator and M = m * den as ints, for int, Fraction (with int
-        zeros among them, as in a solution), all-zero and empty matrices."""
+        denominator and M = m * den as ints, listed as the (column, value)
+        pairs of its nonzero entries, for int, Fraction (with int zeros
+        among them, as in a solution), all-zero and empty matrices."""
         values = st.one_of(st.just(0), entry)
         m = [data.draw(st.lists(values, min_size=cols, max_size=cols)) for _ in range(rows)]
         got, den = M._over_lcm(m)
         assert den == lcm(*(Fraction(v).denominator for row in m for v in row))
-        assert got == [[Fraction(v) * den for v in row] for row in m]
-        assert all(type(v) is int for row in got for v in row)
+        assert got == [[(j, Fraction(v) * den) for j, v in enumerate(row) if v] for row in m]
+        assert all(type(v) is int and v for row in got for _, v in row)
 
 
 class TestRandomComplexes:
