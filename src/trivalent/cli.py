@@ -30,7 +30,7 @@ from .morse import (
     dual_propagator,
     surviving_indices,
 )
-from .spaces import DEFAULT_PRIME_COUNT, GraphSpace, PrimeDisagreementError
+from .spaces import GraphSpace, PrimeDisagreementError
 from .surgery import (
     CONVENTION_DEFAULT,
     CONVENTIONS,
@@ -40,8 +40,8 @@ from .surgery import (
 )
 
 # 7: 0 from a cold GraphSpace(7): 21,096 classes, 2,069 of them signed, and
-# 12,759 relation rows, whose modular rank (three primes) and exact rank
-# both give dimension 0
+# 12,759 relation rows; the peel resolves every column, so the certificate
+# (rank 2,069 mod 2^31 - 1) and the exact rank both give dimension 0
 KNOWN_DIMENSIONS = {1: 0, 2: 1, 3: 0, 4: 0, 5: 1, 6: 0, 7: 0}
 
 
@@ -110,8 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--primes",
         type=_prime_count,
-        default=DEFAULT_PRIME_COUNT,
-        help="number of primes for the modular rank consensus",
+        help="accepted for compatibility; has no effect",
     )
 
     p = sub.add_parser("reduce", help="class and normal form of a graph file")
@@ -219,7 +218,7 @@ def cmd_enum(args):
 
 def cmd_dim(args):
     space = _open_space(args, args.k)
-    d = space.dimension(primes=args.primes)
+    d = space.dimension()
     return {"k": args.k, "dimension": d}
 
 

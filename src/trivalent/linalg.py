@@ -7,11 +7,13 @@ solve_exact reads its integer pivot rows directly and answers with an
 integer matrix over a denominator, and exact_rref reads the same rows as
 Fractions.  Fractions appear only in exact_rref's answer and in
 reduce_vector, which works against it.
-rank_mod_p is the independent modular check; it takes integer rows, which
-is what the relation rows are.  The modular ranks at several primes share
-one integer singleton peel (peel_singletons), which the exact elimination
-does not use, so a fault in the peel shows as modular and exact ranks that
-differ.
+rank_mod_p takes integer rows, which is what the relation rows are; it
+is at most their rank over the rationals.  The integer singleton peel
+(peel_singletons) serves both bounds of a dimension: peeled_rank_mod_p
+reads the rank mod p through it, and kernel_vectors reads integer vectors
+that vanish on the rows (vanishes_on checks each against every row) off
+the exact elimination of the rows it leaves.  exact_rank does not use the
+peel, so it stays a check of it.
 Dense matrices are row-major lists of rows; nonzeros lists a dense matrix
 as the (column, value) pairs of each row's nonzero entries.
 sub_product is the one matrix-product loop: it subtracts s * A * B from a
@@ -23,61 +25,14 @@ An empty matrix does not record its column count, and zero-rank degrees
 produce such matrices, so mat_mul takes the product's column count and
 solve_exact the number of unknowns; every other shape is read off the
 arguments.  Everything here is deterministic: pivot choice is always the
-smallest column, prime generation is seeded, and no floating point appears
-anywhere.
+smallest column, and no floating point appears anywhere.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from math import gcd, lcm
-
-
-# Deterministic Miller-Rabin witnesses for every n below 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-PRIME_LOW, PRIME_HIGH = 1 << 30, 1 << 31
-
-
-@cache
-def gen_primes(count: int, seed: int) -> tuple:
-    """count distinct primes in [PRIME_LOW, PRIME_HIGH), reproducible from
-    the seed.  The answer depends on (count, seed) alone, so each pair is
-    searched once per process: GraphSpace.dimension asks for the same
-    primes on every call."""
-    rng = random.Random(seed)
-    found: list = []
-    while len(found) < count:
-        c = rng.randrange(PRIME_LOW | 1, PRIME_HIGH, 2)
-        if c not in found and is_probable_prime(c):
-            found.append(c)
-    return tuple(found)
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -147,6 +102,41 @@ def peeled_rank_mod_p(rows, peel: tuple, p: int) -> int:
     if all(v % p for v in peeled.values()):
         return len(peeled) + rank_mod_p(rest, p)
     return rank_mod_p(rows, p)
+
+
+def kernel_vectors(n: int, peel: tuple) -> list:
+    """Integer vectors w over columns 0..n-1 that vanish on the rows,
+    given their peel_singletons: one per free column f, primitive, w[f] > 0.
+
+    A singleton row forces w to be zero on its column, so w is read off the
+    fraction-free elimination of the rows the peel leaves.  A free column is
+    neither peeled nor a pivot there, and w_f is zero on every other free
+    column, so the vectors are independent.
+    """
+    peeled, rest = peel
+    pivots = _integer_rref(rest)
+    vectors = []
+    for f in range(n):
+        if f in peeled or f in pivots:
+            continue
+        hits = [(col, r) for col, r in pivots.items() if f in r]
+        den = reduce(lcm, (r[col] for col, r in hits), 1)
+        w = {f: den} | {col: -r[f] * (den // r[col]) for col, r in hits}
+        g = reduce(gcd, w.values())
+        vectors.append({c: v // g for c, v in sorted(w.items())})
+    return vectors
+
+
+def vanishes_on(rows, w: dict) -> bool:
+    """Whether sum(row[c] * w[c]) is zero for every row, in integers."""
+    for row in rows:
+        total = 0
+        for c, v in row.items():
+            if c in w:
+                total += v * w[c]
+        if total:
+            return False
+    return True
 
 
 def _sub_scaled(r: dict, coef, pivot_row: dict) -> None:

@@ -5,9 +5,9 @@ the zero class keys (classes.classify over classes.labelled_graphs), the
 relation rows (hubs.hub_rows), and the exact echelon form of those rows,
 each read from the cache when it has them, else built and stored.  A basis
 graph is read off its key (graphs.graph_of_key) only when the rows are
-built.  Dimensions come from modular ranks at several large random primes,
-cross-checked exactly at small k by the tests; normal forms reduce a class
-vector against the echelon form.
+built.  A dimension is proved by two bounds that meet: integer functionals
+that vanish on every relation row, and the basis size minus a modular rank;
+normal forms reduce a class vector against the echelon form.
 """
 
 from __future__ import annotations
@@ -20,15 +20,16 @@ from .canon import CanonResult
 from .classes import classify, enumerate_graphs, labelled_graphs
 from .graphs import LabelledTrivalentGraph, _connected, graph_of_key, has_parallel_edge, reduce
 from .hubs import hub_rows
-from .linalg import exact_rref, gen_primes, peel_singletons, peeled_rank_mod_p, reduce_vector
+from .linalg import exact_rref, kernel_vectors, peel_singletons, peeled_rank_mod_p
+from .linalg import reduce_vector, vanishes_on
 
 
 class PrimeDisagreementError(Exception):
-    """Modular ranks kept disagreeing across retries."""
+    """No listed prime closed the dimension bounds."""
 
 
-DEFAULT_SEED = 74207281
-DEFAULT_PRIME_COUNT = 3
+# 2^31 - 1 and the two primes below it, tried in order
+PRIMES = (2147483647, 2147483629, 2147483587)
 
 
 class GraphSpace:
@@ -167,25 +168,27 @@ class GraphSpace:
 
     # -- rank and dimension -------------------------------------------------
 
-    def dimension(self, primes: int = DEFAULT_PRIME_COUNT, seed: int = DEFAULT_SEED) -> int:
-        """Basis size minus the rank of the relation rows, once their ranks
-        modulo `primes` seeded random primes agree.  All the primes share
-        one singleton peel of the rows."""
-        if primes < 1:
-            raise ValueError(f"need at least one prime, got {primes}")
-        rows = self.relation_rows()
-        if not rows:
-            return len(self.keys)
+    def dimension(self) -> int:
+        """Basis size n minus the rank of the relation rows, once two bounds
+        meet.  The kernel vectors that vanish on every row are independent,
+        so the dimension is at least their count; a rank mod p is at most
+        the rank, so the dimension is at most n minus it, for the first of
+        PRIMES that closes the gap.  Both bounds read one singleton peel."""
+        rows, n = self.relation_rows(), len(self.keys)
         peel = peel_singletons(rows)
-        for attempt in range(3):
-            ranks = [peeled_rank_mod_p(rows, peel, p) for p in gen_primes(primes, seed + attempt)]
-            if len(set(ranks)) == 1:
-                return len(self.keys) - ranks[0]
-        raise PrimeDisagreementError(f"ranks still disagree after retries: {ranks}")
+        low = sum(vanishes_on(rows, w) for w in kernel_vectors(n, peel))
+        for p in PRIMES:
+            high = n - peeled_rank_mod_p(rows, peel, p)
+            if high == low:
+                return low
+        raise PrimeDisagreementError(
+            f"dimension bounds do not meet: at least {low}, at most {high} mod {p}"
+        )
 
     def exact_dimension(self) -> int:
         """Dimension via fraction-exact elimination: the pivots of the rref
-        that normal_form uses.  Slower than the modular ranks; a check."""
+        that normal_form uses.  It reads no peel, so it is the check of the
+        peel that dimension's two bounds share."""
         return len(self.keys) - len(self._ensure_rref())
 
     # -- normal form ----------------------------------------------------------
@@ -210,5 +213,5 @@ class GraphSpace:
         return vec and self.normal_form(vec)
 
 
-def dimension(k: int, cache: Cache | None = None, **kw) -> int:
-    return GraphSpace(k, cache).dimension(**kw)
+def dimension(k: int, cache: Cache | None = None) -> int:
+    return GraphSpace(k, cache).dimension()

@@ -6,6 +6,8 @@ circularity.
 """
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 from trivalent.canon import canonicalize
@@ -99,6 +101,34 @@ def stub_matchings(k):
     """
     stubs = [v for v in range(2 * k) for _ in range(3)]
     return perfect_matchings(stubs)
+
+
+def configuration_mass(k):
+    """[y^k] log A(y), A(y) = sum_j (6j-1)!! / (6^{2j} (2j)!) y^j.
+
+    In the configuration model a labelled multigraph on 2k vertices comes
+    from 6^{2k} / (prod m! * prod l! 2^l) of the (6k-1)!! stub matchings,
+    m over its non-loop edge multiplicities and l over its loop counts at
+    each vertex, and a class G has (2k)! / |Aut_v(G)| labelled copies.  So
+    by the exponential formula this is the sum of class_mass over the
+    connected classes at k, with no canonical labelling needed.
+    """
+    a = [
+        Fraction(math.prod(range(6 * j - 1, 0, -2)), 6 ** (2 * j) * math.factorial(2 * j))
+        for j in range(k + 1)
+    ]
+    c = [Fraction(0)] * (k + 1)  # log A, from n a_n = sum_{j=1..n} j c_j a_{n-j}
+    for n in range(1, k + 1):
+        c[n] = (n * a[n] - sum(j * c[j] * a[n - j] for j in range(1, n))) / n
+    return c[k]
+
+
+def class_mass(g, aut_v):
+    """1 / (|Aut_v| * prod m! * prod l! 2^l) for g, as in configuration_mass."""
+    den = aut_v
+    for (u, v), m in Counter(tuple(sorted(e)) for e in g.edges).items():
+        den *= math.factorial(m) * (2**m if u == v else 1)
+    return Fraction(1, den)
 
 
 def expansion_row(space, four):

@@ -151,6 +151,24 @@ class TestDim:
             outs.add(out)
         assert len(outs) == 1
 
+    def test_primes_has_no_effect(self, tmp_path, capsys):
+        for primes in ("3", "5"):
+            code, out, _ = run(
+                capsys, "dim", "-k", "2", "--primes", primes, "--cache", str(tmp_path)
+            )
+            assert (code, out) == (0, '{"k":2,"dimension":1}\n')
+
+    def test_bounds_that_do_not_meet_exit_1(self, tmp_path, capsys, monkeypatch):
+        """A modular rank off by one leaves the certificate open: one error
+        line, no traceback, no output."""
+        rank = spaces.peeled_rank_mod_p
+        monkeypatch.setattr(spaces, "peeled_rank_mod_p", lambda *a: rank(*a) + 1)
+        code, out, err = run(capsys, "dim", "-k", "2", "--cache", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: dimension bounds do not meet: at least 1, at most 0 mod 2147483587"
+        ]
+
     def test_max_k_guard(self, tmp_path, capsys):
         """Every command that can start a build refuses a k beyond --max-k
         before building anything."""

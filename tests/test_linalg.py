@@ -1,4 +1,4 @@
-"""Exact and modular elimination, prime generation, dense solving."""
+"""Exact and modular elimination, kernel vectors, dense solving."""
 
 from fractions import Fraction
 from functools import reduce
@@ -11,32 +11,6 @@ from hypothesis import strategies as st
 from trivalent import linalg as la
 
 import oracles
-
-
-class TestPrimes:
-    def test_known_values(self):
-        assert la.is_probable_prime(2)
-        assert la.is_probable_prime(2**31 - 1)
-        assert not la.is_probable_prime(1)
-        assert not la.is_probable_prime(2**30)
-        assert not la.is_probable_prime(3215031751)  # strong pseudoprime to 2,3,5,7
-
-    def test_gen_primes_deterministic(self):
-        a = la.gen_primes(4, seed=11)
-        b = la.gen_primes(4, seed=11)
-        assert a == b
-        assert len(set(a)) == 4
-        for p in a:
-            assert (1 << 30) <= p < (1 << 31)
-            assert la.is_probable_prime(p)
-
-    def test_gen_primes_seed_sensitivity(self):
-        assert la.gen_primes(3, seed=1) != la.gen_primes(3, seed=2)
-
-    def test_gen_primes_memo_is_the_search(self):
-        """The memoized primes are those a fresh search finds."""
-        assert la.gen_primes(3, 7) == la.gen_primes.__wrapped__(3, 7)
-        assert la.gen_primes(3, 7) is la.gen_primes(3, 7)
 
 
 def sparse(rows):
@@ -108,6 +82,33 @@ class TestPeel:
         assert peel == ({0: 7, 1: 1}, [])
         assert la.peeled_rank_mod_p(rows, peel, 7) == la.rank_mod_p(rows, 7) == 1
         assert la.peeled_rank_mod_p(rows, peel, 11) == 2
+
+
+class TestKernelVectors:
+    @given(peelable_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_a_basis_of_the_kernel(self, rows):
+        """There are n - rank vectors, and each vanishes on every row and is
+        primitive.  Its free column is its largest (a pivot row's pivot is
+        its smallest column), where it is positive and the others are zero,
+        so they are independent."""
+        n = 1 + max((c for r in rows for c in r), default=-1)
+        ws = la.kernel_vectors(n, la.peel_singletons(rows))
+        assert len(ws) == n - la.exact_rank(rows)
+        for w in ws:
+            f = max(w)
+            assert la.vanishes_on(rows, w)
+            assert w[f] > 0 and reduce(gcd, w.values()) == 1
+            assert not any(f in x for x in ws if x is not w)
+
+    def test_no_rows_gives_the_unit_vectors(self):
+        assert la.kernel_vectors(2, la.peel_singletons([])) == [{0: 1}, {1: 1}]
+
+    def test_vanishes_on_reads_every_row(self):
+        rows = [{0: 1, 1: -1}, {1: 2, 2: -2}]
+        assert la.vanishes_on(rows, {0: 1, 1: 1, 2: 1})
+        assert not la.vanishes_on(rows, {0: 1, 1: 1})
+        assert not la.vanishes_on(rows, {0: 1, 1: 1, 2: 2})
 
 
 class TestRref:

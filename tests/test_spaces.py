@@ -20,7 +20,13 @@ from trivalent import classes as C
 from trivalent import graphs as G
 from trivalent import spaces as S
 from trivalent.cache import KINDS, Cache
-from trivalent.linalg import exact_rref, peel_singletons, reduce_vector
+from trivalent.linalg import (
+    exact_rref,
+    kernel_vectors,
+    peel_singletons,
+    reduce_vector,
+    vanishes_on,
+)
 from trivalent.hubs import _canonical_hub
 from trivalent.spaces import GraphSpace, classify, enumerate_graphs
 
@@ -289,6 +295,28 @@ class TestEnumeration:
         assert ours == seen
 
 
+@pytest.mark.parametrize(
+    "k,mass",
+    [
+        (1, Fraction(5, 24)),
+        (2, Fraction(5, 16)),
+        (3, Fraction(1105, 1152)),
+        (4, Fraction(565, 128)),
+        (5, Fraction(82825, 3072)),
+        (6, Fraction(19675, 96)),
+    ],
+)
+def test_listing_has_the_configuration_mass(k, mass):
+    """The listing's classes, each weighed by its |Aut_v| from
+    automorphisms, sum to the configuration model's total.  Every term is
+    positive, so a class missing or listed twice, or a wrong |Aut_v|,
+    moves the sum."""
+    total = sum(
+        oracles.class_mass(g, G.automorphisms(g, res)[3]) for g, res in C.labelled_graphs(k)
+    )
+    assert total == oracles.configuration_mass(k) == mass
+
+
 class TestClassVector:
     def test_zero_class(self):
         sp = space(1)
@@ -345,19 +373,64 @@ class TestDimensions:
         got, rest = peel_singletons(space(k).relation_rows())
         assert (len(got), len(rest)) == (peeled, left)
 
-    def test_seed_invariance(self):
-        sp = space(3)
-        assert sp.dimension(seed=1) == sp.dimension(seed=999)
+    def test_module_function(self):
+        assert S.dimension(2) == 1
 
-    def test_more_primes(self):
-        assert space(2).dimension(primes=5) == 1
 
-    @pytest.mark.parametrize("primes", [0, -1])
-    def test_prime_count_below_one_refused(self, primes):
-        with pytest.raises(ValueError, match=f"got {primes}$"):
-            space(2).dimension(primes=primes)
-        with pytest.raises(ValueError, match=f"got {primes}$"):
-            S.dimension(2, primes=primes)
+def weight_systems(sp):
+    """The kernel vectors dimension() counts: integer functionals on the
+    basis that vanish on every relation row."""
+    return kernel_vectors(len(sp.keys), peel_singletons(sp.relation_rows()))
+
+
+class TestCertificate:
+    """dimension() returns d only when d checked kernel vectors meet
+    n - rank mod p; both bounds can fail."""
+
+    K5 = {25: -1, 27: 2, 28: 2, 29: -1, 30: 1}
+
+    def test_k5_functional(self):
+        assert weight_systems(space(5)) == [self.K5]
+
+    def test_one_entry_changed_fails_the_row_check(self):
+        """Adding 1 at any column breaks the k=5 functional: every column
+        meets a relation row.  (Scaling would not do: the k=2 functional
+        has support 1.)"""
+        sp = space(5)
+        rows = sp.relation_rows()
+        assert vanishes_on(rows, self.K5)
+        for c in range(len(sp.keys)):
+            assert not vanishes_on(rows, {**self.K5, c: self.K5.get(c, 0) + 1}), c
+
+    @pytest.mark.parametrize("off", [1, -1])
+    def test_modular_rank_off_by_one_is_refused(self, monkeypatch, off):
+        rank = S.peeled_rank_mod_p
+        monkeypatch.setattr(S, "peeled_rank_mod_p", lambda *a: rank(*a) + off)
+        with pytest.raises(S.PrimeDisagreementError, match="bounds do not meet"):
+            space(2).dimension()
+
+    def test_failed_functional_is_refused(self, monkeypatch):
+        monkeypatch.setattr(S, "vanishes_on", lambda rows, w: False)
+        with pytest.raises(S.PrimeDisagreementError, match="at least 0, at most 1 mod"):
+            space(2).dimension()
+
+    def test_later_prime_closes(self, monkeypatch):
+        """A first prime whose rank is short does not decide: the next one
+        in PRIMES closes the bounds."""
+        rank = S.peeled_rank_mod_p
+        monkeypatch.setattr(
+            S, "peeled_rank_mod_p", lambda rows, peel, p: rank(rows, peel, p) - (p == S.PRIMES[0])
+        )
+        assert space(5).dimension() == 1
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_survival(self, k):
+        """A second path for "this class survives": some functional is
+        nonzero at basis index i exactly when e_i has a nonzero normal form."""
+        sp = space(k)
+        ws = weight_systems(sp)
+        for i in range(len(sp.keys)):
+            assert any(w.get(i) for w in ws) == (sp.normal_form({i: 1}) != {}), i
 
 
 class TestNormalForm:
@@ -617,6 +690,7 @@ class TestK6:
 
     def test_dimension_zero_both_ways(self, space6):
         assert space6.dimension() == space6.exact_dimension() == 0
+        assert weight_systems(space6) == []
 
     def test_singleton_peel_resolves_every_column(self, space6):
         peeled, rest = peel_singletons(space6.relation_rows())
