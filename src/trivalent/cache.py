@@ -1,27 +1,29 @@
-"""On-disk JSON cache for per-k derived data (bases, relations, echelon forms).
+"""On-disk JSON cache for per-k derived data (bases, relations, weight systems).
 
 Each kind's file format lives here: store takes the value GraphSpace uses
-and load gives it back.  A basis is its tuple of class keys; its file
-holds the graph each key spells, and load derives the keys back from
-them.  The directory is the explicit argument, else GC_CACHE, else
-~/.cache/trivalent.  A cache file is named <kind>-k<k>.json; status and
-clear see no other file in the directory.  A file is ignored, and the data
-recomputed, when it is unreadable (JSON nested past the decoder's recursion
-limit included), of another format_version or of the
-wrong shape, or when the CRC-32 of its payload's JSON text, as read, does
-not match the one it carries.  Files that index a basis by position
-(relations, rref) also carry basis_crc32, the CRC-32 of the basis keys
-they were built against (_keys_crc32), and are ignored when it differs.
+and load gives it back.  A basis is its tuple of class keys; its file holds
+the graph each key spells, and load derives the keys back from them.  The
+directory is the explicit argument, else GC_CACHE, else ~/.cache/trivalent.
+A cache file is named <kind>-k<k>.json; status and clear see no other file
+in the directory.  A file is ignored, and the data recomputed, when it is
+unreadable (JSON nested past the decoder's recursion limit included), of
+another format_version or of the wrong shape, or when the CRC-32 of its
+payload's JSON text, as read, does not match the one it carries.  Files
+that index a basis by position (relations, rref) also carry basis_crc32,
+the CRC-32 of the basis keys they were built against (_keys_crc32), and are
+ignored when it differs.  The rref kind holds the weight systems W that
+normal forms are read from, in the relations format: sparse integer rows.
 Wrong shapes include a position outside that basis, a basis graph that is
 not trivalent on 2k vertices, basis keys that do not increase strictly, a
-row whose columns do not increase strictly or that holds a zero, an rref
-pivot key other than str(int(key)), and an rref row without 1 at its pivot
-column.  At a k with pinned class keys (_CLASS_DIGESTS), a basis or zeros
-file whose keys do not give the pinned CRC-32 is ignored too; the basis pin
-is the basis_crc32 that the relations and rref files at that k carry.  At
-any other k a basis of the right shape is not yet trusted: when its
-relation rows are rebuilt, GraphSpace reclassifies it with the cold build's
-classify, which must give back its keys.
+row whose columns do not increase strictly or that holds a zero or a value
+that is not an int, and rref rows that are not in echelon form
+(linalg.in_echelon), two of them sharing a top column, say.  At a k with
+pinned class keys (_CLASS_DIGESTS), a basis or zeros file whose keys do not
+give the pinned CRC-32 is ignored too; the basis pin is the basis_crc32
+that the relations and rref files at that k carry.  At any other k a basis
+of the right shape is not yet trusted: when its relation rows are rebuilt,
+GraphSpace reclassifies it with the cold build's classify, which must give
+back its keys.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ import os
 import re
 import tempfile
 import zlib
-from fractions import Fraction
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import eq, ge, getitem, lt
+from operator import eq, ge, lt
 from pathlib import Path
 
 from .graphs import canonical_key, graph_of_key
+from .linalg import in_echelon
 
 FORMAT_VERSION = 1
 # store writes the payload last, after this key, so that load can
@@ -66,12 +68,6 @@ def _check(ok) -> None:
 def _list_of(x, kind) -> list:
     """x, a list whose items all have exactly the given type."""
     _check(type(x) is list and set(map(type, x)) <= {kind})
-    return x
-
-
-def _positions(x, size) -> list:
-    """x, a list of ints in range(size)."""
-    _check(not _list_of(x, int) or (min(x) >= 0 and max(x) < size))
     return x
 
 
@@ -113,57 +109,44 @@ def _zero_keys(p, k, size) -> frozenset:
     return frozenset(p)
 
 
-def _rows(p, size, kind):
-    """Column and value lists of sparse rows [{"cols": [...], "vals": [...]}],
-    and the values as one flat list; each row's columns increase strictly."""
+def _relation_rows(p, k, size) -> list:
+    """Sparse integer rows [{"cols": [...], "vals": [...]}], each with
+    columns that increase strictly and no zero value."""
     cols, vals = _fields(p, "cols", list), _fields(p, "vals", list)
     lengths = list(map(len, cols))
     _check(lengths == list(map(len, vals)))
-    flat = _positions(list(chain.from_iterable(cols)), size)
+    flat = _list_of(list(chain.from_iterable(cols)), int)
+    _check(not flat or (min(flat) >= 0 and max(flat) < size))
     # a column no larger than the one before it in the flat list must start
     # a row: its index there must be a running total of the row lengths
     starts = set(accumulate(lengths))
     _check(starts.issuperset(compress(count(1), map(ge, flat, islice(flat, 1, None)))))
-    return cols, vals, _list_of(list(chain.from_iterable(vals)), kind)
-
-
-def _relation_rows(p, k, size) -> list:
-    cols, vals, flat = _rows(p, size, int)
-    _check(0 not in flat)
+    _check(0 not in _list_of(list(chain.from_iterable(vals)), int))
     return list(map(dict, map(zip, cols, vals)))
 
 
-def _rref_rows(p, k, size) -> dict:
-    """Each pivot key is str(int(key)) and its row holds 1 at that column."""
-    _check(type(p) is dict)
-    pivots = _positions(list(map(int, p)), size)
-    _check(list(map(str, pivots)) == list(p))
-    cols, vals, flat = _rows(list(p.values()), size, str)
-    value = {s: Fraction(s) for s in set(flat)}  # one Fraction per distinct text
-    _check(all(value.values()))
-    # list.index raises ValueError for a row without its pivot column
-    at_pivot = set(map(getitem, vals, map(list.index, cols, pivots)))
-    _check(all(value[s] == 1 for s in at_pivot))
-    return {piv: dict(zip(c, map(value.__getitem__, v))) for piv, c, v in zip(pivots, cols, vals)}
+def _weight_rows(p, k, size) -> list:
+    rows = _relation_rows(p, k, size)
+    _check(in_echelon(rows))
+    return rows
 
 
-def _sorted_row(row, value=lambda v: v) -> dict:
-    cols = sorted(row)
-    return {"cols": cols, "vals": [value(row[c]) for c in cols]}
+def _sorted_rows(rows) -> list:
+    return [{"cols": sorted(r), "vals": [v for _, v in sorted(r.items())]} for r in rows]
 
 
 # each kind's (encoder, decoder): the encoder turns the value GraphSpace
 # uses into a payload, and the decoder turns a payload back into that value,
 # given k, which a basis checks its graphs against and which picks the
 # pinned digests of the basis and zeros, and the size of the
-# basis that relations and rref index by position, or raises ValueError
-# (ZeroDivisionError for an rref value "1/0").  Decoders check over flat
-# lists, a few C-level calls a payload, not item by item.
+# basis that relations and rref index by position, or raises ValueError.
+# Decoders check over flat lists, a few C-level calls a payload, not item
+# by item.
 _FORMATS = {
     "basis": (lambda keys: [graph_of_key(key).to_json() for key in keys], _basis_keys),
     "zeros": (sorted, _zero_keys),
-    "relations": (lambda rows: [_sorted_row(r) for r in rows], _relation_rows),
-    "rref": (lambda rows: {str(p): _sorted_row(r, str) for p, r in rows.items()}, _rref_rows),
+    "relations": (_sorted_rows, _relation_rows),
+    "rref": (_sorted_rows, _weight_rows),
 }
 KINDS = tuple(_FORMATS)
 # the names store writes, and the only files status and clear see
@@ -204,7 +187,7 @@ class Cache:
                 and data.get("payload_crc32") == zlib.crc32(raw[start:-1])
             )
             return _FORMATS[kind][1](data.get("payload"), k, len(basis_keys or ()))
-        except (OSError, ValueError, ZeroDivisionError, RecursionError):
+        except (OSError, ValueError, RecursionError):
             return None
 
     def store(self, k: int, kind: str, value, basis_keys=None) -> None:

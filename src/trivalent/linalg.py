@@ -6,14 +6,19 @@ its inner loops add and multiply ints.  Exact rank counts its pivots,
 solve_exact reads its integer pivot rows directly and answers with an
 integer matrix over a denominator, and exact_rref reads the same rows as
 Fractions.  Fractions appear only in exact_rref's answer and in
-reduce_vector, which works against it.
+reduce_vector, which works against it.  Nothing in the package calls
+those two: normal forms are read off the kernel vectors, and the two are
+the tests' reference for them.  They stay in this module because the
+benchmark's span list (bench/spans.py) looks both names up here when it
+installs.
 rank_mod_p takes integer rows, which is what the relation rows are; it
 is at most their rank over the rationals.  The integer singleton peel
 (peel_singletons) serves both bounds of a dimension: peeled_rank_mod_p
 reads the rank mod p through it, and kernel_vectors reads integer vectors
 that vanish on the rows (vanishes_on checks each against every row) off
-the exact elimination of the rows it leaves.  exact_rank does not use the
-peel, so it stays a check of it.
+the exact elimination of the rows it leaves, in the echelon form that
+in_echelon checks.  exact_rank does not use the peel, so it stays a check
+of it.
 Dense matrices are row-major lists of rows; nonzeros lists a dense matrix
 as the (column, value) pairs of each row's nonzero entries.
 sub_product is the one matrix-product loop: it subtracts s * A * B from a
@@ -125,6 +130,15 @@ def kernel_vectors(n: int, peel: tuple) -> list:
         g = reduce(gcd, w.values())
         vectors.append({c: v // g for c, v in sorted(w.items())})
     return vectors
+
+
+def in_echelon(vectors) -> bool:
+    """Whether the top (largest) columns of the nonempty sparse vectors are
+    distinct and each is absent from every other vector, as kernel_vectors
+    builds them: then the vectors are independent, and each one's top column
+    reads its coefficient in any combination of them."""
+    tops = {max(w) for w in vectors if w}
+    return len(tops) == len(vectors) and all(len(tops.intersection(w)) == 1 for w in vectors)
 
 
 def vanishes_on(rows, w: dict) -> bool:

@@ -2,16 +2,21 @@
 
 A GraphSpace holds the basis as the sorted keys of the signed classes, and
 the zero class keys (classes.classify over classes.labelled_graphs), the
-relation rows (hubs.hub_rows), and the exact echelon form of those rows,
-each read from the cache when it has them, else built and stored.  A basis
-graph is read off its key (graphs.graph_of_key) only when the rows are
-built.  A dimension is proved by two bounds that meet: integer functionals
-that vanish on every relation row, and the basis size minus a modular rank;
-normal forms reduce a class vector against the echelon form.
+relation rows (hubs.hub_rows), and the weight systems W, integer
+functionals that vanish on every row, each read from the cache when it has
+them, else built and stored.  A basis graph is read off its key
+(graphs.graph_of_key) only when the rows are built.  One certificate proves
+W from the rows: its vectors vanish on every row and are in echelon form,
+so the dimension is at least their count, and the basis size minus a
+modular rank, an upper bound, meets it.  dimension() runs that proof on
+every call.  Normal forms are read off W, which the rref cache kind holds:
+the top columns of W are the free columns of the rows' reduced echelon
+form, and each vector pairs a class vector to its coefficient there.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import zip_longest
 
 from .cache import Cache
@@ -20,8 +25,8 @@ from .canon import CanonResult
 from .classes import classify, enumerate_graphs, labelled_graphs
 from .graphs import LabelledTrivalentGraph, _connected, graph_of_key, has_parallel_edge, reduce
 from .hubs import hub_rows
-from .linalg import exact_rref, kernel_vectors, peel_singletons, peeled_rank_mod_p
-from .linalg import reduce_vector, vanishes_on
+from .linalg import exact_rank, in_echelon, kernel_vectors, peel_singletons, peeled_rank_mod_p
+from .linalg import vanishes_on
 
 
 class PrimeDisagreementError(Exception):
@@ -45,7 +50,8 @@ class GraphSpace:
         self._keys = None
         self._zeros = None
         self._rows = None
-        self._rref = None
+        self._proved = None  # W, as dimension() last proved it
+        self._weights = None  # W, as normal_form reads it
         self._index = None
 
     # -- basis ------------------------------------------------------------
@@ -168,43 +174,55 @@ class GraphSpace:
 
     # -- rank and dimension -------------------------------------------------
 
-    def dimension(self) -> int:
-        """Basis size n minus the rank of the relation rows, once two bounds
-        meet.  The kernel vectors that vanish on every row are independent,
-        so the dimension is at least their count; a rank mod p is at most
-        the rank, so the dimension is at most n minus it, for the first of
-        PRIMES that closes the gap.  Both bounds read one singleton peel."""
+    def _certificate(self) -> list:
+        """W, proved from the relation rows: the kernel vectors that vanish
+        on every row, in echelon form, so independent, and as many as the
+        basis size n minus the rank mod p, an upper bound on the dimension,
+        for the first of PRIMES that closes the gap.  Both bounds read one
+        singleton peel."""
         rows, n = self.relation_rows(), len(self.keys)
         peel = peel_singletons(rows)
-        low = sum(vanishes_on(rows, w) for w in kernel_vectors(n, peel))
+        weights = [w for w in kernel_vectors(n, peel) if vanishes_on(rows, w)]
+        if not in_echelon(weights):
+            raise PrimeDisagreementError("kernel vectors are not in echelon form")
         for p in PRIMES:
             high = n - peeled_rank_mod_p(rows, peel, p)
-            if high == low:
-                return low
+            if high == len(weights):
+                return weights
         raise PrimeDisagreementError(
-            f"dimension bounds do not meet: at least {low}, at most {high} mod {p}"
+            f"dimension bounds do not meet: at least {len(weights)}, at most {high} mod {p}"
         )
 
+    def dimension(self) -> int:
+        """Basis size minus the rank of the relation rows, proved by the
+        certificate from the rows on every call."""
+        self._proved = self._certificate()
+        return len(self._proved)
+
     def exact_dimension(self) -> int:
-        """Dimension via fraction-exact elimination: the pivots of the rref
-        that normal_form uses.  It reads no peel, so it is the check of the
-        peel that dimension's two bounds share."""
-        return len(self.keys) - len(self._ensure_rref())
+        """Basis size minus the exact rank of the relation rows.  It reads
+        no peel, so it is the check of the peel that the certificate's two
+        bounds share."""
+        return len(self.keys) - exact_rank(self.relation_rows())
 
     # -- normal form ----------------------------------------------------------
 
-    def _ensure_rref(self):
-        if self._rref is None:
-            self._rref = self._cached("rref", lambda: exact_rref(self.relation_rows()))
-        return self._rref
-
     def normal_form(self, vec: dict) -> dict:
-        """Residual of a coefficient vector against the relation span.
+        """Residual of a coefficient vector against the relation span: the
+        one vector supported on the free columns that every w in W pairs
+        as it pairs vec, {max(w): <w, vec> / w[max(w)]}.  W is read from
+        the rref cache kind, else taken as dimension() proved it, else
+        proved now, and stored unless it was read.
 
         Linear and idempotent; vanishes exactly on combinations of relation
         rows, so equal normal forms mean equal classes in the quotient.
         """
-        return reduce_vector(vec, self._ensure_rref())
+        if self._weights is None:
+            self._weights = self._cached(
+                "rref", lambda: self._certificate() if self._proved is None else self._proved
+            )
+        pairings = ((w, sum(v * w[c] for c, v in vec.items() if c in w)) for w in self._weights)
+        return {max(w): Fraction(s, w[max(w)]) for w, s in pairings if s}
 
     def reduce_graph(self, g: LabelledTrivalentGraph, res: CanonResult | None = None) -> dict:
         """The normal form of g's class; {} for a zero class, which reads

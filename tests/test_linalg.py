@@ -100,6 +100,13 @@ class TestKernelVectors:
             assert la.vanishes_on(rows, w)
             assert w[f] > 0 and reduce(gcd, w.values()) == 1
             assert not any(f in x for x in ws if x is not w)
+        assert la.in_echelon(ws)
+
+    def test_in_echelon_refuses_a_shared_or_held_top(self):
+        assert la.in_echelon([]) and la.in_echelon([{0: 1, 2: 1}, {1: 1}])
+        assert not la.in_echelon([{1: 1}, {0: 1, 1: 1}])  # the same top column
+        assert not la.in_echelon([{0: 1}, {0: 1, 1: 1}])  # a top held by another vector
+        assert not la.in_echelon([{}])
 
     def test_no_rows_gives_the_unit_vectors(self):
         assert la.kernel_vectors(2, la.peel_singletons([])) == [{0: 1}, {1: 1}]

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import stat
 import sys
 import zlib
@@ -423,14 +424,63 @@ class TestCertificate:
         )
         assert space(5).dimension() == 1
 
+    def test_kernel_vectors_out_of_echelon_form_are_refused(self, monkeypatch):
+        """The k=2 vector twice vanishes on every row, but the two are not
+        independent: the certificate refuses them before any bound."""
+        vectors = S.kernel_vectors
+        monkeypatch.setattr(S, "kernel_vectors", lambda n, peel: vectors(n, peel) * 2)
+        with pytest.raises(S.PrimeDisagreementError, match="not in echelon form"):
+            space(2).dimension()
+        with pytest.raises(S.PrimeDisagreementError, match="not in echelon form"):
+            space(2).normal_form({})
+
+    def test_cold_build_proves_once(self, tmp_path, monkeypatch):
+        """A cold dimension() then normal_form run the proof once, and the
+        rref file holds what it proved; a reopened space proves its
+        dimension from the rows again, and reads W for normal forms."""
+        calls = []
+        vectors = S.kernel_vectors
+
+        def counted(n, peel):
+            calls.append(n)
+            return vectors(n, peel)
+
+        monkeypatch.setattr(S, "kernel_vectors", counted)
+        cold = GraphSpace(5, Cache(tmp_path))
+        assert (cold.dimension(), cold.normal_form({30: 1}), len(calls)) == (1, {30: 1}, 1)
+        assert Cache(tmp_path).load(5, "rref", cold.keys) == [self.K5]
+        warm = GraphSpace(5, Cache(tmp_path))
+        assert (warm.normal_form({25: 1}), len(calls)) == ({30: -1}, 1)
+        assert (warm.dimension(), len(calls)) == (1, 2)
+
     @pytest.mark.parametrize("k", range(1, 6))
     def test_survival(self, k):
-        """A second path for "this class survives": some functional is
-        nonzero at basis index i exactly when e_i has a nonzero normal form."""
+        """"This class survives", two ways: some functional is nonzero at
+        basis index i exactly when e_i has a nonzero residual against the
+        exact rref of the relation rows."""
         sp = space(k)
         ws = weight_systems(sp)
+        piv = exact_rref(sp.relation_rows())
         for i in range(len(sp.keys)):
-            assert any(w.get(i) for w in ws) == (sp.normal_form({i: 1}) != {}), i
+            assert any(w.get(i) for w in ws) == (reduce_vector({i: 1}, piv) != {}), i
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_normal_form_is_the_rref_residual(k, request):
+    """A second path for normal forms: read off the weight systems, they
+    equal the residual against the exact rref of the relation rows on every
+    basis class, every relation row and 200 seeded random integer
+    vectors."""
+    sp = cold_space(k, request)
+    rows, n = sp.relation_rows(), len(sp.keys)
+    piv = exact_rref(rows)
+    rng = random.Random(k)
+    randoms = [
+        {rng.randrange(n): rng.randint(-9, 9) for _ in range(rng.randint(1, 6))} if n else {}
+        for _ in range(200)
+    ]
+    for v in [*({i: 1} for i in range(n)), *rows, *randoms]:
+        assert sp.normal_form(v) == reduce_vector(v, piv), v
 
 
 class TestNormalForm:
@@ -793,7 +843,7 @@ class TestCache:
 
     # SHA-256 of the cache files a cold dimension() and normal_form({}) write
     # for k=1..4, as json.dumps({name: text}) with names sorted
-    FILES_DIGEST = "3f3a9484b09199a175d05bfc0e47a6473486a25579c7c0811b23f3a3505a6890"
+    FILES_DIGEST = "1c116ea598dbb75aba0e828cb8c3f4f62a241c15286007127f6f17640cfac140"
 
     def test_file_bytes_pinned(self, tmp_path):
         for k in range(1, 5):
@@ -807,19 +857,21 @@ class TestCache:
 
     def test_store_then_load_each_kind(self, tmp_path):
         cache = Cache(tmp_path)
-        space = GraphSpace(3)
+        space = GraphSpace(5)
+        space.normal_form({})
         values = {
             "basis": space.keys,
             "zeros": space.zero_keys,
             "relations": space.relation_rows(),
-            "rref": space._ensure_rref(),
+            "rref": space._weights,
         }
         assert set(values) == set(KINDS)
         for kind, value in values.items():
-            cache.store(3, kind, value, space.keys)
-            assert cache.load(3, kind, space.keys) == value
-        rref = cache.load(3, "rref", space.keys)
-        assert rref and all(type(v) is Fraction for r in rref.values() for v in r.values())
+            cache.store(5, kind, value, space.keys)
+            assert cache.load(5, kind, space.keys) == value
+        rref = cache.load(5, "rref", space.keys)
+        assert rref == [TestCertificate.K5]
+        assert all(type(v) is int for w in rref for v in w.values())
 
     def test_version_mismatch_ignored(self, tmp_path):
         cache = Cache(tmp_path)
