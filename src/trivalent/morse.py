@@ -1,14 +1,15 @@
 """Finite graded chain complexes, contractions, transport, split-edge graphs.
 
 Degrees run 0..4 throughout.  Boundary matrices are integer, propagators
-rational.  From the solve to the identity check each g is an integer
-matrix over its least common denominator, so every product is of integer
-matrices and every identity is an exact integer zero test: the solve
-answers in that form, and the Fraction matrices of Propagator.mats are
-built from it once and read back only by the check.  Every product runs
-linalg's one product loop, sub_product, on listed factors (the nonzero
-entries of each row); each boundary is listed once per solve or check.
-A residual starts as its denominator times the identity and each term is
+rational.  A propagator holds each g as an integer matrix over its least
+denominator, the form the solve answers in, so the solve, the identity
+check and the dual all work on it as it is: every product is of integer
+matrices and every identity is an exact integer zero test.  Fractions are
+made only where a g is read entry by entry (Propagator.g, to_json and
+trace_tr_g).  Every product runs linalg's one product loop, sub_product,
+on listed factors (the nonzero entries of each row); each boundary is
+listed once per solve or check, and each g when a residual uses it.  A
+residual starts as its denominator times the identity and each term is
 subtracted straight into it.  Matrices are dense row-major lists, entry
 (row=target, col=source), and shapes follow the rank vector so zero-rank
 degrees work.
@@ -123,21 +124,26 @@ def check_complex(c: GradedComplex, listed: dict | None = None) -> GradedComplex
 
 @dataclass(frozen=True)
 class Propagator:
-    """Rational g_d: degree d -> degree d+1, for d = 0..3."""
+    """Rational g_d: degree d -> degree d+1, for d = 0..3, as
+    mats[d] / dens[d]: mats[d] is a dense integer matrix and dens[d] > 0
+    its least denominator, so the gcd of dens[d] and the entries is 1."""
 
     ranks: tuple
     mats: dict = field(hash=False)
+    dens: dict = field(hash=False)
 
     def g(self, d: int):
+        """g_d as Fractions, with the int 0 for a zero entry."""
         if d < 0 or d >= TOP_DEGREE:
             return []
-        return self.mats[d]
+        den = self.dens[d]
+        return [[Fraction(v, den) if v else 0 for v in row] for row in self.mats[d]]
 
     def to_json(self) -> dict:
         return {
             "ranks": list(self.ranks),
             "gs": {
-                str(d): [[str(x) for x in row] for row in self.mats[d]]
+                str(d): [[str(x) for x in row] for row in self.g(d)]
                 for d in range(TOP_DEGREE)
             },
         }
@@ -155,36 +161,24 @@ def _homology_defect(c: GradedComplex, d: int) -> int:
     return c.ranks[d] - rank_of(d) - rank_of(d + 1)
 
 
-def _over_lcm(m):
-    """(M, den) with m = M / den: M the integer matrix, listed (see
-    linalg.nonzeros), den the least common denominator of m's entries.
-    Only the nonzero entries are converted."""
-    rows = nonzeros(m)
-    den = reduce(lcm, {v.denominator for row in rows for _, v in row}, 1)
-    return [[(j, v.numerator * (den // v.denominator)) for j, v in row] for row in rows], den
-
-
-def _residual(c: GradedComplex, listed: dict, gs: dict, d: int):
+def _residual(c: GradedComplex, listed: dict, g: Propagator, d: int):
     """(R, den) with R / den = id − ∂_{d+1} g_d − g_{d−1} ∂_d in degree d,
-    each term only if gs holds its g.
+    each term only if g holds its degree.
 
-    listed holds c's boundaries as nonzeros lists, and gs maps a degree to
-    its g as a listed integer matrix over a denominator (see _over_lcm), so
-    every product is of integer matrices; den is the lcm of the
-    denominators present.  R is dense: it starts as den times the identity,
-    and each term is subtracted straight into it (sub_product), scaled to
-    den.  The contraction identity holds in degree d exactly when R is
-    zero; before g_d exists, R / den is the right-hand side that
-    ∂_{d+1} g_d must equal.
+    listed holds c's boundaries as nonzeros lists; each g used is listed
+    here from its integer matrix, so every product is of integer matrices,
+    and den is the lcm of the denominators present.  R is dense: it starts
+    as den times the identity, and each term is subtracted straight into
+    it (sub_product), scaled to den.  The contraction identity holds in
+    degree d exactly when R is zero; before g_d exists, R / den is the
+    right-hand side that ∂_{d+1} g_d must equal.
     """
     rd = c.ranks[d]
     terms = []
-    if d in gs:
-        g, den = gs[d]
-        terms.append((listed[d + 1], g, den))
-    if d - 1 in gs:
-        g, den = gs[d - 1]
-        terms.append((g, listed[d], den))
+    if d in g.mats:
+        terms.append((listed[d + 1], nonzeros(g.mats[d]), g.dens[d]))
+    if d - 1 in g.mats:
+        terms.append((nonzeros(g.mats[d - 1]), listed[d], g.dens[d - 1]))
     den = lcm(*(t for _, _, t in terms))
     out = [[0] * rd for _ in range(rd)]
     for i, row in enumerate(out):
@@ -204,40 +198,37 @@ def compute_propagator(c: GradedComplex) -> Propagator:
     Solved degree by degree from the bottom, over the integers: the
     right-hand side is the integer residual R over its denominator den, and
     solve_exact gives ∂_{d+1} X = xden R with X an integer matrix, so g_d
-    is X over xden den.  Brought to its least denominator and listed, that
-    integer form feeds the next residuals; the Fraction matrix of
-    Propagator.mats is built from it once, a Fraction per nonzero entry.
-    The boundaries are listed once, for check_complex and every residual.
-    The elimination order is fixed and free variables are zeroed, so the
-    answer is deterministic.
+    is X over xden den.  Brought to its least denominator, that integer
+    matrix is what the propagator holds and what the next residuals read;
+    no Fraction is made.  The boundaries are listed once, for check_complex
+    and every residual.  The elimination order is fixed and free variables
+    are zeroed, so the answer is deterministic.
     """
     listed = _listed_boundaries(c)
     check_complex(c, listed)
-    gs: dict = {}
-    igs: dict = {}
+    g = Propagator(c.ranks, {}, {})
     for d in range(TOP_DEGREE):
-        rhs, den = _residual(c, listed, igs, d)
+        rhs, den = _residual(c, listed, g, d)
         sol = solve_exact(c.boundaries[d + 1], rhs, c.ranks[d + 1])
         if sol is None:
             raise NotAcyclicError(d, _homology_defect(c, d))
         x, xden = sol
         den *= xden
-        gs[d] = [[Fraction(v, den) if v else 0 for v in row] for row in x]
-        g = reduce(gcd, (v for row in x for v in row if v), den)
-        igs[d] = [[(j, v // g) for j, v in enumerate(row) if v] for row in x], den // g
+        common = reduce(gcd, (v for row in x for v in row if v), den)
+        g.mats[d] = [[v // common for v in row] for row in x]
+        g.dens[d] = den // common
     # top degree: g_3 ∂_4 = id follows from exactness; verify outright
-    if not _is_zero(_residual(c, listed, igs, TOP_DEGREE)[0]):
+    if not _is_zero(_residual(c, listed, g, TOP_DEGREE)[0]):
         raise NotAcyclicError(TOP_DEGREE, _homology_defect(c, TOP_DEGREE))
-    return Propagator(c.ranks, gs)
+    return g
 
 
 def contraction_identity_holds(c: GradedComplex, g: Propagator) -> bool:
     """Exact check of ∂_{d+1} g_d + g_{d-1} ∂_d = id for d = 0..4, as an
-    integer zero test.  The Fractions of g.mats are converted here, so the
-    check reads what the propagator holds."""
+    integer zero test on the integer matrices and denominators g holds, so
+    the check reads exactly what the propagator holds."""
     listed = _listed_boundaries(c)
-    igs = {d: _over_lcm(m) for d, m in g.mats.items()}
-    return all(_is_zero(_residual(c, listed, igs, d)[0]) for d in range(TOP_DEGREE + 1))
+    return all(_is_zero(_residual(c, listed, g, d)[0]) for d in range(TOP_DEGREE + 1))
 
 
 def _neg_transpose(m, cols: int):
@@ -245,18 +236,20 @@ def _neg_transpose(m, cols: int):
 
 
 def dual_propagator(c: GradedComplex, g: Propagator):
-    """Degree-reversed complex with ∂* = −∂^T and its contraction −g^T."""
+    """Degree-reversed complex with ∂* = −∂^T and its contraction −g^T,
+    which keeps each g's denominator."""
     ranks = tuple(reversed(c.ranks))
     bnd = {}
     for d in range(1, TOP_DEGREE + 1):
         src = TOP_DEGREE + 1 - d  # ∂*_d is -(∂_{5-d})^T
         bnd[d] = _neg_transpose(c.boundaries[src], c.ranks[src])
     dual_c = GradedComplex(ranks, bnd)
-    mats = {}
+    dual_g = Propagator(ranks, {}, {})
     for d in range(TOP_DEGREE):
         src = TOP_DEGREE - 1 - d  # g*_d is -(g_{3-d})^T
-        mats[d] = _neg_transpose(g.mats[src], c.ranks[src])
-    return dual_c, Propagator(ranks, mats)
+        dual_g.mats[d] = _neg_transpose(g.mats[src], c.ranks[src])
+        dual_g.dens[d] = g.dens[src]
+    return dual_c, dual_g
 
 
 @dataclass(frozen=True)
@@ -392,10 +385,10 @@ def trace_tr_g(gs, c: CGraph):
             g = gs[i]
         except (KeyError, IndexError):
             raise InvalidDecorationError(f"no propagator for split edge {i}")
-        mat = g.g(q.degree)
+        mat = g.mats[q.degree]
         if p.position >= len(mat) or (mat and q.position >= len(mat[0])):
             raise InvalidDecorationError(f"decoration of edge {i} is out of range")
-        coeff *= -mat[p.position][q.position]
+        coeff *= -Fraction(mat[p.position][q.position], g.dens[q.degree])
     return coeff, close(c)
 
 

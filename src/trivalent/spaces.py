@@ -30,7 +30,8 @@ from .linalg import vanishes_on
 
 
 class PrimeDisagreementError(Exception):
-    """No listed prime closed the dimension bounds."""
+    """The dimension certificate did not hold: its kernel vectors are not
+    in echelon form, or no listed prime closed the dimension bounds."""
 
 
 # 2^31 - 1 and the two primes below it, tried in order

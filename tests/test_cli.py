@@ -609,6 +609,22 @@ class TestMisc:
         assert data["ok"] is True
         assert all(c["ok"] for c in data["checks"])
 
+    def test_selftest_propagator_check_can_fail(self, tmp_path, capsys, monkeypatch):
+        """A g_0 off by one in one entry fails "propagator entries exact"
+        and the whole selftest."""
+        solve = cli.compute_propagator
+
+        def off_by_one(c):
+            g = solve(c)
+            g.mats[0][0][0] += g.dens[0]
+            return g
+
+        monkeypatch.setattr(cli, "compute_propagator", off_by_one)
+        code, out, _ = run(capsys, "selftest", "--max-k", "1", "--cache", str(tmp_path))
+        data = json.loads(out)
+        assert (code, data["ok"]) == (1, False)
+        assert {c["name"]: c["ok"] for c in data["checks"]}["propagator entries exact"] is False
+
     def test_table_format(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "--format", "table", "dim", "-k", "2", "--cache", str(tmp_path)
