@@ -2,7 +2,7 @@
 
 import hashlib
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -182,6 +182,37 @@ class TestIntegerIdentityCheck:
 
         monkeypatch.setattr(la, "exact_rref", no_rref)
         assert [outcome(c) for c in cases] == want
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            st.integers(-9, 9),
+            st.fractions(min_value=-4, max_value=4, max_denominator=12),
+            st.sampled_from((0, Fraction(0))),
+        ],
+        ids=["ints", "fractions", "zeros"],
+    )
+    @given(st.integers(0, 4), st.integers(0, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_over_lcm_is_the_fraction_reading(self, entry, rows, cols, data):
+        """A matrix m of ints and Fractions (with int zeros among them, as
+        in a solution), all-zero or empty, held as M = m * den over den,
+        the lcm of every entry's denominator, is in least form (gcd of den
+        and the entries is 1), and Propagator.g(d) reads it back as m, with
+        a Fraction for each nonzero entry and the int 0 for a zero one."""
+        values = st.one_of(st.just(0), entry)
+        m = [data.draw(st.lists(values, min_size=cols, max_size=cols)) for _ in range(rows)]
+        den = lcm(*(Fraction(v).denominator for row in m for v in row))
+        big = [[int(Fraction(v) * den) for v in row] for row in m]
+        assert all(Fraction(v) * den == w for row, brow in zip(m, big) for v, w in zip(row, brow))
+        assert gcd(den, *(v for row in big for v in row)) == 1
+        degrees = range(M.TOP_DEGREE)
+        p = M.Propagator((rows,) * 5, {d: big for d in degrees}, {d: den for d in degrees})
+        for d in degrees:
+            got = p.g(d)
+            assert got == m
+            assert all(type(x) is (Fraction if x else int) for row in got for x in row)
+        assert p.g(-1) == p.g(M.TOP_DEGREE) == []
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
