@@ -31,7 +31,6 @@ from .morse import (
 from .spaces import GraphSpace, PrimeDisagreementError, dimension, enumerate_graphs
 from .surgery import (
     EvaluationReport,
-    NonIntegerOrbitError,
     ResourceLimitError,
     SurgeryError,
     evaluate_full,
@@ -51,7 +50,6 @@ __all__ = [
     "GraphSpace",
     "LabelledTrivalentGraph",
     "MorseError",
-    "NonIntegerOrbitError",
     "NonTrivalentError",
     "NotAComplexError",
     "NotAcyclicError",

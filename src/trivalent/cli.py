@@ -256,11 +256,8 @@ def cmd_surgery(args):
     g, a = _read_graph_file(args.file, _arrow)
     space = _open_space(args, g.k)  # refuses a k beyond --max-k before the search
     a = a or find_arrow_orientation(g)
-    if args.mode == "orbit":
-        report = evaluate_orbit(a, space, args.type_convention)
-    else:
-        report = evaluate_full(a, space, args.type_convention)
-    return report.to_json()
+    evaluate = evaluate_orbit if args.mode == "orbit" else evaluate_full
+    return evaluate(a, space, args.type_convention).to_json()
 
 
 def cmd_morse_propagator(args):

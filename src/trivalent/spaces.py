@@ -84,13 +84,19 @@ class GraphSpace:
     def _build_classes(self) -> None:
         """The cold build: classify the enumerator's labelled graphs, then
         store the zero keys, and the basis unless one was read from the cache.
-        The listing streams into classify, which is looked up here at call
-        time, so a tracer that rebinds spaces.classify times the build."""
-        keys, self._zeros, generators = classify(labelled_graphs(self.k))
+        A basis read from the cache must be the one the build gives; one with
+        a class missing or slipped in is a ValueError.  The listing streams
+        into classify, which is looked up here at call time, so a tracer
+        that rebinds spaces.classify times the build."""
+        keys, zeros, generators = classify(labelled_graphs(self.k))
         if self._keys is None:
-            self._keys, self._generators = keys, generators
             self._store("basis", keys)
-        self._store("zeros", self._zeros)
+        elif self._keys != keys:
+            raise ValueError(
+                f"cached basis at k={self.k} differs from a cold build's {len(keys)} signed classes"
+            )
+        self._keys, self._zeros, self._generators = keys, zeros, generators
+        self._store("zeros", zeros)
 
     @property
     def basis(self):

@@ -3,12 +3,15 @@
 Every edge of an arrow graph contributes one Hopf pair of handle slots; a
 vertex's three slots carry degrees 1 (outgoing) and 2 (incoming), making
 vertices with two outgoing half-edges one type and vertices with two
-incoming the other.  The orbit evaluator uses the automorphism-counting
-closed form.  The full evaluator, at small k, lists the labelled copies of
-the graph in one pass over the vertex bijections, multiplies in the edge
-sequences, orientations and slot matchings every copy shares with the
-input, and checks the total against the representative count that the
-automorphism group gives.
+incoming the other.  ylink builds those slots and their linking matrix,
+and block_degrees and block_sign read them; the evaluators need neither.
+Both evaluators run one body, which returns the normal form of the input
+class with its automorphism counts.  The orbit evaluator uses the
+automorphism-counting closed form.  The full evaluator, at small k, lists
+the labelled copies of the graph in one pass over the vertex bijections,
+multiplies in the edge sequences, orientations and slot matchings every
+copy shares with the input, and checks the total against the
+representative count that the automorphism group gives.
 """
 
 from __future__ import annotations
@@ -17,18 +20,14 @@ import itertools
 from dataclasses import dataclass, field
 from math import factorial, prod
 
-from .canon import CanonResult, canonicalize
-from .graphs import ArrowGraph, GraphError, automorphisms, half_edges_at
-from .morse import TYPE_I, TYPE_II, surviving_indices
+from .canon import canonicalize
+from .graphs import ArrowGraph, GraphError, automorphisms, half_edges_at, make_arrow
+from .morse import TYPE_I, TYPE_II
 from .spaces import GraphSpace
 
 
 class SurgeryError(Exception):
     pass
-
-
-class NonIntegerOrbitError(SurgeryError):
-    """The representative count failed to divide; automorphisms are broken."""
 
 
 class ResourceLimitError(SurgeryError):
@@ -91,10 +90,14 @@ def _tail_end(arrow: ArrowGraph, e: int) -> int:
     return 0 if arrow.directions[e][0] == u else 1
 
 
-def ylink(arrow: ArrowGraph, convention: str = CONVENTION_DEFAULT):
-    """Handle slots, vertex types and the Hopf-pair linking matrix."""
+def _check_convention(convention: str) -> None:
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown type convention {convention!r}")
+
+
+def ylink(arrow: ArrowGraph, convention: str = CONVENTION_DEFAULT):
+    """Handle slots, vertex types and the Hopf-pair linking matrix."""
+    _check_convention(convention)
     g = arrow.graph
     out_degree = 1 if convention == CONVENTION_DEFAULT else 2
     in_degree = 3 - out_degree
@@ -155,27 +158,6 @@ def block_sign(degrees: BlockDegrees, sigma) -> int:
     return sign
 
 
-def _surviving_tuple(data: YLinkData, v: int):
-    """The (inputs | outputs) index tuple a vertex realizes."""
-    ins, outs = [], []
-    for s in data.slots_at(v):
-        edge_input_side = (not s.outgoing) if data.convention == CONVENTION_DEFAULT else s.outgoing
-        (ins if edge_input_side else outs).append(s.degree)
-    return tuple(sorted(ins)), tuple(sorted(outs))
-
-
-# the admissible (inputs | outputs) tuples of each vertex type
-_ADMISSIBLE = {t: frozenset(surviving_indices(t)) for t in (TYPE_I, TYPE_II)}
-
-
-def _assert_surviving(data: YLinkData) -> None:
-    for v, t in enumerate(data.vertex_types):
-        tup = _surviving_tuple(data, v)
-        assert tup in _ADMISSIBLE[t], f"vertex {v} realizes {tup}, not admissible for {t}"
-    for a, b in data.hopf_pairs:
-        assert {data.slots[a].degree, data.slots[b].degree} == {1, 2}
-
-
 @dataclass(frozen=True)
 class EvaluationReport:
     mode: str
@@ -204,32 +186,59 @@ _CONSTANT_TERM_NOTE = (
 )
 
 
-def _orbit_order(k: int) -> int:
-    return 2 ** (3 * k) * factorial(2 * k) * factorial(3 * k)
+def _evaluate(
+    mode: str, arrow: ArrowGraph, space: GraphSpace | None, convention: str
+) -> EvaluationReport:
+    """The body both evaluators share: the normal form of the input class,
+    the automorphism counts and the representative count L(G), and in full
+    mode the one check that can fail, the loop-weighted copy count.
 
-
-def _orbit_diagnostics(arrow: ArrowGraph, convention: str, res: CanonResult) -> dict:
-    """Checks both evaluators rest on, and their shared diagnostics.
-
-    Every vertex must realize a surviving index tuple, and |Aut| must divide
-    2^(3k) (2k)! (3k)!; the quotient is the representative count L(G).  res
-    is the graph's canonical labelling, which the evaluator also reduces
-    the graph's class with.
+    The arrow is checked as make_arrow checks a parsed one, so a hand-built
+    arrow with a source or sink vertex is a GraphError.  Nothing else is
+    checked, because nothing else can fail.  Each vertex then has two
+    outgoing ends and one incoming, or one and two, and ylink gives every
+    slot its degree by whether it is outgoing, so each vertex realizes a
+    surviving tuple of its type and each Hopf pair has the degrees {1, 2}.
+    |Aut_v| is the order of a group of permutations of the 2k vertices and
+    |Aut_e| = prod m! with sum m = 3k, so by Lagrange |Aut| divides
+    2^(3k) (2k)! (3k)! and L(G) is the integer quotient.
     """
-    data, _ = ylink(arrow, convention)
-    _assert_surviving(data)
-    _, aut, aut_e, aut_v = automorphisms(arrow.graph, res)
-    order = _orbit_order(arrow.graph.k)
-    if order % aut:
-        raise NonIntegerOrbitError(
-            f"2^(3k)(2k)!(3k)! = {order} is not divisible by |Aut| = {aut}"
-        )
-    return {
+    _check_convention(convention)
+    make_arrow(arrow.graph, arrow.directions)
+    g = arrow.graph
+    k = g.k
+    space = space or GraphSpace(k)
+    res = canonicalize(g.num_vertices, g.edges)
+    _, aut, aut_e, aut_v = automorphisms(g, res)
+    order = 2 ** (3 * k) * factorial(2 * k) * factorial(3 * k)
+    reps = order // aut
+    diagnostics = {
         "aut": str(aut),
         "aut_e": str(aut_e),
         "aut_v": str(aut_v),
-        "representatives": str(order // aut),
+        "representatives": str(reps),
     }
+    notes = (_FOLD_NOTE,)
+    if mode == "full":
+        pairs = [(u, v) if u <= v else (v, u) for u, v in g.edges]
+        copies = {
+            tuple(sorted((p[u], p[v]) if p[u] <= p[v] else (p[v], p[u]) for u, v in pairs))
+            for p in itertools.permutations(range(g.num_vertices))
+        }
+        sequences = factorial(3 * k) // prod(factorial(pairs.count(e)) for e in set(pairs))
+        # 2^(3k - loops) orientations times 2^loops loop slot matchings
+        weighted = len(copies) * sequences * 2 ** (3 * k)
+        if weighted != reps:
+            raise SurgeryError(f"loop-weighted copy count {weighted} differs from L = {reps}")
+        diagnostics["assignments"] = str(order)
+        notes += (_CONSTANT_TERM_NOTE,)
+    return EvaluationReport(
+        mode=mode,
+        input_json=arrow.to_json(),
+        result=space._by_key(space.reduce_graph(g, res)),
+        diagnostics=diagnostics,
+        notes=notes,
+    )
 
 
 def evaluate_orbit(
@@ -246,17 +255,7 @@ def evaluate_orbit(
     (-1)^(3k) / (2^(3k) (2k)! (3k)!) divides the same number back out.  The
     result is therefore the normal form of the input class itself.
     """
-    g = arrow.graph
-    space = space or GraphSpace(g.k)
-    res = canonicalize(g.num_vertices, g.edges)
-    diagnostics = _orbit_diagnostics(arrow, convention, res)
-    return EvaluationReport(
-        mode="orbit",
-        input_json=arrow.to_json(),
-        result=space._by_key(space.reduce_graph(g, res)),
-        diagnostics=diagnostics,
-        notes=(_FOLD_NOTE,),
-    )
+    return _evaluate("orbit", arrow, space, convention)
 
 
 def evaluate_full(
@@ -279,28 +278,6 @@ def evaluate_full(
     diagnostic reports the 2^(3k) (2k)! (3k)! surviving assignments the
     closed form divides back out.
     """
-    g = arrow.graph
-    k = g.k
-    if k > 2:
-        raise ResourceLimitError(f"full evaluation is gated to k <= 2, got k = {k}")
-    space = space or GraphSpace(k)
-    res = canonicalize(g.num_vertices, g.edges)
-    diagnostics = _orbit_diagnostics(arrow, convention, res)
-    pairs = [(u, v) if u <= v else (v, u) for u, v in g.edges]
-    copies = {
-        tuple(sorted((p[u], p[v]) if p[u] <= p[v] else (p[v], p[u]) for u, v in pairs))
-        for p in itertools.permutations(range(g.num_vertices))
-    }
-    sequences = factorial(3 * k) // prod(factorial(pairs.count(e)) for e in set(pairs))
-    # 2^(3k - loops) orientations times 2^loops loop slot matchings
-    weighted = len(copies) * sequences * 2 ** (3 * k)
-    reps = int(diagnostics["representatives"])
-    if weighted != reps:
-        raise SurgeryError(f"loop-weighted copy count {weighted} differs from L = {reps}")
-    return EvaluationReport(
-        mode="full",
-        input_json=arrow.to_json(),
-        result=space._by_key(space.reduce_graph(g, res)),
-        diagnostics={**diagnostics, "assignments": str(_orbit_order(k))},
-        notes=(_FOLD_NOTE, _CONSTANT_TERM_NOTE),
-    )
+    if arrow.graph.k > 2:
+        raise ResourceLimitError(f"full evaluation is gated to k <= 2, got k = {arrow.graph.k}")
+    return _evaluate("full", arrow, space, convention)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -893,6 +894,21 @@ class TestCache:
         assert err.startswith("error: basis graph ")
         assert err.endswith(" is not a canonical class representative\n")
 
+    def test_cold_build_over_a_short_cached_basis_is_an_error(self, tmp_path, capsys, monkeypatch):
+        """At a k without pinned class digests a cached basis with a class
+        dropped loads, and enum, with the zeros file gone, runs the cold
+        build beside it: the build's basis differs from the cached one,
+        which is an error, not 387 classes where a fresh cache has 388."""
+        monkeypatch.delitem(cache_module._CLASS_DIGESTS, 5)
+        code, out, _ = run(capsys, "enum", "-k", "5", "--cache", str(tmp_path))
+        assert (code, json.loads(out)["classes"]) == (0, 388)
+        path = tmp_path / "basis-k5.json"
+        path.write_text(json.dumps(restamped(lambda p: p[1:])(json.loads(path.read_text()))))
+        (tmp_path / "zeros-k5.json").unlink()
+        code, out, err = run(capsys, "enum", "-k", "5", "--cache", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err == "error: cached basis at k=5 differs from a cold build's 37 signed classes\n"
+
     def test_rebuilt_rows_equal_cold_ones(self, tmp_path, capsys, monkeypatch):
         """Relation rows rebuilt over a cached basis, which classify
         reclassifies for its Aut generators, are those of a cold build, and
@@ -946,13 +962,20 @@ class TestEntryPoints:
         assert (proc.returncode, proc.stdout) == (0, "set()\n")
 
     def test_console_script(self, tmp_path):
+        """The installed gc script, or where it is not on PATH, the
+        module:function target that pyproject.toml declares for it, called
+        as the script's wrapper calls it."""
+        argv = ["dim", "-k", "1", "--cache", str(tmp_path)]
+        env = None
         exe = shutil.which("gc")
         if exe is None:
-            pytest.skip("console script not on PATH")
-        proc = subprocess.run(
-            [exe, "dim", "-k", "1", "--cache", str(tmp_path)],
-            capture_output=True,
-            text=True,
-        )
+            root = Path(__file__).resolve().parent.parent
+            text = (root / "pyproject.toml").read_text()
+            module, function = re.search(r'^gc = "([\w.]+):(\w+)"$', text, re.M).groups()
+            call = f"import sys; from {module} import {function}; sys.exit({function}())"
+            exe, argv = sys.executable, ["-c", call, *argv]
+            path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+            env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run([exe, *argv], env=env, capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == '{"k":1,"dimension":0}\n'

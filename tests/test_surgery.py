@@ -7,7 +7,7 @@ import pytest
 
 from trivalent import graphs as G
 from trivalent import surgery as S
-from trivalent.morse import TYPE_I, TYPE_II
+from trivalent.morse import TYPE_I, TYPE_II, surviving_indices
 from trivalent.spaces import GraphSpace, enumerate_graphs
 
 
@@ -72,8 +72,8 @@ class TestYLink:
                 assert ordering == G.half_edges_at(g.edges, v)
 
     def test_one_hopf_pair_per_edge(self):
-        for g in (theta(), dumbbell(), k4(), clover()):
-            data, mat = S.ylink(arrow(g))
+        for conv, g in itertools.product(S.CONVENTIONS, (theta(), dumbbell(), k4(), clover())):
+            data, mat = S.ylink(arrow(g), conv)
             assert len(data.hopf_pairs) == len(g.edges)
             used = [s for pair in data.hopf_pairs for s in pair]
             assert sorted(used) == list(range(len(data.slots)))
@@ -125,10 +125,21 @@ class TestYLink:
                     assert p == (0 if t == TYPE_I else 1)
 
     def test_realized_tuples_survive(self):
+        """Each vertex realizes a surviving (inputs | outputs) tuple of its
+        type: its incoming slots are the inputs under the default
+        convention and its outgoing ones under the flipped convention."""
+        realized = {TYPE_I: ((2,), (1, 1)), TYPE_II: ((2, 2), (1,))}
         for conv in S.CONVENTIONS:
             for g in (theta(), dumbbell(), k4(), clover()):
                 data, _ = S.ylink(arrow(g), conv)
-                S._assert_surviving(data)
+                for v, t in enumerate(data.vertex_types):
+                    ins, outs = [], []
+                    for s in data.slots_at(v):
+                        is_input = s.outgoing == (conv == S.CONVENTION_FLIPPED)
+                        (ins if is_input else outs).append(s.degree)
+                    tup = tuple(sorted(ins)), tuple(sorted(outs))
+                    assert tup == realized[t]
+                    assert tup in surviving_indices(t)
 
     def test_unknown_convention_rejected(self):
         with pytest.raises(ValueError):
@@ -252,10 +263,20 @@ class TestOrbitEvaluation:
             int(v)
         json.loads(json.dumps(blob))
 
-    def test_non_integer_orbit_guard(self, monkeypatch):
-        monkeypatch.setattr(S, "automorphisms", lambda g, res: ([], 7, 7, 1))
-        with pytest.raises(S.NonIntegerOrbitError):
-            S.evaluate_orbit(arrow(theta()), GraphSpace(1))
+
+class TestEvaluatorInputs:
+    @pytest.mark.parametrize("evaluate", [S.evaluate_orbit, S.evaluate_full])
+    def test_unknown_convention_rejected(self, evaluate):
+        with pytest.raises(ValueError, match="unknown type convention 'sideways'"):
+            evaluate(arrow(theta()), GraphSpace(1), "sideways")
+
+    @pytest.mark.parametrize("evaluate", [S.evaluate_orbit, S.evaluate_full])
+    def test_source_vertex_rejected(self, evaluate):
+        """A hand-built arrow, which make_arrow did not check: every edge of
+        the theta graph leaves vertex 0, a source, and enters vertex 1."""
+        a = G.ArrowGraph(theta(), ((0, 1), (0, 1), (0, 1)))
+        with pytest.raises(G.GraphError, match="vertex 0 is a source or sink"):
+            evaluate(a, GraphSpace(1))
 
 
 class TestFullEvaluation:
