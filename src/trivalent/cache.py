@@ -17,13 +17,14 @@ Wrong shapes include a position outside that basis, a basis graph that is
 not trivalent on 2k vertices, basis keys that do not increase strictly, a
 row whose columns do not increase strictly or that holds a zero or a value
 that is not an int, and rref rows that are not in echelon form
-(linalg.in_echelon), two of them sharing a top column, say.  At a k with
-pinned class keys (_CLASS_DIGESTS), a basis or zeros file whose keys do not
-give the pinned CRC-32 is ignored too; the basis pin is the basis_crc32
-that the relations and rref files at that k carry.  At any other k a basis
-of the right shape is not yet trusted: when its relation rows are rebuilt,
-GraphSpace reclassifies it with the cold build's classify, which must give
-back its keys.
+(linalg.in_echelon), two of them sharing a top column, say.  A basis or
+zeros file is read only at a k with pinned class keys (_CLASS_DIGESTS), and
+only if its keys give the pinned CRC-32; the basis pin is the basis_crc32
+that the relations and rref files at that k carry.  At any other k either
+file is ignored and rebuilt, so a basis in use is a cold build's keys, byte
+for byte, or was just listed.  Like the payload checksum, a pin catches
+accidental edits (a class dropped or slipped in, a file from another
+build), not a forged CRC-32 collision.
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ FORMAT_VERSION = 1
 # checksum the payload's text as read, without serialising it again
 _PAYLOAD_KEY = '"payload": '
 # CRC-32 (_keys_crc32) of the basis keys and of the sorted zero keys at each
-# k from 1 to 7, from a cold build: a basis or zeros file at one of these k
+# k from 1 to 8, from a cold build: a basis or zeros file at one of these k
 # whose keys give another, say with a class missing or one slipped in, is a
-# miss and is rebuilt.  The basis value is the basis_crc32 that the
-# relations and rref files at that k carry.
+# miss and is rebuilt, as is either file at any other k.  The basis value is
+# the basis_crc32 that the relations and rref files at that k carry.
 _CLASS_DIGESTS = {
     1: (0x00000000, 0xB898604C),
     2: (0x74BAE6C6, 0x6B2E941A),
@@ -57,6 +58,7 @@ _CLASS_DIGESTS = {
     5: (0x7527EFBA, 0x8DD35B7C),
     6: (0xCA3DB87D, 0x460AF7C7),
     7: (0xA3344E00, 0x992BF5F9),
+    8: (0xB0D93734, 0xAE46799F),
 }
 
 
@@ -83,9 +85,9 @@ def _keys_crc32(keys) -> int:
 
 def _pinned(k, kind, keys) -> bool:
     """Whether the keys give the CRC-32 pinned for kind, 0 for the basis
-    and 1 for the zeros, at k; at a k without pins, True."""
+    and 1 for the zeros, at k; at a k without pins, False."""
     digests = _CLASS_DIGESTS.get(k)
-    return digests is None or _keys_crc32(keys) == digests[kind]
+    return digests is not None and _keys_crc32(keys) == digests[kind]
 
 
 def _basis_keys(p, k, size) -> tuple:

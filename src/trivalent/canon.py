@@ -196,20 +196,26 @@ def canonicalize(n: int, edges) -> CanonResult:
 
 
 def close_group(n: int, generators) -> list:
-    """All elements of the permutation group generated by the given tuples."""
-    ident = tuple(range(n))
-    seen = {ident}
-    frontier = [ident]
-    gens = [tuple(g) for g in generators]
-    while frontier:
-        nxt = []
-        for g in gens:
-            for h in frontier:
-                comp = tuple(map(g.__getitem__, h))
-                if comp not in seen:
-                    seen.add(comp)
-                    nxt.append(comp)
-        frontier = nxt
+    """All elements of the permutation group generated by the given tuples.
+    A generator already in the group so far is skipped, and the group is
+    closed again after each one kept, so at most log2 of its order are kept
+    (canonicalize gives about half the order on some symmetric graphs)."""
+    seen = {tuple(range(n))}
+    gens: list = []
+    for g in map(tuple, generators):
+        if g in seen:
+            continue
+        gens.append(g)
+        frontier = list(seen)
+        while frontier:
+            nxt = []
+            for s in gens:
+                for h in frontier:
+                    comp = tuple(map(s.__getitem__, h))
+                    if comp not in seen:
+                        seen.add(comp)
+                        nxt.append(comp)
+            frontier = nxt
     return sorted(seen)
 
 

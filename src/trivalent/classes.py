@@ -229,15 +229,12 @@ def enumerate_graphs(k: int):
 
 def classify(labelled):
     """(signed class keys, sorted, as a tuple; zero keys; generators) from
-    (graph, canonical labelling or None) pairs; generators holds, for each
-    signed key, the Aut generators of the labelling it was read off, in the
-    labels of the graph the key spells (graphs.graph_of_key).  A missing
-    labelling is computed."""
+    (graph, canonical labelling) pairs; generators holds, for each signed
+    key, the Aut generators of the labelling it was read off, in the labels
+    of the graph the key spells (graphs.graph_of_key)."""
     signed: dict = {}
     zeros = set()
     for g, res in labelled:
-        if res is None:
-            res = canonicalize(g.num_vertices, g.edges)
         r = reduce(g, res)
         if r.is_zero:
             zeros.add(r.key)

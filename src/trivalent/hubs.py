@@ -178,14 +178,14 @@ def hub_rows(basis, generators) -> list:
     hubs are first reached in the order of the pass over every edge, and
     each splitting reached gets its own class either way: the rows and
     their order are those of contracting every edge.  The generators of
-    Aut(g) are those classes.classify reads off a canonical labelling,
+    Aut(g) are read off a canonical labelling (graphs._canonical_generators),
     conjugated into the canonical labels, which are g's: in a cold build
-    the labelling the enumerator computed for the graph g came from, and
-    when a basis read from the cache is reclassified, a fresh labelling
-    of g itself.  There the conjugating permutation maps g onto its
-    canonical form, g, so it is an automorphism of g, and the conjugated
-    generators generate Aut(g) too: the orbits, and so the rows, do not
-    change.
+    the labelling the enumerator computed for the graph g came from
+    (classes.classify), and for a pinned basis read from the cache, a
+    fresh labelling of g itself.  There the conjugating permutation maps
+    g onto its canonical form, g, so it is an automorphism of g, and the
+    conjugated generators generate Aut(g) too: the orbits, and so the
+    rows, do not change.
     """
     # canonical hub edges, flattened into bytes (about a sixth of the memory
     # of a tuple; a vertex label over 255 raises rather than collides)

@@ -17,13 +17,13 @@ form, and each vector pairs a class vector to its coefficient there.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 
 from .cache import Cache
-from .canon import CanonResult
+from .canon import CanonResult, canonicalize
 # enumerate_graphs stays importable from here, beside classify
 from .classes import classify, enumerate_graphs, labelled_graphs
-from .graphs import LabelledTrivalentGraph, _connected, graph_of_key, has_parallel_edge, reduce
+from .graphs import LabelledTrivalentGraph, _canonical_generators, graph_of_key
+from .graphs import has_parallel_edge, reduce
 from .hubs import hub_rows
 from .linalg import exact_rank, in_echelon, kernel_vectors, peel_singletons, peeled_rank_mod_p
 from .linalg import vanishes_on
@@ -73,9 +73,9 @@ class GraphSpace:
         return value
 
     def _ensure_classes(self):
-        """The basis keys, from the cache (which checks that they increase
-        strictly, as classify sorts them) or from a cold build; basis
-        positions index every row and vector."""
+        """The basis keys, from the cache, which reads only a basis that
+        gives its k's pinned CRC-32, or from a cold build; basis positions
+        index every row and vector."""
         if self._keys is None:
             self._keys = self._load("basis")
             if self._keys is None:
@@ -84,17 +84,12 @@ class GraphSpace:
     def _build_classes(self) -> None:
         """The cold build: classify the enumerator's labelled graphs, then
         store the zero keys, and the basis unless one was read from the cache.
-        A basis read from the cache must be the one the build gives; one with
-        a class missing or slipped in is a ValueError.  The listing streams
-        into classify, which is looked up here at call time, so a tracer
-        that rebinds spaces.classify times the build."""
+        A basis read from the cache is pinned, so it is the build's.  The
+        listing streams into classify, which is looked up here at call time,
+        so a tracer that rebinds spaces.classify times the build."""
         keys, zeros, generators = classify(labelled_graphs(self.k))
         if self._keys is None:
             self._store("basis", keys)
-        elif self._keys != keys:
-            raise ValueError(
-                f"cached basis at k={self.k} differs from a cold build's {len(keys)} signed classes"
-            )
         self._keys, self._zeros, self._generators = keys, zeros, generators
         self._store("zeros", zeros)
 
@@ -159,25 +154,20 @@ class GraphSpace:
         The rule needs each basis graph to be its class's canonical
         representative, the graph its key spells, and its Aut generators.
         A basis classified here has both.  A basis read from the cache is
-        reclassified by the same classify, over the connected graphs its
-        keys spell (the cache has checked that each is trivalent on 2k
-        vertices), which must give back those keys, in order; one that it
-        does not is a ValueError, not a row set with a column missing.
+        pinned: its keys are a cold build's, byte for byte, so each graph
+        they spell is canonical, and its generators are read off a fresh
+        canonical labelling of it (hubs.hub_rows says why the rows are the
+        same).
         """
         if self._rows is None:
             self._rows = self._cached("relations", self._hub_rows)
         return self._rows
 
     def _hub_rows(self):
-        basis = self.basis
-        if self._generators is None:
-            connected = (g for g in basis if _connected(g.num_vertices, g.edges))
-            keys, _, generators = classify((g, None) for g in connected)
-            for i, (key, got) in enumerate(zip_longest(self.keys, keys)):
-                if key != got:
-                    raise ValueError(f"basis graph {i} is not a canonical class representative")
-            self._generators = generators
-        return hub_rows(basis, self._generators)
+        generators = self._generators or [
+            _canonical_generators(canonicalize(g.num_vertices, g.edges)) for g in self.basis
+        ]
+        return hub_rows(self.basis, generators)
 
     # -- rank and dimension -------------------------------------------------
 

@@ -92,7 +92,8 @@ def test_leaves_no_cyclic_garbage():
 
 @pytest.mark.parametrize("k", sorted(KEY_DIGESTS))
 def test_class_key_digest(enumerated, k):
-    signed, zeros, _ = spaces.classify((g, None) for g in enumerated[k])
+    labelled = ((g, canonicalize(g.num_vertices, g.edges)) for g in enumerated[k])
+    signed, zeros, _ = spaces.classify(labelled)
     text = json.dumps({"signed": sorted(signed), "zero": sorted(zeros)}, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == KEY_DIGESTS[k]
 

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import zlib
 from pathlib import Path
 
@@ -44,6 +45,19 @@ def digon_ring(k):
     for i in range(k):
         edges += [[2 * i, 2 * i + 1]] * 2 + [[2 * i + 1, (2 * i + 2) % (2 * k)]]
     return {"vertices": 2 * k, "edges": edges}
+
+
+def gadget_necklace(m):
+    """A cycle c_0 .. c_{m-1} where each c_i carries a pendant block: s_i
+    joined to c_i, and K4 on a_i, b_i, x_i, y_i with its edge a_i - b_i
+    replaced by a_i - s_i - b_i.  6m vertices; each block swaps a_i with
+    b_i and x_i with y_i, so |Aut_v| = 4^m * 2m."""
+    edges = []
+    for i in range(m):
+        c, s, a, b, x, y = range(6 * i, 6 * i + 6)
+        edges += [[c, 6 * ((i + 1) % m)], [c, s], [s, a], [s, b]]
+        edges += [[a, x], [a, y], [b, x], [b, y], [x, y]]
+    return {"vertices": 6 * m, "edges": edges}
 
 
 def prism(n):
@@ -259,6 +273,20 @@ class TestAutOrient:
                 f'"vertex_order":{vertex_order},"generators":{order}}}\n'
             )
             assert run(capsys, "aut", path) == (0, expected, "")
+
+    def test_gadget_necklace(self, tmp_path, capsys):
+        """The canonical labelling of the gadget necklace at m = 5 carries
+        4,095 generators of its 10,240 vertex automorphisms.  The group is
+        closed over only the generators that grow it, so gc aut answers in
+        about a second, where composing every generator with every element
+        takes minutes; the bound leaves a wide margin for a slow host."""
+        necklace = G.LabelledTrivalentGraph.from_json(gadget_necklace(5))
+        assert len(canon.canonicalize(30, necklace.edges).aut_generators) == 4095
+        path = write(tmp_path, "necklace.json", gadget_necklace(5))
+        expected = '{"order":10240,"edge_order":1,"vertex_order":10240,"generators":10240}\n'
+        start = time.perf_counter()
+        assert run(capsys, "aut", path) == (0, expected, "")
+        assert time.perf_counter() - start < 30
 
     def test_counts_build_no_automorphism(self, tmp_path, capsys, monkeypatch):
         """gc aut and both surgery evaluators read only the group orders,
@@ -872,64 +900,68 @@ class TestCache:
             assert path.read_text() != bad
 
     @pytest.mark.parametrize(
-        "k,graph",
-        [(2, relabelled_copy), (4, lambda payload: TWO_K4)],
-        ids=["relabelled-copy", "two-k4"],
+        "k,edit",
+        [
+            (2, lambda payload: inserted(relabelled_copy(payload))),
+            (4, lambda payload: inserted(TWO_K4)),
+            (2, lambda payload: without(k4_json())),
+        ],
+        ids=["relabelled-copy", "two-k4", "k4-dropped"],
     )
-    def test_noncanonical_basis_graph_is_an_error(self, tmp_path, capsys, monkeypatch, k, graph):
-        """A graph slotted into a cached basis with the keys still
-        increasing and a valid payload checksum is a column that no
-        relation row can reach: at k=2 a relabelled copy of a basis graph
-        (dim -k 2 would print 2), at k=4 two disjoint K4s, trivalent but
-        not connected (dim -k 4 would print 1, not 0).  At a k without
-        pinned class digests, as k is here with its entry dropped,
-        rebuilding the rows refuses either."""
+    def test_unpinned_basis_is_rebuilt(self, tmp_path, capsys, monkeypatch, k, edit):
+        """At a k without pinned class digests, as k is here with its entry
+        dropped, a cached basis is not read: dim rebuilds it, prints what a
+        fresh cache prints and rewrites the file.  Each edit keeps the keys
+        increasing and the payload checksum valid, and the rows are gone,
+        so that they are rebuilt over whatever basis is in use: a relabelled
+        copy of a basis graph, a column no row reaches (dim -k 2 would print
+        2); two disjoint K4s, trivalent but not connected (dim -k 4 would
+        print 1, not 0); K4 dropped (dim -k 2 would print 0, not 1)."""
         monkeypatch.delitem(cache_module._CLASS_DIGESTS, k)
-        run(capsys, "cache", "warm", "-k", str(k), "--cache", str(tmp_path))
-        path = tmp_path / f"basis-k{k}.json"
+        fresh = run(capsys, "dim", "-k", str(k), "--cache", str(tmp_path / "fresh"))
+        warm = tmp_path / "warm"
+        run(capsys, "cache", "warm", "-k", str(k), "--cache", str(warm))
+        path = warm / f"basis-k{k}.json"
         doc = json.loads(path.read_text())
-        path.write_text(json.dumps(inserted(graph(doc["payload"]))(doc)))
-        code, out, err = run(capsys, "dim", "-k", str(k), "--cache", str(tmp_path))
-        assert (code, out) == (1, "")
-        assert err.startswith("error: basis graph ")
-        assert err.endswith(" is not a canonical class representative\n")
+        bad = json.dumps(edit(doc["payload"])(doc))
+        path.write_text(bad)
+        (warm / f"relations-k{k}.json").unlink()
+        (warm / f"rref-k{k}.json").unlink()
+        assert run(capsys, "dim", "-k", str(k), "--cache", str(warm)) == fresh
+        assert fresh[0] == 0
+        assert path.read_text() != bad
 
-    def test_cold_build_over_a_short_cached_basis_is_an_error(self, tmp_path, capsys, monkeypatch):
+    def test_short_cached_basis_is_rebuilt(self, tmp_path, capsys, monkeypatch):
         """At a k without pinned class digests a cached basis with a class
-        dropped loads, and enum, with the zeros file gone, runs the cold
-        build beside it: the build's basis differs from the cached one,
-        which is an error, not 387 classes where a fresh cache has 388."""
+        dropped is not read, nor are the zero keys beside it: enum rebuilds
+        both and prints the 388 classes of a fresh cache, not 387."""
         monkeypatch.delitem(cache_module._CLASS_DIGESTS, 5)
-        code, out, _ = run(capsys, "enum", "-k", "5", "--cache", str(tmp_path))
-        assert (code, json.loads(out)["classes"]) == (0, 388)
+        fresh = run(capsys, "enum", "-k", "5", "--cache", str(tmp_path))
+        assert (fresh[0], json.loads(fresh[1])["classes"]) == (0, 388)
         path = tmp_path / "basis-k5.json"
-        path.write_text(json.dumps(restamped(lambda p: p[1:])(json.loads(path.read_text()))))
-        (tmp_path / "zeros-k5.json").unlink()
-        code, out, err = run(capsys, "enum", "-k", "5", "--cache", str(tmp_path))
-        assert (code, out) == (1, "")
-        assert err == "error: cached basis at k=5 differs from a cold build's 37 signed classes\n"
+        bad = json.dumps(restamped(lambda p: p[1:])(json.loads(path.read_text())))
+        path.write_text(bad)
+        assert run(capsys, "enum", "-k", "5", "--cache", str(tmp_path)) == fresh
+        assert path.read_text() != bad
 
     def test_rebuilt_rows_equal_cold_ones(self, tmp_path, capsys, monkeypatch):
-        """Relation rows rebuilt over a cached basis, which classify
-        reclassifies for its Aut generators, are those of a cold build, and
-        so is their echelon form: every file is byte-identical."""
-        classified = []
-        classify = spaces.classify
+        """Relation rows rebuilt over a cached basis, which is pinned, read
+        each basis graph's Aut generators off a fresh canonical labelling,
+        with no listing run: they are those of a cold build, and so is
+        their echelon form, every file byte-identical."""
 
-        def counted(labelled):
-            classified.append(1)
-            return classify(labelled)
+        def refuse(labelled):
+            raise AssertionError("the classes were listed")
 
-        monkeypatch.setattr(spaces, "classify", counted)
         for k in range(1, 6):
             paths = {kind: tmp_path / f"{kind}-k{k}.json" for kind in cache_module.KINDS}
             run(capsys, "cache", "warm", "-k", str(k), "--cache", str(tmp_path))
             cold = {kind: p.read_bytes() for kind, p in paths.items()}
             paths["relations"].unlink()
             paths["rref"].unlink()
-            classified.clear()
-            assert run(capsys, "cache", "warm", "-k", str(k), "--cache", str(tmp_path))[0] == 0
-            assert len(classified) == 1  # the cached basis, reclassified
+            with monkeypatch.context() as m:
+                m.setattr(spaces, "classify", refuse)
+                assert run(capsys, "cache", "warm", "-k", str(k), "--cache", str(tmp_path))[0] == 0
             assert {kind: p.read_bytes() for kind, p in paths.items()} == cold
 
 

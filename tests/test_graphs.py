@@ -361,5 +361,9 @@ class TestCanonSearch:
         assert close_group(3, []) == [(0, 1, 2)]
 
     def test_close_group_s3(self):
+        """Two transpositions give S3, sorted; generators already in the
+        group, the identity and repeats included, change nothing."""
         gens = [(1, 0, 2), (0, 2, 1)]
-        assert len(close_group(3, gens)) == 6
+        group = sorted(itertools.permutations(range(3)))
+        assert close_group(3, gens) == group
+        assert close_group(3, group[::-1] + gens + group) == group
