@@ -3,28 +3,27 @@
 Each kind's file format lives here: store takes the value GraphSpace uses
 and load gives it back.  A basis is its tuple of class keys; its file holds
 the graph each key spells, and load derives the keys back from them.  The
-directory is the explicit argument, else GC_CACHE, else ~/.cache/trivalent.
-A cache file is named <kind>-k<k>.json; status and clear see no other file
-in the directory.  A file is ignored, and the data recomputed, when it is
-unreadable (JSON nested past the decoder's recursion limit included), of
-another format_version or of the wrong shape, or when the CRC-32 of its
-payload's JSON text, as read, does not match the one it carries.  Files
-that index a basis by position (relations, rref) also carry basis_crc32,
-the CRC-32 of the basis keys they were built against (_keys_crc32), and are
-ignored when it differs.  The rref kind holds the weight systems W that
-normal forms are read from, in the relations format: sparse integer rows.
-Wrong shapes include a position outside that basis, a basis graph that is
-not trivalent on 2k vertices, basis keys that do not increase strictly, a
-row whose columns do not increase strictly or that holds a zero or a value
-that is not an int, and rref rows that are not in echelon form
-(linalg.in_echelon), two of them sharing a top column, say.  A basis or
-zeros file is read only at a k with pinned class keys (_CLASS_DIGESTS), and
-only if its keys give the pinned CRC-32; the basis pin is the basis_crc32
-that the relations and rref files at that k carry.  At any other k either
-file is ignored and rebuilt, so a basis in use is a cold build's keys, byte
-for byte, or was just listed.  Like the payload checksum, a pin catches
-accidental edits (a class dropped or slipped in, a file from another
-build), not a forged CRC-32 collision.
+rref kind holds the weight systems W that normal forms are read from, in
+the relations format: sparse integer rows.  The directory is the explicit
+argument, else GC_CACHE, else ~/.cache/trivalent.  A cache file is named
+<kind>-k<k>.json; status and clear see no other file in the directory.
+
+One rule decides what is read: a file is read only if the CRC-32 of its
+bytes is the pin (_PINS) of its k and kind, that of the file a cold build
+writes there; any other file is ignored and its data recomputed.  So a file
+in use holds a cold build's bytes: a class dropped or slipped in, an extra
+relation row, a functional scaled, a file from another build or in an
+earlier format all miss.  Pins exist at k=1..8; at any other k store writes
+nothing, since load would read nothing, so a run at k >= 9 caches nothing.
+The pin is checked before the JSON is parsed.  It catches accidental edits,
+not a forged CRC-32 collision; behind it each decoder still checks its
+payload's shape, so that a forged file of the wrong shape is ignored too,
+not a traceback: the format_version, a position outside the basis, a basis
+graph that is not trivalent on 2k vertices, basis keys that do not increase
+strictly, a row whose columns do not increase strictly or that holds a zero
+or a value that is not an int, and rref rows that are not in echelon form
+(linalg.in_echelon), two of them sharing a top column, say.  JSON nested
+past the decoder's recursion limit is ignored like any unreadable file.
 """
 
 from __future__ import annotations
@@ -42,23 +41,17 @@ from .graphs import canonical_key, graph_of_key
 from .linalg import in_echelon
 
 FORMAT_VERSION = 1
-# store writes the payload last, after this key, so that load can
-# checksum the payload's text as read, without serialising it again
-_PAYLOAD_KEY = '"payload": '
-# CRC-32 (_keys_crc32) of the basis keys and of the sorted zero keys at each
-# k from 1 to 8, from a cold build: a basis or zeros file at one of these k
-# whose keys give another, say with a class missing or one slipped in, is a
-# miss and is rebuilt, as is either file at any other k.  The basis value is
-# the basis_crc32 that the relations and rref files at that k carry.
-_CLASS_DIGESTS = {
-    1: (0x00000000, 0xB898604C),
-    2: (0x74BAE6C6, 0x6B2E941A),
-    3: (0x1538D237, 0x75AFC61C),
-    4: (0x30EB5E3D, 0x1D70B688),
-    5: (0x7527EFBA, 0x8DD35B7C),
-    6: (0xCA3DB87D, 0x460AF7C7),
-    7: (0xA3344E00, 0x992BF5F9),
-    8: (0xB0D93734, 0xAE46799F),
+# CRC-32 of the bytes of each kind's file that a cold build writes, at each
+# k from 1 to 8: the one rule that load applies before it parses a file
+_PINS = {
+    1: {"basis": 0xAAFD31CC, "zeros": 0x1E4DBD87, "relations": 0xAAFD31CC, "rref": 0xAAFD31CC},
+    2: {"basis": 0xA62D3995, "zeros": 0xA7472371, "relations": 0xEE62E280, "rref": 0x01305461},
+    3: {"basis": 0x5DE4570F, "zeros": 0x442A0D8B, "relations": 0x8637BB02, "rref": 0xAAFD31CC},
+    4: {"basis": 0x940EE311, "zeros": 0xBB3E6A45, "relations": 0x74066440, "rref": 0xAAFD31CC},
+    5: {"basis": 0x8114F3F6, "zeros": 0x3D3EEF1B, "relations": 0x5148A50C, "rref": 0x6FDAD15D},
+    6: {"basis": 0x95E2C3F7, "zeros": 0xDBA79B24, "relations": 0x1FBF7A61, "rref": 0xAAFD31CC},
+    7: {"basis": 0xF23D8C74, "zeros": 0x50734312, "relations": 0x3BA1BB24, "rref": 0xAAFD31CC},
+    8: {"basis": 0x9F614A5F, "zeros": 0xF869144B, "relations": 0x4681FCA9, "rref": 0xAAFD31CC},
 }
 
 
@@ -78,18 +71,6 @@ def _fields(items, name, kind) -> list:
     return _list_of([r.get(name) for r in _list_of(items, dict)], kind)
 
 
-def _keys_crc32(keys) -> int:
-    """CRC-32 of the newline-joined keys: the pins, and basis_crc32."""
-    return zlib.crc32("\n".join(keys).encode())
-
-
-def _pinned(k, kind, keys) -> bool:
-    """Whether the keys give the CRC-32 pinned for kind, 0 for the basis
-    and 1 for the zeros, at k; at a k without pins, False."""
-    digests = _CLASS_DIGESTS.get(k)
-    return digests is not None and _keys_crc32(keys) == digests[kind]
-
-
 def _basis_keys(p, k, size) -> tuple:
     """The basis: the class key of each graph of the payload.  Each graph
     has 2k vertices, each of them the end of exactly three edges."""
@@ -102,13 +83,11 @@ def _basis_keys(p, k, size) -> tuple:
     _check(all(map(eq, map(sorted, map(chain.from_iterable, edge_lists)), repeat(trivalent))))
     keys = tuple(map(canonical_key, ns, edge_lists))
     _check(all(map(lt, keys, keys[1:])))  # as classify sorts them
-    _check(_pinned(k, 0, keys))
     return keys
 
 
 def _zero_keys(p, k, size) -> frozenset:
-    _check(_pinned(k, 1, _list_of(p, str)))  # as stored: sorted
-    return frozenset(p)
+    return frozenset(_list_of(p, str))
 
 
 def _relation_rows(p, k, size) -> list:
@@ -139,8 +118,7 @@ def _sorted_rows(rows) -> list:
 
 # each kind's (encoder, decoder): the encoder turns the value GraphSpace
 # uses into a payload, and the decoder turns a payload back into that value,
-# given k, which a basis checks its graphs against and which picks the
-# pinned digests of the basis and zeros, and the size of the
+# given k, which a basis checks its graphs against, and the size of the
 # basis that relations and rref index by position, or raises ValueError.
 # Decoders check over flat lists, a few C-level calls a payload, not item
 # by item.
@@ -170,48 +148,40 @@ class Cache:
         assert kind in KINDS
         return self.directory / f"{kind}-k{k}.json"
 
-    def load(self, k: int, kind: str, basis_keys=None):
-        """The stored value, or None for a missing or unusable file.
-
-        With basis_keys, a file not stored against those same keys is
-        unusable too, as is a relations or rref file with a position
-        outside that basis.
+    def load(self, k: int, kind: str, size: int = 0):
+        """The stored value, or None for a missing or unusable file: one
+        whose bytes do not give the pin of its k and kind, or, behind a
+        forged pin, of the wrong shape, a relations or rref position of size
+        or more included.
         """
         try:
             with open(self.path(k, kind), "rb") as f:
                 raw = f.read()
+            _check(zlib.crc32(raw) == _PINS.get(k, {}).get(kind))
             data = json.loads(raw)
-            start = raw.find(_PAYLOAD_KEY.encode()) + len(_PAYLOAD_KEY)
-            _check(
-                isinstance(data, dict)
-                and data.get("format_version") == FORMAT_VERSION
-                and (basis_keys is None or data.get("basis_crc32") == _keys_crc32(basis_keys))
-                and data.get("payload_crc32") == zlib.crc32(raw[start:-1])
-            )
-            return _FORMATS[kind][1](data.get("payload"), k, len(basis_keys or ()))
+            _check(isinstance(data, dict) and data.get("format_version") == FORMAT_VERSION)
+            return _FORMATS[kind][1](data.get("payload"), k, size)
         except (OSError, ValueError, RecursionError):
             return None
 
-    def store(self, k: int, kind: str, value, basis_keys=None) -> None:
-        """Write a value atomically through a temp file of this writer's own.
+    def store(self, k: int, kind: str, value) -> None:
+        """Write a value atomically through a temp file of this writer's own;
+        at a k without pins, write nothing, since load would not read it.
 
         The file gets the mode a plain open would give it (0o666 less the
         umask), so other users of a shared cache directory can read it.
-        With basis_keys, the file records their checksum for load to match.
         """
+        if k not in _PINS:
+            return
         self.directory.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(_FORMATS[kind][0](value))
-        data = {"format_version": FORMAT_VERSION}
-        if basis_keys is not None:
-            data["basis_crc32"] = _keys_crc32(basis_keys)
-        data["payload_crc32"] = zlib.crc32(text.encode())
+        text = json.dumps({"format_version": FORMAT_VERSION, "payload": _FORMATS[kind][0](value)})
         umask = os.umask(0)
         os.umask(umask)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as f:
                 os.chmod(tmp, 0o666 & ~umask)
-                f.write(json.dumps(data)[:-1] + ", " + _PAYLOAD_KEY + text + "}")
+                f.write(text)
             os.replace(tmp, self.path(k, kind))
         except BaseException:
             os.unlink(tmp)

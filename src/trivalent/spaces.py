@@ -57,25 +57,25 @@ class GraphSpace:
 
     # -- basis ------------------------------------------------------------
 
-    def _load(self, kind: str, basis_keys=None):
-        return None if self._cache is None else self._cache.load(self.k, kind, basis_keys)
+    def _load(self, kind: str, size: int = 0):
+        return None if self._cache is None else self._cache.load(self.k, kind, size)
 
-    def _store(self, kind: str, value, basis_keys=None) -> None:
+    def _store(self, kind: str, value) -> None:
         if self._cache is not None:
-            self._cache.store(self.k, kind, value, basis_keys)
+            self._cache.store(self.k, kind, value)
 
     def _cached(self, kind: str, build):
         """A kind that indexes the basis, read from the cache or built and stored."""
-        value = self._load(kind, self.keys)
+        value = self._load(kind, len(self.keys))
         if value is None:
             value = build()
-            self._store(kind, value, self.keys)
+            self._store(kind, value)
         return value
 
     def _ensure_classes(self):
-        """The basis keys, from the cache, which reads only a basis that
-        gives its k's pinned CRC-32, or from a cold build; basis positions
-        index every row and vector."""
+        """The basis keys, from the cache, which reads only a file with a
+        cold build's bytes (cache._PINS), or from a cold build; basis
+        positions index every row and vector."""
         if self._keys is None:
             self._keys = self._load("basis")
             if self._keys is None:
@@ -84,7 +84,8 @@ class GraphSpace:
     def _build_classes(self) -> None:
         """The cold build: classify the enumerator's labelled graphs, then
         store the zero keys, and the basis unless one was read from the cache.
-        A basis read from the cache is pinned, so it is the build's.  The
+        A basis read from the cache has a cold build's bytes, so it is the
+        build's.  At a k without pins the cache stores nothing.  The
         listing streams into classify, which is looked up here at call time,
         so a tracer that rebinds spaces.classify times the build."""
         keys, zeros, generators = classify(labelled_graphs(self.k))
@@ -153,11 +154,11 @@ class GraphSpace:
 
         The rule needs each basis graph to be its class's canonical
         representative, the graph its key spells, and its Aut generators.
-        A basis classified here has both.  A basis read from the cache is
-        pinned: its keys are a cold build's, byte for byte, so each graph
-        they spell is canonical, and its generators are read off a fresh
-        canonical labelling of it (hubs.hub_rows says why the rows are the
-        same).
+        A basis classified here has both.  A basis read from the cache has
+        a cold build's bytes, so each graph its keys spell is canonical, and
+        its generators are read off a fresh canonical labelling of it
+        (hubs.hub_rows says why the rows are the same).  Rows read from the
+        cache are a cold build's too, byte for byte (cache._PINS).
         """
         if self._rows is None:
             self._rows = self._cached("relations", self._hub_rows)

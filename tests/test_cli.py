@@ -16,7 +16,7 @@ import pytest
 from trivalent import cache as cache_module
 from trivalent import canon, cli, morse, spaces
 from trivalent import graphs as G
-from trivalent.cache import Cache
+from trivalent.cache import KINDS, Cache
 from trivalent.cli import main
 from trivalent.spaces import GraphSpace
 
@@ -82,15 +82,25 @@ def write(tmp_path, name, payload):
     return str(p)
 
 
-def restamp(doc):
-    """A cache file's document with the payload checksum that Cache.store
-    writes for its payload, so that json.dumps of it loads as a valid file."""
-    return {**doc, "payload_crc32": zlib.crc32(json.dumps(doc["payload"]).encode())}
+def restamp(monkeypatch, k, kind, text):
+    """Pin the CRC-32 of a cache file's text at its k and kind, as a forged
+    pin would, so that Cache.load reads the file through to the kind's
+    decoder."""
+    monkeypatch.setitem(cache_module._PINS[k], kind, zlib.crc32(text.encode()))
 
 
-def restamped(edit):
-    """An edit of a cache file's payload, checksummed."""
-    return lambda d: restamp({**d, "payload": edit(d["payload"])})
+def edited(edit):
+    """An edit of a cache file's payload."""
+    return lambda d: {**d, "payload": edit(d["payload"])}
+
+
+def restamped_k2(payload):
+    """A k=2 relations or rref file with the given payload, in the earlier
+    format: a header with the CRC-32 of the k=2 basis keys and that of the
+    payload's JSON text, the two checks that format made on load."""
+    crc = zlib.crc32(json.dumps(payload).encode())
+    header = {"format_version": 1, "basis_crc32": 1958405830, "payload_crc32": crc}
+    return json.dumps({**header, "payload": payload})
 
 
 def basis_key(b):
@@ -100,17 +110,17 @@ def basis_key(b):
 
 def inserted(graph):
     """An edit of a basis payload that slots graph in at its key's place."""
-    return restamped(lambda p: sorted(p + [graph], key=basis_key))
+    return edited(lambda p: sorted(p + [graph], key=basis_key))
 
 
 def without(graph):
-    """An edit of a basis payload that drops graph, checksummed."""
+    """An edit of a basis payload that drops graph."""
 
     def edit(payload):
         assert graph in payload
         return [b for b in payload if b != graph]
 
-    return restamped(edit)
+    return edited(edit)
 
 
 def relabelled_copy(payload):
@@ -133,12 +143,35 @@ TWO_K4 = {
 }
 
 
-# an rref-k2.json as the earlier format wrote it: the echelon form of the
+# an rref-k2.json as an earlier format wrote it: the echelon form of the
 # relation rows, pivot column -> row of Fraction texts, validly checksummed
 FRACTION_RREF_K2 = (
     '{"format_version": 1, "basis_crc32": 1958405830, "payload_crc32": 2808998286, '
     '"payload": {"0": {"cols": [0], "vals": ["1"]}}}'
 )
+# the k=2 files a cold build wrote in the format before the pins, each with
+# the CRC-32 of its payload's JSON text, and the relations and rref files
+# with that of the basis keys too
+EARLIER_FILES_K2 = {
+    "basis-k2.json": (
+        '{"format_version": 1, "payload_crc32": 259455955, "payload": [{"vertices": 4, '
+        '"edges": [[0, 1], [0, 2], [0, 3], [1, 1], [2, 2], [3, 3]]}, {"vertices": 4, '
+        '"edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}]}'
+    ),
+    "relations-k2.json": (
+        '{"format_version": 1, "basis_crc32": 1958405830, "payload_crc32": 1014360510, '
+        '"payload": [{"cols": [0], "vals": [1]}]}'
+    ),
+    "rref-k2.json": (
+        '{"format_version": 1, "basis_crc32": 1958405830, "payload_crc32": 3151176445, '
+        '"payload": [{"cols": [1], "vals": [1]}]}'
+    ),
+    "zeros-k2.json": (
+        '{"format_version": 1, "payload_crc32": 2187571858, "payload": '
+        '["cub:4:0-1,0-1,0-2,1-3,2-2,3-3", "cub:4:0-1,0-2,0-2,1-3,1-3,2-3", '
+        '"cub:4:0-1,0-2,0-3,1-2,1-2,3-3"]}'
+    ),
+}
 
 
 class TestDim:
@@ -737,8 +770,8 @@ class TestCache:
         loaded = []
         load = Cache.load
 
-        def recorded(self, k, kind, basis_keys=None):
-            value = load(self, k, kind, basis_keys)
+        def recorded(self, k, kind, size=0):
+            value = load(self, k, kind, size)
             loaded.append((kind, value is not None))
             return value
 
@@ -779,8 +812,8 @@ class TestCache:
         loaded, canonicalized, built = [], [], []
         load, canonicalize, graph_of_key = Cache.load, canon.canonicalize, G.graph_of_key
 
-        def recorded(self, k, kind, basis_keys=None):
-            value = load(self, k, kind, basis_keys)
+        def recorded(self, k, kind, size=0):
+            value = load(self, k, kind, size)
             loaded.append((kind, value is not None))
             return value
 
@@ -820,7 +853,7 @@ class TestCache:
         # reading the basis reads each graph off its key through the wrapped name
         assert len(GraphSpace(4, Cache(warm)).basis) == len(built) > 0
 
-    def test_bad_payload_is_rebuilt(self, tmp_path, capsys):
+    def test_bad_payload_is_rebuilt(self, tmp_path, capsys, monkeypatch):
         k4 = write(tmp_path, "k4.json", k4_json())
         clover = write(tmp_path, "clover.json", clover_json())
         k2 = (("reduce", k4), ("reduce", clover), ("enum", "-k", "2"), ("dim", "-k", "2"))
@@ -836,8 +869,33 @@ class TestCache:
             assert g["edges"][0] == [0, 1]
             return {**g, "edges": [[0, end]] + g["edges"][1:]}
 
-        # (k, kind, file text or an edit of a warm cache's file, commands)
-        cases = [
+        def split_edges(g):
+            assert g["edges"][:2] == [[0, 1], [0, 2]]
+            return {**g, "edges": [[0, 1, 0], [2]] + g["edges"][2:]}
+
+        # (k, kind, file text or an edit of a warm cache's file, commands):
+        # files whose bytes are not the pinned ones, so that the pin alone
+        # turns them away
+        wrong_bytes = [
+            # the earlier rref format, a dict of Fraction texts
+            (2, "rref", FRACTION_RREF_K2, k2),
+            # well-shaped edits: an extra relation row, a row dropped, a
+            # functional scaled, one that pairs the clover with K4
+            (2, "relations", edited(lambda p: p + [row]), k2),
+            (2, "relations", edited(lambda p: p[:-1]), k2),
+            (2, "rref", edited(lambda p: [{"cols": [1], "vals": [2]}]), k2),
+            (2, "rref", edited(lambda p: [{"cols": [0, 1], "vals": [1, 1]}]), k2),
+            # a class missing or slipped in: K4 dropped, no class at all, a
+            # zero class dropped, and two disjoint K4s (a cold run lists 71
+            # classes at k=4, dimension 0)
+            (2, "basis", without(k4_json()), k2),
+            (2, "basis", edited(lambda p: []), k2),
+            (2, "zeros", edited(lambda p: p[1:]), k2),
+            (4, "basis", inserted(TWO_K4), (("enum", "-k", "4"), ("dim", "-k", "4"))),
+        ]
+        # files behind a forged pin (restamp), which each kind's decoder
+        # turns away by their shape
+        forged = [
             (3, "basis", text, (("dim", "-k", "3"),))
             for text in (
                 '{"format_version":1,"payload":[1,2]}',
@@ -845,48 +903,41 @@ class TestCache:
                 '{"format_version":1,"payload":{"a":1}}',
             )
         ]
-        cases += [(2, kind, DEEP, (("dim", "-k", "2"),)) for kind in ("basis", "relations")]
-        cases += [
-            (2, "basis", lambda d: restamp({**d, "payload": d["payload"][::-1]}), k2),
-            (2, "relations", lambda d: {**d, "basis_crc32": d["basis_crc32"] ^ 1}, k2),
-            (2, "rref", lambda d: {**d, "basis_crc32": d["basis_crc32"] ^ 1}, k2),
-            # the earlier rref format, a dict of Fraction texts
-            (2, "rref", FRACTION_RREF_K2, k2),
-            # well-shaped edits the payload checksum catches
-            (2, "relations", lambda d: {**d, "payload": d["payload"] + [row]}, k2),
-            (2, "rref", lambda d: {**d, "payload": [{"cols": [1], "vals": [2]}]}, k2),
-            (2, "basis", lambda d: {n: v for n, v in d.items() if n != "payload_crc32"}, k2),
+        forged += [(2, kind, DEEP, (("dim", "-k", "2"),)) for kind in ("basis", "relations")]
+        forged += [
+            (2, "basis", edited(lambda p: p[::-1]), k2),
             # a position past the basis, or a basis graph that is not
-            # trivalent on 2k vertices, behind a valid payload checksum
-            (2, "relations", restamped(lambda p: p + [{"cols": [7], "vals": [1]}]), k2),
-            (2, "rref", restamped(lambda p: [extend(r) for r in p]), k2),
-            (2, "basis", restamped(lambda p: p[:-1] + [far_end(p[-1])]), k2),
+            # trivalent on 2k vertices
+            (2, "relations", edited(lambda p: p + [{"cols": [7], "vals": [1]}]), k2),
+            (2, "rref", edited(lambda p: [extend(r) for r in p]), k2),
+            (2, "basis", edited(lambda p: p[:-1] + [far_end(p[-1])]), k2),
             # a graph that is not trivalent, or not on 2k vertices, in key order
             (2, "basis", inserted(ODD_DEGREES), k2),
-            (2, "basis", restamped(lambda p: p + [{**p[0], "vertices": 6}]), k2),
-            # an edge end that %d would format as 1, behind a valid checksum
-            (2, "basis", restamped(lambda p: [with_end(p[0], True)] + p[1:]), k2),
-            (2, "basis", restamped(lambda p: [with_end(p[0], 1.0)] + p[1:]), k2),
+            (2, "basis", edited(lambda p: p + [{**p[0], "vertices": 6}]), k2),
+            # an edge end that %d would format as 1
+            (2, "basis", edited(lambda p: [with_end(p[0], True)] + p[1:]), k2),
+            (2, "basis", edited(lambda p: [with_end(p[0], 1.0)] + p[1:]), k2),
+            # an edge that is not a pair, each vertex still met three times
+            (2, "basis", edited(lambda p: [split_edges(p[0])] + p[1:]), k2),
+            # a zero key that is not a string
+            (2, "zeros", edited(lambda p: p + [1]), k2),
             # rows that load to a wrong answer unless their shape is strict:
             # columns that do not increase strictly, a zero value, a value
             # that is not an int, and kernel vectors out of echelon form,
             # two of them with the same top column
-            (2, "relations", restamped(lambda p: [{"cols": [0, 0], "vals": [1, 0]}]), k2),
-            (2, "relations", restamped(lambda p: [{"cols": [0], "vals": [0]}]), k2),
-            (2, "relations", restamped(lambda p: [{"cols": [1, 0], "vals": [1, 1]}]), k2),
-            (2, "rref", restamped(lambda p: [{"cols": [1, 1], "vals": [1, 1]}]), k2),
-            (2, "rref", restamped(lambda p: [{"cols": [0, 1], "vals": [0, 1]}]), k2),
-            (2, "rref", restamped(lambda p: [{"cols": [1], "vals": ["1"]}]), k2),
-            (2, "rref", restamped(lambda p: p + [{"cols": [0, 1], "vals": [1, 1]}]), k2),
-            # a class missing or slipped in at a k with pinned digests:
-            # K4 dropped, no class at all, a zero class dropped, and two
-            # disjoint K4s (a cold run lists 71 classes at k=4, dimension 0)
-            (2, "basis", without(k4_json()), k2),
-            (2, "basis", restamped(lambda p: []), k2),
-            (2, "zeros", restamped(lambda p: p[1:]), k2),
-            (4, "basis", inserted(TWO_K4), (("enum", "-k", "4"), ("dim", "-k", "4"))),
+            (2, "relations", edited(lambda p: [{"cols": [0, 0], "vals": [1, 0]}]), k2),
+            (2, "relations", edited(lambda p: [{"cols": [0], "vals": [0]}]), k2),
+            (2, "relations", edited(lambda p: [{"cols": [1, 0], "vals": [1, 1]}]), k2),
+            # more values than columns, and a column that is not an int
+            (2, "relations", edited(lambda p: [{"cols": [1], "vals": [1, 1]}]), k2),
+            (2, "relations", edited(lambda p: [{"cols": [True], "vals": [1]}]), k2),
+            (2, "rref", edited(lambda p: [{"cols": [1, 1], "vals": [1, 1]}]), k2),
+            (2, "rref", edited(lambda p: [{"cols": [0, 1], "vals": [0, 1]}]), k2),
+            (2, "rref", edited(lambda p: [{"cols": [1], "vals": ["1"]}]), k2),
+            (2, "rref", edited(lambda p: p + [{"cols": [0, 1], "vals": [1, 1]}]), k2),
         ]
-        for i, (k, kind, bad, commands) in enumerate(cases):
+        cases = [(case, False) for case in wrong_bytes] + [(case, True) for case in forged]
+        for i, ((k, kind, bad, commands), pin) in enumerate(cases):
             cold = [run(capsys, *c, "--cache", str(tmp_path / f"cold{i}")) for c in commands]
             assert all(code == 0 and err == "" for code, _, err in cold)
             d = tmp_path / f"bad{i}"
@@ -896,8 +947,75 @@ class TestCache:
                 run(capsys, "cache", "warm", "-k", str(k), "--cache", str(d))
                 bad = json.dumps(bad(json.loads(path.read_text())))
             path.write_text(bad)
-            assert [run(capsys, *c, "--cache", str(d)) for c in commands] == cold
+            with monkeypatch.context() as m:
+                if pin:
+                    restamp(m, k, kind, bad)
+                assert [run(capsys, *c, "--cache", str(d)) for c in commands] == cold
             assert path.read_text() != bad
+
+    @pytest.mark.parametrize(
+        "kind,payload,argv,out",
+        [
+            (
+                "rref",
+                [{"cols": [0, 1], "vals": [1, 1]}],
+                ("reduce", "clover.json"),
+                '"normal_form":{}',
+            ),
+            (
+                "relations",
+                [{"cols": [0], "vals": [1]}, {"cols": [1], "vals": [1]}],
+                ("dim", "-k", "2"),
+                '{"k":2,"dimension":1}',
+            ),
+        ],
+        ids=["rref", "relations"],
+    )
+    def test_restamped_rows_are_rebuilt(self, tmp_path, capsys, monkeypatch, kind, payload, argv, out):
+        """A relations or rref file edited and restamped in the earlier
+        format, its checksums recomputed, holds no cold build's bytes, so it
+        is not read: the clover reduces to {} and dim -k 2 prints 1, as on a
+        fresh cache, where reading the file would give the clover the
+        normal form K4 and the dimension 0.  The file is rewritten."""
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "clover.json", clover_json())
+        fresh = run(capsys, *argv, "--cache", "fresh")
+        assert fresh[0] == 0 and out in fresh[1]
+        run(capsys, "cache", "warm", "-k", "2", "--cache", "warm")
+        path = tmp_path / "warm" / f"{kind}-k2.json"
+        path.write_text(restamped_k2(payload))
+        assert run(capsys, *argv, "--cache", "warm") == fresh
+        assert path.read_bytes() == (tmp_path / "fresh" / f"{kind}-k2.json").read_bytes()
+
+    def test_earlier_format_is_rebuilt_once(self, tmp_path, capsys, monkeypatch):
+        """The files of a cache written before the pins, each with its
+        checksum header, are rebuilt once, to a fresh cache's bytes, with a
+        fresh cache's answers, and then read."""
+        k4 = write(tmp_path, "k4.json", k4_json())
+        commands = (("cache", "warm", "-k", "2"), ("dim", "-k", "2"), ("reduce", k4))
+        fresh = [run(capsys, *c, "--cache", str(tmp_path / "fresh")) for c in commands]
+        old = tmp_path / "old"
+        old.mkdir()
+        for name, text in EARLIER_FILES_K2.items():
+            (old / name).write_text(text)
+        loaded = []
+        load = Cache.load
+
+        def recorded(self, k, kind, size=0):
+            value = load(self, k, kind, size)
+            loaded.append((kind, value is not None))
+            return value
+
+        monkeypatch.setattr(Cache, "load", recorded)
+        assert [run(capsys, *c, "--cache", str(old)) for c in commands] == fresh
+        # one miss a kind; the zero keys come with the basis that is rebuilt
+        assert sorted(kind for kind, hit in loaded if not hit) == ["basis", "relations", "rref"]
+        for name in EARLIER_FILES_K2:
+            assert (old / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+        loaded.clear()
+        assert [run(capsys, *c, "--cache", str(old)) for c in commands] == fresh
+        assert {kind for kind, _ in loaded} == set(KINDS)
+        assert all(hit for _, hit in loaded)
 
     @pytest.mark.parametrize(
         "k,edit",
@@ -909,15 +1027,13 @@ class TestCache:
         ids=["relabelled-copy", "two-k4", "k4-dropped"],
     )
     def test_unpinned_basis_is_rebuilt(self, tmp_path, capsys, monkeypatch, k, edit):
-        """At a k without pinned class digests, as k is here with its entry
-        dropped, a cached basis is not read: dim rebuilds it, prints what a
-        fresh cache prints and rewrites the file.  Each edit keeps the keys
-        increasing and the payload checksum valid, and the rows are gone,
-        so that they are rebuilt over whatever basis is in use: a relabelled
-        copy of a basis graph, a column no row reaches (dim -k 2 would print
-        2); two disjoint K4s, trivalent but not connected (dim -k 4 would
-        print 1, not 0); K4 dropped (dim -k 2 would print 0, not 1)."""
-        monkeypatch.delitem(cache_module._CLASS_DIGESTS, k)
+        """At a k without pins, as k is here with its entry dropped, a
+        cached basis is not read, nor the rows beside it: dim rebuilds them,
+        prints what a fresh cache prints and leaves the file as it was.
+        Each edit keeps the keys increasing: a relabelled copy of a basis
+        graph, a column no row reaches (dim -k 2 would print 2); two
+        disjoint K4s, trivalent but not connected (dim -k 4 would print 1,
+        not 0); K4 dropped (dim -k 2 would print 0, not 1)."""
         fresh = run(capsys, "dim", "-k", str(k), "--cache", str(tmp_path / "fresh"))
         warm = tmp_path / "warm"
         run(capsys, "cache", "warm", "-k", str(k), "--cache", str(warm))
@@ -925,24 +1041,34 @@ class TestCache:
         doc = json.loads(path.read_text())
         bad = json.dumps(edit(doc["payload"])(doc))
         path.write_text(bad)
-        (warm / f"relations-k{k}.json").unlink()
-        (warm / f"rref-k{k}.json").unlink()
+        monkeypatch.delitem(cache_module._PINS, k)
         assert run(capsys, "dim", "-k", str(k), "--cache", str(warm)) == fresh
         assert fresh[0] == 0
-        assert path.read_text() != bad
+        assert path.read_text() == bad
 
     def test_short_cached_basis_is_rebuilt(self, tmp_path, capsys, monkeypatch):
-        """At a k without pinned class digests a cached basis with a class
-        dropped is not read, nor are the zero keys beside it: enum rebuilds
-        both and prints the 388 classes of a fresh cache, not 387."""
-        monkeypatch.delitem(cache_module._CLASS_DIGESTS, 5)
+        """At a k without pins a cached basis with a class dropped is not
+        read, nor are the zero keys beside it: enum rebuilds both and prints
+        the 388 classes of a fresh cache, not 387, and leaves the file as
+        it was."""
         fresh = run(capsys, "enum", "-k", "5", "--cache", str(tmp_path))
         assert (fresh[0], json.loads(fresh[1])["classes"]) == (0, 388)
         path = tmp_path / "basis-k5.json"
-        bad = json.dumps(restamped(lambda p: p[1:])(json.loads(path.read_text())))
+        bad = json.dumps(edited(lambda p: p[1:])(json.loads(path.read_text())))
         path.write_text(bad)
+        monkeypatch.delitem(cache_module._PINS, 5)
         assert run(capsys, "enum", "-k", "5", "--cache", str(tmp_path)) == fresh
-        assert path.read_text() != bad
+        assert path.read_text() == bad
+
+    def test_unpinned_k_caches_nothing(self, tmp_path, capsys, monkeypatch):
+        """At a k without pins a cold run prints a fresh cache's answer and
+        writes no cache file, since none would be read."""
+        fresh = [run(capsys, c, "-k", "3", "--cache", str(tmp_path / "fresh")) for c in ("dim", "enum")]
+        monkeypatch.delitem(cache_module._PINS, 3)
+        cold = tmp_path / "cold"
+        assert [run(capsys, c, "-k", "3", "--cache", str(cold)) for c in ("dim", "enum")] == fresh
+        assert run(capsys, "cache", "warm", "-k", "3", "--cache", str(cold))[1] == '{"warmed":3,"files":0}\n'
+        assert not cold.exists()
 
     def test_rebuilt_rows_equal_cold_ones(self, tmp_path, capsys, monkeypatch):
         """Relation rows rebuilt over a cached basis, which is pinned, read

@@ -457,7 +457,7 @@ class TestCertificate:
         monkeypatch.setattr(S, "kernel_vectors", counted)
         cold = GraphSpace(5, Cache(tmp_path))
         assert (cold.dimension(), cold.normal_form({30: 1}), len(calls)) == (1, {30: 1}, 1)
-        assert Cache(tmp_path).load(5, "rref", cold.keys) == [self.K5]
+        assert Cache(tmp_path).load(5, "rref", len(cold.keys)) == [self.K5]
         warm = GraphSpace(5, Cache(tmp_path))
         assert (warm.normal_form({25: 1}), len(calls)) == ({30: -1}, 1)
         assert (warm.dimension(), len(calls)) == (1, 2)
@@ -813,24 +813,33 @@ class TestKeysAreTheBasis:
         by_key = sp._by_key({7: 2, 3: 0, 1: Fraction(-1, 2)})
         assert list(by_key.items()) == [(sp.keys[1], Fraction(-1, 2)), (sp.keys[7], 2)]
 
-    @pytest.mark.parametrize("k", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
-    def test_pinned_class_digests(self, k, request):
-        """The CRC-32 values the cache pins are those of a cold build's
-        keys, recomputed here with zlib.  The k=8 listing takes about 100 s,
-        so that case is slow."""
-        if k == 8:
-            keys, zeros, _ = classify(C.labelled_graphs(8))
-        elif k == 7:
+    @pytest.mark.parametrize(
+        "k,kinds",
+        [
+            *(pytest.param(k, KINDS, id=str(k)) for k in range(1, 7)),
+            pytest.param(7, ("basis", "zeros"), id="7"),
+            pytest.param(7, ("relations", "rref"), id="7-rows", marks=pytest.mark.slow),
+            pytest.param(8, KINDS, id="8", marks=pytest.mark.slow),
+        ],
+    )
+    def test_pinned_class_digests(self, k, kinds, request, tmp_path):
+        """Each pin is the CRC-32 of the file the cache writes for a cold
+        build's value of its kind, the classes and their rows, recomputed
+        here with zlib.  The k=7 rows list k=7 again, and the k=8 build
+        takes a few minutes, so those cases are slow."""
+        if kinds == ("basis", "zeros"):
             keys, zeros, _ = classify(request.getfixturevalue("classes7"))
+            values = {"basis": keys, "zeros": zeros}
         else:
-            sp = cold_space(k, request)
-            keys, zeros = sp.keys, sp.zero_keys
-
-        def crc(keys):
-            return zlib.crc32("\n".join(keys).encode())
-
-        assert sorted(cache_module._CLASS_DIGESTS) == list(range(1, 9))
-        assert cache_module._CLASS_DIGESTS[k] == (crc(keys), crc(sorted(zeros)))
+            sp = cold_space(k, request) if k <= 6 else GraphSpace(k)
+            values = dict(zip(KINDS, (sp.keys, sp.zero_keys, sp.relation_rows(), sp._certificate())))
+        cache = Cache(tmp_path)
+        for kind in kinds:
+            cache.store(k, kind, values[kind])
+        assert sorted(cache_module._PINS) == list(range(1, 9))
+        assert all(list(pins) == list(KINDS) for pins in cache_module._PINS.values())
+        crcs = {kind: zlib.crc32(cache.path(k, kind).read_bytes()) for kind in kinds}
+        assert crcs == {kind: cache_module._PINS[k][kind] for kind in kinds}
 
 
 class TestCache:
@@ -855,7 +864,7 @@ class TestCache:
 
     # SHA-256 of the cache files a cold dimension() and normal_form({}) write
     # for k=1..4, as json.dumps({name: text}) with names sorted
-    FILES_DIGEST = "1c116ea598dbb75aba0e828cb8c3f4f62a241c15286007127f6f17640cfac140"
+    FILES_DIGEST = "7447f84ef29e893861167f962c6d6ee9e2c033ef99a1cba1561d616c4eb9fd63"
 
     def test_file_bytes_pinned(self, tmp_path):
         for k in range(1, 5):
@@ -879,9 +888,9 @@ class TestCache:
         }
         assert set(values) == set(KINDS)
         for kind, value in values.items():
-            cache.store(5, kind, value, space.keys)
-            assert cache.load(5, kind, space.keys) == value
-        rref = cache.load(5, "rref", space.keys)
+            cache.store(5, kind, value)
+            assert cache.load(5, kind, len(space.keys)) == value
+        rref = cache.load(5, "rref", len(space.keys))
         assert rref == [TestCertificate.K5]
         assert all(type(v) is int for w in rref for v in w.values())
 
