@@ -2,9 +2,13 @@
 
 Each kind's file format lives here: store takes the value GraphSpace uses
 and load gives it back.  A basis is its tuple of class keys; its file holds
-the graph each key spells, and load derives the keys back from them.  The
-rref kind holds the weight systems W that normal forms are read from, in
-the relations format: sparse integer rows.  The directory is the explicit
+the graph each key spells as one flat list of ints, the key's pairs in
+order, and load spells the keys back from them.  The relations kind holds
+the relation rows, and the rref kind the weight systems W that normal forms
+are read from, both as (n, rows), sparse integer rows over a basis of size
+n, stored as columns: {"size": n, "cols": [...], "vals": [...]}, one list of
+columns and one of values per row.  So the relations file alone gives a
+dimension, n minus the rank of its rows.  The directory is the explicit
 argument, else GC_CACHE, else ~/.cache/trivalent.  A cache file is named
 <kind>-k<k>.json; status and clear see no other file in the directory.
 
@@ -18,12 +22,14 @@ nothing, since load would read nothing, so a run at k >= 9 caches nothing.
 The pin is checked before the JSON is parsed.  It catches accidental edits,
 not a forged CRC-32 collision; behind it each decoder still checks its
 payload's shape, so that a forged file of the wrong shape is ignored too,
-not a traceback: the format_version, a position outside the basis, a basis
-graph that is not trivalent on 2k vertices, basis keys that do not increase
-strictly, a row whose columns do not increase strictly or that holds a zero
-or a value that is not an int, and rref rows that are not in echelon form
-(linalg.in_echelon), two of them sharing a top column, say.  JSON nested
-past the decoder's recursion limit is ignored like any unreadable file.
+not a traceback: the format_version, a basis size that is not an int of at
+least 0 or that is not the size load was given, a position outside the
+basis, a basis graph that is not trivalent on 2k vertices or whose pairs
+are out of order, basis keys that do not increase strictly, a row whose
+columns do not increase strictly or that holds a zero or a value that is
+not an int, and rref rows that are not in echelon form (linalg.in_echelon),
+two of them sharing a top column, say.  JSON nested past the decoder's
+recursion limit is ignored like any unreadable file.
 """
 
 from __future__ import annotations
@@ -34,24 +40,24 @@ import re
 import tempfile
 import zlib
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import eq, ge, lt
+from operator import add, eq, ge, gt, lt, mul
 from pathlib import Path
 
-from .graphs import canonical_key, graph_of_key
+from .graphs import _key_format, graph_of_key
 from .linalg import in_echelon
 
 FORMAT_VERSION = 1
 # CRC-32 of the bytes of each kind's file that a cold build writes, at each
 # k from 1 to 8: the one rule that load applies before it parses a file
 _PINS = {
-    1: {"basis": 0xAAFD31CC, "zeros": 0x1E4DBD87, "relations": 0xAAFD31CC, "rref": 0xAAFD31CC},
-    2: {"basis": 0xA62D3995, "zeros": 0xA7472371, "relations": 0xEE62E280, "rref": 0x01305461},
-    3: {"basis": 0x5DE4570F, "zeros": 0x442A0D8B, "relations": 0x8637BB02, "rref": 0xAAFD31CC},
-    4: {"basis": 0x940EE311, "zeros": 0xBB3E6A45, "relations": 0x74066440, "rref": 0xAAFD31CC},
-    5: {"basis": 0x8114F3F6, "zeros": 0x3D3EEF1B, "relations": 0x5148A50C, "rref": 0x6FDAD15D},
-    6: {"basis": 0x95E2C3F7, "zeros": 0xDBA79B24, "relations": 0x1FBF7A61, "rref": 0xAAFD31CC},
-    7: {"basis": 0xF23D8C74, "zeros": 0x50734312, "relations": 0x3BA1BB24, "rref": 0xAAFD31CC},
-    8: {"basis": 0x9F614A5F, "zeros": 0xF869144B, "relations": 0x4681FCA9, "rref": 0xAAFD31CC},
+    1: {"basis": 0xAAFD31CC, "zeros": 0x1E4DBD87, "relations": 0xDB6F5E73, "rref": 0xDB6F5E73},
+    2: {"basis": 0xF564D44B, "zeros": 0xA7472371, "relations": 0xAB71707D, "rref": 0xCE164B3B},
+    3: {"basis": 0x2E6C2F0E, "zeros": 0x442A0D8B, "relations": 0xE8A1F1C9, "rref": 0x067768F1},
+    4: {"basis": 0xD65A377F, "zeros": 0xBB3E6A45, "relations": 0x59CFF882, "rref": 0xBA2E3536},
+    5: {"basis": 0xDA7E236D, "zeros": 0x3D3EEF1B, "relations": 0xBFDA66AF, "rref": 0xFBD97CB3},
+    6: {"basis": 0x01298010, "zeros": 0xDBA79B24, "relations": 0x240E3C12, "rref": 0x389AED96},
+    7: {"basis": 0x010F1608, "zeros": 0x50734312, "relations": 0x92A2480C, "rref": 0xB1C749E4},
+    8: {"basis": 0x06E33278, "zeros": 0xF869144B, "relations": 0x2188FFA1, "rref": 0x2E550763},
 }
 
 
@@ -66,22 +72,22 @@ def _list_of(x, kind) -> list:
     return x
 
 
-def _fields(items, name, kind) -> list:
-    """Field name of each dict in the list items, each of the given type."""
-    return _list_of([r.get(name) for r in _list_of(items, dict)], kind)
-
-
 def _basis_keys(p, k, size) -> tuple:
-    """The basis: the class key of each graph of the payload.  Each graph
-    has 2k vertices, each of them the end of exactly three edges."""
-    ns, edge_lists = _fields(p, "vertices", int), _fields(p, "edges", list)
-    edges = _list_of(list(chain.from_iterable(edge_lists)), list)
-    _check(set(map(len, edges)) <= {2})
-    _list_of(list(chain.from_iterable(edges)), int)  # ints, before they are sorted
+    """The basis: the class key each graph of the payload spells.  A graph
+    is the flat list of its key's pairs, in order: 6k ints, each vertex of
+    the 2k the end of exactly three edges."""
+    graphs = _list_of(p, list)
+    flat = _list_of(list(chain.from_iterable(graphs)), int)  # ints, before they are sorted
     trivalent = sorted([*range(2 * k)] * 3)  # [0, 0, 0, 1, 1, 1, ...]
-    _check(set(ns) <= {2 * k})
-    _check(all(map(eq, map(sorted, map(chain.from_iterable, edge_lists)), repeat(trivalent))))
-    keys = tuple(map(canonical_key, ns, edge_lists))
+    # which also makes each graph 6k long, so that a graph starts every 3k pairs
+    _check(all(map(eq, map(sorted, graphs), repeat(trivalent))))
+    # each pair (a, b) as the int 2k*a + b, which orders them as the pairs
+    # are ordered: one smaller than the one before it must start a graph
+    codes = list(map(add, map(mul, flat[::2], repeat(2 * k)), flat[1::2]))
+    starts = set(range(0, len(codes), 3 * k))
+    _check(starts.issuperset(compress(count(1), map(gt, codes, islice(codes, 1, None)))))
+    key = _key_format(3 * k)
+    keys = tuple([key % (2 * k, *g) for g in graphs])
     _check(all(map(lt, keys, keys[1:])))  # as classify sorts them
     return keys
 
@@ -90,43 +96,55 @@ def _zero_keys(p, k, size) -> frozenset:
     return frozenset(_list_of(p, str))
 
 
-def _relation_rows(p, k, size) -> list:
-    """Sparse integer rows [{"cols": [...], "vals": [...]}], each with
-    columns that increase strictly and no zero value."""
-    cols, vals = _fields(p, "cols", list), _fields(p, "vals", list)
+def _relation_rows(p, k, size) -> tuple:
+    """(n, rows) from {"size": n, "cols": [...], "vals": [...]}: sparse
+    integer rows over a basis of size n, size itself unless that is None,
+    each row's columns and values parallel lists, the columns positions in
+    the basis that increase strictly, and no value zero."""
+    _check(type(p) is dict)
+    n, cols, vals = p.get("size"), _list_of(p.get("cols"), list), _list_of(p.get("vals"), list)
+    _check(type(n) is int and n >= 0 and size in (None, n))
     lengths = list(map(len, cols))
     _check(lengths == list(map(len, vals)))
     flat = _list_of(list(chain.from_iterable(cols)), int)
-    _check(not flat or (min(flat) >= 0 and max(flat) < size))
+    _check(not flat or (min(flat) >= 0 and max(flat) < n))
     # a column no larger than the one before it in the flat list must start
     # a row: its index there must be a running total of the row lengths
     starts = set(accumulate(lengths))
     _check(starts.issuperset(compress(count(1), map(ge, flat, islice(flat, 1, None)))))
     _check(0 not in _list_of(list(chain.from_iterable(vals)), int))
-    return list(map(dict, map(zip, cols, vals)))
+    return n, list(map(dict, map(zip, cols, vals)))
 
 
-def _weight_rows(p, k, size) -> list:
-    rows = _relation_rows(p, k, size)
+def _weight_rows(p, k, size) -> tuple:
+    n, rows = _relation_rows(p, k, size)
     _check(in_echelon(rows))
-    return rows
+    return n, rows
 
 
-def _sorted_rows(rows) -> list:
-    return [{"cols": sorted(r), "vals": [v for _, v in sorted(r.items())]} for r in rows]
+def _flat_graphs(keys) -> list:
+    return [[*chain.from_iterable(graph_of_key(key).edges)] for key in keys]
+
+
+def _columns(value) -> dict:
+    n, rows = value
+    rows = [sorted(r.items()) for r in rows]
+    cols, vals = [[c for c, _ in r] for r in rows], [[v for _, v in r] for r in rows]
+    return {"size": n, "cols": cols, "vals": vals}
 
 
 # each kind's (encoder, decoder): the encoder turns the value GraphSpace
 # uses into a payload, and the decoder turns a payload back into that value,
-# given k, which a basis checks its graphs against, and the size of the
-# basis that relations and rref index by position, or raises ValueError.
-# Decoders check over flat lists, a few C-level calls a payload, not item
-# by item.
+# given k, which a basis checks its graphs against, and the basis size that
+# the relations and rref rows must record, or None to take the one they
+# record; it raises ValueError on a payload of the wrong shape.  The value
+# of relations and rref is the pair (n, rows).  Decoders check over flat
+# lists, a few C-level calls a payload, not item by item.
 _FORMATS = {
-    "basis": (lambda keys: [graph_of_key(key).to_json() for key in keys], _basis_keys),
+    "basis": (_flat_graphs, _basis_keys),
     "zeros": (sorted, _zero_keys),
-    "relations": (_sorted_rows, _relation_rows),
-    "rref": (_sorted_rows, _weight_rows),
+    "relations": (_columns, _relation_rows),
+    "rref": (_columns, _weight_rows),
 }
 KINDS = tuple(_FORMATS)
 # the names store writes, and the only files status and clear see
@@ -148,11 +166,11 @@ class Cache:
         assert kind in KINDS
         return self.directory / f"{kind}-k{k}.json"
 
-    def load(self, k: int, kind: str, size: int = 0):
+    def load(self, k: int, kind: str, size: int | None = None):
         """The stored value, or None for a missing or unusable file: one
         whose bytes do not give the pin of its k and kind, or, behind a
-        forged pin, of the wrong shape, a relations or rref position of size
-        or more included.
+        forged pin, of the wrong shape, relations or rref rows that record
+        a basis size other than size included (any size if it is None).
         """
         try:
             with open(self.path(k, kind), "rb") as f:

@@ -5,13 +5,16 @@ the zero class keys (classes.classify over classes.labelled_graphs), the
 relation rows (hubs.hub_rows), and the weight systems W, integer
 functionals that vanish on every row, each read from the cache when it has
 them, else built and stored.  A basis graph is read off its key
-(graphs.graph_of_key) only when the rows are built.  One certificate proves
-W from the rows: its vectors vanish on every row and are in echelon form,
-so the dimension is at least their count, and the basis size minus a
-modular rank, an upper bound, meets it.  dimension() runs that proof on
-every call.  Normal forms are read off W, which the rref cache kind holds:
-the top columns of W are the free columns of the rows' reduced echelon
-form, and each vector pairs a class vector to its coefficient there.
+(graphs.graph_of_key) only when the rows are built.  The rows come with
+the basis size n they index, which the relations file records, so a warm
+dimension() reads no basis; a space that holds both reads only rows whose
+n is the size of its basis.  One certificate proves W from the rows: its
+vectors vanish on every row and are in echelon form, so the dimension is
+at least their count, and n minus a modular rank, an upper bound, meets
+it.  dimension() runs that proof on every call.  Normal forms are read off
+W, which the rref cache kind holds: the top columns of W are the free
+columns of the rows' reduced echelon form, and each vector pairs a class
+vector to its coefficient there.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ class GraphSpace:
         self._generators = None  # Aut generators of the basis, from classify
         self._keys = None
         self._zeros = None
+        self._size = None  # the basis size n that the rows were read or built for
         self._rows = None
         self._proved = None  # W, as dimension() last proved it
         self._weights = None  # W, as normal_form reads it
@@ -57,18 +61,20 @@ class GraphSpace:
 
     # -- basis ------------------------------------------------------------
 
-    def _load(self, kind: str, size: int = 0):
+    def _load(self, kind: str, size: int | None = None):
         return None if self._cache is None else self._cache.load(self.k, kind, size)
 
     def _store(self, kind: str, value) -> None:
         if self._cache is not None:
             self._cache.store(self.k, kind, value)
 
-    def _cached(self, kind: str, build):
-        """A kind that indexes the basis, read from the cache or built and stored."""
-        value = self._load(kind, len(self.keys))
+    def _cached(self, kind: str, size: int | None, build):
+        """A row kind, (n, rows) over a basis of size n, read from the cache
+        if its n is size (any n if size is None), else built over the basis
+        and stored."""
+        value = self._load(kind, size)
         if value is None:
-            value = build()
+            value = (len(self.keys), build())
             self._store(kind, value)
         return value
 
@@ -80,6 +86,9 @@ class GraphSpace:
             self._keys = self._load("basis")
             if self._keys is None:
                 self._build_classes()
+            if self._rows is not None and self._size != len(self._keys):
+                # rows read before the basis, for a basis of another size
+                self._rows = self._proved = None
 
     def _build_classes(self) -> None:
         """The cold build: classify the enumerator's labelled graphs, then
@@ -158,10 +167,13 @@ class GraphSpace:
         a cold build's bytes, so each graph its keys spell is canonical, and
         its generators are read off a fresh canonical labelling of it
         (hubs.hub_rows says why the rows are the same).  Rows read from the
-        cache are a cold build's too, byte for byte (cache._PINS).
+        cache are a cold build's too, byte for byte (cache._PINS), and come
+        with the basis size they index: that of the basis if the space holds
+        it, else the one the file records, and the basis is then not read.
         """
         if self._rows is None:
-            self._rows = self._cached("relations", self._hub_rows)
+            held = None if self._keys is None else len(self._keys)
+            self._size, self._rows = self._cached("relations", held, self._hub_rows)
         return self._rows
 
     def _hub_rows(self):
@@ -175,10 +187,11 @@ class GraphSpace:
     def _certificate(self) -> list:
         """W, proved from the relation rows: the kernel vectors that vanish
         on every row, in echelon form, so independent, and as many as the
-        basis size n minus the rank mod p, an upper bound on the dimension,
-        for the first of PRIMES that closes the gap.  Both bounds read one
-        singleton peel."""
-        rows, n = self.relation_rows(), len(self.keys)
+        basis size n the rows come with minus the rank mod p, an upper bound
+        on the dimension, for the first of PRIMES that closes the gap.  Both
+        bounds read one singleton peel."""
+        rows = self.relation_rows()
+        n = self._size
         peel = peel_singletons(rows)
         weights = [w for w in kernel_vectors(n, peel) if vanishes_on(rows, w)]
         if not in_echelon(weights):
@@ -191,9 +204,15 @@ class GraphSpace:
             f"dimension bounds do not meet: at least {len(weights)}, at most {high} mod {p}"
         )
 
+    def _proof(self) -> list:
+        """W as dimension() last proved it, else proved now."""
+        return self._certificate() if self._proved is None else self._proved
+
     def dimension(self) -> int:
         """Basis size minus the rank of the relation rows, proved by the
-        certificate from the rows on every call."""
+        certificate from the rows on every call.  The basis size n is the
+        one the rows come with: on a warm cache, that recorded in the
+        relations file, which is all this reads."""
         self._proved = self._certificate()
         return len(self._proved)
 
@@ -216,9 +235,7 @@ class GraphSpace:
         rows, so equal normal forms mean equal classes in the quotient.
         """
         if self._weights is None:
-            self._weights = self._cached(
-                "rref", lambda: self._certificate() if self._proved is None else self._proved
-            )
+            self._weights = self._cached("rref", len(self.keys), self._proof)[1]
         pairings = ((w, sum(v * w[c] for c, v in vec.items() if c in w)) for w in self._weights)
         return {max(w): Fraction(s, w[max(w)]) for w, s in pairings if s}
 

@@ -103,35 +103,60 @@ def restamped_k2(payload):
     return json.dumps({**header, "payload": payload})
 
 
+def flat(graph):
+    """A graph's JSON as a basis payload stores it: its edge list, flat."""
+    return [end for edge in graph["edges"] for end in edge]
+
+
+def pairs_of(b):
+    """The pairs of a basis payload graph, the edge list of its key."""
+    return list(zip(b[::2], b[1::2]))
+
+
 def basis_key(b):
     """The class key of a basis payload graph, by which the basis is sorted."""
-    return G.canonical_key(b["vertices"], [tuple(e) for e in b["edges"]])
+    return G.canonical_key(len(b) // 3, pairs_of(b))
 
 
 def inserted(graph):
-    """An edit of a basis payload that slots graph in at its key's place."""
-    return edited(lambda p: sorted(p + [graph], key=basis_key))
+    """An edit of a basis payload that slots graph's JSON in at its key's place."""
+    return edited(lambda p: sorted(p + [flat(graph)], key=basis_key))
 
 
 def without(graph):
-    """An edit of a basis payload that drops graph."""
+    """An edit of a basis payload that drops graph's JSON."""
 
     def edit(payload):
-        assert graph in payload
-        return [b for b in payload if b != graph]
+        assert flat(graph) in payload
+        return [b for b in payload if b != flat(graph)]
 
     return edited(edit)
 
 
 def relabelled_copy(payload):
     """A relabelled copy of the first graph of a k=2 basis payload whose
-    key is not in the payload."""
+    key is not in the payload, as graph JSON."""
     keys = [basis_key(b) for b in payload]
     for perm in itertools.permutations(range(4)):
-        edges = [sorted((perm[u], perm[v])) for u, v in payload[0]["edges"]]
-        copy = {"vertices": 4, "edges": sorted(edges)}
-        if basis_key(copy) not in keys:
-            return copy
+        edges = sorted(sorted((perm[u], perm[v])) for u, v in pairs_of(payload[0]))
+        if basis_key(flat({"edges": edges})) not in keys:
+            return {"vertices": 4, "edges": edges}
+
+
+def rows_edit(edit):
+    """An edit of a relations or rref payload's rows, given as its two
+    lists, cols and vals."""
+
+    def edit_rows(payload):
+        cols, vals = edit(payload["cols"], payload["vals"])
+        return {**payload, "cols": cols, "vals": vals}
+
+    return edited(edit_rows)
+
+
+def with_rows(cols, vals):
+    """An edit of a relations or rref payload that puts these rows in."""
+    return rows_edit(lambda c, v: (cols, vals))
 
 
 # a graph with vertex degrees 2, 3, 3, 4 in canonical form
@@ -171,6 +196,18 @@ EARLIER_FILES_K2 = {
         '["cub:4:0-1,0-1,0-2,1-3,2-2,3-3", "cub:4:0-1,0-2,0-2,1-3,1-3,2-3", '
         '"cub:4:0-1,0-2,0-3,1-2,1-2,3-3"]}'
     ),
+}
+# the k=2 files a cold build wrote when the pins came in, before the rows
+# were stored as columns beside the basis size and a basis graph as a flat
+# list; the zeros file has not changed since
+PINNED_FILES_K2 = {
+    "basis-k2.json": (
+        '{"format_version": 1, "payload": [{"vertices": 4, "edges": [[0, 1], [0, 2], [0, 3], '
+        '[1, 1], [2, 2], [3, 3]]}, {"vertices": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], '
+        '[1, 3], [2, 3]]}]}'
+    ),
+    "relations-k2.json": '{"format_version": 1, "payload": [{"cols": [0], "vals": [1]}]}',
+    "rref-k2.json": '{"format_version": 1, "payload": [{"cols": [1], "vals": [1]}]}',
 }
 
 
@@ -770,17 +807,18 @@ class TestCache:
         loaded = []
         load = Cache.load
 
-        def recorded(self, k, kind, size=0):
+        def recorded(self, k, kind, size=None):
             value = load(self, k, kind, size)
             loaded.append((kind, value is not None))
             return value
 
         monkeypatch.setattr(Cache, "load", recorded)
-        for argv in (("dim", "-k", "2"), ("reduce", k4), ("surgery", k4)):
+        queries = ((("dim", "-k", "2"), "relations"), (("reduce", k4), "basis"), (("surgery", k4), "basis"))
+        for argv, read in queries:
             loaded.clear()
             code, _, err = run(capsys, *argv, "--cache", str(warm))
             assert (code, err) == (0, "")
-            assert ("basis", True) in loaded
+            assert (read, True) in loaded
             assert all(kind != "zeros" for kind, _ in loaded)
         cold = tmp_path / "cold"
         _, enum_cold, _ = run(capsys, "enum", "-k", "2", "--cache", str(cold))
@@ -793,15 +831,16 @@ class TestCache:
         assert (warm / "zeros-k2.json").read_bytes() == (cold / "zeros-k2.json").read_bytes()
 
     def test_warm_reopen_reads_only_what_it_needs(self, tmp_path, capsys, monkeypatch):
-        """On a warm k=4 cache, dim loads the basis and the relations, and
-        reduce the basis and the echelon form with one canonicalize call,
+        """On a warm k=4 cache, dim loads the relations alone, which record
+        the basis size, and reduce the basis and the echelon form with one
+        canonicalize call,
         for its own graph.  Neither reads a basis graph off its key: the
         keys suffice.  Surgery on a simple graph whose class is zero loads
         nothing, and on a cold cache it builds and writes nothing."""
         warm = tmp_path / "warm"
         run(capsys, "cache", "warm", "-k", "4", "--cache", str(warm))
         first = json.loads((warm / "basis-k4.json").read_text())["payload"][0]
-        graph = write(tmp_path, "g.json", first)
+        graph = write(tmp_path, "g.json", {"vertices": 8, "edges": pairs_of(first)})
         zeros = json.loads((warm / "zeros-k4.json").read_text())["payload"]
 
         def simple(g):  # so that surgery canonicalizes it to find it zero
@@ -812,7 +851,7 @@ class TestCache:
         loaded, canonicalized, built = [], [], []
         load, canonicalize, graph_of_key = Cache.load, canon.canonicalize, G.graph_of_key
 
-        def recorded(self, k, kind, size=0):
+        def recorded(self, k, kind, size=None):
             value = load(self, k, kind, size)
             loaded.append((kind, value is not None))
             return value
@@ -834,7 +873,7 @@ class TestCache:
             if getattr(module, "graph_of_key", 0) is graph_of_key:
                 monkeypatch.setattr(module, "graph_of_key", basis_graph)
         for argv, kinds, calls in (
-            (("dim", "-k", "4"), ["basis", "relations"], 0),
+            (("dim", "-k", "4"), ["relations"], 0),
             (("surgery", zero), [], 1),  # its Aut and its class share one
             (("reduce", graph), ["basis", "rref"], 1),
         ):
@@ -853,25 +892,34 @@ class TestCache:
         # reading the basis reads each graph off its key through the wrapped name
         assert len(GraphSpace(4, Cache(warm)).basis) == len(built) > 0
 
+    def test_warm_dim_reads_no_basis(self, tmp_path, capsys):
+        """The relations file records the basis size, so a warm dim reads
+        no other file: with the basis file gone, dim -k 5 prints the same
+        bytes and writes no basis file."""
+        warm = tmp_path / "warm"
+        run(capsys, "cache", "warm", "-k", "5", "--cache", str(warm))
+        before = run(capsys, "dim", "-k", "5", "--cache", str(warm))
+        (warm / "basis-k5.json").unlink()
+        assert run(capsys, "dim", "-k", "5", "--cache", str(warm)) == before
+        assert before[0] == 0
+        assert not (warm / "basis-k5.json").exists()
+
     def test_bad_payload_is_rebuilt(self, tmp_path, capsys, monkeypatch):
         k4 = write(tmp_path, "k4.json", k4_json())
         clover = write(tmp_path, "clover.json", clover_json())
         k2 = (("reduce", k4), ("reduce", clover), ("enum", "-k", "2"), ("dim", "-k", "2"))
-        row = {"cols": [1], "vals": [1]}
-
-        def extend(r):
-            return {"cols": r["cols"] + [9], "vals": r["vals"] + [1]}
 
         def far_end(g):
-            return {**g, "edges": g["edges"][:-1] + [[g["edges"][-1][0], 9]]}
+            return g[:-1] + [9]
 
         def with_end(g, end):
-            assert g["edges"][0] == [0, 1]
-            return {**g, "edges": [[0, end]] + g["edges"][1:]}
+            assert g[:2] == [0, 1]
+            return [0, end] + g[2:]
 
-        def split_edges(g):
-            assert g["edges"][:2] == [[0, 1], [0, 2]]
-            return {**g, "edges": [[0, 1, 0], [2]] + g["edges"][2:]}
+        def swapped(g):
+            """The last two pairs of g swapped: the key g then spells is
+            larger, so the keys still increase."""
+            return g[:-4] + g[-2:] + g[-4:-2]
 
         # (k, kind, file text or an edit of a warm cache's file, commands):
         # files whose bytes are not the pinned ones, so that the pin alone
@@ -881,10 +929,10 @@ class TestCache:
             (2, "rref", FRACTION_RREF_K2, k2),
             # well-shaped edits: an extra relation row, a row dropped, a
             # functional scaled, one that pairs the clover with K4
-            (2, "relations", edited(lambda p: p + [row]), k2),
-            (2, "relations", edited(lambda p: p[:-1]), k2),
-            (2, "rref", edited(lambda p: [{"cols": [1], "vals": [2]}]), k2),
-            (2, "rref", edited(lambda p: [{"cols": [0, 1], "vals": [1, 1]}]), k2),
+            (2, "relations", rows_edit(lambda c, v: (c + [[1]], v + [[1]])), k2),
+            (2, "relations", rows_edit(lambda c, v: (c[:-1], v[:-1])), k2),
+            (2, "rref", with_rows([[1]], [[2]]), k2),
+            (2, "rref", with_rows([[0, 1]], [[1, 1]]), k2),
             # a class missing or slipped in: K4 dropped, no class at all, a
             # zero class dropped, and two disjoint K4s (a cold run lists 71
             # classes at k=4, dimension 0)
@@ -904,37 +952,60 @@ class TestCache:
             )
         ]
         forged += [(2, kind, DEEP, (("dim", "-k", "2"),)) for kind in ("basis", "relations")]
+        # a file in the format the pins came in with
+        forged += [(2, name.split("-")[0], text, k2) for name, text in PINNED_FILES_K2.items()]
         forged += [
             (2, "basis", edited(lambda p: p[::-1]), k2),
             # a position past the basis, or a basis graph that is not
             # trivalent on 2k vertices
-            (2, "relations", edited(lambda p: p + [{"cols": [7], "vals": [1]}]), k2),
-            (2, "rref", edited(lambda p: [extend(r) for r in p]), k2),
+            (2, "relations", rows_edit(lambda c, v: (c + [[7]], v + [[1]])), k2),
+            (2, "rref", rows_edit(lambda c, v: ([r + [9] for r in c], [r + [1] for r in v])), k2),
             (2, "basis", edited(lambda p: p[:-1] + [far_end(p[-1])]), k2),
             # a graph that is not trivalent, or not on 2k vertices, in key order
             (2, "basis", inserted(ODD_DEGREES), k2),
-            (2, "basis", edited(lambda p: p + [{**p[0], "vertices": 6}]), k2),
+            (2, "basis", inserted(prism(3)), k2),
+            # a graph list of the wrong length: an edge dropped
+            (2, "basis", edited(lambda p: [p[0][:-2]] + p[1:]), k2),
             # an edge end that %d would format as 1
             (2, "basis", edited(lambda p: [with_end(p[0], True)] + p[1:]), k2),
             (2, "basis", edited(lambda p: [with_end(p[0], 1.0)] + p[1:]), k2),
-            # an edge that is not a pair, each vertex still met three times
-            (2, "basis", edited(lambda p: [split_edges(p[0])] + p[1:]), k2),
+            # a graph with two of its pairs out of order, each vertex still
+            # met three times and the keys still increasing
+            (2, "basis", edited(lambda p: p[:-1] + [swapped(p[-1])]), k2),
             # a zero key that is not a string
             (2, "zeros", edited(lambda p: p + [1]), k2),
             # rows that load to a wrong answer unless their shape is strict:
             # columns that do not increase strictly, a zero value, a value
             # that is not an int, and kernel vectors out of echelon form,
             # two of them with the same top column
-            (2, "relations", edited(lambda p: [{"cols": [0, 0], "vals": [1, 0]}]), k2),
-            (2, "relations", edited(lambda p: [{"cols": [0], "vals": [0]}]), k2),
-            (2, "relations", edited(lambda p: [{"cols": [1, 0], "vals": [1, 1]}]), k2),
-            # more values than columns, and a column that is not an int
-            (2, "relations", edited(lambda p: [{"cols": [1], "vals": [1, 1]}]), k2),
-            (2, "relations", edited(lambda p: [{"cols": [True], "vals": [1]}]), k2),
-            (2, "rref", edited(lambda p: [{"cols": [1, 1], "vals": [1, 1]}]), k2),
-            (2, "rref", edited(lambda p: [{"cols": [0, 1], "vals": [0, 1]}]), k2),
-            (2, "rref", edited(lambda p: [{"cols": [1], "vals": ["1"]}]), k2),
-            (2, "rref", edited(lambda p: p + [{"cols": [0, 1], "vals": [1, 1]}]), k2),
+            (2, "relations", with_rows([[0, 0]], [[1, 0]]), k2),
+            (2, "relations", with_rows([[0]], [[0]]), k2),
+            (2, "relations", with_rows([[1, 0]], [[1, 1]]), k2),
+            # no columns, a row of values that is not a list, more values
+            # than columns, and a column that is not an int
+            (2, "relations", edited(lambda p: {"size": p["size"], "vals": p["vals"]}), k2),
+            (2, "relations", with_rows([[0]], [1]), k2),
+            (2, "relations", with_rows([[1]], [[1, 1]]), k2),
+            (2, "relations", with_rows([[True]], [[1]]), k2),
+            (2, "rref", with_rows([[1, 1]], [[1, 1]]), k2),
+            (2, "rref", with_rows([[0, 1]], [[0, 1]]), k2),
+            (2, "rref", with_rows([[1]], [["1"]]), k2),
+            (2, "rref", rows_edit(lambda c, v: (c + [[0, 1]], v + [[1, 1]])), k2),
+            # a column equal to the basis size, which dim reads from the
+            # file: 2 at k=2
+            (2, "relations", with_rows([[2]], [[1]]), k2),
+            (2, "rref", with_rows([[2]], [[1]]), k2),
+            # a basis size that is missing, a bool (the rows of dim -k 2
+            # would give dimension 0 over 1 class), negative (-1 with no
+            # rows) or not an int
+            (2, "relations", edited(lambda p: {"cols": p["cols"], "vals": p["vals"]}), k2),
+            (2, "relations", edited(lambda p: {**p, "size": True}), k2),
+            (2, "relations", edited(lambda p: {"size": -1, "cols": [], "vals": []}), k2),
+            (2, "relations", edited(lambda p: {**p, "size": 2.0}), k2),
+            (2, "relations", edited(lambda p: {**p, "size": "2"}), k2),
+            (2, "rref", edited(lambda p: {**p, "size": None}), k2),
+            # W for a basis of another size, which reduce reads beside the basis
+            (2, "rref", edited(lambda p: {**p, "size": 3}), k2),
         ]
         cases = [(case, False) for case in wrong_bytes] + [(case, True) for case in forged]
         for i, ((k, kind, bad, commands), pin) in enumerate(cases):
@@ -989,33 +1060,36 @@ class TestCache:
 
     def test_earlier_format_is_rebuilt_once(self, tmp_path, capsys, monkeypatch):
         """The files of a cache written before the pins, each with its
-        checksum header, are rebuilt once, to a fresh cache's bytes, with a
-        fresh cache's answers, and then read."""
+        checksum header, and those written when the pins came in, are
+        rebuilt once, to a fresh cache's bytes, with a fresh cache's
+        answers, and then read."""
         k4 = write(tmp_path, "k4.json", k4_json())
         commands = (("cache", "warm", "-k", "2"), ("dim", "-k", "2"), ("reduce", k4))
         fresh = [run(capsys, *c, "--cache", str(tmp_path / "fresh")) for c in commands]
-        old = tmp_path / "old"
-        old.mkdir()
-        for name, text in EARLIER_FILES_K2.items():
-            (old / name).write_text(text)
         loaded = []
         load = Cache.load
 
-        def recorded(self, k, kind, size=0):
+        def recorded(self, k, kind, size=None):
             value = load(self, k, kind, size)
             loaded.append((kind, value is not None))
             return value
 
         monkeypatch.setattr(Cache, "load", recorded)
-        assert [run(capsys, *c, "--cache", str(old)) for c in commands] == fresh
-        # one miss a kind; the zero keys come with the basis that is rebuilt
-        assert sorted(kind for kind, hit in loaded if not hit) == ["basis", "relations", "rref"]
-        for name in EARLIER_FILES_K2:
-            assert (old / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
-        loaded.clear()
-        assert [run(capsys, *c, "--cache", str(old)) for c in commands] == fresh
-        assert {kind for kind, _ in loaded} == set(KINDS)
-        assert all(hit for _, hit in loaded)
+        for i, files in enumerate((EARLIER_FILES_K2, PINNED_FILES_K2)):
+            old = tmp_path / f"old{i}"
+            old.mkdir()
+            for name, text in files.items():
+                (old / name).write_text(text)
+            loaded.clear()
+            assert [run(capsys, *c, "--cache", str(old)) for c in commands] == fresh
+            # one miss a kind; the zero keys come with the basis that is rebuilt
+            assert sorted(kind for kind, hit in loaded if not hit) == ["basis", "relations", "rref"]
+            for name in files:
+                assert (old / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+            loaded.clear()
+            assert [run(capsys, *c, "--cache", str(old)) for c in commands] == fresh
+            assert {kind for kind, _ in loaded} == set(KINDS)
+            assert all(hit for _, hit in loaded)
 
     @pytest.mark.parametrize(
         "k,edit",

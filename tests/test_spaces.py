@@ -457,7 +457,7 @@ class TestCertificate:
         monkeypatch.setattr(S, "kernel_vectors", counted)
         cold = GraphSpace(5, Cache(tmp_path))
         assert (cold.dimension(), cold.normal_form({30: 1}), len(calls)) == (1, {30: 1}, 1)
-        assert Cache(tmp_path).load(5, "rref", len(cold.keys)) == [self.K5]
+        assert Cache(tmp_path).load(5, "rref", len(cold.keys)) == (len(cold.keys), [self.K5])
         warm = GraphSpace(5, Cache(tmp_path))
         assert (warm.normal_form({25: 1}), len(calls)) == ({30: -1}, 1)
         assert (warm.dimension(), len(calls)) == (1, 2)
@@ -789,8 +789,18 @@ def classes7():
     return list(C.labelled_graphs(7))
 
 
+@pytest.fixture(scope="module")
+def space7(classes7):
+    """GraphSpace(7), classified once over the shared listing."""
+    sp = GraphSpace(7)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(S, "labelled_graphs", lambda k: classes7)
+        sp.keys
+    return sp
+
+
 def cold_space(k, request):
-    return request.getfixturevalue("space6") if k == 6 else space(k)
+    return request.getfixturevalue(f"space{k}") if k in (6, 7) else space(k)
 
 
 class TestKeysAreTheBasis:
@@ -818,21 +828,21 @@ class TestKeysAreTheBasis:
         [
             *(pytest.param(k, KINDS, id=str(k)) for k in range(1, 7)),
             pytest.param(7, ("basis", "zeros"), id="7"),
-            pytest.param(7, ("relations", "rref"), id="7-rows", marks=pytest.mark.slow),
+            pytest.param(7, ("relations", "rref"), id="7-rows"),
             pytest.param(8, KINDS, id="8", marks=pytest.mark.slow),
         ],
     )
     def test_pinned_class_digests(self, k, kinds, request, tmp_path):
         """Each pin is the CRC-32 of the file the cache writes for a cold
         build's value of its kind, the classes and their rows, recomputed
-        here with zlib.  The k=7 rows list k=7 again, and the k=8 build
-        takes a few minutes, so those cases are slow."""
-        if kinds == ("basis", "zeros"):
-            keys, zeros, _ = classify(request.getfixturevalue("classes7"))
-            values = {"basis": keys, "zeros": zeros}
-        else:
-            sp = cold_space(k, request) if k <= 6 else GraphSpace(k)
-            values = dict(zip(KINDS, (sp.keys, sp.zero_keys, sp.relation_rows(), sp._certificate())))
+        here with zlib.  The k=7 space classifies the shared listing, and
+        its rows and W take a few seconds more; the k=8 build takes a few
+        minutes, so that case is slow."""
+        sp = cold_space(k, request) if k <= 7 else GraphSpace(k)
+        n = len(sp.keys)
+        values = {"basis": sp.keys, "zeros": sp.zero_keys}
+        if "rref" in kinds:
+            values.update(relations=(n, sp.relation_rows()), rref=(n, sp._certificate()))
         cache = Cache(tmp_path)
         for kind in kinds:
             cache.store(k, kind, values[kind])
@@ -864,7 +874,7 @@ class TestCache:
 
     # SHA-256 of the cache files a cold dimension() and normal_form({}) write
     # for k=1..4, as json.dumps({name: text}) with names sorted
-    FILES_DIGEST = "7447f84ef29e893861167f962c6d6ee9e2c033ef99a1cba1561d616c4eb9fd63"
+    FILES_DIGEST = "5b66cd8fbdced50fac58452e38bb9f1d8378b65bc08fa1a31343f110839ac775"
 
     def test_file_bytes_pinned(self, tmp_path):
         for k in range(1, 5):
@@ -880,19 +890,47 @@ class TestCache:
         cache = Cache(tmp_path)
         space = GraphSpace(5)
         space.normal_form({})
+        n = len(space.keys)
         values = {
             "basis": space.keys,
             "zeros": space.zero_keys,
-            "relations": space.relation_rows(),
-            "rref": space._weights,
+            "relations": (n, space.relation_rows()),
+            "rref": (n, space._weights),
         }
         assert set(values) == set(KINDS)
         for kind, value in values.items():
             cache.store(5, kind, value)
-            assert cache.load(5, kind, len(space.keys)) == value
-        rref = cache.load(5, "rref", len(space.keys))
+            assert cache.load(5, kind, n) == value
+            assert cache.load(5, kind) == value
+        size, rref = cache.load(5, "rref", n)
         assert rref == [TestCertificate.K5]
         assert all(type(v) is int for w in rref for v in w.values())
+
+    def test_rows_of_another_basis_size_are_rebuilt(self, tmp_path, monkeypatch):
+        """Relations behind a forged pin that record a basis size other
+        than the basis's are ignored wherever both are read, and rebuilt.
+        Read after the basis, they are not read.  Read before it, by
+        dimension(), which takes n from them, they give 3 - 1; then
+        exact_dimension(), which counts the basis, as criterion 1 does,
+        rereads them, turns them away and gives the 2 - 1 of a fresh cache."""
+        cache = Cache(tmp_path)
+        GraphSpace(2, cache).normal_form({})
+        path = cache.path(2, "relations")
+        fresh = path.read_bytes()
+        doc = json.loads(fresh)
+        doc["payload"]["size"] = 3
+        forged = json.dumps(doc)
+        monkeypatch.setitem(cache_module._PINS[2], "relations", zlib.crc32(forged.encode()))
+        path.write_text(forged)
+        sp = GraphSpace(2, cache)
+        assert (len(sp.keys), sp.dimension()) == (2, 1)
+        assert path.read_bytes() == fresh
+        path.write_text(forged)
+        sp = GraphSpace(2, cache)
+        assert sp.dimension() == 2
+        assert sp.exact_dimension() == 1
+        assert path.read_bytes() == fresh
+        assert sp.dimension() == 1
 
     def test_version_mismatch_ignored(self, tmp_path):
         cache = Cache(tmp_path)
