@@ -2,7 +2,8 @@
 
 Rows are sparse dicts (column -> value).  There is one exact elimination,
 and it is fraction-free: rows are cleared as primitive integer vectors, so
-its inner loops add and multiply ints.  Exact rank counts its pivots,
+its inner loops add and multiply ints; a row of ints, as every row the
+package passes is, enters it as it is.  Exact rank counts its pivots,
 solve_exact reads its integer pivot rows directly and answers with an
 integer matrix over a denominator, and exact_rref reads the same rows as
 Fractions.  Fractions appear only in exact_rref's answer and in
@@ -185,6 +186,11 @@ def _eliminate(r: dict, col: int, prow: dict) -> None:
             r[c] //= g
 
 
+# the value types an integer row holds: a row of them skips the denominator
+# pass, in one C-level test per row
+_INT = frozenset((int,))
+
+
 def exact_rank(rows) -> int:
     """Rank over the rationals."""
     return len(_integer_rref(rows))
@@ -194,16 +200,20 @@ def _integer_rref(rows) -> dict:
     """The fraction-free elimination: column -> pivot row, fully reduced,
     each row a primitive integer vector with a positive pivot entry.
 
-    Rows may hold Fractions; each is cleared to integers over its own
-    common denominator first.  A row of the reduced form is unique up to
-    scale, so each row over its pivot entry is the Gauss-Jordan row over
-    the rationals, with its keys in the order that elimination inserts
-    them.
+    A row whose values are all ints, as every row the package passes is, is
+    copied as it is (without its zeros, if it has any).  A row that holds a
+    Fraction, or a bool, is cleared to integers over its own common
+    denominator first.  A row of the reduced form is unique up to scale, so
+    each row over its pivot entry is the Gauss-Jordan row over the
+    rationals, with its keys in the order that elimination inserts them.
     """
     pivots: dict = {}
     for row in rows:
-        den = reduce(lcm, (v.denominator for v in row.values()), 1)
-        r = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        if _INT.issuperset(map(type, row.values())):
+            r = _nonzero(row)
+        else:
+            den = reduce(lcm, (v.denominator for v in row.values()), 1)
+            r = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
         for col in sorted(r):
             if col in pivots and col in r:
                 _eliminate(r, col, pivots[col])

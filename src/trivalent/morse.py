@@ -7,12 +7,12 @@ check and the dual all work on it as it is: every product is of integer
 matrices and every identity is an exact integer zero test.  Fractions are
 made only where a g is read entry by entry (Propagator.g, to_json and
 trace_tr_g).  Every product runs linalg's one product loop, sub_product,
-on listed factors (the nonzero entries of each row); each boundary is
-listed once per solve or check, and each g when a residual uses it.  A
-residual starts as its denominator times the identity and each term is
-subtracted straight into it.  Matrices are dense row-major lists, entry
-(row=target, col=source), and shapes follow the rank vector so zero-rank
-degrees work.
+on listed factors (the nonzero entries of each row); each boundary and
+each g is listed once per solve or check, and the listings live only for
+that call.  A residual starts as its denominator times the identity and
+each term is subtracted straight into it.  Matrices are dense row-major
+lists, entry (row=target, col=source), and shapes follow the rank vector
+so zero-rank degrees work.
 """
 
 from __future__ import annotations
@@ -101,6 +101,10 @@ class GradedComplex:
         return cls(ranks, bnd)
 
 
+def _is_zero(m) -> bool:
+    return not any(map(any, m))
+
+
 def _listed_boundaries(c: GradedComplex) -> dict:
     return {d: nonzeros(c.boundaries[d]) for d in range(1, TOP_DEGREE + 1)}
 
@@ -109,16 +113,17 @@ def check_complex(c: GradedComplex, listed: dict | None = None) -> GradedComplex
     """Verify ∂∘∂ = 0 in every degree; raises with the first bad entry.
 
     listed is c's boundaries as nonzeros lists, if the caller has them.
+    Each product is zero-tested whole; only a nonzero one is searched for
+    its first entry in row-major order.
     """
     if listed is None:
         listed = _listed_boundaries(c)
     for d in range(2, TOP_DEGREE + 1):
         prod = [[0] * c.ranks[d] for _ in range(c.ranks[d - 2])]
         sub_product(prod, listed[d - 1], listed[d], -1)
-        for i, row in enumerate(prod):
-            for j, v in enumerate(row):
-                if v:
-                    raise NotAComplexError(d, i, j, v)
+        if not _is_zero(prod):
+            i, j = next((i, j) for i, row in enumerate(prod) for j, v in enumerate(row) if v)
+            raise NotAComplexError(d, i, j, prod[i][j])
     return c
 
 
@@ -161,24 +166,26 @@ def _homology_defect(c: GradedComplex, d: int) -> int:
     return c.ranks[d] - rank_of(d) - rank_of(d + 1)
 
 
-def _residual(c: GradedComplex, listed: dict, g: Propagator, d: int):
+def _residual(c: GradedComplex, listed: dict, gs: dict, d: int):
     """(R, den) with R / den = id − ∂_{d+1} g_d − g_{d−1} ∂_d in degree d,
-    each term only if g holds its degree.
+    each term only if gs holds its degree.
 
-    listed holds c's boundaries as nonzeros lists; each g used is listed
-    here from its integer matrix, so every product is of integer matrices,
-    and den is the lcm of the denominators present.  R is dense: it starts
-    as den times the identity, and each term is subtracted straight into
-    it (sub_product), scaled to den.  The contraction identity holds in
-    degree d exactly when R is zero; before g_d exists, R / den is the
-    right-hand side that ∂_{d+1} g_d must equal.
+    listed holds c's boundaries as nonzeros lists, and gs maps each degree
+    d that g holds to (g_d listed the same way, its denominator), so every
+    product is of integer matrices, and den is the lcm of the denominators
+    present.  R is dense: it starts as den times the identity, and each
+    term is subtracted straight into it (sub_product), scaled to den.  The
+    contraction identity holds in degree d exactly when R is zero; before
+    g_d exists, R / den is the right-hand side that ∂_{d+1} g_d must equal.
     """
     rd = c.ranks[d]
     terms = []
-    if d in g.mats:
-        terms.append((listed[d + 1], nonzeros(g.mats[d]), g.dens[d]))
-    if d - 1 in g.mats:
-        terms.append((nonzeros(g.mats[d - 1]), listed[d], g.dens[d - 1]))
+    if d in gs:
+        gd, gden = gs[d]
+        terms.append((listed[d + 1], gd, gden))
+    if d - 1 in gs:
+        gd, gden = gs[d - 1]
+        terms.append((gd, listed[d], gden))
     den = lcm(*(t for _, _, t in terms))
     out = [[0] * rd for _ in range(rd)]
     for i, row in enumerate(out):
@@ -188,37 +195,40 @@ def _residual(c: GradedComplex, listed: dict, g: Propagator, d: int):
     return out, den
 
 
-def _is_zero(m) -> bool:
-    return not any(any(row) for row in m)
-
-
 def compute_propagator(c: GradedComplex) -> Propagator:
     """A chain contraction: ∂g + g∂ = id in every degree, or NotAcyclic.
 
     Solved degree by degree from the bottom, over the integers: the
     right-hand side is the integer residual R over its denominator den, and
-    solve_exact gives ∂_{d+1} X = xden R with X an integer matrix, so g_d
-    is X over xden den.  Brought to its least denominator, that integer
-    matrix is what the propagator holds and what the next residuals read;
-    no Fraction is made.  The boundaries are listed once, for check_complex
-    and every residual.  The elimination order is fixed and free variables
-    are zeroed, so the answer is deterministic.
+    solve_exact gives ∂_{d+1} X = xden R with X an integer matrix in least
+    form, so g_d is X over xden den.  X shares no factor with xden, so only
+    a factor of den can be common to X and xden den; brought to that least
+    denominator, X is what the propagator holds, and it is listed once for
+    the residuals that read it.  No Fraction is made.  The boundaries are
+    listed once, for check_complex and every residual.  The elimination
+    order is fixed and free variables are zeroed, so the answer is
+    deterministic.
     """
     listed = _listed_boundaries(c)
     check_complex(c, listed)
     g = Propagator(c.ranks, {}, {})
+    gs: dict = {}
     for d in range(TOP_DEGREE):
-        rhs, den = _residual(c, listed, g, d)
+        rhs, den = _residual(c, listed, gs, d)
         sol = solve_exact(c.boundaries[d + 1], rhs, c.ranks[d + 1])
         if sol is None:
             raise NotAcyclicError(d, _homology_defect(c, d))
         x, xden = sol
+        if den > 1:
+            common = reduce(gcd, (v for row in x for v in row if v), den)
+            if common > 1:
+                x = [[v // common for v in row] for row in x]
+                den //= common
         den *= xden
-        common = reduce(gcd, (v for row in x for v in row if v), den)
-        g.mats[d] = [[v // common for v in row] for row in x]
-        g.dens[d] = den // common
+        g.mats[d], g.dens[d] = x, den
+        gs[d] = nonzeros(x), den
     # top degree: g_3 ∂_4 = id follows from exactness; verify outright
-    if not _is_zero(_residual(c, listed, g, TOP_DEGREE)[0]):
+    if not _is_zero(_residual(c, listed, gs, TOP_DEGREE)[0]):
         raise NotAcyclicError(TOP_DEGREE, _homology_defect(c, TOP_DEGREE))
     return g
 
@@ -226,9 +236,11 @@ def compute_propagator(c: GradedComplex) -> Propagator:
 def contraction_identity_holds(c: GradedComplex, g: Propagator) -> bool:
     """Exact check of ∂_{d+1} g_d + g_{d-1} ∂_d = id for d = 0..4, as an
     integer zero test on the integer matrices and denominators g holds, so
-    the check reads exactly what the propagator holds."""
+    the check reads exactly what the propagator holds.  Each boundary and
+    each g is listed once per call."""
     listed = _listed_boundaries(c)
-    return all(_is_zero(_residual(c, listed, g, d)[0]) for d in range(TOP_DEGREE + 1))
+    gs = {d: (nonzeros(m), g.dens[d]) for d, m in g.mats.items()}
+    return all(_is_zero(_residual(c, listed, gs, d)[0]) for d in range(TOP_DEGREE + 1))
 
 
 def _neg_transpose(m, cols: int):

@@ -191,20 +191,61 @@ class TestAgainstFractionElimination:
         [A | B]: each pivot row's B part, free variables zero."""
         a = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
         b = [data.draw(st.lists(entry, min_size=q, max_size=q)) for _ in range(m)]
-        got = la.solve_exact(a, b, n)
-        pivots = oracles.exact_rref(
-            [{j: v for j, v in enumerate(ra + rb) if v} for ra, rb in zip(a, b)]
-        )
-        if any(col >= n for col in pivots):
-            assert got is None
-            return
-        want = [[0] * q for _ in range(n)]
-        for col, row in pivots.items():
-            want[col] = [row.get(n + j, 0) for j in range(q)]
-        x, den = got
-        assert all(type(v) is int for row in x for v in row)
-        assert [[Fraction(v, den) for v in row] for row in x] == want
-        assert least_denominator(x, den)
+        assert_reference_solution(a, b, n)
+
+
+class TestMixedRows:
+    """All-int rows, which are copied as they are, and rows holding a
+    Fraction or a bool, which are cleared over their denominators, met in
+    one elimination: the answers are the Fraction reference's."""
+
+    ROWS = [
+        {0: 0, 1: 3, 3: -1},  # an int zero, which must not pivot
+        {0: 2, 1: -4, 3: 6},
+        {3: Fraction(3, 2), 0: Fraction(1, 2), 1: -1},  # a quarter of the second
+        {0: 1, 1: True, 2: Fraction(4, 3)},
+        {2: 5, 0: 7},
+    ]
+
+    def test_rank_and_rref(self):
+        before = [dict(r) for r in self.ROWS]
+        want = oracles.exact_rref(self.ROWS)
+        assert la.exact_rank(self.ROWS) == len(want) == 4
+        got = la.exact_rref(self.ROWS)
+        assert [(p, list(r.items())) for p, r in got.items()] == [
+            (p, list(r.items())) for p, r in want.items()
+        ]
+        assert self.ROWS == before
+
+    def test_solve(self):
+        a = [[2, 0, 4], [Fraction(1, 2), 1, 0], [0, 3, -1], [2, 3, 3]]
+        b = [[6, -2], [1, 0], [Fraction(2, 3), 5], [Fraction(20, 3), 3]]
+        assert_reference_solution(a, b, 3)
+        assert la.solve_exact(a, b, 3) == ([[10, -54], [7, 27], [13, 21]], 12)
+        b[3][1] = 4  # the last row is no longer the sum of the others
+        assert_reference_solution(a, b, 3)
+        assert la.solve_exact(a, b, 3) is None
+
+
+def assert_reference_solution(a, b, n):
+    """solve_exact(a, b, n) gives None exactly when the reference
+    elimination of [A | B] pivots on a column of B, and otherwise X / den
+    with each pivot row's B part, free variables zero, in least form."""
+    q = len(b[0]) if b else 0
+    got = la.solve_exact(a, b, n)
+    pivots = oracles.exact_rref(
+        [{j: v for j, v in enumerate(ra + rb) if v} for ra, rb in zip(a, b)]
+    )
+    if any(col >= n for col in pivots):
+        assert got is None
+        return
+    want = [[0] * q for _ in range(n)]
+    for col, row in pivots.items():
+        want[col] = [row.get(n + j, 0) for j in range(q)]
+    x, den = got
+    assert all(type(v) is int for row in x for v in row)
+    assert [[Fraction(v, den) for v in row] for row in x] == want
+    assert least_denominator(x, den)
 
 
 def least_denominator(x, den) -> bool:

@@ -1,6 +1,7 @@
 """Graded complexes, propagators, duals, transport, split-edge bookkeeping."""
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -41,6 +42,23 @@ class TestCheckComplex:
         with pytest.raises(M.NotAComplexError) as e:
             M.check_complex(c)
         assert (e.value.degree, e.value.row, e.value.col, e.value.value) == (2, 0, 0, 1)
+
+    def test_first_bad_entry_is_named(self):
+        """∂∂ is nonzero at degrees 2 and 3, at several entries of each: the
+        error names degree 2's first nonzero entry in row-major order, which
+        is not the first in column-major order."""
+        c = M.GradedComplex(
+            (2, 2, 3, 1, 0),
+            {
+                1: [[1, 0], [0, 1]],
+                2: [[0, 0, 7], [0, 5, 6]],  # ∂1∂2 = ∂2
+                3: [[1], [1], [1]],  # ∂2∂3 = [[7], [11]]
+                4: [[]],
+            },
+        )
+        with pytest.raises(M.NotAComplexError) as e:
+            M.check_complex(c)
+        assert (e.value.degree, e.value.row, e.value.col, e.value.value) == (2, 0, 2, 7)
 
     def test_shape_validation(self):
         with pytest.raises(M.MorseError):
@@ -246,6 +264,31 @@ class TestIntegerIdentityCheck:
             g = M.compute_propagator(c)
             assert M.contraction_identity_holds(c, g)
             assert M.contraction_identity_holds(*M.dual_propagator(c, g))
+
+
+class TestListedOnce:
+    """Each boundary and each g_d is turned into its nonzeros lists once per
+    solve and once per check, however many products read it."""
+
+    def test_each_matrix_is_listed_once_per_call(self, monkeypatch):
+        c = complexes.random_complex(22)[0]
+        counts = Counter()
+
+        def counting_nonzeros(m):
+            counts[id(m)] += 1
+            return la.nonzeros(m)
+
+        monkeypatch.setattr(M, "nonzeros", counting_nonzeros)
+        g = M.compute_propagator(c)
+        matrices = [c.boundaries[d] for d in range(1, M.TOP_DEGREE + 1)]
+        matrices += [g.mats[d] for d in range(M.TOP_DEGREE)]
+        assert all(matrices)
+        once = Counter(map(id, matrices))
+        assert len(once) == 2 * M.TOP_DEGREE
+        assert counts == once
+        counts.clear()
+        assert M.contraction_identity_holds(c, g)
+        assert counts == once
 
 
 class TestRandomComplexes:

@@ -799,8 +799,23 @@ def space7(classes7):
     return sp
 
 
+@pytest.fixture(scope="module")
+def space8():
+    """GraphSpace(8), cold: its classes take about a minute and a half and
+    its rows about two minutes more, so only slow tests ask for it, and
+    they share it."""
+    return GraphSpace(8)
+
+
+@pytest.mark.slow
+def test_k8_dimension_zero_both_ways(space8):
+    """KNOWN_DIMENSIONS[8]: the certificate proves 0, and the exact rank,
+    which reads no peel, agrees."""
+    assert space8.dimension() == space8.exact_dimension() == 0
+
+
 def cold_space(k, request):
-    return request.getfixturevalue(f"space{k}") if k in (6, 7) else space(k)
+    return request.getfixturevalue(f"space{k}") if k in (6, 7, 8) else space(k)
 
 
 class TestKeysAreTheBasis:
@@ -837,8 +852,9 @@ class TestKeysAreTheBasis:
         build's value of its kind, the classes and their rows, recomputed
         here with zlib.  The k=7 space classifies the shared listing, and
         its rows and W take a few seconds more; the k=8 build takes a few
-        minutes, so that case is slow."""
-        sp = cold_space(k, request) if k <= 7 else GraphSpace(k)
+        minutes, so that case is slow, and shares space8 with the k=8
+        dimension test."""
+        sp = cold_space(k, request)
         n = len(sp.keys)
         values = {"basis": sp.keys, "zeros": sp.zero_keys}
         if "rref" in kinds:
