@@ -37,7 +37,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 import zlib
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, eq, ge, gt, lt, mul
@@ -186,19 +185,19 @@ class Cache:
         """Write a value atomically through a temp file of this writer's own;
         at a k without pins, write nothing, since load would not read it.
 
-        The file gets the mode a plain open would give it (0o666 less the
-        umask), so other users of a shared cache directory can read it.
+        The temp file is created new (O_EXCL) under a random name, with mode
+        0o666 less the umask, which the kernel applies, as a plain open
+        would; so other users of a shared cache directory can read it, and
+        the process umask is never changed.
         """
         if k not in _PINS:
             return
         self.directory.mkdir(parents=True, exist_ok=True)
         text = json.dumps({"format_version": FORMAT_VERSION, "payload": _FORMATS[kind][0](value)})
-        umask = os.umask(0)
-        os.umask(umask)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        tmp = self.directory / f"tmp{os.urandom(8).hex()}.tmp"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as f:
-                os.chmod(tmp, 0o666 & ~umask)
                 f.write(text)
             os.replace(tmp, self.path(k, kind))
         except BaseException:

@@ -38,11 +38,10 @@ Everything here is deliberately dependency-free and works at "desk scale"
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import Record, setfield
 
 
-@dataclass(frozen=True)
-class CanonResult:
+class CanonResult(Record):
     """Canonical labelling of one multigraph.
 
     enc:  flattened lower-triangular multiplicity encoding, row t listing the
@@ -56,6 +55,11 @@ class CanonResult:
     enc: tuple
     perm: tuple
     aut_generators: tuple
+
+    def __init__(self, enc, perm, aut_generators):
+        setfield(self, "enc", enc)
+        setfield(self, "perm", perm)
+        setfield(self, "aut_generators", aut_generators)
 
 
 def _refine(nbrs, base, cells, col, split):

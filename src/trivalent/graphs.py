@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from math import factorial, prod
 
+from ._record import Record, setfield
 from .canon import CanonResult, canonicalize, close_group, perm_parity
 
 
@@ -38,12 +38,15 @@ class LoopContractionError(GraphError):
     pass
 
 
-@dataclass(frozen=True)
-class LabelledTrivalentGraph:
+class LabelledTrivalentGraph(Record):
     """Connected trivalent multigraph; edge-list position is the edge label."""
 
     num_vertices: int
     edges: tuple
+
+    def __init__(self, num_vertices, edges):
+        setfield(self, "num_vertices", num_vertices)
+        setfield(self, "edges", edges)
 
     @property
     def k(self) -> int:
@@ -120,24 +123,30 @@ def validate(num_vertices: int, edges) -> LabelledTrivalentGraph:
     return LabelledTrivalentGraph(num_vertices, edges)
 
 
-@dataclass(frozen=True)
-class GraphClass:
+class GraphClass(Record):
     """Reduction of a labelled graph: canonical key plus sign, or zero."""
 
     key: str
     sign: int | None
+
+    def __init__(self, key, sign):
+        setfield(self, "key", key)
+        setfield(self, "sign", sign)
 
     @property
     def is_zero(self) -> bool:
         return self.sign is None
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class Automorphism(Record):
     """Compatible pair of a vertex permutation and an edge permutation."""
 
     vertex_perm: tuple
     edge_perm: tuple
+
+    def __init__(self, vertex_perm, edge_perm):
+        setfield(self, "vertex_perm", vertex_perm)
+        setfield(self, "edge_perm", edge_perm)
 
     @property
     def edge_parity(self) -> int:
@@ -304,8 +313,7 @@ def automorphisms(g: LabelledTrivalentGraph, res: CanonResult | None = None):
     return elements(), aut_e * len(vgroup), aut_e, len(vgroup)
 
 
-@dataclass(frozen=True)
-class FourValentGraph:
+class FourValentGraph(Record):
     """Multigraph with one 4-valent hub, the rest trivalent.
 
     tagging lists the hub's four half-edges as (edge_label, end) pairs in a
@@ -316,6 +324,12 @@ class FourValentGraph:
     edges: tuple
     hub: int
     tagging: tuple
+
+    def __init__(self, num_vertices, edges, hub, tagging):
+        setfield(self, "num_vertices", num_vertices)
+        setfield(self, "edges", edges)
+        setfield(self, "hub", hub)
+        setfield(self, "tagging", tagging)
 
 
 def half_edges_at(edges, v, skip=None):
@@ -387,14 +401,17 @@ def ihx_expansions(c: FourValentGraph, new_edge_label: int):
     return out
 
 
-@dataclass(frozen=True)
-class ArrowGraph:
+class ArrowGraph(Record):
     """Trivalent graph with one direction per edge; no vertex is a source
     or a sink (a loop supplies its vertex with both an inflow and an
     outflow)."""
 
     graph: LabelledTrivalentGraph
     directions: tuple
+
+    def __init__(self, graph, directions):
+        setfield(self, "graph", graph)
+        setfield(self, "directions", directions)
 
     def to_json(self) -> dict:
         return {**self.graph.to_json(), "directions": [list(d) for d in self.directions]}

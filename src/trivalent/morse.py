@@ -17,12 +17,12 @@ so zero-rank degrees work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 
+from ._record import Record, setfield
 from .graphs import LabelledTrivalentGraph, strict_int, validate
 from .linalg import exact_rank, identity_matrix, nonzeros, solve_exact, sub_product
 
@@ -62,14 +62,15 @@ class InvalidDecorationError(MorseError):
     pass
 
 
-@dataclass(frozen=True)
-class GradedComplex:
+class GradedComplex(Record, unhashed=("boundaries",)):
     """ranks[d] basis elements in degree d; boundaries[d] maps d to d-1."""
 
     ranks: tuple
-    boundaries: dict = field(hash=False)
+    boundaries: dict
 
-    def __post_init__(self):
+    def __init__(self, ranks, boundaries):
+        setfield(self, "ranks", ranks)
+        setfield(self, "boundaries", boundaries)
         if len(self.ranks) != TOP_DEGREE + 1 or any(r < 0 for r in self.ranks):
             raise MorseError("ranks must be five non-negative integers")
         for d in range(1, TOP_DEGREE + 1):
@@ -127,15 +128,19 @@ def check_complex(c: GradedComplex, listed: dict | None = None) -> GradedComplex
     return c
 
 
-@dataclass(frozen=True)
-class Propagator:
+class Propagator(Record, unhashed=("mats", "dens")):
     """Rational g_d: degree d -> degree d+1, for d = 0..3, as
     mats[d] / dens[d]: mats[d] is a dense integer matrix and dens[d] > 0
     its least denominator, so the gcd of dens[d] and the entries is 1."""
 
     ranks: tuple
-    mats: dict = field(hash=False)
-    dens: dict = field(hash=False)
+    mats: dict
+    dens: dict
+
+    def __init__(self, ranks, mats, dens):
+        setfield(self, "ranks", ranks)
+        setfield(self, "mats", mats)
+        setfield(self, "dens", dens)
 
     def g(self, d: int):
         """g_d as Fractions, with the int 0 for a zero entry."""
@@ -264,27 +269,30 @@ def dual_propagator(c: GradedComplex, g: Propagator):
     return dual_c, dual_g
 
 
-@dataclass(frozen=True)
-class BasisRef:
+class BasisRef(Record):
     """A basis element of a graded complex: degree 0..4 plus position."""
 
     degree: int
     position: int
 
-    def __post_init__(self):
+    def __init__(self, degree, position):
+        setfield(self, "degree", degree)
+        setfield(self, "position", position)
         if not (0 <= self.degree <= TOP_DEGREE) or self.position < 0:
             raise InvalidDecorationError(f"bad basis reference {self}")
 
 
-@dataclass(frozen=True)
-class HandleSlideEvent:
+class HandleSlideEvent(Record):
     """Elementary basis slide between two distinct same-degree elements."""
 
     p: BasisRef
     q: BasisRef
     sign: int
 
-    def __post_init__(self):
+    def __init__(self, p, q, sign):
+        setfield(self, "p", p)
+        setfield(self, "q", q)
+        setfield(self, "sign", sign)
         if self.p.degree != self.q.degree or self.p == self.q:
             raise MorseError("handle slides need two distinct same-degree elements")
         if self.sign not in (1, -1):
@@ -313,8 +321,7 @@ def transport(events, ranks):
     return out
 
 
-@dataclass(frozen=True)
-class CGraph:
+class CGraph(Record, unhashed=("decorations", "arcs")):
     """Trivalent graph with some edges split into two decorated arcs.
 
     Splitting edge i = (u, v) inserts white endpoints: arcs (u, w_{i,0}) and
@@ -324,8 +331,14 @@ class CGraph:
 
     underlying: LabelledTrivalentGraph
     split: tuple
-    decorations: dict = field(hash=False)
-    arcs: dict = field(hash=False)
+    decorations: dict
+    arcs: dict
+
+    def __init__(self, underlying, split, decorations, arcs):
+        setfield(self, "underlying", underlying)
+        setfield(self, "split", split)
+        setfield(self, "decorations", decorations)
+        setfield(self, "arcs", arcs)
 
     @property
     def num_black(self) -> int:

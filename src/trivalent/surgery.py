@@ -17,9 +17,9 @@ representative count that the automorphism group gives.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import factorial, prod
 
+from ._record import Record, setfield
 from .canon import canonicalize
 from .graphs import ArrowGraph, GraphError, automorphisms, half_edges_at, make_arrow
 from .morse import TYPE_I, TYPE_II
@@ -39,8 +39,7 @@ CONVENTION_FLIPPED = "flipped"
 CONVENTIONS = (CONVENTION_DEFAULT, CONVENTION_FLIPPED)
 
 
-@dataclass(frozen=True)
-class HandleSlot:
+class HandleSlot(Record):
     """One handle of a Y-component, bound to one half-edge."""
 
     vertex: int
@@ -50,37 +49,56 @@ class HandleSlot:
     outgoing: bool
     degree: int  # 1 or 2
 
+    def __init__(self, vertex, position, edge, end, outgoing, degree):
+        setfield(self, "vertex", vertex)
+        setfield(self, "position", position)
+        setfield(self, "edge", edge)
+        setfield(self, "end", end)
+        setfield(self, "outgoing", outgoing)
+        setfield(self, "degree", degree)
+
     @property
     def index(self) -> int:
         return 3 * self.vertex + self.position
 
 
-@dataclass(frozen=True)
-class YLinkData:
+class YLinkData(Record):
     vertex_types: tuple
     slots: tuple
     hopf_pairs: tuple  # per edge: (tail-side slot index, head-side slot index)
     convention: str
 
+    def __init__(self, vertex_types, slots, hopf_pairs, convention):
+        setfield(self, "vertex_types", vertex_types)
+        setfield(self, "slots", slots)
+        setfield(self, "hopf_pairs", hopf_pairs)
+        setfield(self, "convention", convention)
+
     def slots_at(self, v: int):
         return self.slots[3 * v : 3 * v + 3]
 
 
-@dataclass(frozen=True)
-class LinkingMatrix:
+class LinkingMatrix(Record):
     size: int
     entries: tuple
+
+    def __init__(self, size, entries):
+        setfield(self, "size", size)
+        setfield(self, "entries", entries)
 
     def row_sums(self):
         return tuple(sum(row) for row in self.entries)
 
 
-@dataclass(frozen=True)
-class BlockDegrees:
+class BlockDegrees(Record):
     """Per vertex: its three slot degrees and the resulting parity."""
 
     degrees: tuple
     parities: tuple
+
+    def __init__(self, degrees, parities):
+        setfield(self, "degrees", degrees)
+        setfield(self, "parities", parities)
 
 
 def _tail_end(arrow: ArrowGraph, e: int) -> int:
@@ -158,13 +176,19 @@ def block_sign(degrees: BlockDegrees, sigma) -> int:
     return sign
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(Record, unhashed=("input_json", "result", "diagnostics")):
     mode: str
-    input_json: dict = field(hash=False)
-    result: dict = field(hash=False)  # canonical class key -> Fraction
-    diagnostics: dict = field(hash=False)  # integer strings
-    notes: tuple = ()
+    input_json: dict
+    result: dict  # canonical class key -> Fraction
+    diagnostics: dict  # integer strings
+    notes: tuple
+
+    def __init__(self, mode, input_json, result, diagnostics, notes=()):
+        setfield(self, "mode", mode)
+        setfield(self, "input_json", input_json)
+        setfield(self, "result", result)
+        setfield(self, "diagnostics", diagnostics)
+        setfield(self, "notes", notes)
 
     def to_json(self) -> dict:
         return {

@@ -5,6 +5,7 @@ canonical-labelling functions, so agreement is evidence rather than
 circularity.
 """
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -129,6 +130,120 @@ def class_mass(g, aut_v):
     for (u, v), m in Counter(tuple(sorted(e)) for e in g.edges).items():
         den *= math.factorial(m) * (2**m if u == v else 1)
     return Fraction(1, den)
+
+
+def burnside_count(k, simple=False, signed=False):
+    """The number of connected classes at k, with no canonical labelling:
+    all classes, or only the signed ones, of all cubic multigraphs on 2k
+    vertices or only of the simple ones (no loop, no parallel pair).
+
+    Twisted count.  For a group acting on a finite set X and, at each
+    point x, a character chi_x of its stabilizer with chi_{sx}(s t s^-1) =
+    chi_x(t), orthogonality of characters gives
+        (1/|G|) sum_{s in G} sum_{x fixed by s} chi_x(s)
+          = sum over orbits of (1/|Stab|) sum_{t in Stab} chi(t)
+          = the number of orbits on whose stabilizer chi is trivial.
+    Take S_2k acting on the cubic multigraphs on the vertices 0..2k-1.  With
+    chi = 1 this is the number of classes.  For the signed count take X the
+    graphs without a parallel pair (a graph with one is zero, as swapping
+    the pair is odd); each edge of such a graph is its two ends, so its
+    automorphisms are vertex permutations, and chi_x(t) is the parity of
+    the permutation t induces on the edges of x.  The orbits counted are
+    then the classes with no odd automorphism: the signed classes.
+
+    Fixed graphs.  A graph fixed by s is a multiplicity on each orbit of s
+    on loops and vertex pairs, and the sum groups the s by cycle type, z
+    of them sharing a count.  On one l-cycle lie the loop orbit (size l,
+    adding 2 to the degree of each of its vertices), an orbit of chords at
+    each distance d < l/2 (size l, +2) and, for even l, the diameter orbit
+    at d = l/2 (size l/2, +1).  Between an l-cycle and an l'-cycle lie
+    g = gcd(l, l') orbits of size lcm(l, l'), each adding l'/g to the first
+    cycle's vertices and l/g to the second's.  Every vertex of a cycle
+    gets the same degree, 3 for all of them.  An orbit of size L is one
+    L-cycle of s on the edges it holds, of parity (-1)^(L-1), and chi_x(s)
+    is the product of those over the orbits chosen.  The signed and simple
+    counts allow multiplicities 0 and 1, the others any; the simple ones
+    leave out the loop orbits.  A memoized search over the cycles, each
+    completed in turn, its state the (length, degree still missing) of the
+    cycles not yet completed, sums the fixed graphs of one cycle type.
+
+    Connected counts.  The sums count possibly disconnected graphs, a_k at
+    2k vertices.  A class is the multiset of its components' classes, so
+    sum a_k x^k = prod_j (1 - x^j)^(-c_j), c_j the connected classes at j.
+    A signed graph's components are signed, and swapping two copies of a
+    component on 2j vertices swaps 3j pairs of edges, odd for odd j: so a
+    signed graph holds each component with odd j at most once, and then
+    sum a_k x^k = prod_{j odd} (1 + x^j)^(c_j) prod_{j even} (1 - x^j)^(-c_j).
+    Either factor for j adds c_j to [x^j], so c_k is a_k less [x^k] of the
+    product over j < k (the plethystic logarithm, one k at a time).
+    """
+    max_mult = 1 if simple or signed else 3
+
+    def choices(orbits, room):
+        """{degree added: summed sign} over multiplicities for the orbits,
+        (size, degree) pairs, adding at most room."""
+        out = {0: 1}
+        for size, degree in orbits:
+            new: dict = {}
+            for d, w in out.items():
+                for m in range(min(max_mult, (room - d) // degree) + 1):
+                    sign = (-1) ** ((size - 1) * m) if signed else 1
+                    new[d + m * degree] = new.get(d + m * degree, 0) + w * sign
+            out = new
+        return out
+
+    @functools.cache
+    def complete(cycles):
+        """The fixed graphs on cycles, a sorted tuple of (length, degree
+        still missing > 0): the first cycle's own orbits, then its orbits
+        to each later cycle."""
+        if not cycles:
+            return 1
+        (l, r), rest = cycles[0], cycles[1:]
+        # the chords at d < l/2 and, unless simple, the loops; the diameter
+        own = [(l, 2)] * ((l - 1) // 2 + (not simple)) + [(l // 2, 1)] * (l % 2 == 0)
+        return sum(w * join(l, r - d, rest, ()) for d, w in choices(own, r).items())
+
+    def join(l, need, rest, done):
+        """The ways to add need to the degree of an l-cycle by orbits to
+        the cycles rest, each weighed by complete() on what is left of
+        those cycles; done holds the ones already joined."""
+        if not rest:
+            return complete(tuple(sorted(c for c in done if c[1]))) if need == 0 else 0
+        (l2, r2), rest = rest[0], rest[1:]
+        g = math.gcd(l, l2)
+        a, b = l2 // g, l // g
+        between = choices([(l * l2 // g, a)] * g, min(need, r2 // b * a))
+        return sum(w * join(l, need - d, rest, done + ((l2, r2 - d // a * b),))
+                   for d, w in between.items())
+
+    def fixed_sum(n):
+        total = Fraction(0)
+        for cycle_type in _partitions(n, n):
+            z = math.prod(l ** m * math.factorial(m) for l, m in Counter(cycle_type).items())
+            total += Fraction(complete(tuple((l, 3) for l in reversed(cycle_type))), z)
+        assert total.denominator == 1
+        return int(total)
+
+    running = [1] + [0] * k  # the product over the j found so far, to x^k
+    for j in range(1, k + 1):
+        c = fixed_sum(2 * j) - running[j]
+        if signed and j % 2:
+            series = [math.comb(c, i) for i in range(k // j + 1)]
+        else:
+            series = [math.comb(c + i - 1, i) if i else 1 for i in range(k // j + 1)]
+        running = [sum(series[i] * running[m - i * j] for i in range(m // j + 1)) for m in range(k + 1)]
+    return c
+
+
+def _partitions(n, largest):
+    """The partitions of n into parts of at most largest, as non-increasing
+    tuples."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
 
 
 def expansion_row(space, four):

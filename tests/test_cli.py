@@ -1193,6 +1193,20 @@ class TestEntryPoints:
         )
         assert (proc.returncode, proc.stdout) == (0, "set()\n")
 
+    def test_cli_import_loads_no_dataclasses(self):
+        """The record classes are plain classes (trivalent._record), so a
+        gc process started without site imports neither dataclasses nor
+        the inspect module behind it."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = "import sys, trivalent.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
     def test_console_script(self, tmp_path):
         """The installed gc script, or where it is not on PATH, the
         module:function target that pyproject.toml declares for it, called

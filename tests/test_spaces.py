@@ -327,6 +327,26 @@ def test_listing_has_the_configuration_mass(k, mass, request):
     assert total == oracles.configuration_mass(k) == mass
 
 
+@pytest.mark.parametrize("k", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
+def test_listing_has_the_burnside_counts(k, request):
+    """The classes and the signed ones, and the simple ones among each,
+    number what the sign-twisted Burnside sum counts with no listing.  A
+    class put on the wrong side of the signed/zero split moves the signed
+    counts.  The k=7 space classifies the shared listing, and k=8 is
+    space8, shared with the other slow tests."""
+    sp = cold_space(k, request)
+    simple = set()
+    for key in (*sp.keys, *sp.zero_keys):
+        g = G.graph_of_key(key)
+        if all(u != v for u, v in g.edges) and not G.has_parallel_edge(g):
+            simple.add(key)
+    counts = [sp.num_classes, len(sp.keys), len(simple), len(simple.intersection(sp.keys))]
+    assert counts == [
+        oracles.burnside_count(k, simple=s, signed=t)
+        for s, t in ((False, False), (False, True), (True, False), (True, True))
+    ]
+
+
 class TestClassVector:
     def test_zero_class(self):
         sp = space(1)
@@ -981,11 +1001,20 @@ class TestCache:
         assert [p.name for p in tmp_path.iterdir()] == ["zeros-k2.json"]
 
     @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o002, 0o664), (0o077, 0o600)])
-    def test_store_mode_follows_umask(self, tmp_path, umask, mode):
+    def test_store_mode_follows_umask(self, tmp_path, monkeypatch, umask, mode):
+        """The file gets 0o666 less the umask, and store never calls
+        os.umask to learn it: while the umask is changed, a file that
+        another thread creates would get the wrong mode."""
+
+        def no_umask(mask):
+            raise AssertionError("store changed the umask")
+
         cache = Cache(tmp_path)
         old = os.umask(umask)
         try:
-            cache.store(2, "zeros", [])
+            with monkeypatch.context() as m:
+                m.setattr(os, "umask", no_umask)
+                cache.store(2, "zeros", [])
         finally:
             os.umask(old)
         assert stat.S_IMODE(cache.path(2, "zeros").stat().st_mode) == mode
