@@ -3,14 +3,17 @@
 Each kind's file format lives here: store takes the value GraphSpace uses
 and load gives it back.  A basis is its tuple of class keys; its file holds
 the graph each key spells as one flat list of ints, the key's pairs in
-order, and load spells the keys back from them.  The relations kind holds
-the relation rows, and the rref kind the weight systems W that normal forms
-are read from, both as (n, rows), sparse integer rows over a basis of size
-n, stored as columns: {"size": n, "cols": [...], "vals": [...]}, one list of
-columns and one of values per row.  So the relations file alone gives a
-dimension, n minus the rank of its rows.  The directory is the explicit
-argument, else GC_CACHE, else ~/.cache/trivalent.  A cache file is named
-<kind>-k<k>.json; status and clear see no other file in the directory.
+order, and load spells the keys back from them, one table lookup per
+pair (graphs._keys_of_codes).  The relations kind holds the relation rows,
+and the rref kind the weight systems W that normal forms are read from,
+both as (n, rows), sparse integer rows over a basis of size n, stored as
+columns: {"size": n, "cols": [...], "vals": [...]}, one list of columns and
+one of values per row.  A relation row is that (cols, vals) pair as it is,
+so load builds nothing per row; a functional in W is a dict.  So the
+relations file alone gives a dimension, n minus the rank of its rows.  The
+directory is the explicit argument, else GC_CACHE, else
+~/.cache/trivalent.  A cache file is named <kind>-k<k>.json; status and
+clear see no other file in the directory.
 
 One rule decides what is read: a file is read only if the CRC-32 of its
 bytes is the pin (_PINS) of its k and kind, that of the file a cold build
@@ -42,8 +45,8 @@ from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, eq, ge, gt, lt, mul
 from pathlib import Path
 
-from .graphs import _key_format, graph_of_key
-from .linalg import in_echelon
+from .graphs import _keys_of_codes, graph_of_key
+from .linalg import as_dicts, as_pair, in_echelon
 
 FORMAT_VERSION = 1
 # CRC-32 of the bytes of each kind's file that a cold build writes, at each
@@ -85,8 +88,7 @@ def _basis_keys(p, k, size) -> tuple:
     codes = list(map(add, map(mul, flat[::2], repeat(2 * k)), flat[1::2]))
     starts = set(range(0, len(codes), 3 * k))
     _check(starts.issuperset(compress(count(1), map(gt, codes, islice(codes, 1, None)))))
-    key = _key_format(3 * k)
-    keys = tuple([key % (2 * k, *g) for g in graphs])
+    keys = _keys_of_codes(2 * k, codes, 3 * k)
     _check(all(map(lt, keys, keys[1:])))  # as classify sorts them
     return keys
 
@@ -98,8 +100,9 @@ def _zero_keys(p, k, size) -> frozenset:
 def _relation_rows(p, k, size) -> tuple:
     """(n, rows) from {"size": n, "cols": [...], "vals": [...]}: sparse
     integer rows over a basis of size n, size itself unless that is None,
-    each row's columns and values parallel lists, the columns positions in
-    the basis that increase strictly, and no value zero."""
+    each row the (cols, vals) pair of parallel lists the file holds, the
+    columns positions in the basis that increase strictly, and no value
+    zero."""
     _check(type(p) is dict)
     n, cols, vals = p.get("size"), _list_of(p.get("cols"), list), _list_of(p.get("vals"), list)
     _check(type(n) is int and n >= 0 and size in (None, n))
@@ -112,11 +115,13 @@ def _relation_rows(p, k, size) -> tuple:
     starts = set(accumulate(lengths))
     _check(starts.issuperset(compress(count(1), map(ge, flat, islice(flat, 1, None)))))
     _check(0 not in _list_of(list(chain.from_iterable(vals)), int))
-    return n, list(map(dict, map(zip, cols, vals)))
+    return n, list(zip(cols, vals))
 
 
 def _weight_rows(p, k, size) -> tuple:
+    """(n, W), each functional in W a dict, column -> value."""
     n, rows = _relation_rows(p, k, size)
+    rows = as_dicts(rows)
     _check(in_echelon(rows))
     return n, rows
 
@@ -127,9 +132,12 @@ def _flat_graphs(keys) -> list:
 
 def _columns(value) -> dict:
     n, rows = value
-    rows = [sorted(r.items()) for r in rows]
-    cols, vals = [[c for c, _ in r] for r in rows], [[v for _, v in r] for r in rows]
-    return {"size": n, "cols": cols, "vals": vals}
+    return {"size": n, "cols": [c for c, _ in rows], "vals": [v for _, v in rows]}
+
+
+def _weight_columns(value) -> dict:
+    n, rows = value
+    return _columns((n, list(map(as_pair, rows))))
 
 
 # each kind's (encoder, decoder): the encoder turns the value GraphSpace
@@ -143,7 +151,7 @@ _FORMATS = {
     "basis": (_flat_graphs, _basis_keys),
     "zeros": (sorted, _zero_keys),
     "relations": (_columns, _relation_rows),
-    "rref": (_columns, _weight_rows),
+    "rref": (_weight_columns, _weight_rows),
 }
 KINDS = tuple(_FORMATS)
 # the names store writes, and the only files status and clear see

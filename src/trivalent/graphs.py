@@ -165,6 +165,23 @@ def canonical_key(num_vertices: int, pairs) -> str:
     return _key_format(len(pairs)) % (num_vertices, *itertools.chain.from_iterable(pairs))
 
 
+@functools.cache
+def _pair_texts(num_vertices: int) -> tuple:
+    """The "a-b" text of each pair of vertices, at its code num_vertices * a + b."""
+    return tuple([f"{a}-{b}" for a in range(num_vertices) for b in range(num_vertices)])
+
+
+def _keys_of_codes(num_vertices: int, codes, num_pairs: int) -> tuple:
+    """canonical_key of consecutive graphs of num_pairs sorted pairs each,
+    from the code num_vertices * a + b of each pair (a, b) on num_vertices
+    vertices: each pair's text is looked up in one table (_pair_texts), and
+    no format runs per key."""
+    texts = list(map(_pair_texts(num_vertices).__getitem__, codes))
+    head = f"cub:{num_vertices}:"
+    starts = range(0, len(texts), num_pairs)
+    return tuple([head + ",".join(texts[i : i + num_pairs]) for i in starts])
+
+
 def graph_of_key(key: str) -> LabelledTrivalentGraph:
     """The graph a class key spells, canonical_key's inverse: the key's
     pairs, in order, are its edge list.  For a key reduce gave, that is the

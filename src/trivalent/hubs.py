@@ -24,6 +24,7 @@ from .graphs import (
     contract_edge,
     half_edges_at,
 )
+from .linalg import as_pair
 
 
 # a pair of tagged hub stubs, as a bit mask -> the splitting that pairs them
@@ -130,6 +131,8 @@ def hub_rows(basis, generators) -> list:
     """One row per contracted hub class, zero rows dropped, in the order
     the hubs are first reached (basis order, then edge order).  generators
     gives, for each basis graph in turn, its Aut generators in its labels.
+    A row is a (cols, vals) pair, the form the relations file stores: its
+    basis indices in increasing order, and their nonzero coefficients.
 
     One pass contracts one non-loop edge e per orbit of Aut(g) on the
     edges of each basis graph g (graphs._orbits; the orbit's first edge)
@@ -212,5 +215,5 @@ def hub_rows(basis, generators) -> list:
                 row[i] = row.get(i, 0) + v
         row = {i: v for i, v in row.items() if v}
         if row:
-            rows.append(row)
+            rows.append(as_pair(row))
     return rows

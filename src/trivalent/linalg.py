@@ -1,25 +1,30 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-Rows are sparse dicts (column -> value).  There is one exact elimination,
-and it is fraction-free: rows are cleared as primitive integer vectors, so
-its inner loops add and multiply ints; a row of ints, as every row the
-package passes is, enters it as it is.  Exact rank counts its pivots,
-solve_exact reads its integer pivot rows directly and answers with an
-integer matrix over a denominator, and exact_rref reads the same rows as
-Fractions.  Fractions appear only in exact_rref's answer and in
-reduce_vector, which works against it.  Nothing in the package calls
+Rows are sparse dicts (column -> value), except the relation rows, which
+keep the form of the relations file: a (cols, vals) pair of parallel lists,
+the columns strictly increasing and no value zero.  There is one exact
+elimination, and it is fraction-free: rows are cleared as primitive
+integer vectors, so its inner loops add and multiply ints; a row of ints,
+as every row the package passes is, enters it as it is.  Exact rank
+counts its pivots, solve_exact reads its integer pivot rows directly and
+answers with an integer matrix over a denominator, and exact_rref reads
+the same rows as Fractions.  Fractions appear only in exact_rref's answer
+and in reduce_vector, which works against it.  Nothing in the package calls
 those two: normal forms are read off the kernel vectors, and the two are
 the tests' reference for them.  They stay in this module because the
 benchmark's span list (bench/spans.py) looks both names up here when it
 installs.
-rank_mod_p takes integer rows, which is what the relation rows are; it
-is at most their rank over the rationals.  The integer singleton peel
-(peel_singletons) serves both bounds of a dimension: peeled_rank_mod_p
-reads the rank mod p through it, and kernel_vectors reads integer vectors
-that vanish on the rows (vanishes_on checks each against every row) off
-the exact elimination of the rows it leaves, in the echelon form that
-in_echelon checks.  exact_rank does not use the peel, so it stays a check
-of it.
+rank_mod_p takes integer dict rows; it is at most their rank over the
+rationals.  The integer singleton peel (peel_singletons) reads the
+relation rows as they are and serves both bounds of a dimension:
+peeled_rank_mod_p reads the rank mod p through it, and kernel_vectors
+reads integer vectors that vanish on the rows (vanishes_on checks each
+against every row, again as pairs) off the exact elimination of the dict
+rows it leaves, in the echelon form that in_echelon checks.  as_pair
+gives a dict row the pair form, and as_dicts turns pair rows into dicts
+where a whole elimination needs them: the rare fallback of
+peeled_rank_mod_p, and exact_rank, which does not use the peel, so it
+stays a check of it.
 Dense matrices are row-major lists of rows; nonzeros lists a dense matrix
 as the (column, value) pairs of each row's nonzero entries.
 sub_product is the one matrix-product loop: it subtracts s * A * B from a
@@ -38,7 +43,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import repeat, starmap
 from math import gcd, lcm
+from operator import mul
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -63,8 +70,8 @@ def rank_mod_p(rows, p: int) -> int:
 
 
 def _nonzero(row: dict) -> dict:
-    """A copy of the row without its zero entries; a row with none, as the
-    relation rows are, is copied whole."""
+    """A copy of the row without its zero entries; a row with none is
+    copied whole."""
     return row.copy() if 0 not in row.values() else {c: v for c, v in row.items() if v}
 
 
@@ -72,30 +79,36 @@ def peel_singletons(rows) -> tuple:
     """The singleton peel of structured Gaussian elimination, over the
     integers: (peeled, rest).
 
-    A row with one nonzero entry v pivots its column: peeled maps that
-    column to v, and the column is deleted from every other row, which may
-    leave new singletons to peel in turn.  rest holds the rows left
-    nonempty when none is a singleton.  The rows are not modified.
+    rows are (cols, vals) pairs, as the relation rows are: distinct
+    columns, and no value zero.  A row with one live entry v pivots its
+    column: peeled maps that column to v, and the column leaves every other
+    row, which may leave new singletons to peel in turn.  rest holds, as
+    dicts, the rows left nonempty when none is a singleton.  No row is
+    copied or modified while the peel runs: each keeps a count of its live
+    entries, and its live columns are those not peeled.
     """
-    live = [r for r in map(_nonzero, rows) if r]
-    holders: dict = {}  # column -> indices of the live rows it appears in
-    for i, r in enumerate(live):
-        for c in r:
+    left = []  # the live entries of each row
+    holders: dict = {}  # column -> indices of the rows it appears in
+    for i, (cols, _) in enumerate(rows):
+        left.append(len(cols))
+        for c in cols:
             holders.setdefault(c, []).append(i)
     peeled: dict = {}
-    todo = [i for i, r in enumerate(live) if len(r) == 1]
+    todo = [i for i, m in enumerate(left) if m == 1]
     while todo:
-        r = live[todo.pop()]
-        if len(r) != 1:  # emptied by a singleton of the same column
+        i = todo.pop()
+        if left[i] != 1:  # emptied by a singleton of the same column
             continue
-        ((col, v),) = r.items()
+        for col, v in zip(*rows[i]):
+            if col not in peeled:  # its one live entry
+                break
         peeled[col] = v
         for j in holders.pop(col):
-            rj = live[j]
-            del rj[col]
-            if len(rj) == 1:
+            left[j] -= 1
+            if left[j] == 1:
                 todo.append(j)
-    return peeled, [r for r in live if r]
+    rest = [{c: v for c, v in zip(*row) if c not in peeled} for row, m in zip(rows, left) if m]
+    return peeled, rest
 
 
 def peeled_rank_mod_p(rows, peel: tuple, p: int) -> int:
@@ -107,7 +120,7 @@ def peeled_rank_mod_p(rows, peel: tuple, p: int) -> int:
     peeled, rest = peel
     if all(v % p for v in peeled.values()):
         return len(peeled) + rank_mod_p(rest, p)
-    return rank_mod_p(rows, p)
+    return rank_mod_p(as_dicts(rows), p)
 
 
 def kernel_vectors(n: int, peel: tuple) -> list:
@@ -143,15 +156,26 @@ def in_echelon(vectors) -> bool:
 
 
 def vanishes_on(rows, w: dict) -> bool:
-    """Whether sum(row[c] * w[c]) is zero for every row, in integers."""
-    for row in rows:
-        total = 0
-        for c, v in row.items():
-            if c in w:
-                total += v * w[c]
-        if total:
+    """Whether sum(vals[i] * w[cols[i]]) is zero for every (cols, vals)
+    row, in integers; a row that shares no column with w is skipped."""
+    held, zero = w.keys(), repeat(0)
+    for cols, vals in rows:
+        if not held.isdisjoint(cols) and sum(map(mul, vals, map(w.get, cols, zero))):
             return False
     return True
+
+
+def as_pair(row: dict) -> tuple:
+    """A sparse dict row as its (cols, vals) pair, the columns increasing
+    and zero entries dropped."""
+    items = sorted((c, v) for c, v in row.items() if v)
+    return [c for c, _ in items], [v for _, v in items]
+
+
+def as_dicts(rows) -> list:
+    """(cols, vals) rows as the sparse dicts that rank_mod_p and the exact
+    elimination take."""
+    return list(map(dict, starmap(zip, rows)))
 
 
 def _sub_scaled(r: dict, coef, pivot_row: dict) -> None:

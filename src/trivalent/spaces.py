@@ -2,8 +2,9 @@
 
 A GraphSpace holds the basis as the sorted keys of the signed classes, and
 the zero class keys (classes.classify over classes.labelled_graphs), the
-relation rows (hubs.hub_rows), and the weight systems W, integer
-functionals that vanish on every row, each read from the cache when it has
+relation rows (hubs.hub_rows), each a (cols, vals) pair of lists, the form
+the relations file stores, and the weight systems W, integer functionals
+(dicts) that vanish on every row, each read from the cache when it has
 them, else built and stored.  A basis graph is read off its key
 (graphs.graph_of_key) only when the rows are built.  The rows come with
 the basis size n they index, which the relations file records, so a warm
@@ -28,8 +29,8 @@ from .classes import classify, enumerate_graphs, labelled_graphs
 from .graphs import LabelledTrivalentGraph, _canonical_generators, graph_of_key
 from .graphs import has_parallel_edge, reduce
 from .hubs import hub_rows
-from .linalg import exact_rank, in_echelon, kernel_vectors, peel_singletons, peeled_rank_mod_p
-from .linalg import vanishes_on
+from .linalg import as_dicts, exact_rank, in_echelon, kernel_vectors, peel_singletons
+from .linalg import peeled_rank_mod_p, vanishes_on
 
 
 class PrimeDisagreementError(Exception):
@@ -159,7 +160,8 @@ class GraphSpace:
 
     def relation_rows(self):
         """One row per contracted hub class, zero rows dropped, in the order
-        the hubs are first reached (hubs.hub_rows).
+        the hubs are first reached (hubs.hub_rows): a (cols, vals) pair, the
+        columns increasing, read from the cache and built alike.
 
         The rule needs each basis graph to be its class's canonical
         representative, the graph its key spells, and its Aut generators.
@@ -217,10 +219,10 @@ class GraphSpace:
         return len(self._proved)
 
     def exact_dimension(self) -> int:
-        """Basis size minus the exact rank of the relation rows.  It reads
-        no peel, so it is the check of the peel that the certificate's two
-        bounds share."""
-        return len(self.keys) - exact_rank(self.relation_rows())
+        """Basis size minus the exact rank of the relation rows, as dicts.
+        It reads no peel, so it is the check of the peel that the
+        certificate's two bounds share."""
+        return len(self.keys) - exact_rank(as_dicts(self.relation_rows()))
 
     # -- normal form ----------------------------------------------------------
 

@@ -73,6 +73,45 @@ def exact_rref(rows):
     return pivots
 
 
+def peel_singletons(rows):
+    """The singleton peel over dict rows, by copying: (peeled, rest).
+
+    Each row is copied without its zero entries, and a singleton's column
+    is deleted from the copies of the rows that hold it; the singletons
+    are peeled last in, first out, so linalg.peel_singletons, which counts
+    live entries instead, must give the same peeled columns in the same
+    order, the same values, and the same leftover rows."""
+    live = [r for r in ({c: v for c, v in row.items() if v} for row in rows) if r]
+    holders = {}
+    for i, r in enumerate(live):
+        for c in r:
+            holders.setdefault(c, []).append(i)
+    peeled = {}
+    todo = [i for i, r in enumerate(live) if len(r) == 1]
+    while todo:
+        r = live[todo.pop()]
+        if len(r) != 1:  # emptied by a singleton of the same column
+            continue
+        ((col, v),) = r.items()
+        peeled[col] = v
+        for j in holders.pop(col):
+            rj = live[j]
+            del rj[col]
+            if len(rj) == 1:
+                todo.append(j)
+    return peeled, [r for r in live if r]
+
+
+def assert_same_peel(got, rows):
+    """got, the package's peel of the (cols, vals) rows, is peel_singletons'
+    of the same rows as dicts: the peeled columns in the same order, their
+    values, and the leftover rows with their entries in the same order."""
+    peeled, rest = got
+    want_peeled, want_rest = peel_singletons([dict(zip(c, v)) for c, v in rows])
+    assert list(peeled.items()) == list(want_peeled.items())
+    assert [list(r.items()) for r in rest] == [list(r.items()) for r in want_rest]
+
+
 def sub_product(out, a, b, s):
     """out - s * a * b by the dense triple loop over every entry, zeros
     included, as a new matrix; out is m x q, a m x n and b n x q."""

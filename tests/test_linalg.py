@@ -1,5 +1,6 @@
 """Exact and modular elimination, kernel vectors, dense solving."""
 
+import random
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -60,16 +61,40 @@ def peelable_rows(draw):
     return draw(st.permutations(rows))
 
 
+def random_peel_rows(rng):
+    """Seeded (cols, vals) rows for the peel: random rows, singleton
+    chains (each link holds the column the row before it peels and one
+    new one, so the peel empties it), two singletons on one column (one
+    of them emptied by the other) and a row all of whose columns other
+    singletons peel, shuffled."""
+    value = [-3, -1, 1, 2, 5, 7]
+    rows = [
+        {rng.randrange(12): rng.choice(value) for _ in range(rng.randint(1, 4))}
+        for _ in range(rng.randint(0, 10))
+    ]
+    for _ in range(rng.randint(1, 3)):
+        chain = rng.sample(range(14), rng.randint(1, 5))
+        rows.append({chain[0]: rng.choice(value)})
+        rows += [{a: rng.choice(value), b: rng.choice(value)} for a, b in zip(chain, chain[1:])]
+    a, b = rng.sample(range(14), 2)
+    rows += [{a: rng.choice(value)}, {a: rng.choice(value)}, {b: 1}, {a: 1, b: 1}]
+    rng.shuffle(rows)
+    return list(map(la.as_pair, rows))
+
+
 class TestPeel:
     PRIMES = (2, 3, 5, 7, 2147483647)
 
     @given(peelable_rows())
     @settings(max_examples=300, deadline=None)
     def test_peeled_ranks_are_the_modular_ranks(self, rows):
-        before = [dict(r) for r in rows]
-        peel = la.peel_singletons(rows)
-        got = [la.peeled_rank_mod_p(rows, peel, p) for p in self.PRIMES]
-        assert rows == before
+        """The peel reads the rows as (cols, vals) pairs, zero entries
+        dropped; the ranks it gives are those of the dict rows."""
+        pairs = list(map(la.as_pair, rows))
+        before = [(cols[:], vals[:]) for cols, vals in pairs]
+        peel = la.peel_singletons(pairs)
+        got = [la.peeled_rank_mod_p(pairs, peel, p) for p in self.PRIMES]
+        assert pairs == before
         assert got == [la.rank_mod_p(rows, p) for p in self.PRIMES]
         peeled, rest = peel
         assert all(len(r) > 1 and not peeled.keys() & r.keys() for r in rest)
@@ -77,11 +102,30 @@ class TestPeel:
     def test_peeled_entry_divisible_by_p_falls_back(self):
         """7 peels column 0 over the integers but is zero modulo 7, where
         the two rows span one dimension, not two."""
-        rows = [{0: 7}, {0: 1, 1: 1}]
+        rows = [([0], [7]), ([0, 1], [1, 1])]
         peel = la.peel_singletons(rows)
         assert peel == ({0: 7, 1: 1}, [])
-        assert la.peeled_rank_mod_p(rows, peel, 7) == la.rank_mod_p(rows, 7) == 1
+        assert la.peeled_rank_mod_p(rows, peel, 7) == la.rank_mod_p([{0: 7}, {0: 1, 1: 1}], 7) == 1
         assert la.peeled_rank_mod_p(rows, peel, 11) == 2
+
+    def test_matches_the_reference_on_random_rows(self):
+        """Over 300 seeds, which between them leave rows to the elimination
+        and empty rows that peel nothing themselves."""
+        left = emptied = 0
+        for seed in range(300):
+            rows = random_peel_rows(random.Random(seed))
+            peeled, rest = peel = la.peel_singletons(rows)
+            oracles.assert_same_peel(peel, rows)
+            left += len(rest)
+            emptied += len(rows) - len(peeled) - len(rest)
+        assert left and emptied
+
+    def test_as_pair_and_as_dicts(self):
+        """as_pair sorts the columns and drops zero entries; as_dicts
+        undoes it."""
+        pairs = list(map(la.as_pair, [{3: -1, 0: 2, 1: 0}, {2: 0}]))
+        assert pairs == [([0, 3], [2, -1]), ([], [])]
+        assert la.as_dicts(pairs) == [{0: 2, 3: -1}, {}]
 
 
 class TestKernelVectors:
@@ -93,11 +137,12 @@ class TestKernelVectors:
         its smallest column), where it is positive and the others are zero,
         so they are independent."""
         n = 1 + max((c for r in rows for c in r), default=-1)
-        ws = la.kernel_vectors(n, la.peel_singletons(rows))
+        pairs = list(map(la.as_pair, rows))
+        ws = la.kernel_vectors(n, la.peel_singletons(pairs))
         assert len(ws) == n - la.exact_rank(rows)
         for w in ws:
             f = max(w)
-            assert la.vanishes_on(rows, w)
+            assert la.vanishes_on(pairs, w)
             assert w[f] > 0 and reduce(gcd, w.values()) == 1
             assert not any(f in x for x in ws if x is not w)
         assert la.in_echelon(ws)
@@ -112,7 +157,7 @@ class TestKernelVectors:
         assert la.kernel_vectors(2, la.peel_singletons([])) == [{0: 1}, {1: 1}]
 
     def test_vanishes_on_reads_every_row(self):
-        rows = [{0: 1, 1: -1}, {1: 2, 2: -2}]
+        rows = [([0, 1], [1, -1]), ([1, 2], [2, -2])]
         assert la.vanishes_on(rows, {0: 1, 1: 1, 2: 1})
         assert not la.vanishes_on(rows, {0: 1, 1: 1})
         assert not la.vanishes_on(rows, {0: 1, 1: 1, 2: 2})

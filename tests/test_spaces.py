@@ -22,6 +22,7 @@ from trivalent import graphs as G
 from trivalent import spaces as S
 from trivalent.cache import KINDS, Cache
 from trivalent.linalg import (
+    as_dicts,
     exact_rref,
     kernel_vectors,
     peel_singletons,
@@ -403,6 +404,14 @@ class TestDimensions:
         got, rest = peel_singletons(space(k).relation_rows())
         assert (len(got), len(rest)) == (peeled, left)
 
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_peel_matches_the_reference(self, k, request):
+        """The peel of the relation rows at k=1..7 is the reference dict
+        peel's (oracles.peel_singletons); k=6 and k=7 read the shared
+        spaces."""
+        rows = cold_space(k, request).relation_rows()
+        oracles.assert_same_peel(peel_singletons(rows), rows)
+
     def test_module_function(self):
         assert S.dimension(2) == 1
 
@@ -489,7 +498,7 @@ class TestCertificate:
         exact rref of the relation rows."""
         sp = space(k)
         ws = weight_systems(sp)
-        piv = exact_rref(sp.relation_rows())
+        piv = exact_rref(as_dicts(sp.relation_rows()))
         for i in range(len(sp.keys)):
             assert any(w.get(i) for w in ws) == (reduce_vector({i: 1}, piv) != {}), i
 
@@ -501,7 +510,7 @@ def test_normal_form_is_the_rref_residual(k, request):
     basis class, every relation row and 200 seeded random integer
     vectors."""
     sp = cold_space(k, request)
-    rows, n = sp.relation_rows(), len(sp.keys)
+    rows, n = as_dicts(sp.relation_rows()), len(sp.keys)
     piv = exact_rref(rows)
     rng = random.Random(k)
     randoms = [
@@ -516,7 +525,7 @@ class TestNormalForm:
     def test_kills_relation_rows(self):
         for k in (2, 3):
             sp = space(k)
-            for row in sp.relation_rows():
+            for row in as_dicts(sp.relation_rows()):
                 assert sp.normal_form(row) == {}
 
     def test_idempotent_and_linear(self):
@@ -573,9 +582,9 @@ class TestBasisKeys:
 class TestRelationRows:
     @pytest.mark.parametrize("k", range(1, 6))
     def test_rows_are_expansion_rows_of_each_hub(self, k):
-        """Row for row, entry order included: oracles.expansion_row (three
-        reduces per hub) on each canonical hub in first-reach order, zero
-        rows dropped."""
+        """Row for row, entries in column order: oracles.expansion_row
+        (three reduces per hub) on each canonical hub in first-reach order,
+        zero rows dropped."""
         sp = space(k)
         expected = []
         seen = set()
@@ -588,8 +597,8 @@ class TestRelationRows:
                     seen.add(four.edges)
                     row = oracles.expansion_row(sp, four)
                     if row:
-                        expected.append(list(row.items()))
-        assert [list(row.items()) for row in sp.relation_rows()] == expected
+                        expected.append(sorted(row.items()))
+        assert [list(zip(*row)) for row in sp.relation_rows()] == expected
 
     def test_cold_build_canonicalize_calls(self, monkeypatch):
         """The enumerator's calls (the insertion candidates, as pinned
@@ -619,16 +628,19 @@ class TestRelationRows:
         assert a == b
 
     def test_integer_entries(self):
-        for row in space(4).relation_rows():
-            for v in row.values():
-                assert isinstance(v, int)
+        """Each row is a (cols, vals) pair of int lists, the columns
+        increasing strictly and no value zero."""
+        for cols, vals in space(4).relation_rows():
+            assert len(cols) == len(vals)
+            assert all(type(x) is int for x in (*cols, *vals))
+            assert all(a < b for a, b in zip(cols, cols[1:])) and 0 not in vals
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_tagging_saturation(self, k):
         """Rows built from any stub ordering of a hub stay in the span of
         the rows built from the canonical ordering."""
         sp = space(k)
-        piv = exact_rref(sp.relation_rows())
+        piv = exact_rref(as_dicts(sp.relation_rows()))
         fours = {}
         for g in sp.basis:
             for e, (u, v) in enumerate(g.edges):
@@ -761,9 +773,10 @@ def space6():
 
 class TestK6:
     """The default --max-k, cold: dimension 0 on both rank paths, and the
-    relation rows, entry order included, pinned by digest."""
+    relation rows, each as its (column, value) pairs in column order,
+    pinned by digest."""
 
-    ROWS_DIGEST = "ff7efb359ac2f32c044d01366e54d359377387e22fcd1b3adc047a8f9cae7ae5"
+    ROWS_DIGEST = "96590fb215201dd0991383719a6485dd4d65dad6bc14c3b3db7bbbc65aef26ed"
     # sha256 of the sorted signed and zero key lists, as recorded for the benchmark
     KEY_DIGEST = "efd2f85ae8cdf33e35827a699e26324f8c2bf3085a438e9bae0b725df57390f3"
 
@@ -781,11 +794,11 @@ class TestK6:
         assert hashlib.sha256(text.encode()).hexdigest() == self.KEY_DIGEST
 
     def test_rows_digest(self, space6):
-        text = repr([list(row.items()) for row in space6.relation_rows()])
+        text = repr([list(zip(*row)) for row in space6.relation_rows()])
         assert hashlib.sha256(text.encode()).hexdigest() == self.ROWS_DIGEST
 
     def test_rref_matches_fraction_elimination(self, space6):
-        assert_same_rref(space6.relation_rows())
+        assert_same_rref(as_dicts(space6.relation_rows()))
 
 
 def assert_same_rref(rows):
@@ -799,7 +812,7 @@ def assert_same_rref(rows):
 
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_rref_matches_fraction_elimination(k):
-    assert_same_rref(space(k).relation_rows())
+    assert_same_rref(as_dicts(space(k).relation_rows()))
 
 
 @pytest.fixture(scope="module")
@@ -850,6 +863,17 @@ class TestKeysAreTheBasis:
                 g = G.graph_of_key(key)
                 assert G.canonical_key(g.num_vertices, g.edges) == key
                 assert G.reduce(g) == G.GraphClass(key, sign)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_keys_of_codes_is_canonical_key(self, k, request):
+        """The basis decoder's spelling, one "a-b" string per pair code
+        2k * a + b, is canonical_key's for every basis graph, two-digit
+        vertex labels included from k=6 on."""
+        sp = cold_space(k, request)
+        graphs = list(map(G.graph_of_key, sp.keys))
+        codes = [2 * k * a + b for g in graphs for a, b in g.edges]
+        want = tuple(G.canonical_key(2 * k, g.edges) for g in graphs)
+        assert G._keys_of_codes(2 * k, codes, 3 * k) == want == sp.keys
 
     def test_vector_by_key(self):
         """A vector over basis positions maps to one over the class keys,
@@ -907,6 +931,18 @@ class TestCache:
         assert cold.relation_rows() == rows
         assert cold.normal_form({0: 1}) == nf
         assert cold.dimension() == dim
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_warm_rows_are_the_cold_rows(self, k, request, tmp_path):
+        """Rows read back from the relations file are the built rows as
+        lists, row for row: each a (cols, vals) tuple of two lists."""
+        cold = cold_space(k, request)
+        cache = Cache(tmp_path)
+        cache.store(k, "relations", (len(cold.keys), cold.relation_rows()))
+        warm = GraphSpace(k, cache)
+        assert warm.relation_rows() == cold.relation_rows()
+        for row in (*warm.relation_rows(), *cold.relation_rows()):
+            assert type(row) is tuple and list(map(type, row)) == [list, list]
 
     # SHA-256 of the cache files a cold dimension() and normal_form({}) write
     # for k=1..4, as json.dumps({name: text}) with names sorted
