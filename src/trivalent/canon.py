@@ -38,7 +38,7 @@ Everything here is deliberately dependency-free and works at "desk scale"
 
 from __future__ import annotations
 
-from ._record import Record, setfield
+from ._record import Record
 
 
 class CanonResult(Record):
@@ -55,11 +55,6 @@ class CanonResult(Record):
     enc: tuple
     perm: tuple
     aut_generators: tuple
-
-    def __init__(self, enc, perm, aut_generators):
-        setfield(self, "enc", enc)
-        setfield(self, "perm", perm)
-        setfield(self, "aut_generators", aut_generators)
 
 
 def _refine(nbrs, base, cells, col, split):
@@ -196,7 +191,7 @@ def canonicalize(n: int, edges) -> CanonResult:
     perm = [0] * n
     for i, v in enumerate(best_placed):
         perm[v] = i
-    return CanonResult(enc=tuple(best_enc), perm=tuple(perm), aut_generators=tuple(gens))
+    return CanonResult(tuple(best_enc), tuple(perm), tuple(gens))
 
 
 def close_group(n: int, generators) -> list:

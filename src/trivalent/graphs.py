@@ -14,7 +14,7 @@ import functools
 import itertools
 from math import factorial, prod
 
-from ._record import Record, setfield
+from ._record import Record
 from .canon import CanonResult, canonicalize, close_group, perm_parity
 
 
@@ -43,10 +43,6 @@ class LabelledTrivalentGraph(Record):
 
     num_vertices: int
     edges: tuple
-
-    def __init__(self, num_vertices, edges):
-        setfield(self, "num_vertices", num_vertices)
-        setfield(self, "edges", edges)
 
     @property
     def k(self) -> int:
@@ -129,10 +125,6 @@ class GraphClass(Record):
     key: str
     sign: int | None
 
-    def __init__(self, key, sign):
-        setfield(self, "key", key)
-        setfield(self, "sign", sign)
-
     @property
     def is_zero(self) -> bool:
         return self.sign is None
@@ -143,10 +135,6 @@ class Automorphism(Record):
 
     vertex_perm: tuple
     edge_perm: tuple
-
-    def __init__(self, vertex_perm, edge_perm):
-        setfield(self, "vertex_perm", vertex_perm)
-        setfield(self, "edge_perm", edge_perm)
 
     @property
     def edge_parity(self) -> int:
@@ -217,19 +205,39 @@ def _canonical_generators(res: CanonResult):
     return out
 
 
-def _edge_maps(pairs, generators):
-    """Yield, for each vertex permutation in generators, the map it induces
-    on the positions of the sorted pairs, tied (parallel) edges kept in
-    order."""
+def _signed_generators(pairs, res: CanonResult):
+    """Yield (eperm, flip, sign) for each generator of the automorphism
+    group of the graph whose edges are the sorted pairs in res's canonical
+    labels, its loops having two ends: the generator maps edge j to edge
+    eperm[j], swaps the ends of the loop flip if flip is not None, and
+    multiplies the graph's class by sign.  In this order, so that a test
+    for a sign -1 seldom reads past the first:
+    - each transposition of two parallel edges (or loops), sign -1;
+    - each vertex generator of res, conjugated into canonical labels, by
+      its edge map (parallel edges kept in order, loop ends kept), sign
+      the map's parity;
+    - the flip of each loop, sign +1.
+    These generate the whole group: the vertex generators give every vertex
+    automorphism, and the transpositions and flips every one over the
+    identity."""
+    ident = list(range(len(pairs)))
+    for j in range(1, len(pairs)):
+        if pairs[j - 1] == pairs[j]:
+            swap = ident[:]
+            swap[j - 1], swap[j] = j, j - 1
+            yield swap, None, -1
     first: dict = {}
     for j, pair in enumerate(pairs):
         first.setdefault(pair, j)
-    for psi in generators:
+    for psi in _canonical_generators(res):
         eperm = []
         for j, (a, b) in enumerate(pairs):
             x, y = psi[a], psi[b]
             eperm.append(first[(x, y) if x <= y else (y, x)] + j - first[a, b])
-        yield eperm
+        yield eperm, None, perm_parity(eperm)
+    for j, (a, b) in enumerate(pairs):
+        if a == b:
+            yield ident, j, 1
 
 
 def _orbits(items, generators):
@@ -261,15 +269,11 @@ def _orbits(items, generators):
     return reps
 
 
-def _has_parallel(pairs) -> bool:
-    """Whether two adjacent pairs of a sorted pair list are the same non-loop."""
-    return any(p == q and p[0] != p[1] for p, q in zip(pairs, pairs[1:]))
-
-
 def has_parallel_edge(g: LabelledTrivalentGraph) -> bool:
     """Whether two edges join the same two distinct vertices.  Relabelling
     keeps multiplicities, so such a graph reduces to zero."""
-    return _has_parallel(sorted((u, v) if u <= v else (v, u) for u, v in g.edges))
+    pairs = sorted((u, v) if u <= v else (v, u) for u, v in g.edges)
+    return any(p == q and p[0] != p[1] for p, q in zip(pairs, pairs[1:]))
 
 
 def reduce(g: LabelledTrivalentGraph, res: CanonResult | None = None) -> GraphClass:
@@ -277,17 +281,14 @@ def reduce(g: LabelledTrivalentGraph, res: CanonResult | None = None) -> GraphCl
 
     res is the canonical labelling canonicalize(g.num_vertices, g.edges) if
     the caller has it; without it a fresh one is computed.  Zero happens
-    exactly when some automorphism permutes the edge labels oddly: any
-    parallel pair gives an odd swap outright, and otherwise the parity of
-    the edge map of each vertex automorphism generator decides (parity is
-    multiplicative, so generators suffice).
+    exactly when some automorphism permutes the edge labels oddly, that is
+    when one of the generators _signed_generators lists has sign -1 (the
+    sign is multiplicative, so generators suffice).
     """
     if res is None:
         res = canonicalize(g.num_vertices, g.edges)
     pairs, order = _canonical_edges(g.edges, res.perm)
-    odd = _has_parallel(pairs) or any(
-        perm_parity(eperm) < 0 for eperm in _edge_maps(pairs, _canonical_generators(res))
-    )
+    odd = any(sign < 0 for _, _, sign in _signed_generators(pairs, res))
     return GraphClass(canonical_key(g.num_vertices, pairs), None if odd else perm_parity(order))
 
 
@@ -341,12 +342,6 @@ class FourValentGraph(Record):
     edges: tuple
     hub: int
     tagging: tuple
-
-    def __init__(self, num_vertices, edges, hub, tagging):
-        setfield(self, "num_vertices", num_vertices)
-        setfield(self, "edges", edges)
-        setfield(self, "hub", hub)
-        setfield(self, "tagging", tagging)
 
 
 def half_edges_at(edges, v, skip=None):
@@ -425,10 +420,6 @@ class ArrowGraph(Record):
 
     graph: LabelledTrivalentGraph
     directions: tuple
-
-    def __init__(self, graph, directions):
-        setfield(self, "graph", graph)
-        setfield(self, "directions", directions)
 
     def to_json(self) -> dict:
         return {**self.graph.to_json(), "directions": [list(d) for d in self.directions]}

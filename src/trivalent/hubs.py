@@ -18,9 +18,8 @@ from .graphs import (
     IHX_PAIRINGS,
     FourValentGraph,
     _canonical_edges,
-    _canonical_generators,
-    _edge_maps,
     _orbits,
+    _signed_generators,
     contract_edge,
     half_edges_at,
 )
@@ -34,14 +33,14 @@ _SPLITTING_OF_PAIR = {
 }
 
 
-def _splitting_map(four: FourValentGraph, eperm, flip=None):
-    """(images, sign) for the automorphism of the hub graph four that maps
-    edge j to edge eperm[j] and, if flip is a hub loop, swaps its two ends.
+def _splitting_map(four: FourValentGraph, eperm, flip) -> tuple:
+    """images for the automorphism of the hub graph four that maps edge j
+    to edge eperm[j] and, if flip is a loop's label, swaps its two ends.
 
     It carries the splitting IHX_PAIRINGS[p] onto IHX_PAIRINGS[images[p]],
     relabelling vertices and permuting edge labels by eperm, the new edge
-    keeping the last label; so it multiplies the class by sign, the parity
-    of eperm."""
+    keeping the last label; so it multiplies the class by the sign that
+    _signed_generators gives the automorphism."""
     slot = {stub: t for t, stub in enumerate(four.tagging)}
     sigma = []
     for label, end in four.tagging:
@@ -52,10 +51,9 @@ def _splitting_map(four: FourValentGraph, eperm, flip=None):
         elif label == flip:
             end = 1 - end
         sigma.append(slot[image, end])
-    images = tuple(
+    return tuple(
         _SPLITTING_OF_PAIR[1 << sigma[a] | 1 << sigma[b]] for a, b, _, _ in IHX_PAIRINGS
     )
-    return images, perm_parity(eperm)
 
 
 def _canonical_hub(c: FourValentGraph):
@@ -64,18 +62,18 @@ def _canonical_hub(c: FourValentGraph):
     four is c relabelled canonically, its edges sorted, its tagging the
     hub's stubs in (edge label, end) order.  labels[i] is the canonical
     label of c's edge i: the sort of the canonical pairs is stable, so tied
-    (parallel) edges keep c's order.  action holds the _splitting_map of
-    each generator of four's automorphism group, as a graph whose loops
-    have two ends:
-    - each vertex automorphism generator of the canonical labelling,
-      conjugated into canonical labels, with the edge map that keeps the
-      order of parallel edges (a hub loop keeps its ends);
-    - each transposition of two parallel edges, sign -1;
-    - the flip of each loop at the hub, sign +1.
-    The vertex generators generate the vertex automorphisms, and the
-    automorphisms over the identity permute parallel edges and flip loops,
-    so these generate the whole group, except for the flips of loops away
-    from the hub, which move no hub stub and keep every edge label.
+    (parallel) edges keep c's order.  action holds (images, sign) for
+    each generator of four's automorphism group that graphs lists
+    (_signed_generators): the generator's _splitting_map, and the sign it
+    multiplies a class by.
+
+    The classes _spread gives do not depend on the order of the maps.
+    Every splitting it reaches shares an orbit with a splitting that a
+    contraction named, a copy of a basis graph, so its class is nonzero.
+    Two products of maps that carry a splitting h_P to the same splitting
+    differ by an automorphism that fixes P, which is an automorphism of
+    h_P; a nonzero class permits none that permutes edge labels oddly, so
+    the two products have the same sign.
     """
     res = canonicalize(c.num_vertices, c.edges)
     edges, order = _canonical_edges(c.edges, res.perm)
@@ -84,16 +82,11 @@ def _canonical_hub(c: FourValentGraph):
         labels[i] = j
     hub = res.perm[c.hub]
     four = FourValentGraph(c.num_vertices, edges, hub, tuple(half_edges_at(edges, hub)))
-    action = [_splitting_map(four, m) for m in _edge_maps(edges, _canonical_generators(res))]
-    ident = list(range(len(edges)))
-    for j in range(1, len(edges)):
-        if edges[j - 1] == edges[j]:
-            swap = ident[:]
-            swap[j - 1], swap[j] = j, j - 1
-            action.append(_splitting_map(four, swap))
-    for j, (a, b) in enumerate(edges):
-        if a == b == hub:
-            action.append(_splitting_map(four, ident, flip=j))
+    action = [
+        (_splitting_map(four, eperm, flip), sign)
+        for eperm, flip, sign in _signed_generators(edges, res)
+        if flip is None or edges[flip][0] == hub  # other loops touch no stub
+    ]
     return four, labels, action
 
 

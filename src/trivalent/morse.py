@@ -22,7 +22,7 @@ from functools import reduce
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 
-from ._record import Record, setfield
+from ._record import Record
 from .graphs import LabelledTrivalentGraph, strict_int, validate
 from .linalg import exact_rank, identity_matrix, nonzeros, solve_exact, sub_product
 
@@ -68,9 +68,8 @@ class GradedComplex(Record, unhashed=("boundaries",)):
     ranks: tuple
     boundaries: dict
 
-    def __init__(self, ranks, boundaries):
-        setfield(self, "ranks", ranks)
-        setfield(self, "boundaries", boundaries)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if len(self.ranks) != TOP_DEGREE + 1 or any(r < 0 for r in self.ranks):
             raise MorseError("ranks must be five non-negative integers")
         for d in range(1, TOP_DEGREE + 1):
@@ -136,11 +135,6 @@ class Propagator(Record, unhashed=("mats", "dens")):
     ranks: tuple
     mats: dict
     dens: dict
-
-    def __init__(self, ranks, mats, dens):
-        setfield(self, "ranks", ranks)
-        setfield(self, "mats", mats)
-        setfield(self, "dens", dens)
 
     def g(self, d: int):
         """g_d as Fractions, with the int 0 for a zero entry."""
@@ -275,9 +269,8 @@ class BasisRef(Record):
     degree: int
     position: int
 
-    def __init__(self, degree, position):
-        setfield(self, "degree", degree)
-        setfield(self, "position", position)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if not (0 <= self.degree <= TOP_DEGREE) or self.position < 0:
             raise InvalidDecorationError(f"bad basis reference {self}")
 
@@ -289,10 +282,8 @@ class HandleSlideEvent(Record):
     q: BasisRef
     sign: int
 
-    def __init__(self, p, q, sign):
-        setfield(self, "p", p)
-        setfield(self, "q", q)
-        setfield(self, "sign", sign)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.p.degree != self.q.degree or self.p == self.q:
             raise MorseError("handle slides need two distinct same-degree elements")
         if self.sign not in (1, -1):
@@ -333,12 +324,6 @@ class CGraph(Record, unhashed=("decorations", "arcs")):
     split: tuple
     decorations: dict
     arcs: dict
-
-    def __init__(self, underlying, split, decorations, arcs):
-        setfield(self, "underlying", underlying)
-        setfield(self, "split", split)
-        setfield(self, "decorations", decorations)
-        setfield(self, "arcs", arcs)
 
     @property
     def num_black(self) -> int:

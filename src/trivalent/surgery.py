@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from math import factorial, prod
 
-from ._record import Record, setfield
+from ._record import Record
 from .canon import canonicalize
 from .graphs import ArrowGraph, GraphError, automorphisms, half_edges_at, make_arrow
 from .morse import TYPE_I, TYPE_II
@@ -49,14 +49,6 @@ class HandleSlot(Record):
     outgoing: bool
     degree: int  # 1 or 2
 
-    def __init__(self, vertex, position, edge, end, outgoing, degree):
-        setfield(self, "vertex", vertex)
-        setfield(self, "position", position)
-        setfield(self, "edge", edge)
-        setfield(self, "end", end)
-        setfield(self, "outgoing", outgoing)
-        setfield(self, "degree", degree)
-
     @property
     def index(self) -> int:
         return 3 * self.vertex + self.position
@@ -68,12 +60,6 @@ class YLinkData(Record):
     hopf_pairs: tuple  # per edge: (tail-side slot index, head-side slot index)
     convention: str
 
-    def __init__(self, vertex_types, slots, hopf_pairs, convention):
-        setfield(self, "vertex_types", vertex_types)
-        setfield(self, "slots", slots)
-        setfield(self, "hopf_pairs", hopf_pairs)
-        setfield(self, "convention", convention)
-
     def slots_at(self, v: int):
         return self.slots[3 * v : 3 * v + 3]
 
@@ -81,10 +67,6 @@ class YLinkData(Record):
 class LinkingMatrix(Record):
     size: int
     entries: tuple
-
-    def __init__(self, size, entries):
-        setfield(self, "size", size)
-        setfield(self, "entries", entries)
 
     def row_sums(self):
         return tuple(sum(row) for row in self.entries)
@@ -95,10 +77,6 @@ class BlockDegrees(Record):
 
     degrees: tuple
     parities: tuple
-
-    def __init__(self, degrees, parities):
-        setfield(self, "degrees", degrees)
-        setfield(self, "parities", parities)
 
 
 def _tail_end(arrow: ArrowGraph, e: int) -> int:
@@ -181,14 +159,7 @@ class EvaluationReport(Record, unhashed=("input_json", "result", "diagnostics"))
     input_json: dict
     result: dict  # canonical class key -> Fraction
     diagnostics: dict  # integer strings
-    notes: tuple
-
-    def __init__(self, mode, input_json, result, diagnostics, notes=()):
-        setfield(self, "mode", mode)
-        setfield(self, "input_json", input_json)
-        setfield(self, "result", result)
-        setfield(self, "diagnostics", diagnostics)
-        setfield(self, "notes", notes)
+    notes: tuple = ()
 
     def to_json(self) -> dict:
         return {

@@ -4,7 +4,9 @@ Every record (trivalent._record.Record) is checked on one instance built
 by keyword: its fields cannot be assigned or deleted, an instance with
 equal fields is == and hashes the same, its repr reads Name(field=value,
 ...), and copy.deepcopy gives an equal instance; a deep-copied
-propagator's matrices are its own.
+propagator's matrices are its own.  The one constructor they share
+rejects a missing, unknown, repeated or surplus argument, and the records
+that validate their fields still do.
 """
 
 import copy
@@ -101,3 +103,62 @@ def test_bad_reference_names_the_record():
     with pytest.raises(M.InvalidDecorationError) as err:
         M.BasisRef(5, 0)
     assert str(err.value) == "bad basis reference BasisRef(degree=5, position=0)"
+
+
+@pytest.mark.parametrize("cls,fields", RECORDS, ids=IDS)
+def test_constructor_rejects_bad_arguments(cls, fields):
+    """A missing first field (none has a default), an unknown keyword, a
+    field given both by position and by keyword, and one positional
+    argument too many are each a TypeError naming the class."""
+    values = list(fields.values())
+    first = next(iter(fields))
+    bad_calls = (
+        lambda: cls(**{name: v for name, v in fields.items() if name != first}),
+        lambda: cls(**fields, extra=1),
+        lambda: cls(values[0], **fields),
+        lambda: cls(*values, object()),
+    )
+    for call in bad_calls:
+        with pytest.raises(TypeError, match=rf"^{cls.__name__} "):
+            call()
+
+
+def test_notes_default_to_empty():
+    fields = dict(RECORDS)[S.EvaluationReport]
+    fields = {name: v for name, v in fields.items() if name != "notes"}
+    report = S.EvaluationReport(**fields)
+    assert report.notes == ()
+    assert report == S.EvaluationReport(*fields.values()) == S.EvaluationReport(**fields, notes=())
+
+
+REF = M.BasisRef(1, 0)
+BOUNDARIES = {1: [[1]], 2: [[]], 3: [], 4: []}
+
+
+@pytest.mark.parametrize(
+    "make,error,message",
+    [
+        (lambda: M.GradedComplex((1, 1, 0, 0), BOUNDARIES), M.MorseError,
+         "ranks must be five non-negative integers"),
+        (lambda: M.GradedComplex(ranks=(1, -1, 0, 0, 0), boundaries=BOUNDARIES), M.MorseError,
+         "ranks must be five non-negative integers"),
+        (lambda: M.GradedComplex((1, 1, 0, 0, 0), {1: [[1]], 2: [[]], 4: []}), M.MorseError,
+         "missing boundary for degree 3"),
+        (lambda: M.GradedComplex((1, 1, 0, 0, 0), {**BOUNDARIES, 1: [[1, 0]]}), M.MorseError,
+         "boundary 1 must be 1 x 1"),
+        (lambda: M.BasisRef(degree=1, position=-1), M.InvalidDecorationError,
+         "bad basis reference BasisRef(degree=1, position=-1)"),
+        (lambda: M.HandleSlideEvent(REF, M.BasisRef(2, 0), 1), M.MorseError,
+         "handle slides need two distinct same-degree elements"),
+        (lambda: M.HandleSlideEvent(p=REF, q=M.BasisRef(1, 0), sign=1), M.MorseError,
+         "handle slides need two distinct same-degree elements"),
+        (lambda: M.HandleSlideEvent(REF, M.BasisRef(1, 1), 2), M.MorseError,
+         "sign must be +1 or -1"),
+    ],
+)
+def test_validating_records_reject_bad_fields(make, error, message):
+    """Bad fields, given by position or by keyword, raise the record's own
+    error with its message."""
+    with pytest.raises(error) as err:
+        make()
+    assert str(err.value) == message
