@@ -142,21 +142,17 @@ class Automorphism(Record):
 
 
 @functools.cache
-def _key_format(num_pairs: int) -> str:
-    return "cub:%d:" + ",".join(["%d-%d"] * num_pairs)
-
-
-def canonical_key(num_vertices: int, pairs) -> str:
-    """The class key cub:<n>:<a>-<b>,... of the sorted pairs of two ints,
-    in one format call."""
-    pairs = sorted(pairs)
-    return _key_format(len(pairs)) % (num_vertices, *itertools.chain.from_iterable(pairs))
-
-
-@functools.cache
 def _pair_texts(num_vertices: int) -> tuple:
     """The "a-b" text of each pair of vertices, at its code num_vertices * a + b."""
     return tuple([f"{a}-{b}" for a in range(num_vertices) for b in range(num_vertices)])
+
+
+def canonical_key(num_vertices: int, pairs) -> str:
+    """The class key cub:<n>:<a>-<b>,... of the sorted pairs of vertices,
+    each pair's text looked up in one table (_pair_texts)."""
+    table = _pair_texts(num_vertices)
+    texts = [table[num_vertices * a + b] for a, b in sorted(pairs)]
+    return f"cub:{num_vertices}:" + ",".join(texts)
 
 
 def _keys_of_codes(num_vertices: int, codes, num_pairs: int) -> tuple:

@@ -1,30 +1,31 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-Rows are sparse dicts (column -> value), except the relation rows, which
+Rows are sparse dicts (column -> int), except the relation rows, which
 keep the form of the relations file: a (cols, vals) pair of parallel lists,
 the columns strictly increasing and no value zero.  There is one exact
-elimination, and it is fraction-free: rows are cleared as primitive
-integer vectors, so its inner loops add and multiply ints; a row of ints,
-as every row the package passes is, enters it as it is.  Exact rank
-counts its pivots, solve_exact reads its integer pivot rows directly and
-answers with an integer matrix over a denominator, and exact_rref reads
-the same rows as Fractions.  Fractions appear only in exact_rref's answer
-and in reduce_vector, which works against it.  Nothing in the package calls
-those two: normal forms are read off the kernel vectors, and the two are
-the tests' reference for them.  They stay in this module because the
-benchmark's span list (bench/spans.py) looks both names up here when it
-installs.
+elimination, and it is fraction-free: it takes integer rows only, as every
+row the package passes is, and clears them as primitive integer vectors,
+so its inner loops add and multiply ints.  (A row holding a Fraction makes
+gcd raise TypeError, or, with one entry, is scaled to +-1: it never gives a
+wrong answer.)  Exact rank counts its pivots, solve_exact reads its integer
+pivot rows directly and answers with an integer matrix over a denominator,
+and exact_rref reads the same rows as Fractions.  Fractions appear only in
+exact_rref's answer and in reduce_vector, which works against it.  Nothing
+in the package calls those two: normal forms are read off the kernel
+vectors, and the two are the tests' reference for them.  They stay in this
+module because the benchmark's span list (bench/spans.py) looks both names
+up here when it installs.
 rank_mod_p takes integer dict rows; it is at most their rank over the
 rationals.  The integer singleton peel (peel_singletons) reads the
-relation rows as they are and serves both bounds of a dimension:
-peeled_rank_mod_p reads the rank mod p through it, and kernel_vectors
+relation rows as they are and serves both bounds of a dimension: the
+count it peels plus rank_mod_p of the dict rows it leaves is at most the
+rows' rank (spaces.GraphSpace._certificate says why), and kernel_vectors
 reads integer vectors that vanish on the rows (vanishes_on checks each
-against every row, again as pairs) off the exact elimination of the dict
-rows it leaves, in the echelon form that in_echelon checks.  as_pair
-gives a dict row the pair form, and as_dicts turns pair rows into dicts
-where a whole elimination needs them: the rare fallback of
-peeled_rank_mod_p, and exact_rank, which does not use the peel, so it
-stays a check of it.
+against every row, again as pairs) off the exact elimination of the rows
+it leaves, in the echelon form that in_echelon checks.  as_pair gives a
+dict row the pair form, and as_dicts turns pair rows into dicts, for the
+rref decoder and for exact_rank, which does not use the peel, so it stays
+a check of it.
 Dense matrices are row-major lists of rows; nonzeros lists a dense matrix
 as the (column, value) pairs of each row's nonzero entries.
 sub_product is the one matrix-product loop: it subtracts s * A * B from a
@@ -69,12 +70,6 @@ def rank_mod_p(rows, p: int) -> int:
     return len(pivots)
 
 
-def _nonzero(row: dict) -> dict:
-    """A copy of the row without its zero entries; a row with none is
-    copied whole."""
-    return row.copy() if 0 not in row.values() else {c: v for c, v in row.items() if v}
-
-
 def peel_singletons(rows) -> tuple:
     """The singleton peel of structured Gaussian elimination, over the
     integers: (peeled, rest).
@@ -109,18 +104,6 @@ def peel_singletons(rows) -> tuple:
                 todo.append(j)
     rest = [{c: v for c, v in zip(*row) if c not in peeled} for row, m in zip(rows, left) if m]
     return peeled, rest
-
-
-def peeled_rank_mod_p(rows, peel: tuple, p: int) -> int:
-    """rank_mod_p(rows, p), given peel_singletons(rows).
-
-    Each peeled column adds one to the rank over GF(p) when its entry is a
-    unit there; if any is divisible by p, the rows are eliminated whole.
-    """
-    peeled, rest = peel
-    if all(v % p for v in peeled.values()):
-        return len(peeled) + rank_mod_p(rest, p)
-    return rank_mod_p(as_dicts(rows), p)
 
 
 def kernel_vectors(n: int, peel: tuple) -> list:
@@ -173,8 +156,7 @@ def as_pair(row: dict) -> tuple:
 
 
 def as_dicts(rows) -> list:
-    """(cols, vals) rows as the sparse dicts that rank_mod_p and the exact
-    elimination take."""
+    """(cols, vals) rows as sparse dicts."""
     return list(map(dict, starmap(zip, rows)))
 
 
@@ -210,34 +192,24 @@ def _eliminate(r: dict, col: int, prow: dict) -> None:
             r[c] //= g
 
 
-# the value types an integer row holds: a row of them skips the denominator
-# pass, in one C-level test per row
-_INT = frozenset((int,))
-
-
 def exact_rank(rows) -> int:
     """Rank over the rationals."""
     return len(_integer_rref(rows))
 
 
 def _integer_rref(rows) -> dict:
-    """The fraction-free elimination: column -> pivot row, fully reduced,
-    each row a primitive integer vector with a positive pivot entry.
+    """The fraction-free elimination of integer rows: column -> pivot row,
+    fully reduced, each row a primitive integer vector with a positive
+    pivot entry.
 
-    A row whose values are all ints, as every row the package passes is, is
-    copied as it is (without its zeros, if it has any).  A row that holds a
-    Fraction, or a bool, is cleared to integers over its own common
-    denominator first.  A row of the reduced form is unique up to scale, so
-    each row over its pivot entry is the Gauss-Jordan row over the
-    rationals, with its keys in the order that elimination inserts them.
+    Each row is copied, without its zeros if it has any.  A row of the
+    reduced form is unique up to scale, so each row over its pivot entry is
+    the Gauss-Jordan row over the rationals, with its keys in the order that
+    elimination inserts them.
     """
     pivots: dict = {}
     for row in rows:
-        if _INT.issuperset(map(type, row.values())):
-            r = _nonzero(row)
-        else:
-            den = reduce(lcm, (v.denominator for v in row.values()), 1)
-            r = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        r = row.copy() if 0 not in row.values() else {c: v for c, v in row.items() if v}
         for col in sorted(r):
             if col in pivots and col in r:
                 _eliminate(r, col, pivots[col])

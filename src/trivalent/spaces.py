@@ -11,11 +11,12 @@ the basis size n they index, which the relations file records, so a warm
 dimension() reads no basis; a space that holds both reads only rows whose
 n is the size of its basis.  One certificate proves W from the rows: its
 vectors vanish on every row and are in echelon form, so the dimension is
-at least their count, and n minus a modular rank, an upper bound, meets
-it.  dimension() runs that proof on every call.  Normal forms are read off
-W, which the rref cache kind holds: the top columns of W are the free
-columns of the rows' reduced echelon form, and each vector pairs a class
-vector to its coefficient there.
+at least their count, and n minus a lower bound on the rank (the peel
+plus a modular rank), an upper bound, meets it.  dimension() runs that
+proof on every call.  Normal forms are read off W, which the rref cache
+kind holds: the top columns of W are the free columns of the rows'
+reduced echelon form, and each vector pairs a class vector to its
+coefficient there.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .graphs import LabelledTrivalentGraph, _canonical_generators, graph_of_key
 from .graphs import has_parallel_edge, reduce
 from .hubs import hub_rows
 from .linalg import as_dicts, exact_rank, in_echelon, kernel_vectors, peel_singletons
-from .linalg import peeled_rank_mod_p, vanishes_on
+from .linalg import rank_mod_p, vanishes_on
 
 
 class PrimeDisagreementError(Exception):
@@ -189,17 +190,29 @@ class GraphSpace:
     def _certificate(self) -> list:
         """W, proved from the relation rows: the kernel vectors that vanish
         on every row, in echelon form, so independent, and as many as the
-        basis size n the rows come with minus the rank mod p, an upper bound
-        on the dimension, for the first of PRIMES that closes the gap.  Both
-        bounds read one singleton peel."""
+        basis size n the rows come with minus a lower bound on their rank,
+        which bounds the dimension above, for the first of PRIMES that
+        closes the gap.  Both bounds read one
+        singleton peel: (peeled, rest).
+
+        The bound len(peeled) + rank_mod_p(rest, p) is at most the rank of
+        the rows over the rationals at every p.  Each row the peel pivots
+        has its other entries on columns peeled before it, so in peel order
+        those rows are triangular on the peeled columns, with a nonzero
+        diagonal, and zero off them; a row the peel empties lies in their
+        span.  So the rank of the rows is len(peeled) plus the rank of rest,
+        the other rows without their peeled columns, and the rank mod p of
+        integer rows never exceeds their rank over the rationals (a minor
+        that is nonzero mod p is a nonzero integer).
+        """
         rows = self.relation_rows()
         n = self._size
-        peel = peel_singletons(rows)
+        peeled, rest = peel = peel_singletons(rows)
         weights = [w for w in kernel_vectors(n, peel) if vanishes_on(rows, w)]
         if not in_echelon(weights):
             raise PrimeDisagreementError("kernel vectors are not in echelon form")
         for p in PRIMES:
-            high = n - peeled_rank_mod_p(rows, peel, p)
+            high = n - len(peeled) - rank_mod_p(rest, p)
             if high == len(weights):
                 return weights
         raise PrimeDisagreementError(

@@ -244,8 +244,8 @@ class TestDim:
     def test_bounds_that_do_not_meet_exit_1(self, tmp_path, capsys, monkeypatch):
         """A modular rank off by one leaves the certificate open: one error
         line, no traceback, no output."""
-        rank = spaces.peeled_rank_mod_p
-        monkeypatch.setattr(spaces, "peeled_rank_mod_p", lambda *a: rank(*a) + 1)
+        rank = spaces.rank_mod_p
+        monkeypatch.setattr(spaces, "rank_mod_p", lambda *a: rank(*a) + 1)
         code, out, err = run(capsys, "dim", "-k", "2", "--cache", str(tmp_path))
         assert (code, out) == (1, "")
         assert err.splitlines() == [

@@ -424,7 +424,8 @@ def weight_systems(sp):
 
 class TestCertificate:
     """dimension() returns d only when d checked kernel vectors meet
-    n - rank mod p; both bounds can fail."""
+    n - len(peeled) - rank mod p of the rows the peel leaves; both bounds
+    can fail."""
 
     K5 = {25: -1, 27: 2, 28: 2, 29: -1, 30: 1}
 
@@ -443,10 +444,25 @@ class TestCertificate:
 
     @pytest.mark.parametrize("off", [1, -1])
     def test_modular_rank_off_by_one_is_refused(self, monkeypatch, off):
-        rank = S.peeled_rank_mod_p
-        monkeypatch.setattr(S, "peeled_rank_mod_p", lambda *a: rank(*a) + off)
+        rank = S.rank_mod_p
+        monkeypatch.setattr(S, "rank_mod_p", lambda *a: rank(*a) + off)
         with pytest.raises(S.PrimeDisagreementError, match="bounds do not meet"):
             space(2).dimension()
+
+    @pytest.mark.parametrize("k,dim", [(1, 0), (2, 1), (3, 0), (4, 0), (5, 1), (6, 0)])
+    def test_small_primes_keep_every_dimension(self, k, dim, monkeypatch, request):
+        """The upper bound holds at every p, also where p divides a peeled
+        entry, as 2 does at k=5 and 6: with 2 and 3 tried first, every
+        dimension is the one the large primes prove, and 2 closes it."""
+        sp = cold_space(k, request)
+        peeled, _ = peel_singletons(sp.relation_rows())
+        assert any(v % 2 == 0 for v in peeled.values()) == (k >= 5)
+        tried = []
+        rank = S.rank_mod_p
+        monkeypatch.setattr(S, "PRIMES", (2, 3, *S.PRIMES))
+        monkeypatch.setattr(S, "rank_mod_p", lambda rows, p: tried.append(p) or rank(rows, p))
+        assert sp.dimension() == dim
+        assert tried == [2]
 
     def test_failed_functional_is_refused(self, monkeypatch):
         monkeypatch.setattr(S, "vanishes_on", lambda rows, w: False)
@@ -456,10 +472,8 @@ class TestCertificate:
     def test_later_prime_closes(self, monkeypatch):
         """A first prime whose rank is short does not decide: the next one
         in PRIMES closes the bounds."""
-        rank = S.peeled_rank_mod_p
-        monkeypatch.setattr(
-            S, "peeled_rank_mod_p", lambda rows, peel, p: rank(rows, peel, p) - (p == S.PRIMES[0])
-        )
+        rank = S.rank_mod_p
+        monkeypatch.setattr(S, "rank_mod_p", lambda rows, p: rank(rows, p) - (p == S.PRIMES[0]))
         assert space(5).dimension() == 1
 
     def test_kernel_vectors_out_of_echelon_form_are_refused(self, monkeypatch):
@@ -580,12 +594,19 @@ class TestBasisKeys:
 
 
 class TestRelationRows:
-    @pytest.mark.parametrize("k", [*range(1, 7), pytest.param(7, marks=pytest.mark.slow)])
+    @pytest.mark.parametrize(
+        "k", [*range(1, 7), *(pytest.param(k, marks=pytest.mark.slow) for k in (7, 8))]
+    )
     def test_rows_are_expansion_rows_of_each_hub(self, k, request):
         """Row for row, entries in column order: oracles.expansion_row
         (three reduces per hub) on each canonical hub in first-reach order,
         zero rows dropped.  k=6 (1,181 rows) takes about 4 s on the shared
-        space6; k=7 (12,759 rows) about 50 s with its listing, so -m slow."""
+        space6; k=7 (12,759 rows) about 50 s with its listing, so -m slow;
+        k=8 (156,932 rows from 250,307 hubs) about 5 minutes beyond the
+        shared space8.  Every hub is checked: a sample that held each hub
+        with a nontrivial automorphism group would hold most of them (96%
+        at k=7), as a loop's flip is one.  A hub is remembered by its key,
+        much smaller than its edge tuple."""
         sp = cold_space(k, request)
         expected = []
         seen = set()
@@ -594,8 +615,9 @@ class TestRelationRows:
                 if u == v:
                     continue
                 four = _canonical_hub(G.contract_edge(g, e))[0]
-                if four.edges not in seen:
-                    seen.add(four.edges)
+                key = G.canonical_key(four.num_vertices, four.edges)
+                if key not in seen:
+                    seen.add(key)
                     row = oracles.expansion_row(sp, four)
                     if row:
                         expected.append(sorted(row.items()))
