@@ -3,9 +3,9 @@
 Vertices are 0..n-1.  Edges are unordered pairs (u, v); u == v is a loop and
 parallel edges are allowed.  Canonicalization is by iterative colour
 refinement plus individualization with backtracking, minimizing the
-by-placement lower-triangular adjacency encoding.  Automorphism generators
-are collected from encoding ties, which is enough to recover the full vertex
-automorphism group by closure.
+by-placement lower-triangular adjacency encoding.  Each encoding tie gives
+an automorphism, and the automorphisms found prune the rest of the search;
+those returned generate the full vertex automorphism group.
 
 Each search node costs little:
 
@@ -27,10 +27,59 @@ Each search node costs little:
   the parent's encoding prefix in place and compares it with the best
   encoding so far as one list.
 
-The search tree, its node order, the prune test and the generators are
-those of the plain algorithm (re-rank every vertex every pass, rebuild the
-prefix at every node).  tests/test_canon.py freezes every field of
-`CanonResult` on a golden corpus, so class keys and caches do not move.
+The search tree and its node order are those of the plain algorithm
+(re-rank every vertex every pass, rebuild the prefix at every node).  A
+node's placed vertices are its leading singletons; its children
+individualize, in turn, the vertices of its first cell that is not a
+singleton.  Every step is invariant under relabelling, so an automorphism g
+that fixes the placed vertices of a node N maps N to itself, its child N.w
+to N.g(w), and the subtree below N.w onto the one below N.g(w), leaf for
+leaf with equal encodings.  The search skips three kinds of subtree (McKay
+and Piperno, "Practical graph isomorphism, II", 2014):
+
+1. A node whose encoding prefix is larger than the best leaf's.
+2. A child N.v with v in the orbit of a child N.w tried before it, under
+   the generators found so far that fix every placed vertex of N.  At the
+   root every generator fixes them.
+3. After a leaf L ties the best leaf B, with the generator phi mapping B's
+   t-th placed vertex to L's: the rest of the subtree below D.v, where D
+   is the node at which L's path leaves B's (the node of L's path with as
+   many placed vertices as the two placement orders share) and v is the
+   child on L's path.  phi fixes D's placed vertices and maps B's child of
+   D to D.v, and the search goes on with D's next child.
+
+Why enc and perm do not move.  They are read off the best leaf, which only
+a strictly smaller leaf replaces, so they are those of L*, the first leaf
+in node order with the least encoding, as long as the search visits L*.
+Each skipped subtree has an earlier leaf of equal encoding for every leaf
+in it: in 1 every leaf is larger; in 2 the subtree is g's image of the one
+below the earlier child N.w; in 3 the rest of the subtree below D.v is
+phi's image of the subtree below B's child of D, which came first.  So no
+prune skips L*.
+
+Why the generators generate Aut_v.  Let N_0, ..., N_m = L* be the path to
+L*, x the vertex N_i individualizes on it, O the orbit of x in N_i's target
+cell under Gamma_i, the automorphisms fixing N_i's placed vertices, and
+H_i the group of the returned generators that fix them.  Downward from
+Gamma_m = 1, suppose Gamma_(i+1) = H_(i+1), which lies in H_i.
+- x comes first in O: for an earlier y = g(x), g(L*) would be an earlier
+  leaf of equal encoding.
+- N_i reaches each later y in O after L* has become the best leaf.  From
+  then on a tie below N_i leaves L*'s path at N_i or below, so no return
+  passes N_i; and N_i.y, whose prefix is L*'s, is not skipped by 1.
+- If N_i.y is tried, its subtree holds g(L*), and the argument above,
+  applied inside it, shows that the search below N_i.y reaches a leaf that
+  ties L*, unless a return cuts it short, which also needs a tie below
+  N_i.y.  The first such tie leaves L*'s path at N_i, and its generator
+  maps x to y.
+- If 2 skips N_i.y, y is in the H_i-orbit of a tried child in O, so of x.
+So O is x's orbit under H_i.  An h in H_i mapping x to g(x) for a g in
+Gamma_i leaves h^-1 g in the stabilizer of x in Gamma_i, which is
+Gamma_(i+1) because refinement is invariant.  So Gamma_i = H_i, and at
+i = 0 the generators generate Aut_v.
+
+tests/test_canon.py freezes enc and perm on a golden corpus, so class keys
+and caches do not move, and checks the group order of the generators.
 
 Everything here is deliberately dependency-free and works at "desk scale"
 (n <= 14 or so); the heavy callers cache aggressively.
@@ -92,6 +141,19 @@ def _refine(nbrs, base, cells, col, split):
                 col[v] = start
 
 
+def _find(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent, a, b):
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra != rb:
+        parent[ra] = rb
+
+
 def canonicalize(n: int, edges) -> CanonResult:
     """Canonicalize the multigraph on n vertices with the given edge list."""
     if n <= 0:
@@ -120,27 +182,16 @@ def canonicalize(n: int, edges) -> CanonResult:
 
     best_enc = None
     best_placed = None
+    back = None
     placed: list = []
     pref: list = []
     gens: list = []
     gen_seen: set = set()
-    parent = list(range(n))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    def search(cells, col, depth):
+    def search(cells, col):
         """Visit the node whose colouring is (cells, col); placed and pref
         hold the parent's leading singletons and their encoding rows."""
-        nonlocal best_enc, best_placed
+        nonlocal best_enc, best_placed, back
         top, width = len(placed), len(pref)
         at = top
         while at < n and len(cells[at]) == 1:
@@ -160,16 +211,25 @@ def canonicalize(n: int, edges) -> CanonResult:
                 for i, v in enumerate(best_placed):
                     phi[v] = placed[i]
                 phi = tuple(phi)
-                if phi not in gen_seen and phi != tuple(range(n)):
+                if phi not in gen_seen:
                     gen_seen.add(phi)
                     gens.append(phi)
-                    for v in range(n):
-                        union(v, phi[v])
+                # return to the node where this path leaves the best leaf's
+                back = 0
+                while placed[back] == best_placed[back]:
+                    back += 1
         else:
             target = cells[at]
             tried: list = []
+            orbit = list(range(n))  # union-find: orbits of the generators fixing placed
+            done = 0
             for v in target:
-                if depth == 0 and any(find(v) == find(w) for w in tried):
+                for g in gens[done:]:
+                    if all([g[w] == w for w in placed]):
+                        for w in target:
+                            _union(orbit, w, g[w])
+                done = len(gens)
+                if any(_find(orbit, v) == _find(orbit, w) for w in tried):
                     continue
                 tried.append(v)
                 rest = [w for w in target if w != v]
@@ -180,11 +240,15 @@ def canonicalize(n: int, edges) -> CanonResult:
                 for w in rest:
                     child_col[w] = at + 1
                 _refine(nbrs, base, child_cells, child_col, target)
-                search(child_cells, child_col, depth + 1)
+                search(child_cells, child_col)
+                if back is not None:
+                    if back < at:
+                        break
+                    back = None
         del placed[top:]
         del pref[width:]
 
-    search(cells, col, 0)
+    search(cells, col)
     # search refers to itself, so drop it here: the search state is then
     # freed on return instead of left as a cycle for the cyclic collector
     del search
@@ -197,8 +261,8 @@ def canonicalize(n: int, edges) -> CanonResult:
 def close_group(n: int, generators) -> list:
     """All elements of the permutation group generated by the given tuples.
     A generator already in the group so far is skipped, and the group is
-    closed again after each one kept, so at most log2 of its order are kept
-    (canonicalize gives about half the order on some symmetric graphs)."""
+    closed again after each one kept, so at most log2 of its order are
+    kept."""
     seen = {tuple(range(n))}
     gens: list = []
     for g in map(tuple, generators):

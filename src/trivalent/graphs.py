@@ -214,8 +214,8 @@ def _signed_generators(pairs, res: CanonResult):
       the map's parity;
     - the flip of each loop, sign +1.
     These generate the whole group: the vertex generators give every vertex
-    automorphism, and the transpositions and flips every one over the
-    identity."""
+    automorphism (the canon module docstring proves it), and the
+    transpositions and flips every one over the identity."""
     ident = list(range(len(pairs)))
     for j in range(1, len(pairs)):
         if pairs[j - 1] == pairs[j]:

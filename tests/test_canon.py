@@ -4,11 +4,15 @@ The golden corpus pins every field of `CanonResult` on 7,555 graphs (one
 labelled graph per class for k <= 5, two relabellings of each, and every
 hub graph from a non-loop contraction), so any change to the search tree,
 its node order or its generator collection shows up here before it reaches
-a class key.  The class graphs are frozen in canon_corpus.json, so the
-corpus does not move when the enumerator picks other labelled
-representatives; test_class_key_digest pins the classes the live
-enumerator produces.  The property tests check what a canonical labelling must satisfy on
-random multigraphs with loops and vertices of degree up to 4.
+a class key.  It has three digests: (enc, perm), which class keys and
+caches rest on; the order of the group each item's generators generate,
+which no valid prune can move; and the generators themselves, which a
+change to the automorphism pruning moves.  The class graphs are frozen in
+canon_corpus.json, so the corpus does not move when the enumerator picks
+other labelled representatives; test_class_key_digest pins the classes the
+live enumerator produces.  The property tests check what a canonical
+labelling and its generators must satisfy on random multigraphs with loops
+and vertices of degree up to 4.
 """
 
 import gc
@@ -23,11 +27,15 @@ from hypothesis import strategies as st
 
 from trivalent import graphs as G
 from trivalent import spaces
-from trivalent.canon import canonicalize
+from trivalent.canon import canonicalize, close_group
 
 CORPUS_SEED = 181202448
 CORPUS_ITEMS = 7555
-CORPUS_DIGEST = "b4f772c334f7f40745677c50ac1ba9a7817eb1f9bac7425492750262d3fccb04"
+CORPUS_DIGESTS = {
+    "enc_perm": "7c08fa67437bfd266d192d3f6a5507f31855cc1a10bc1b1ab1b6b4ef39fb6435",
+    "group_order": "de5e9cdbcba619a1d09e356b5a1064941a5a0d3da082344693e6d68344ca30ae",
+    "generators": "d35d531bf8ff682a3a252fb750dd8bc33b421210fc73b64f1ae1e1c689e5e87f",
+}
 
 # sha256 of the sorted signed and zero key lists, as recorded for the benchmark
 KEY_DIGESTS = {
@@ -66,15 +74,31 @@ def corpus():
                 yield c.num_vertices, c.edges
 
 
-def test_golden_corpus():
+@pytest.fixture(scope="module")
+def golden():
+    return [(n, canonicalize(n, edges)) for n, edges in corpus()]
+
+
+def _digest(parts):
     digest = hashlib.sha256()
-    count = 0
-    for n, edges in corpus():
-        r = canonicalize(n, edges)
-        digest.update(repr((r.enc, r.perm, r.aut_generators)).encode())
-        count += 1
-    assert count == CORPUS_ITEMS
-    assert digest.hexdigest() == CORPUS_DIGEST
+    for part in parts:
+        digest.update(repr(part).encode())
+    return digest.hexdigest()
+
+
+def test_golden_corpus(golden):
+    assert len(golden) == CORPUS_ITEMS
+    assert _digest((r.enc, r.perm) for _, r in golden) == CORPUS_DIGESTS["enc_perm"]
+
+
+def test_golden_group_orders(golden):
+    orders = (len(close_group(n, r.aut_generators)) for n, r in golden)
+    assert _digest(orders) == CORPUS_DIGESTS["group_order"]
+
+
+def test_golden_generators(golden):
+    assert sum(len(r.aut_generators) for _, r in golden) == 7934
+    assert _digest(r.aut_generators for _, r in golden) == CORPUS_DIGESTS["generators"]
 
 
 def test_leaves_no_cyclic_garbage():
@@ -102,9 +126,9 @@ def test_class_key_digest(enumerated, k):
 
 
 @st.composite
-def multigraphs(draw):
+def multigraphs(draw, max_n=8):
     """A multigraph with loops whose vertex degrees stay at most 4."""
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, max_n))
     deg = [0] * n
     edges = []
     for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=16)):
@@ -157,6 +181,29 @@ def _multiset(edges):
     return sorted((u, v) if u <= v else (v, u) for u, v in edges)
 
 
+def _automorphism_count(n, edges):
+    """The vertex permutations that keep the edge multiset, counted by brute
+    force: a map of 0..t-1 is extended to t by every unused vertex whose
+    multiplicities to the images of 0..t, itself included, are t's."""
+    m = [[0] * n for _ in range(n)]
+    for u, v in edges:
+        m[u][v] += 1
+        if u != v:
+            m[v][u] += 1
+
+    def extend(phi):
+        t = len(phi)
+        if t == n:
+            return 1
+        return sum(
+            extend(phi + [w])
+            for w in range(n)
+            if w not in phi and all(m[t][s] == m[w][x] for s, x in enumerate(phi + [w]))
+        )
+
+    return extend([])
+
+
 class TestCanonicalizeProperties:
     @given(relabelled())
     @settings(max_examples=200, deadline=None)
@@ -181,6 +228,24 @@ class TestCanonicalizeProperties:
             assert sorted(phi) == list(range(n))
             assert phi != tuple(range(n))
             assert _multiset([(phi[u], phi[v]) for u, v in edges]) == target
+
+    @given(multigraphs(max_n=6))
+    @settings(max_examples=200, deadline=None)
+    def test_generators_generate_the_group(self, data):
+        """The generators close to every vertex permutation that keeps the
+        edge multiset."""
+        n, edges = data
+        order = _automorphism_count(n, edges)
+        assert len(close_group(n, canonicalize(n, edges).aut_generators)) == order
+
+    def test_orbits_are_those_of_the_node_stabilizer(self):
+        """On this cubic graph with 6 vertex automorphisms, pruning a node's
+        children by a generator that moves one of its placed vertices would
+        drop half the group; the small graphs above do not show it."""
+        edges = [(1, 7), (0, 8), (4, 7), (9, 3), (5, 2), (3, 4), (9, 4), (1, 6)]
+        edges += [(8, 1), (2, 3), (2, 6), (0, 9), (6, 7), (5, 8), (5, 0)]
+        assert _automorphism_count(10, edges) == 6
+        assert len(close_group(10, canonicalize(10, edges).aut_generators)) == 6
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_no_vertices_rejected(self, n):

@@ -346,12 +346,13 @@ class TestAutOrient:
 
     def test_gadget_necklace(self, tmp_path, capsys):
         """The canonical labelling of the gadget necklace at m = 5 carries
-        4,095 generators of its 10,240 vertex automorphisms.  The group is
-        closed over only the generators that grow it, so gc aut answers in
-        about a second, where composing every generator with every element
-        takes minutes; the bound leaves a wide margin for a slow host."""
+        12 generators of its 10,240 vertex automorphisms: the search prunes
+        by the orbits of every automorphism it has found, so it does not
+        record one at each of the thousands of leaves that tie the best.
+        gc aut closes the group in about half a second; the bound leaves a
+        wide margin for a slow host."""
         necklace = G.LabelledTrivalentGraph.from_json(gadget_necklace(5))
-        assert len(canon.canonicalize(30, necklace.edges).aut_generators) == 4095
+        assert len(canon.canonicalize(30, necklace.edges).aut_generators) == 12
         path = write(tmp_path, "necklace.json", gadget_necklace(5))
         expected = '{"order":10240,"edge_order":1,"vertex_order":10240,"generators":10240}\n'
         start = time.perf_counter()
