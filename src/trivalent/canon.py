@@ -5,7 +5,7 @@ parallel edges are allowed.  Canonicalization is by iterative colour
 refinement plus individualization with backtracking, minimizing the
 by-placement lower-triangular adjacency encoding.  Each encoding tie gives
 an automorphism, and the automorphisms found prune the rest of the search;
-those returned generate the full vertex automorphism group.
+those returned generate the full vertex automorphism group, no two alike.
 
 Each search node costs little:
 
@@ -78,8 +78,18 @@ Gamma_i leaves h^-1 g in the stabilizer of x in Gamma_i, which is
 Gamma_(i+1) because refinement is invariant.  So Gamma_i = H_i, and at
 i = 0 the generators generate Aut_v.
 
+Why no generator repeats, so each tie's is kept as found.  Two distinct
+leaves place different vertex sequences, so none is the identity.  Let a
+tie at L against the best leaf B give phi, with D and D.v as in 3 and D.b
+B's child of D, so v = phi(b).  B has been the best leaf since it was
+found, as the best leaf only gets smaller, so a tie after that giving phi
+was at phi(B) = L, which is visited once.  A tie before that came before
+the loop at D left D.b for D.v; then 2 put v in b's orbit under phi, which
+fixes D's placed vertices, and skipped D.v, so L was not reached.
+
 tests/test_canon.py freezes enc and perm on a golden corpus, so class keys
-and caches do not move, and checks the group order of the generators.
+and caches do not move, and checks the generators' group order and that
+none repeats.
 
 Everything here is deliberately dependency-free and works at "desk scale"
 (n <= 14 or so); the heavy callers cache aggressively.
@@ -186,7 +196,6 @@ def canonicalize(n: int, edges) -> CanonResult:
     placed: list = []
     pref: list = []
     gens: list = []
-    gen_seen: set = set()
 
     def search(cells, col):
         """Visit the node whose colouring is (cells, col); placed and pref
@@ -210,10 +219,7 @@ def canonicalize(n: int, edges) -> CanonResult:
                 phi = [0] * n
                 for i, v in enumerate(best_placed):
                     phi[v] = placed[i]
-                phi = tuple(phi)
-                if phi not in gen_seen:
-                    gen_seen.add(phi)
-                    gens.append(phi)
+                gens.append(tuple(phi))
                 # return to the node where this path leaves the best leaf's
                 back = 0
                 while placed[back] == best_placed[back]:
@@ -259,26 +265,18 @@ def canonicalize(n: int, edges) -> CanonResult:
 
 
 def close_group(n: int, generators) -> list:
-    """All elements of the permutation group generated by the given tuples.
-    A generator already in the group so far is skipped, and the group is
-    closed again after each one kept, so at most log2 of its order are
-    kept."""
+    """All elements of the permutation group generated by a sequence of
+    permutations, sorted.  A breadth-first closure from the identity
+    composes each new element with every generator, so it costs the group
+    order times the generator count."""
     seen = {tuple(range(n))}
-    gens: list = []
-    for g in map(tuple, generators):
-        if g in seen:
-            continue
-        gens.append(g)
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for s in gens:
-                for h in frontier:
-                    comp = tuple(map(s.__getitem__, h))
-                    if comp not in seen:
-                        seen.add(comp)
-                        nxt.append(comp)
-            frontier = nxt
+    queue = list(seen)
+    for h in queue:
+        for s in generators:
+            comp = tuple(map(s.__getitem__, h))
+            if comp not in seen:
+                seen.add(comp)
+                queue.append(comp)
     return sorted(seen)
 
 

@@ -294,11 +294,11 @@ def automorphisms(g: LabelledTrivalentGraph, res: CanonResult | None = None):
     Aut_e (vertex-fixing automorphisms) permutes each parallel class
     freely, so |Aut_e| is the product of m! over the edge multiplicities m;
     a loop has no flip of its own.  Each vertex automorphism lifts to
-    |Aut_e| of them, so |Aut| = |Aut_e| * |Aut_v|, and no order is counted
-    off a listing.  elements is an iterator over the Automorphism pairs,
-    vertex permutation by vertex permutation, built only as it is read, so
-    it can be read once.  res is g's canonical labelling if the caller has
-    it, as for reduce.
+    |Aut_e| of them, so |Aut| = |Aut_e| * |Aut_v|.  |Aut_v| is the length
+    of the vertex group, which close_group lists in full.  elements is an
+    iterator over the Automorphism pairs, vertex permutation by vertex
+    permutation, built only as it is read, so it can be read once.  res is
+    g's canonical labelling if the caller has it, as for reduce.
     """
     if res is None:
         res = canonicalize(g.num_vertices, g.edges)

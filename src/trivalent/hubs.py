@@ -206,7 +206,7 @@ def hub_rows(basis, generators) -> list:
             if term is not None:
                 i, v = term
                 row[i] = row.get(i, 0) + v
-        row = {i: v for i, v in row.items() if v}
-        if row:
-            rows.append(as_pair(row))
+        pair = as_pair(row)
+        if pair[0]:
+            rows.append(pair)
     return rows

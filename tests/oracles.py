@@ -29,6 +29,17 @@ def join_key(num_vertices, pairs):
     return "cub:%d:" % num_vertices + ",".join("%d-%d" % p for p in sorted(pairs))
 
 
+def vertex_group(g):
+    """All vertex permutations that map g's edge multiset onto itself, in
+    increasing order.  It walks all n! of them, so small n only."""
+    pairs = sorted((u, v) if u <= v else (v, u) for u, v in g.edges)
+    return [
+        p
+        for p in itertools.permutations(range(g.num_vertices))
+        if sorted((p[u], p[v]) if p[u] <= p[v] else (p[v], p[u]) for u, v in pairs) == pairs
+    ]
+
+
 def iso_sign(g, h):
     """None if not isomorphic; 0 if the common class is zero; else the
     relative sign of the edge relabelling carrying g to h."""

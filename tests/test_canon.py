@@ -96,7 +96,16 @@ def test_golden_group_orders(golden):
     assert _digest(orders) == CORPUS_DIGESTS["group_order"]
 
 
+def _assert_no_repeat(n, gens):
+    """canonicalize keeps each tie's generator as found, so none may be the
+    identity or equal another (canon's "Why no generator repeats")."""
+    assert tuple(range(n)) not in gens
+    assert len(set(gens)) == len(gens)
+
+
 def test_golden_generators(golden):
+    for n, r in golden:
+        _assert_no_repeat(n, r.aut_generators)
     assert sum(len(r.aut_generators) for _, r in golden) == 7934
     assert _digest(r.aut_generators for _, r in golden) == CORPUS_DIGESTS["generators"]
 
@@ -236,7 +245,9 @@ class TestCanonicalizeProperties:
         edge multiset."""
         n, edges = data
         order = _automorphism_count(n, edges)
-        assert len(close_group(n, canonicalize(n, edges).aut_generators)) == order
+        gens = canonicalize(n, edges).aut_generators
+        _assert_no_repeat(n, gens)
+        assert len(close_group(n, gens)) == order
 
     def test_orbits_are_those_of_the_node_stabilizer(self):
         """On this cubic graph with 6 vertex automorphisms, pruning a node's

@@ -150,17 +150,6 @@ class TestCanonicalKey:
         assert G.canonical_key(12, pairs) == oracles.join_key(12, pairs)
 
 
-def brute_force_vertex_group(g):
-    """All vertex permutations preserving the edge multiset. Small n only."""
-    pairs = sorted(tuple(sorted(e)) for e in g.edges)
-    out = []
-    for p in itertools.permutations(range(g.num_vertices)):
-        mapped = sorted(tuple(sorted((p[u], p[v]))) for u, v in g.edges)
-        if mapped == pairs:
-            out.append(p)
-    return sorted(out)
-
-
 class TestAutomorphisms:
     @pytest.mark.parametrize(
         "make,counts",
@@ -180,7 +169,7 @@ class TestAutomorphisms:
             g = make()
             auts, _, _, _ = G.automorphisms(g)
             found = sorted({a.vertex_perm for a in auts})
-            assert found == brute_force_vertex_group(g)
+            assert found == oracles.vertex_group(g)
 
     def test_group_matches_brute_force_k2_sweep(self):
         # every trivalent graph on 4 vertices, via stub matchings
@@ -191,7 +180,7 @@ class TestAutomorphisms:
                 continue
             seen.add(key)
             auts, _, _, _ = G.automorphisms(g)
-            assert sorted({a.vertex_perm for a in auts}) == brute_force_vertex_group(g)
+            assert sorted({a.vertex_perm for a in auts}) == oracles.vertex_group(g)
 
     def test_elements_number_the_order_k_le_3(self):
         # the orders are products; the listing must give that many elements
