@@ -78,6 +78,18 @@ Gamma_i leaves h^-1 g in the stabilizer of x in Gamma_i, which is
 Gamma_(i+1) because refinement is invariant.  So Gamma_i = H_i, and at
 i = 0 the generators generate Aut_v.
 
+So the generators are a strong generating set for the base of L*'s
+placement order (Sims; Seress, "Permutation Group Algorithms", 2003): for
+each t, those fixing the first t placed vertices generate the group G_t
+that fixes them.  Let N_i place p_i vertices.  At t <= p_0, G_t is
+Gamma_0 = H_0, as every automorphism fixes the root's singletons.  At
+p_i < t <= p_(i+1), the first t placed vertices include x, and G_t lies in
+x's stabilizer in Gamma_i, which is Gamma_(i+1) and fixes N_(i+1)'s placed
+vertices, so G_t = Gamma_(i+1) = H_(i+1); the generators fixing the first
+t lie between H_(i+1) and G_t.  So |Aut_v| is the product over t of the
+orbit size of the t-th placed vertex under them (orbit-stabilizer at each
+step), which group_order computes without listing the group.
+
 Why no generator repeats, so each tie's is kept as found.  Two distinct
 leaves place different vertex sequences, so none is the identity.  Let a
 tie at L against the best leaf B give phi, with D and D.v as in 3 and D.b
@@ -88,8 +100,8 @@ the loop at D left D.b for D.v; then 2 put v in b's orbit under phi, which
 fixes D's placed vertices, and skipped D.v, so L was not reached.
 
 tests/test_canon.py freezes enc and perm on a golden corpus, so class keys
-and caches do not move, and checks the generators' group order and that
-none repeats.
+and caches do not move, and checks the generators' group order, listed and
+as the product, and that none repeats.
 
 Everything here is deliberately dependency-free and works at "desk scale"
 (n <= 14 or so); the heavy callers cache aggressively.
@@ -262,6 +274,30 @@ def canonicalize(n: int, edges) -> CanonResult:
     for i, v in enumerate(best_placed):
         perm[v] = i
     return CanonResult(tuple(best_enc), tuple(perm), tuple(gens))
+
+
+def group_order(res: CanonResult) -> int:
+    """Order of the vertex automorphism group, as a product.
+
+    The generators are a strong generating set for the base of L*'s
+    placement order (see "Why the generators generate Aut_v"), so the
+    order is the product over t of the orbit size of the t-th placed
+    vertex under the generators that fix the t placed before it."""
+    order = 1
+    gens = res.aut_generators
+    for x in sorted(range(len(res.perm)), key=res.perm.__getitem__):
+        if not gens:
+            break
+        orbit = {x}
+        queue = [x]
+        for v in queue:
+            for g in gens:
+                if g[v] not in orbit:
+                    orbit.add(g[v])
+                    queue.append(g[v])
+        order *= len(orbit)
+        gens = [g for g in gens if g[x] == x]
+    return order
 
 
 def close_group(n: int, generators) -> list:

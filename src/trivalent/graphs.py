@@ -15,7 +15,7 @@ import itertools
 from math import factorial, prod
 
 from ._record import Record
-from .canon import CanonResult, canonicalize, close_group, perm_parity
+from .canon import CanonResult, canonicalize, close_group, group_order, perm_parity
 
 
 class GraphError(Exception):
@@ -294,15 +294,15 @@ def automorphisms(g: LabelledTrivalentGraph, res: CanonResult | None = None):
     Aut_e (vertex-fixing automorphisms) permutes each parallel class
     freely, so |Aut_e| is the product of m! over the edge multiplicities m;
     a loop has no flip of its own.  Each vertex automorphism lifts to
-    |Aut_e| of them, so |Aut| = |Aut_e| * |Aut_v|.  |Aut_v| is the length
-    of the vertex group, which close_group lists in full.  elements is an
-    iterator over the Automorphism pairs, vertex permutation by vertex
-    permutation, built only as it is read, so it can be read once.  res is
-    g's canonical labelling if the caller has it, as for reduce.
+    |Aut_e| of them, so |Aut| = |Aut_e| * |Aut_v|.  |Aut_v| is group_order's
+    product along the generators' stabilizer chain.  elements is an iterator
+    over the Automorphism pairs, vertex permutation by vertex permutation;
+    close_group lists the group only as it is read, so it can be read once.
+    res is g's canonical labelling if the caller has it, as for reduce.
     """
     if res is None:
         res = canonicalize(g.num_vertices, g.edges)
-    vgroup = close_group(g.num_vertices, res.aut_generators)
+    aut_v = group_order(res)
     classes: dict = {}
     for i, (u, v) in enumerate(g.edges):
         classes.setdefault((u, v) if u <= v else (v, u), []).append(i)
@@ -310,7 +310,7 @@ def automorphisms(g: LabelledTrivalentGraph, res: CanonResult | None = None):
     aut_e = prod(factorial(len(members)) for members in classes.values())
 
     def elements():
-        for phi in vgroup:
+        for phi in close_group(g.num_vertices, res.aut_generators):
             targets = []
             for p in class_pairs:
                 a, b = phi[p[0]], phi[p[1]]
@@ -324,7 +324,7 @@ def automorphisms(g: LabelledTrivalentGraph, res: CanonResult | None = None):
                         eperm[src] = dst
                 yield Automorphism(phi, tuple(eperm))
 
-    return elements(), aut_e * len(vgroup), aut_e, len(vgroup)
+    return elements(), aut_e * aut_v, aut_e, aut_v
 
 
 class FourValentGraph(Record):

@@ -165,6 +165,16 @@ def _homology_defect(c: GradedComplex, d: int) -> int:
     return c.ranks[d] - rank_of(d) - rank_of(d + 1)
 
 
+def _check_width(c: GradedComplex, d: int) -> None:
+    """NotAcyclic at degree d if its rank exceeds its neighbours' sum, which
+    leaves it homology, checked before its dense residual is built.  If the
+    check passes, ranks[d] ** 2 is at most the entry count of ∂_d and
+    ∂_(d+1), so the residual is no larger than the input spells out."""
+    ranks = (0, *c.ranks, 0)
+    if ranks[d + 1] > ranks[d] + ranks[d + 2]:
+        raise NotAcyclicError(d, _homology_defect(c, d))
+
+
 def _residual(c: GradedComplex, listed: dict, gs: dict, d: int):
     """(R, den) with R / den = id − ∂_{d+1} g_d − g_{d−1} ∂_d in degree d,
     each term only if gs holds its degree.
@@ -213,6 +223,7 @@ def compute_propagator(c: GradedComplex) -> Propagator:
     g = Propagator(c.ranks, {}, {})
     gs: dict = {}
     for d in range(TOP_DEGREE):
+        _check_width(c, d)
         rhs, den = _residual(c, listed, gs, d)
         sol = solve_exact(c.boundaries[d + 1], rhs, c.ranks[d + 1])
         if sol is None:
@@ -227,6 +238,7 @@ def compute_propagator(c: GradedComplex) -> Propagator:
         g.mats[d], g.dens[d] = x, den
         gs[d] = nonzeros(x), den
     # top degree: g_3 ∂_4 = id follows from exactness; verify outright
+    _check_width(c, TOP_DEGREE)
     if not _is_zero(_residual(c, listed, gs, TOP_DEGREE)[0]):
         raise NotAcyclicError(TOP_DEGREE, _homology_defect(c, TOP_DEGREE))
     return g

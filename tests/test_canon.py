@@ -12,7 +12,9 @@ canon_corpus.json, so the corpus does not move when the enumerator picks
 other labelled representatives; test_class_key_digest pins the classes the
 live enumerator produces.  The property tests check what a canonical
 labelling and its generators must satisfy on random multigraphs with loops
-and vertices of degree up to 4.
+and vertices of degree up to 4, and on connected cubic multigraphs with up
+to 14 vertices, where the generators' stabilizer-chain product is checked
+against a brute-force count.
 """
 
 import gc
@@ -27,9 +29,10 @@ from hypothesis import strategies as st
 
 from trivalent import graphs as G
 from trivalent import spaces
-from trivalent.canon import canonicalize, close_group
+from trivalent.canon import canonicalize, close_group, group_order
 
 CORPUS_SEED = 181202448
+STUB_SEED = 1
 CORPUS_ITEMS = 7555
 CORPUS_DIGESTS = {
     "enc_perm": "7c08fa67437bfd266d192d3f6a5507f31855cc1a10bc1b1ab1b6b4ef39fb6435",
@@ -92,8 +95,11 @@ def test_golden_corpus(golden):
 
 
 def test_golden_group_orders(golden):
-    orders = (len(close_group(n, r.aut_generators)) for n, r in golden)
+    """The listed order is frozen, and the stabilizer-chain product that
+    automorphisms returns equals it on every item."""
+    orders = [len(close_group(n, r.aut_generators)) for n, r in golden]
     assert _digest(orders) == CORPUS_DIGESTS["group_order"]
+    assert [group_order(r) for _, r in golden] == orders
 
 
 def _assert_no_repeat(n, gens):
@@ -176,6 +182,33 @@ def relabelled(draw):
     return n, edges, moved
 
 
+def _connected(n, edges):
+    reached = {0}
+    for _ in range(n):
+        reached |= {v for e in edges for u, v in (e, e[::-1]) if u in reached}
+    return len(reached) == n
+
+
+def stub_matchings(seed, count):
+    """count connected cubic multigraphs with loops and parallel edges on 8
+    to 14 vertices: random matchings of their 3n stubs, under a random
+    relabelling.  A disconnected draw is drawn again, as it can have 645,120
+    automorphisms (seven dumbbells), which _automorphism_count visits one
+    by one."""
+    rng = random.Random(seed)
+    drawn = []
+    while len(drawn) < count:
+        n = rng.choice([8, 10, 12, 14])
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        vperm = list(range(n))
+        rng.shuffle(vperm)
+        edges = [(vperm[u], vperm[v]) for u, v in zip(stubs[::2], stubs[1::2])]
+        if _connected(n, edges):
+            drawn.append((n, edges))
+    return drawn
+
+
 def _encode(n, edges):
     """The lower-triangular encoding of a labelled multigraph in label order."""
     m = [[0] * n for _ in range(n)]
@@ -192,22 +225,35 @@ def _multiset(edges):
 
 def _automorphism_count(n, edges):
     """The vertex permutations that keep the edge multiset, counted by brute
-    force: a map of 0..t-1 is extended to t by every unused vertex whose
-    multiplicities to the images of 0..t, itself included, are t's."""
+    force.  The vertices are taken in breadth-first order, so each one after
+    its component's first has a neighbour before it; a map of the first t is
+    extended to the next, u, by every unused vertex whose multiplicities to
+    the images of the first t and to itself are u's."""
     m = [[0] * n for _ in range(n)]
     for u, v in edges:
         m[u][v] += 1
         if u != v:
             m[v][u] += 1
+    seq = []
+    for root in range(n):
+        if root in seq:
+            continue
+        i = len(seq)
+        seq.append(root)
+        while i < len(seq):
+            seq += [u for u in range(n) if m[seq[i]][u] and u not in seq]
+            i += 1
 
     def extend(phi):
         t = len(phi)
         if t == n:
             return 1
+        u = seq[t]
         return sum(
             extend(phi + [w])
             for w in range(n)
-            if w not in phi and all(m[t][s] == m[w][x] for s, x in enumerate(phi + [w]))
+            if w not in phi
+            and all(m[u][seq[s]] == m[w][x] for s, x in enumerate(phi + [w]))
         )
 
     return extend([])
@@ -242,12 +288,25 @@ class TestCanonicalizeProperties:
     @settings(max_examples=200, deadline=None)
     def test_generators_generate_the_group(self, data):
         """The generators close to every vertex permutation that keeps the
-        edge multiset."""
+        edge multiset, and their stabilizer-chain product counts them."""
         n, edges = data
         order = _automorphism_count(n, edges)
-        gens = canonicalize(n, edges).aut_generators
-        _assert_no_repeat(n, gens)
-        assert len(close_group(n, gens)) == order
+        res = canonicalize(n, edges)
+        _assert_no_repeat(n, res.aut_generators)
+        assert group_order(res) == len(close_group(n, res.aut_generators)) == order
+
+    def test_cubic_generators_are_a_strong_generating_set(self):
+        """On cubic graphs large enough for the search to find generators
+        deep in a node's subtree, the product along the stabilizer chain
+        and the listed group both count the automorphisms, and no generator
+        repeats.  A search that refreshes a node's orbits only before its
+        first child repeats generators on 7 of these 300 draws (6 to 12 at
+        seeds 1 to 3)."""
+        for n, edges in stub_matchings(STUB_SEED, 300):
+            res = canonicalize(n, edges)
+            _assert_no_repeat(n, res.aut_generators)
+            order = _automorphism_count(n, edges)
+            assert group_order(res) == len(close_group(n, res.aut_generators)) == order
 
     def test_orbits_are_those_of_the_node_stabilizer(self):
         """On this cubic graph with 6 vertex automorphisms, pruning a node's
@@ -256,7 +315,8 @@ class TestCanonicalizeProperties:
         edges = [(1, 7), (0, 8), (4, 7), (9, 3), (5, 2), (3, 4), (9, 4), (1, 6)]
         edges += [(8, 1), (2, 3), (2, 6), (0, 9), (6, 7), (5, 8), (5, 0)]
         assert _automorphism_count(10, edges) == 6
-        assert len(close_group(10, canonicalize(10, edges).aut_generators)) == 6
+        res = canonicalize(10, edges)
+        assert group_order(res) == len(close_group(10, res.aut_generators)) == 6
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_no_vertices_rejected(self, n):

@@ -7,7 +7,6 @@ import re
 import shutil
 import subprocess
 import sys
-import time
 import zlib
 from pathlib import Path
 
@@ -64,6 +63,10 @@ def prism(n):
     """The prism over an n-cycle: 2n vertices and 3n edges."""
     cycles = [[h + i, h + (i + 1) % n] for h in (0, n) for i in range(n)]
     return {"vertices": 2 * n, "edges": cycles + [[i, n + i] for i in range(n)]}
+
+
+def refuse(*args):
+    raise AssertionError("an automorphism or the group was built")
 
 
 # JSON nested far past the decoder's recursion limit
@@ -344,35 +347,38 @@ class TestAutOrient:
             )
             assert run(capsys, "aut", path) == (0, expected, "")
 
-    def test_gadget_necklace(self, tmp_path, capsys):
+    def test_gadget_necklace(self, tmp_path, capsys, monkeypatch):
         """The canonical labelling of the gadget necklace at m = 5 carries
         12 generators of its 10,240 vertex automorphisms: the search prunes
         by the orbits of every automorphism it has found, so it does not
         record one at each of the thousands of leaves that tie the best.
-        gc aut closes the group in about half a second; the bound leaves a
-        wide margin for a slow host."""
+        gc aut reads |Aut_v| off their stabilizer chain, so it lists no
+        group, even at m = 10 with 20,971,520 vertex automorphisms."""
         necklace = G.LabelledTrivalentGraph.from_json(gadget_necklace(5))
         assert len(canon.canonicalize(30, necklace.edges).aut_generators) == 12
-        path = write(tmp_path, "necklace.json", gadget_necklace(5))
-        expected = '{"order":10240,"edge_order":1,"vertex_order":10240,"generators":10240}\n'
-        start = time.perf_counter()
-        assert run(capsys, "aut", path) == (0, expected, "")
-        assert time.perf_counter() - start < 30
+        monkeypatch.setattr(G, "close_group", refuse)
+        for m, order in ((5, 10240), (10, 20971520)):
+            path = write(tmp_path, "necklace.json", gadget_necklace(m))
+            expected = (
+                f'{{"order":{order},"edge_order":1,'
+                f'"vertex_order":{order},"generators":{order}}}\n'
+            )
+            assert run(capsys, "aut", path) == (0, expected, "")
 
     def test_counts_build_no_automorphism(self, tmp_path, capsys, monkeypatch):
-        """gc aut and both surgery evaluators read only the group orders,
-        so none of them lists the group."""
-
-        def refuse(*args):
-            raise AssertionError("an automorphism was built")
-
+        """gc aut, both surgery evaluators and gc selftest read only the
+        group orders, so none of them lists the group."""
         monkeypatch.setattr(G, "Automorphism", refuse)
+        monkeypatch.setattr(G, "close_group", refuse)
         surgery = ("surgery", "--cache", str(tmp_path), "--mode")
         for graph in (k4_json(), theta_json()):
             path = write(tmp_path, "g.json", graph)
             for argv in (("aut",), (*surgery, "orbit"), (*surgery, "full")):
                 code, _, err = run(capsys, *argv, path)
                 assert (code, err) == (0, "")
+        code, out, err = run(capsys, "selftest", "--max-k", "2", "--cache", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["ok"] is True
 
     def test_orient_feeds_surgery(self, tmp_path, capsys):
         path = write(tmp_path, "theta.json", theta_json())

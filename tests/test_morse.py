@@ -1,6 +1,7 @@
 """Graded complexes, propagators, duals, transport, split-edge bookkeeping."""
 
 import hashlib
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -106,6 +107,26 @@ class TestPropagator:
         with pytest.raises(M.NotAcyclicError) as e:
             M.compute_propagator(c)
         assert (e.value.degree, e.value.defect) == (4, 1)
+
+    @pytest.mark.parametrize("degree", [0, M.TOP_DEGREE])
+    def test_wide_degree_fails_before_its_residual(self, degree):
+        """A degree of rank 3,000 between two of rank 0 has homology, and the
+        file spells out no entry of its boundaries: the error comes before
+        a 3,000 x 3,000 residual is built."""
+        ranks = [0] * (M.TOP_DEGREE + 1)
+        ranks[degree] = 3000
+        c = M.GradedComplex.from_json(
+            {"ranks": ranks, "boundaries": {"1": [[]] * ranks[0], "2": [], "3": [], "4": []}}
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(M.NotAcyclicError) as e:
+                M.compute_propagator(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(e.value) == f"homology at degree {degree} has dimension 3000"
+        assert peak < 5_000_000
 
     def test_idempotents(self):
         c, _ = complexes.random_complex(7)
