@@ -24,15 +24,24 @@ earlier format all miss.  Pins exist at k=1..8; at any other k store writes
 nothing, since load would read nothing, so a run at k >= 9 caches nothing.
 The pin is checked before the JSON is parsed.  It catches accidental edits,
 not a forged CRC-32 collision; behind it each decoder still checks its
-payload's shape, so that a forged file of the wrong shape is ignored too,
-not a traceback: the format_version, a basis size that is not an int of at
-least 0 or that is not the size load was given, a position outside the
-basis, a basis graph that is not trivalent on 2k vertices or whose pairs
-are out of order, basis keys that do not increase strictly, a row whose
-columns do not increase strictly or that holds a zero or a value that is
-not an int, and rref rows that are not in echelon form (linalg.in_echelon),
-two of them sharing a top column, say.  JSON nested past the decoder's
-recursion limit is ignored like any unreadable file.
+file's shape, so that a forged file of the wrong shape is ignored too, not
+a traceback.  Types are checked on the bytes, before the parse: a basis,
+relations or rref file must be the header json.dumps writes, then, for the
+row kinds, {"size": <digits>, "cols": ..., "vals": ...}, with nothing but
+digits, "[", "]", "," and " " inside the lists, and "-" as well in vals,
+and it must hold one "[" per list of its shape (1 plus the number of
+graphs, or 2 plus the number of rows of cols and of vals) with each item of
+the top-level lists a list.  So every scalar is an int, at least 0 outside
+vals, and the lists nest exactly two deep, with no check per item.  Values
+are checked after the parse: a basis size that is not the size load was
+given, a position outside the basis, a basis graph that is not trivalent on
+2k vertices or whose pairs are out of order, basis keys that do not
+increase strictly, a row whose columns do not increase strictly or that
+holds a zero, and rref rows that are not in echelon form
+(linalg.in_echelon), two of them sharing a top column, say.  The zeros file
+is checked after the parse alone: its format_version, and a payload of
+strings.  JSON nested past the decoder's recursion limit is ignored like
+any unreadable file.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ import os
 import re
 import zlib
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, eq, ge, gt, lt, mul
+from operator import add, eq, ge, le, lt, mul
 from pathlib import Path
 
 from .graphs import _keys_of_codes, graph_of_key
@@ -74,53 +83,81 @@ def _list_of(x, kind) -> list:
     return x
 
 
-def _basis_keys(p, k, size) -> tuple:
+def _bytes_of(payload: bytes) -> re.Pattern:
+    """The bytes of a file that json.dumps wrote: the header, then the
+    payload as the given pattern spells it."""
+    head = b'{"format_version": %d, "payload": ' % FORMAT_VERSION
+    return re.compile(re.escape(head) + payload + rb"\}")
+
+
+# nested lists of ints, spelled in digits, "[", "]", "," and " " alone,
+# and with "-" as well where an int may be negative
+_LISTS = rb"[0-9\[\], ]*"
+_SIGNED_LISTS = rb"[-0-9\[\], ]*"
+_BASIS_BYTES = _bytes_of(_LISTS)
+_ROWS_BYTES = _bytes_of(
+    rb'\{"size": [0-9]+, "cols": ' + _LISTS + rb', "vals": ' + _SIGNED_LISTS + rb"\}"
+)
+
+
+def _basis_keys(raw, k, size) -> tuple:
     """The basis: the class key each graph of the payload spells.  A graph
     is the flat list of its key's pairs, in order: 6k ints, each vertex of
     the 2k the end of exactly three edges."""
-    graphs = _list_of(p, list)
-    flat = _list_of(list(chain.from_iterable(graphs)), int)  # ints, before they are sorted
+    _check(_BASIS_BYTES.fullmatch(raw))
+    graphs = _list_of(json.loads(raw)["payload"], list)
+    # one "[" for the payload and one for each graph: no graph holds a
+    # list, so, by the bytes, each holds ints of at least 0
+    _check(raw.count(b"[") == 1 + len(graphs))
+    flat = list(chain.from_iterable(graphs))
     trivalent = sorted([*range(2 * k)] * 3)  # [0, 0, 0, 1, 1, 1, ...]
     # which also makes each graph 6k long, so that a graph starts every 3k pairs
     _check(all(map(eq, map(sorted, graphs), repeat(trivalent))))
     # each pair (a, b) as the int 2k*a + b, which orders them as the pairs
-    # are ordered: one smaller than the one before it must start a graph
+    # are ordered: each code but a graph's first is at least the one before
     codes = list(map(add, map(mul, flat[::2], repeat(2 * k)), flat[1::2]))
-    starts = set(range(0, len(codes), 3 * k))
-    _check(starts.issuperset(compress(count(1), map(gt, codes, islice(codes, 1, None)))))
+    before = [-1, *codes]  # the code before each, or -1 where a graph starts
+    before[:: 3 * k] = repeat(-1, len(graphs) + 1)
+    _check(all(map(le, before, codes)))
     keys = _keys_of_codes(2 * k, codes, 3 * k)
     _check(all(map(lt, keys, keys[1:])))  # as classify sorts them
     return keys
 
 
-def _zero_keys(p, k, size) -> frozenset:
-    return frozenset(_list_of(p, str))
+def _zero_keys(raw, k, size) -> frozenset:
+    data = json.loads(raw)
+    _check(isinstance(data, dict) and data.get("format_version") == FORMAT_VERSION)
+    return frozenset(_list_of(data.get("payload"), str))
 
 
-def _relation_rows(p, k, size) -> tuple:
+def _relation_rows(raw, k, size) -> tuple:
     """(n, rows) from {"size": n, "cols": [...], "vals": [...]}: sparse
     integer rows over a basis of size n, size itself unless that is None,
     each row the (cols, vals) pair of parallel lists the file holds, the
     columns positions in the basis that increase strictly, and no value
     zero."""
-    _check(type(p) is dict)
-    n, cols, vals = p.get("size"), _list_of(p.get("cols"), list), _list_of(p.get("vals"), list)
-    _check(type(n) is int and n >= 0 and size in (None, n))
+    _check(_ROWS_BYTES.fullmatch(raw))
+    p = json.loads(raw)["payload"]
+    n, cols, vals = p["size"], _list_of(p["cols"], list), _list_of(p["vals"], list)
+    # one "[" for each of the two lists and one for each row: no row holds
+    # a list, so, by the bytes, each holds ints, columns of at least 0
+    _check(raw.count(b"[") == 2 + len(cols) + len(vals))
+    _check(size in (None, n))
     lengths = list(map(len, cols))
     _check(lengths == list(map(len, vals)))
-    flat = _list_of(list(chain.from_iterable(cols)), int)
-    _check(not flat or (min(flat) >= 0 and max(flat) < n))
+    flat = list(chain.from_iterable(cols))
+    _check(not flat or max(flat) < n)
     # a column no larger than the one before it in the flat list must start
     # a row: its index there must be a running total of the row lengths
     starts = set(accumulate(lengths))
     _check(starts.issuperset(compress(count(1), map(ge, flat, islice(flat, 1, None)))))
-    _check(0 not in _list_of(list(chain.from_iterable(vals)), int))
+    _check(0 not in chain.from_iterable(vals))
     return n, list(zip(cols, vals))
 
 
-def _weight_rows(p, k, size) -> tuple:
+def _weight_rows(raw, k, size) -> tuple:
     """(n, W), each functional in W a dict, column -> value."""
-    n, rows = _relation_rows(p, k, size)
+    n, rows = _relation_rows(raw, k, size)
     rows = as_dicts(rows)
     _check(in_echelon(rows))
     return n, rows
@@ -141,12 +178,13 @@ def _weight_columns(value) -> dict:
 
 
 # each kind's (encoder, decoder): the encoder turns the value GraphSpace
-# uses into a payload, and the decoder turns a payload back into that value,
-# given k, which a basis checks its graphs against, and the basis size that
-# the relations and rref rows must record, or None to take the one they
-# record; it raises ValueError on a payload of the wrong shape.  The value
-# of relations and rref is the pair (n, rows).  Decoders check over flat
-# lists, a few C-level calls a payload, not item by item.
+# uses into a payload, and the decoder turns a file's bytes back into that
+# value, given k, which a basis checks its graphs against, and the basis
+# size that the relations and rref rows must record, or None to take the
+# one they record; it raises ValueError on a file of the wrong shape.  The
+# value of relations and rref is the pair (n, rows).  Decoders check types
+# on the bytes and values over flat lists, a few C-level calls a file, not
+# item by item.
 _FORMATS = {
     "basis": (_flat_graphs, _basis_keys),
     "zeros": (sorted, _zero_keys),
@@ -183,9 +221,7 @@ class Cache:
             with open(self.path(k, kind), "rb") as f:
                 raw = f.read()
             _check(zlib.crc32(raw) == _PINS.get(k, {}).get(kind))
-            data = json.loads(raw)
-            _check(isinstance(data, dict) and data.get("format_version") == FORMAT_VERSION)
-            return _FORMATS[kind][1](data.get("payload"), k, size)
+            return _FORMATS[kind][1](raw, k, size)
         except (OSError, ValueError, RecursionError):
             return None
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from math import factorial, prod
+from operator import itemgetter
 
 from ._record import Record
 from .canon import CanonResult, canonicalize, close_group, group_order, perm_parity
@@ -158,12 +159,17 @@ def canonical_key(num_vertices: int, pairs) -> str:
 def _keys_of_codes(num_vertices: int, codes, num_pairs: int) -> tuple:
     """canonical_key of consecutive graphs of num_pairs sorted pairs each,
     from the code num_vertices * a + b of each pair (a, b) on num_vertices
-    vertices: each pair's text is looked up in one table (_pair_texts), and
-    no format runs per key."""
-    texts = list(map(_pair_texts(num_vertices).__getitem__, codes))
+    vertices: each pair's text is looked up in one table (_pair_texts), all
+    in one itemgetter call, and one join and one split spell every key."""
+    if not codes:
+        return ()
+    # a graph has at least three pairs, so itemgetter gets several codes and
+    # gives the tuple of their texts
+    texts = list(itemgetter(*codes)(_pair_texts(num_vertices)))
     head = f"cub:{num_vertices}:"
-    starts = range(0, len(texts), num_pairs)
-    return tuple([head + ",".join(texts[i : i + num_pairs]) for i in starts])
+    # each key after the first starts with a line break, where the split cuts
+    texts[num_pairs::num_pairs] = map(f"\n{head}".__add__, texts[num_pairs::num_pairs])
+    return tuple((head + ",".join(texts)).split(",\n"))
 
 
 def graph_of_key(key: str) -> LabelledTrivalentGraph:

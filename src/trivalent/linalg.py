@@ -74,31 +74,35 @@ def peel_singletons(rows) -> tuple:
     """The singleton peel of structured Gaussian elimination, over the
     integers: (peeled, rest).
 
-    rows are (cols, vals) pairs, as the relation rows are: distinct
-    columns, and no value zero.  A row with one live entry v pivots its
-    column: peeled maps that column to v, and the column leaves every other
-    row, which may leave new singletons to peel in turn.  rest holds, as
-    dicts, the rows left nonempty when none is a singleton.  No row is
-    copied or modified while the peel runs: each keeps a count of its live
-    entries, and its live columns are those not peeled.
+    rows are (cols, vals) pairs, as the relation rows are: columns that
+    increase strictly, and no value zero.  A row with one live entry v
+    pivots its column: peeled maps that column to v, and the column leaves
+    every other row, which may leave new singletons to peel in turn.  rest
+    holds, as dicts, the rows left nonempty when none is a singleton.  No
+    row is copied or modified while the peel runs: each keeps a count of
+    its live entries, and its live columns are those not peeled.
     """
+    # at each column, the indices of the rows it appears in; the columns
+    # increase, so a row's last is its largest
+    holders = [[] for _ in range(1 + max([cols[-1] for cols, _ in rows if cols], default=-1))]
     left = []  # the live entries of each row
-    holders: dict = {}  # column -> indices of the rows it appears in
     for i, (cols, _) in enumerate(rows):
         left.append(len(cols))
         for c in cols:
-            holders.setdefault(c, []).append(i)
+            holders[c].append(i)
     peeled: dict = {}
     todo = [i for i, m in enumerate(left) if m == 1]
     while todo:
         i = todo.pop()
         if left[i] != 1:  # emptied by a singleton of the same column
             continue
-        for col, v in zip(*rows[i]):
-            if col not in peeled:  # its one live entry
-                break
-        peeled[col] = v
-        for j in holders.pop(col):
+        cols, vals = rows[i]
+        t = 0
+        while cols[t] in peeled:  # its one live entry is the first not peeled
+            t += 1
+        col = cols[t]
+        peeled[col] = vals[t]
+        for j in holders[col]:
             left[j] -= 1
             if left[j] == 1:
                 todo.append(j)

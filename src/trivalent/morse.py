@@ -113,17 +113,22 @@ def check_complex(c: GradedComplex, listed: dict | None = None) -> GradedComplex
     """Verify ∂∘∂ = 0 in every degree; raises with the first bad entry.
 
     listed is c's boundaries as nonzeros lists, if the caller has them.
-    Each product is zero-tested whole; only a nonzero one is searched for
-    its first entry in row-major order.
+    Each product is built one dense row at a time, and only at the rows of
+    ∂_(d-1) that hold a nonzero, so it takes the memory of one row whatever
+    the ranks; the first nonzero entry in row-major order is the one
+    reported.
     """
     if listed is None:
         listed = _listed_boundaries(c)
     for d in range(2, TOP_DEGREE + 1):
-        prod = [[0] * c.ranks[d] for _ in range(c.ranks[d - 2])]
-        sub_product(prod, listed[d - 1], listed[d], -1)
-        if not _is_zero(prod):
-            i, j = next((i, j) for i, row in enumerate(prod) for j, v in enumerate(row) if v)
-            raise NotAComplexError(d, i, j, prod[i][j])
+        for i, a in enumerate(listed[d - 1]):
+            if not a:
+                continue
+            row = [0] * c.ranks[d]
+            sub_product([row], [a], listed[d], -1)
+            if any(row):
+                j = next(j for j, v in enumerate(row) if v)
+                raise NotAComplexError(d, i, j, row[j])
     return c
 
 

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -162,6 +163,10 @@ def with_rows(cols, vals):
     return rows_edit(lambda c, v: (cols, vals))
 
 
+# the k=2 basis and relations files as json.dumps writes them with compact
+# separators, "," and ":"
+COMPACT_BASIS_K2 = '{"format_version":1,"payload":[[0,1,0,2,0,3,1,1,2,2,3,3],[0,1,0,2,0,3,1,2,1,3,2,3]]}'
+COMPACT_RELATIONS_K2 = '{"format_version":1,"payload":{"size":2,"cols":[[0]],"vals":[[1]]}}'
 # a graph with vertex degrees 2, 3, 3, 4 in canonical form
 ODD_DEGREES = {"vertices": 4, "edges": [[0, 1], [0, 2], [1, 2], [1, 3], [2, 3], [3, 3]]}
 # two disjoint copies of K4, each trivalent, in canonical form
@@ -504,6 +509,28 @@ class TestMorsePropagator:
             calls.clear()
             assert run(capsys, "morse-propagator", write(tmp_path, "c.json", payload))[0] == code
             assert len(calls) == 1
+
+    def test_wide_degrees_with_empty_boundaries(self, tmp_path, capsys):
+        """Ranks 3,000, 0 and 3,000 in degrees 0 to 2, every boundary empty:
+        the file spells out no entry, and ∂1∂2, 3,000 x 3,000, is checked
+        without being built, so the command ends in its error line at a
+        peak far below the 72 MB of that product."""
+        path = write(
+            tmp_path,
+            "c.json",
+            {
+                "ranks": [3000, 0, 3000, 0, 0],
+                "boundaries": {"1": [[]] * 3000, "2": [], "3": [[]] * 3000, "4": []},
+            },
+        )
+        tracemalloc.start()
+        try:
+            result = run(capsys, "morse-propagator", path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (1, "", "error: homology at degree 0 has dimension 3000\n")
+        assert peak < 5_000_000
 
     def test_not_a_complex(self, tmp_path, capsys):
         path = write(
@@ -1013,6 +1040,23 @@ class TestCache:
             (2, "rref", edited(lambda p: {**p, "size": None}), k2),
             # W for a basis of another size, which reduce reads beside the basis
             (2, "rref", edited(lambda p: {**p, "size": 3}), k2),
+            # files whose bytes alone give them away: compact separators, a
+            # column that is true or null, a value that is a string, a list
+            # three deep in a basis graph and in the columns, and a negative
+            # column
+            (2, "basis", COMPACT_BASIS_K2, k2),
+            (2, "relations", COMPACT_RELATIONS_K2, k2),
+            (2, "relations", with_rows([[None]], [[1]]), k2),
+            (2, "rref", with_rows([[True]], [[1]]), k2),
+            (2, "relations", with_rows([[0]], [["1"]]), k2),
+            (2, "basis", edited(lambda p: [[p[0][:1]] + p[0][1:]] + p[1:]), k2),
+            (2, "relations", with_rows([[[0]]], [[1]]), k2),
+            (2, "relations", with_rows([[-1, 0]], [[1, 1]]), k2),
+            # files with as many "[" as their shape has lists, one list
+            # deeper than it should be beside an int where a list should be,
+            # which the byte count alone lets through
+            (2, "relations", with_rows([5, [[1]]], [[1], [1]]), k2),
+            (2, "basis", edited(lambda p: [0, [p[0]]] + p[1:]), k2),
         ]
         cases = [(case, False) for case in wrong_bytes] + [(case, True) for case in forged]
         for i, ((k, kind, bad, commands), pin) in enumerate(cases):

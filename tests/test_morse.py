@@ -61,6 +61,17 @@ class TestCheckComplex:
             M.check_complex(c)
         assert (e.value.degree, e.value.row, e.value.col, e.value.value) == (2, 0, 2, 7)
 
+    def test_rows_before_the_bad_one_are_passed_over(self):
+        """∂1's row 0 holds no nonzero and row 1's product row vanishes, so
+        the first nonzero entry of ∂1∂2 is in row 2."""
+        c = M.GradedComplex(
+            (3, 2, 1, 0, 0),
+            {1: [[0, 0], [1, -1], [0, 1]], 2: [[1], [1]], 3: [[]], 4: []},
+        )
+        with pytest.raises(M.NotAComplexError) as e:
+            M.check_complex(c)
+        assert (e.value.degree, e.value.row, e.value.col, e.value.value) == (2, 2, 0, 1)
+
     def test_shape_validation(self):
         with pytest.raises(M.MorseError):
             M.GradedComplex((1, 1, 0, 0, 0), {1: [[1, 1]], 2: [[]], 3: [], 4: []})

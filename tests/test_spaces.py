@@ -920,7 +920,9 @@ class TestKeysAreTheBasis:
         here with zlib.  The k=7 space classifies the shared listing, and
         its rows and W take a few seconds more; the k=8 build takes a few
         minutes, so that case is slow, and shares space8 with the k=8
-        dimension test."""
+        dimension test.  Each pinned file also loads back as the value it
+        was written from: a decoder that turned a pinned file away would
+        only make the run rebuild it, which no output shows."""
         sp = cold_space(k, request)
         n = len(sp.keys)
         values = {"basis": sp.keys, "zeros": sp.zero_keys}
@@ -933,6 +935,7 @@ class TestKeysAreTheBasis:
         assert all(list(pins) == list(KINDS) for pins in cache_module._PINS.values())
         crcs = {kind: zlib.crc32(cache.path(k, kind).read_bytes()) for kind in kinds}
         assert crcs == {kind: cache_module._PINS[k][kind] for kind in kinds}
+        assert all(cache.load(k, kind, n) == values[kind] for kind in kinds)
 
 
 class TestCache:
