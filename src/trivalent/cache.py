@@ -83,20 +83,25 @@ def _list_of(x, kind) -> list:
     return x
 
 
-def _bytes_of(payload: bytes) -> re.Pattern:
-    """The bytes of a file that json.dumps wrote: the header, then the
-    payload as the given pattern spells it."""
-    head = b'{"format_version": %d, "payload": ' % FORMAT_VERSION
-    return re.compile(re.escape(head) + payload + rb"\}")
+# the header json.dumps writes before each payload
+_HEAD = b'{"format_version": %d, "payload": ' % FORMAT_VERSION
+
+
+def _check_bytes(raw: bytes, payload: re.Pattern) -> None:
+    """raw is the bytes of a file that json.dumps wrote: the header, then
+    the payload and the closing brace as the given pattern spells them.
+    The header is compared, not compiled, and the pattern reads raw from
+    where the header ends, without a copy."""
+    _check(raw.startswith(_HEAD) and payload.fullmatch(raw, len(_HEAD)))
 
 
 # nested lists of ints, spelled in digits, "[", "]", "," and " " alone,
 # and with "-" as well where an int may be negative
 _LISTS = rb"[0-9\[\], ]*"
 _SIGNED_LISTS = rb"[-0-9\[\], ]*"
-_BASIS_BYTES = _bytes_of(_LISTS)
-_ROWS_BYTES = _bytes_of(
-    rb'\{"size": [0-9]+, "cols": ' + _LISTS + rb', "vals": ' + _SIGNED_LISTS + rb"\}"
+_BASIS_BYTES = re.compile(_LISTS + rb"\}")
+_ROWS_BYTES = re.compile(
+    rb'\{"size": [0-9]+, "cols": ' + _LISTS + rb', "vals": ' + _SIGNED_LISTS + rb"\}\}"
 )
 
 
@@ -104,7 +109,7 @@ def _basis_keys(raw, k, size) -> tuple:
     """The basis: the class key each graph of the payload spells.  A graph
     is the flat list of its key's pairs, in order: 6k ints, each vertex of
     the 2k the end of exactly three edges."""
-    _check(_BASIS_BYTES.fullmatch(raw))
+    _check_bytes(raw, _BASIS_BYTES)
     graphs = _list_of(json.loads(raw)["payload"], list)
     # one "[" for the payload and one for each graph: no graph holds a
     # list, so, by the bytes, each holds ints of at least 0
@@ -136,7 +141,7 @@ def _relation_rows(raw, k, size) -> tuple:
     each row the (cols, vals) pair of parallel lists the file holds, the
     columns positions in the basis that increase strictly, and no value
     zero."""
-    _check(_ROWS_BYTES.fullmatch(raw))
+    _check_bytes(raw, _ROWS_BYTES)
     p = json.loads(raw)["payload"]
     n, cols, vals = p["size"], _list_of(p["cols"], list), _list_of(p["vals"], list)
     # one "[" for each of the two lists and one for each row: no row holds

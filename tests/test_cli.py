@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import cli_corpus
 from trivalent import cache as cache_module
 from trivalent import canon, cli, morse, spaces
 from trivalent import graphs as G
@@ -767,19 +768,52 @@ class TestMisc:
         assert "{" not in out
 
     def test_usage_errors_exit_2(self, tmp_path, capsys):
+        """Each usage error exits 2, and stderr starts with the usage of the
+        parser that found it: the top-level one for an unknown command, the
+        command's own for its own arguments."""
+        top = "usage: gc [-h] [--format {json,table}]"
+        dim = "usage: gc dim [-h] -k K"
         bad_calls = [
-            ["frobnicate"],
-            ["dim"],
-            ["dim", "-k", "0"],
-            ["dim", "-k", "2", "--jobs", "0"],
-            ["dim", "-k", "2", "--primes", "2"],
-            ["surgery", "x.json", "--mode", "sideways"],
+            (["frobnicate"], top),
+            (["dim"], dim),
+            (["dim", "-k", "0"], dim),
+            (["dim", "-k", "2", "--jobs", "0"], dim),
+            (["dim", "-k", "2", "--primes", "2"], dim),
+            (["surgery", "x.json", "--mode", "sideways"], "usage: gc surgery [-h]"),
         ]
-        for argv in bad_calls:
+        for argv, usage in bad_calls:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
-            capsys.readouterr()
+            assert capsys.readouterr().err.splitlines()[0].startswith(usage), argv
+
+
+class TestDispatch:
+    """main gives an argv that starts with a command's name to that
+    command's own parser, and any other to the top-level parse."""
+
+    def test_corpus_matches_the_top_level_parse(self, tmp_path):
+        """Exit code, stdout and stderr of every argv of the corpus, and of
+        main(None), are those of the top-level parse and the same handler."""
+        assert cli_corpus.differences(str(tmp_path)) == []
+
+    def test_commands_skip_the_top_level_parse(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "k4.json", k4_json())
+        calls = [
+            ["dim", "-k", "2", "--cache", str(tmp_path)],
+            ["aut", path],
+            ["reduce", path, "--cache", str(tmp_path)],
+        ]
+        expected = [run(capsys, *argv) for argv in calls]
+
+        def refuse_parse(*args):
+            raise AssertionError("the top-level parser ran")
+
+        parser = cli.build_parser()
+        monkeypatch.setattr(parser, "parse_args", refuse_parse)
+        monkeypatch.setattr(parser, "parse_known_args", refuse_parse)
+        assert [run(capsys, *argv) for argv in calls] == expected
+        assert all(code == 0 for code, _, _ in expected)
 
 
 class TestCache:
