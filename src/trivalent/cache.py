@@ -2,9 +2,11 @@
 
 Each kind's file format lives here: store takes the value GraphSpace uses
 and load gives it back.  A basis is its tuple of class keys; its file holds
-the graph each key spells as one flat list of ints, the key's pairs in
-order, and load spells the keys back from them, one table lookup per
-pair (graphs._keys_of_codes).  The relations kind holds the relation rows,
+one flat list of pair codes 2k*a + b, 3k for each key, in key order, the
+code of each pair (a, b) of the key in the key's order: at k=2, K4's key
+cub:4:0-1,0-2,0-3,1-2,1-3,2-3 is [1, 2, 3, 6, 7, 11].  Load spells the
+keys back from the codes, one table lookup per code
+(graphs._keys_of_codes).  The relations kind holds the relation rows,
 and the rref kind the weight systems W that normal forms are read from,
 both as (n, rows), sparse integer rows over a basis of size n, stored as
 columns: {"size": n, "cols": [...], "vals": [...]}, one list of columns and
@@ -26,18 +28,22 @@ The pin is checked before the JSON is parsed.  It catches accidental edits,
 not a forged CRC-32 collision; behind it each decoder still checks its
 file's shape, so that a forged file of the wrong shape is ignored too, not
 a traceback.  Types are checked on the bytes, before the parse: a basis,
-relations or rref file must be the header json.dumps writes, then, for the
+relations or rref file must be the header json.dumps writes, then, for a
+basis, one "[" and one "]" with nothing but digits, "," and " " between
+them, so that the payload is one flat list of ints of at least 0; for the
 row kinds, {"size": <digits>, "cols": ..., "vals": ...}, with nothing but
 digits, "[", "]", "," and " " inside the lists, and "-" as well in vals,
-and it must hold one "[" per list of its shape (1 plus the number of
-graphs, or 2 plus the number of rows of cols and of vals) with each item of
-the top-level lists a list.  So every scalar is an int, at least 0 outside
-vals, and the lists nest exactly two deep, with no check per item.  Values
-are checked after the parse: a basis size that is not the size load was
-given, a position outside the basis, a basis graph that is not trivalent on
-2k vertices or whose pairs are out of order, basis keys that do not
-increase strictly, a row whose columns do not increase strictly or that
-holds a zero, and rref rows that are not in echelon form
+and one "[" per list of its shape (2 plus the number of rows of cols and
+of vals) with each item of the top-level lists a list, so that every
+scalar is an int, at least 0 outside vals, and the lists nest exactly two
+deep.  No item is checked one by one.  Values are checked after the parse:
+a basis size that is not the size load was given, a position outside the
+basis, a basis code count that is not a multiple of 3k, a code of (2k)^2
+or more, a basis graph whose codes decrease, that holds a pair (a, b) with
+a > b or that is not trivalent (its degrees are checked exactly, as the
+digits of one running sum, in which such a pair counts no ends), basis
+keys that do not increase strictly, a row whose columns do not increase
+strictly or that holds a zero, and rref rows that are not in echelon form
 (linalg.in_echelon), two of them sharing a top column, say.  The zeros file
 is checked after the parse alone: its format_version, and a payload of
 strings.  JSON nested past the decoder's recursion limit is ignored like
@@ -51,7 +57,7 @@ import os
 import re
 import zlib
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, eq, ge, le, lt, mul
+from operator import ge, le, lt
 from pathlib import Path
 
 from .graphs import _keys_of_codes, graph_of_key
@@ -62,13 +68,13 @@ FORMAT_VERSION = 1
 # k from 1 to 8: the one rule that load applies before it parses a file
 _PINS = {
     1: {"basis": 0xAAFD31CC, "zeros": 0x1E4DBD87, "relations": 0xDB6F5E73, "rref": 0xDB6F5E73},
-    2: {"basis": 0xF564D44B, "zeros": 0xA7472371, "relations": 0xAB71707D, "rref": 0xCE164B3B},
-    3: {"basis": 0x2E6C2F0E, "zeros": 0x442A0D8B, "relations": 0xE8A1F1C9, "rref": 0x067768F1},
-    4: {"basis": 0xD65A377F, "zeros": 0xBB3E6A45, "relations": 0x59CFF882, "rref": 0xBA2E3536},
-    5: {"basis": 0xDA7E236D, "zeros": 0x3D3EEF1B, "relations": 0xBFDA66AF, "rref": 0xFBD97CB3},
-    6: {"basis": 0x01298010, "zeros": 0xDBA79B24, "relations": 0x240E3C12, "rref": 0x389AED96},
-    7: {"basis": 0x010F1608, "zeros": 0x50734312, "relations": 0x92A2480C, "rref": 0xB1C749E4},
-    8: {"basis": 0x06E33278, "zeros": 0xF869144B, "relations": 0x2188FFA1, "rref": 0x2E550763},
+    2: {"basis": 0xEC55BE8E, "zeros": 0xA7472371, "relations": 0xAB71707D, "rref": 0xCE164B3B},
+    3: {"basis": 0xC65764DA, "zeros": 0x442A0D8B, "relations": 0xE8A1F1C9, "rref": 0x067768F1},
+    4: {"basis": 0x983F9B68, "zeros": 0xBB3E6A45, "relations": 0x59CFF882, "rref": 0xBA2E3536},
+    5: {"basis": 0xCA45EE3C, "zeros": 0x3D3EEF1B, "relations": 0xBFDA66AF, "rref": 0xFBD97CB3},
+    6: {"basis": 0x59C9454A, "zeros": 0xDBA79B24, "relations": 0x240E3C12, "rref": 0x389AED96},
+    7: {"basis": 0x551D9B70, "zeros": 0x50734312, "relations": 0x92A2480C, "rref": 0xB1C749E4},
+    8: {"basis": 0x0C580062, "zeros": 0xF869144B, "relations": 0x2188FFA1, "rref": 0x2E550763},
 }
 
 
@@ -95,36 +101,47 @@ def _check_bytes(raw: bytes, payload: re.Pattern) -> None:
     _check(raw.startswith(_HEAD) and payload.fullmatch(raw, len(_HEAD)))
 
 
+# one "[" and one "]" with digits, "," and " " alone between them: of
+# these bytes json.loads reads nothing but one flat list of ints >= 0
+_BASIS_BYTES = re.compile(rb"\[[0-9, ]*\]\}")
 # nested lists of ints, spelled in digits, "[", "]", "," and " " alone,
 # and with "-" as well where an int may be negative
 _LISTS = rb"[0-9\[\], ]*"
 _SIGNED_LISTS = rb"[-0-9\[\], ]*"
-_BASIS_BYTES = re.compile(_LISTS + rb"\}")
 _ROWS_BYTES = re.compile(
     rb'\{"size": [0-9]+, "cols": ' + _LISTS + rb', "vals": ' + _SIGNED_LISTS + rb"\}\}"
 )
 
 
 def _basis_keys(raw, k, size) -> tuple:
-    """The basis: the class key each graph of the payload spells.  A graph
-    is the flat list of its key's pairs, in order: 6k ints, each vertex of
-    the 2k the end of exactly three edges."""
+    """The basis: the class key each graph of the payload spells.  The
+    payload is one flat list of pair codes 2k*a + b, 3k a graph in key
+    order, each graph's codes in its key's order: K4 is [1, 2, 3, 6, 7, 11]
+    at k=2.  Each vertex of the 2k is the end of exactly three edges."""
     _check_bytes(raw, _BASIS_BYTES)
-    graphs = _list_of(json.loads(raw)["payload"], list)
-    # one "[" for the payload and one for each graph: no graph holds a
-    # list, so, by the bytes, each holds ints of at least 0
-    _check(raw.count(b"[") == 1 + len(graphs))
-    flat = list(chain.from_iterable(graphs))
-    trivalent = sorted([*range(2 * k)] * 3)  # [0, 0, 0, 1, 1, 1, ...]
-    # which also makes each graph 6k long, so that a graph starts every 3k pairs
-    _check(all(map(eq, map(sorted, graphs), repeat(trivalent))))
-    # each pair (a, b) as the int 2k*a + b, which orders them as the pairs
-    # are ordered: each code but a graph's first is at least the one before
-    codes = list(map(add, map(mul, flat[::2], repeat(2 * k)), flat[1::2]))
+    codes = json.loads(raw)["payload"]  # by the bytes, a list of ints >= 0
+    n, per_graph = 2 * k, 3 * k
+    graphs = len(codes) // per_graph
+    _check(len(codes) == graphs * per_graph)
+    _check(not codes or max(codes) < n * n)
+    # each code but a graph's first is at least the one before it, as the
+    # pairs of a key are sorted
     before = [-1, *codes]  # the code before each, or -1 where a graph starts
-    before[:: 3 * k] = repeat(-1, len(graphs) + 1)
+    before[::per_graph] = repeat(-1, graphs + 1)
     _check(all(map(le, before, codes)))
-    keys = _keys_of_codes(2 * k, codes, 3 * k)
+    # the degrees of a graph's vertices as the digits of one int: a code
+    # adds one in the digits of its two ends, and a vertex meets at most
+    # 6k ends in a graph, so a digit wider than 6k never carries.  The
+    # running sum at the end of the j-th graph is j times the sum of a
+    # trivalent graph exactly when every graph is trivalent.  A pair (a, b)
+    # with a > b, which no key holds, adds nothing, so its graph falls short
+    width = (6 * k).bit_length()
+    ends = [(1 << width * a) + (1 << width * b) if a <= b else 0 for a in range(n) for b in range(n)]
+    trivalent = 3 * sum(1 << width * v for v in range(n))
+    totals = accumulate(map(ends.__getitem__, codes))
+    totals = list(islice(totals, per_graph - 1, None, per_graph))
+    _check(totals == list(range(trivalent, trivalent * (graphs + 1), trivalent)))
+    keys = _keys_of_codes(n, codes, per_graph)
     _check(all(map(lt, keys, keys[1:])))  # as classify sorts them
     return keys
 
@@ -168,8 +185,13 @@ def _weight_rows(raw, k, size) -> tuple:
     return n, rows
 
 
-def _flat_graphs(keys) -> list:
-    return [[*chain.from_iterable(graph_of_key(key).edges)] for key in keys]
+def _basis_codes(keys) -> list:
+    """The pair code num_vertices * a + b of each pair (a, b) of each key, in order."""
+    codes = []
+    for key in keys:
+        graph = graph_of_key(key)
+        codes += [graph.num_vertices * a + b for a, b in graph.edges]
+    return codes
 
 
 def _columns(value) -> dict:
@@ -191,7 +213,7 @@ def _weight_columns(value) -> dict:
 # on the bytes and values over flat lists, a few C-level calls a file, not
 # item by item.
 _FORMATS = {
-    "basis": (_flat_graphs, _basis_keys),
+    "basis": (_basis_codes, _basis_keys),
     "zeros": (sorted, _zero_keys),
     "relations": (_columns, _relation_rows),
     "rref": (_weight_columns, _weight_rows),

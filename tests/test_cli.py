@@ -108,32 +108,49 @@ def restamped_k2(payload):
     return json.dumps({**header, "payload": payload})
 
 
-def flat(graph):
-    """A graph's JSON as a basis payload stores it: its edge list, flat."""
-    return [end for edge in graph["edges"] for end in edge]
+def codes_of(graph, n=None):
+    """A graph's JSON as a basis payload stores it: the code n*a + b of each
+    of its pairs (a, b), in order, with n its number of vertices unless
+    given."""
+    n = n or graph["vertices"]
+    return [n * a + b for a, b in graph["edges"]]
 
 
-def pairs_of(b):
-    """The pairs of a basis payload graph, the edge list of its key."""
-    return list(zip(b[::2], b[1::2]))
+def graphs_of(payload, k):
+    """The graphs of a basis payload at k as graph JSON: 3k codes a graph,
+    the code 2k*a + b read as the pair (a, b)."""
+    n, size = 2 * k, 3 * k
+    return [
+        {"vertices": n, "edges": [list(divmod(c, n)) for c in payload[i : i + size]]}
+        for i in range(0, len(payload), size)
+    ]
 
 
-def basis_key(b):
-    """The class key of a basis payload graph, by which the basis is sorted."""
-    return G.canonical_key(len(b) // 3, pairs_of(b))
+def basis_key(graph):
+    """The class key of a basis graph's JSON, by which the basis is sorted."""
+    return G.canonical_key(graph["vertices"], graph["edges"])
 
 
-def inserted(graph):
-    """An edit of a basis payload that slots graph's JSON in at its key's place."""
-    return edited(lambda p: sorted(p + [flat(graph)], key=basis_key))
+def inserted(graph, k=None):
+    """An edit of a basis payload at k, that of graph unless given, that
+    slots graph's JSON in at its key's place, its pairs coded as the
+    payload's are."""
+    k = k or graph["vertices"] // 2
+
+    def edit(payload):
+        graphs = sorted(graphs_of(payload, k) + [graph], key=basis_key)
+        return [c for g in graphs for c in codes_of(g, 2 * k)]
+
+    return edited(edit)
 
 
 def without(graph):
     """An edit of a basis payload that drops graph's JSON."""
 
     def edit(payload):
-        assert flat(graph) in payload
-        return [b for b in payload if b != flat(graph)]
+        graphs = graphs_of(payload, graph["vertices"] // 2)
+        assert graph in graphs
+        return [c for g in graphs if g != graph for c in codes_of(g)]
 
     return edited(edit)
 
@@ -141,10 +158,11 @@ def without(graph):
 def relabelled_copy(payload):
     """A relabelled copy of the first graph of a k=2 basis payload whose
     key is not in the payload, as graph JSON."""
-    keys = [basis_key(b) for b in payload]
+    graphs = graphs_of(payload, 2)
+    keys = [basis_key(g) for g in graphs]
     for perm in itertools.permutations(range(4)):
-        edges = sorted(sorted((perm[u], perm[v])) for u, v in pairs_of(payload[0]))
-        if basis_key(flat({"edges": edges})) not in keys:
+        edges = sorted(sorted((perm[u], perm[v])) for u, v in graphs[0]["edges"])
+        if G.canonical_key(4, edges) not in keys:
             return {"vertices": 4, "edges": edges}
 
 
@@ -166,7 +184,7 @@ def with_rows(cols, vals):
 
 # the k=2 basis and relations files as json.dumps writes them with compact
 # separators, "," and ":"
-COMPACT_BASIS_K2 = '{"format_version":1,"payload":[[0,1,0,2,0,3,1,1,2,2,3,3],[0,1,0,2,0,3,1,2,1,3,2,3]]}'
+COMPACT_BASIS_K2 = '{"format_version":1,"payload":[1,2,3,5,10,15,1,2,3,6,7,11]}'
 COMPACT_RELATIONS_K2 = '{"format_version":1,"payload":{"size":2,"cols":[[0]],"vals":[[1]]}}'
 # a graph with vertex degrees 2, 3, 3, 4 in canonical form
 ODD_DEGREES = {"vertices": 4, "edges": [[0, 1], [0, 2], [1, 2], [1, 3], [2, 3], [3, 3]]}
@@ -218,6 +236,12 @@ PINNED_FILES_K2 = {
     "relations-k2.json": '{"format_version": 1, "payload": [{"cols": [0], "vals": [1]}]}',
     "rref-k2.json": '{"format_version": 1, "payload": [{"cols": [1], "vals": [1]}]}',
 }
+# the k=2 basis file a cold build wrote before a basis was stored as one flat
+# list of pair codes: each graph a list of its own, its key's pairs flat
+NESTED_BASIS_K2 = (
+    '{"format_version": 1, "payload": [[0, 1, 0, 2, 0, 3, 1, 1, 2, 2, 3, 3], '
+    "[0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3]]}"
+)
 
 
 class TestDim:
@@ -907,8 +931,8 @@ class TestCache:
         nothing, and on a cold cache it builds and writes nothing."""
         warm = tmp_path / "warm"
         run(capsys, "cache", "warm", "-k", "4", "--cache", str(warm))
-        first = json.loads((warm / "basis-k4.json").read_text())["payload"][0]
-        graph = write(tmp_path, "g.json", {"vertices": 8, "edges": pairs_of(first)})
+        first = graphs_of(json.loads((warm / "basis-k4.json").read_text())["payload"], 4)[0]
+        graph = write(tmp_path, "g.json", first)
         zeros = json.loads((warm / "zeros-k4.json").read_text())["payload"]
 
         def simple(g):  # so that surgery canonicalizes it to find it zero
@@ -977,17 +1001,18 @@ class TestCache:
         clover = write(tmp_path, "clover.json", clover_json())
         k2 = (("reduce", k4), ("reduce", clover), ("enum", "-k", "2"), ("dim", "-k", "2"))
 
-        def far_end(g):
-            return g[:-1] + [9]
+        def far_end(p):
+            """The last pair's far end made 9, past the 4 vertices of k=2."""
+            return p[:-1] + [p[-1] // 4 * 4 + 9]
 
-        def with_end(g, end):
-            assert g[:2] == [0, 1]
-            return [0, end] + g[2:]
+        def with_first(p, code):
+            assert p[0] == 1  # the pair (0, 1)
+            return [code] + p[1:]
 
-        def swapped(g):
-            """The last two pairs of g swapped: the key g then spells is
-            larger, so the keys still increase."""
-            return g[:-4] + g[-2:] + g[-4:-2]
+        def swapped(p):
+            """The last two codes swapped: the key the last graph then
+            spells is larger, so the keys still increase."""
+            return p[:-2] + [p[-1], p[-2]]
 
         # (k, kind, file text or an edit of a warm cache's file, commands):
         # files whose bytes are not the pinned ones, so that the pin alone
@@ -1020,26 +1045,42 @@ class TestCache:
             )
         ]
         forged += [(2, kind, DEEP, (("dim", "-k", "2"),)) for kind in ("basis", "relations")]
-        # a file in the format the pins came in with
+        # a file in the format the pins came in with, and a basis file with
+        # a list for each graph
         forged += [(2, name.split("-")[0], text, k2) for name, text in PINNED_FILES_K2.items()]
+        forged += [(2, "basis", NESTED_BASIS_K2, k2)]
         forged += [
-            (2, "basis", edited(lambda p: p[::-1]), k2),
+            # the two graphs in reverse key order
+            (2, "basis", edited(lambda p: p[6:] + p[:6]), k2),
             # a position past the basis, or a basis graph that is not
             # trivalent on 2k vertices
             (2, "relations", rows_edit(lambda c, v: (c + [[7]], v + [[1]])), k2),
             (2, "rref", rows_edit(lambda c, v: ([r + [9] for r in c], [r + [1] for r in v])), k2),
-            (2, "basis", edited(lambda p: p[:-1] + [far_end(p[-1])]), k2),
+            (2, "basis", edited(far_end), k2),
+            # a code of (2k)^2, the pair (4, 0), in place of K4's last
+            (2, "basis", edited(lambda p: p[:-1] + [16]), k2),
             # a graph that is not trivalent, or not on 2k vertices, in key order
             (2, "basis", inserted(ODD_DEGREES), k2),
-            (2, "basis", inserted(prism(3)), k2),
-            # a graph list of the wrong length: an edge dropped
-            (2, "basis", edited(lambda p: [p[0][:-2]] + p[1:]), k2),
-            # an edge end that %d would format as 1
-            (2, "basis", edited(lambda p: [with_end(p[0], True)] + p[1:]), k2),
-            (2, "basis", edited(lambda p: [with_end(p[0], 1.0)] + p[1:]), k2),
-            # a graph with two of its pairs out of order, each vertex still
+            (2, "basis", inserted(prism(3), 2), k2),
+            # K4's pairs but its 1-3 made 2-3, then 2-3 made 3-3: degrees
+            # 3, 2, 3, 4, the 12 ends of a graph of 6 edges, the codes in
+            # order and the keys increasing
+            (2, "basis", edited(lambda p: p[:6] + [1, 2, 3, 6, 11, 15]), k2),
+            # K4 with its pair 0-1 spelled 1-0, which no key holds: the codes
+            # still in order, the keys increasing and each vertex met three
+            # times
+            (2, "basis", edited(lambda p: p[:6] + [2, 3, 4, 6, 7, 11]), k2),
+            # a code count that is not a multiple of 3k: an edge dropped from
+            # the first graph, or from the last, which leaves every whole
+            # graph trivalent and the keys increasing
+            (2, "basis", edited(lambda p: p[:5] + p[6:]), k2),
+            (2, "basis", edited(lambda p: p[:-1]), k2),
+            # a code that %d would format as 1
+            (2, "basis", edited(lambda p: with_first(p, True)), k2),
+            (2, "basis", edited(lambda p: with_first(p, 1.0)), k2),
+            # a graph with two of its codes out of order, each vertex still
             # met three times and the keys still increasing
-            (2, "basis", edited(lambda p: p[:-1] + [swapped(p[-1])]), k2),
+            (2, "basis", edited(swapped), k2),
             # a zero key that is not a string
             (2, "zeros", edited(lambda p: p + [1]), k2),
             # rows that load to a wrong answer unless their shape is strict:
@@ -1076,21 +1117,22 @@ class TestCache:
             (2, "rref", edited(lambda p: {**p, "size": 3}), k2),
             # files whose bytes alone give them away: compact separators, a
             # column that is true or null, a value that is a string, a list
-            # three deep in a basis graph and in the columns, and a negative
-            # column
+            # in the basis codes and one three deep in the columns, and a
+            # negative column
             (2, "basis", COMPACT_BASIS_K2, k2),
             (2, "relations", COMPACT_RELATIONS_K2, k2),
             (2, "relations", with_rows([[None]], [[1]]), k2),
             (2, "rref", with_rows([[True]], [[1]]), k2),
             (2, "relations", with_rows([[0]], [["1"]]), k2),
-            (2, "basis", edited(lambda p: [[p[0][:1]] + p[0][1:]] + p[1:]), k2),
+            (2, "basis", edited(lambda p: [[p[0]]] + p[1:]), k2),
             (2, "relations", with_rows([[[0]]], [[1]]), k2),
             (2, "relations", with_rows([[-1, 0]], [[1, 1]]), k2),
-            # files with as many "[" as their shape has lists, one list
-            # deeper than it should be beside an int where a list should be,
-            # which the byte count alone lets through
+            # a relations file with as many "[" as its shape has lists, one
+            # list deeper than it should be beside an int where a list should
+            # be, which the byte count alone lets through, and a basis with a
+            # graph's codes in a list of their own beside the flat codes
             (2, "relations", with_rows([5, [[1]]], [[1], [1]]), k2),
-            (2, "basis", edited(lambda p: [0, [p[0]]] + p[1:]), k2),
+            (2, "basis", edited(lambda p: [p[:6]] + p[6:]), k2),
         ]
         cases = [(case, False) for case in wrong_bytes] + [(case, True) for case in forged]
         for i, ((k, kind, bad, commands), pin) in enumerate(cases):
@@ -1145,12 +1187,16 @@ class TestCache:
 
     def test_earlier_format_is_rebuilt_once(self, tmp_path, capsys, monkeypatch):
         """The files of a cache written before the pins, each with its
-        checksum header, and those written when the pins came in, are
-        rebuilt once, to a fresh cache's bytes, with a fresh cache's
+        checksum header, those written when the pins came in, and a basis
+        file with a list for each graph beside a cold build's other files
+        are rebuilt once, to a fresh cache's bytes, with a fresh cache's
         answers, and then read."""
         k4 = write(tmp_path, "k4.json", k4_json())
         commands = (("cache", "warm", "-k", "2"), ("dim", "-k", "2"), ("reduce", k4))
         fresh = [run(capsys, *c, "--cache", str(tmp_path / "fresh")) for c in commands]
+        cold = {p.name: p.read_text() for p in (tmp_path / "fresh").iterdir()}
+        nested = {**cold, "basis-k2.json": NESTED_BASIS_K2}
+        rows = ["basis", "relations", "rref"]
         loaded = []
         load = Cache.load
 
@@ -1160,15 +1206,18 @@ class TestCache:
             return value
 
         monkeypatch.setattr(Cache, "load", recorded)
-        for i, files in enumerate((EARLIER_FILES_K2, PINNED_FILES_K2)):
+        for i, (files, missed) in enumerate(
+            ((EARLIER_FILES_K2, rows), (PINNED_FILES_K2, rows), (nested, ["basis"]))
+        ):
             old = tmp_path / f"old{i}"
             old.mkdir()
             for name, text in files.items():
                 (old / name).write_text(text)
             loaded.clear()
             assert [run(capsys, *c, "--cache", str(old)) for c in commands] == fresh
-            # one miss a kind; the zero keys come with the basis that is rebuilt
-            assert sorted(kind for kind, hit in loaded if not hit) == ["basis", "relations", "rref"]
+            # one miss for each kind of an earlier format; the zero keys come
+            # with the basis that is rebuilt
+            assert sorted(kind for kind, hit in loaded if not hit) == missed
             for name in files:
                 assert (old / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
             loaded.clear()
@@ -1213,7 +1262,7 @@ class TestCache:
         fresh = run(capsys, "enum", "-k", "5", "--cache", str(tmp_path))
         assert (fresh[0], json.loads(fresh[1])["classes"]) == (0, 388)
         path = tmp_path / "basis-k5.json"
-        bad = json.dumps(edited(lambda p: p[1:])(json.loads(path.read_text())))
+        bad = json.dumps(edited(lambda p: p[15:])(json.loads(path.read_text())))
         path.write_text(bad)
         monkeypatch.delitem(cache_module._PINS, 5)
         assert run(capsys, "enum", "-k", "5", "--cache", str(tmp_path)) == fresh

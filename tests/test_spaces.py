@@ -972,7 +972,7 @@ class TestCache:
 
     # SHA-256 of the cache files a cold dimension() and normal_form({}) write
     # for k=1..4, as json.dumps({name: text}) with names sorted
-    FILES_DIGEST = "5b66cd8fbdced50fac58452e38bb9f1d8378b65bc08fa1a31343f110839ac775"
+    FILES_DIGEST = "e4b45a67dfb7c21224f9f405c48c63cefbcd66a4d368b12532d79577827f9b55"
 
     def test_file_bytes_pinned(self, tmp_path):
         for k in range(1, 5):
