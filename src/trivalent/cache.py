@@ -8,14 +8,16 @@ cub:4:0-1,0-2,0-3,1-2,1-3,2-3 is [1, 2, 3, 6, 7, 11].  Load spells the
 keys back from the codes, one table lookup per code
 (graphs._keys_of_codes).  The relations kind holds the relation rows,
 and the rref kind the weight systems W that normal forms are read from,
-both as (n, rows), sparse integer rows over a basis of size n, stored as
-columns: {"size": n, "cols": [...], "vals": [...]}, one list of columns and
-one of values per row.  A relation row is that (cols, vals) pair as it is,
-so load builds nothing per row; a functional in W is a dict.  So the
-relations file alone gives a dimension, n minus the rank of its rows.  The
-directory is the explicit argument, else GC_CACHE, else
-~/.cache/trivalent.  A cache file is named <kind>-k<k>.json; status and
-clear see no other file in the directory.
+both as (n, rows), sparse integer rows over a basis of size n, stored
+flat: {"size": n, "lens": [...], "cols": [...], "vals": [...]}, each
+row's entry count, then the columns and the values of every row, row
+after row.  At k=2 the one relation row, 1 at column 0, is {"size": 2,
+"lens": [1], "cols": [0], "vals": [1]}.  The relation rows are those three
+lists as they are (linalg.Rows), so load builds nothing per row; a
+functional in W is a dict.  So the relations file alone gives a
+dimension, n minus the rank of its rows.  The directory is the explicit
+argument, else GC_CACHE, else ~/.cache/trivalent.  A cache file is named
+<kind>-k<k>.json; status and clear see no other file in the directory.
 
 One rule decides what is read: a file is read only if the CRC-32 of its
 bytes is the pin (_PINS) of its k and kind, that of the file a cold build
@@ -24,6 +26,7 @@ in use holds a cold build's bytes: a class dropped or slipped in, an extra
 relation row, a functional scaled, a file from another build or in an
 earlier format all miss.  Pins exist at k=1..8; at any other k store writes
 nothing, since load would read nothing, so a run at k >= 9 caches nothing.
+Store leaves a file that already holds the bytes it would write as it is.
 The pin is checked before the JSON is parsed.  It catches accidental edits,
 not a forged CRC-32 collision; behind it each decoder still checks its
 file's shape, so that a forged file of the wrong shape is ignored too, not
@@ -31,19 +34,19 @@ a traceback.  Types are checked on the bytes, before the parse: a basis,
 relations or rref file must be the header json.dumps writes, then, for a
 basis, one "[" and one "]" with nothing but digits, "," and " " between
 them, so that the payload is one flat list of ints of at least 0; for the
-row kinds, {"size": <digits>, "cols": ..., "vals": ...}, with nothing but
-digits, "[", "]", "," and " " inside the lists, and "-" as well in vals,
-and one "[" per list of its shape (2 plus the number of rows of cols and
-of vals) with each item of the top-level lists a list, so that every
-scalar is an int, at least 0 outside vals, and the lists nest exactly two
-deep.  No item is checked one by one.  Values are checked after the parse:
-a basis size that is not the size load was given, a position outside the
-basis, a basis code count that is not a multiple of 3k, a code of (2k)^2
-or more, a basis graph whose codes decrease, that holds a pair (a, b) with
-a > b or that is not trivalent (its degrees are checked exactly, as the
-digits of one running sum, in which such a pair counts no ends), basis
-keys that do not increase strictly, a row whose columns do not increase
-strictly or that holds a zero, and rref rows that are not in echelon form
+row kinds, {"size": <digits>, "lens": [...], "cols": [...], "vals": [...]},
+each list one "[" and one "]" with nothing but digits, "," and " "
+between them, and "-" as well in vals, so that every scalar is an int, at
+least 0 outside vals, and no list holds a list.  No item is checked one by
+one.  Values are checked after the parse: a basis size that is not the
+size load was given, a position outside the basis, a basis code count that
+is not a multiple of 3k, a code of (2k)^2 or more, a basis graph whose
+codes decrease, that holds a pair (a, b) with a > b or that is not
+trivalent (its degrees are checked exactly, as the digits of one running
+sum, in which such a pair counts no ends), basis keys that do not increase
+strictly, a row length of 0, row lengths whose sum is not the length of
+both cols and vals, a row whose columns do not increase strictly or that
+holds a zero, and rref rows that are not in echelon form
 (linalg.in_echelon), two of them sharing a top column, say.  The zeros file
 is checked after the parse alone: its format_version, and a payload of
 strings.  JSON nested past the decoder's recursion limit is ignored like
@@ -56,25 +59,25 @@ import json
 import os
 import re
 import zlib
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from operator import ge, le, lt
 from pathlib import Path
 
 from .graphs import _keys_of_codes, graph_of_key
-from .linalg import as_dicts, as_pair, in_echelon
+from .linalg import Rows, as_dicts, as_rows, in_echelon
 
 FORMAT_VERSION = 1
 # CRC-32 of the bytes of each kind's file that a cold build writes, at each
 # k from 1 to 8: the one rule that load applies before it parses a file
 _PINS = {
-    1: {"basis": 0xAAFD31CC, "zeros": 0x1E4DBD87, "relations": 0xDB6F5E73, "rref": 0xDB6F5E73},
-    2: {"basis": 0xEC55BE8E, "zeros": 0xA7472371, "relations": 0xAB71707D, "rref": 0xCE164B3B},
-    3: {"basis": 0xC65764DA, "zeros": 0x442A0D8B, "relations": 0xE8A1F1C9, "rref": 0x067768F1},
-    4: {"basis": 0x983F9B68, "zeros": 0xBB3E6A45, "relations": 0x59CFF882, "rref": 0xBA2E3536},
-    5: {"basis": 0xCA45EE3C, "zeros": 0x3D3EEF1B, "relations": 0xBFDA66AF, "rref": 0xFBD97CB3},
-    6: {"basis": 0x59C9454A, "zeros": 0xDBA79B24, "relations": 0x240E3C12, "rref": 0x389AED96},
-    7: {"basis": 0x551D9B70, "zeros": 0x50734312, "relations": 0x92A2480C, "rref": 0xB1C749E4},
-    8: {"basis": 0x0C580062, "zeros": 0xF869144B, "relations": 0x2188FFA1, "rref": 0x2E550763},
+    1: {"basis": 0xAAFD31CC, "zeros": 0x1E4DBD87, "relations": 0xB7CBA5A0, "rref": 0xB7CBA5A0},
+    2: {"basis": 0xEC55BE8E, "zeros": 0xA7472371, "relations": 0x7AD6A40B, "rref": 0xFD706F48},
+    3: {"basis": 0xC65764DA, "zeros": 0x442A0D8B, "relations": 0x56421A32, "rref": 0x2AD9B2F2},
+    4: {"basis": 0x983F9B68, "zeros": 0xBB3E6A45, "relations": 0xE3F2C40B, "rref": 0x569E8D45},
+    5: {"basis": 0xCA45EE3C, "zeros": 0x3D3EEF1B, "relations": 0x09AB0F2E, "rref": 0xF1124D2C},
+    6: {"basis": 0x59C9454A, "zeros": 0xDBA79B24, "relations": 0x36B375A2, "rref": 0x544A3329},
+    7: {"basis": 0x551D9B70, "zeros": 0x50734312, "relations": 0x1997317D, "rref": 0x5B835E64},
+    8: {"basis": 0x0C580062, "zeros": 0xF869144B, "relations": 0x9DA390AA, "rref": 0x1B903FD9},
 }
 
 
@@ -104,12 +107,10 @@ def _check_bytes(raw: bytes, payload: re.Pattern) -> None:
 # one "[" and one "]" with digits, "," and " " alone between them: of
 # these bytes json.loads reads nothing but one flat list of ints >= 0
 _BASIS_BYTES = re.compile(rb"\[[0-9, ]*\]\}")
-# nested lists of ints, spelled in digits, "[", "]", "," and " " alone,
-# and with "-" as well where an int may be negative
-_LISTS = rb"[0-9\[\], ]*"
-_SIGNED_LISTS = rb"[-0-9\[\], ]*"
+# the three flat lists of the row kinds, each of ints >= 0 as a basis is,
+# with "-" as well in vals, where an int may be negative
 _ROWS_BYTES = re.compile(
-    rb'\{"size": [0-9]+, "cols": ' + _LISTS + rb', "vals": ' + _SIGNED_LISTS + rb"\}\}"
+    rb'\{"size": [0-9]+, "lens": \[[0-9, ]*\], "cols": \[[0-9, ]*\], "vals": \[[-0-9, ]*\]\}\}'
 )
 
 
@@ -153,28 +154,23 @@ def _zero_keys(raw, k, size) -> frozenset:
 
 
 def _relation_rows(raw, k, size) -> tuple:
-    """(n, rows) from {"size": n, "cols": [...], "vals": [...]}: sparse
-    integer rows over a basis of size n, size itself unless that is None,
-    each row the (cols, vals) pair of parallel lists the file holds, the
-    columns positions in the basis that increase strictly, and no value
-    zero."""
+    """(n, rows) from {"size": n, "lens": [...], "cols": [...], "vals":
+    [...]}: sparse integer rows over a basis of size n, size itself unless
+    that is None, the three flat lists as linalg.Rows, each row at least
+    one entry long, its columns positions in the basis that increase
+    strictly, and no value zero."""
     _check_bytes(raw, _ROWS_BYTES)
-    p = json.loads(raw)["payload"]
-    n, cols, vals = p["size"], _list_of(p["cols"], list), _list_of(p["vals"], list)
-    # one "[" for each of the two lists and one for each row: no row holds
-    # a list, so, by the bytes, each holds ints, columns of at least 0
-    _check(raw.count(b"[") == 2 + len(cols) + len(vals))
+    p = json.loads(raw)["payload"]  # by the bytes, flat lists of ints
+    n, lens, cols, vals = p["size"], p["lens"], p["cols"], p["vals"]
     _check(size in (None, n))
-    lengths = list(map(len, cols))
-    _check(lengths == list(map(len, vals)))
-    flat = list(chain.from_iterable(cols))
-    _check(not flat or max(flat) < n)
-    # a column no larger than the one before it in the flat list must start
-    # a row: its index there must be a running total of the row lengths
-    starts = set(accumulate(lengths))
-    _check(starts.issuperset(compress(count(1), map(ge, flat, islice(flat, 1, None)))))
-    _check(0 not in chain.from_iterable(vals))
-    return n, list(zip(cols, vals))
+    _check(0 not in lens and sum(lens) == len(cols) == len(vals))
+    _check(not cols or max(cols) < n)
+    # a column no larger than the one before it must start a row: its index
+    # must be a running total of the row lengths
+    starts = set(accumulate(lens))
+    _check(starts.issuperset(compress(count(1), map(ge, cols, islice(cols, 1, None)))))
+    _check(0 not in vals)
+    return n, Rows(lens, cols, vals)
 
 
 def _weight_rows(raw, k, size) -> tuple:
@@ -194,14 +190,14 @@ def _basis_codes(keys) -> list:
     return codes
 
 
-def _columns(value) -> dict:
+def _flat_rows(value) -> dict:
     n, rows = value
-    return {"size": n, "cols": [c for c, _ in rows], "vals": [v for _, v in rows]}
+    return {"size": n, "lens": rows.lens, "cols": rows.cols, "vals": rows.vals}
 
 
-def _weight_columns(value) -> dict:
-    n, rows = value
-    return _columns((n, list(map(as_pair, rows))))
+def _flat_weights(value) -> dict:
+    n, weights = value
+    return _flat_rows((n, as_rows(weights)))
 
 
 # each kind's (encoder, decoder): the encoder turns the value GraphSpace
@@ -215,12 +211,20 @@ def _weight_columns(value) -> dict:
 _FORMATS = {
     "basis": (_basis_codes, _basis_keys),
     "zeros": (sorted, _zero_keys),
-    "relations": (_columns, _relation_rows),
-    "rref": (_weight_columns, _weight_rows),
+    "relations": (_flat_rows, _relation_rows),
+    "rref": (_flat_weights, _weight_rows),
 }
 KINDS = tuple(_FORMATS)
 # the names store writes, and the only files status and clear see
 _FILE_NAME = re.compile(rf"(?:{'|'.join(KINDS)})-k[1-9][0-9]*\.json")
+
+
+def _holds(path: Path, data: bytes) -> bool:
+    """Whether the file at path holds exactly these bytes."""
+    try:
+        return path.stat().st_size == len(data) and path.read_bytes() == data
+    except OSError:
+        return False
 
 
 def default_dir() -> Path:
@@ -254,7 +258,9 @@ class Cache:
 
     def store(self, k: int, kind: str, value) -> None:
         """Write a value atomically through a temp file of this writer's own;
-        at a k without pins, write nothing, since load would not read it.
+        at a k without pins, write nothing, since load would not read it,
+        and leave a file that already holds the bytes as it is, so that a
+        rebuild over a file it did not miss leaves its inode and mtime.
 
         The temp file is created new (O_EXCL) under a random name, with mode
         0o666 less the umask, which the kernel applies, as a plain open
@@ -263,14 +269,18 @@ class Cache:
         """
         if k not in _PINS:
             return
+        payload = _FORMATS[kind][0](value)
+        data = json.dumps({"format_version": FORMAT_VERSION, "payload": payload}).encode()
+        path = self.path(k, kind)
+        if _holds(path, data):
+            return
         self.directory.mkdir(parents=True, exist_ok=True)
-        text = json.dumps({"format_version": FORMAT_VERSION, "payload": _FORMATS[kind][0](value)})
         tmp = self.directory / f"tmp{os.urandom(8).hex()}.tmp"
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with os.fdopen(fd, "w") as f:
-                f.write(text)
-            os.replace(tmp, self.path(k, kind))
+            with os.fdopen(fd, "wb") as f:
+                f.write(data)
+            os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise

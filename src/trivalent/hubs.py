@@ -23,7 +23,7 @@ from .graphs import (
     contract_edge,
     half_edges_at,
 )
-from .linalg import as_pair
+from .linalg import Rows
 
 
 # a pair of tagged hub stubs, as a bit mask -> the splitting that pairs them
@@ -120,12 +120,13 @@ def _rebuilt_splitting(e: int, c: FourValentGraph, four: FourValentGraph, labels
     return partner - 1, perm_parity(sigma)
 
 
-def hub_rows(basis, generators) -> list:
+def hub_rows(basis, generators) -> Rows:
     """One row per contracted hub class, zero rows dropped, in the order
     the hubs are first reached (basis order, then edge order).  generators
     gives, for each basis graph in turn, its Aut generators in its labels.
-    A row is a (cols, vals) pair, the form the relations file stores: its
-    basis indices in increasing order, and their nonzero coefficients.
+    The rows are linalg.Rows, the flat form the relations file stores:
+    each row's basis indices in increasing order, and their nonzero
+    coefficients.
 
     One pass contracts one non-loop edge e per orbit of Aut(g) on the
     edges of each basis graph g (graphs._orbits; the orbit's first edge)
@@ -199,14 +200,12 @@ def hub_rows(basis, generators) -> list:
             if named[p] is None:
                 named[p] = (i, parity)
                 _spread(named, p, action)
-    rows = []
+    rows = Rows()
     for named in hubs.values():
         row: dict = {}
         for term in named:
             if term is not None:
                 i, v = term
                 row[i] = row.get(i, 0) + v
-        pair = as_pair(row)
-        if pair[0]:
-            rows.append(pair)
+        rows.append(row)  # a row whose terms cancel is dropped
     return rows

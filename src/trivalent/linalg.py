@@ -1,13 +1,14 @@
 """Exact linear algebra over the rationals and over prime fields.
 
 Rows are sparse dicts (column -> int), except the relation rows, which
-keep the form of the relations file: a (cols, vals) pair of parallel lists,
-the columns strictly increasing and no value zero.  There is one exact
-elimination, and it is fraction-free: it takes integer rows only, as every
-row the package passes is, and clears them as primitive integer vectors,
-so its inner loops add and multiply ints.  (A row holding a Fraction makes
-gcd raise TypeError, or, with one entry, is scaled to +-1: it never gives a
-wrong answer.)  Exact rank counts its pivots, solve_exact reads its integer
+keep the form of the relations file: Rows, three flat lists, each row's
+entry count, then every row's columns and every row's values, row after
+row, the columns of a row strictly increasing, no value zero and no row
+empty.  There is one exact elimination, and it is fraction-free: it takes
+integer rows only, as every row the package passes is, and clears them as
+primitive integer vectors, so its inner loops add and multiply ints.  (A
+row holding a Fraction makes gcd raise TypeError, or, with one entry, is
+scaled to +-1: it never gives a wrong answer.)  Exact rank counts its pivots, solve_exact reads its integer
 pivot rows directly and answers with an integer matrix over a denominator,
 and exact_rref reads the same rows as Fractions.  Fractions appear only in
 exact_rref's answer and in reduce_vector, which works against it.  Nothing
@@ -16,14 +17,14 @@ vectors, and the two are the tests' reference for them.  They stay in this
 module because the benchmark's span list (bench/spans.py) looks both names
 up here when it installs.
 rank_mod_p takes integer dict rows; it is at most their rank over the
-rationals.  The integer singleton peel (peel_singletons) reads the
-relation rows as they are and serves both bounds of a dimension: the
+rationals.  The integer singleton peel (peel_singletons) reads the flat
+lists of the relation rows and serves both bounds of a dimension: the
 count it peels plus rank_mod_p of the dict rows it leaves is at most the
 rows' rank (spaces.GraphSpace._certificate says why), and kernel_vectors
 reads integer vectors that vanish on the rows (vanishes_on checks each
-against every row, again as pairs) off the exact elimination of the rows
-it leaves, in the echelon form that in_echelon checks.  as_pair gives a
-dict row the pair form, and as_dicts turns pair rows into dicts, for the
+against every row, again on the flat lists) off the exact elimination of
+the rows it leaves, in the echelon form that in_echelon checks.  as_rows
+gives dict rows the flat form, and as_dicts turns Rows into dicts, for the
 rref decoder and for exact_rank, which does not use the peel, so it stays
 a check of it.
 Dense matrices are row-major lists of rows; nonzeros lists a dense matrix
@@ -44,9 +45,51 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import repeat, starmap
+from itertools import accumulate, compress, islice, repeat, starmap
 from math import gcd, lcm
 from operator import mul
+
+
+class Rows:
+    """Sparse integer rows held flat, as the relations and rref files store
+    them: lens[i] is the entry count of row i, and cols and vals hold the
+    columns and the values of every row, row after row.  Within a row the
+    columns increase strictly; no value is zero and no row is empty.  Its
+    length is the row count, and iterating it gives each row's (cols, vals)
+    pair of lists, sliced as it is read: the certificate reads the flat
+    lists, so neither a build nor a load makes an object per row."""
+
+    __slots__ = ("lens", "cols", "vals")
+
+    def __init__(self, lens=None, cols=None, vals=None):
+        self.lens = [] if lens is None else lens
+        self.cols = [] if cols is None else cols
+        self.vals = [] if vals is None else vals
+
+    def append(self, row: dict) -> None:
+        """Add a dict row's nonzero entries in column order, unless it has none."""
+        items = sorted((c, v) for c, v in row.items() if v)
+        if items:
+            self.lens.append(len(items))
+            self.cols += [c for c, _ in items]
+            self.vals += [v for _, v in items]
+
+    def __len__(self) -> int:
+        return len(self.lens)
+
+    def __iter__(self):
+        cols, vals, end = self.cols, self.vals, 0
+        for m in self.lens:
+            start, end = end, end + m
+            yield cols[start:end], vals[start:end]
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Rows and (self.lens, self.cols, self.vals) == (
+            other.lens, other.cols, other.vals
+        )
+
+    def __repr__(self) -> str:
+        return f"Rows({self.lens!r}, {self.cols!r}, {self.vals!r})"
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -70,34 +113,36 @@ def rank_mod_p(rows, p: int) -> int:
     return len(pivots)
 
 
-def peel_singletons(rows) -> tuple:
+def peel_singletons(rows: Rows) -> tuple:
     """The singleton peel of structured Gaussian elimination, over the
     integers: (peeled, rest).
 
-    rows are (cols, vals) pairs, as the relation rows are: columns that
-    increase strictly, and no value zero.  A row with one live entry v
-    pivots its column: peeled maps that column to v, and the column leaves
-    every other row, which may leave new singletons to peel in turn.  rest
-    holds, as dicts, the rows left nonempty when none is a singleton.  No
-    row is copied or modified while the peel runs: each keeps a count of
-    its live entries, and its live columns are those not peeled.
+    A row with one live entry v pivots its column: peeled maps that column
+    to v, and the column leaves every other row, which may leave new
+    singletons to peel in turn.  rest holds, as dicts, the rows left
+    nonempty when none is a singleton.  The peel reads the flat lists of
+    rows and modifies none: each row keeps a count of its live entries,
+    and its live columns are those not peeled.
     """
-    # at each column, the indices of the rows it appears in; the columns
-    # increase, so a row's last is its largest
-    holders = [[] for _ in range(1 + max([cols[-1] for cols, _ in rows if cols], default=-1))]
-    left = []  # the live entries of each row
-    for i, (cols, _) in enumerate(rows):
-        left.append(len(cols))
-        for c in cols:
-            holders[c].append(i)
+    lens, cols, vals = rows.lens, rows.cols, rows.vals
+    starts = list(accumulate(lens, initial=0))  # where each row's entries start
+    # at each column, the indices of the rows it appears in
+    holders = [[] for _ in range(1 + max(cols, default=-1))]
+    entries = iter(cols)
+    for i, m in enumerate(lens):
+        if m == 1:  # about half the relation rows
+            holders[next(entries)].append(i)
+        else:
+            for c in islice(entries, m):
+                holders[c].append(i)
+    left = lens[:]  # the live entries of each row
     peeled: dict = {}
     todo = [i for i, m in enumerate(left) if m == 1]
     while todo:
         i = todo.pop()
         if left[i] != 1:  # emptied by a singleton of the same column
             continue
-        cols, vals = rows[i]
-        t = 0
+        t = starts[i]
         while cols[t] in peeled:  # its one live entry is the first not peeled
             t += 1
         col = cols[t]
@@ -106,7 +151,10 @@ def peel_singletons(rows) -> tuple:
             left[j] -= 1
             if left[j] == 1:
                 todo.append(j)
-    rest = [{c: v for c, v in zip(*row) if c not in peeled} for row, m in zip(rows, left) if m]
+    rest = [
+        {c: v for c, v in zip(cols[s : s + m], vals[s : s + m]) if c not in peeled}
+        for s, m in compress(zip(starts, lens), left)
+    ]
     return peeled, rest
 
 
@@ -142,25 +190,25 @@ def in_echelon(vectors) -> bool:
     return len(tops) == len(vectors) and all(len(tops.intersection(w)) == 1 for w in vectors)
 
 
-def vanishes_on(rows, w: dict) -> bool:
-    """Whether sum(vals[i] * w[cols[i]]) is zero for every (cols, vals)
-    row, in integers; a row that shares no column with w is skipped."""
-    held, zero = w.keys(), repeat(0)
-    for cols, vals in rows:
-        if not held.isdisjoint(cols) and sum(map(mul, vals, map(w.get, cols, zero))):
-            return False
-    return True
+def vanishes_on(rows: Rows, w: dict) -> bool:
+    """Whether sum(vals[i] * w[cols[i]]) is zero over every row, in
+    integers: the running sum of those products over the flat lists is
+    zero at the last entry of each row."""
+    totals = list(accumulate(map(mul, rows.vals, map(w.get, rows.cols, repeat(0)))))
+    return not any(map(totals.__getitem__, islice(accumulate(rows.lens, initial=-1), 1, None)))
 
 
-def as_pair(row: dict) -> tuple:
-    """A sparse dict row as its (cols, vals) pair, the columns increasing
-    and zero entries dropped."""
-    items = sorted((c, v) for c, v in row.items() if v)
-    return [c for c, _ in items], [v for _, v in items]
+def as_rows(rows) -> Rows:
+    """Sparse dict rows as Rows, in order: each row's columns sorted, its
+    zero entries dropped, and a row with no nonzero entry dropped."""
+    flat = Rows()
+    for row in rows:
+        flat.append(row)
+    return flat
 
 
-def as_dicts(rows) -> list:
-    """(cols, vals) rows as sparse dicts."""
+def as_dicts(rows: Rows) -> list:
+    """Rows as sparse dicts, the columns in increasing order."""
     return list(map(dict, starmap(zip, rows)))
 
 

@@ -2,8 +2,9 @@
 
 A GraphSpace holds the basis as the sorted keys of the signed classes, and
 the zero class keys (classes.classify over classes.labelled_graphs), the
-relation rows (hubs.hub_rows), each a (cols, vals) pair of lists, the form
-the relations file stores, and the weight systems W, integer functionals
+relation rows (hubs.hub_rows) as linalg.Rows, three flat lists, each row's
+entry count, then every row's columns and values, the form the relations
+file stores, and the weight systems W, integer functionals
 (dicts) that vanish on every row, each read from the cache when it has
 them, else built and stored.  A basis graph is read off its key
 (graphs.graph_of_key) only when the rows are built.  The rows come with
@@ -161,8 +162,10 @@ class GraphSpace:
 
     def relation_rows(self):
         """One row per contracted hub class, zero rows dropped, in the order
-        the hubs are first reached (hubs.hub_rows): a (cols, vals) pair, the
-        columns increasing, read from the cache and built alike.
+        the hubs are first reached (hubs.hub_rows), as linalg.Rows, whose
+        length is the row count and whose iteration gives each row's (cols,
+        vals) pair, the columns increasing; read from the cache and built
+        alike, and held as the relations file stores them.
 
         The rule needs each basis graph to be its class's canonical
         representative, the graph its key spells, and its Aut generators.

@@ -114,7 +114,7 @@ def peel_singletons(rows):
 
 
 def assert_same_peel(got, rows):
-    """got, the package's peel of the (cols, vals) rows, is peel_singletons'
+    """got, the package's peel of the rows (linalg.Rows), is peel_singletons'
     of the same rows as dicts: the peeled columns in the same order, their
     values, and the leftover rows with their entries in the same order."""
     peeled, rest = got

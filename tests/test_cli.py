@@ -166,26 +166,54 @@ def relabelled_copy(payload):
             return {"vertices": 4, "edges": edges}
 
 
+def nested_rows(payload):
+    """A relations or rref payload's rows as two lists, each row's columns
+    and each row's values, read off the flat lists by the row lengths."""
+    cols, vals, end = [], [], 0
+    for m in payload["lens"]:
+        cols.append(payload["cols"][end : end + m])
+        vals.append(payload["vals"][end : end + m])
+        end += m
+    return cols, vals
+
+
+def flat_rows(cols, vals):
+    """Rows given as each row's columns and each row's values, as the
+    three flat lists of a relations or rref payload."""
+    return {"lens": list(map(len, cols)), "cols": sum(cols, []), "vals": sum(vals, [])}
+
+
 def rows_edit(edit):
-    """An edit of a relations or rref payload's rows, given as its two
-    lists, cols and vals."""
+    """An edit of a relations or rref payload's rows, given to edit as two
+    lists, each row's columns and each row's values."""
 
     def edit_rows(payload):
-        cols, vals = edit(payload["cols"], payload["vals"])
-        return {**payload, "cols": cols, "vals": vals}
+        return {**payload, **flat_rows(*edit(*nested_rows(payload)))}
 
     return edited(edit_rows)
 
 
 def with_rows(cols, vals):
-    """An edit of a relations or rref payload that puts these rows in."""
+    """An edit of a relations or rref payload that puts these rows in,
+    given as each row's columns and each row's values."""
     return rows_edit(lambda c, v: (cols, vals))
+
+
+def with_flat(lens, cols, vals):
+    """An edit of a relations or rref payload that puts these three lists
+    in as they are, whether or not they fit together."""
+    return edited(lambda p: {**p, "lens": lens, "cols": cols, "vals": vals})
+
+
+def without_key(key):
+    """An edit of a relations or rref payload that drops one of its keys."""
+    return edited(lambda p: {k: v for k, v in p.items() if k != key})
 
 
 # the k=2 basis and relations files as json.dumps writes them with compact
 # separators, "," and ":"
 COMPACT_BASIS_K2 = '{"format_version":1,"payload":[1,2,3,5,10,15,1,2,3,6,7,11]}'
-COMPACT_RELATIONS_K2 = '{"format_version":1,"payload":{"size":2,"cols":[[0]],"vals":[[1]]}}'
+COMPACT_RELATIONS_K2 = '{"format_version":1,"payload":{"size":2,"lens":[1],"cols":[0],"vals":[1]}}'
 # a graph with vertex degrees 2, 3, 3, 4 in canonical form
 ODD_DEGREES = {"vertices": 4, "edges": [[0, 1], [0, 2], [1, 2], [1, 3], [2, 3], [3, 3]]}
 # two disjoint copies of K4, each trivalent, in canonical form
@@ -242,6 +270,12 @@ NESTED_BASIS_K2 = (
     '{"format_version": 1, "payload": [[0, 1, 0, 2, 0, 3, 1, 1, 2, 2, 3, 3], '
     "[0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3]]}"
 )
+# the k=2 relations and rref files a cold build wrote before the rows were
+# stored flat: a list of columns and one of values for each row
+NESTED_ROWS_K2 = {
+    "relations-k2.json": '{"format_version": 1, "payload": {"size": 2, "cols": [[0]], "vals": [[1]]}}',
+    "rref-k2.json": '{"format_version": 1, "payload": {"size": 2, "cols": [[1]], "vals": [[1]]}}',
+}
 
 
 class TestDim:
@@ -1049,6 +1083,7 @@ class TestCache:
         # a list for each graph
         forged += [(2, name.split("-")[0], text, k2) for name, text in PINNED_FILES_K2.items()]
         forged += [(2, "basis", NESTED_BASIS_K2, k2)]
+        forged += [(2, name.split("-")[0], text, k2) for name, text in NESTED_ROWS_K2.items()]
         forged += [
             # the two graphs in reverse key order
             (2, "basis", edited(lambda p: p[6:] + p[:6]), k2),
@@ -1084,17 +1119,30 @@ class TestCache:
             # a zero key that is not a string
             (2, "zeros", edited(lambda p: p + [1]), k2),
             # rows that load to a wrong answer unless their shape is strict:
-            # columns that do not increase strictly, a zero value, a value
-            # that is not an int, and kernel vectors out of echelon form,
-            # two of them with the same top column
+            # columns that do not increase strictly (a column repeated, with
+            # a zero value or not, and one that descends), a zero value, a
+            # value that is not an int, and kernel vectors out of echelon
+            # form, two of them with the same top column
             (2, "relations", with_rows([[0, 0]], [[1, 0]]), k2),
+            (2, "relations", with_rows([[0, 0]], [[1, 1]]), k2),
             (2, "relations", with_rows([[0]], [[0]]), k2),
             (2, "relations", with_rows([[1, 0]], [[1, 1]]), k2),
-            # no columns, a row of values that is not a list, more values
-            # than columns, and a column that is not an int
-            (2, "relations", edited(lambda p: {"size": p["size"], "vals": p["vals"]}), k2),
-            (2, "relations", with_rows([[0]], [1]), k2),
-            (2, "relations", with_rows([[1]], [[1, 1]]), k2),
+            # flat lists that do not fit together: a row length of 0, at
+            # the start or at the end; lengths whose sum is not the column
+            # count, with as many values as columns, or is less than both;
+            # as many values as the lengths say but more columns; and as
+            # many columns as the lengths say but more values
+            (2, "relations", with_flat([0, 1], [0], [1]), k2),
+            (2, "relations", with_flat([1, 0], [0], [1]), k2),
+            (2, "relations", with_flat([2], [0], [1]), k2),
+            (2, "relations", with_flat([1], [0, 1], [1, 1]), k2),
+            (2, "relations", with_flat([1], [0, 1], [1]), k2),
+            (2, "relations", with_flat([1], [1], [1, 1]), k2),
+            # no columns, no row lengths, a list inside the values, and a
+            # column that is not an int
+            (2, "relations", without_key("cols"), k2),
+            (2, "relations", without_key("lens"), k2),
+            (2, "relations", with_flat([1], [0], [[1]]), k2),
             (2, "relations", with_rows([[True]], [[1]]), k2),
             (2, "rref", with_rows([[1, 1]], [[1, 1]]), k2),
             (2, "rref", with_rows([[0, 1]], [[0, 1]]), k2),
@@ -1107,9 +1155,9 @@ class TestCache:
             # a basis size that is missing, a bool (the rows of dim -k 2
             # would give dimension 0 over 1 class), negative (-1 with no
             # rows) or not an int
-            (2, "relations", edited(lambda p: {"cols": p["cols"], "vals": p["vals"]}), k2),
+            (2, "relations", without_key("size"), k2),
             (2, "relations", edited(lambda p: {**p, "size": True}), k2),
-            (2, "relations", edited(lambda p: {"size": -1, "cols": [], "vals": []}), k2),
+            (2, "relations", edited(lambda p: {"size": -1, "lens": [], "cols": [], "vals": []}), k2),
             (2, "relations", edited(lambda p: {**p, "size": 2.0}), k2),
             (2, "relations", edited(lambda p: {**p, "size": "2"}), k2),
             (2, "rref", edited(lambda p: {**p, "size": None}), k2),
@@ -1117,21 +1165,19 @@ class TestCache:
             (2, "rref", edited(lambda p: {**p, "size": 3}), k2),
             # files whose bytes alone give them away: compact separators, a
             # column that is true or null, a value that is a string, a list
-            # in the basis codes and one three deep in the columns, and a
-            # negative column
+            # in the basis codes and one in the columns, and a negative
+            # column
             (2, "basis", COMPACT_BASIS_K2, k2),
             (2, "relations", COMPACT_RELATIONS_K2, k2),
             (2, "relations", with_rows([[None]], [[1]]), k2),
             (2, "rref", with_rows([[True]], [[1]]), k2),
             (2, "relations", with_rows([[0]], [["1"]]), k2),
             (2, "basis", edited(lambda p: [[p[0]]] + p[1:]), k2),
-            (2, "relations", with_rows([[[0]]], [[1]]), k2),
+            (2, "relations", with_flat([1], [[0]], [1]), k2),
             (2, "relations", with_rows([[-1, 0]], [[1, 1]]), k2),
-            # a relations file with as many "[" as its shape has lists, one
-            # list deeper than it should be beside an int where a list should
-            # be, which the byte count alone lets through, and a basis with a
+            # a list beside an int in the row lengths, and a basis with a
             # graph's codes in a list of their own beside the flat codes
-            (2, "relations", with_rows([5, [[1]]], [[1], [1]]), k2),
+            (2, "relations", with_flat([[1]], [0], [1]), k2),
             (2, "basis", edited(lambda p: [p[:6]] + p[6:]), k2),
         ]
         cases = [(case, False) for case in wrong_bytes] + [(case, True) for case in forged]
@@ -1187,15 +1233,19 @@ class TestCache:
 
     def test_earlier_format_is_rebuilt_once(self, tmp_path, capsys, monkeypatch):
         """The files of a cache written before the pins, each with its
-        checksum header, those written when the pins came in, and a basis
-        file with a list for each graph beside a cold build's other files
-        are rebuilt once, to a fresh cache's bytes, with a fresh cache's
-        answers, and then read."""
+        checksum header, those written when the pins came in, a basis file
+        with a list for each graph, and relations and rref files with a list
+        for each row, each beside a cold build's other files, are rebuilt
+        once, to a fresh cache's bytes, with a fresh cache's answers, and
+        then read.  A zeros file that already holds a cold build's bytes is
+        left as it is, also where the basis is rebuilt beside it: its inode
+        and mtime do not move."""
         k4 = write(tmp_path, "k4.json", k4_json())
         commands = (("cache", "warm", "-k", "2"), ("dim", "-k", "2"), ("reduce", k4))
         fresh = [run(capsys, *c, "--cache", str(tmp_path / "fresh")) for c in commands]
         cold = {p.name: p.read_text() for p in (tmp_path / "fresh").iterdir()}
         nested = {**cold, "basis-k2.json": NESTED_BASIS_K2}
+        nested_rows = {**cold, **NESTED_ROWS_K2}
         rows = ["basis", "relations", "rref"]
         loaded = []
         load = Cache.load
@@ -1206,13 +1256,20 @@ class TestCache:
             return value
 
         monkeypatch.setattr(Cache, "load", recorded)
-        for i, (files, missed) in enumerate(
-            ((EARLIER_FILES_K2, rows), (PINNED_FILES_K2, rows), (nested, ["basis"]))
-        ):
+        caches = (
+            (EARLIER_FILES_K2, rows),
+            (PINNED_FILES_K2, rows),
+            (nested, ["basis"]),
+            (nested_rows, ["relations", "rref"]),
+        )
+        for i, (files, missed) in enumerate(caches):
             old = tmp_path / f"old{i}"
             old.mkdir()
             for name, text in files.items():
                 (old / name).write_text(text)
+            zeros = old / "zeros-k2.json"
+            kept = files.get(zeros.name) == cold[zeros.name]
+            before = zeros.stat() if kept else None
             loaded.clear()
             assert [run(capsys, *c, "--cache", str(old)) for c in commands] == fresh
             # one miss for each kind of an earlier format; the zero keys come
@@ -1220,6 +1277,9 @@ class TestCache:
             assert sorted(kind for kind, hit in loaded if not hit) == missed
             for name in files:
                 assert (old / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+            if kept:
+                after = zeros.stat()
+                assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
             loaded.clear()
             assert [run(capsys, *c, "--cache", str(old)) for c in commands] == fresh
             assert {kind for kind, _ in loaded} == set(KINDS)

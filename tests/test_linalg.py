@@ -68,7 +68,7 @@ def peelable_rows(draw):
 
 
 def random_peel_rows(rng):
-    """Seeded (cols, vals) rows for the peel: random rows, singleton
+    """Seeded rows for the peel, as linalg.Rows: random rows, singleton
     chains (each link holds the column the row before it peels and one
     new one, so the peel empties it), two singletons on one column (one
     of them emptied by the other) and a row all of whose columns other
@@ -85,7 +85,7 @@ def random_peel_rows(rng):
     a, b = rng.sample(range(14), 2)
     rows += [{a: rng.choice(value)}, {a: rng.choice(value)}, {b: 1}, {a: 1, b: 1}]
     rng.shuffle(rows)
-    return list(map(la.as_pair, rows))
+    return la.as_rows(rows)
 
 
 class TestPeel:
@@ -94,15 +94,15 @@ class TestPeel:
     @given(peelable_rows())
     @settings(max_examples=300, deadline=None)
     def test_peel_bounds_the_exact_rank(self, rows):
-        """The peel reads the rows as (cols, vals) pairs, zero entries
-        dropped, and modifies none.  Its count plus the rank mod p of the
-        rows it leaves is at most the exact rank at every p, the bound the
+        """The peel reads the rows as linalg.Rows, zero entries dropped,
+        and modifies none.  Its count plus the rank mod p of the rows it
+        leaves is at most the exact rank at every p, the bound the
         certificate reads, and is the rank mod p when every peeled entry is
         a unit there."""
-        pairs = list(map(la.as_pair, rows))
-        before = [(cols[:], vals[:]) for cols, vals in pairs]
-        peeled, rest = la.peel_singletons(pairs)
-        assert pairs == before
+        flat = la.as_rows(rows)
+        before = la.Rows(flat.lens[:], flat.cols[:], flat.vals[:])
+        peeled, rest = la.peel_singletons(flat)
+        assert flat == before
         assert all(len(r) > 1 and not peeled.keys() & r.keys() for r in rest)
         rank = la.exact_rank(rows)
         for p in self.PRIMES:
@@ -115,7 +115,7 @@ class TestPeel:
         """7 peels column 0 over the integers but is zero modulo 7, where
         the two rows span one dimension, not two: the bound is still the
         exact rank, 2, above the rank mod 7."""
-        rows = [([0], [7]), ([0, 1], [1, 1])]
+        rows = la.Rows([1, 2], [0, 0, 1], [7, 1, 1])
         peeled, rest = la.peel_singletons(rows)
         assert (peeled, rest) == ({0: 7, 1: 1}, [])
         assert len(peeled) + la.rank_mod_p(rest, 7) == la.exact_rank(la.as_dicts(rows)) == 2
@@ -133,12 +133,15 @@ class TestPeel:
             emptied += len(rows) - len(peeled) - len(rest)
         assert left and emptied
 
-    def test_as_pair_and_as_dicts(self):
-        """as_pair sorts the columns and drops zero entries; as_dicts
+    def test_as_rows_and_as_dicts(self):
+        """as_rows sorts each row's columns and drops zero entries and a
+        row with no other, and Rows iterate as (cols, vals) pairs; as_dicts
         undoes it."""
-        pairs = list(map(la.as_pair, [{3: -1, 0: 2, 1: 0}, {2: 0}]))
-        assert pairs == [([0, 3], [2, -1]), ([], [])]
-        assert la.as_dicts(pairs) == [{0: 2, 3: -1}, {}]
+        rows = la.as_rows([{3: -1, 0: 2, 1: 0}, {2: 0}, {1: 4}])
+        assert rows == la.Rows([2, 1], [0, 3, 1], [2, -1, 4])
+        assert len(rows) == 2 and list(rows) == [([0, 3], [2, -1]), ([1], [4])]
+        assert la.as_dicts(rows) == [{0: 2, 3: -1}, {1: 4}]
+        assert rows != [([0, 3], [2, -1]), ([1], [4])]
 
 
 class TestKernelVectors:
@@ -150,12 +153,12 @@ class TestKernelVectors:
         its smallest column), where it is positive and the others are zero,
         so they are independent."""
         n = 1 + max((c for r in rows for c in r), default=-1)
-        pairs = list(map(la.as_pair, rows))
-        ws = la.kernel_vectors(n, la.peel_singletons(pairs))
+        flat = la.as_rows(rows)
+        ws = la.kernel_vectors(n, la.peel_singletons(flat))
         assert len(ws) == n - la.exact_rank(rows)
         for w in ws:
             f = max(w)
-            assert la.vanishes_on(pairs, w)
+            assert la.vanishes_on(flat, w)
             assert w[f] > 0 and reduce(gcd, w.values()) == 1
             assert not any(f in x for x in ws if x is not w)
         assert la.in_echelon(ws)
@@ -167,13 +170,18 @@ class TestKernelVectors:
         assert not la.in_echelon([{}])
 
     def test_no_rows_gives_the_unit_vectors(self):
-        assert la.kernel_vectors(2, la.peel_singletons([])) == [{0: 1}, {1: 1}]
+        assert la.kernel_vectors(2, la.peel_singletons(la.Rows())) == [{0: 1}, {1: 1}]
 
     def test_vanishes_on_reads_every_row(self):
-        rows = [([0, 1], [1, -1]), ([1, 2], [2, -2])]
+        """Each row's sum must vanish, not only the sum over all rows:
+        (1, 1, 1) kills both rows, and (2, 0, 1) leaves 2 and -2, which
+        cancel across the two rows but not within either."""
+        rows = la.as_rows([{0: 1, 1: -1}, {1: 2, 2: -2}])
         assert la.vanishes_on(rows, {0: 1, 1: 1, 2: 1})
         assert not la.vanishes_on(rows, {0: 1, 1: 1})
         assert not la.vanishes_on(rows, {0: 1, 1: 1, 2: 2})
+        assert not la.vanishes_on(rows, {0: 2, 2: 1})
+        assert la.vanishes_on(la.Rows(), {0: 1})
 
 
 class TestRref:

@@ -22,6 +22,7 @@ from trivalent import graphs as G
 from trivalent import spaces as S
 from trivalent.cache import KINDS, Cache
 from trivalent.linalg import (
+    Rows,
     as_dicts,
     exact_rref,
     kernel_vectors,
@@ -651,8 +652,8 @@ class TestRelationRows:
         assert a == b
 
     def test_integer_entries(self):
-        """Each row is a (cols, vals) pair of int lists, the columns
-        increasing strictly and no value zero."""
+        """Each row, as the rows iterate, is a (cols, vals) pair of int
+        lists, the columns increasing strictly and no value zero."""
         for cols, vals in space(4).relation_rows():
             assert len(cols) == len(vals)
             assert all(type(x) is int for x in (*cols, *vals))
@@ -960,19 +961,24 @@ class TestCache:
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_warm_rows_are_the_cold_rows(self, k, request, tmp_path):
-        """Rows read back from the relations file are the built rows as
-        lists, row for row: each a (cols, vals) tuple of two lists."""
+        """Rows read back from the relations file are the built rows: the
+        same three flat lists, which iterate row for row as (cols, vals)
+        tuples of two lists."""
         cold = cold_space(k, request)
         cache = Cache(tmp_path)
         cache.store(k, "relations", (len(cold.keys), cold.relation_rows()))
         warm = GraphSpace(k, cache)
         assert warm.relation_rows() == cold.relation_rows()
+        for rows in (warm.relation_rows(), cold.relation_rows()):
+            assert type(rows) is Rows
+            assert [type(rows.lens), type(rows.cols), type(rows.vals)] == [list, list, list]
+            assert len(rows) == len(list(rows))
         for row in (*warm.relation_rows(), *cold.relation_rows()):
             assert type(row) is tuple and list(map(type, row)) == [list, list]
 
     # SHA-256 of the cache files a cold dimension() and normal_form({}) write
     # for k=1..4, as json.dumps({name: text}) with names sorted
-    FILES_DIGEST = "e4b45a67dfb7c21224f9f405c48c63cefbcd66a4d368b12532d79577827f9b55"
+    FILES_DIGEST = "2b2957b5ed4ef608d7e7d93d43c7cb880131fdf3047d2a455eb008c5d98c7356"
 
     def test_file_bytes_pinned(self, tmp_path):
         for k in range(1, 5):
