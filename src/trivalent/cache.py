@@ -38,15 +38,15 @@ row kinds, {"size": <digits>, "lens": [...], "cols": [...], "vals": [...]},
 each list one "[" and one "]" with nothing but digits, "," and " "
 between them, and "-" as well in vals, so that every scalar is an int, at
 least 0 outside vals, and no list holds a list.  No item is checked one by
-one.  Values are checked after the parse: a basis size that is not the
-size load was given, a position outside the basis, a basis code count that
-is not a multiple of 3k, a code of (2k)^2 or more, a basis graph whose
-codes decrease, that holds a pair (a, b) with a > b or that is not
-trivalent (its degrees are checked exactly, as the digits of one running
-sum, in which such a pair counts no ends), basis keys that do not increase
-strictly, a row length of 0, row lengths whose sum is not the length of
-both cols and vals, a row whose columns do not increase strictly or that
-holds a zero, and rref rows that are not in echelon form
+one.  Values are checked after the parse: a basis code count other than 3k
+times n, the cold build's basis size at k (_SIZES), rows that record a size
+other than n, a position outside the basis, a code of (2k)^2 or more, a
+basis graph whose codes decrease, that holds a pair (a, b) with a > b or
+that is not trivalent (its degrees are checked exactly, as the digits of
+one running sum, in which such a pair counts no ends), basis keys that do
+not increase strictly, a row length of 0, row lengths whose sum is not the
+length of both cols and vals, a row whose columns do not increase strictly
+or that holds a zero, and rref rows that are not in echelon form
 (linalg.in_echelon), two of them sharing a top column, say.  The zeros file
 is checked after the parse alone: its format_version, and a payload of
 strings.  JSON nested past the decoder's recursion limit is ignored like
@@ -79,6 +79,8 @@ _PINS = {
     7: {"basis": 0x551D9B70, "zeros": 0x50734312, "relations": 0x1997317D, "rref": 0x5B835E64},
     8: {"basis": 0x0C580062, "zeros": 0xF869144B, "relations": 0x9DA390AA, "rref": 0x1B903FD9},
 }
+# the cold build's basis size at each pinned k, which each of its files holds
+_SIZES = {1: 0, 2: 2, 3: 2, 4: 4, 5: 37, 6: 243, 7: 2069, 8: 21807}
 
 
 def _check(ok) -> None:
@@ -114,7 +116,7 @@ _ROWS_BYTES = re.compile(
 )
 
 
-def _basis_keys(raw, k, size) -> tuple:
+def _basis_keys(raw, k) -> tuple:
     """The basis: the class key each graph of the payload spells.  The
     payload is one flat list of pair codes 2k*a + b, 3k a graph in key
     order, each graph's codes in its key's order: K4 is [1, 2, 3, 6, 7, 11]
@@ -122,7 +124,7 @@ def _basis_keys(raw, k, size) -> tuple:
     _check_bytes(raw, _BASIS_BYTES)
     codes = json.loads(raw)["payload"]  # by the bytes, a list of ints >= 0
     n, per_graph = 2 * k, 3 * k
-    graphs = len(codes) // per_graph
+    graphs = _SIZES[k]
     _check(len(codes) == graphs * per_graph)
     _check(not codes or max(codes) < n * n)
     # each code but a graph's first is at least the one before it, as the
@@ -147,22 +149,22 @@ def _basis_keys(raw, k, size) -> tuple:
     return keys
 
 
-def _zero_keys(raw, k, size) -> frozenset:
+def _zero_keys(raw, k) -> frozenset:
     data = json.loads(raw)
     _check(isinstance(data, dict) and data.get("format_version") == FORMAT_VERSION)
     return frozenset(_list_of(data.get("payload"), str))
 
 
-def _relation_rows(raw, k, size) -> tuple:
+def _relation_rows(raw, k) -> tuple:
     """(n, rows) from {"size": n, "lens": [...], "cols": [...], "vals":
-    [...]}: sparse integer rows over a basis of size n, size itself unless
-    that is None, the three flat lists as linalg.Rows, each row at least
-    one entry long, its columns positions in the basis that increase
-    strictly, and no value zero."""
+    [...]}: sparse integer rows over a basis of size n, the size of the
+    cold build's basis at k, the three flat lists as linalg.Rows, each row
+    at least one entry long, its columns positions in the basis that
+    increase strictly, and no value zero."""
     _check_bytes(raw, _ROWS_BYTES)
     p = json.loads(raw)["payload"]  # by the bytes, flat lists of ints
     n, lens, cols, vals = p["size"], p["lens"], p["cols"], p["vals"]
-    _check(size in (None, n))
+    _check(n == _SIZES[k])
     _check(0 not in lens and sum(lens) == len(cols) == len(vals))
     _check(not cols or max(cols) < n)
     # a column no larger than the one before it must start a row: its index
@@ -173,9 +175,9 @@ def _relation_rows(raw, k, size) -> tuple:
     return n, Rows(lens, cols, vals)
 
 
-def _weight_rows(raw, k, size) -> tuple:
+def _weight_rows(raw, k) -> tuple:
     """(n, W), each functional in W a dict, column -> value."""
-    n, rows = _relation_rows(raw, k, size)
+    n, rows = _relation_rows(raw, k)
     rows = as_dicts(rows)
     _check(in_echelon(rows))
     return n, rows
@@ -202,12 +204,11 @@ def _flat_weights(value) -> dict:
 
 # each kind's (encoder, decoder): the encoder turns the value GraphSpace
 # uses into a payload, and the decoder turns a file's bytes back into that
-# value, given k, which a basis checks its graphs against, and the basis
-# size that the relations and rref rows must record, or None to take the
-# one they record; it raises ValueError on a file of the wrong shape.  The
-# value of relations and rref is the pair (n, rows).  Decoders check types
-# on the bytes and values over flat lists, a few C-level calls a file, not
-# item by item.
+# value, given k, which a basis checks its graphs and their count against,
+# and the relations and rref rows their recorded size (_SIZES); it raises
+# ValueError on a file of the wrong shape.  The value of relations and rref
+# is the pair (n, rows).  Decoders check types on the bytes and values over
+# flat lists, a few C-level calls a file, not item by item.
 _FORMATS = {
     "basis": (_basis_codes, _basis_keys),
     "zeros": (sorted, _zero_keys),
@@ -242,17 +243,16 @@ class Cache:
         assert kind in KINDS
         return self.directory / f"{kind}-k{k}.json"
 
-    def load(self, k: int, kind: str, size: int | None = None):
+    def load(self, k: int, kind: str):
         """The stored value, or None for a missing or unusable file: one
         whose bytes do not give the pin of its k and kind, or, behind a
-        forged pin, of the wrong shape, relations or rref rows that record
-        a basis size other than size included (any size if it is None).
-        """
+        forged pin, of the wrong shape, a basis or rows of a size other
+        than the cold build's (_SIZES) included."""
         try:
             with open(self.path(k, kind), "rb") as f:
                 raw = f.read()
             _check(zlib.crc32(raw) == _PINS.get(k, {}).get(kind))
-            return _FORMATS[kind][1](raw, k, size)
+            return _FORMATS[kind][1](raw, k)
         except (OSError, ValueError, RecursionError):
             return None
 

@@ -9,14 +9,14 @@ file stores, and the weight systems W, integer functionals
 them, else built and stored.  A basis graph is read off its key
 (graphs.graph_of_key) only when the rows are built.  The rows come with
 the basis size n they index, which the relations file records, so a warm
-dimension() reads no basis; a space that holds both reads only rows whose
-n is the size of its basis.  One certificate proves W from the rows: its
-vectors vanish on every row and are in echelon form, so the dimension is
-at least their count, and n minus a lower bound on the rank (the peel
-plus a modular rank), an upper bound, meets it.  dimension() runs that
-proof on every call.  Normal forms are read off W, which the rref cache
-kind holds: the top columns of W are the free columns of the rows'
-reduced echelon form, and each vector pairs a class vector to its
+dimension() reads no basis; the cache reads no basis or rows of another
+size than the cold build's (cache._SIZES).  One certificate proves W from
+the rows: its vectors vanish on every row and are in echelon form, so the
+dimension is at least their count, and n minus a lower bound on the rank
+(the peel plus a modular rank), an upper bound, meets it.  dimension()
+runs that proof on every call.  Normal forms are read off W, which the
+rref cache kind holds: the top columns of W are the free columns of the
+rows' reduced echelon form, and each vector pairs a class vector to its
 coefficient there.
 """
 
@@ -64,18 +64,18 @@ class GraphSpace:
 
     # -- basis ------------------------------------------------------------
 
-    def _load(self, kind: str, size: int | None = None):
-        return None if self._cache is None else self._cache.load(self.k, kind, size)
+    def _load(self, kind: str):
+        return None if self._cache is None else self._cache.load(self.k, kind)
 
     def _store(self, kind: str, value) -> None:
         if self._cache is not None:
             self._cache.store(self.k, kind, value)
 
-    def _cached(self, kind: str, size: int | None, build):
-        """A row kind, (n, rows) over a basis of size n, read from the cache
-        if its n is size (any n if size is None), else built over the basis
-        and stored."""
-        value = self._load(kind, size)
+    def _cached(self, kind: str, build):
+        """A row kind, (n, rows) over a basis of size n, read from the cache,
+        which checks n against the cold build's basis size, else built over
+        the basis and stored."""
+        value = self._load(kind)
         if value is None:
             value = (len(self.keys), build())
             self._store(kind, value)
@@ -83,27 +83,23 @@ class GraphSpace:
 
     def _ensure_classes(self):
         """The basis keys, from the cache, which reads only a file with a
-        cold build's bytes (cache._PINS), or from a cold build; basis
-        positions index every row and vector."""
+        cold build's bytes (cache._PINS) and graph count (cache._SIZES), or
+        from a cold build; basis positions index every row and vector."""
         if self._keys is None:
             self._keys = self._load("basis")
             if self._keys is None:
                 self._build_classes()
-            if self._rows is not None and self._size != len(self._keys):
-                # rows read before the basis, for a basis of another size
-                self._rows = self._proved = None
 
     def _build_classes(self) -> None:
         """The cold build: classify the enumerator's labelled graphs, then
-        store the zero keys, and the basis unless one was read from the cache.
-        A basis read from the cache has a cold build's bytes, so it is the
-        build's.  At a k without pins the cache stores nothing.  The
-        listing streams into classify, which is looked up here at call time,
-        so a tracer that rebinds spaces.classify times the build."""
+        store the basis and the zero keys.  The cache leaves a file that
+        already holds the bytes it would write, such as a basis read from
+        it, as it is; at a k without pins it stores nothing.  The listing
+        streams into classify, which is looked up here at call time, so a
+        tracer that rebinds spaces.classify times the build."""
         keys, zeros, generators = classify(labelled_graphs(self.k))
-        if self._keys is None:
-            self._store("basis", keys)
         self._keys, self._zeros, self._generators = keys, zeros, generators
+        self._store("basis", keys)
         self._store("zeros", zeros)
 
     @property
@@ -174,12 +170,11 @@ class GraphSpace:
         its generators are read off a fresh canonical labelling of it
         (hubs.hub_rows says why the rows are the same).  Rows read from the
         cache are a cold build's too, byte for byte (cache._PINS), and come
-        with the basis size they index: that of the basis if the space holds
-        it, else the one the file records, and the basis is then not read.
+        with the basis size they index, which the file records and the cache
+        checks (cache._SIZES), so the basis is not read.
         """
         if self._rows is None:
-            held = None if self._keys is None else len(self._keys)
-            self._size, self._rows = self._cached("relations", held, self._hub_rows)
+            self._size, self._rows = self._cached("relations", self._hub_rows)
         return self._rows
 
     def _hub_rows(self):
@@ -253,7 +248,7 @@ class GraphSpace:
         rows, so equal normal forms mean equal classes in the quotient.
         """
         if self._weights is None:
-            self._weights = self._cached("rref", len(self.keys), self._proof)[1]
+            self._weights = self._cached("rref", self._proof)[1]
         pairings = ((w, sum(v * w[c] for c, v in vec.items() if c in w)) for w in self._weights)
         return {max(w): Fraction(s, w[max(w)]) for w, s in pairings if s}
 

@@ -933,8 +933,8 @@ class TestCache:
         loaded = []
         load = Cache.load
 
-        def recorded(self, k, kind, size=None):
-            value = load(self, k, kind, size)
+        def recorded(self, k, kind):
+            value = load(self, k, kind)
             loaded.append((kind, value is not None))
             return value
 
@@ -977,8 +977,8 @@ class TestCache:
         loaded, canonicalized, built = [], [], []
         load, canonicalize, graph_of_key = Cache.load, canon.canonicalize, G.graph_of_key
 
-        def recorded(self, k, kind, size=None):
-            value = load(self, k, kind, size)
+        def recorded(self, k, kind):
+            value = load(self, k, kind)
             loaded.append((kind, value is not None))
             return value
 
@@ -1029,6 +1029,22 @@ class TestCache:
         assert run(capsys, "dim", "-k", "5", "--cache", str(warm)) == before
         assert before[0] == 0
         assert not (warm / "basis-k5.json").exists()
+
+    def test_zeros_rebuild_leaves_the_basis_file(self, tmp_path, capsys):
+        """With the zeros file gone from a warm k=5 cache, enum rebuilds the
+        classes and prints a cold run's bytes; the basis it rebuilds beside
+        the zeros is the file's bytes, so the file keeps its inode and
+        mtime."""
+        cold = run(capsys, "enum", "-k", "5", "--cache", str(tmp_path / "cold"))
+        warm = tmp_path / "warm"
+        run(capsys, "cache", "warm", "-k", "5", "--cache", str(warm))
+        (warm / "zeros-k5.json").unlink()
+        before = (warm / "basis-k5.json").stat()
+        assert run(capsys, "enum", "-k", "5", "--cache", str(warm)) == cold
+        assert cold[0] == 0
+        after = (warm / "basis-k5.json").stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert (warm / "zeros-k5.json").read_bytes() == (tmp_path / "cold" / "zeros-k5.json").read_bytes()
 
     def test_bad_payload_is_rebuilt(self, tmp_path, capsys, monkeypatch):
         k4 = write(tmp_path, "k4.json", k4_json())
@@ -1161,8 +1177,14 @@ class TestCache:
             (2, "relations", edited(lambda p: {**p, "size": 2.0}), k2),
             (2, "relations", edited(lambda p: {**p, "size": "2"}), k2),
             (2, "rref", edited(lambda p: {**p, "size": None}), k2),
-            # W for a basis of another size, which reduce reads beside the basis
+            # W or relations for a basis of another size than the cold
+            # build's, which reduce reads beside the basis and a lone dim
+            # reads alone (3 - 1), and a basis with K4 dropped, one class
+            # where the cold build has 2 (reduce would miss K4's class and
+            # enum count one short)
             (2, "rref", edited(lambda p: {**p, "size": 3}), k2),
+            (2, "relations", edited(lambda p: {**p, "size": 3}), k2),
+            (2, "basis", without(k4_json()), k2),
             # files whose bytes alone give them away: compact separators, a
             # column that is true or null, a value that is a string, a list
             # in the basis codes and one in the columns, and a negative
@@ -1250,8 +1272,8 @@ class TestCache:
         loaded = []
         load = Cache.load
 
-        def recorded(self, k, kind, size=None):
-            value = load(self, k, kind, size)
+        def recorded(self, k, kind):
+            value = load(self, k, kind)
             loaded.append((kind, value is not None))
             return value
 

@@ -501,7 +501,7 @@ class TestCertificate:
         monkeypatch.setattr(S, "kernel_vectors", counted)
         cold = GraphSpace(5, Cache(tmp_path))
         assert (cold.dimension(), cold.normal_form({30: 1}), len(calls)) == (1, {30: 1}, 1)
-        assert Cache(tmp_path).load(5, "rref", len(cold.keys)) == (len(cold.keys), [self.K5])
+        assert Cache(tmp_path).load(5, "rref") == (len(cold.keys), [self.K5])
         warm = GraphSpace(5, Cache(tmp_path))
         assert (warm.normal_form({25: 1}), len(calls)) == ({30: -1}, 1)
         assert (warm.dimension(), len(calls)) == (1, 2)
@@ -923,7 +923,10 @@ class TestKeysAreTheBasis:
         minutes, so that case is slow, and shares space8 with the k=8
         dimension test.  Each pinned file also loads back as the value it
         was written from: a decoder that turned a pinned file away would
-        only make the run rebuild it, which no output shows."""
+        only make the run rebuild it, which no output shows.  The size that
+        the decoders check the basis and the rows against is the cold
+        build's, and every pinned k has one: a k without would raise
+        KeyError, which load does not catch."""
         sp = cold_space(k, request)
         n = len(sp.keys)
         values = {"basis": sp.keys, "zeros": sp.zero_keys}
@@ -934,9 +937,11 @@ class TestKeysAreTheBasis:
             cache.store(k, kind, values[kind])
         assert sorted(cache_module._PINS) == list(range(1, 9))
         assert all(list(pins) == list(KINDS) for pins in cache_module._PINS.values())
+        assert cache_module._SIZES.keys() == cache_module._PINS.keys()
+        assert cache_module._SIZES[k] == n
         crcs = {kind: zlib.crc32(cache.path(k, kind).read_bytes()) for kind in kinds}
         assert crcs == {kind: cache_module._PINS[k][kind] for kind in kinds}
-        assert all(cache.load(k, kind, n) == values[kind] for kind in kinds)
+        assert all(cache.load(k, kind) == values[kind] for kind in kinds)
 
 
 class TestCache:
@@ -1004,19 +1009,17 @@ class TestCache:
         assert set(values) == set(KINDS)
         for kind, value in values.items():
             cache.store(5, kind, value)
-            assert cache.load(5, kind, n) == value
             assert cache.load(5, kind) == value
-        size, rref = cache.load(5, "rref", n)
+        size, rref = cache.load(5, "rref")
         assert rref == [TestCertificate.K5]
         assert all(type(v) is int for w in rref for v in w.values())
 
     def test_rows_of_another_basis_size_are_rebuilt(self, tmp_path, monkeypatch):
         """Relations behind a forged pin that record a basis size other
-        than the basis's are ignored wherever both are read, and rebuilt.
-        Read after the basis, they are not read.  Read before it, by
-        dimension(), which takes n from them, they give 3 - 1; then
-        exact_dimension(), which counts the basis, as criterion 1 does,
-        rereads them, turns them away and gives the 2 - 1 of a fresh cache."""
+        than the cold build's are ignored and rebuilt, whether dimension()
+        reads them first, taking n from the rows alone, or after the basis:
+        it gives the 2 - 1 of a fresh cache, and the file is rewritten to a
+        fresh cache's bytes."""
         cache = Cache(tmp_path)
         GraphSpace(2, cache).normal_form({})
         path = cache.path(2, "relations")
@@ -1025,16 +1028,14 @@ class TestCache:
         doc["payload"]["size"] = 3
         forged = json.dumps(doc)
         monkeypatch.setitem(cache_module._PINS[2], "relations", zlib.crc32(forged.encode()))
-        path.write_text(forged)
-        sp = GraphSpace(2, cache)
-        assert (len(sp.keys), sp.dimension()) == (2, 1)
-        assert path.read_bytes() == fresh
-        path.write_text(forged)
-        sp = GraphSpace(2, cache)
-        assert sp.dimension() == 2
-        assert sp.exact_dimension() == 1
-        assert path.read_bytes() == fresh
-        assert sp.dimension() == 1
+        for basis_first in (False, True):
+            path.write_text(forged)
+            sp = GraphSpace(2, cache)
+            if basis_first:
+                assert len(sp.keys) == 2
+            assert sp.dimension() == 1
+            assert path.read_bytes() == fresh
+            assert (len(sp.keys), sp.exact_dimension()) == (2, 1)
 
     def test_version_mismatch_ignored(self, tmp_path):
         cache = Cache(tmp_path)
