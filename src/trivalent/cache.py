@@ -1,12 +1,15 @@
 """On-disk JSON cache for per-k derived data (bases, relations, weight systems).
 
 Each kind's file format lives here: store takes the value GraphSpace uses
-and load gives it back.  A basis is its tuple of class keys; its file holds
-one flat list of pair codes 2k*a + b, 3k for each key, in key order, the
-code of each pair (a, b) of the key in the key's order: at k=2, K4's key
-cub:4:0-1,0-2,0-3,1-2,1-3,2-3 is [1, 2, 3, 6, 7, 11].  Load spells the
-keys back from the codes, one table lookup per code
-(graphs._keys_of_codes).  The relations kind holds the relation rows,
+and load gives it back.  A basis is the list of its graphs' ranked strings
+in key order, one character a pair (graphs._pair_order), which compare as
+the keys they spell, so that a class is looked up with no key spelled; its
+file holds one string of two lowercase hex digits for each pair code
+2k*a + b, 3k codes a graph, in key order, the code of each pair (a, b) of
+the key in the key's order: at k=2, K4's key cub:4:0-1,0-2,0-3,1-2,1-3,2-3
+is "01020306070b".  Every pinned k is at most 8, so every code is below
+(2k)^2 <= 256, two digits.  Load ranks the codes with one bytes.translate
+call (_rank_tables).  The relations kind holds the relation rows,
 and the rref kind the weight systems W that normal forms are read from,
 both as (n, rows), sparse integer rows over a basis of size n, stored
 flat: {"size": n, "lens": [...], "cols": [...], "vals": [...]}, each
@@ -32,19 +35,19 @@ not a forged CRC-32 collision; behind it each decoder still checks its
 file's shape, so that a forged file of the wrong shape is ignored too, not
 a traceback.  Types are checked on the bytes, before the parse: a basis,
 relations or rref file must be the header json.dumps writes, then, for a
-basis, one "[" and one "]" with nothing but digits, "," and " " between
-them, so that the payload is one flat list of ints of at least 0; for the
-row kinds, {"size": <digits>, "lens": [...], "cols": [...], "vals": [...]},
-each list one "[" and one "]" with nothing but digits, "," and " "
-between them, and "-" as well in vals, so that every scalar is an int, at
-least 0 outside vals, and no list holds a list.  No item is checked one by
-one.  Values are checked after the parse: a basis code count other than 3k
-times n, the cold build's basis size at k (_SIZES), rows that record a size
-other than n, a position outside the basis, a code of (2k)^2 or more, a
-basis graph whose codes decrease, that holds a pair (a, b) with a > b or
-that is not trivalent (its degrees are checked exactly, as the digits of
-one running sum, in which such a pair counts no ends), basis keys that do
-not increase strictly, a row length of 0, row lengths whose sum is not the
+basis, one string of lowercase hex digits, which is read with no JSON
+parse; for the row kinds, {"size": <digits>, "lens": [...], "cols": [...],
+"vals": [...]}, each list one "[" and one "]" with nothing but digits, ","
+and " " between them, and "-" as well in vals, so that every scalar is an
+int, at least 0 outside vals, and no list holds a list.  No item is
+checked one by one.  Values are checked after the parse: a basis digit
+count other than 2 * 3k times n, the cold build's basis size at k
+(_SIZES), rows that record a size other than n, a position outside the
+basis, a code of (2k)^2 or more, a basis graph whose codes decrease, that
+holds a pair (a, b) with a > b or that is not trivalent (its degrees are
+checked exactly, as the digits of one running sum, in which such a pair
+counts no ends), basis graphs whose ranked strings, so keys, do not
+increase strictly, a row length of 0, row lengths whose sum is not the
 length of both cols and vals, a row whose columns do not increase strictly
 or that holds a zero, and rref rows that are not in echelon form
 (linalg.in_echelon), two of them sharing a top column, say.  The zeros file
@@ -55,29 +58,30 @@ any unreadable file.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
 import zlib
-from itertools import accumulate, compress, count, islice, repeat
-from operator import ge, le, lt
+from itertools import accumulate, compress, count, islice
+from operator import ge, lt
 from pathlib import Path
 
-from .graphs import _keys_of_codes, graph_of_key
+from .graphs import _pair_order
 from .linalg import Rows, as_dicts, as_rows, in_echelon
 
 FORMAT_VERSION = 1
 # CRC-32 of the bytes of each kind's file that a cold build writes, at each
 # k from 1 to 8: the one rule that load applies before it parses a file
 _PINS = {
-    1: {"basis": 0xAAFD31CC, "zeros": 0x1E4DBD87, "relations": 0xB7CBA5A0, "rref": 0xB7CBA5A0},
-    2: {"basis": 0xEC55BE8E, "zeros": 0xA7472371, "relations": 0x7AD6A40B, "rref": 0xFD706F48},
-    3: {"basis": 0xC65764DA, "zeros": 0x442A0D8B, "relations": 0x56421A32, "rref": 0x2AD9B2F2},
-    4: {"basis": 0x983F9B68, "zeros": 0xBB3E6A45, "relations": 0xE3F2C40B, "rref": 0x569E8D45},
-    5: {"basis": 0xCA45EE3C, "zeros": 0x3D3EEF1B, "relations": 0x09AB0F2E, "rref": 0xF1124D2C},
-    6: {"basis": 0x59C9454A, "zeros": 0xDBA79B24, "relations": 0x36B375A2, "rref": 0x544A3329},
-    7: {"basis": 0x551D9B70, "zeros": 0x50734312, "relations": 0x1997317D, "rref": 0x5B835E64},
-    8: {"basis": 0x0C580062, "zeros": 0xF869144B, "relations": 0x9DA390AA, "rref": 0x1B903FD9},
+    1: {"basis": 0x597A072A, "zeros": 0x1E4DBD87, "relations": 0xB7CBA5A0, "rref": 0xB7CBA5A0},
+    2: {"basis": 0x85CB2B6D, "zeros": 0xA7472371, "relations": 0x7AD6A40B, "rref": 0xFD706F48},
+    3: {"basis": 0x302D1B97, "zeros": 0x442A0D8B, "relations": 0x56421A32, "rref": 0x2AD9B2F2},
+    4: {"basis": 0xFCFABAB3, "zeros": 0xBB3E6A45, "relations": 0xE3F2C40B, "rref": 0x569E8D45},
+    5: {"basis": 0xCE1ABB32, "zeros": 0x3D3EEF1B, "relations": 0x09AB0F2E, "rref": 0xF1124D2C},
+    6: {"basis": 0xAE935EC7, "zeros": 0xDBA79B24, "relations": 0x36B375A2, "rref": 0x544A3329},
+    7: {"basis": 0x01F0141C, "zeros": 0x50734312, "relations": 0x1997317D, "rref": 0x5B835E64},
+    8: {"basis": 0xC4E69E88, "zeros": 0xF869144B, "relations": 0x9DA390AA, "rref": 0x1B903FD9},
 }
 # the cold build's basis size at each pinned k, which each of its files holds
 _SIZES = {1: 0, 2: 2, 3: 2, 4: 4, 5: 37, 6: 243, 7: 2069, 8: 21807}
@@ -106,47 +110,62 @@ def _check_bytes(raw: bytes, payload: re.Pattern) -> None:
     _check(raw.startswith(_HEAD) and payload.fullmatch(raw, len(_HEAD)))
 
 
-# one "[" and one "]" with digits, "," and " " alone between them: of
-# these bytes json.loads reads nothing but one flat list of ints >= 0
-_BASIS_BYTES = re.compile(rb"\[[0-9, ]*\]\}")
-# the three flat lists of the row kinds, each of ints >= 0 as a basis is,
-# with "-" as well in vals, where an int may be negative
+# one string of lowercase hex digits, which bytes.fromhex reads whole once
+# their count is even
+_BASIS_BYTES = re.compile(rb'"[0-9a-f]*"\}')
+# the three flat lists of the row kinds, each one "[" and one "]" with
+# digits, "," and " " alone between them, so of ints >= 0, with "-" as well
+# in vals, where an int may be negative
 _ROWS_BYTES = re.compile(
     rb'\{"size": [0-9]+, "lens": \[[0-9, ]*\], "cols": \[[0-9, ]*\], "vals": \[[-0-9, ]*\]\}\}'
 )
 
 
-def _basis_keys(raw, k) -> tuple:
-    """The basis: the class key each graph of the payload spells.  The
-    payload is one flat list of pair codes 2k*a + b, 3k a graph in key
-    order, each graph's codes in its key's order: K4 is [1, 2, 3, 6, 7, 11]
-    at k=2.  Each vertex of the 2k is the end of exactly three edges."""
+@functools.cache
+def _rank_tables(n: int) -> tuple:
+    """(to rank, to code): the bytes.translate tables that send the code
+    n*a + b of each pair of n <= 16 vertices to its rank in the string
+    order of the pairs' texts (graphs._pair_order), and back."""
+    codes = _pair_order(n)[0]
+    to_rank = bytearray(256)
+    for rank, code in enumerate(codes):
+        to_rank[code] = rank
+    return bytes(to_rank), bytes(codes).ljust(256, b"\0")
+
+
+def _basis_graphs(raw, k) -> list:
+    """The basis: each graph's ranked string (graphs._pair_order), in key
+    order.  The payload is one string of two lowercase hex digits for each
+    pair code 2k*a + b, 3k codes a graph in key order, each graph's codes
+    in its key's order: K4 is "01020306070b" at k=2.  Each vertex of the
+    2k is the end of exactly three edges."""
     _check_bytes(raw, _BASIS_BYTES)
-    codes = json.loads(raw)["payload"]  # by the bytes, a list of ints >= 0
-    n, per_graph = 2 * k, 3 * k
-    graphs = _SIZES[k]
-    _check(len(codes) == graphs * per_graph)
-    _check(not codes or max(codes) < n * n)
+    digits = raw[len(_HEAD) + 1 : -2]  # by the bytes, lowercase hex digits
+    n, per_graph, size = 2 * k, 3 * k, _SIZES[k]
+    _check(len(digits) == 2 * per_graph * size)
+    codes = bytes.fromhex(digits.decode())
+    _check(not codes.translate(None, bytes(range(n * n))))  # every code below (2k)^2
     # each code but a graph's first is at least the one before it, as the
-    # pairs of a key are sorted
-    before = [-1, *codes]  # the code before each, or -1 where a graph starts
-    before[::per_graph] = repeat(-1, graphs + 1)
-    _check(all(map(le, before, codes)))
-    # the degrees of a graph's vertices as the digits of one int: a code
-    # adds one in the digits of its two ends, and a vertex meets at most
-    # 6k ends in a graph, so a digit wider than 6k never carries.  The
-    # running sum at the end of the j-th graph is j times the sum of a
-    # trivalent graph exactly when every graph is trivalent.  A pair (a, b)
-    # with a > b, which no key holds, adds nothing, so its graph falls short
+    # pairs of a key are sorted.  With one 16-bit lane a code, lane i of
+    # now - before is 256 + c_i - c_(i-1), from 1 to 511, so no lane borrows
+    # from the next, and its bit 8 is set exactly when c_i >= c_(i-1)
+    lanes = bytearray(2 * len(codes))
+    lanes[::2] = codes
+    now = int.from_bytes(lanes, "little") | int.from_bytes(b"\0\1" * len(codes), "little")
+    before = int.from_bytes(b"\0\0" + lanes[:-2], "little")
+    inner = int.from_bytes((b"\0\0" + b"\0\1" * (per_graph - 1)) * size, "little")  # a graph's first lane clear
+    _check((now - before) & inner == inner)
     width = (6 * k).bit_length()
     ends = [(1 << width * a) + (1 << width * b) if a <= b else 0 for a in range(n) for b in range(n)]
     trivalent = 3 * sum(1 << width * v for v in range(n))
-    totals = accumulate(map(ends.__getitem__, codes))
+    totals = accumulate([ends[c] for c in codes])
     totals = list(islice(totals, per_graph - 1, None, per_graph))
-    _check(totals == list(range(trivalent, trivalent * (graphs + 1), trivalent)))
-    keys = _keys_of_codes(n, codes, per_graph)
-    _check(all(map(lt, keys, keys[1:])))  # as classify sorts them
-    return keys
+    _check(totals == list(range(trivalent, trivalent * (size + 1), trivalent)))
+    # ranked strings compare as the keys they spell (graphs._pair_order)
+    ranked = codes.translate(_rank_tables(n)[0]).decode("latin-1")
+    graphs = [ranked[i : i + per_graph] for i in range(0, len(ranked), per_graph)]
+    _check(all(map(lt, graphs, graphs[1:])))  # as classify sorts the keys
+    return graphs
 
 
 def _zero_keys(raw, k) -> frozenset:
@@ -183,13 +202,12 @@ def _weight_rows(raw, k) -> tuple:
     return n, rows
 
 
-def _basis_codes(keys) -> list:
-    """The pair code num_vertices * a + b of each pair (a, b) of each key, in order."""
-    codes = []
-    for key in keys:
-        graph = graph_of_key(key)
-        codes += [graph.num_vertices * a + b for a, b in graph.edges]
-    return codes
+def _basis_hex(graphs) -> str:
+    """The pair codes of the basis graphs' ranked strings, two hex digits each."""
+    if not graphs:
+        return ""
+    n = 2 * len(graphs[0]) // 3  # a graph's 3k pairs join its 2k vertices
+    return "".join(graphs).encode("latin-1").translate(_rank_tables(n)[1]).hex()
 
 
 def _flat_rows(value) -> dict:
@@ -206,11 +224,13 @@ def _flat_weights(value) -> dict:
 # uses into a payload, and the decoder turns a file's bytes back into that
 # value, given k, which a basis checks its graphs and their count against,
 # and the relations and rref rows their recorded size (_SIZES); it raises
-# ValueError on a file of the wrong shape.  The value of relations and rref
-# is the pair (n, rows).  Decoders check types on the bytes and values over
-# flat lists, a few C-level calls a file, not item by item.
+# ValueError on a file of the wrong shape.  The value of a basis is its
+# graphs' ranked strings, and that of relations and rref the pair (n, rows).
+# Decoders check types on the bytes and values over flat lists or whole
+# ints, each call over all of a file's items; only the basis's running
+# degree sum takes one Python step a code.
 _FORMATS = {
-    "basis": (_basis_codes, _basis_keys),
+    "basis": (_basis_hex, _basis_graphs),
     "zeros": (sorted, _zero_keys),
     "relations": (_flat_rows, _relation_rows),
     "rref": (_flat_weights, _weight_rows),

@@ -172,6 +172,56 @@ def _keys_of_codes(num_vertices: int, codes, num_pairs: int) -> tuple:
     return tuple((head + ",".join(texts)).split(",\n"))
 
 
+@functools.cache
+def _pair_order(num_vertices: int) -> tuple:
+    """(codes, chars): the code num_vertices * a + b of every pair of
+    vertices in the string order of the pairs' texts "a-b,", and the rank
+    character of each pair, chr of its position in that order, by its text
+    "a-b".  A graph's ranked string is the rank characters of its sorted
+    pairs (_ranked_key).
+
+    Ranked strings compare as the keys they spell do: of two graphs with
+    as many pairs, the one with the smaller ranked string has the smaller
+    canonical_key.  A key is its head "cub:<n>:", then the texts "a-b," of
+    its pairs with the last "," dropped.  Put that "," back on both keys.
+    Each text holds one ",", its last character, so none is a prefix of
+    another: where the two lists of pairs first differ, at texts u and v,
+    the strings first differ inside both u and v, at a place where neither
+    has ended, so they compare as u and v do, as the ranks of u and v.
+    Dropping the two last "," keeps that order.  Say the strings first
+    differ at place p, the smaller one's character there is below the
+    other's, and "," is below "-" and every digit.  So the larger one's
+    character at p is not a ",", and p is not its end.  If p is the
+    smaller one's end, that key is a proper prefix of the other; else both
+    keys keep place p, where they first differ.  Lists of as many pairs
+    that do not differ spell the same key."""
+    texts = _pair_texts(num_vertices)
+    codes = sorted(range(num_vertices * num_vertices), key=lambda c: texts[c] + ",")
+    return codes, {texts[c]: chr(rank) for rank, c in enumerate(codes)}
+
+
+def _ranked_key(key: str) -> str:
+    """The ranked string of a class key (_pair_order), one character a
+    pair, which compares with other keys' as the key does."""
+    _, n, text = key.split(":")
+    return "".join(map(_pair_order(int(n))[1].__getitem__, text.split(",")))
+
+
+def _keys_of_ranked(num_vertices: int, ranked, num_pairs: int) -> tuple:
+    """canonical_key of consecutive graphs of num_pairs pairs each, from
+    their ranked strings joined (_pair_order), spelled by _keys_of_codes."""
+    codes = _pair_order(num_vertices)[0]
+    return _keys_of_codes(num_vertices, list(map(codes.__getitem__, map(ord, ranked))), num_pairs)
+
+
+def _graphs_of_ranked(num_vertices: int, ranked) -> tuple:
+    """The graph each ranked string spells (_pair_order), its sorted pairs
+    its edges: graph_of_key of the key it spells, without the key."""
+    n = num_vertices
+    pairs = [divmod(c, n) for c in _pair_order(n)[0]]
+    return tuple(LabelledTrivalentGraph(n, itemgetter(*map(ord, g))(pairs)) for g in ranked)
+
+
 def graph_of_key(key: str) -> LabelledTrivalentGraph:
     """The graph a class key spells, canonical_key's inverse: the key's
     pairs, in order, are its edge list.  For a key reduce gave, that is the

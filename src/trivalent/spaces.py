@@ -1,23 +1,26 @@
 """GraphSpace: the span of the classes at one k modulo the relation rows.
 
-A GraphSpace holds the basis as the sorted keys of the signed classes, and
-the zero class keys (classes.classify over classes.labelled_graphs), the
-relation rows (hubs.hub_rows) as linalg.Rows, three flat lists, each row's
-entry count, then every row's columns and values, the form the relations
-file stores, and the weight systems W, integer functionals
+A GraphSpace holds the basis, the signed classes in key order, as each
+graph's ranked string, one character a pair (graphs._pair_order), the form
+the basis file decodes to and a cold build ranks classify's keys into
+once; ranked strings compare as the keys they spell, so a class is found
+by bisecting on its own, and only the keys a caller reads are spelled.  It
+holds the zero class keys (classes.classify over classes.labelled_graphs),
+the relation rows (hubs.hub_rows) as linalg.Rows, three flat lists, each
+row's entry count, then every row's columns and values, the form the
+relations file stores, and the weight systems W, integer functionals
 (dicts) that vanish on every row, each read from the cache when it has
-them, else built and stored.  A basis graph is read off its key
-(graphs.graph_of_key) only when the rows are built.  The rows come with
-the basis size n they index, which the relations file records, so a warm
-dimension() reads no basis; the cache reads no basis or rows of another
-size than the cold build's (cache._SIZES).  One certificate proves W from
-the rows: its vectors vanish on every row and are in echelon form, so the
-dimension is at least their count, and n minus a lower bound on the rank
-(the peel plus a modular rank), an upper bound, meets it.  dimension()
-runs that proof on every call.  Normal forms are read off W, which the
-rref cache kind holds: the top columns of W are the free columns of the
-rows' reduced echelon form, and each vector pairs a class vector to its
-coefficient there.
+them, else built and stored.  A basis graph is read off its ranked string
+only when the rows are built.  The rows come with the basis size n they
+index, which the relations file records, so a warm dimension() reads no
+basis; the cache reads no basis or rows of another size than the cold
+build's (cache._SIZES).  One certificate proves W from the rows: its
+vectors vanish on every row and are in echelon form, so the dimension is
+at least their count, and n minus a lower bound on the rank (the peel plus
+a modular rank), an upper bound, meets it.  dimension() runs that proof on
+every call.  Normal forms are read off W, which the rref cache kind holds:
+the top columns of W are the free columns of the rows' reduced echelon
+form, and each vector pairs a class vector to its coefficient there.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .cache import Cache
 from .canon import CanonResult, canonicalize
 # enumerate_graphs stays importable from here, beside classify
 from .classes import classify, enumerate_graphs, labelled_graphs
-from .graphs import LabelledTrivalentGraph, _canonical_generators, graph_of_key
-from .graphs import has_parallel_edge, reduce
+from .graphs import LabelledTrivalentGraph, _canonical_generators, _graphs_of_ranked
+from .graphs import _keys_of_ranked, _ranked_key, has_parallel_edge, reduce
 from .hubs import hub_rows
 from .linalg import as_dicts, exact_rank, in_echelon, kernel_vectors, peel_singletons
 from .linalg import rank_mod_p, vanishes_on
@@ -54,13 +57,13 @@ class GraphSpace:
         self._cache = cache
         self._basis = None
         self._generators = None  # Aut generators of the basis, from classify
+        self._graphs = None  # the basis: each graph's ranked string, in key order
         self._keys = None
         self._zeros = None
         self._size = None  # the basis size n that the rows were read or built for
         self._rows = None
         self._proved = None  # W, as dimension() last proved it
         self._weights = None  # W, as normal_form reads it
-        self._index = None
 
     # -- basis ------------------------------------------------------------
 
@@ -77,43 +80,49 @@ class GraphSpace:
         the basis and stored."""
         value = self._load(kind)
         if value is None:
-            value = (len(self.keys), build())
+            value = (len(self._key_index()), build())
             self._store(kind, value)
         return value
 
     def _ensure_classes(self):
-        """The basis keys, from the cache, which reads only a file with a
-        cold build's bytes (cache._PINS) and graph count (cache._SIZES), or
-        from a cold build; basis positions index every row and vector."""
-        if self._keys is None:
-            self._keys = self._load("basis")
-            if self._keys is None:
+        """The basis graphs' ranked strings, from the cache, which reads
+        only a file with a cold build's bytes (cache._PINS) and graph count
+        (cache._SIZES), or from a cold build; basis positions index every
+        row and vector."""
+        if self._graphs is None:
+            self._graphs = self._load("basis")
+            if self._graphs is None:
                 self._build_classes()
 
     def _build_classes(self) -> None:
-        """The cold build: classify the enumerator's labelled graphs, then
-        store the basis and the zero keys.  The cache leaves a file that
-        already holds the bytes it would write, such as a basis read from
-        it, as it is; at a k without pins it stores nothing.  The listing
-        streams into classify, which is looked up here at call time, so a
-        tracer that rebinds spaces.classify times the build."""
+        """The cold build: classify the enumerator's labelled graphs, rank
+        the keys' pairs once (graphs._ranked_key), then store the basis and
+        the zero keys.  The cache leaves a file that already holds the
+        bytes it would write, such as a basis read from it, as it is; at a
+        k without pins it stores nothing.  The listing streams into
+        classify, which is looked up here at call time, so a tracer that
+        rebinds spaces.classify times the build."""
         keys, zeros, generators = classify(labelled_graphs(self.k))
         self._keys, self._zeros, self._generators = keys, zeros, generators
-        self._store("basis", keys)
+        self._graphs = list(map(_ranked_key, keys))
+        self._store("basis", self._graphs)
         self._store("zeros", zeros)
 
     @property
     def basis(self):
-        """The class representatives, read off the keys on first read.  A
-        warm dim, reduce, surgery or enum never reads them."""
+        """The class representatives, the graphs the keys spell, read off
+        the ranked strings on first read.  A warm dim, reduce, surgery or
+        enum never reads them."""
         if self._basis is None:
-            self._basis = tuple(map(graph_of_key, self.keys))
+            self._basis = _graphs_of_ranked(2 * self.k, self._key_index())
         return self._basis
 
     @property
     def keys(self):
-        """The signed class keys, sorted: the basis."""
-        self._ensure_classes()
+        """The signed class keys, sorted: the basis, spelled on first read,
+        which enum makes; a cold build has them from classify."""
+        if self._keys is None:
+            self._keys = _keys_of_ranked(2 * self.k, "".join(self._key_index()), 3 * self.k)
         return self._keys
 
     @property
@@ -128,12 +137,14 @@ class GraphSpace:
 
     @property
     def num_classes(self) -> int:
-        return len(self.keys) + len(self.zero_keys)
+        return len(self._key_index()) + len(self.zero_keys)
 
     def _key_index(self):
-        if self._index is None:
-            self._index = {key: i for i, key in enumerate(self.keys)}
-        return self._index
+        """The basis as each graph's ranked string (graphs._pair_order), a
+        list in key order, which compares as the keys do: a class is found
+        by bisecting on its own ranked string, and no other key is spelled."""
+        self._ensure_classes()
+        return self._graphs
 
     # -- vectors ----------------------------------------------------------
 
@@ -144,15 +155,30 @@ class GraphSpace:
             raise ValueError(f"graph has {g.num_vertices} vertices, space expects {2 * self.k}")
         if has_parallel_edge(g) or (r := reduce(g, res)).is_zero:
             return {}
-        idx = self._key_index()
-        if r.key not in idx:
+        graphs, ranked = self._key_index(), _ranked_key(r.key)
+        # a bisection by hand: bisect's C module takes longer to load than
+        # a warm reduce takes to search
+        lo, hi = 0, len(graphs)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if graphs[mid] < ranked:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == len(graphs) or graphs[lo] != ranked:
             raise ValueError("graph class missing from the enumerated basis")
-        return {idx[r.key]: r.sign}
+        return {lo: r.sign}
 
     def _by_key(self, vec: dict) -> dict:
         """A vector over the basis positions as one over the class keys, in
-        basis order, zero entries dropped."""
-        return {self.keys[i]: v for i, v in sorted(vec.items()) if v}
+        basis order, zero entries dropped.  Only the keys of its positions
+        are spelled, and a vector of none reads no basis."""
+        items = [(i, v) for i, v in sorted(vec.items()) if v]
+        if not items:
+            return {}
+        graphs = self._key_index()
+        keys = _keys_of_ranked(2 * self.k, "".join([graphs[i] for i, _ in items]), 3 * self.k)
+        return dict(zip(keys, [v for _, v in items]))
 
     # -- relations ----------------------------------------------------------
 
@@ -233,7 +259,7 @@ class GraphSpace:
         """Basis size minus the exact rank of the relation rows, as dicts.
         It reads no peel, so it is the check of the peel that the
         certificate's two bounds share."""
-        return len(self.keys) - exact_rank(as_dicts(self.relation_rows()))
+        return len(self._key_index()) - exact_rank(as_dicts(self.relation_rows()))
 
     # -- normal form ----------------------------------------------------------
 

@@ -116,13 +116,19 @@ def codes_of(graph, n=None):
     return [n * a + b for a, b in graph["edges"]]
 
 
+def codes_edited(edit):
+    """An edit of a basis payload's pair codes, given to edit as a list of
+    ints and written back as two hex digits each."""
+    return edited(lambda p: bytes(edit(list(bytes.fromhex(p)))).hex())
+
+
 def graphs_of(payload, k):
     """The graphs of a basis payload at k as graph JSON: 3k codes a graph,
-    the code 2k*a + b read as the pair (a, b)."""
-    n, size = 2 * k, 3 * k
+    two hex digits a code, the code 2k*a + b read as the pair (a, b)."""
+    n, size, codes = 2 * k, 3 * k, bytes.fromhex(payload)
     return [
-        {"vertices": n, "edges": [list(divmod(c, n)) for c in payload[i : i + size]]}
-        for i in range(0, len(payload), size)
+        {"vertices": n, "edges": [list(divmod(c, n)) for c in codes[i : i + size]]}
+        for i in range(0, len(codes), size)
     ]
 
 
@@ -139,7 +145,7 @@ def inserted(graph, k=None):
 
     def edit(payload):
         graphs = sorted(graphs_of(payload, k) + [graph], key=basis_key)
-        return [c for g in graphs for c in codes_of(g, 2 * k)]
+        return bytes([c for g in graphs for c in codes_of(g, 2 * k)]).hex()
 
     return edited(edit)
 
@@ -150,7 +156,7 @@ def without(graph):
     def edit(payload):
         graphs = graphs_of(payload, graph["vertices"] // 2)
         assert graph in graphs
-        return [c for g in graphs if g != graph for c in codes_of(g)]
+        return bytes([c for g in graphs if g != graph for c in codes_of(g)]).hex()
 
     return edited(edit)
 
@@ -212,7 +218,7 @@ def without_key(key):
 
 # the k=2 basis and relations files as json.dumps writes them with compact
 # separators, "," and ":"
-COMPACT_BASIS_K2 = '{"format_version":1,"payload":[1,2,3,5,10,15,1,2,3,6,7,11]}'
+COMPACT_BASIS_K2 = '{"format_version":1,"payload":"010203050a0f01020306070b"}'
 COMPACT_RELATIONS_K2 = '{"format_version":1,"payload":{"size":2,"lens":[1],"cols":[0],"vals":[1]}}'
 # a graph with vertex degrees 2, 3, 3, 4 in canonical form
 ODD_DEGREES = {"vertices": 4, "edges": [[0, 1], [0, 2], [1, 2], [1, 3], [2, 3], [3, 3]]}
@@ -270,6 +276,41 @@ NESTED_BASIS_K2 = (
     '{"format_version": 1, "payload": [[0, 1, 0, 2, 0, 3, 1, 1, 2, 2, 3, 3], '
     "[0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3]]}"
 )
+# the k=2 basis file a cold build wrote before the pair codes were stored as
+# hex digits: one flat list of ints
+FLAT_BASIS_K2 = '{"format_version": 1, "payload": [1, 2, 3, 5, 10, 15, 1, 2, 3, 6, 7, 11]}'
+
+
+def basis_k2(payload):
+    """A k=2 basis file with this payload, as json.dumps writes it."""
+    return json.dumps({"format_version": 1, "payload": payload})
+
+
+# the cold build's k=2 basis payload: the clover's codes, then K4's
+HEX_K2 = "010203050a0f01020306070b"
+# k=2 basis files that a decoder must turn away, each with what is wrong:
+# each but the int list is the cold payload with one edit
+FORGED_BASIS_K2 = [
+    ("an odd digit count", basis_k2(HEX_K2[:-1])),
+    ("uppercase digits", basis_k2(HEX_K2.upper())),
+    ("a digit that is not hex", basis_k2(HEX_K2[:-1] + "g")),
+    ("a space between two codes", basis_k2(HEX_K2[:2] + " " + HEX_K2[2:])),
+    # (4, 0), in place of K4's last
+    ("a code of (2k)^2", basis_k2(HEX_K2[:-2] + "10")),
+    # K4's last two codes swapped: each vertex still met three times, and
+    # the key the graph then spells larger, so the keys still increase
+    ("codes out of order within a graph", basis_k2(HEX_K2[:-4] + "0b07")),
+    # K4 with its pair 0-1 spelled 1-0: the codes still in order, the keys
+    # increasing and each vertex met three times
+    ("a pair (a, b) with a > b", basis_k2(HEX_K2[:12] + "020304" + HEX_K2[18:])),
+    ("two graphs swapped", basis_k2(HEX_K2[12:] + HEX_K2[:12])),
+    ("a graph repeated", basis_k2(HEX_K2[12:] * 2)),
+    ("one graph short", basis_k2(HEX_K2[12:])),
+    # a code past K4, the pair 3-3: a graph begun after the last, which
+    # sorts after it, and every whole graph trivalent
+    ("a code past the last graph", basis_k2(HEX_K2 + "0f")),
+    ("the int list", FLAT_BASIS_K2),
+]
 # the k=2 relations and rref files a cold build wrote before the rows were
 # stored flat: a list of columns and one of values for each row
 NESTED_ROWS_K2 = {
@@ -960,8 +1001,9 @@ class TestCache:
         """On a warm k=4 cache, dim loads the relations alone, which record
         the basis size, and reduce the basis and the echelon form with one
         canonicalize call,
-        for its own graph.  Neither reads a basis graph off its key: the
-        keys suffice.  Surgery on a simple graph whose class is zero loads
+        for its own graph.  Neither reads a basis graph, and reduce spells
+        no basis key but those it prints: it finds its class by its own
+        ranked string.  Surgery on a simple graph whose class is zero loads
         nothing, and on a cold cache it builds and writes nothing."""
         warm = tmp_path / "warm"
         run(capsys, "cache", "warm", "-k", "4", "--cache", str(warm))
@@ -974,8 +1016,9 @@ class TestCache:
 
         zero = next(filter(simple, map(G.graph_of_key, zeros)))
         zero = write(tmp_path, "zero.json", zero.to_json())
-        loaded, canonicalized, built = [], [], []
-        load, canonicalize, graph_of_key = Cache.load, canon.canonicalize, G.graph_of_key
+        loaded, canonicalized, built, spelled = [], [], [], []
+        load, canonicalize = Cache.load, canon.canonicalize
+        graphs_of_ranked, keys_of_codes = G._graphs_of_ranked, G._keys_of_codes
 
         def recorded(self, k, kind):
             value = load(self, k, kind)
@@ -986,18 +1029,24 @@ class TestCache:
             canonicalized.append(args)
             return canonicalize(*args)
 
-        def basis_graph(key):
-            built.append(key)
-            return graph_of_key(key)
+        def basis_graphs(*args):
+            built.append(args)
+            return graphs_of_ranked(*args)
+
+        def spelling(*args):
+            keys = keys_of_codes(*args)
+            spelled.extend(keys)
+            return keys
 
         monkeypatch.setattr(Cache, "load", recorded)
+        monkeypatch.setattr(G, "_keys_of_codes", spelling)
         for name, module in list(sys.modules.items()):
             if not name.startswith("trivalent"):
                 continue
             if getattr(module, "canonicalize", 0) is canonicalize:
                 monkeypatch.setattr(module, "canonicalize", counted)
-            if getattr(module, "graph_of_key", 0) is graph_of_key:
-                monkeypatch.setattr(module, "graph_of_key", basis_graph)
+            if getattr(module, "_graphs_of_ranked", 0) is graphs_of_ranked:
+                monkeypatch.setattr(module, "_graphs_of_ranked", basis_graphs)
         for argv, kinds, calls in (
             (("dim", "-k", "4"), ["relations"], 0),
             (("surgery", zero), [], 1),  # its Aut and its class share one
@@ -1005,18 +1054,24 @@ class TestCache:
         ):
             loaded.clear()
             canonicalized.clear()
+            spelled.clear()
             code, out, err = run(capsys, *argv, "--cache", str(warm))
             assert (code, err) == (0, "")
             assert loaded == [(kind, True) for kind in kinds]
             assert len(canonicalized) == calls
-        assert json.loads(out)["class"]["sign"] == 1  # a basis graph, not zero
+        reduced = json.loads(out)
+        assert reduced["class"]["sign"] == 1  # a basis graph, not zero
+        assert set(spelled) == {reduced["class"]["key"], *reduced["normal_form"]}
         assert built == []
         cold = tmp_path / "cold"
         code, out, err = run(capsys, "surgery", zero, "--cache", str(cold))
         assert (code, err, json.loads(out)["result"]) == (0, "", {})
         assert not cold.exists()
-        # reading the basis reads each graph off its key through the wrapped name
-        assert len(GraphSpace(4, Cache(warm)).basis) == len(built) > 0
+        # reading the basis and the keys goes through the wrapped names
+        spelled.clear()
+        space = GraphSpace(4, Cache(warm))
+        assert len(space.basis) == len(space.keys) == len(spelled) > 0
+        assert len(built) == 1
 
     def test_warm_dim_reads_no_basis(self, tmp_path, capsys):
         """The relations file records the basis size, so a warm dim reads
@@ -1055,15 +1110,6 @@ class TestCache:
             """The last pair's far end made 9, past the 4 vertices of k=2."""
             return p[:-1] + [p[-1] // 4 * 4 + 9]
 
-        def with_first(p, code):
-            assert p[0] == 1  # the pair (0, 1)
-            return [code] + p[1:]
-
-        def swapped(p):
-            """The last two codes swapped: the key the last graph then
-            spells is larger, so the keys still increase."""
-            return p[:-2] + [p[-1], p[-2]]
-
         # (k, kind, file text or an edit of a warm cache's file, commands):
         # files whose bytes are not the pinned ones, so that the pin alone
         # turns them away
@@ -1080,7 +1126,7 @@ class TestCache:
             # zero class dropped, and two disjoint K4s (a cold run lists 71
             # classes at k=4, dimension 0)
             (2, "basis", without(k4_json()), k2),
-            (2, "basis", edited(lambda p: []), k2),
+            (2, "basis", edited(lambda p: ""), k2),
             (2, "zeros", edited(lambda p: p[1:]), k2),
             (4, "basis", inserted(TWO_K4), (("enum", "-k", "4"), ("dim", "-k", "4"))),
         ]
@@ -1095,43 +1141,32 @@ class TestCache:
             )
         ]
         forged += [(2, kind, DEEP, (("dim", "-k", "2"),)) for kind in ("basis", "relations")]
-        # a file in the format the pins came in with, and a basis file with
-        # a list for each graph
+        # a file in the format the pins came in with, a basis file with a
+        # list for each graph, and the basis files of FORGED_BASIS_K2, the
+        # int-list format among them, each in a warm cache, so that a file
+        # read would not be rewritten
         forged += [(2, name.split("-")[0], text, k2) for name, text in PINNED_FILES_K2.items()]
         forged += [(2, "basis", NESTED_BASIS_K2, k2)]
+        forged += [(2, "basis", lambda doc, text=text: json.loads(text), k2) for _, text in FORGED_BASIS_K2]
         forged += [(2, name.split("-")[0], text, k2) for name, text in NESTED_ROWS_K2.items()]
         forged += [
-            # the two graphs in reverse key order
-            (2, "basis", edited(lambda p: p[6:] + p[:6]), k2),
             # a position past the basis, or a basis graph that is not
             # trivalent on 2k vertices
             (2, "relations", rows_edit(lambda c, v: (c + [[7]], v + [[1]])), k2),
             (2, "rref", rows_edit(lambda c, v: ([r + [9] for r in c], [r + [1] for r in v])), k2),
-            (2, "basis", edited(far_end), k2),
-            # a code of (2k)^2, the pair (4, 0), in place of K4's last
-            (2, "basis", edited(lambda p: p[:-1] + [16]), k2),
+            (2, "basis", codes_edited(far_end), k2),
             # a graph that is not trivalent, or not on 2k vertices, in key order
             (2, "basis", inserted(ODD_DEGREES), k2),
             (2, "basis", inserted(prism(3), 2), k2),
             # K4's pairs but its 1-3 made 2-3, then 2-3 made 3-3: degrees
             # 3, 2, 3, 4, the 12 ends of a graph of 6 edges, the codes in
             # order and the keys increasing
-            (2, "basis", edited(lambda p: p[:6] + [1, 2, 3, 6, 11, 15]), k2),
-            # K4 with its pair 0-1 spelled 1-0, which no key holds: the codes
-            # still in order, the keys increasing and each vertex met three
-            # times
-            (2, "basis", edited(lambda p: p[:6] + [2, 3, 4, 6, 7, 11]), k2),
+            (2, "basis", codes_edited(lambda p: p[:6] + [1, 2, 3, 6, 11, 15]), k2),
             # a code count that is not a multiple of 3k: an edge dropped from
             # the first graph, or from the last, which leaves every whole
             # graph trivalent and the keys increasing
-            (2, "basis", edited(lambda p: p[:5] + p[6:]), k2),
-            (2, "basis", edited(lambda p: p[:-1]), k2),
-            # a code that %d would format as 1
-            (2, "basis", edited(lambda p: with_first(p, True)), k2),
-            (2, "basis", edited(lambda p: with_first(p, 1.0)), k2),
-            # a graph with two of its codes out of order, each vertex still
-            # met three times and the keys still increasing
-            (2, "basis", edited(swapped), k2),
+            (2, "basis", codes_edited(lambda p: p[:5] + p[6:]), k2),
+            (2, "basis", codes_edited(lambda p: p[:-1]), k2),
             # a zero key that is not a string
             (2, "zeros", edited(lambda p: p + [1]), k2),
             # rows that load to a wrong answer unless their shape is strict:
@@ -1186,21 +1221,19 @@ class TestCache:
             (2, "relations", edited(lambda p: {**p, "size": 3}), k2),
             (2, "basis", without(k4_json()), k2),
             # files whose bytes alone give them away: compact separators, a
-            # column that is true or null, a value that is a string, a list
-            # in the basis codes and one in the columns, and a negative
+            # column that is true or null, a value that is a string, a basis
+            # payload in a list and a list in the columns, and a negative
             # column
             (2, "basis", COMPACT_BASIS_K2, k2),
             (2, "relations", COMPACT_RELATIONS_K2, k2),
             (2, "relations", with_rows([[None]], [[1]]), k2),
             (2, "rref", with_rows([[True]], [[1]]), k2),
             (2, "relations", with_rows([[0]], [["1"]]), k2),
-            (2, "basis", edited(lambda p: [[p[0]]] + p[1:]), k2),
+            (2, "basis", edited(lambda p: [p]), k2),
             (2, "relations", with_flat([1], [[0]], [1]), k2),
             (2, "relations", with_rows([[-1, 0]], [[1, 1]]), k2),
-            # a list beside an int in the row lengths, and a basis with a
-            # graph's codes in a list of their own beside the flat codes
+            # a list beside an int in the row lengths
             (2, "relations", with_flat([[1]], [0], [1]), k2),
-            (2, "basis", edited(lambda p: [p[:6]] + p[6:]), k2),
         ]
         cases = [(case, False) for case in wrong_bytes] + [(case, True) for case in forged]
         for i, ((k, kind, bad, commands), pin) in enumerate(cases):
@@ -1218,6 +1251,14 @@ class TestCache:
                     restamp(m, k, kind, bad)
                 assert [run(capsys, *c, "--cache", str(d)) for c in commands] == cold
             assert path.read_text() != bad
+
+    @pytest.mark.parametrize("text", [text for _, text in FORGED_BASIS_K2], ids=[why for why, _ in FORGED_BASIS_K2])
+    def test_forged_basis_raises_value_error(self, text):
+        """The basis decoder turns each forged payload away with ValueError
+        alone, which Cache.load catches: no IndexError or other error
+        escapes it."""
+        with pytest.raises(ValueError):
+            cache_module._FORMATS["basis"][1](text.encode(), 2)
 
     @pytest.mark.parametrize(
         "kind,payload,argv,out",
@@ -1256,8 +1297,9 @@ class TestCache:
     def test_earlier_format_is_rebuilt_once(self, tmp_path, capsys, monkeypatch):
         """The files of a cache written before the pins, each with its
         checksum header, those written when the pins came in, a basis file
-        with a list for each graph, and relations and rref files with a list
-        for each row, each beside a cold build's other files, are rebuilt
+        with a list for each graph, one with a flat list of int codes, and
+        relations and rref files with a list for each row, each beside a
+        cold build's other files, are rebuilt
         once, to a fresh cache's bytes, with a fresh cache's answers, and
         then read.  A zeros file that already holds a cold build's bytes is
         left as it is, also where the basis is rebuilt beside it: its inode
@@ -1267,6 +1309,7 @@ class TestCache:
         fresh = [run(capsys, *c, "--cache", str(tmp_path / "fresh")) for c in commands]
         cold = {p.name: p.read_text() for p in (tmp_path / "fresh").iterdir()}
         nested = {**cold, "basis-k2.json": NESTED_BASIS_K2}
+        flat = {**cold, "basis-k2.json": FLAT_BASIS_K2}
         nested_rows = {**cold, **NESTED_ROWS_K2}
         rows = ["basis", "relations", "rref"]
         loaded = []
@@ -1282,6 +1325,7 @@ class TestCache:
             (EARLIER_FILES_K2, rows),
             (PINNED_FILES_K2, rows),
             (nested, ["basis"]),
+            (flat, ["basis"]),
             (nested_rows, ["relations", "rref"]),
         )
         for i, (files, missed) in enumerate(caches):
@@ -1344,7 +1388,7 @@ class TestCache:
         fresh = run(capsys, "enum", "-k", "5", "--cache", str(tmp_path))
         assert (fresh[0], json.loads(fresh[1])["classes"]) == (0, 388)
         path = tmp_path / "basis-k5.json"
-        bad = json.dumps(edited(lambda p: p[15:])(json.loads(path.read_text())))
+        bad = json.dumps(codes_edited(lambda p: p[15:])(json.loads(path.read_text())))
         path.write_text(bad)
         monkeypatch.delitem(cache_module._PINS, 5)
         assert run(capsys, "enum", "-k", "5", "--cache", str(tmp_path)) == fresh

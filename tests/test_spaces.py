@@ -890,14 +890,74 @@ class TestKeysAreTheBasis:
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_keys_of_codes_is_canonical_key(self, k, request):
-        """The basis decoder's spelling, one "a-b" string per pair code
-        2k * a + b, is canonical_key's for every basis graph, two-digit
-        vertex labels included from k=6 on."""
+        """The basis's spelling, one "a-b" string per pair code 2k * a + b,
+        is canonical_key's for every basis graph, two-digit vertex labels
+        included from k=6 on."""
         sp = cold_space(k, request)
         graphs = list(map(G.graph_of_key, sp.keys))
         codes = [2 * k * a + b for g in graphs for a, b in g.edges]
         want = tuple(G.canonical_key(2 * k, g.edges) for g in graphs)
         assert G._keys_of_codes(2 * k, codes, 3 * k) == want == sp.keys
+
+    @pytest.mark.parametrize("n", range(2, 19))
+    def test_ranked_order_is_key_order(self, n):
+        """Of two sorted pair lists of as many pairs, the one with the
+        smaller ranked string spells the smaller canonical_key, and equal
+        strings spell one key.  Up to 16 vertices, where a rank fits in a
+        byte, the pair codes rank-translated as the basis decoder
+        translates them are that string's bytes; past 16, as at k >= 9,
+        where nothing is cached, ranks pass 255.  The lists are seeded and
+        random, and the second is the first with its pairs from a random
+        place on redrawn, so that they often differ late; from n=11 on,
+        labels of two digits make the string order of the texts differ
+        from that of the codes."""
+        rng = random.Random(n)
+
+        def pairs(m):
+            return [tuple(sorted((rng.randrange(n), rng.randrange(n)))) for _ in range(m)]
+
+        def cmp(x, y):
+            return (x > y) - (x < y)
+
+        for _ in range(200):
+            m = rng.randint(1, 3 * n // 2)
+            x = sorted(pairs(m))
+            cut = rng.randint(0, m)
+            y = sorted(x[:cut] + pairs(m - cut))
+            keys = [G.canonical_key(n, p) for p in (x, y)]
+            ranked = [G._ranked_key(key) for key in keys]
+            assert cmp(*ranked) == cmp(*keys)
+            if n <= 16:
+                to_rank = cache_module._rank_tables(n)[0]
+                codes = [bytes(n * a + b for a, b in p) for p in (x, y)]
+                assert [c.translate(to_rank) for c in codes] == [r.encode("latin-1") for r in ranked]
+
+    @pytest.mark.parametrize("k", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
+    def test_each_basis_key_is_found_at_its_position(self, k, request, tmp_path, monkeypatch):
+        """Over a basis read back from its file, each basis graph's class
+        is found at its own position, with sign +1, and that position
+        spells its key."""
+        cold = cold_space(k, request)
+        cache = Cache(tmp_path)
+        cache.store(k, "basis", cold._key_index())
+        warm = GraphSpace(k, cache)
+        monkeypatch.setattr(S, "labelled_graphs", lambda k: pytest.fail("the basis was rebuilt"))
+        for i, (g, key) in enumerate(zip(cold.basis, cold.keys)):
+            assert warm.class_vector(g) == {i: 1}
+            assert warm._by_key({i: 1}) == {key: 1}
+        assert warm._keys is None  # each key was spelled alone
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_signed_key_outside_the_basis_is_not_found(self, k):
+        """With any one graph dropped from the basis, the first, the last or
+        one between, its signed class is not found."""
+        sp = space(k)
+        graphs, basis = sp._key_index(), sp.basis
+        for i in range(len(graphs)):
+            short = GraphSpace(k)
+            short._graphs = graphs[:i] + graphs[i + 1 :]
+            with pytest.raises(ValueError, match="graph class missing"):
+                short.class_vector(basis[i])
 
     def test_vector_by_key(self):
         """A vector over basis positions maps to one over the class keys,
@@ -929,7 +989,7 @@ class TestKeysAreTheBasis:
         KeyError, which load does not catch."""
         sp = cold_space(k, request)
         n = len(sp.keys)
-        values = {"basis": sp.keys, "zeros": sp.zero_keys}
+        values = {"basis": sp._key_index(), "zeros": sp.zero_keys}
         if "rref" in kinds:
             values.update(relations=(n, sp.relation_rows()), rref=(n, sp._certificate()))
         cache = Cache(tmp_path)
@@ -983,7 +1043,7 @@ class TestCache:
 
     # SHA-256 of the cache files a cold dimension() and normal_form({}) write
     # for k=1..4, as json.dumps({name: text}) with names sorted
-    FILES_DIGEST = "2b2957b5ed4ef608d7e7d93d43c7cb880131fdf3047d2a455eb008c5d98c7356"
+    FILES_DIGEST = "79f82837815c393d3f23565a9adb57862e2c4b4de46dc4350dad60944787760e"
 
     def test_file_bytes_pinned(self, tmp_path):
         for k in range(1, 5):
@@ -1001,7 +1061,7 @@ class TestCache:
         space.normal_form({})
         n = len(space.keys)
         values = {
-            "basis": space.keys,
+            "basis": space._key_index(),
             "zeros": space.zero_keys,
             "relations": (n, space.relation_rows()),
             "rref": (n, space._weights),
