@@ -11,14 +11,15 @@ is "01020306070b".  Every pinned k is at most 8, so every code is below
 (2k)^2 <= 256, two digits.  Load ranks the codes with one bytes.translate
 call (_rank_tables).  The relations kind holds the relation rows,
 and the rref kind the weight systems W that normal forms are read from,
-both as (n, rows), sparse integer rows over a basis of size n, stored
-flat: {"size": n, "lens": [...], "cols": [...], "vals": [...]}, each
-row's entry count, then the columns and the values of every row, row
-after row.  At k=2 the one relation row, 1 at column 0, is {"size": 2,
-"lens": [1], "cols": [0], "vals": [1]}.  The relation rows are those three
-lists as they are (linalg.Rows), so load builds nothing per row; a
-functional in W is a dict.  So the relations file alone gives a
-dimension, n minus the rank of its rows.  The directory is the explicit
+both stored as sparse integer rows over a basis of size n, flat: {"size":
+n, "lens": [...], "cols": [...], "vals": [...]}, each row's entry count,
+then the columns and the values of every row, row after row.  At k=2 the
+one relation row, 1 at column 0, is {"size": 2, "lens": [1], "cols": [0],
+"vals": [1]}.  The relation rows are n and those three lists as they are
+(linalg.Rows), so load builds nothing per row, and the relations file
+alone gives a dimension, n minus the rank of its rows; W is a list of
+functionals, each a dict, whose n the rref encoder writes as the cold
+build's basis size at k (_SIZES).  The directory is the explicit
 argument, else GC_CACHE, else ~/.cache/trivalent.  A cache file is named
 <kind>-k<k>.json; status and clear see no other file in the directory.
 
@@ -90,12 +91,6 @@ _SIZES = {1: 0, 2: 2, 3: 2, 4: 4, 5: 37, 6: 243, 7: 2069, 8: 21807}
 def _check(ok) -> None:
     if not ok:
         raise ValueError("cache payload of the wrong shape")
-
-
-def _list_of(x, kind) -> list:
-    """x, a list whose items all have exactly the given type."""
-    _check(type(x) is list and set(map(type, x)) <= {kind})
-    return x
 
 
 # the header json.dumps writes before each payload
@@ -171,15 +166,16 @@ def _basis_graphs(raw, k) -> list:
 def _zero_keys(raw, k) -> frozenset:
     data = json.loads(raw)
     _check(isinstance(data, dict) and data.get("format_version") == FORMAT_VERSION)
-    return frozenset(_list_of(data.get("payload"), str))
+    keys = data.get("payload")
+    _check(type(keys) is list and set(map(type, keys)) <= {str})
+    return frozenset(keys)
 
 
-def _relation_rows(raw, k) -> tuple:
-    """(n, rows) from {"size": n, "lens": [...], "cols": [...], "vals":
+def _relation_rows(raw, k) -> Rows:
+    """The linalg.Rows of {"size": n, "lens": [...], "cols": [...], "vals":
     [...]}: sparse integer rows over a basis of size n, the size of the
-    cold build's basis at k, the three flat lists as linalg.Rows, each row
-    at least one entry long, its columns positions in the basis that
-    increase strictly, and no value zero."""
+    cold build's basis at k, each row at least one entry long, its columns
+    positions in the basis that increase strictly, and no value zero."""
     _check_bytes(raw, _ROWS_BYTES)
     p = json.loads(raw)["payload"]  # by the bytes, flat lists of ints
     n, lens, cols, vals = p["size"], p["lens"], p["cols"], p["vals"]
@@ -191,47 +187,42 @@ def _relation_rows(raw, k) -> tuple:
     starts = set(accumulate(lens))
     _check(starts.issuperset(compress(count(1), map(ge, cols, islice(cols, 1, None)))))
     _check(0 not in vals)
-    return n, Rows(lens, cols, vals)
+    return Rows(n, lens, cols, vals)
 
 
-def _weight_rows(raw, k) -> tuple:
-    """(n, W), each functional in W a dict, column -> value."""
-    n, rows = _relation_rows(raw, k)
-    rows = as_dicts(rows)
-    _check(in_echelon(rows))
-    return n, rows
+def _weight_rows(raw, k) -> list:
+    """W, each functional a dict, column -> value, in echelon form."""
+    weights = as_dicts(_relation_rows(raw, k))
+    _check(in_echelon(weights))
+    return weights
 
 
-def _basis_hex(graphs) -> str:
+def _basis_hex(graphs, k) -> str:
     """The pair codes of the basis graphs' ranked strings, two hex digits each."""
-    if not graphs:
-        return ""
-    n = 2 * len(graphs[0]) // 3  # a graph's 3k pairs join its 2k vertices
-    return "".join(graphs).encode("latin-1").translate(_rank_tables(n)[1]).hex()
+    return "".join(graphs).encode("latin-1").translate(_rank_tables(2 * k)[1]).hex()
 
 
-def _flat_rows(value) -> dict:
-    n, rows = value
-    return {"size": n, "lens": rows.lens, "cols": rows.cols, "vals": rows.vals}
+def _flat_rows(rows, k) -> dict:
+    return {"size": rows.size, "lens": rows.lens, "cols": rows.cols, "vals": rows.vals}
 
 
-def _flat_weights(value) -> dict:
-    n, weights = value
-    return _flat_rows((n, as_rows(weights)))
+def _flat_weights(weights, k) -> dict:
+    return _flat_rows(as_rows(weights, _SIZES[k]), k)
 
 
-# each kind's (encoder, decoder): the encoder turns the value GraphSpace
-# uses into a payload, and the decoder turns a file's bytes back into that
-# value, given k, which a basis checks its graphs and their count against,
-# and the relations and rref rows their recorded size (_SIZES); it raises
-# ValueError on a file of the wrong shape.  The value of a basis is its
-# graphs' ranked strings, and that of relations and rref the pair (n, rows).
-# Decoders check types on the bytes and values over flat lists or whole
-# ints, each call over all of a file's items; only the basis's running
-# degree sum takes one Python step a code.
+# each kind's (encoder, decoder): given k, the encoder turns the value
+# GraphSpace uses into a payload, and the decoder turns a file's bytes back
+# into that value, checking a basis's graphs and their count, and the size
+# the relations and rref rows record, against the cold build's (_SIZES); it
+# raises ValueError on a file of the wrong shape.  The value of a basis is
+# its graphs' ranked strings, that of zeros a set of keys, that of
+# relations linalg.Rows, which carry their basis size, and that of rref W,
+# a list of dicts.  Decoders check types on the bytes and values over flat
+# lists or whole ints, each call over all of a file's items; only the
+# basis's running degree sum takes one Python step a code.
 _FORMATS = {
     "basis": (_basis_hex, _basis_graphs),
-    "zeros": (sorted, _zero_keys),
+    "zeros": (lambda keys, k: sorted(keys), _zero_keys),
     "relations": (_flat_rows, _relation_rows),
     "rref": (_flat_weights, _weight_rows),
 }
@@ -264,10 +255,12 @@ class Cache:
         return self.directory / f"{kind}-k{k}.json"
 
     def load(self, k: int, kind: str):
-        """The stored value, or None for a missing or unusable file: one
-        whose bytes do not give the pin of its k and kind, or, behind a
-        forged pin, of the wrong shape, a basis or rows of a size other
-        than the cold build's (_SIZES) included."""
+        """The stored value, as store took it (_FORMATS), or None for a
+        missing or unusable file: one whose bytes do not give the pin of
+        its k and kind, or, behind a forged pin, of the wrong shape, a
+        basis or rows of a size other than the cold build's (_SIZES)
+        included.  Relation rows come back as linalg.Rows, whose size is
+        the basis size n, and W as its functionals alone."""
         try:
             with open(self.path(k, kind), "rb") as f:
                 raw = f.read()
@@ -289,7 +282,7 @@ class Cache:
         """
         if k not in _PINS:
             return
-        payload = _FORMATS[kind][0](value)
+        payload = _FORMATS[kind][0](value, k)
         data = json.dumps({"format_version": FORMAT_VERSION, "payload": payload}).encode()
         path = self.path(k, kind)
         if _holds(path, data):

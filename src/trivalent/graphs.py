@@ -156,29 +156,14 @@ def canonical_key(num_vertices: int, pairs) -> str:
     return f"cub:{num_vertices}:" + ",".join(texts)
 
 
-def _keys_of_codes(num_vertices: int, codes, num_pairs: int) -> tuple:
-    """canonical_key of consecutive graphs of num_pairs sorted pairs each,
-    from the code num_vertices * a + b of each pair (a, b) on num_vertices
-    vertices: each pair's text is looked up in one table (_pair_texts), all
-    in one itemgetter call, and one join and one split spell every key."""
-    if not codes:
-        return ()
-    # a graph has at least three pairs, so itemgetter gets several codes and
-    # gives the tuple of their texts
-    texts = list(itemgetter(*codes)(_pair_texts(num_vertices)))
-    head = f"cub:{num_vertices}:"
-    # each key after the first starts with a line break, where the split cuts
-    texts[num_pairs::num_pairs] = map(f"\n{head}".__add__, texts[num_pairs::num_pairs])
-    return tuple((head + ",".join(texts)).split(",\n"))
-
-
 @functools.cache
 def _pair_order(num_vertices: int) -> tuple:
-    """(codes, chars): the code num_vertices * a + b of every pair of
-    vertices in the string order of the pairs' texts "a-b,", and the rank
+    """(codes, chars, texts): the code num_vertices * a + b of every pair
+    of vertices in the string order of the pairs' texts "a-b,", the rank
     character of each pair, chr of its position in that order, by its text
-    "a-b".  A graph's ranked string is the rank characters of its sorted
-    pairs (_ranked_key).
+    "a-b", and each pair's text "a-b" at its rank.  A graph's ranked string
+    is the rank characters of its sorted pairs (_ranked_key), and the texts
+    spell it back (_keys_of_ranked).
 
     Ranked strings compare as the keys they spell do: of two graphs with
     as many pairs, the one with the smaller ranked string has the smaller
@@ -197,7 +182,8 @@ def _pair_order(num_vertices: int) -> tuple:
     that do not differ spell the same key."""
     texts = _pair_texts(num_vertices)
     codes = sorted(range(num_vertices * num_vertices), key=lambda c: texts[c] + ",")
-    return codes, {texts[c]: chr(rank) for rank, c in enumerate(codes)}
+    by_rank = [texts[c] for c in codes]
+    return codes, {text: chr(rank) for rank, text in enumerate(by_rank)}, by_rank
 
 
 def _ranked_key(key: str) -> str:
@@ -207,11 +193,19 @@ def _ranked_key(key: str) -> str:
     return "".join(map(_pair_order(int(n))[1].__getitem__, text.split(",")))
 
 
-def _keys_of_ranked(num_vertices: int, ranked, num_pairs: int) -> tuple:
-    """canonical_key of consecutive graphs of num_pairs pairs each, from
-    their ranked strings joined (_pair_order), spelled by _keys_of_codes."""
-    codes = _pair_order(num_vertices)[0]
-    return _keys_of_codes(num_vertices, list(map(codes.__getitem__, map(ord, ranked))), num_pairs)
+def _keys_of_ranked(num_vertices: int, ranked) -> tuple:
+    """canonical_key of the graph each ranked string spells (_pair_order),
+    the strings all as long: each rank's text is looked up in one table,
+    all in one itemgetter call, and one join and one split spell every key."""
+    if not ranked:
+        return ()
+    # a graph has at least three pairs, so itemgetter gets several ranks and
+    # gives the tuple of their texts
+    texts = list(itemgetter(*map(ord, "".join(ranked)))(_pair_order(num_vertices)[2]))
+    head, m = f"cub:{num_vertices}:", len(ranked[0])
+    # each key after the first starts with a line break, where the split cuts
+    texts[m::m] = map(f"\n{head}".__add__, texts[m::m])
+    return tuple((head + ",".join(texts)).split(",\n"))
 
 
 def _graphs_of_ranked(num_vertices: int, ranked) -> tuple:

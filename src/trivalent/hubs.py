@@ -125,8 +125,8 @@ def hub_rows(basis, generators) -> Rows:
     the hubs are first reached (basis order, then edge order).  generators
     gives, for each basis graph in turn, its Aut generators in its labels.
     The rows are linalg.Rows, the flat form the relations file stores:
-    each row's basis indices in increasing order, and their nonzero
-    coefficients.
+    the basis size, then each row's basis indices in increasing order,
+    and their nonzero coefficients.
 
     One pass contracts one non-loop edge e per orbit of Aut(g) on the
     edges of each basis graph g (graphs._orbits; the orbit's first edge)
@@ -200,7 +200,7 @@ def hub_rows(basis, generators) -> Rows:
             if named[p] is None:
                 named[p] = (i, parity)
                 _spread(named, p, action)
-    rows = Rows()
+    rows = Rows(len(basis))
     for named in hubs.values():
         row: dict = {}
         for term in named:

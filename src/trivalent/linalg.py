@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals and over prime fields.
 
 Rows are sparse dicts (column -> int), except the relation rows, which
-keep the form of the relations file: Rows, three flat lists, each row's
-entry count, then every row's columns and every row's values, row after
-row, the columns of a row strictly increasing, no value zero and no row
-empty.  There is one exact elimination, and it is fraction-free: it takes
-integer rows only, as every row the package passes is, and clears them as
-primitive integer vectors, so its inner loops add and multiply ints.  (A
+keep the form of the relations file: Rows, their column count, the basis
+size, then three flat lists, each row's entry count, then every row's
+columns and every row's values, row after row, the columns of a row
+strictly increasing, no value zero and no row empty.  There is one exact
+elimination, and it is fraction-free: it takes integer rows only, as
+every row the package passes is, and clears them as primitive integer
+vectors, so its inner loops add and multiply ints.  (A
 row holding a Fraction makes gcd raise TypeError, or, with one entry, is
 scaled to +-1: it never gives a wrong answer.)  Exact rank counts its pivots, solve_exact reads its integer
 pivot rows directly and answers with an integer matrix over a denominator,
@@ -24,9 +25,9 @@ rows' rank (spaces.GraphSpace._certificate says why), and kernel_vectors
 reads integer vectors that vanish on the rows (vanishes_on checks each
 against every row, again on the flat lists) off the exact elimination of
 the rows it leaves, in the echelon form that in_echelon checks.  as_rows
-gives dict rows the flat form, and as_dicts turns Rows into dicts, for the
-rref decoder and for exact_rank, which does not use the peel, so it stays
-a check of it.
+gives dict rows the flat form, for the rref encoder, and as_dicts turns
+Rows into dicts, for the rref decoder and for exact_rank, which does not
+use the peel, so it stays a check of it.
 Dense matrices are row-major lists of rows; nonzeros lists a dense matrix
 as the (column, value) pairs of each row's nonzero entries.
 sub_product is the one matrix-product loop: it subtracts s * A * B from a
@@ -52,16 +53,18 @@ from operator import mul
 
 class Rows:
     """Sparse integer rows held flat, as the relations and rref files store
-    them: lens[i] is the entry count of row i, and cols and vals hold the
-    columns and the values of every row, row after row.  Within a row the
-    columns increase strictly; no value is zero and no row is empty.  Its
-    length is the row count, and iterating it gives each row's (cols, vals)
-    pair of lists, sliced as it is read: the certificate reads the flat
-    lists, so neither a build nor a load makes an object per row."""
+    them: size is the column count, the basis size the rows index, lens[i]
+    is the entry count of row i, and cols and vals hold the columns and
+    the values of every row, row after row.  Within a row the columns
+    increase strictly; no value is zero and no row is empty.  Its length is
+    the row count, and iterating it gives each row's (cols, vals) pair of
+    lists, sliced as it is read: the certificate reads the flat lists, so
+    neither a build nor a load makes an object per row."""
 
-    __slots__ = ("lens", "cols", "vals")
+    __slots__ = ("size", "lens", "cols", "vals")
 
-    def __init__(self, lens=None, cols=None, vals=None):
+    def __init__(self, size=0, lens=None, cols=None, vals=None):
+        self.size = size
         self.lens = [] if lens is None else lens
         self.cols = [] if cols is None else cols
         self.vals = [] if vals is None else vals
@@ -84,12 +87,12 @@ class Rows:
             yield cols[start:end], vals[start:end]
 
     def __eq__(self, other) -> bool:
-        return type(other) is Rows and (self.lens, self.cols, self.vals) == (
-            other.lens, other.cols, other.vals
+        return type(other) is Rows and (self.size, self.lens, self.cols, self.vals) == (
+            other.size, other.lens, other.cols, other.vals
         )
 
     def __repr__(self) -> str:
-        return f"Rows({self.lens!r}, {self.cols!r}, {self.vals!r})"
+        return f"Rows({self.size!r}, {self.lens!r}, {self.cols!r}, {self.vals!r})"
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -198,10 +201,11 @@ def vanishes_on(rows: Rows, w: dict) -> bool:
     return not any(map(totals.__getitem__, islice(accumulate(rows.lens, initial=-1), 1, None)))
 
 
-def as_rows(rows) -> Rows:
-    """Sparse dict rows as Rows, in order: each row's columns sorted, its
-    zero entries dropped, and a row with no nonzero entry dropped."""
-    flat = Rows()
+def as_rows(rows, size: int = 0) -> Rows:
+    """Sparse dict rows over size columns as Rows, in order: each row's
+    columns sorted, its zero entries dropped, and a row with no nonzero
+    entry dropped."""
+    flat = Rows(size)
     for row in rows:
         flat.append(row)
     return flat

@@ -4,15 +4,15 @@ A GraphSpace holds the basis, the signed classes in key order, as each
 graph's ranked string, one character a pair (graphs._pair_order), the form
 the basis file decodes to and a cold build ranks classify's keys into
 once; ranked strings compare as the keys they spell, so a class is found
-by bisecting on its own, and only the keys a caller reads are spelled.  It
-holds the zero class keys (classes.classify over classes.labelled_graphs),
-the relation rows (hubs.hub_rows) as linalg.Rows, three flat lists, each
-row's entry count, then every row's columns and values, the form the
-relations file stores, and the weight systems W, integer functionals
-(dicts) that vanish on every row, each read from the cache when it has
-them, else built and stored.  A basis graph is read off its ranked string
-only when the rows are built.  The rows come with the basis size n they
-index, which the relations file records, so a warm dimension() reads no
+by bisecting on its own, and only the keys a caller reads are spelled
+(graphs._keys_of_ranked).  It holds the zero class keys (classes.classify
+over classes.labelled_graphs), the relation rows (hubs.hub_rows) as
+linalg.Rows, the basis size n they index and three flat lists, each row's
+entry count, then every row's columns and values, the form the relations
+file stores, and the weight systems W, integer functionals (dicts) that
+vanish on every row, each kind the value the cache loads, else built and
+stored.  A basis graph is read off its ranked string only when the rows
+are built.  The relations file records n, so a warm dimension() reads no
 basis; the cache reads no basis or rows of another size than the cold
 build's (cache._SIZES).  One certificate proves W from the rows: its
 vectors vanish on every row and are in echelon form, so the dimension is
@@ -60,7 +60,6 @@ class GraphSpace:
         self._graphs = None  # the basis: each graph's ranked string, in key order
         self._keys = None
         self._zeros = None
-        self._size = None  # the basis size n that the rows were read or built for
         self._rows = None
         self._proved = None  # W, as dimension() last proved it
         self._weights = None  # W, as normal_form reads it
@@ -75,12 +74,11 @@ class GraphSpace:
             self._cache.store(self.k, kind, value)
 
     def _cached(self, kind: str, build):
-        """A row kind, (n, rows) over a basis of size n, read from the cache,
-        which checks n against the cold build's basis size, else built over
-        the basis and stored."""
+        """The value of a kind as the cache loads it, else as build() gives
+        it, then stored."""
         value = self._load(kind)
         if value is None:
-            value = (len(self._key_index()), build())
+            value = build()
             self._store(kind, value)
         return value
 
@@ -96,17 +94,16 @@ class GraphSpace:
 
     def _build_classes(self) -> None:
         """The cold build: classify the enumerator's labelled graphs, rank
-        the keys' pairs once (graphs._ranked_key), then store the basis and
-        the zero keys.  The cache leaves a file that already holds the
-        bytes it would write, such as a basis read from it, as it is; at a
-        k without pins it stores nothing.  The listing streams into
+        the keys' pairs once (graphs._ranked_key) and keep only the ranked
+        strings, then store the basis and the zero keys.  The cache leaves
+        a file that already holds the bytes it would write, such as a basis
+        read from it, as it is; at a k without pins it stores nothing.  The listing streams into
         classify, which is looked up here at call time, so a tracer that
         rebinds spaces.classify times the build."""
-        keys, zeros, generators = classify(labelled_graphs(self.k))
-        self._keys, self._zeros, self._generators = keys, zeros, generators
+        keys, self._zeros, self._generators = classify(labelled_graphs(self.k))
         self._graphs = list(map(_ranked_key, keys))
         self._store("basis", self._graphs)
-        self._store("zeros", zeros)
+        self._store("zeros", self._zeros)
 
     @property
     def basis(self):
@@ -119,10 +116,10 @@ class GraphSpace:
 
     @property
     def keys(self):
-        """The signed class keys, sorted: the basis, spelled on first read,
-        which enum makes; a cold build has them from classify."""
+        """The signed class keys, sorted: the basis, spelled from its ranked
+        strings on first read, which enum makes."""
         if self._keys is None:
-            self._keys = _keys_of_ranked(2 * self.k, "".join(self._key_index()), 3 * self.k)
+            self._keys = _keys_of_ranked(2 * self.k, self._key_index())
         return self._keys
 
     @property
@@ -177,7 +174,7 @@ class GraphSpace:
         if not items:
             return {}
         graphs = self._key_index()
-        keys = _keys_of_ranked(2 * self.k, "".join([graphs[i] for i, _ in items]), 3 * self.k)
+        keys = _keys_of_ranked(2 * self.k, [graphs[i] for i, _ in items])
         return dict(zip(keys, [v for _, v in items]))
 
     # -- relations ----------------------------------------------------------
@@ -195,29 +192,30 @@ class GraphSpace:
         a cold build's bytes, so each graph its keys spell is canonical, and
         its generators are read off a fresh canonical labelling of it
         (hubs.hub_rows says why the rows are the same).  Rows read from the
-        cache are a cold build's too, byte for byte (cache._PINS), and come
-        with the basis size they index, which the file records and the cache
+        cache are a cold build's too, byte for byte (cache._PINS), and carry
+        the basis size they index, which the file records and the cache
         checks (cache._SIZES), so the basis is not read.
         """
         if self._rows is None:
-            self._size, self._rows = self._cached("relations", self._hub_rows)
+            self._rows = self._cached("relations", self._hub_rows)
         return self._rows
 
     def _hub_rows(self):
+        basis = self.basis  # first: a cold build of the basis sets _generators
         generators = self._generators or [
-            _canonical_generators(canonicalize(g.num_vertices, g.edges)) for g in self.basis
+            _canonical_generators(canonicalize(g.num_vertices, g.edges)) for g in basis
         ]
-        return hub_rows(self.basis, generators)
+        return hub_rows(basis, generators)
 
     # -- rank and dimension -------------------------------------------------
 
     def _certificate(self) -> list:
         """W, proved from the relation rows: the kernel vectors that vanish
         on every row, in echelon form, so independent, and as many as the
-        basis size n the rows come with minus a lower bound on their rank,
-        which bounds the dimension above, for the first of PRIMES that
-        closes the gap.  Both bounds read one
-        singleton peel: (peeled, rest).
+        basis size n the rows carry (their size) minus a lower bound on
+        their rank, which bounds the dimension above, for the first of
+        PRIMES that closes the gap.  Both bounds read one singleton peel:
+        (peeled, rest).
 
         The bound len(peeled) + rank_mod_p(rest, p) is at most the rank of
         the rows over the rationals at every p.  Each row the peel pivots
@@ -230,7 +228,7 @@ class GraphSpace:
         that is nonzero mod p is a nonzero integer).
         """
         rows = self.relation_rows()
-        n = self._size
+        n = rows.size
         peeled, rest = peel = peel_singletons(rows)
         weights = [w for w in kernel_vectors(n, peel) if vanishes_on(rows, w)]
         if not in_echelon(weights):
@@ -250,8 +248,8 @@ class GraphSpace:
     def dimension(self) -> int:
         """Basis size minus the rank of the relation rows, proved by the
         certificate from the rows on every call.  The basis size n is the
-        one the rows come with: on a warm cache, that recorded in the
-        relations file, which is all this reads."""
+        one the rows carry: on a warm cache, that recorded in the relations
+        file, which is all this reads."""
         self._proved = self._certificate()
         return len(self._proved)
 
@@ -274,7 +272,7 @@ class GraphSpace:
         rows, so equal normal forms mean equal classes in the quotient.
         """
         if self._weights is None:
-            self._weights = self._cached("rref", self._proof)[1]
+            self._weights = self._cached("rref", self._proof)
         pairings = ((w, sum(v * w[c] for c, v in vec.items() if c in w)) for w in self._weights)
         return {max(w): Fraction(s, w[max(w)]) for w, s in pairings if s}
 

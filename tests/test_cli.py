@@ -1018,7 +1018,7 @@ class TestCache:
         zero = write(tmp_path, "zero.json", zero.to_json())
         loaded, canonicalized, built, spelled = [], [], [], []
         load, canonicalize = Cache.load, canon.canonicalize
-        graphs_of_ranked, keys_of_codes = G._graphs_of_ranked, G._keys_of_codes
+        graphs_of_ranked, keys_of_ranked = G._graphs_of_ranked, G._keys_of_ranked
 
         def recorded(self, k, kind):
             value = load(self, k, kind)
@@ -1034,12 +1034,11 @@ class TestCache:
             return graphs_of_ranked(*args)
 
         def spelling(*args):
-            keys = keys_of_codes(*args)
+            keys = keys_of_ranked(*args)
             spelled.extend(keys)
             return keys
 
         monkeypatch.setattr(Cache, "load", recorded)
-        monkeypatch.setattr(G, "_keys_of_codes", spelling)
         for name, module in list(sys.modules.items()):
             if not name.startswith("trivalent"):
                 continue
@@ -1047,6 +1046,8 @@ class TestCache:
                 monkeypatch.setattr(module, "canonicalize", counted)
             if getattr(module, "_graphs_of_ranked", 0) is graphs_of_ranked:
                 monkeypatch.setattr(module, "_graphs_of_ranked", basis_graphs)
+            if getattr(module, "_keys_of_ranked", 0) is keys_of_ranked:
+                monkeypatch.setattr(module, "_keys_of_ranked", spelling)
         for argv, kinds, calls in (
             (("dim", "-k", "4"), ["relations"], 0),
             (("surgery", zero), [], 1),  # its Aut and its class share one
@@ -1133,18 +1134,17 @@ class TestCache:
         # files behind a forged pin (restamp), which each kind's decoder
         # turns away by their shape
         forged = [
-            (3, "basis", text, (("dim", "-k", "3"),))
+            (3, "basis", text, (("enum", "-k", "3"), ("dim", "-k", "3")))
             for text in (
                 '{"format_version":1,"payload":[1,2]}',
                 "[1,2]",
                 '{"format_version":1,"payload":{"a":1}}',
             )
         ]
-        forged += [(2, kind, DEEP, (("dim", "-k", "2"),)) for kind in ("basis", "relations")]
+        forged += [(2, kind, DEEP, k2) for kind in ("basis", "relations")]
         # a file in the format the pins came in with, a basis file with a
         # list for each graph, and the basis files of FORGED_BASIS_K2, the
-        # int-list format among them, each in a warm cache, so that a file
-        # read would not be rewritten
+        # int-list format among them
         forged += [(2, name.split("-")[0], text, k2) for name, text in PINNED_FILES_K2.items()]
         forged += [(2, "basis", NESTED_BASIS_K2, k2)]
         forged += [(2, "basis", lambda doc, text=text: json.loads(text), k2) for _, text in FORGED_BASIS_K2]
@@ -1235,15 +1235,16 @@ class TestCache:
             # a list beside an int in the row lengths
             (2, "relations", with_flat([[1]], [0], [1]), k2),
         ]
+        # each case is written into a warm cache, so that a file its decoder
+        # wrongly read would not be rewritten: the commands must read it
         cases = [(case, False) for case in wrong_bytes] + [(case, True) for case in forged]
         for i, ((k, kind, bad, commands), pin) in enumerate(cases):
             cold = [run(capsys, *c, "--cache", str(tmp_path / f"cold{i}")) for c in commands]
             assert all(code == 0 and err == "" for code, _, err in cold)
             d = tmp_path / f"bad{i}"
-            d.mkdir()
+            run(capsys, "cache", "warm", "-k", str(k), "--cache", str(d))
             path = d / f"{kind}-k{k}.json"
             if callable(bad):
-                run(capsys, "cache", "warm", "-k", str(k), "--cache", str(d))
                 bad = json.dumps(bad(json.loads(path.read_text())))
             path.write_text(bad)
             with monkeypatch.context() as m:

@@ -100,7 +100,7 @@ class TestPeel:
         certificate reads, and is the rank mod p when every peeled entry is
         a unit there."""
         flat = la.as_rows(rows)
-        before = la.Rows(flat.lens[:], flat.cols[:], flat.vals[:])
+        before = la.Rows(flat.size, flat.lens[:], flat.cols[:], flat.vals[:])
         peeled, rest = la.peel_singletons(flat)
         assert flat == before
         assert all(len(r) > 1 and not peeled.keys() & r.keys() for r in rest)
@@ -115,7 +115,7 @@ class TestPeel:
         """7 peels column 0 over the integers but is zero modulo 7, where
         the two rows span one dimension, not two: the bound is still the
         exact rank, 2, above the rank mod 7."""
-        rows = la.Rows([1, 2], [0, 0, 1], [7, 1, 1])
+        rows = la.Rows(2, [1, 2], [0, 0, 1], [7, 1, 1])
         peeled, rest = la.peel_singletons(rows)
         assert (peeled, rest) == ({0: 7, 1: 1}, [])
         assert len(peeled) + la.rank_mod_p(rest, 7) == la.exact_rank(la.as_dicts(rows)) == 2
@@ -138,7 +138,7 @@ class TestPeel:
         row with no other, and Rows iterate as (cols, vals) pairs; as_dicts
         undoes it."""
         rows = la.as_rows([{3: -1, 0: 2, 1: 0}, {2: 0}, {1: 4}])
-        assert rows == la.Rows([2, 1], [0, 3, 1], [2, -1, 4])
+        assert rows == la.Rows(0, [2, 1], [0, 3, 1], [2, -1, 4])
         assert len(rows) == 2 and list(rows) == [([0, 3], [2, -1]), ([1], [4])]
         assert la.as_dicts(rows) == [{0: 2, 3: -1}, {1: 4}]
         assert rows != [([0, 3], [2, -1]), ([1], [4])]

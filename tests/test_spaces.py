@@ -501,7 +501,7 @@ class TestCertificate:
         monkeypatch.setattr(S, "kernel_vectors", counted)
         cold = GraphSpace(5, Cache(tmp_path))
         assert (cold.dimension(), cold.normal_form({30: 1}), len(calls)) == (1, {30: 1}, 1)
-        assert Cache(tmp_path).load(5, "rref") == (len(cold.keys), [self.K5])
+        assert Cache(tmp_path).load(5, "rref") == [self.K5]
         warm = GraphSpace(5, Cache(tmp_path))
         assert (warm.normal_form({25: 1}), len(calls)) == ({30: -1}, 1)
         assert (warm.dimension(), len(calls)) == (1, 2)
@@ -890,14 +890,17 @@ class TestKeysAreTheBasis:
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_keys_of_codes_is_canonical_key(self, k, request):
-        """The basis's spelling, one "a-b" string per pair code 2k * a + b,
-        is canonical_key's for every basis graph, two-digit vertex labels
-        included from k=6 on."""
+        """The basis's spelling (graphs._keys_of_ranked), one "a-b" string
+        per rank, is canonical_key's for every basis graph, two-digit vertex
+        labels included from k=6 on.  The ranked strings are built here
+        from each graph's pair codes 2k * a + b, and are the basis's."""
         sp = cold_space(k, request)
         graphs = list(map(G.graph_of_key, sp.keys))
-        codes = [2 * k * a + b for g in graphs for a, b in g.edges]
+        rank = {c: chr(r) for r, c in enumerate(G._pair_order(2 * k)[0])}
+        ranked = ["".join(rank[2 * k * a + b] for a, b in g.edges) for g in graphs]
         want = tuple(G.canonical_key(2 * k, g.edges) for g in graphs)
-        assert G._keys_of_codes(2 * k, codes, 3 * k) == want == sp.keys
+        assert G._keys_of_ranked(2 * k, ranked) == want == sp.keys
+        assert ranked == sp._key_index()
 
     @pytest.mark.parametrize("n", range(2, 19))
     def test_ranked_order_is_key_order(self, n):
@@ -991,7 +994,7 @@ class TestKeysAreTheBasis:
         n = len(sp.keys)
         values = {"basis": sp._key_index(), "zeros": sp.zero_keys}
         if "rref" in kinds:
-            values.update(relations=(n, sp.relation_rows()), rref=(n, sp._certificate()))
+            values.update(relations=sp.relation_rows(), rref=sp._certificate())
         cache = Cache(tmp_path)
         for kind in kinds:
             cache.store(k, kind, values[kind])
@@ -1024,20 +1027,30 @@ class TestCache:
         assert cold.normal_form({0: 1}) == nf
         assert cold.dimension() == dim
 
-    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("k", range(1, 8))
     def test_warm_rows_are_the_cold_rows(self, k, request, tmp_path):
         """Rows read back from the relations file are the built rows: the
-        same three flat lists, which iterate row for row as (cols, vals)
-        tuples of two lists."""
+        same size, the cold build's basis size, and the same three flat
+        lists, which iterate row for row as (cols, vals) tuples of two
+        lists.  At k=1 the basis is empty: its file holds no digit, and
+        its rows are Rows(0).  Rows compare and print with their size."""
         cold = cold_space(k, request)
         cache = Cache(tmp_path)
-        cache.store(k, "relations", (len(cold.keys), cold.relation_rows()))
+        cache.store(k, "relations", cold.relation_rows())
         warm = GraphSpace(k, cache)
         assert warm.relation_rows() == cold.relation_rows()
         for rows in (warm.relation_rows(), cold.relation_rows()):
             assert type(rows) is Rows
+            assert rows.size == cache_module._SIZES[k] == len(cold.keys)
             assert [type(rows.lens), type(rows.cols), type(rows.vals)] == [list, list, list]
             assert len(rows) == len(list(rows))
+        if k == 1:
+            assert cold.relation_rows() == Rows(0)
+            assert cache_module._basis_hex([], 1) == ""
+        rows = cold.relation_rows()
+        other = Rows(rows.size + 1, rows.lens, rows.cols, rows.vals)
+        assert rows != other
+        assert repr(rows) == f"Rows({rows.size}, {rows.lens}, {rows.cols}, {rows.vals})"
         for row in (*warm.relation_rows(), *cold.relation_rows()):
             assert type(row) is tuple and list(map(type, row)) == [list, list]
 
@@ -1059,18 +1072,17 @@ class TestCache:
         cache = Cache(tmp_path)
         space = GraphSpace(5)
         space.normal_form({})
-        n = len(space.keys)
         values = {
             "basis": space._key_index(),
             "zeros": space.zero_keys,
-            "relations": (n, space.relation_rows()),
-            "rref": (n, space._weights),
+            "relations": space.relation_rows(),
+            "rref": space._weights,
         }
         assert set(values) == set(KINDS)
         for kind, value in values.items():
             cache.store(5, kind, value)
             assert cache.load(5, kind) == value
-        size, rref = cache.load(5, "rref")
+        rref = cache.load(5, "rref")
         assert rref == [TestCertificate.K5]
         assert all(type(v) is int for w in rref for v in w.values())
 
